@@ -20,8 +20,7 @@
 //!   to the pipeline, at the paper's two scales (64 and 400 ranks);
 //! * [`store`] — persistence through the `apc-store` chunked dataset
 //!   ([`write_dataset`] / [`open_dataset`]): write a time series once,
-//!   replay it forever, byte-identically under a lossless codec. The
-//!   older flat per-iteration file format lives on in [`io`].
+//!   replay it forever, byte-identically under a lossless codec.
 //!
 //! The property the experiments depend on — and which [`storm`]'s tests
 //! pin — is *spatial locality*: the storm covers a small fraction of the
@@ -30,7 +29,6 @@
 
 pub mod dataset;
 pub mod hydro;
-pub mod io;
 pub mod noise;
 pub mod solver;
 pub mod store;
@@ -38,7 +36,6 @@ pub mod storm;
 
 pub use dataset::ReflectivityDataset;
 pub use hydro::{reflectivity_from_hydrometeors, reflectivity_from_hydrometeors_at, Hydrometeors};
-pub use io::StoredDataset;
 pub use noise::{fbm3, value_noise3};
 pub use solver::AdvectionSolver;
 pub use store::{

@@ -1,8 +1,7 @@
 //! Persist a simulated reflectivity time series into an `apc-store`
 //! chunked dataset, and reopen it for replay.
 //!
-//! This is the modern successor of the flat [`crate::io`] format: chunks
-//! align with the block decomposition, each chunk is independently
+//! Chunks align with the block decomposition, each chunk is independently
 //! compressed through an `apc-compress` `FloatCodec` (selected by
 //! [`CodecKind`]), and a reopened dataset replays through the pipeline
 //! **byte-identically** to in-memory generation when the codec is lossless

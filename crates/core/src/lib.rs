@@ -64,11 +64,11 @@ pub mod report;
 pub mod selection;
 pub mod serving;
 pub mod staged;
-pub mod stats;
 
 pub use apc_par::{ExecPolicy, RecommendedConcurrency};
 pub use apc_serve::{
-    Fidelity, Frame, FrameReply, FrameRequest, FrameSink, FrameStore, ServePolicy,
+    percentile, Fidelity, FidelityMix, Frame, FrameReply, FrameRequest, FrameSink, FrameStore,
+    RequestLog, ServePolicy, ServeReport, ServerStats,
 };
 pub use apc_stage::BackpressurePolicy;
 pub use config::{InSituMode, PipelineConfig, Redistribution, SortStrategy, StagedParams};
@@ -79,15 +79,10 @@ pub use driver::{
 };
 pub use pipeline::{Pipeline, StatsCache};
 pub use prepared::{spaced_subset, Prepared};
-pub use replay_serving::{
-    run_replay_serving, run_replay_serving_in_session, ReplayRequestLog, ReplayRun,
-    ReplayServerStats,
-};
+pub use replay_serving::{run_replay_serving, run_replay_serving_in_session, ReplayRun};
 pub use report::IterationReport;
 pub use selection::{reduction_set, ScoredBlock};
 pub use serving::{
-    run_staged_serving_in_session, run_staged_serving_prepared, FidelityMix, RequestLog,
-    ServeFault, ServeParams, ServerStats, ServingRun,
+    run_staged_serving_in_session, run_staged_serving_prepared, ServeFault, ServeParams, ServingRun,
 };
 pub use staged::{run_staged_in_session, run_staged_prepared, StagedFrame, StagedRun};
-pub use stats::percentile;

@@ -6,12 +6,14 @@
 //! — `[replay servers][clients]` — and realizes a pre-computed
 //! [`PoolPlan`] over `apc_comm`'s request/reply endpoints:
 //!
-//! * every server opens the same completed run ([`open_run`]; flat or
-//!   sharded) behind its **own** [`CachedBackend`], so the pool's cache
+//! * every server reads the same completed run ([`open_run`]; flat or
+//!   sharded) through its **own** [`ServeCore`] — the fetch → degrade →
+//!   reply path the live stager drives too — so the pool's cache
 //!   behavior is per-rank and attributable;
 //! * clients post their recorded [`ArrivalTrace`] arrivals eagerly (the
 //!   runtime's sends never block), each encoded through the
-//!   [`FrameRequest`] wire codec, to the server the plan assigned;
+//!   [`apc_serve::FrameRequest`] wire codec, to the server the plan
+//!   assigned;
 //! * each server walks its planned service order, *attributing* every
 //!   step to the next unconsumed request of that step's (client, server)
 //!   pair — per-pair issue order is the wire contract, the plan's
@@ -34,107 +36,42 @@ use std::sync::Arc;
 
 use apc_comm::{NetModel, Rank, ServeClient, ServeServer, Session};
 use apc_par::{par_map, ExecPolicy};
-use apc_replay::{resolve, ArrivalTrace, PoolParams, PoolPlan, QosTier, Resolution};
+use apc_replay::{resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution};
 use apc_serve::{
-    frame_key, open_run, Fidelity, Frame, FrameReply, FrameRequest, FrameStore, ServedFrame,
+    check_reply, frame_key, open_run, percentile, Fidelity, FrameStore, RequestLog, ServeCore,
+    ServeReport, ServerStats,
 };
-use apc_store::{CacheStats, CachedBackend, StoreBackend};
+use apc_store::StoreBackend;
 
-use crate::stats::percentile;
-
-/// One replayed request as the client experienced it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayRequestLog {
-    /// Trace slot (canonical arrival order).
-    pub slot: usize,
-    /// Issuing client.
-    pub client: usize,
-    /// The issuing client's tier.
-    pub tier: QosTier,
-    pub request: FrameRequest,
-    /// The routed primary server.
-    pub primary: usize,
-    /// The server that actually answered.
-    pub executor: usize,
-    /// Whether a steal moved the request off its primary.
-    pub stolen: bool,
-    /// Frames the reply carried.
-    pub frames: usize,
-    /// Of those, how many were answered from the executor's cache.
-    pub cache_hits: usize,
-    /// Whether the reply answered the request exactly as asked.
-    pub exact: bool,
-    /// Virtual seconds from the recorded arrival to the reply's arrival
-    /// back at the client — queueing, stealing, service and store reads
-    /// included.
-    pub latency: f64,
-}
-
-/// Per-server totals of a replay run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReplayServerStats {
-    /// Requests this server answered.
-    pub requests: usize,
-    /// Frame payloads it shipped.
-    pub frames_served: usize,
-    /// Requests it executed that a steal moved onto it.
-    pub stolen: usize,
-    /// Of its requests, how many came from premium-tier clients.
-    pub premium: usize,
-    /// The server's full per-rank cache counters ([`CachedBackend`]).
-    pub cache: CacheStats,
-    /// The server's final virtual clock.
-    pub finish: f64,
-}
-
-/// A completed replay run.
+/// A completed replay run. Derefs to its [`ServeReport`], so
+/// `run.servers`, `run.requests` and the summaries (`frames_served()`,
+/// `cache_hit_rate()`, `latency_percentile(p)`, …) are the same code
+/// [`crate::ServingRun`] reports through. Requests are logged in
+/// trace-slot order, each carrying the plan's [`Assignment`] (slot, tier,
+/// primary, executor, stolen) as its `route`; latency runs from the
+/// recorded arrival to the reply's arrival back at the client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayRun {
-    /// Every request, in trace-slot order.
-    pub requests: Vec<ReplayRequestLog>,
-    /// Per-server totals, in server-rank order.
-    pub servers: Vec<ReplayServerStats>,
-    /// Each client's final virtual clock, in client-slot order.
-    pub client_finish: Vec<f64>,
+    pub report: ServeReport<Assignment>,
     /// Requests a steal moved off their primary.
     pub stolen_total: usize,
 }
 
+impl std::ops::Deref for ReplayRun {
+    type Target = ServeReport<Assignment>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.report
+    }
+}
+
 impl ReplayRun {
-    /// Total frame payloads served.
-    pub fn frames_served(&self) -> usize {
-        self.servers.iter().map(|s| s.frames_served).sum()
-    }
-
-    /// Pool-wide cache hit rate over frame reads (0 when nothing was
-    /// read).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits: usize = self.servers.iter().map(|s| s.cache.hits).sum();
-        let misses: usize = self.servers.iter().map(|s| s.cache.misses).sum();
-        if hits + misses == 0 {
-            return 0.0;
-        }
-        hits as f64 / (hits + misses) as f64
-    }
-
-    /// Requests answered inexactly (substituted, `NotYet`, or
-    /// `NoSuchIteration`).
-    pub fn total_inexact(&self) -> usize {
-        self.requests.iter().filter(|r| !r.exact).count()
-    }
-
-    /// The `p`-th percentile (0–100) of virtual service latency over all
-    /// requests.
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        percentile(self.requests.iter().map(|r| r.latency), p)
-    }
-
     /// The `p`-th percentile of latency over one tier's requests.
     pub fn tier_latency_percentile(&self, tier: QosTier, p: f64) -> f64 {
         percentile(
             self.requests
                 .iter()
-                .filter(|r| r.tier == tier)
+                .filter(|r| r.route.tier == tier)
                 .map(|r| r.latency),
             p,
         )
@@ -143,8 +80,8 @@ impl ReplayRun {
 
 /// Per-rank result (internal).
 enum ReplayRankOut {
-    Server(ReplayServerStats),
-    Client(Vec<ReplayRequestLog>, f64),
+    Server(ServerStats),
+    Client(Vec<RequestLog<Assignment>>, f64),
 }
 
 /// Replay-serve a persisted run over a caller-owned [`Session`]. The
@@ -188,27 +125,10 @@ pub fn run_replay_serving_in_session(
     let est_cost: Vec<f64> = resolved.iter().map(|(_, c)| *c).collect();
     let plan = PoolPlan::plan(trace, params, &manifest.iterations, &est_cost);
 
-    // Per-(server, client) slot lists in issue order — the wire contract
-    // both send and receive loops follow — plus each client's own issue
-    // order. Built in O(N log N), not via per-pair scans.
-    let mut by_client: Vec<Vec<(usize, usize)>> = vec![Vec::new(); trace.clients];
-    for a in &trace.arrivals {
-        by_client[a.client].push((a.index, a.slot));
-    }
-    for v in &mut by_client {
-        v.sort_unstable();
-    }
-    let client_issue: Vec<Vec<usize>> = by_client
-        .iter()
-        .map(|v| v.iter().map(|&(_, s)| s).collect())
-        .collect();
-    let mut pair_slots: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); trace.clients]; nservers];
-    for issue in &client_issue {
-        for &slot in issue {
-            let a = &trace.arrivals[slot];
-            pair_slots[plan.assignments[slot].executor][a.client].push(slot);
-        }
-    }
+    // Each client's issue order and the per-(server, client) slot lists
+    // — the wire contract both send and receive loops follow.
+    let client_issue = trace.issue_order();
+    let pair_slots = plan.pair_slots(&client_issue);
 
     let outs: Vec<ReplayRankOut> = session.run(|rank| {
         let r = rank.rank();
@@ -248,22 +168,25 @@ pub fn run_replay_serving_in_session(
             ReplayRankOut::Server(stats) => servers.push(stats),
             ReplayRankOut::Client(logs, finish) => {
                 for log in logs {
-                    requests[log.slot] = Some(log);
+                    requests[log.route.slot] = Some(log);
                 }
                 client_finish.push(finish);
             }
         }
     }
+    let requests = requests
+        .into_iter()
+        .map(|r| {
+            // apc-lint: allow(unwrap-in-lib): every trace slot is owned by exactly one client rank
+            r.expect("every trace slot logged")
+        })
+        .collect();
     ReplayRun {
-        requests: requests
-            .into_iter()
-            .map(|r| {
-                // apc-lint: allow(unwrap-in-lib): every trace slot is owned by exactly one client rank
-                r.expect("every trace slot logged")
-            })
-            .collect(),
-        servers,
-        client_finish,
+        report: ServeReport {
+            servers,
+            requests,
+            client_finish,
+        },
         stolen_total: plan.stolen_total,
     }
 }
@@ -296,15 +219,14 @@ fn server_program(
     plan: &PoolPlan,
     resolved: &[(Resolution, f64)],
     my_pairs: &[Vec<usize>],
-) -> ReplayServerStats {
+) -> ServerStats {
     // Each server fronts the shared run reader with its own cache: hit
     // rates are per-rank observables, and eviction pressure on one server
     // never disturbs another.
-    let cached = CachedBackend::new(Arc::clone(reader), params.cache_bytes);
-    let store = FrameStore::new(&cached, run_id);
+    let store = FrameStore::new(Arc::clone(reader), run_id);
+    let mut core = ServeCore::new(store, params.cache_bytes);
     let mut eps: Vec<Option<ServeServer>> = (0..trace.clients).map(|_| None).collect();
     let mut cursor = vec![0usize; trace.clients];
-    let mut stats = ReplayServerStats::default();
 
     for &planned in &plan.server_order[s] {
         // Attribute this service step to the next unconsumed request of
@@ -321,13 +243,15 @@ fn server_program(
         let wire: Vec<u8> = ep.recv_request(rank).msg;
         // The wire codec is the trust boundary: decode totally, then pin
         // the decoded request to the recorded trace.
-        let request = FrameRequest::decode(&wire)
+        let request = core
+            .request(&wire)
             // apc-lint: allow(unwrap-in-lib): inside a rank program a corrupt request fails the replay loudly (poisons the session)
             .unwrap_or_else(|e| panic!("replay server {s} received a corrupt request: {e}"));
         assert_eq!(request, a.request, "wire request diverged from the trace");
 
         if let Some(f) = params.fault {
-            if f.server == s && stats.requests == f.after_requests {
+            // `core.request` just counted this request.
+            if f.server == s && core.stats.requests == f.after_requests + 1 {
                 // apc-lint: allow(unwrap-in-lib): deliberate fault injection for the session-stress suites
                 panic!("replay server {s} dying mid-request (fault injection)");
             }
@@ -335,61 +259,35 @@ fn server_program(
 
         if asg.stolen {
             rank.advance(params.steal_overhead);
-            stats.stolen += 1;
+            core.stats.stolen += 1;
         }
         rank.advance(params.service_base);
         if a.tier == QosTier::Premium {
-            stats.premium += 1;
+            core.stats.premium += 1;
         }
 
-        let reply = match &resolved[slot].0 {
-            Resolution::Frames { exact, keys } => {
-                let mut frames = Vec::with_capacity(keys.len());
-                for &(it, st) in keys {
-                    let before = cached.stats().misses;
-                    let stream = store.encoded(it, st).unwrap_or_else(|e| {
-                        // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the replay loudly
-                        panic!("replay server {s} failed to read frame ({it}, {st}): {e}")
-                    });
-                    let hit = cached.stats().misses == before;
-                    if !hit {
-                        // The storage tier is real data movement with its
-                        // own latency floor; a hit moves no bytes.
-                        rank.advance(params.miss_read + params.read_per_byte * stream.len() as f64);
-                    }
-                    frames.push(ServedFrame {
-                        iteration: it,
-                        stager: st,
-                        cache_hit: hit,
-                        // The replay pool serves persisted bytes verbatim
-                        // — no budget controller, no degradation.
-                        fidelity: Fidelity::Full,
-                        stream,
-                    });
-                }
-                stats.frames_served += frames.len();
-                FrameReply::Frames {
-                    exact: *exact,
-                    frames,
-                }
-            }
-            Resolution::NotYet => FrameReply::NotYet,
-            Resolution::NoSuchIteration(it) => FrameReply::NoSuchIteration(*it),
-        };
+        // The replay pool serves persisted bytes verbatim — no budget
+        // controller, no degradation. The storage tier is real data
+        // movement with its own latency floor; a hit moves no bytes.
+        let reply = core
+            .reply(&resolved[slot].0, Fidelity::Full, |bytes| {
+                rank.advance(params.miss_read + params.read_per_byte * bytes as f64)
+            })
+            .unwrap_or_else(|e| {
+                // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the replay loudly
+                panic!("replay server {s} failed to serve slot {slot}: {e}")
+            });
         // Replies ride the wire as their encoded bytes — the same codec
         // boundary the requests cross, charged at exactly the encoded
         // length.
         ep.send_reply(rank, reply.encode());
-        stats.requests += 1;
     }
 
     debug_assert!(
         (0..trace.clients).all(|c| cursor[c] == my_pairs[c].len()),
         "server drained every pair"
     );
-    stats.cache = cached.stats();
-    stats.finish = rank.clock();
-    stats
+    core.finish(rank.clock())
 }
 
 /// The SPMD program of one client rank: post every recorded arrival
@@ -404,7 +302,7 @@ fn client_program(
     plan: &PoolPlan,
     my_issue: &[usize],
     pair_slots: &[Vec<Vec<usize>>],
-) -> (Vec<ReplayRequestLog>, f64) {
+) -> (Vec<RequestLog<Assignment>>, f64) {
     let mut eps: Vec<Option<ServeClient>> = (0..nservers).map(|_| None).collect();
     // Send phase: entirely eager — the virtual runtime buffers sends, so
     // posting every request up front is deadlock-free by construction.
@@ -423,42 +321,29 @@ fn client_program(
         for &slot in &pair_slots[s][c] {
             let a = &trace.arrivals[slot];
             let d = ep.recv_reply::<Vec<u8>>(rank);
-            let reply = FrameReply::decode(&d.msg).unwrap_or_else(|e| {
-                // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply fails the replay loudly
-                panic!("client {c} received an undecodable reply: {e}")
+            let reply = check_reply(&d.msg).unwrap_or_else(|e| {
+                // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply or frame fails the replay loudly
+                panic!("client {c} received a bad reply: {e}")
             });
-            let reply = &reply;
-            // End-to-end verification: the reply must match the pure
-            // resolution of the recorded request, and every frame must
-            // decode to the key it claims.
+            // The reply must match the pure resolution of the recorded
+            // request, key for key.
             let expect = resolve(a.request, a.stager, a.tier, iterations);
-            let keys = expect.keys();
-            assert_eq!(reply.frames().len(), keys.len(), "reply frame count");
-            let mut cache_hits = 0;
-            for (served, &(it, st)) in reply.frames().iter().zip(keys) {
-                assert_eq!((served.iteration, served.stager), (it, st), "frame key");
-                let frame = Frame::decode(&served.stream).unwrap_or_else(|e| {
-                    // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt frame fails the replay loudly
-                    panic!("client {c} received an undecodable frame: {e}")
-                });
-                assert_eq!(frame.iteration, it, "decoded frame iteration");
-                assert_eq!(frame.stager, st, "decoded frame stager");
-                cache_hits += usize::from(served.cache_hit);
-            }
-            let asg = &plan.assignments[slot];
-            logs.push(ReplayRequestLog {
-                slot,
-                client: c,
-                tier: a.tier,
-                request: a.request,
-                primary: asg.primary,
-                executor: asg.executor,
-                stolen: asg.stolen,
-                frames: reply.frames().len(),
-                cache_hits,
-                exact: reply.exact(),
-                latency: d.arrival - a.time,
-            });
+            assert!(
+                reply
+                    .frames()
+                    .iter()
+                    .map(|f| (f.iteration, f.stager))
+                    .eq(expect.keys().iter().copied()),
+                "reply frames diverged from the recorded request's resolution"
+            );
+            let latency = d.arrival - a.time;
+            logs.push(RequestLog::new(
+                c,
+                a.request,
+                &reply,
+                latency,
+                plan.assignments[slot],
+            ));
         }
     }
     (logs, rank.clock())

@@ -7,12 +7,14 @@
 //! additions wired through the stager's per-frame hook:
 //!
 //! * every rendered frame is **persisted** through the config's
-//!   [`FrameSink`] and seeded into the stager's byte-bounded LRU
-//!   [`FrameCache`];
+//!   [`FrameSink`] and seeded into the stager's [`ServeCore`] cache;
 //! * after rendering frame `k`, the stager **serves its clients** up to
 //!   frame `k`'s request quota over `apc_comm`'s request/reply endpoints.
-//!   Virtual read charges are cache-aware: a cache hit costs zero, a miss
-//!   charges the ranged store read of the encoded stream's bytes.
+//!   The stager is a driver over `apc-serve`'s [`ServeCore`]: it owns the
+//!   quota schedule, deferral, the frontier-aware resolver, the serve
+//!   costs and the budget controller; the fetch → degrade → reply path
+//!   (cache hit free, miss charged as the ingest of the stream's bytes)
+//!   is the core's.
 //!
 //! Client ranks issue a deterministic request mix ([`FrameRequest`]:
 //! `Latest` / `AtIteration` / `Range`, some deliberately targeting frames
@@ -40,16 +42,15 @@ use std::collections::VecDeque;
 use apc_comm::{Rank, ServeClient, ServeServer, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_serve::{
-    degrade_stream, Fidelity, Frame, FrameCache, FrameReply, FrameRequest, FrameSink, RunManifest,
-    ServePolicy, ServedFrame,
+    check_reply, percentile, Fidelity, FrameRequest, FrameSink, RequestLog, Resolution, ServeCore,
+    ServePolicy, ServeReport, ServerStats,
 };
 use apc_stage::{Partition, RankLog, StagedSpec};
-use apc_store::CacheStats;
+use apc_store::StoreBackend;
 
 use crate::config::{InSituMode, PipelineConfig};
 use crate::controller::BudgetController;
-use crate::staged::{merge_logs, rank_program, SimAux, StageOut, StagedRun};
-use crate::stats::percentile;
+use crate::staged::{merge_logs, rank_program, write_manifest, SimAux, StageOut, StagedRun};
 
 /// Parameters of one serving run: how many client ranks, how hard they
 /// ask, and how the stagers answer.
@@ -206,174 +207,25 @@ impl ServeParams {
     }
 }
 
-/// One client request as the client experienced it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestLog {
-    /// Client slot that issued the request.
-    pub client: usize,
-    pub request: FrameRequest,
-    /// Frames the reply carried.
-    pub frames: usize,
-    /// Of those, how many were answered from the stager's hot cache.
-    pub cache_hits: usize,
-    /// Whether the reply answered the request exactly as asked
-    /// (`BestEffort` may substitute the newest frame; `NotYet` and
-    /// `NoSuchIteration` are never exact).
-    pub exact: bool,
-    /// Virtual seconds from posting the request to holding the reply —
-    /// including any production wait a deferred reply absorbed.
-    pub latency: f64,
-    /// The most degraded fidelity across the reply's frames
-    /// ([`Fidelity::Full`] for frameless replies): how good an answer the
-    /// client actually got.
-    pub fidelity: Fidelity,
-}
-
-/// How many replies a stager shipped at each rung of the fidelity
-/// ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FidelityMix {
-    pub full: usize,
-    pub lossy: usize,
-    pub dropped: usize,
-    pub header_only: usize,
-}
-
-impl FidelityMix {
-    /// Record one reply shipped at `fidelity`.
-    pub fn count(&mut self, fidelity: Fidelity) {
-        match fidelity {
-            Fidelity::Full => self.full += 1,
-            Fidelity::Lossy { .. } => self.lossy += 1,
-            Fidelity::Dropped { .. } => self.dropped += 1,
-            Fidelity::HeaderOnly => self.header_only += 1,
-        }
-    }
-
-    /// Replies shipped below full fidelity.
-    pub fn degraded(&self) -> usize {
-        self.lossy + self.dropped + self.header_only
-    }
-
-    /// All replies counted.
-    pub fn total(&self) -> usize {
-        self.full + self.degraded()
-    }
-
-    /// Merge another mix into this one.
-    pub fn merge(&mut self, other: &FidelityMix) {
-        self.full += other.full;
-        self.lossy += other.lossy;
-        self.dropped += other.dropped;
-        self.header_only += other.header_only;
-    }
-
-    /// Compact `full/lossy/dropped/header` column for report rows.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}/{}/{}/{}",
-            self.full, self.lossy, self.dropped, self.header_only
-        )
-    }
-}
-
-/// Per-stager serving totals.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServerStats {
-    /// Requests this stager received.
-    pub requests: usize,
-    /// Frame payloads it shipped.
-    pub frames_served: usize,
-    /// Cache hits / misses over those payloads.
-    pub cache_hits: usize,
-    pub cache_misses: usize,
-    /// Replies deferred to a later frame (`WaitForFrame` racing
-    /// production).
-    pub deferred: usize,
-    /// The stager's full per-rank cache counters (insertions, evictions,
-    /// evicted bytes, oversized rejects — not just the hit/miss totals
-    /// above), so policy comparisons can attribute hit-rate differences
-    /// to individual servers.
-    pub cache: CacheStats,
-    /// Frame-carrying replies by fidelity rung (adaptive serving's
-    /// observable: all-`full` when no budget is set).
-    pub fidelity: FidelityMix,
-    /// The stager's final controller output (0 without a budget): where
-    /// on the ladder the controller settled by end of run.
-    pub final_percent: f64,
-}
-
 /// A completed serving run: the staged pipeline's own observables plus
-/// the serving-side ones.
+/// the serving-side ones. Derefs to its [`ServeReport`], so `run.servers`,
+/// `run.requests` and the summaries (`frames_served()`, `fidelity_mix()`,
+/// `latency_percentile(p)`, …) are the same code [`crate::ReplayRun`]
+/// reports through. Requests are logged clients in slot order, each
+/// client's in issue order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingRun {
     /// The underlying staged run (reports, stalls, drops, per-stager
     /// block counts).
     pub staged: StagedRun,
-    /// Per-stager serving totals, in stager-slot order.
-    pub servers: Vec<ServerStats>,
-    /// Every request, clients in slot order, requests in issue order.
-    pub requests: Vec<RequestLog>,
-    /// Each client's final virtual clock, in client-slot order.
-    pub client_finish: Vec<f64>,
+    pub report: ServeReport,
 }
 
-impl ServingRun {
-    /// Total frame payloads served.
-    pub fn frames_served(&self) -> usize {
-        self.servers.iter().map(|s| s.frames_served).sum()
-    }
+impl std::ops::Deref for ServingRun {
+    type Target = ServeReport;
 
-    /// Cache hit rate over all served payloads (0 when nothing was
-    /// served).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits: usize = self.servers.iter().map(|s| s.cache_hits).sum();
-        let misses: usize = self.servers.iter().map(|s| s.cache_misses).sum();
-        if hits + misses == 0 {
-            return 0.0;
-        }
-        hits as f64 / (hits + misses) as f64
-    }
-
-    /// Replies that waited for a frame still in production.
-    pub fn total_deferred(&self) -> usize {
-        self.servers.iter().map(|s| s.deferred).sum()
-    }
-
-    /// Requests a best-effort stager answered inexactly (substituted or
-    /// empty).
-    pub fn total_inexact(&self) -> usize {
-        self.requests.iter().filter(|r| !r.exact).count()
-    }
-
-    /// The `p`-th percentile (0–100) of virtual service latency, by the
-    /// shared nearest-rank rule ([`crate::stats::percentile`]).
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        percentile(self.requests.iter().map(|r| r.latency), p)
-    }
-
-    /// Replies by fidelity rung, summed over every stager.
-    pub fn fidelity_mix(&self) -> FidelityMix {
-        let mut mix = FidelityMix::default();
-        for s in &self.servers {
-            mix.merge(&s.fidelity);
-        }
-        mix
-    }
-
-    /// Replies shipped below full fidelity.
-    pub fn degraded_replies(&self) -> usize {
-        self.fidelity_mix().degraded()
-    }
-
-    /// Frames served per virtual second of serving makespan (the last
-    /// client's finish time).
-    pub fn frames_per_virtual_second(&self) -> f64 {
-        let makespan = self.client_finish.iter().copied().fold(0.0, f64::max);
-        if makespan <= 0.0 {
-            return 0.0;
-        }
-        self.frames_served() as f64 / makespan
+    fn deref(&self) -> &ServeReport {
+        &self.report
     }
 }
 
@@ -414,46 +266,32 @@ pub(crate) fn gen_request(
     }
 }
 
-/// What a stager does with one request, given that frames `0..=k` exist.
-enum Action {
-    /// Serve these frame indices now.
-    Ready { exact: bool, idxs: Vec<usize> },
-    /// Hold the reply until frame `due` is rendered.
-    Defer(usize),
-    /// Answer immediately with a frameless reply.
-    Answer(FrameReply),
-}
-
 /// One client's connection state at its serving stager.
 struct ClientConn {
     ep: ServeServer,
     /// Requests received from this client so far.
     taken: usize,
-    /// A reply being held until its due frame index is rendered, plus
-    /// the request's virtual arrival time (the latency the stager will
+    /// A request whose reply is held until production catches up with
+    /// it, plus its virtual arrival time (the latency the stager will
     /// observe includes the production wait). While present the client is
     /// blocked on it, so the stager must not expect further requests from
     /// this client.
-    deferred: Option<(FrameRequest, usize, f64)>,
+    deferred: Option<(FrameRequest, f64)>,
 }
 
 /// Per-stager serving state, driven from the staged executor's per-frame
 /// hook (`crate::staged::rank_program`).
 pub struct StagerServe<'a> {
-    policy: ServePolicy,
+    serve: ServeParams,
     slot: u32,
-    sink: &'a FrameSink,
     iterations: &'a [usize],
-    requests_per_client: usize,
-    cache: FrameCache,
+    core: ServeCore<&'a dyn StoreBackend>,
     clients: Vec<ClientConn>,
-    stats: ServerStats,
     /// Algorithm 1 over reply latency, when a budget is set.
     budget: Option<BudgetController>,
-    /// Sliding window of the last `window_cap` stager-observed reply
-    /// latencies (send clock − request arrival).
+    /// Sliding window of the last `serve.budget_window` stager-observed
+    /// reply latencies (send clock − request arrival).
     window: VecDeque<f64>,
-    window_cap: usize,
     /// Replies shipped since the controller last observed the window —
     /// the controller only steps on fresh evidence.
     served_since_observe: usize,
@@ -461,9 +299,6 @@ pub struct StagerServe<'a> {
     percent_in_effect: f64,
     /// Ladder rung the next replies ship at.
     fidelity: Fidelity,
-    service_base: f64,
-    reply_per_byte: f64,
-    fault: Option<ServeFault>,
 }
 
 impl<'a> StagerServe<'a> {
@@ -484,12 +319,10 @@ impl<'a> StagerServe<'a> {
         // delivered p99 inside the budget itself.
         let budget = serve.latency_budget.map(|b| BudgetController::new(b * 0.5));
         Self {
-            policy: serve.policy,
+            serve: *serve,
             slot,
-            sink,
             iterations,
-            requests_per_client: serve.requests_per_client,
-            cache: FrameCache::new(serve.cache_bytes),
+            core: ServeCore::new(sink.store(), serve.cache_bytes),
             clients: client_ranks
                 .into_iter()
                 .map(|r| ClientConn {
@@ -498,25 +331,20 @@ impl<'a> StagerServe<'a> {
                     deferred: None,
                 })
                 .collect(),
-            stats: ServerStats::default(),
             // The controller's first output is 0 (serve unreduced), so
             // the opening fidelity is Full with or without a budget.
             percent_in_effect: budget.as_ref().map(|c| c.percent()).unwrap_or(0.0),
             budget,
             window: VecDeque::with_capacity(serve.budget_window),
-            window_cap: serve.budget_window,
             served_since_observe: 0,
             fidelity: Fidelity::Full,
-            service_base: serve.service_base,
-            reply_per_byte: serve.reply_per_byte,
-            fault: serve.fault,
         }
     }
 
-    /// Called by the stager right after persisting frame `k`: seed the
-    /// hot cache.
-    pub(crate) fn on_frame_rendered(&mut self, _k: usize, iteration: u64, stream: Vec<u8>) {
-        self.cache.put((iteration, self.slot), stream);
+    /// Called by the stager right after persisting a frame: seed the hot
+    /// cache.
+    pub(crate) fn on_frame_rendered(&mut self, iteration: u64, stream: Vec<u8>) {
+        self.core.seed((iteration, self.slot), stream);
     }
 
     /// Called by the stager after rendering frame `k`: flush replies that
@@ -527,59 +355,73 @@ impl<'a> StagerServe<'a> {
     pub(crate) fn after_frame(&mut self, rank: &mut Rank, k: usize, nframes: usize) {
         debug_assert!(k < nframes);
         for i in 0..self.clients.len() {
-            if let Some((q, due, arrival)) = self.clients[i].deferred {
-                if due <= k {
+            if let Some((q, arrival)) = self.clients[i].deferred {
+                if let Some(resolution) = self.resolve(q, k) {
                     self.clients[i].deferred = None;
-                    match self.resolve(q, k) {
-                        Action::Ready { exact, idxs } => {
-                            let reply = self.build_reply(rank, exact, &idxs);
-                            self.ship_reply(rank, i, reply, arrival);
-                        }
-                        _ => unreachable!("a deferred request is servable at its due frame"),
-                    }
+                    self.ship_reply(rank, i, &resolution, arrival);
                 }
             }
         }
         let quota = if k + 1 == nframes {
-            self.requests_per_client
+            self.serve.requests_per_client
         } else {
-            (self.requests_per_client * (k + 1)).div_ceil(nframes)
+            (self.serve.requests_per_client * (k + 1)).div_ceil(nframes)
         };
         for i in 0..self.clients.len() {
             while self.clients[i].taken < quota && self.clients[i].deferred.is_none() {
-                let d = self.clients[i].ep.recv_request::<FrameRequest>(rank);
-                let (q, arrival) = (d.msg, d.arrival);
+                let d = self.clients[i].ep.recv_request::<Vec<u8>>(rank);
+                let q = self.core.request(&d.msg).unwrap_or_else(|e| {
+                    // apc-lint: allow(unwrap-in-lib): inside a rank program a corrupt request fails the run loudly (poisons the session)
+                    panic!("stager {} received a corrupt request: {e}", self.slot)
+                });
                 self.clients[i].taken += 1;
-                self.stats.requests += 1;
                 match self.resolve(q, k) {
-                    Action::Ready { exact, idxs } => {
-                        let reply = self.build_reply(rank, exact, &idxs);
-                        self.ship_reply(rank, i, reply, arrival);
+                    Some(resolution) => self.ship_reply(rank, i, &resolution, d.arrival),
+                    None => {
+                        self.clients[i].deferred = Some((q, d.arrival));
+                        self.core.stats.deferred += 1;
                     }
-                    Action::Defer(due) => {
-                        debug_assert!(due > k, "deferrals always point forward");
-                        self.clients[i].deferred = Some((q, due, arrival));
-                        self.stats.deferred += 1;
-                    }
-                    Action::Answer(reply) => self.ship_reply(rank, i, reply, arrival),
                 }
             }
         }
-        self.step_controller(k);
+        self.step_controller();
     }
 
-    /// Encode and send one reply: charge the explicit serve cost
-    /// (`service_base + reply_per_byte × encoded bytes`) on the stager's
-    /// clock, observe the reply's latency into the controller window,
-    /// fire a scripted [`ServeFault`] if one targets this request, and
-    /// ship the encoded bytes (the wire charge is exactly their length).
-    fn ship_reply(&mut self, rank: &mut Rank, client: usize, reply: FrameReply, arrival: f64) {
+    /// Build, encode and send one reply at the ladder rung in effect: a
+    /// store read on a cache miss is real data movement and pays the same
+    /// per-byte ingest cost any other transfer does; then charge the
+    /// explicit serve cost (`service_base + reply_per_byte × encoded
+    /// bytes`) on the stager's clock, observe the reply's latency into the
+    /// controller window, fire a scripted [`ServeFault`] if one targets
+    /// this request, and ship the encoded bytes (the wire charge is
+    /// exactly their length).
+    fn ship_reply(
+        &mut self,
+        rank: &mut Rank,
+        client: usize,
+        resolution: &Resolution,
+        arrival: f64,
+    ) {
+        let reply = self
+            .core
+            .reply(resolution, self.fidelity, |bytes| {
+                let cost = rank.net().ingest(bytes);
+                rank.advance(cost);
+            })
+            .unwrap_or_else(|e| {
+                // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read or re-encode of the run's own frames fails the run loudly (poisons the session)
+                panic!(
+                    "stager {} failed to serve {resolution:?} at {}: {e}",
+                    self.slot,
+                    self.fidelity.name()
+                )
+            });
         let wire = reply.encode();
-        if let Some(f) = self.fault {
+        if let Some(f) = self.serve.fault {
             // `stats.requests` was incremented when the request was
             // taken, so the fault lands after the reply is fully built
             // and degraded but before its bytes reach the client.
-            if f.stager == self.slot as usize && self.stats.requests == f.after_requests + 1 {
+            if f.stager == self.slot as usize && self.core.stats.requests == f.after_requests + 1 {
                 // apc-lint: allow(unwrap-in-lib): scripted crash harness — the panic IS the fault under test
                 panic!(
                     "stager {} injected fault after {} requests (mid-reply, fidelity {})",
@@ -589,24 +431,21 @@ impl<'a> StagerServe<'a> {
                 );
             }
         }
-        let cost = self.service_base + self.reply_per_byte * wire.len() as f64;
+        let cost = self.serve.service_base + self.serve.reply_per_byte * wire.len() as f64;
         rank.advance(cost);
         let latency = rank.clock() - arrival;
-        if self.window.len() == self.window_cap {
+        if self.window.len() == self.serve.budget_window {
             self.window.pop_front();
         }
         self.window.push_back(latency);
         self.served_since_observe += 1;
-        if !reply.frames().is_empty() {
-            self.stats.fidelity.count(reply.worst_fidelity());
-        }
         self.clients[client].ep.send_reply(rank, wire);
         // Long serving batches (deep fan-in, the final-frame drain) would
         // otherwise run hundreds of replies at a stale fidelity: re-step
         // the controller every window's worth of replies so it reacts
         // within a batch, not just between frames.
-        if self.served_since_observe >= self.window_cap {
-            self.step_controller(0);
+        if self.served_since_observe >= self.serve.budget_window {
+            self.step_controller();
         }
     }
 
@@ -617,7 +456,7 @@ impl<'a> StagerServe<'a> {
     /// percentile) makes the controller's set point a tail bound: at
     /// equilibrium the worst recent reply sits at the budget, so the
     /// run-wide p99 lands at or under it.
-    fn step_controller(&mut self, _k: usize) {
+    fn step_controller(&mut self) {
         let Some(ctrl) = self.budget.as_mut() else {
             return;
         };
@@ -631,138 +470,68 @@ impl<'a> StagerServe<'a> {
         self.served_since_observe = 0;
     }
 
-    /// Drain the serving state into its totals (cache counters included).
-    pub(crate) fn finish(self) -> ServerStats {
+    /// Drain the serving state into its totals at the stager's final
+    /// virtual `clock`.
+    pub(crate) fn finish(self, clock: f64) -> ServerStats {
         debug_assert!(
             self.clients
                 .iter()
-                .all(|c| c.taken == self.requests_per_client && c.deferred.is_none()),
+                .all(|c| c.taken == self.serve.requests_per_client && c.deferred.is_none()),
             "every client fully served at end of run"
         );
         ServerStats {
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache: self.cache.stats(),
             final_percent: self.percent_in_effect,
-            ..self.stats
+            ..self.core.finish(clock)
         }
     }
 
-    fn index_of(&self, it: u64) -> Option<usize> {
-        self.iterations.iter().position(|&x| x as u64 == it)
-    }
-
-    fn resolve(&self, q: FrameRequest, k: usize) -> Action {
-        match q {
-            FrameRequest::Latest => Action::Ready {
-                exact: true,
-                idxs: vec![k],
-            },
-            FrameRequest::AtIteration(it) => match self.index_of(it) {
-                None => Action::Answer(FrameReply::NoSuchIteration(it)),
-                Some(idx) if idx <= k => Action::Ready {
-                    exact: true,
-                    idxs: vec![idx],
-                },
-                Some(idx) => match self.policy {
-                    ServePolicy::WaitForFrame => Action::Defer(idx),
-                    ServePolicy::BestEffort => Action::Ready {
-                        exact: false,
-                        idxs: vec![k],
-                    },
-                },
-            },
-            FrameRequest::Range { start, end } => {
-                let idxs: Vec<usize> = self
-                    .iterations
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &x)| (x as u64) >= start && (x as u64) <= end)
-                    .map(|(i, _)| i)
-                    .collect();
-                let Some(&last) = idxs.last() else {
-                    return Action::Answer(FrameReply::NoSuchIteration(start));
-                };
-                if last <= k {
-                    return Action::Ready { exact: true, idxs };
-                }
-                match self.policy {
-                    ServePolicy::WaitForFrame => Action::Defer(last),
-                    ServePolicy::BestEffort => {
-                        let avail: Vec<usize> = idxs.into_iter().filter(|&i| i <= k).collect();
-                        if avail.is_empty() {
-                            Action::Answer(FrameReply::NotYet)
-                        } else {
-                            Action::Ready {
-                                exact: false,
-                                idxs: avail,
-                            }
-                        }
-                    }
+    /// Resolve `q` given that frames `0..=k` exist. `None` holds the reply
+    /// (`WaitForFrame`) until production reaches the newest frame the
+    /// request names; `BestEffort` answers now with what exists.
+    fn resolve(&self, q: FrameRequest, k: usize) -> Option<Resolution> {
+        let frames = |exact: bool, idxs: &[usize]| Resolution::Frames {
+            exact,
+            keys: idxs
+                .iter()
+                .map(|&i| (self.iterations[i] as u64, self.slot))
+                .collect(),
+        };
+        // Frame indices the request names, oldest first.
+        let named: Vec<usize> = match q {
+            FrameRequest::Latest => vec![k],
+            FrameRequest::AtIteration(it) => {
+                match self.iterations.iter().position(|&x| x as u64 == it) {
+                    Some(idx) => vec![idx],
+                    None => return Some(Resolution::NoSuchIteration(it)),
                 }
             }
-        }
-    }
-
-    /// Assemble a reply, answering each frame from the cache or the frame
-    /// store, then degrading it to the ladder rung currently in effect.
-    /// Virtual read charges are cache-aware: a hit moves no bytes
-    /// and charges nothing; a miss charges the ranged read of exactly the
-    /// encoded stream's bytes (`FrameStore::encoded` reads that byte
-    /// range and nothing more, flat or sharded). The cache always holds
-    /// the *full* stream — degradation happens per reply, so a later
-    /// recovery to full fidelity serves undamaged bytes from the same
-    /// cache entry.
-    fn build_reply(&mut self, rank: &mut Rank, exact: bool, idxs: &[usize]) -> FrameReply {
-        let fidelity = self.fidelity;
-        let mut frames = Vec::with_capacity(idxs.len());
-        for &idx in idxs {
-            let it = self.iterations[idx] as u64;
-            let key = (it, self.slot);
-            let (stream, cache_hit) = match self.cache.get(&key) {
-                Some(s) => (s.to_vec(), true),
-                None => {
-                    let s = self
-                        .sink
-                        .store()
-                        .encoded(it, self.slot)
-                        .unwrap_or_else(|e| {
-                            // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the run loudly (poisons the session)
-                            panic!(
-                                "stager {} failed to read back frame (iteration {it}): {e}",
-                                self.slot
-                            )
-                        });
-                    // The store read is real data movement: charge the
-                    // same per-byte ingest cost any other transfer pays.
-                    let cost = rank.net().ingest(s.len());
-                    rank.advance(cost);
-                    self.cache.put(key, s.clone());
-                    (s, false)
+            FrameRequest::Range { start, end } => {
+                let idxs: Vec<usize> = (0..self.iterations.len())
+                    .filter(|&i| (start..=end).contains(&(self.iterations[i] as u64)))
+                    .collect();
+                if idxs.is_empty() {
+                    return Some(Resolution::NoSuchIteration(start));
                 }
-            };
-            let stream = match fidelity {
-                // Full fidelity ships the bytes as-is (no re-encode copy).
-                Fidelity::Full => stream,
-                _ => degrade_stream(&stream, fidelity).unwrap_or_else(|e| {
-                    // apc-lint: allow(unwrap-in-lib): a rendered frame that fails to re-encode means the run's own bytes are corrupt — fail loudly (poisons the session)
-                    panic!(
-                        "stager {} failed to degrade frame (iteration {it}) to {}: {e}",
-                        self.slot,
-                        fidelity.name()
-                    )
-                }),
-            };
-            frames.push(ServedFrame {
-                iteration: it,
-                stager: self.slot,
-                cache_hit,
-                fidelity,
-                stream,
-            });
+                idxs
+            }
+        };
+        let last = named[named.len() - 1];
+        if last <= k {
+            return Some(frames(true, &named));
         }
-        self.stats.frames_served += frames.len();
-        FrameReply::Frames { exact, frames }
+        match (self.serve.policy, q) {
+            (ServePolicy::WaitForFrame, _) => None,
+            // Substitute the newest frame rendered.
+            (ServePolicy::BestEffort, FrameRequest::AtIteration(_)) => Some(frames(false, &[k])),
+            (ServePolicy::BestEffort, _) => {
+                let avail: Vec<usize> = named.into_iter().filter(|&i| i <= k).collect();
+                Some(if avail.is_empty() {
+                    Resolution::NotYet
+                } else {
+                    frames(false, &avail)
+                })
+            }
+        }
     }
 }
 
@@ -785,50 +554,31 @@ fn client_program(
     for j in 0..serve.requests_per_client {
         let q = gen_request(client, j, iterations, serve.requests_per_client);
         let t0 = rank.clock();
-        ep.send_request(rank, q);
-        // Replies ride the wire as their encoded bytes (`Vec<u8>` meters
-        // as its length, so the virtual charge is exactly the encoded
-        // size — which is what the fidelity ladder shrinks).
+        // Requests and replies ride the wire as their encoded bytes
+        // (`Vec<u8>` meters as its length, so the virtual charge is
+        // exactly the encoded size — which is what the fidelity ladder
+        // shrinks).
+        ep.send_request(rank, q.encode());
         let wire: Vec<u8> = ep.recv_reply(rank).msg;
-        let reply = FrameReply::decode(&wire)
-            // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply fails the run loudly
-            .unwrap_or_else(|e| panic!("client {client} received an undecodable reply: {e}"));
         let latency = rank.clock() - t0;
-        let mut cache_hits = 0;
-        for served in reply.frames() {
-            // Decode end to end: a frame that survived store + wire must
-            // parse back; a corrupt one fails the run loudly.
-            let frame = Frame::decode(&served.stream)
-                // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt frame fails the run loudly
-                .unwrap_or_else(|e| panic!("client {client} received an undecodable frame: {e}"));
-            assert_eq!(frame.stager, server_slot, "frame from the wrong stager");
-            assert_eq!(frame.iteration, served.iteration, "frame key mismatch");
-            if served.fidelity == Fidelity::HeaderOnly {
-                assert!(
-                    frame.pixels.is_empty(),
-                    "a header-only frame must carry no pixels"
-                );
-            }
-            cache_hits += usize::from(served.cache_hit);
-        }
-        logs.push(RequestLog {
-            client,
-            request: q,
-            frames: reply.frames().len(),
-            cache_hits,
-            exact: reply.exact(),
-            latency,
-            fidelity: reply.worst_fidelity(),
-        });
+        let reply = check_reply(&wire)
+            // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply or frame fails the run loudly
+            .unwrap_or_else(|e| panic!("client {client} received a bad reply: {e}"));
+        assert!(
+            reply.frames().iter().all(|f| f.stager == server_slot),
+            "frame from the wrong stager"
+        );
+        logs.push(RequestLog::new(client, q, &reply, latency, ()));
         rank.advance(serve.think_time);
     }
     (logs, rank.clock())
 }
 
-/// Per-rank result of a serving run (internal).
+/// Per-rank result of a serving run (internal): a staged rank's log, with
+/// the serving totals if it is a stager, or a client's logs and final
+/// clock.
 enum ServingRankLog {
-    Sim(Vec<(SimAux, apc_stage::SimFrameLog)>),
-    Stage(Vec<(StageOut, apc_stage::StageFrameLog)>, ServerStats),
+    Staged(RankLog<SimAux, StageOut>, Option<ServerStats>),
     Client(Vec<RequestLog>, f64),
 }
 
@@ -842,8 +592,8 @@ enum ServingRankLog {
 /// `clients` ranks run the request/reply workload. The config must be
 /// [`InSituMode::Staged`] **with a frame sink attached**
 /// (`StagedParams::persist`) — serving reads the frames it ships from
-/// that sink's store. The run writes the sink's [`RunManifest`] before
-/// the ranks start.
+/// that sink's store. The run writes the sink's
+/// [`apc_serve::RunManifest`] before the ranks start.
 pub fn run_staged_serving_in_session<F>(
     session: &mut Session,
     decomp: &DomainDecomp,
@@ -881,30 +631,16 @@ where
     let partition = Partition::new(n_sim + n_stage, n_stage);
     let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
 
-    let gb = decomp.global_block_grid();
-    sink.store()
-        .put_manifest(&RunManifest {
-            run_id: sink.run_id().to_owned(),
-            n_stagers: n_stage,
-            width: gb.nx,
-            height: gb.ny,
-            codec: sink.codec(),
-            iterations: iterations.to_vec(),
-            shard_chunks: sink.shard_chunks(),
-        })
-        // apc-lint: allow(unwrap-in-lib): driver-level setup — a manifest write failure fails the run before it starts
-        .expect("write the run manifest");
+    write_manifest(&sink, n_stage, decomp, iterations);
 
     let iters = iterations.to_vec();
     let logs: Vec<ServingRankLog> = session.run(|rank| {
         let r = rank.rank();
         if r < n_sim {
-            match rank_program(
+            let log = rank_program(
                 rank, &spec, &params, config, decomp, coords, &iters, blocks, None,
-            ) {
-                RankLog::Sim(v) => ServingRankLog::Sim(v),
-                RankLog::Stage(_) => unreachable!("rank below n_sim is a sim"),
-            }
+            );
+            ServingRankLog::Staged(log, None)
         } else if r < n_sim + n_stage {
             let slot = r - n_sim;
             let client_ranks: Vec<usize> = (0..n_clients)
@@ -923,10 +659,7 @@ where
                 blocks,
                 Some(&mut srv),
             );
-            match log {
-                RankLog::Stage(v) => ServingRankLog::Stage(v, srv.finish()),
-                RankLog::Sim(_) => unreachable!("rank in the stage band is a stager"),
-            }
+            ServingRankLog::Staged(log, Some(srv.finish(rank.clock())))
         } else {
             let client = r - n_sim - n_stage;
             let server_slot = client % n_stage;
@@ -947,16 +680,15 @@ where
     // apc-lint: allow(unwrap-in-lib): driver-level teardown — failing to seal the run is unrecoverable and must be loud
     sink.flush().expect("seal the run's tail shards");
 
-    let mut staged_logs: Vec<RankLog<SimAux, StageOut>> = Vec::with_capacity(n_sim + n_stage);
+    let mut staged_logs = Vec::with_capacity(n_sim + n_stage);
     let mut servers = Vec::with_capacity(n_stage);
     let mut requests = Vec::new();
     let mut client_finish = Vec::with_capacity(n_clients);
     for log in logs {
         match log {
-            ServingRankLog::Sim(v) => staged_logs.push(RankLog::Sim(v)),
-            ServingRankLog::Stage(v, stats) => {
-                staged_logs.push(RankLog::Stage(v));
-                servers.push(stats);
+            ServingRankLog::Staged(log, stats) => {
+                staged_logs.push(log);
+                servers.extend(stats);
             }
             ServingRankLog::Client(v, finish) => {
                 requests.extend(v);
@@ -966,9 +698,11 @@ where
     }
     ServingRun {
         staged: merge_logs(&spec, iterations, staged_logs),
-        servers,
-        requests,
-        client_finish,
+        report: ServeReport {
+            servers,
+            requests,
+            client_finish,
+        },
     }
 }
 
@@ -1151,22 +885,6 @@ mod tests {
         assert!(
             run.total_inexact() > 0,
             "racing requests must come back substituted"
-        );
-    }
-
-    #[test]
-    fn cache_capacity_drives_hit_rate() {
-        let (cached, ..) = tiny_serving(ServePolicy::BestEffort, 1 << 20);
-        let (uncached, ..) = tiny_serving(ServePolicy::BestEffort, 0);
-        assert!(cached.cache_hit_rate() > 0.0, "a roomy cache must hit");
-        assert_eq!(uncached.cache_hit_rate(), 0.0, "no cache, no hits");
-        // Identical traffic either way.
-        assert_eq!(cached.frames_served(), uncached.frames_served());
-        // Store reads cost virtual time, so the uncached run cannot be
-        // faster end to end.
-        assert!(
-            uncached.latency_percentile(99.0) >= cached.latency_percentile(99.0) - 1e-12,
-            "cache misses must not make tail latency better"
         );
     }
 

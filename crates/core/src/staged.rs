@@ -208,22 +208,7 @@ where
     let partition = Partition::new(nranks, params.viz_ranks);
     let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
     if let Some(sink) = &params.persist {
-        // Make the stored run self-describing before any frame lands:
-        // backends deliberately offer no key listing, so the manifest is
-        // how a later reader discovers what this run persisted.
-        let gb = decomp.global_block_grid();
-        sink.store()
-            .put_manifest(&apc_serve::RunManifest {
-                run_id: sink.run_id().to_owned(),
-                n_stagers: params.viz_ranks,
-                width: gb.nx,
-                height: gb.ny,
-                codec: sink.codec(),
-                iterations: iterations.to_vec(),
-                shard_chunks: sink.shard_chunks(),
-            })
-            // apc-lint: allow(unwrap-in-lib): driver-level setup — a manifest write failure fails the run before it starts
-            .expect("write the run manifest");
+        write_manifest(sink, params.viz_ranks, decomp, iterations);
     }
     let iters = iterations.to_vec();
     let logs: Vec<RankLog<SimAux, StageOut>> = session.run(|rank| {
@@ -439,7 +424,7 @@ where
                 .with_render_info(stats.triangles as u64, percent);
                 let stream = sink.persist_stream(&frame);
                 if let Some(srv) = serve.as_deref_mut() {
-                    srv.on_frame_rendered(k, it as u64, stream);
+                    srv.on_frame_rendered(it as u64, stream);
                 }
             }
             if let Some(srv) = serve.as_deref_mut() {
@@ -459,6 +444,30 @@ where
             }
         },
     )
+}
+
+/// Make the stored run self-describing before any frame lands: backends
+/// deliberately offer no key listing, so the manifest is how a later
+/// reader discovers what this run persisted.
+pub(crate) fn write_manifest(
+    sink: &apc_serve::FrameSink,
+    n_stagers: usize,
+    decomp: &DomainDecomp,
+    iterations: &[usize],
+) {
+    let gb = decomp.global_block_grid();
+    sink.store()
+        .put_manifest(&apc_serve::RunManifest {
+            run_id: sink.run_id().to_owned(),
+            n_stagers,
+            width: gb.nx,
+            height: gb.ny,
+            codec: sink.codec(),
+            iterations: iterations.to_vec(),
+            shard_chunks: sink.shard_chunks(),
+        })
+        // apc-lint: allow(unwrap-in-lib): driver-level setup — a manifest write failure fails the run before it starts
+        .expect("write the run manifest");
 }
 
 /// Fold the per-rank logs into the per-iteration stream. Pure arithmetic

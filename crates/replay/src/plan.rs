@@ -127,6 +127,8 @@ impl PoolParams {
 pub struct Assignment {
     /// Trace slot this assignment is for.
     pub slot: usize,
+    /// The issuing client's tier (which queue the arrival joined).
+    pub tier: QosTier,
     /// The arrival's routed primary server.
     pub primary: usize,
     /// The server that actually executes it.
@@ -218,6 +220,7 @@ impl PoolPlan {
                 let primary = primary_for(params.mode, a, n, iterations);
                 Assignment {
                     slot: a.slot,
+                    tier: a.tier,
                     primary,
                     executor: primary,
                     stolen: false,
@@ -355,18 +358,19 @@ impl PoolPlan {
         }
     }
 
-    /// Trace slots executed by server `s` for client `c`, in the client's
-    /// issue order — the per-(client, server) wire contract both the
-    /// client's send loop and the server's receive attribution follow.
-    pub fn pair_slots(&self, trace: &ArrivalTrace, s: usize, c: usize) -> Vec<usize> {
-        let mut slots: Vec<(usize, usize)> = self
-            .assignments
-            .iter()
-            .filter(|asg| asg.executor == s && trace.arrivals[asg.slot].client == c)
-            .map(|asg| (trace.arrivals[asg.slot].index, asg.slot))
-            .collect();
-        slots.sort_unstable();
-        slots.into_iter().map(|(_, slot)| slot).collect()
+    /// `pair_slots[s][c]`: trace slots executed by server `s` for client
+    /// `c`, in the client's issue order — the per-(client, server) wire
+    /// contract both the client's send loop and the server's receive
+    /// attribution follow. Built in one pass over `issue`
+    /// ([`ArrivalTrace::issue_order`]).
+    pub fn pair_slots(&self, issue: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
+        let mut pairs = vec![vec![Vec::new(); issue.len()]; self.server_order.len()];
+        for (c, slots) in issue.iter().enumerate() {
+            for &slot in slots {
+                pairs[self.assignments[slot].executor][c].push(slot);
+            }
+        }
+        pairs
     }
 }
 
@@ -458,9 +462,13 @@ mod tests {
     #[test]
     fn pair_slots_preserve_issue_order() {
         let (trace, plan) = plan_for(RouteMode::RoutedStealing, 16, 21);
-        for s in 0..4 {
-            for c in 0..16 {
-                let slots = plan.pair_slots(&trace, s, c);
+        let pairs = plan.pair_slots(&trace.issue_order());
+        assert_eq!(pairs.iter().flatten().flatten().count(), trace.len());
+        for (s, clients) in pairs.iter().enumerate() {
+            for (c, slots) in clients.iter().enumerate() {
+                assert!(slots.iter().all(|&sl| {
+                    plan.assignments[sl].executor == s && trace.arrivals[sl].client == c
+                }));
                 let idxs: Vec<usize> = slots.iter().map(|&sl| trace.arrivals[sl].index).collect();
                 let mut sorted = idxs.clone();
                 sorted.sort_unstable();

@@ -16,36 +16,10 @@
 //! store reads, no clocks — so the planner and the executor can both call
 //! it and agree byte-for-byte.
 
+pub use apc_serve::Resolution;
 use apc_serve::{FrameKey, FrameRequest};
 
 use crate::trace::QosTier;
-
-/// What a request resolves to against a completed run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Resolution {
-    /// Frame keys to read and ship, in iteration order. `exact` is false
-    /// when the free tier substituted an older frame.
-    Frames { exact: bool, keys: Vec<FrameKey> },
-    /// Free-tier request predating the run: nothing to substitute.
-    NotYet,
-    /// Premium-tier request naming an iteration the run never rendered.
-    NoSuchIteration(u64),
-}
-
-impl Resolution {
-    /// Keys the resolution ships.
-    pub fn keys(&self) -> &[FrameKey] {
-        match self {
-            Resolution::Frames { keys, .. } => keys,
-            _ => &[],
-        }
-    }
-
-    /// Whether the answer is exactly what was asked.
-    pub fn exact(&self) -> bool {
-        matches!(self, Resolution::Frames { exact: true, .. })
-    }
-}
 
 /// Resolve `request` (targeting `stager`'s frames) for a `tier` client
 /// against the run's sorted iteration list.

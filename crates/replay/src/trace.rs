@@ -276,21 +276,20 @@ impl ArrivalTrace {
         self.arrivals.is_empty()
     }
 
-    /// The issuing client's tier.
-    pub fn tier_of(&self, client: usize) -> QosTier {
-        self.tiers[client]
-    }
-
-    /// Arrival slots of one client, in issue (`index`) order.
-    pub fn client_slots(&self, client: usize) -> Vec<usize> {
-        let mut slots: Vec<(usize, usize)> = self
-            .arrivals
-            .iter()
-            .filter(|a| a.client == client)
-            .map(|a| (a.index, a.slot))
-            .collect();
-        slots.sort_unstable();
-        slots.into_iter().map(|(_, s)| s).collect()
+    /// `issue_order()[c]`: arrival slots of client `c`, in issue
+    /// (`index`) order. One O(N log N) pass, not a scan per client.
+    pub fn issue_order(&self) -> Vec<Vec<usize>> {
+        let mut by_client: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.clients];
+        for a in &self.arrivals {
+            by_client[a.client].push((a.index, a.slot));
+        }
+        by_client
+            .into_iter()
+            .map(|mut v| {
+                v.sort_unstable();
+                v.into_iter().map(|(_, slot)| slot).collect()
+            })
+            .collect()
     }
 }
 
@@ -341,8 +340,9 @@ mod tests {
     #[test]
     fn per_client_times_increase_and_indices_cover() {
         let trace = ArrivalTrace::generate(&TraceSpec::new(5, 12, 3), &manifest());
-        for c in 0..5 {
-            let slots = trace.client_slots(c);
+        let issue = trace.issue_order();
+        assert_eq!(issue.len(), 5);
+        for (c, slots) in issue.iter().enumerate() {
             assert_eq!(slots.len(), 12);
             let mut last = -1.0;
             for (j, &s) in slots.iter().enumerate() {

@@ -24,15 +24,18 @@
 //!   adaptive serving executor walks under latency pressure (full →
 //!   lossy zfpx re-encode → score-ranked dropping → header-only), plus
 //!   the deterministic re-encode that implements each rung;
-//! * [`FrameCache`] — the byte-bounded LRU hot-frame cache a serving
-//!   stager answers from before falling back to store reads; since PR 8 a
-//!   [`FrameKey`]-typed alias of the generalized
-//!   `apc_store::cache::ChunkCache` every reader shares.
+//! * [`ServeCore`] — the per-request serve path both executors drive:
+//!   decode the request, fetch each resolved frame through a
+//!   byte-bounded LRU ([`apc_store::ChunkCache`] keyed by [`FrameKey`])
+//!   or the store, degrade, assemble the reply — plus its client-side
+//!   twin [`check_reply`] and the shared observables ([`RequestLog`],
+//!   [`ServerStats`], [`ServeReport`]).
 //!
-//! The crate is deliberately runtime-agnostic: it defines payloads,
-//! persistence and cache arithmetic, all deterministic; the SPMD serving
-//! executor that co-schedules client ranks against the stager pool lives
-//! in `apc-core` (`core/src/serving.rs`).
+//! Payloads, persistence, the serve core and its summaries live here, all
+//! deterministic; what stays in `apc-core` is scheduling — the SPMD rank
+//! programs that decide when a request is taken and on which virtual
+//! clock (`core/src/serving.rs` for the live stager pool,
+//! `core/src/replay_serving.rs` for the replay pool).
 //!
 //! ```
 //! use apc_serve::{Frame, FrameStore};
@@ -46,16 +49,20 @@
 //! assert_eq!(back, frame); // lossless codec: bit-exact replay
 //! ```
 
-pub mod cache;
 pub mod degrade;
 pub mod frame;
 pub mod protocol;
+pub mod serve_core;
+pub mod stats;
 pub mod store;
 
-pub use cache::{FrameCache, FrameKey};
 pub use degrade::degrade_stream;
 pub use frame::Frame;
-pub use protocol::{Fidelity, FrameReply, FrameRequest, ServePolicy, ServedFrame};
+pub use protocol::{Fidelity, FrameKey, FrameReply, FrameRequest, ServePolicy, ServedFrame};
+pub use serve_core::{
+    check_reply, FidelityMix, RequestLog, Resolution, ServeCore, ServeReport, ServerStats,
+};
+pub use stats::percentile;
 pub use store::{frame_key, open_run, FrameSink, FrameStore, RunManifest};
 
 /// Errors of frame persistence and decoding.

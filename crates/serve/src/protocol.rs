@@ -2,9 +2,10 @@
 //!
 //! Clients send a [`FrameRequest`] and block for the matching
 //! [`FrameReply`]; both ride the `apc_comm::bounded` serve endpoints
-//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]), so their
-//! virtual wire cost follows the ordinary `NetModel` accounting — which
-//! is why both types implement [`Meter`]. Replies ship frames as their
+//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]) as their
+//! **encoded bytes**, so their virtual wire cost is exactly the encoded
+//! length under the ordinary `NetModel` accounting, and `decode` is the
+//! one trust boundary on each side. Replies ship frames as their
 //! *encoded* streams: the server never decodes (a cache or store read is
 //! a byte copy), the client decodes and verifies.
 //!
@@ -18,10 +19,12 @@
 //!   the newest frame it has (flagged `exact = false`), or
 //!   [`FrameReply::NotYet`] when it has nothing.
 
-use apc_comm::Meter;
 use apc_compress::Zfpx;
 
 use crate::ServeError;
+
+/// The frame coordinate within a run: `(iteration, stager)`.
+pub type FrameKey = (u64, u32);
 
 /// What a client asks a serving stager for. Iterations are simulation
 /// iteration numbers (the frame key), not frame indices.
@@ -41,9 +44,8 @@ const TAG_AT: u8 = 2;
 const TAG_RANGE: u8 = 3;
 
 impl FrameRequest {
-    /// Serialize to the one-byte-tag + LE-operand wire form. The encoded
-    /// length equals [`Meter::nbytes`], so a request costs on the virtual
-    /// wire exactly what its bytes occupy on a real one.
+    /// Serialize to the one-byte-tag + LE-operand wire form (1, 9 or 17
+    /// bytes).
     pub fn encode(&self) -> Vec<u8> {
         match *self {
             FrameRequest::Latest => vec![TAG_LATEST],
@@ -116,17 +118,6 @@ impl FrameRequest {
             other => Err(ServeError::Corrupt(format!(
                 "unknown frame request tag {other}"
             ))),
-        }
-    }
-}
-
-impl Meter for FrameRequest {
-    fn nbytes(&self) -> usize {
-        // Tag byte plus the iteration operands.
-        match self {
-            FrameRequest::Latest => 1,
-            FrameRequest::AtIteration(_) => 1 + 8,
-            FrameRequest::Range { .. } => 1 + 16,
         }
     }
 }
@@ -245,16 +236,6 @@ impl Fidelity {
     }
 }
 
-impl Meter for Fidelity {
-    fn nbytes(&self) -> usize {
-        match self {
-            Fidelity::Full | Fidelity::HeaderOnly => 1,
-            Fidelity::Lossy { .. } => 1 + 4,
-            Fidelity::Dropped { .. } => 1 + 8,
-        }
-    }
-}
-
 /// One served frame: the encoded stream plus its coordinates, whether
 /// the serving stager answered it from the hot cache, and at what
 /// fidelity the stager shipped it.
@@ -270,14 +251,6 @@ pub struct ServedFrame {
     pub fidelity: Fidelity,
     /// The frame's encoded stream (decode with `Frame::decode`).
     pub stream: Vec<u8>,
-}
-
-impl Meter for ServedFrame {
-    fn nbytes(&self) -> usize {
-        // iteration + stager + cache_hit + fidelity + stream_len + stream,
-        // matching the wire image byte for byte.
-        8 + 4 + 1 + self.fidelity.nbytes() + 4 + self.stream.len()
-    }
 }
 
 /// The server's answer.
@@ -420,11 +393,12 @@ impl FrameReply {
             .fold(Fidelity::Full, |acc, f| acc.worst(f.fidelity))
     }
 
-    /// Serialize to the tagged wire form. The encoded length equals
-    /// [`Meter::nbytes`], so a reply costs on the virtual wire exactly
-    /// what its bytes occupy on a real one.
+    /// Serialize to the tagged wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.nbytes());
+        // Streams dominate; 8 more bytes per frame cover the widest
+        // fidelity operands.
+        let streams: usize = self.frames().iter().map(|f| f.stream.len()).sum();
+        let mut out = Vec::with_capacity(9 + self.frames().len() * (MIN_FRAME_WIRE + 8) + streams);
         match self {
             FrameReply::Frames { exact, frames } => {
                 out.push(REPLY_FRAMES);
@@ -445,7 +419,6 @@ impl FrameReply {
                 out.extend_from_slice(&it.to_le_bytes());
             }
         }
-        debug_assert_eq!(out.len(), self.nbytes(), "reply wire/meter drift");
         out
     }
 
@@ -505,19 +478,6 @@ impl FrameReply {
     }
 }
 
-impl Meter for FrameReply {
-    fn nbytes(&self) -> usize {
-        match self {
-            FrameReply::Frames { frames, .. } => {
-                // tag + exact + count + frames.
-                1 + 1 + 4 + frames.iter().map(Meter::nbytes).sum::<usize>()
-            }
-            FrameReply::NotYet => 1,
-            FrameReply::NoSuchIteration(_) => 1 + 8,
-        }
-    }
-}
-
 /// What a serving stager does with a request whose frame has not been
 /// rendered yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -546,9 +506,9 @@ mod tests {
 
     #[test]
     fn request_sizes_scale_with_operands() {
-        assert_eq!(FrameRequest::Latest.nbytes(), 1);
-        assert_eq!(FrameRequest::AtIteration(5).nbytes(), 9);
-        assert_eq!(FrameRequest::Range { start: 1, end: 4 }.nbytes(), 17);
+        assert_eq!(FrameRequest::Latest.encode().len(), 1);
+        assert_eq!(FrameRequest::AtIteration(5).encode().len(), 9);
+        assert_eq!(FrameRequest::Range { start: 1, end: 4 }.encode().len(), 17);
     }
 
     fn served(iteration: u64, fidelity: Fidelity, stream: Vec<u8>) -> ServedFrame {
@@ -561,42 +521,27 @@ mod tests {
         }
     }
 
+    /// The wire image is what the virtual network charges for: pin its
+    /// size field by field.
     #[test]
-    fn reply_meters_its_streams() {
-        let frame = ServedFrame {
-            iteration: 3,
-            stager: 0,
-            cache_hit: true,
-            fidelity: Fidelity::Full,
-            stream: vec![0; 100],
+    fn reply_wire_size_is_headers_plus_streams() {
+        let wire_len = |frames: Vec<ServedFrame>| {
+            let exact = true;
+            FrameReply::Frames { exact, frames }.encode().len()
         };
-        // 8 iteration + 4 stager + 1 cache_hit + 1 fidelity tag +
-        // 4 stream_len + 100 stream.
-        assert_eq!(frame.nbytes(), 118);
-        let reply = FrameReply::Frames {
-            exact: true,
-            frames: vec![frame.clone(), frame],
+        // tag + exact + count, then per frame 8 iteration + 4 stager +
+        // 1 cache_hit + fidelity tag and operands + 4 stream_len + stream.
+        let full = served(3, Fidelity::Full, vec![0; 100]);
+        assert_eq!(wire_len(vec![full.clone(), full]), 6 + 2 * 118);
+        assert_eq!(FrameReply::NotYet.encode().len(), 1);
+        assert_eq!(FrameReply::NoSuchIteration(9).encode().len(), 9);
+        let lossy = Fidelity::Lossy { tolerance: 0.5 };
+        assert_eq!(wire_len(vec![served(0, lossy, vec![0; 10])]), 6 + 22 + 10);
+        let dropped = Fidelity::Dropped {
+            keep_percent: 25.0,
+            tolerance: 0.1,
         };
-        assert_eq!(reply.nbytes(), 6 + 2 * 118);
-        assert_eq!(FrameReply::NotYet.nbytes(), 1);
-        assert_eq!(FrameReply::NoSuchIteration(9).nbytes(), 9);
-        // Parameterized fidelities widen the frame by their operands.
-        assert_eq!(
-            served(0, Fidelity::Lossy { tolerance: 0.5 }, vec![0; 10]).nbytes(),
-            8 + 4 + 1 + 5 + 4 + 10
-        );
-        assert_eq!(
-            served(
-                0,
-                Fidelity::Dropped {
-                    keep_percent: 25.0,
-                    tolerance: 0.1
-                },
-                vec![]
-            )
-            .nbytes(),
-            8 + 4 + 1 + 9 + 4
-        );
+        assert_eq!(wire_len(vec![served(0, dropped, vec![])]), 6 + 26);
     }
 
     #[test]
@@ -706,11 +651,9 @@ mod tests {
     }
 
     #[test]
-    fn reply_codec_round_trips_and_matches_meter() {
+    fn reply_codec_round_trips() {
         for reply in reply_cases() {
-            let wire = reply.encode();
-            assert_eq!(wire.len(), reply.nbytes(), "{reply:?} wire/meter mismatch");
-            assert_eq!(FrameReply::decode(&wire).unwrap(), reply);
+            assert_eq!(FrameReply::decode(&reply.encode()).unwrap(), reply);
         }
     }
 
@@ -811,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn request_codec_round_trips_and_matches_meter() {
+    fn request_codec_round_trips() {
         let cases = [
             FrameRequest::Latest,
             FrameRequest::AtIteration(0),
@@ -823,9 +766,7 @@ mod tests {
             },
         ];
         for req in cases {
-            let wire = req.encode();
-            assert_eq!(wire.len(), req.nbytes(), "{req:?} wire/meter mismatch");
-            assert_eq!(FrameRequest::decode(&wire).unwrap(), req);
+            assert_eq!(FrameRequest::decode(&req.encode()).unwrap(), req);
         }
     }
 

@@ -1,12 +1,10 @@
 //! Shared latency statistics for the serving executors.
 //!
-//! Both serving executors (`serving.rs`'s staged serving and
-//! `replay_serving.rs`'s standalone replay pool) — and, since the
-//! adaptive-serving work, every per-stager `BudgetController` window —
-//! report tail latencies through the same **nearest-rank** percentile.
-//! The rule used to be copy-pasted at each call site; a drift in the
-//! rounding convention between copies would silently skew the perf-gate
-//! comparisons that consume these numbers, so it lives here once.
+//! Both executors' run summaries ([`crate::ServeReport`]) and every
+//! per-stager `BudgetController` window report tail latencies through the
+//! same **nearest-rank** percentile. A drift in the rounding convention
+//! between copies would silently skew the perf-gate comparisons that
+//! consume these numbers, so it lives here once.
 
 /// The `p`-th percentile (0–100) of `values`, by the nearest-rank rule
 /// `idx = round(p/100 · (n−1))` over the sorted samples.

@@ -84,7 +84,7 @@ struct Entry {
 /// A deterministic, byte-size-bounded LRU cache.
 ///
 /// Generic over the key (`apc-store` readers use `String` store keys;
-/// `apc-serve` aliases `ChunkCache<(u64, u32)>` as its `FrameCache`).
+/// `apc-serve`'s serve core uses `ChunkCache<(u64, u32)>` frame keys).
 /// All operations are `O(log n)`: the entry map and the sequence-numbered
 /// recency index are both B-trees, and a recency refresh moves exactly one
 /// index entry. A budget of `0` is the legal degenerate cache that stores

@@ -112,7 +112,7 @@ fn every_request_is_answered_and_verified() {
     );
     assert_eq!(out.requests.len(), tr.len(), "one log per recorded arrival");
     for (slot, log) in out.requests.iter().enumerate() {
-        assert_eq!(log.slot, slot, "logs come back in trace-slot order");
+        assert_eq!(log.route.slot, slot, "logs come back in trace-slot order");
         assert!(log.latency > 0.0, "latency includes wire + service time");
     }
     assert!(out.frames_served() > 0);
@@ -137,11 +137,11 @@ fn routed_mode_gives_every_key_one_home() {
     // affinity routing exists to create.
     let mut homes: Vec<((u64, u32), usize)> = Vec::new();
     for log in &out.requests {
-        let a = &tr.arrivals[log.slot];
+        let a = &tr.arrivals[log.route.slot];
         let key = insitu::replay::route_key(a.request, a.stager, ITERS);
         match homes.iter().find(|(k, _)| *k == key) {
-            Some((_, home)) => assert_eq!(*home, log.primary, "key {key:?} moved homes"),
-            None => homes.push((key, log.primary)),
+            Some((_, home)) => assert_eq!(*home, log.route.primary, "key {key:?} moved homes"),
+            None => homes.push((key, log.route.primary)),
         }
     }
     assert_eq!(out.stolen_total, 0, "Routed never steals");
@@ -168,7 +168,10 @@ fn stealing_moves_work_but_not_bytes() {
         assert_eq!(r.request, s.request);
         assert_eq!(r.frames, s.frames, "stealing must not change reply content");
         assert_eq!(r.exact, s.exact);
-        assert_eq!(r.primary, s.primary, "stealing never re-routes primaries");
+        assert_eq!(
+            r.route.primary, s.route.primary,
+            "stealing never re-routes primaries"
+        );
     }
 }
 
@@ -212,7 +215,7 @@ fn qos_tiers_split_the_miss_path() {
     assert!(p_misses > 0, "miss share must generate out-of-run requests");
     for r in p.requests.iter().filter(|r| !r.exact) {
         assert_eq!(r.frames, 0, "premium never gets substitutes");
-        assert_eq!(r.tier, QosTier::Premium);
+        assert_eq!(r.route.tier, QosTier::Premium);
     }
     // Free: out-of-run requests get the newest earlier frame instead.
     let f_subs = f
