@@ -11,15 +11,12 @@
 //! * [`experiments`] — one module per paper table/figure plus the ablations
 //!   listed in DESIGN.md §4. Each exposes `run(&Scale)`, prints the
 //!   series/rows the paper reports, and writes CSV.
-//! * [`perf`] — the perf-trajectory regression gate: parses
-//!   `bench_kernels.json` runs and diffs them against the committed
-//!   `bench_baseline.json` with a tolerance band (driven by the
-//!   `perf_gate` binary from `ci.sh`).
 //!
 //! Thin binaries in `src/bin/` wrap single experiments; the `figures` bench
-//! target (`cargo bench -p apc-bench --bench figures`) runs the whole set,
-//! and the `kernels` bench target microbenchmarks the hot kernels,
-//! including the `Serial` vs `Threads(n)` execution-policy comparison.
+//! target (`cargo bench -p apc-bench --bench figures`) runs the whole set.
+//! This crate reports the paper's *virtual* seconds only; wall-clock
+//! performance is measured by the standalone `benchmark/` package
+//! (`benchmark/README.md`, `BENCHMARK.json`).
 //!
 //! Set `APC_THREADS=<n>|auto` to fan the per-block kernels out inside each
 //! simulated rank (see [`harness::exec_from_env`]); virtual-time figures
@@ -34,6 +31,5 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod perf;
 
 pub use harness::{exec_from_env, Scale};

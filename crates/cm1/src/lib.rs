@@ -39,8 +39,8 @@ pub use hydro::{reflectivity_from_hydrometeors, reflectivity_from_hydrometeors_a
 pub use noise::{fbm3, value_noise3};
 pub use solver::AdvectionSolver;
 pub use store::{
-    open_dataset, open_dataset_cached, write_dataset, write_dataset_sharded,
-    write_dataset_sharded_to, write_dataset_to, StoredTimeSeries,
+    open_dataset, write_dataset, write_dataset_sharded, write_dataset_sharded_to, write_dataset_to,
+    StoredTimeSeries,
 };
 pub use storm::StormModel;
 

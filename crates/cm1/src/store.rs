@@ -135,12 +135,6 @@ pub fn open_dataset(dir: &Path) -> Result<StoredTimeSeries, StoreError> {
     StoredTimeSeries::from_backend(Box::new(DirStore::open(dir)?))
 }
 
-/// [`open_dataset`] with a chunk cache + iteration-order readahead over
-/// the backend (see [`StoredTimeSeries::from_backend_cached`]).
-pub fn open_dataset_cached(dir: &Path, cache_bytes: usize) -> Result<StoredTimeSeries, StoreError> {
-    StoredTimeSeries::from_backend_cached(Box::new(DirStore::open(dir)?), cache_bytes)
-}
-
 /// A reopened stored time series: chunked block data plus the
 /// deterministic geometry rebuilt from the metadata.
 ///
@@ -363,7 +357,8 @@ mod tests {
 
         let plain = open_dataset(&dir).unwrap();
         assert!(plain.cache_stats().is_none());
-        let cached = open_dataset_cached(&dir, 8 << 20).unwrap();
+        let backend = Box::new(DirStore::open(&dir).unwrap());
+        let cached = StoredTimeSeries::from_backend_cached(backend, 8 << 20).unwrap();
 
         // Sequential replay, every rank: bytes identical to the uncached
         // open, and readahead keeps pulling the next iteration's chunks.

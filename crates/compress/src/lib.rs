@@ -21,12 +21,10 @@
 pub mod bitio;
 pub mod fpz;
 pub mod lz;
-pub mod probe;
 pub mod zfpx;
 
 pub use fpz::Fpz;
 pub use lz::Lz77;
-pub use probe::{probe_codecs, probe_ratios};
 pub use zfpx::Zfpx;
 
 /// Shape of a 3D array, `(nx, ny, nz)`, x-fastest layout. (Deliberately a

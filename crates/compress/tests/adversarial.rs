@@ -8,8 +8,10 @@
 //!    `zfpx` must never panic (it documents non-finite → 0).
 //! 2. **Constant blocks** — including special constants, across shapes.
 //! 3. **Degenerate shapes** — 1×1×1 and the three 1×N×1-style pencils.
-//! 4. **Truncated streams** — decode of any prefix must return an error
-//!    (a meaningful truncation yields `CodecError::Corrupt`), never panic.
+//! 4. **Truncated streams** — a meaningful truncation yields
+//!    `CodecError::Corrupt`, and garbage after it never panics. (The
+//!    every-prefix and every-bit-flip sweep over all decoders is
+//!    `tests/decoders_never_panic.rs`.)
 
 use apc_compress::{CodecError, FloatCodec, Fpz, Lz77, Zfpx};
 use apc_par::SplitMix64;
@@ -212,7 +214,7 @@ fn noisy_block(rng: &mut SplitMix64, n: usize) -> Vec<f32> {
 }
 
 #[test]
-fn truncated_streams_error_never_panic() {
+fn half_truncated_streams_are_corrupt() {
     let mut rng = SplitMix64::new(0xAD05);
     let shape = (6, 5, 4);
     let n = shape.0 * shape.1 * shape.2;
@@ -229,38 +231,11 @@ fn truncated_streams_error_never_panic() {
                 "{} case {case}: half-truncation gave {half:?}",
                 codec.name()
             );
-            // Any prefix whatsoever must decode without panicking.
-            for _ in 0..16 {
-                let cut = rng.below(enc.len());
-                let _ = codec.decode(&enc[..cut], shape);
-            }
-            // So must a prefix with trailing garbage appended.
+            // A prefix with trailing garbage appended must decode
+            // without panicking.
             let mut mangled = enc[..enc.len() / 2].to_vec();
             mangled.extend((0..rng.below(32)).map(|_| rng.next_u64() as u8));
             let _ = codec.decode(&mangled, shape);
-        }
-    }
-}
-
-#[test]
-fn bitflipped_streams_error_or_decode_never_panic() {
-    // Single-bit corruption anywhere in the stream: decode may succeed
-    // (the flip can land in payload bits) but must never panic, and for
-    // the lossless codecs a successful decode must still have the right
-    // length.
-    let mut rng = SplitMix64::new(0xAD06);
-    let shape = (5, 5, 3);
-    let n = shape.0 * shape.1 * shape.2;
-    for codec in all_codecs() {
-        let data = noisy_block(&mut rng, n);
-        let enc = codec.encode(&data, shape);
-        for _ in 0..64 {
-            let mut bad = enc.clone();
-            let bit = rng.below(bad.len() * 8);
-            bad[bit / 8] ^= 1 << (bit % 8);
-            if let Ok(dec) = codec.decode(&bad, shape) {
-                assert_eq!(dec.len(), n, "{} decoded to wrong length", codec.name());
-            }
         }
     }
 }

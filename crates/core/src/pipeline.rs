@@ -10,12 +10,11 @@ use crate::config::{PipelineConfig, Redistribution, SortStrategy};
 use crate::controller::BudgetController;
 use crate::redistribute::{assignment, exchange};
 use crate::report::IterationReport;
-use crate::selection::{reduction_set, score_order, ScoredBlock};
+use crate::selection::{reduction_count, reduction_set, score_order, ScoredBlock};
 
 /// Virtual cost of reducing one block (a corner copy — negligible, but the
-/// step is measured like every other). Shared with the staged executor
-/// ([`crate::staged`]) so both modes charge reduction identically.
-pub(crate) const REDUCE_COST_PER_BLOCK: f64 = 2.0e-6;
+/// step is measured like every other).
+const REDUCE_COST_PER_BLOCK: f64 = 2.0e-6;
 
 /// Cache key for one block's isosurface stats. `IsoStats` is a pure
 /// function of `(block content, isovalue)`, so the key carries both: the
@@ -97,10 +96,8 @@ impl StatsCache {
 
 /// Isosurface work counters of one block under `config` — through the
 /// shared [`StatsCache`] when one is attached and the block is full
-/// (reduced blocks are cheap to extract and never cached). The single
-/// implementation both the synchronous render step and the staged
-/// executor use, so the cache stays coherent across modes.
-pub(crate) fn cached_block_stats(
+/// (reduced blocks are cheap to extract and never cached).
+fn cached_block_stats(
     config: &PipelineConfig,
     coords: &RectilinearCoords,
     iteration: usize,
@@ -122,6 +119,66 @@ pub(crate) fn cached_block_stats(
         }
         _ => block_isosurface(b, coords, config.isovalue).1,
     }
+}
+
+/// The paper's reduce step, the one copy every executor runs (the
+/// synchronous step 3, the staged sim-side pre-reduce and the stager
+/// reduce): downsample the blocks of `held` that are among the `percent`%
+/// lowest-scored of the ascending `sorted` list — to 8 corners by default,
+/// to a k³ lattice with the downsampling extension — and charge
+/// [`REDUCE_COST_PER_BLOCK`] for each. A block that arrives already
+/// reduced is neither touched nor charged. Returns the blocks reduced
+/// here.
+pub(crate) fn reduce_lowest(
+    rank: &mut Rank,
+    config: &PipelineConfig,
+    held: &mut [Block],
+    sorted: &[ScoredBlock],
+    percent: f64,
+) -> usize {
+    let to_reduce = reduction_set(sorted, percent);
+    let mut reduced_here = 0usize;
+    for b in held {
+        if to_reduce.contains(&b.id) && !b.is_reduced() {
+            b.downsample(config.reduce_keep);
+            reduced_here += 1;
+        }
+    }
+    rank.advance(reduced_here as f64 * REDUCE_COST_PER_BLOCK);
+    reduced_here
+}
+
+/// The paper's render step, the one copy both executors run: extract the
+/// isosurface of the `held` blocks and charge the cost model's render
+/// time. Extraction is fanned out per block under `config.exec` (the
+/// stats cache is thread-safe); per-block counters are merged in block
+/// order, so the counted work — and with it the virtual render time — is
+/// identical under every policy.
+pub(crate) fn render_held(
+    rank: &mut Rank,
+    config: &PipelineConfig,
+    coords: &RectilinearCoords,
+    iteration: usize,
+    held: &[Block],
+) -> IsoStats {
+    let per_block: Vec<IsoStats> = par_map(
+        config
+            .exec
+            .for_kernel(apc_render::isosurface::recommended_concurrency(held.len())),
+        held,
+        |b| cached_block_stats(config, coords, iteration, b),
+    );
+    let mut stats = IsoStats::default();
+    for s in per_block {
+        stats.merge(s);
+    }
+    let render_t = config.cost.render_time(
+        stats,
+        held.len(),
+        RenderCostModel::key(rank.rank(), iteration),
+    );
+    rank.advance(render_t);
+    stats
 }
 
 /// A rank-local pipeline instance. Controller state is replicated on every
@@ -234,17 +291,8 @@ impl Pipeline {
         rank.barrier();
         let c2 = rank.clock();
 
-        // Step 3 — reduce the p% lowest-scored blocks (to 8 corners by
-        // default; to a k³ lattice with the downsampling extension).
-        let to_reduce = reduction_set(&sorted, percent);
-        let mut reduced_here = 0usize;
-        for b in &mut blocks {
-            if to_reduce.contains(&b.id) {
-                b.downsample(self.config.reduce_keep);
-                reduced_here += 1;
-            }
-        }
-        rank.advance(reduced_here as f64 * REDUCE_COST_PER_BLOCK);
+        // Step 3 — reduce the p% lowest-scored blocks.
+        reduce_lowest(rank, &self.config, &mut blocks, &sorted, percent);
         rank.barrier();
         let c3 = rank.clock();
 
@@ -262,28 +310,8 @@ impl Pipeline {
         rank.barrier();
         let c4 = rank.clock();
 
-        // Step 5 — render the isosurface of the held blocks. Extraction is
-        // fanned out per block under `exec` (the stats cache is
-        // thread-safe); per-block counters are merged in block order, so
-        // the counted work — and with it the virtual render time — is
-        // identical under every policy.
-        let config = &self.config;
-        let coords = &self.coords;
-        let per_block: Vec<IsoStats> = par_map(
-            exec.for_kernel(apc_render::isosurface::recommended_concurrency(held.len())),
-            &held,
-            |b| cached_block_stats(config, coords, iteration, b),
-        );
-        let mut stats = IsoStats::default();
-        for s in per_block {
-            stats.merge(s);
-        }
-        let render_t = self.config.cost.render_time(
-            stats,
-            held.len(),
-            RenderCostModel::key(rank.rank(), iteration),
-        );
-        rank.advance(render_t);
+        // Step 5 — render the isosurface of the held blocks.
+        let stats = render_held(rank, &self.config, &self.coords, iteration, &held);
         rank.barrier();
         let c5 = rank.clock();
 
@@ -295,7 +323,7 @@ impl Pipeline {
         let report = IterationReport {
             iteration,
             percent_reduced: percent,
-            blocks_reduced: to_reduce.len(),
+            blocks_reduced: reduction_count(sorted.len(), percent),
             t_score: c1 - c0,
             t_sort: c2 - c1,
             t_reduce: c3 - c2,

@@ -119,7 +119,7 @@ impl Prepared {
     /// so datasets larger than memory stream through. The prepared
     /// iteration set is exactly the stored one.
     ///
-    /// A series opened through [`apc_cm1::open_dataset_cached`] /
+    /// A series opened through
     /// `StoredTimeSeries::from_backend_cached` layers the shared chunk
     /// cache + iteration-order readahead under these reads; replay
     /// results are byte-identical either way (`tests/properties.rs` pins

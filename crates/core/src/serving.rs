@@ -52,6 +52,11 @@ use crate::config::{InSituMode, PipelineConfig};
 use crate::controller::BudgetController;
 use crate::staged::{merge_logs, rank_program, write_manifest, SimAux, StageOut, StagedRun};
 
+/// Sliding-window length (latency samples) a stager's
+/// [`BudgetController`] observes; it also re-steps mid-batch every
+/// `BUDGET_WINDOW` replies.
+const BUDGET_WINDOW: usize = 32;
+
 /// Parameters of one serving run: how many client ranks, how hard they
 /// ask, and how the stagers answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,8 +82,6 @@ pub struct ServeParams {
     /// *delivered* tail stays inside `b`. `None`: fixed full fidelity,
     /// the pre-adaptive behavior.
     pub latency_budget: Option<f64>,
-    /// Sliding-window length (latency samples) the controller observes.
-    pub budget_window: usize,
     /// Virtual seconds of per-reply service work on the stager clock.
     /// Zero (the default) keeps pre-adaptive runs byte-identical.
     pub service_base: f64,
@@ -119,7 +122,6 @@ impl ServeParams {
             think_time: 0.0,
             cache_bytes: 1 << 20,
             latency_budget: None,
-            budget_window: 32,
             service_base: 0.0,
             reply_per_byte: 0.0,
             client_ramp: 0.0,
@@ -152,13 +154,6 @@ impl ServeParams {
             "latency budget must be finite and positive"
         );
         self.latency_budget = Some(budget);
-        self
-    }
-
-    /// Set the controller's sliding latency-window length.
-    pub fn with_budget_window(mut self, samples: usize) -> Self {
-        assert!(samples >= 1, "the latency window needs at least one slot");
-        self.budget_window = samples;
         self
     }
 
@@ -289,7 +284,7 @@ pub struct StagerServe<'a> {
     clients: Vec<ClientConn>,
     /// Algorithm 1 over reply latency, when a budget is set.
     budget: Option<BudgetController>,
-    /// Sliding window of the last `serve.budget_window` stager-observed
+    /// Sliding window of the last [`BUDGET_WINDOW`] stager-observed
     /// reply latencies (send clock − request arrival).
     window: VecDeque<f64>,
     /// Replies shipped since the controller last observed the window —
@@ -335,7 +330,7 @@ impl<'a> StagerServe<'a> {
             // the opening fidelity is Full with or without a budget.
             percent_in_effect: budget.as_ref().map(|c| c.percent()).unwrap_or(0.0),
             budget,
-            window: VecDeque::with_capacity(serve.budget_window),
+            window: VecDeque::with_capacity(BUDGET_WINDOW),
             served_since_observe: 0,
             fidelity: Fidelity::Full,
         }
@@ -434,7 +429,7 @@ impl<'a> StagerServe<'a> {
         let cost = self.serve.service_base + self.serve.reply_per_byte * wire.len() as f64;
         rank.advance(cost);
         let latency = rank.clock() - arrival;
-        if self.window.len() == self.serve.budget_window {
+        if self.window.len() == BUDGET_WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(latency);
@@ -444,7 +439,7 @@ impl<'a> StagerServe<'a> {
         // otherwise run hundreds of replies at a stale fidelity: re-step
         // the controller every window's worth of replies so it reacts
         // within a batch, not just between frames.
-        if self.served_since_observe >= self.serve.budget_window {
+        if self.served_since_observe >= BUDGET_WINDOW {
             self.step_controller();
         }
     }
@@ -964,7 +959,6 @@ mod tests {
             .with_think_time(0.25)
             .with_cache_bytes(2048)
             .with_latency_budget(0.5)
-            .with_budget_window(16)
             .with_serve_costs(0.01, 1e-5)
             .with_client_ramp(0.125)
             .with_fault(ServeFault {
@@ -976,7 +970,6 @@ mod tests {
         assert_eq!(p.think_time, 0.25);
         assert_eq!(p.cache_bytes, 2048);
         assert_eq!(p.latency_budget, Some(0.5));
-        assert_eq!(p.budget_window, 16);
         assert_eq!(p.service_base, 0.01);
         assert_eq!(p.reply_per_byte, 1e-5);
         assert_eq!(p.client_ramp, 0.125);

@@ -34,19 +34,17 @@
 //! repeated runs and execution policies exactly like synchronous ones
 //! (`tests/staged_determinism.rs` pins this).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use apc_comm::{Rank, Session};
 use apc_grid::{Block, BlockId, DomainDecomp, RectilinearCoords};
-use apc_par::par_map;
-use apc_render::{IsoStats, RenderCostModel};
 use apc_stage::{run_staged, Partition, RankLog, SimFrameLog, StageFrameLog, StagedSpec};
 
 use crate::config::{InSituMode, PipelineConfig, StagedParams};
 use crate::controller::BudgetController;
-use crate::pipeline::{cached_block_stats, REDUCE_COST_PER_BLOCK};
+use crate::pipeline::{reduce_lowest, render_held};
 use crate::report::IterationReport;
-use crate::selection::{reduction_set, score_order, ScoredBlock};
+use crate::selection::{score_order, ScoredBlock};
 
 /// A block slice on the wire: `(encoded block, score)` pairs. Scores ride
 /// along so stagers never re-score what the simulation already measured.
@@ -305,17 +303,8 @@ where
             order.sort_by(score_order);
 
             let t1 = rank.clock();
-            let mut blocks_prereduced = 0;
-            if params.pre_reduce_percent > 0.0 {
-                let to_reduce: BTreeSet<BlockId> = reduction_set(&order, params.pre_reduce_percent);
-                for b in &mut held {
-                    if to_reduce.contains(&b.id) && !b.is_reduced() {
-                        b.downsample(config.reduce_keep);
-                        blocks_prereduced += 1;
-                    }
-                }
-                rank.advance(blocks_prereduced as f64 * REDUCE_COST_PER_BLOCK);
-            }
+            let blocks_prereduced =
+                reduce_lowest(rank, config, &mut held, &order, params.pre_reduce_percent);
             let t_prereduce = rank.clock() - t1;
 
             // Score-aware dealing: highest-scored block to stager 0, next
@@ -363,34 +352,11 @@ where
             let degraded = percent > base;
 
             let t0 = rank.clock();
-            let to_reduce = reduction_set(&entries, percent);
-            let mut blocks_reduced = 0;
-            for b in &mut held {
-                if to_reduce.contains(&b.id) && !b.is_reduced() {
-                    b.downsample(config.reduce_keep);
-                    blocks_reduced += 1;
-                }
-            }
-            rank.advance(blocks_reduced as f64 * REDUCE_COST_PER_BLOCK);
+            let blocks_reduced = reduce_lowest(rank, config, &mut held, &entries, percent);
             let t_reduce = rank.clock() - t0;
 
             let t1 = rank.clock();
-            let per_block: Vec<IsoStats> = par_map(
-                config
-                    .exec
-                    .for_kernel(apc_render::isosurface::recommended_concurrency(held.len())),
-                &held,
-                |b| cached_block_stats(config, coords, it, b),
-            );
-            let mut stats = IsoStats::default();
-            for s in per_block {
-                stats.merge(s);
-            }
-            let render_t =
-                config
-                    .cost
-                    .render_time(stats, held.len(), RenderCostModel::key(rank.rank(), it));
-            rank.advance(render_t);
+            let stats = render_held(rank, config, coords, it, &held);
             let t_render = rank.clock() - t1;
 
             if let Some(ctrl) = &mut controller {

@@ -471,7 +471,7 @@ mod tests {
         assert_eq!(classify("crates/core/src/pipeline.rs"), FileClass::Lib);
         assert_eq!(classify("src/lib.rs"), FileClass::Lib);
         assert_eq!(
-            classify("crates/bench/src/bin/perf_gate.rs"),
+            classify("crates/bench/src/bin/write_dataset.rs"),
             FileClass::Bin
         );
         assert_eq!(classify("tests/properties.rs"), FileClass::TestLike);
@@ -480,7 +480,7 @@ mod tests {
             FileClass::TestLike
         );
         assert_eq!(
-            classify("crates/bench/benches/kernels.rs"),
+            classify("crates/bench/benches/figures.rs"),
             FileClass::TestLike
         );
         assert_eq!(

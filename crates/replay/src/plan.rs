@@ -91,29 +91,6 @@ impl PoolParams {
         self
     }
 
-    /// Set the virtual service / steal-overhead costs.
-    pub fn with_service(mut self, base: f64, steal_overhead: f64) -> Self {
-        assert!(
-            base >= 0.0 && steal_overhead >= 0.0,
-            "costs are non-negative"
-        );
-        self.service_base = base;
-        self.steal_overhead = steal_overhead;
-        self
-    }
-
-    /// Set the storage-tier read model (fixed latency + per-byte cost per
-    /// cache-missed frame).
-    pub fn with_store_read(mut self, miss_read: f64, read_per_byte: f64) -> Self {
-        assert!(
-            miss_read >= 0.0 && read_per_byte >= 0.0,
-            "costs are non-negative"
-        );
-        self.miss_read = miss_read;
-        self.read_per_byte = read_per_byte;
-        self
-    }
-
     /// Arm a deliberate server death (fault-injection suites).
     pub fn with_fault(mut self, fault: ReplayFault) -> Self {
         assert!(fault.server < self.nservers, "fault names a pool server");

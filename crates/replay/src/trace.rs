@@ -110,16 +110,6 @@ impl TraceSpec {
         self
     }
 
-    /// Set the hot-window skew (window width in iterations, probability a
-    /// targeted draw lands inside it).
-    pub fn with_hot(mut self, window: usize, fraction: f64) -> Self {
-        assert!(window >= 1, "hot window must span an iteration");
-        assert!((0.0..=1.0).contains(&fraction), "fraction in [0, 1]");
-        self.hot_window = window;
-        self.hot_fraction = fraction;
-        self
-    }
-
     /// Set the share of requests naming iterations past the run's end.
     pub fn with_miss_share(mut self, share: f64) -> Self {
         assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");

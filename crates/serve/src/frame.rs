@@ -6,8 +6,8 @@
 //! self-describing one-byte tag — applies to frames unchanged: lossless
 //! kinds replay pixels bit-exactly, `zfpx` trades exactness for size.
 //! Decoding is total: truncated or bit-flipped streams come back as
-//! [`ServeError::Corrupt`], never as a panic (mirroring the adversarial
-//! contract of `apc-compress` itself).
+//! [`ServeError::Corrupt`], never as a panic (swept, with every other
+//! decoder, by `tests/decoders_never_panic.rs`).
 
 use apc_grid::Dims3;
 use apc_store::CodecKind;
@@ -184,37 +184,6 @@ mod tests {
         assert_eq!((back.width, back.height), (8, 6));
         assert_eq!(back.triangles, 12345);
         assert_eq!(back.percent, 62.5);
-    }
-
-    /// Truncation at *every* prefix length is an error, never a panic —
-    /// the same sweep `compress/tests/adversarial.rs` runs on raw codec
-    /// streams.
-    #[test]
-    fn every_truncation_is_corrupt_not_panic() {
-        for codec in [CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz] {
-            let enc = sample().encode(codec);
-            for len in 0..enc.len() {
-                assert!(
-                    Frame::decode(&enc[..len]).is_err(),
-                    "{} truncated to {len} bytes must fail to decode",
-                    codec.name()
-                );
-            }
-        }
-    }
-
-    /// Single-bit flips anywhere in the stream decode to an error or to a
-    /// (wrong) frame — never to a panic.
-    #[test]
-    fn bit_flips_never_panic() {
-        let enc = sample().encode(CodecKind::Fpz);
-        for pos in 0..enc.len() {
-            for bit in [0, 3, 7] {
-                let mut bad = enc.clone();
-                bad[pos] ^= 1 << bit;
-                let _ = Frame::decode(&bad); // must return, not unwind
-            }
-        }
     }
 
     #[test]

@@ -667,20 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn reply_decode_rejects_every_truncation() {
-        for reply in reply_cases() {
-            let wire = reply.encode();
-            for cut in 0..wire.len() {
-                let err = FrameReply::decode(&wire[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, ServeError::Corrupt(_)),
-                    "{reply:?} cut at {cut} must be Corrupt, got {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reply_decode_rejects_trailing_bytes() {
         for reply in reply_cases() {
             let mut wire = reply.encode();
@@ -731,23 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn reply_decode_survives_single_bit_flips() {
-        // Bit-flipped replies either decode to some valid reply or fail
-        // as Corrupt; they never panic and never over-allocate. The
-        // invariant under attack is totality, not detection.
-        for reply in reply_cases() {
-            let wire = reply.encode();
-            for byte in 0..wire.len() {
-                for bit in 0..8 {
-                    let mut flipped = wire.clone();
-                    flipped[byte] ^= 1 << bit;
-                    let _ = FrameReply::decode(&flipped);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn policy_names_are_stable() {
         assert_eq!(ServePolicy::WaitForFrame.name(), "wait-for-frame");
         assert_eq!(ServePolicy::BestEffort.name(), "best-effort");
@@ -780,23 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_every_truncation() {
-        for req in [
-            FrameRequest::AtIteration(123),
-            FrameRequest::Range { start: 3, end: 9 },
-        ] {
-            let wire = req.encode();
-            for cut in 1..wire.len() {
-                let err = FrameRequest::decode(&wire[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, ServeError::Corrupt(_)),
-                    "{req:?} cut at {cut} must be Corrupt, got {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn decode_rejects_trailing_bytes() {
         for req in [
             FrameRequest::Latest,
@@ -823,28 +775,6 @@ mod tests {
         match err {
             ServeError::Corrupt(msg) => assert!(msg.contains("inverted"), "{msg}"),
             other => panic!("expected Corrupt, got {other}"),
-        }
-    }
-
-    #[test]
-    fn decode_survives_single_bit_flips() {
-        // Bit-flipped requests either decode to some valid request or
-        // fail as Corrupt; they never panic. Flipping the tag byte of an
-        // equal-length variant can legitimately produce a different valid
-        // request — the invariant under attack is totality, not detection.
-        for req in [
-            FrameRequest::Latest,
-            FrameRequest::AtIteration(99),
-            FrameRequest::Range { start: 4, end: 40 },
-        ] {
-            let wire = req.encode();
-            for byte in 0..wire.len() {
-                for bit in 0..8 {
-                    let mut flipped = wire.clone();
-                    flipped[byte] ^= 1 << bit;
-                    let _ = FrameRequest::decode(&flipped);
-                }
-            }
         }
     }
 }

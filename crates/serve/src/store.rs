@@ -255,12 +255,21 @@ impl<B: StoreBackend> FrameStore<B> {
         Ok(())
     }
 
-    /// Read the run-level manifest.
+    /// Read the run-level manifest. A stored document naming another run
+    /// is `Corrupt`: its [`RunManifest::frame_keys`] would address that
+    /// run's namespace, not this handle's.
     pub fn manifest(&self) -> Result<RunManifest, ServeError> {
         let bytes = self.backend.get(&manifest_key(&self.run_id))?;
         let text = std::str::from_utf8(&bytes)
             .map_err(|_| ServeError::Corrupt("manifest is not utf-8".into()))?;
-        RunManifest::from_json(text)
+        let manifest = RunManifest::from_json(text)?;
+        if manifest.run_id != self.run_id {
+            return Err(ServeError::Corrupt(format!(
+                "manifest of run {:?} stored under run {:?}",
+                manifest.run_id, self.run_id
+            )));
+        }
+        Ok(manifest)
     }
 }
 
@@ -498,6 +507,33 @@ mod tests {
         };
         store.put_manifest(&sharded).unwrap();
         assert_eq!(store.manifest().unwrap().shard_chunks, Some(16));
+    }
+
+    /// The read side of `put_manifest`'s run-id assert: a document that
+    /// names run `a` but sits under run `b`'s key must not open as `b`.
+    #[test]
+    fn manifest_of_another_run_is_corrupt() {
+        let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
+        let manifest = RunManifest {
+            run_id: "a".into(),
+            n_stagers: 1,
+            width: 2,
+            height: 2,
+            codec: CodecKind::Raw,
+            iterations: vec![1],
+            shard_chunks: None,
+        };
+        backend
+            .put(&manifest_key("b"), manifest.to_json().as_bytes())
+            .unwrap();
+        assert!(matches!(
+            FrameStore::new(Arc::clone(&backend), "b").manifest(),
+            Err(ServeError::Corrupt(_))
+        ));
+        assert!(matches!(
+            open_run(backend, "b"),
+            Err(ServeError::Corrupt(_))
+        ));
     }
 
     /// The `{iteration:06}`/`{stager:04}` padding saturates: beyond it,

@@ -38,8 +38,8 @@
 //!
 //! Corruption — truncated footers, bit-flipped indexes, out-of-bounds or
 //! overlapping entries, zero-entry shards — surfaces as
-//! [`StoreError::Shard`], never a panic (`shard_adversarial` integration
-//! tests pin this).
+//! [`StoreError::Shard`], never a panic (the `shard_adversarial`
+//! integration tests and `tests/decoders_never_panic.rs` pin this).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -121,11 +121,6 @@ impl ShardWriter {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total payload bytes appended so far (excludes index and footer).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
     }
 
     /// Emit the complete container: payloads, index, footer.

@@ -1,0 +1,233 @@
+//! One sweep over every decoder that takes bytes from outside the
+//! process: the codec streams, the tagged chunk framing, the shard
+//! trailer + index, the frame stream and both wire messages.
+//!
+//! Each row of [`decoders`] names a valid byte image and a decode
+//! closure. The sweep feeds the closure **every truncation prefix** and
+//! **every single-bit flip** of the image. A flip may decode (the closure
+//! checks what a success must still guarantee, e.g. the sample count) or
+//! fail with the layer's typed error (where a format promises one error
+//! kind, the closure panics on any other); a strict prefix must fail —
+//! every format here either carries its own lengths or is decoded against
+//! a known shape. A panic anywhere fails the row.
+//!
+//! What a single format promises beyond this — forged shard indexes,
+//! half-truncation ⇒ `Corrupt`, unknown tags, inverted ranges, trailing
+//! bytes — stays in that crate's own adversarial tests.
+
+use insitu::compress::{FloatCodec, Fpz, Lz77, Zfpx};
+use insitu::grid::Dims3;
+use insitu::par::SplitMix64;
+use insitu::serve::{Fidelity, Frame, FrameReply, FrameRequest, ServeError, ServedFrame};
+use insitu::store::{CodecKind, MemStore, ShardReader, ShardWriter, StoreBackend, StoreError};
+
+/// `Ok` = decoded and still sane; `Err` = the typed error, rendered.
+type Decode = Box<dyn Fn(&[u8]) -> Result<(), String>>;
+
+struct Decoder {
+    name: String,
+    valid: Vec<u8>,
+    decode: Decode,
+}
+
+const SHAPE: (usize, usize, usize) = (6, 5, 4);
+const N: usize = SHAPE.0 * SHAPE.1 * SHAPE.2;
+
+/// Noisy samples, so every codec emits real content along the whole
+/// stream (a smooth field would leave most of it zero bits).
+fn noisy(seed: u64) -> Vec<f32> {
+    let mut rng = SplitMix64::new(seed);
+    (0..N).map(|_| rng.range_f32(-1e4, 1e4)).collect()
+}
+
+fn codec_row(codec: impl FloatCodec + 'static) -> Decoder {
+    Decoder {
+        name: format!("codec stream / {}", codec.name()),
+        valid: codec.encode(&noisy(0xDEC0), SHAPE),
+        decode: Box::new(move |bytes| {
+            let samples = codec.decode(bytes, SHAPE).map_err(|e| e.to_string())?;
+            assert_eq!(samples.len(), N, "decoded to the wrong length");
+            Ok(())
+        }),
+    }
+}
+
+fn chunk_row(kind: CodecKind) -> Decoder {
+    let dims = Dims3::new(SHAPE.0, SHAPE.1, SHAPE.2);
+    Decoder {
+        name: format!("CodecKind::decode_chunk / {}", kind.name()),
+        valid: kind.encode_chunk(&noisy(0xDEC1), dims),
+        decode: Box::new(move |bytes| {
+            let samples = kind.decode_chunk(bytes, dims).map_err(|e| e.to_string())?;
+            assert_eq!(samples.len(), N, "decoded to the wrong length");
+            Ok(())
+        }),
+    }
+}
+
+/// A shard container of varied payloads (one empty); opening parses the
+/// trailer and index, then every key is read back through it.
+fn shard_row() -> Decoder {
+    const SHARD_KEY: &str = "c/000000/s000000";
+    let mut rng = SplitMix64::new(0xDEC2);
+    let mut writer = ShardWriter::new();
+    let mut keys = Vec::new();
+    for id in 0..6u32 {
+        let key = format!("c/000000/{id:06}");
+        let len = if id == 1 { 0 } else { rng.below(120) + 1 };
+        let payload: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        writer.append(&key, &payload).unwrap();
+        keys.push(key);
+    }
+    Decoder {
+        name: "shard trailer + index".into(),
+        valid: writer.finish().unwrap(),
+        decode: Box::new(move |bytes| {
+            let mem = MemStore::new();
+            mem.put(SHARD_KEY, bytes).unwrap();
+            let reader = match ShardReader::open(&mem, SHARD_KEY) {
+                Ok(reader) => reader,
+                Err(e @ (StoreError::Shard(_) | StoreError::Range { .. })) => {
+                    return Err(e.to_string())
+                }
+                Err(other) => panic!("a damaged shard must fail as Shard or Range, got {other}"),
+            };
+            // Damage that moved entries around within bounds still opens;
+            // then every read is data or a typed error.
+            for key in &keys {
+                let _ = reader.read_range(key);
+            }
+            Ok(())
+        }),
+    }
+}
+
+fn frame_row(codec: CodecKind) -> Decoder {
+    let pixels: Vec<f32> = (0..48).map(|i| (i as f32 * 0.7).sin() * 30.0).collect();
+    let frame = Frame::new(420, 3, 8, 6, pixels).with_render_info(12345, 62.5);
+    Decoder {
+        name: format!("Frame::decode / {}", codec.name()),
+        valid: frame.encode(codec),
+        decode: Box::new(|bytes| {
+            let frame = Frame::decode(bytes).map_err(|e| e.to_string())?;
+            assert_eq!(
+                frame.pixels.len(),
+                frame.width as usize * frame.height as usize,
+                "decoded frame disagrees with its own dimensions"
+            );
+            Ok(())
+        }),
+    }
+}
+
+/// Both wire codecs report every malformed message as `Corrupt`.
+fn corrupt_only<T>(result: Result<T, ServeError>) -> Result<(), String> {
+    match result {
+        Ok(_) => Ok(()),
+        Err(ServeError::Corrupt(msg)) => Err(msg),
+        Err(other) => panic!("wire decode must fail as Corrupt, got {other}"),
+    }
+}
+
+fn request_row(request: FrameRequest) -> Decoder {
+    Decoder {
+        name: format!("FrameRequest::decode / {request:?}"),
+        valid: request.encode(),
+        decode: Box::new(|bytes| corrupt_only(FrameRequest::decode(bytes))),
+    }
+}
+
+fn reply_row(reply: FrameReply) -> Decoder {
+    Decoder {
+        name: format!("FrameReply::decode / {reply:?}"),
+        valid: reply.encode(),
+        decode: Box::new(|bytes| corrupt_only(FrameReply::decode(bytes))),
+    }
+}
+
+fn served(iteration: u64, fidelity: Fidelity, stream: Vec<u8>) -> ServedFrame {
+    ServedFrame {
+        iteration,
+        stager: 0,
+        cache_hit: iteration.is_multiple_of(2),
+        fidelity,
+        stream,
+    }
+}
+
+fn decoders() -> Vec<Decoder> {
+    let zfpx = CodecKind::Zfpx { tolerance: 1e-2 };
+    let mut rows = vec![
+        codec_row(Fpz),
+        codec_row(Lz77),
+        codec_row(Zfpx { tolerance: 1e-2 }),
+        shard_row(),
+    ];
+    rows.extend([CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz, zfpx].map(chunk_row));
+    rows.extend([CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz, zfpx].map(frame_row));
+    rows.extend(
+        [
+            FrameRequest::Latest,
+            FrameRequest::AtIteration(99),
+            FrameRequest::Range { start: 4, end: 40 },
+        ]
+        .map(request_row),
+    );
+    rows.extend(
+        [
+            FrameReply::Frames {
+                exact: true,
+                frames: vec![],
+            },
+            FrameReply::Frames {
+                exact: false,
+                frames: vec![served(4, Fidelity::Full, vec![1, 2, 3])],
+            },
+            FrameReply::Frames {
+                exact: true,
+                frames: vec![
+                    served(1, Fidelity::Lossy { tolerance: 0.25 }, vec![9; 40]),
+                    served(
+                        2,
+                        Fidelity::Dropped {
+                            keep_percent: 12.5,
+                            tolerance: 0.1,
+                        },
+                        vec![7; 8],
+                    ),
+                    served(3, Fidelity::HeaderOnly, vec![]),
+                ],
+            },
+            FrameReply::NotYet,
+            FrameReply::NoSuchIteration(u64::MAX),
+        ]
+        .map(reply_row),
+    );
+    rows
+}
+
+#[test]
+fn every_decoder_survives_every_truncation_and_bit_flip() {
+    for Decoder {
+        name,
+        valid,
+        decode,
+    } in decoders()
+    {
+        // The sweep proves something about damage, not about the fixture.
+        decode(&valid).unwrap_or_else(|e| panic!("{name}: the valid image fails to decode: {e}"));
+
+        for cut in 0..valid.len() {
+            assert!(
+                decode(&valid[..cut]).is_err(),
+                "{name}: the {cut}-byte prefix of {} bytes decoded",
+                valid.len()
+            );
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+        }
+    }
+}

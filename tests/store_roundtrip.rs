@@ -9,7 +9,7 @@ use insitu::comm::NetModel;
 use insitu::pipeline::{
     run_experiment, ExecPolicy, IterationReport, PipelineConfig, Prepared, Redistribution,
 };
-use insitu::store::{CodecKind, MemStore, StoreBackend};
+use insitu::store::{CodecKind, DirStore, MemStore, StoreBackend};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -76,6 +76,12 @@ fn every_lossless_codec_replays_identically_from_memory_backend() {
         let backend: Box<dyn StoreBackend> = Box::new(MemStore::new());
         cm1::write_dataset_to(&dataset, &iters, &backend, codec).unwrap();
         let stored = StoredTimeSeries::from_backend(backend).unwrap();
+        assert_eq!(
+            stored.rank_blocks(iters[0], 0).unwrap(),
+            dataset.rank_blocks(iters[0], 0),
+            "codec {} read is not bit-exact",
+            codec.name()
+        );
         let prepared = Prepared::from_store(stored, ExecPolicy::Serial, NetModel::blue_waters());
         assert_eq!(
             prepared.run(config.clone(), &iters),
@@ -116,11 +122,28 @@ fn store_geometry_twin_matches_the_writer() {
     assert_eq!(stored.decomp(), dataset.decomp());
     assert_eq!(stored.coords(), dataset.coords());
     assert_eq!(stored.seed(), 77);
-    // The blocks a rank reads are the blocks the simulation produced.
-    for rank in [0usize, 7, 15] {
-        assert_eq!(
-            stored.rank_blocks(300, rank).unwrap(),
-            dataset.rank_blocks(300, rank)
-        );
+    // The blocks a rank reads are the blocks the simulation produced —
+    // bit-exact through the flat layout, the shard containers and the
+    // chunk cache (each rank read twice, so cold and warm).
+    let sharded_dir = tmp_dir("geometry-sharded");
+    cm1::write_dataset_sharded(&dataset, &iters, &sharded_dir, CodecKind::Fpz, 16).unwrap();
+    let sharded = cm1::open_dataset(&sharded_dir).unwrap();
+    let cached = StoredTimeSeries::from_backend_cached(
+        Box::new(DirStore::open(&sharded_dir).unwrap()),
+        8 << 20,
+    )
+    .unwrap();
+    for (layout, stored) in [
+        ("flat", &stored),
+        ("sharded", &sharded),
+        ("cached", &cached),
+    ] {
+        for rank in [0usize, 7, 15, 7] {
+            assert_eq!(
+                stored.rank_blocks(300, rank).unwrap(),
+                dataset.rank_blocks(300, rank),
+                "{layout} read of rank {rank}"
+            );
+        }
     }
 }
