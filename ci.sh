@@ -26,7 +26,13 @@ echo "    covered: umbrella tests/ (pipeline_e2e, properties, store_roundtrip," 
   "exec_policy_determinism, staged_determinism, frame_serving, replay_fanout," \
   "substrate_interplay), apc-store sharding + shard_adversarial + cache units," \
   "apc-replay, apc-serve (serve core, wire codec, ladder), apc-core serving +" \
-  "controller, apc-comm session_stress, apc-bench golden_reports, apc-lint fixtures"
+  "controller, apc-comm session_stress, apc-bench golden_reports, apc-lint fixtures," \
+  "apc-compress format_pin + bitio boundary table + adversarial"
+
+echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benchmark runs them)"
+# The debug pass above traps shift widths of 0 and 64 with overflow checks;
+# this one runs the same suite, format pin included, on the optimised code.
+cargo test -p apc-compress --release -q
 
 echo "==> benchmark package compiles (outside the workspace; nothing else checks it)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -1,13 +1,35 @@
 //! Bit-granular I/O over byte buffers, shared by the codecs.
+//!
+//! The layout is LSB-first: bit `b` of the stream is bit `b % 8` of byte
+//! `b / 8`, and a multi-bit value occupies consecutive stream bits starting
+//! with its least significant one. That makes a run of stream bits equal to
+//! a little-endian integer, so both ends move a word at a time:
+//!
+//! * [`BitWriter`] ORs values into a `u64` accumulator and appends its whole
+//!   bytes to the buffer at the end of every call. The invariant between
+//!   calls is **fewer than 8 pending bits**, with every accumulator bit
+//!   above them zero; a 64-bit write on top of 7 pending bits is the one
+//!   case that spills, and it is handled by flushing the full word first.
+//! * [`BitReader`] peeks the unaligned little-endian `u64` at its byte
+//!   position — zero-extended inside the last 8 bytes of the buffer — and
+//!   shifts/masks the answer out of it. Underrun is checked against
+//!   [`BitReader::remaining`] before any bit is consumed, so the zero
+//!   extension is never mistaken for data.
+//!
+//! The emitted bytes are pinned by `tests/format_pin.rs`.
 
 use crate::CodecError;
+
+const UNDERRUN: CodecError = CodecError::Corrupt("bitstream underrun");
 
 /// Append-only bit writer (LSB-first within each byte).
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits already used in the last byte of `buf` (0 ⇒ byte boundary).
-    used: u32,
+    /// Pending bits, LSB first; zero at and above bit `pending`.
+    acc: u64,
+    /// Bits held in `acc`; `< 8` between calls.
+    pending: u32,
 }
 
 impl BitWriter {
@@ -15,39 +37,41 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.used == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.used as usize
+    /// A writer whose buffer already has room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+            ..Self::default()
         }
     }
 
+    /// Number of bits written so far.
+    pub fn bit_len(&self) -> usize {
+        self.buf.len() * 8 + self.pending as usize
+    }
+
     /// Write the low `n` bits of `value` (n ≤ 64), LSB first.
-    pub fn write_bits(&mut self, mut value: u64, mut n: u32) {
+    #[inline]
+    pub fn write_bits(&mut self, mut value: u64, n: u32) {
         debug_assert!(n <= 64);
         if n < 64 {
             value &= (1u64 << n) - 1;
         }
-        while n > 0 {
-            if self.used == 0 {
-                self.buf.push(0);
-                self.used = 0;
-            }
-            let free = 8 - self.used;
-            let take = free.min(n);
-            // apc-lint: allow(unwrap-in-lib): the `used == 0` branch above just pushed a byte
-            let last = self.buf.last_mut().expect("buffer non-empty");
-            *last |= ((value & ((1u64 << take) - 1)) as u8) << self.used;
-            self.used = (self.used + take) % 8;
-            // When the byte fills exactly, `used` wraps to 0 but the byte
-            // stays in `buf`; the next write pushes a fresh byte.
-            if self.used == 0 && take == free {
-                // full byte consumed
-            }
-            value >>= take;
-            n -= take;
+        // `pending < 8`, so the shift is in range; bits of `value` pushed
+        // past bit 63 are re-read from `value` in the spill branch.
+        self.acc |= value << self.pending;
+        let total = self.pending + n;
+        if total >= 64 {
+            self.buf.extend_from_slice(&self.acc.to_le_bytes());
+            // The accumulator took `64 - pending` bits. With nothing
+            // pending that is all of `value` (and a shift by 64).
+            self.acc = value.checked_shr(64 - self.pending).unwrap_or(0);
+            self.pending = total - 64;
+        } else {
+            let whole = (total / 8) as usize;
+            self.buf.extend_from_slice(&self.acc.to_le_bytes()[..whole]);
+            self.acc >>= whole * 8;
+            self.pending = total % 8;
         }
     }
 
@@ -56,15 +80,20 @@ impl BitWriter {
     }
 
     /// Unary code: `value` zero bits then a one bit.
-    pub fn write_unary(&mut self, value: u32) {
-        for _ in 0..value {
-            self.write_bit(false);
+    #[inline]
+    pub fn write_unary(&mut self, mut value: u32) {
+        while value >= 64 {
+            self.write_bits(0, 64);
+            value -= 64;
         }
-        self.write_bit(true);
+        self.write_bits(1u64 << value, value + 1);
     }
 
     /// Finish and return the byte buffer (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.buf.push(self.acc as u8);
+        }
         self.buf
     }
 }
@@ -86,24 +115,40 @@ impl<'a> BitReader<'a> {
         self.buf.len() * 8 - self.pos
     }
 
+    /// The stream bits from the current position on, LSB first: at least
+    /// 57 of them, fewer only where the buffer ends (zeros from there).
+    #[inline]
+    fn peek(&self) -> u64 {
+        let tail = &self.buf[self.pos / 8..];
+        let word = match tail.first_chunk::<8>() {
+            Some(bytes) => u64::from_le_bytes(*bytes),
+            None => {
+                let mut bytes = [0u8; 8];
+                bytes[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(bytes)
+            }
+        };
+        word >> (self.pos % 8)
+    }
+
     /// Read `n` bits (n ≤ 64), LSB first.
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
         debug_assert!(n <= 64);
         if self.remaining() < n as usize {
-            return Err(CodecError::Corrupt("bitstream underrun"));
+            return Err(UNDERRUN);
         }
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < n {
-            let byte = self.buf[self.pos / 8];
-            let off = (self.pos % 8) as u32;
-            let avail = 8 - off;
-            let take = avail.min(n - got);
-            let bits = ((byte >> off) as u64) & ((1u64 << take) - 1);
-            out |= bits << got;
-            got += take;
-            self.pos += take as usize;
+        let mut out = self.peek();
+        let off = (self.pos % 8) as u32;
+        if off + n > 64 {
+            // The value straddles nine bytes; `remaining() >= n` says the
+            // ninth exists, and `off > 0` keeps the shift in range.
+            out |= (self.buf[self.pos / 8 + 8] as u64) << (64 - off);
         }
+        if n < 64 {
+            out &= (1u64 << n) - 1;
+        }
+        self.pos += n as usize;
         Ok(out)
     }
 
@@ -112,16 +157,23 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read a unary code written by [`BitWriter::write_unary`].
+    #[inline]
     pub fn read_unary(&mut self) -> Result<u32, CodecError> {
-        let mut count = 0u32;
+        let mut zeros = 0usize;
         loop {
-            if self.read_bit()? {
-                return Ok(count);
+            let window = (64 - self.pos % 8).min(self.remaining());
+            if window == 0 {
+                return Err(UNDERRUN);
             }
-            count += 1;
-            if count as usize > self.buf.len() * 8 {
-                return Err(CodecError::Corrupt("runaway unary code"));
+            let run = self.peek().trailing_zeros() as usize;
+            if run < window {
+                self.pos += run + 1;
+                // A run past `u32::MAX` (512 MiB of zero bytes) saturates;
+                // every caller rejects a count that large.
+                return Ok(u32::try_from(zeros + run).unwrap_or(u32::MAX));
             }
+            self.pos += window;
+            zeros += window;
         }
     }
 }
@@ -129,6 +181,23 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_par::SplitMix64;
+
+    /// The layout, one bit at a time: stream bit `b` is bit `b % 8` of
+    /// byte `b / 8`. Everything above is checked against these two.
+    #[derive(Default)]
+    struct BitOracle(Vec<bool>);
+
+    impl BitOracle {
+        fn write(&mut self, value: u64, n: u32) {
+            self.0.extend((0..n).map(|i| value >> i & 1 != 0));
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let fold = |byte: &[bool]| (0..byte.len()).fold(0, |b, i| b | (byte[i] as u8) << i);
+            self.0.chunks(8).map(fold).collect()
+        }
+    }
 
     #[test]
     fn bits_roundtrip() {
@@ -147,15 +216,82 @@ mod tests {
     }
 
     #[test]
-    fn unary_roundtrip() {
-        let mut w = BitWriter::new();
-        for v in [0u32, 1, 5, 13, 40] {
-            w.write_unary(v);
+    fn every_offset_and_width_matches_the_per_bit_oracle() {
+        let mut rng = SplitMix64::new(0xB170);
+        for offset in 0..8u32 {
+            for width in 0..=64u32 {
+                // Lead-in, the value under test (unmasked: the writer must
+                // drop the bits above `width`), then a value behind it.
+                let fields = [
+                    (rng.next_u64(), offset),
+                    (rng.next_u64(), width),
+                    (rng.next_u64(), 13),
+                ];
+                let mut w = BitWriter::new();
+                let mut oracle = BitOracle::default();
+                for (value, n) in fields {
+                    w.write_bits(value, n);
+                    oracle.write(value, n);
+                    assert_eq!(w.bit_len(), oracle.0.len(), "{offset}+{width}");
+                }
+                let bytes = w.into_bytes();
+                assert_eq!(bytes, oracle.bytes(), "{offset}+{width}: bytes");
+
+                let mut r = BitReader::new(&bytes);
+                for (value, n) in fields {
+                    let mask = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+                    assert_eq!(r.read_bits(n).unwrap(), value & mask, "{offset}+{width}");
+                }
+                assert!(r.remaining() < 8, "{offset}+{width}: only padding is left");
+            }
         }
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for v in [0u32, 1, 5, 13, 40] {
-            assert_eq!(r.read_unary().unwrap(), v);
+    }
+
+    #[test]
+    fn unary_roundtrip() {
+        // 55..=57 straddle the reader's guaranteed 57-bit window, 63/64
+        // the writer's one-word code, 200 takes several windows.
+        let runs = [0u32, 1, 5, 13, 40, 55, 56, 57, 63, 64, 200];
+        for offset in 0..8u32 {
+            let mut w = BitWriter::new();
+            let mut oracle = BitOracle::default();
+            w.write_bits(0, offset);
+            oracle.write(0, offset);
+            for v in runs {
+                w.write_unary(v);
+                (0..v).for_each(|_| oracle.write(0, 1));
+                oracle.write(1, 1);
+            }
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, oracle.bytes(), "offset {offset}");
+            let mut r = BitReader::new(&bytes);
+            assert_eq!(r.read_bits(offset).unwrap(), 0);
+            for v in runs {
+                assert_eq!(r.read_unary().unwrap(), v, "offset {offset}");
+            }
+        }
+    }
+
+    #[test]
+    fn reads_inside_the_last_eight_bytes_see_the_data_not_the_zero_extension() {
+        let mut rng = SplitMix64::new(0xB171);
+        for len in 1..=9usize {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8 | 0x80).collect();
+            let bit = |b: usize| bytes[b / 8] >> (b % 8) & 1 != 0;
+            for start in 0..len * 8 {
+                for n in 0..=(len * 8 - start).min(64) {
+                    let mut r = BitReader::new(&bytes);
+                    r.pos = start;
+                    let expect = (0..n).fold(0u64, |v, i| v | (bit(start + i) as u64) << i);
+                    assert_eq!(r.read_bits(n as u32).unwrap(), expect, "{len}/{start}/{n}");
+                }
+                let mut r = BitReader::new(&bytes);
+                r.pos = start;
+                // Every byte has its top bit set, so a one always follows.
+                let zeros = (start..).take_while(|&b| !bit(b)).count();
+                assert_eq!(r.read_unary().unwrap() as usize, zeros, "{len}/{start}");
+                assert_eq!(r.pos, start + zeros + 1);
+            }
         }
     }
 
@@ -172,11 +308,36 @@ mod tests {
     }
 
     #[test]
-    fn underrun_is_error() {
-        let bytes = vec![0xAB];
-        let mut r = BitReader::new(&bytes);
-        assert!(r.read_bits(8).is_ok());
-        assert!(r.read_bits(1).is_err());
+    fn underrun_at_every_position_is_corrupt() {
+        let bytes = [0u8, 0, 0xA0];
+        for start in 0..=bytes.len() * 8 {
+            let left = bytes.len() * 8 - start;
+            for n in 0..=64usize {
+                let mut r = BitReader::new(&bytes);
+                r.pos = start;
+                let got = r.read_bits(n as u32);
+                if n <= left {
+                    assert!(got.is_ok(), "{start}+{n}");
+                } else {
+                    assert_eq!(got, Err(UNDERRUN), "{start}+{n}");
+                    assert_eq!(r.pos, start, "a refused read consumes nothing");
+                }
+            }
+            // Ones sit at stream bits 21 and 23; past the last, a unary
+            // code runs off the end into the same error.
+            let mut r = BitReader::new(&bytes);
+            r.pos = start;
+            match r.read_unary() {
+                Ok(zeros) => assert!(start + zeros as usize == 21 || start + zeros as usize == 23),
+                Err(e) => {
+                    assert!(start > 23, "{start}");
+                    assert_eq!(e, UNDERRUN);
+                }
+            }
+        }
+        assert_eq!(BitReader::new(&[]).read_bit(), Err(UNDERRUN));
+        assert_eq!(BitReader::new(&[]).read_unary(), Err(UNDERRUN));
+        assert_eq!(BitReader::new(&[]).read_bits(0), Ok(0));
     }
 
     #[test]

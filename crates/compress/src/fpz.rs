@@ -15,6 +15,15 @@
 //! storm cores predict poorly ⇒ ~32-bit residuals. The compressed size is
 //! therefore a direct information measure, which is exactly how the paper's
 //! FPZIP metric uses it.
+//!
+//! Both directions work on a **padded field**: the ordered integers laid out
+//! as `(nx+1)·(ny+1)·(nz+1)` with one zero layer in front of each axis, so
+//! sample `(i, j, k)` lives at `(i+1) + (nx+1)·((j+1) + (ny+1)·(k+1))`. A
+//! neighbor "before the first sample" is then an ordinary zero in the
+//! field, the 7-corner prediction is seven unconditional loads at fixed
+//! offsets from four row slices, and the coder walks rows instead of
+//! re-deriving `(i, j, k)` per sample. The emitted bytes are those of the
+//! bounds-checked predictor this replaced (pinned by `tests/format_pin.rs`).
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{CodecError, FloatCodec, Shape};
@@ -52,33 +61,72 @@ fn unzigzag(m: u32) -> i32 {
     ((m >> 1) as i32) ^ -((m & 1) as i32)
 }
 
-/// 3D Lorenzo predictor over the ordered-integer field.
-struct Lorenzo<'a> {
-    data: &'a [u32],
-    nx: usize,
+/// The padded ordered-integer field (see the module docs) and its walk.
+struct Lorenzo {
+    field: Vec<u32>,
+    /// Length of a padded row (`nx + 1`) and of a padded plane.
+    sy: usize,
+    sz: usize,
     ny: usize,
+    nz: usize,
 }
 
-impl<'a> Lorenzo<'a> {
+/// The four padded rows a prediction reads, each `nx + 1` long with the
+/// zero (or previous-sample) column at index 0: the row being coded, its
+/// `j-1` and `k-1` neighbors, and the `j-1, k-1` diagonal.
+struct Rows<'a> {
+    cur: &'a mut [u32],
+    py: &'a [u32],
+    pz: &'a [u32],
+    pyz: &'a [u32],
+}
+
+impl Rows<'_> {
+    /// Prediction for padded column `i ≥ 1` from its causal corner neighbors
+    /// (the inclusion–exclusion sum over the unit cube behind the sample).
     #[inline]
-    fn at(&self, i: isize, j: isize, k: isize) -> u32 {
-        if i < 0 || j < 0 || k < 0 {
-            return 0;
+    fn predict(&self, i: usize) -> u32 {
+        self.cur[i - 1]
+            .wrapping_add(self.py[i])
+            .wrapping_add(self.pz[i])
+            .wrapping_sub(self.py[i - 1])
+            .wrapping_sub(self.pz[i - 1])
+            .wrapping_sub(self.pyz[i])
+            .wrapping_add(self.pyz[i - 1])
+    }
+}
+
+impl Lorenzo {
+    /// An all-zero padded field for `shape`.
+    fn zeroed((nx, ny, nz): Shape) -> Self {
+        let sy = nx + 1;
+        let sz = sy * (ny + 1);
+        Self {
+            field: vec![0; sz * (nz + 1)],
+            sy,
+            sz,
+            ny,
+            nz,
         }
-        self.data[i as usize + self.nx * (j as usize + self.ny * k as usize)]
     }
 
-    /// Prediction for point `(i, j, k)` from its causal corner neighbors.
+    /// Offsets of the padded rows holding samples, in coding order.
+    fn row_starts(&self) -> impl Iterator<Item = usize> {
+        let (sy, sz, ny) = (self.sy, self.sz, self.ny);
+        (1..=self.nz).flat_map(move |k| (1..=ny).map(move |j| k * sz + j * sy))
+    }
+
+    /// The rows around the one starting at `start`, the row itself writable.
     #[inline]
-    fn predict(&self, i: usize, j: usize, k: usize) -> u32 {
-        let (i, j, k) = (i as isize, j as isize, k as isize);
-        self.at(i - 1, j, k)
-            .wrapping_add(self.at(i, j - 1, k))
-            .wrapping_add(self.at(i, j, k - 1))
-            .wrapping_sub(self.at(i - 1, j - 1, k))
-            .wrapping_sub(self.at(i - 1, j, k - 1))
-            .wrapping_sub(self.at(i, j - 1, k - 1))
-            .wrapping_add(self.at(i - 1, j - 1, k - 1))
+    fn rows_mut(&mut self, start: usize) -> Rows<'_> {
+        let (sy, sz) = (self.sy, self.sz);
+        let (before, after) = self.field.split_at_mut(start);
+        Rows {
+            cur: &mut after[..sy],
+            py: &before[start - sy..],
+            pz: &before[start - sz..][..sy],
+            pyz: &before[start - sz - sy..][..sy],
+        }
     }
 }
 
@@ -95,30 +143,28 @@ impl FloatCodec for Fpz {
     fn encode(&self, data: &[f32], shape: Shape) -> Vec<u8> {
         let (nx, ny, nz) = shape;
         assert_eq!(data.len(), nx * ny * nz, "shape/data mismatch");
-        let ordered: Vec<u32> = data.iter().map(|&v| float_to_ordered(v)).collect();
-        let ctx = Lorenzo {
-            data: &ordered,
-            nx,
-            ny,
-        };
-        let mut w = BitWriter::new();
-        let mut idx = 0;
+        if data.is_empty() {
+            return Vec::new();
+        }
+        let mut ctx = Lorenzo::zeroed(shape);
+        // Smooth data lands well under its raw size and noise just above
+        // it; starting there leaves at most one regrowth.
+        let mut w = BitWriter::with_capacity(std::mem::size_of_val(data));
         let mut prev_nbits = 0i32;
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let pred = ctx.predict(i, j, k);
-                    let residual = ordered[idx].wrapping_sub(pred) as i32;
-                    let m = zigzag(residual);
-                    let nbits = (32 - m.leading_zeros()) as i32;
-                    // Counts are locally stable: delta-code them in unary.
-                    w.write_unary(zigzag(nbits - prev_nbits));
-                    prev_nbits = nbits;
-                    if nbits > 1 {
-                        // The MSB of an nbits-wide value is always 1; skip it.
-                        w.write_bits((m & !(1 << (nbits - 1))) as u64, nbits as u32 - 1);
-                    }
-                    idx += 1;
+        for (start, samples) in ctx.row_starts().zip(data.chunks_exact(nx)) {
+            let rows = ctx.rows_mut(start);
+            for (i, &v) in (1..).zip(samples) {
+                let ordered = float_to_ordered(v);
+                rows.cur[i] = ordered;
+                let residual = ordered.wrapping_sub(rows.predict(i)) as i32;
+                let m = zigzag(residual);
+                let nbits = (32 - m.leading_zeros()) as i32;
+                // Counts are locally stable: delta-code them in unary.
+                w.write_unary(zigzag(nbits - prev_nbits));
+                prev_nbits = nbits;
+                if nbits > 1 {
+                    // The MSB of an nbits-wide value is always 1; skip it.
+                    w.write_bits((m & !(1 << (nbits - 1))) as u64, nbits as u32 - 1);
                 }
             }
         }
@@ -128,38 +174,34 @@ impl FloatCodec for Fpz {
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
         let (nx, ny, nz) = shape;
         let n = nx * ny * nz;
-        let mut r = BitReader::new(stream);
-        let mut ordered = vec![0u32; n];
-        let mut idx = 0;
-        let mut prev_nbits = 0i32;
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let delta = unzigzag(r.read_unary()?);
-                    let nbits_i = prev_nbits + delta;
-                    if !(0..=32).contains(&nbits_i) {
-                        return Err(CodecError::Corrupt("residual width out of range"));
-                    }
-                    prev_nbits = nbits_i;
-                    let nbits = nbits_i as u32;
-                    let m = match nbits {
-                        0 => 0u32,
-                        1 => 1u32,
-                        _ => (r.read_bits(nbits - 1)? as u32) | (1 << (nbits - 1)),
-                    };
-                    let residual = unzigzag(m);
-                    let pred = Lorenzo {
-                        data: &ordered,
-                        nx,
-                        ny,
-                    }
-                    .predict(i, j, k);
-                    ordered[idx] = pred.wrapping_add(residual as u32);
-                    idx += 1;
-                }
-            }
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        Ok(ordered.into_iter().map(ordered_to_float).collect())
+        let mut out = Vec::with_capacity(n);
+        let mut r = BitReader::new(stream);
+        let mut ctx = Lorenzo::zeroed(shape);
+        let mut prev_nbits = 0i32;
+        for start in ctx.row_starts() {
+            let rows = ctx.rows_mut(start);
+            for i in 1..=nx {
+                let delta = unzigzag(r.read_unary()?);
+                let nbits_i = prev_nbits + delta;
+                if !(0..=32).contains(&nbits_i) {
+                    return Err(CodecError::Corrupt("residual width out of range"));
+                }
+                prev_nbits = nbits_i;
+                let nbits = nbits_i as u32;
+                let m = match nbits {
+                    0 => 0u32,
+                    1 => 1u32,
+                    _ => (r.read_bits(nbits - 1)? as u32) | (1 << (nbits - 1)),
+                };
+                let residual = unzigzag(m);
+                rows.cur[i] = rows.predict(i).wrapping_add(residual as u32);
+            }
+            out.extend(rows.cur[1..].iter().map(|&m| ordered_to_float(m)));
+        }
+        Ok(out)
     }
 
     fn is_lossless(&self) -> bool {

@@ -7,7 +7,8 @@
 //!    subnormals. The lossless codecs must round-trip them bit-exactly;
 //!    `zfpx` must never panic (it documents non-finite → 0).
 //! 2. **Constant blocks** — including special constants, across shapes.
-//! 3. **Degenerate shapes** — 1×1×1 and the three 1×N×1-style pencils.
+//! 3. **Degenerate shapes** — 1×1×1, the three 1×N×1-style pencils, and
+//!    shapes with a zero axis (empty stream ⇄ empty vector).
 //! 4. **Truncated streams** — a meaningful truncation yields
 //!    `CodecError::Corrupt`, and garbage after it never panics. (The
 //!    every-prefix and every-bit-flip sweep over all decoders is
@@ -135,7 +136,7 @@ fn zfpx_bound_survives_nonfinite_neighbors() {
         for (a, b) in data.iter().zip(&dec) {
             if a.is_finite() {
                 assert!(
-                    (a - b).abs() <= 8.0 * codec.tolerance,
+                    (a - b).abs() <= Zfpx::ERROR_ENVELOPE * codec.tolerance,
                     "case {case} {shape:?}: {a} vs {b}"
                 );
             }
@@ -172,7 +173,7 @@ fn constant_blocks_roundtrip_across_all_codecs() {
             if c.is_finite() && c.abs() < 1e3 && c.abs() >= 1e-3 || c == 0.0 {
                 for v in &dec {
                     assert!(
-                        (v - c).abs() <= 8.0 * z.tolerance,
+                        (v - c).abs() <= Zfpx::ERROR_ENVELOPE * z.tolerance,
                         "zfpx constant {c}: got {v}"
                     );
                 }
@@ -201,8 +202,32 @@ fn degenerate_shapes_roundtrip() {
                 .decode(&z.encode(data, shape), shape)
                 .expect("zfpx degenerate");
             for (a, b) in data.iter().zip(&dec) {
-                assert!((a - b).abs() <= 8.0 * z.tolerance, "{shape:?}: {a} vs {b}");
+                assert!(
+                    (a - b).abs() <= Zfpx::ERROR_ENVELOPE * z.tolerance,
+                    "{shape:?}: {a} vs {b}"
+                );
             }
+        }
+    }
+}
+
+#[test]
+fn zero_dimension_shapes_are_empty_both_ways() {
+    // No samples: nothing to emit and nothing to read — in particular no
+    // row walk over rows of length zero.
+    let shapes: [Shape; 6] = [
+        (0, 5, 4),
+        (6, 0, 4),
+        (6, 5, 0),
+        (0, 0, 3),
+        (0, 7, 0),
+        (0, 0, 0),
+    ];
+    for shape in shapes {
+        for codec in all_codecs() {
+            let enc = codec.encode(&[], shape);
+            assert!(enc.is_empty(), "{} {shape:?}: {enc:?}", codec.name());
+            assert_eq!(codec.decode(&enc, shape), Ok(vec![]), "{shape:?}");
         }
     }
 }

@@ -68,10 +68,8 @@ fn zfpx_error_bounded() {
         let enc = codec.encode(&data, shape);
         let dec = codec.decode(&enc, shape).unwrap();
         for (a, b) in data.iter().zip(&dec) {
-            // Separable lifting amplifies the per-plane cut by a small
-            // constant factor; 8x is a conservative envelope.
             assert!(
-                (a - b).abs() <= 8.0 * tol,
+                (a - b).abs() <= Zfpx::ERROR_ENVELOPE * tol,
                 "case {case}: a={a} b={b} tol={tol}"
             );
         }

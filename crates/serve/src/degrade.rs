@@ -10,12 +10,14 @@
 //!
 //! * [`Fidelity::Lossy`] re-encodes the pixels through
 //!   `Zfpx { tolerance }` (the `apc-compress` fixed-accuracy codec):
-//!   every pixel survives, but only to within the tolerance.
+//!   every pixel survives, but only to within
+//!   [`Zfpx::ERROR_ENVELOPE`](apc_compress::Zfpx::ERROR_ENVELOPE)` ×
+//!   tolerance` (4×).
 //! * [`Fidelity::Dropped`] keeps only the top `keep_percent` of pixels
 //!   by reflectivity score (ties broken by pixel index, so the selection
-//!   is total), zeroes the rest, and re-encodes through `Zfpx` — zfpx
-//!   stores all-zero blocks in one bit, so the dropped footprint costs
-//!   almost nothing on the wire.
+//!   is total), zeroes the rest, and re-encodes through `Zfpx` (same
+//!   envelope for the survivors) — zfpx stores all-zero blocks in one
+//!   bit, so the dropped footprint costs almost nothing on the wire.
 //! * [`Fidelity::HeaderOnly`] ships a 0×0 frame whose header still
 //!   carries the provenance (iteration, stager, triangles, percent).
 
@@ -80,6 +82,7 @@ fn drop_low_scores(pixels: &mut [f32], keep_percent: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_compress::Zfpx;
 
     fn sample() -> Frame {
         let pixels: Vec<f32> = (0..64).map(|i| (i as f32 * 0.31).sin() * 40.0).collect();
@@ -101,9 +104,7 @@ mod tests {
         assert_eq!(back.iteration, frame.iteration);
         assert_eq!(back.triangles, frame.triangles);
         for (a, b) in frame.pixels.iter().zip(&back.pixels) {
-            // Separable lifting can amplify truncation error by a small
-            // constant; 4× tolerance is the codec's own envelope.
-            assert!((a - b).abs() <= 4.0 * 0.5, "{a} vs {b}");
+            assert!((a - b).abs() <= Zfpx::ERROR_ENVELOPE * 0.5, "{a} vs {b}");
         }
     }
 

@@ -135,12 +135,15 @@ pub enum Fidelity {
     /// The stream exactly as rendered and persisted.
     Full,
     /// Re-encoded through `Zfpx { tolerance }`: every pixel survives but
-    /// only to within `tolerance` absolute error.
+    /// only to within [`Zfpx::ERROR_ENVELOPE`]` × tolerance` absolute
+    /// error (4× — `tolerance` is the codec's per-coefficient cut, not
+    /// its per-pixel bound).
     Lossy { tolerance: f32 },
     /// Score-ranked block dropping: only the top `keep_percent` of
     /// pixels (by reflectivity score) survive, the rest are zeroed, and
     /// the result is re-encoded through `Zfpx { tolerance }` (runs of
-    /// zeros compress to almost nothing).
+    /// zeros compress to almost nothing); survivors are within
+    /// [`Zfpx::ERROR_ENVELOPE`]` × tolerance` like `Lossy` ones.
     Dropped { keep_percent: f32, tolerance: f32 },
     /// Provenance only: a 0×0 frame whose header still names the
     /// iteration, stager, triangle count and reduction percent.

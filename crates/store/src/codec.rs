@@ -229,7 +229,7 @@ mod tests {
         let enc = CodecKind::Zfpx { tolerance: tol }.encode_chunk(&data, dims);
         let dec = CodecKind::Raw.decode_chunk(&enc, dims).unwrap();
         for (a, b) in data.iter().zip(&dec) {
-            assert!((a - b).abs() <= 8.0 * tol, "{a} vs {b}");
+            assert!((a - b).abs() <= Zfpx::ERROR_ENVELOPE * tol, "{a} vs {b}");
         }
         // A truncated tolerance header is corrupt, not a panic.
         assert!(matches!(

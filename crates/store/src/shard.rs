@@ -391,10 +391,16 @@ impl<B: StoreBackend> ShardedStore<B> {
         if let Some(idx) = rlock(&self.indexes).get(shard_key) {
             return Ok(Some(Arc::clone(idx)));
         }
+        // Readers that missed together queue on the write lock: the first
+        // loads the trailer, the rest find its entry and read nothing.
+        let mut indexes = wlock(&self.indexes);
+        if let Some(idx) = indexes.get(shard_key) {
+            return Ok(Some(Arc::clone(idx)));
+        }
         match ShardIndex::load(&self.inner, shard_key) {
             Ok(idx) => {
                 let idx = Arc::new(idx);
-                wlock(&self.indexes).insert(shard_key.to_owned(), Arc::clone(&idx));
+                indexes.insert(shard_key.to_owned(), Arc::clone(&idx));
                 Ok(Some(idx))
             }
             Err(StoreError::NotFound(_)) => Ok(None),

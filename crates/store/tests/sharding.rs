@@ -3,7 +3,7 @@
 //! few small byte-range reads, never a full-shard (or full-file) read.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use apc_store::{MemStore, ShardReader, ShardWriter, ShardedStore, StoreBackend, StoreError};
 
@@ -58,6 +58,9 @@ impl StoreBackend for CountingBackend {
     }
 
     fn size(&self, key: &str) -> Result<u64, StoreError> {
+        // An index load starts here; hand the CPU to the other readers
+        // mid-load, so a second loader gets in if nothing keeps it out.
+        std::thread::yield_now();
         self.inner.size(key)
     }
 }
@@ -182,5 +185,46 @@ fn dir_and_mem_range_reads_agree() {
             backend.size("v/missing"),
             Err(StoreError::NotFound(_))
         ));
+    }
+}
+
+/// Readers that miss a shard's index together load it once: the first
+/// holds the write lock through the load, the rest find its entry.
+#[test]
+fn concurrent_readers_load_each_shard_index_once() {
+    const SHARDS: u32 = 6;
+    const PER_SHARD: u32 = 4;
+    const READERS: usize = 16;
+    let counting = Arc::new(CountingBackend::default());
+    let key = |id: u32| format!("c/000000/{id:06}");
+    let writer = ShardedStore::new(Arc::clone(&counting), PER_SHARD as usize);
+    for id in 0..SHARDS * PER_SHARD {
+        writer.put(&key(id), &chunk_payload(id)).unwrap();
+    }
+    drop(writer);
+
+    for round in 0..20 {
+        // A fresh adapter: every index is cold again.
+        let store = ShardedStore::new(Arc::clone(&counting), PER_SHARD as usize);
+        counting.reset();
+        let start = Barrier::new(READERS);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for id in 0..SHARDS * PER_SHARD {
+                        assert_eq!(store.get(&key(id)).unwrap(), chunk_payload(id));
+                    }
+                });
+            }
+        });
+        // One range read per chunk read; the rest are index loads, two
+        // (trailer + index) per shard touched.
+        let payload_reads = READERS * (SHARDS * PER_SHARD) as usize;
+        assert_eq!(
+            counting.range_reads() - payload_reads,
+            2 * SHARDS as usize,
+            "round {round}: index loads"
+        );
     }
 }
