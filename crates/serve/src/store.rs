@@ -509,6 +509,43 @@ mod tests {
         assert_eq!(store.manifest().unwrap().shard_chunks, Some(16));
     }
 
+    /// The stored manifest, byte for byte: flat, sharded, and a lossy
+    /// codec with its tolerance.
+    #[test]
+    fn manifest_to_json_bytes_are_pinned() {
+        let flat = RunManifest {
+            run_id: "run".into(),
+            n_stagers: 4,
+            width: 8,
+            height: 6,
+            codec: CodecKind::Lz,
+            iterations: vec![100, 250, 400],
+            shard_chunks: None,
+        };
+        assert_eq!(
+            flat.to_json(),
+            "{\n  \"format\": \"apc-serve\",\n  \"version\": 1,\n  \"run_id\": \"run\",\n  \"n_stagers\": 4,\n  \"width\": 8,\n  \"height\": 6,\n  \"codec\": \"lz\",\n  \"iterations\": [100, 250, 400]\n}"
+        );
+        let sharded = RunManifest {
+            shard_chunks: Some(16),
+            ..flat.clone()
+        };
+        assert_eq!(
+            sharded.to_json(),
+            "{\n  \"format\": \"apc-serve\",\n  \"version\": 1,\n  \"run_id\": \"run\",\n  \"n_stagers\": 4,\n  \"width\": 8,\n  \"height\": 6,\n  \"codec\": \"lz\",\n  \"shard_chunks\": 16,\n  \"iterations\": [100, 250, 400]\n}"
+        );
+        let lossy = RunManifest {
+            codec: CodecKind::Zfpx { tolerance: 0.05 },
+            shard_chunks: Some(3),
+            iterations: vec![],
+            ..flat
+        };
+        assert_eq!(
+            lossy.to_json(),
+            "{\n  \"format\": \"apc-serve\",\n  \"version\": 1,\n  \"run_id\": \"run\",\n  \"n_stagers\": 4,\n  \"width\": 8,\n  \"height\": 6,\n  \"codec\": \"zfpx\",\n  \"tolerance\": 0.05,\n  \"shard_chunks\": 3,\n  \"iterations\": []\n}"
+        );
+    }
+
     /// The read side of `put_manifest`'s run-id assert: a document that
     /// names run `a` but sits under run `b`'s key must not open as `b`.
     #[test]

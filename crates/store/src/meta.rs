@@ -178,6 +178,34 @@ mod tests {
         }
     }
 
+    /// The stored document, byte for byte: a reader written against an
+    /// older store must keep reading what a newer writer emits.
+    #[test]
+    fn to_json_bytes_are_pinned() {
+        assert_eq!(
+            sample().to_json(),
+            "{\n  \"format\": \"apc-store\",\n  \"version\": 1,\n  \"domain\": [80, 80, 16],\n  \"chunk\": [10, 10, 8],\n  \"procs\": [2, 2, 1],\n  \"codec\": \"fpz\",\n  \"seed\": 42,\n  \"iterations\": [100, 250, 400]\n}"
+        );
+        let sharded = DatasetMeta {
+            shard_chunks: Some(64),
+            ..sample()
+        };
+        assert_eq!(
+            sharded.to_json(),
+            "{\n  \"format\": \"apc-store\",\n  \"version\": 1,\n  \"domain\": [80, 80, 16],\n  \"chunk\": [10, 10, 8],\n  \"procs\": [2, 2, 1],\n  \"codec\": \"fpz\",\n  \"shard_chunks\": 64,\n  \"seed\": 42,\n  \"iterations\": [100, 250, 400]\n}"
+        );
+        let lossy = DatasetMeta {
+            codec: CodecKind::Zfpx { tolerance: 0.05 },
+            shard_chunks: Some(16),
+            iterations: vec![],
+            ..sample()
+        };
+        assert_eq!(
+            lossy.to_json(),
+            "{\n  \"format\": \"apc-store\",\n  \"version\": 1,\n  \"domain\": [80, 80, 16],\n  \"chunk\": [10, 10, 8],\n  \"procs\": [2, 2, 1],\n  \"codec\": \"zfpx\",\n  \"tolerance\": 0.05,\n  \"shard_chunks\": 16,\n  \"seed\": 42,\n  \"iterations\": []\n}"
+        );
+    }
+
     #[test]
     fn json_roundtrip_with_shard_layout() {
         let meta = DatasetMeta {
