@@ -22,17 +22,34 @@ cargo build --release
 
 echo "==> cargo test --workspace -q (every crate's suite, one pass)"
 cargo test --workspace -q
-echo "    covered: umbrella tests/ (pipeline_e2e, properties, store_roundtrip," \
-  "exec_policy_determinism, staged_determinism, frame_serving, replay_fanout," \
-  "substrate_interplay), apc-store sharding + shard_adversarial + cache units," \
-  "apc-replay, apc-serve (serve core, wire codec, ladder), apc-core serving +" \
-  "controller, apc-comm session_stress, apc-bench golden_reports, apc-lint fixtures," \
-  "apc-compress format_pin + bitio boundary table + adversarial"
 
 echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benchmark runs them)"
 # The debug pass above traps shift widths of 0 and 64 with overflow checks;
 # this one runs the same suite, format pin included, on the optimised code.
 cargo test -p apc-compress --release -q
+
+echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
+# The one end-to-end run of the path no unit test reaches: the same tiny
+# dataset written flat and sharded by the write_dataset bin, one pipeline
+# figure replayed from each through APC_DATASET, and the two CSVs equal.
+cargo build --release -q -p apc-bench --bin write_dataset --bin fig06_fixed_percent
+smoke=target/ci_smoke
+rm -rf "$smoke"
+(
+  export APC_GEOM=tiny APC_RANKS=4 APC_STORE_ITERS=4
+  target/release/write_dataset "$smoke/flat" >/dev/null
+  APC_SHARD_CHUNKS=16 target/release/write_dataset "$smoke/sharded" >/dev/null
+)
+grep -q '"shard_chunks": 16' "$smoke/sharded/meta.json"
+if grep -q shard_chunks "$smoke/flat/meta.json"; then
+  echo "flat dataset records a shard layout" >&2
+  exit 1
+fi
+for layout in flat sharded; do
+  APC_DATASET="$smoke/$layout" target/release/fig06_fixed_percent >/dev/null
+  cp target/experiments/fig06_fixed_percent.csv "$smoke/$layout.csv"
+done
+cmp "$smoke/flat.csv" "$smoke/sharded.csv"
 
 echo "==> benchmark package compiles (outside the workspace; nothing else checks it)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

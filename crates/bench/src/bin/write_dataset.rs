@@ -26,7 +26,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use apc_cm1::{write_dataset, write_dataset_sharded, ReflectivityDataset};
+use apc_cm1::{write_dataset, ReflectivityDataset};
 use apc_store::CodecKind;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -84,14 +84,8 @@ fn main() {
     let seed = env_usize("APC_SEED", 42) as u64;
     let n_iters = env_usize("APC_STORE_ITERS", 12);
     let codec = env_codec();
-    let shard_chunks = std::env::var("APC_SHARD_CHUNKS").ok().map(|s| {
-        let n = s
-            .trim()
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("APC_SHARD_CHUNKS must be an integer, got {s:?}"));
-        assert!(n >= 1, "APC_SHARD_CHUNKS must be >= 1, got {n}");
-        n
-    });
+    let shard_chunks =
+        std::env::var_os("APC_SHARD_CHUNKS").map(|_| env_usize("APC_SHARD_CHUNKS", 0));
 
     let geom = std::env::var("APC_GEOM").unwrap_or_else(|_| "paper".into());
     let dataset = match geom.as_str() {
@@ -105,12 +99,8 @@ fn main() {
 
     let d = dataset.decomp();
     let raw_bytes = d.domain().len() as u64 * 4 * iterations.len() as u64;
-    let layout = match shard_chunks {
-        Some(n) => format!("{n} chunks/shard"),
-        None => "one file per chunk".into(),
-    };
     println!(
-        "writing {} iterations of {} ({} ranks, {} blocks of {}) with codec {} ({layout}) -> {}",
+        "writing {} iterations of {} ({} ranks, {} blocks of {}) with codec {} (shard_chunks {shard_chunks:?}) -> {}",
         iterations.len(),
         d.domain(),
         d.nranks(),
@@ -122,15 +112,7 @@ fn main() {
 
     // apc-lint: allow(wall-clock): measuring the harness's real elapsed time is this bench's purpose
     let t0 = Instant::now();
-    match shard_chunks {
-        Some(n) => {
-            write_dataset_sharded(&dataset, &iterations, &dir, codec, n)
-                .expect("write sharded dataset");
-        }
-        None => {
-            write_dataset(&dataset, &iterations, &dir, codec).expect("write dataset");
-        }
-    }
+    write_dataset(&dataset, &iterations, &dir, codec, shard_chunks).expect("write dataset");
     let secs = t0.elapsed().as_secs_f64();
 
     let stored_bytes = dir_size(&dir);

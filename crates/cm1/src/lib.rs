@@ -38,10 +38,7 @@ pub use dataset::ReflectivityDataset;
 pub use hydro::{reflectivity_from_hydrometeors, reflectivity_from_hydrometeors_at, Hydrometeors};
 pub use noise::{fbm3, value_noise3};
 pub use solver::AdvectionSolver;
-pub use store::{
-    open_dataset, write_dataset, write_dataset_sharded, write_dataset_sharded_to, write_dataset_to,
-    StoredTimeSeries,
-};
+pub use store::{open_dataset, write_dataset, write_dataset_to, StoredTimeSeries};
 pub use storm::StormModel;
 
 /// Reflectivity bounds in dBZ — the known range the ITL metric relies on

@@ -8,7 +8,10 @@
 //! (the workspace `store_roundtrip` integration test pins this).
 //!
 //! The producing side is [`write_dataset`] (disk) /
-//! [`write_dataset_to`] (any backend — tests use `MemStore`); the
+//! [`write_dataset_to`] (any backend — tests use `MemStore`), which take
+//! the chunk layout as an `Option<usize>` and hand it to `apc-store`
+//! (`LayoutWriter` on the way in, `ChunkedDataset::open_auto` on the way
+//! back): nothing here decides how a layout is written or read. The
 //! consuming side is [`open_dataset`], which yields a
 //! [`StoredTimeSeries`]: stored blocks plus the deterministic geometry
 //! (decomposition and stretched coordinate axes) rebuilt from the
@@ -19,24 +22,32 @@ use std::path::Path;
 
 use apc_grid::{Block, BlockData, BlockId, DomainDecomp, RectilinearCoords};
 use apc_store::{
-    CacheStats, ChunkedDataset, CodecKind, DatasetMeta, DirStore, DynChunkedDataset, ShardedStore,
+    CacheStats, ChunkedDataset, CodecKind, DatasetMeta, DirStore, DynChunkedDataset, LayoutWriter,
     SharedCachedBackend, StoreBackend, StoreError,
 };
 
 use crate::dataset::ReflectivityDataset;
 use crate::storm::StormModel;
 
-fn dataset_meta(
+/// Write `iterations` of `dataset` into `backend` as a chunked dataset,
+/// one chunk per block, compressed with `codec`, laid out as
+/// `shard_chunks` says (`None`: one key per chunk; `Some(n)`: `n` chunks
+/// per shard container). The layout is recorded in the metadata, so
+/// [`open_dataset`] readers need no flag to read it back. Blocks are
+/// generated one at a time, so peak memory stays at one block regardless
+/// of domain size.
+pub fn write_dataset_to<B: StoreBackend>(
     dataset: &ReflectivityDataset,
     iterations: &[usize],
+    backend: B,
     codec: CodecKind,
     shard_chunks: Option<usize>,
-) -> DatasetMeta {
+) -> Result<ChunkedDataset<LayoutWriter<B>>, StoreError> {
     let decomp = dataset.decomp();
     let mut iters: Vec<usize> = iterations.to_vec();
     iters.sort_unstable();
     iters.dedup();
-    DatasetMeta {
+    let meta = DatasetMeta {
         domain: decomp.domain(),
         chunk: decomp.block_dims(),
         procs: decomp.procs(),
@@ -44,14 +55,8 @@ fn dataset_meta(
         seed: dataset.storm().seed,
         iterations: iters,
         shard_chunks,
-    }
-}
-
-fn write_chunks<B: StoreBackend>(
-    store: &ChunkedDataset<B>,
-    dataset: &ReflectivityDataset,
-) -> Result<(), StoreError> {
-    let decomp = dataset.decomp();
+    };
+    let store = ChunkedDataset::create(LayoutWriter::new(backend, shard_chunks), meta)?;
     for &it in store.iterations() {
         for id in decomp.all_blocks() {
             let block = dataset.block(it, id);
@@ -61,38 +66,6 @@ fn write_chunks<B: StoreBackend>(
             store.write_chunk(it, id, samples)?;
         }
     }
-    Ok(())
-}
-
-/// Write `iterations` of `dataset` into `backend` as a chunked dataset,
-/// one chunk per block, compressed with `codec`. Blocks are generated one
-/// at a time, so peak memory stays at one block regardless of domain size.
-pub fn write_dataset_to<B: StoreBackend>(
-    dataset: &ReflectivityDataset,
-    iterations: &[usize],
-    backend: B,
-    codec: CodecKind,
-) -> Result<ChunkedDataset<B>, StoreError> {
-    let meta = dataset_meta(dataset, iterations, codec, None);
-    let store = ChunkedDataset::create(backend, meta)?;
-    write_chunks(&store, dataset)?;
-    Ok(store)
-}
-
-/// [`write_dataset_to`] with the shard layout: chunks are packed
-/// `chunks_per_shard` at a time into shard containers, and the layout is
-/// recorded in the metadata so `open_auto` / [`open_dataset`] readers
-/// transparently read back through byte ranges.
-pub fn write_dataset_sharded_to<B: StoreBackend>(
-    dataset: &ReflectivityDataset,
-    iterations: &[usize],
-    backend: B,
-    codec: CodecKind,
-    chunks_per_shard: usize,
-) -> Result<ChunkedDataset<ShardedStore<B>>, StoreError> {
-    let meta = dataset_meta(dataset, iterations, codec, Some(chunks_per_shard));
-    let store = ChunkedDataset::create(ShardedStore::new(backend, chunks_per_shard), meta)?;
-    write_chunks(&store, dataset)?;
     // Seal the partial tail shard of each iteration now, so readers never
     // depend on the writer staying alive.
     store.backend().flush()?;
@@ -101,32 +74,21 @@ pub fn write_dataset_sharded_to<B: StoreBackend>(
 
 /// [`write_dataset_to`] targeting a directory on disk (created if
 /// missing). The directory then holds `meta.json` plus one file per
-/// chunk — point `APC_DATASET` at it to run experiments from the store.
+/// chunk or per shard container — point `APC_DATASET` at it to run
+/// experiments from the store.
 pub fn write_dataset(
     dataset: &ReflectivityDataset,
     iterations: &[usize],
     dir: &Path,
     codec: CodecKind,
-) -> Result<ChunkedDataset<DirStore>, StoreError> {
-    write_dataset_to(dataset, iterations, DirStore::create(dir)?, codec)
-}
-
-/// [`write_dataset_sharded_to`] targeting a directory on disk: the
-/// directory holds `meta.json` plus one shard container per
-/// `chunks_per_shard` chunks instead of one file each.
-pub fn write_dataset_sharded(
-    dataset: &ReflectivityDataset,
-    iterations: &[usize],
-    dir: &Path,
-    codec: CodecKind,
-    chunks_per_shard: usize,
-) -> Result<ChunkedDataset<ShardedStore<DirStore>>, StoreError> {
-    write_dataset_sharded_to(
+    shard_chunks: Option<usize>,
+) -> Result<ChunkedDataset<LayoutWriter<DirStore>>, StoreError> {
+    write_dataset_to(
         dataset,
         iterations,
         DirStore::create(dir)?,
         codec,
-        chunks_per_shard,
+        shard_chunks,
     )
 }
 
@@ -156,14 +118,7 @@ impl StoredTimeSeries {
     /// recorded in the metadata is honored transparently: sharded
     /// datasets read back through shard byte ranges, plain ones as-is.
     pub fn from_backend(backend: Box<dyn StoreBackend>) -> Result<Self, StoreError> {
-        let store = ChunkedDataset::open_auto(backend)?;
-        let geometry =
-            ReflectivityDataset::new(*store.decomp(), StormModel::new(store.meta().seed));
-        Ok(Self {
-            store,
-            geometry,
-            cache: None,
-        })
+        Self::open(backend, None)
     }
 
     /// [`StoredTimeSeries::from_backend`] with a byte-budgeted chunk
@@ -177,13 +132,20 @@ impl StoredTimeSeries {
         backend: Box<dyn StoreBackend>,
         cache_bytes: usize,
     ) -> Result<Self, StoreError> {
-        let (store, cache) = ChunkedDataset::open_auto_cached(backend, cache_bytes)?;
+        Self::open(backend, Some(cache_bytes))
+    }
+
+    fn open(
+        backend: Box<dyn StoreBackend>,
+        cache_bytes: Option<usize>,
+    ) -> Result<Self, StoreError> {
+        let (store, cache) = ChunkedDataset::open_auto(backend, cache_bytes)?;
         let geometry =
             ReflectivityDataset::new(*store.decomp(), StormModel::new(store.meta().seed));
         Ok(Self {
             store,
             geometry,
-            cache: Some(cache),
+            cache,
         })
     }
 
@@ -263,7 +225,7 @@ mod tests {
         let dataset = ReflectivityDataset::tiny(4, 99).unwrap();
         let dir = tmp_dir("roundtrip");
         let iters = [300, 100, 100]; // unsorted + duplicate on purpose
-        write_dataset(&dataset, &iters, &dir, CodecKind::Fpz).unwrap();
+        write_dataset(&dataset, &iters, &dir, CodecKind::Fpz, None).unwrap();
 
         let stored = open_dataset(&dir).unwrap();
         assert_eq!(stored.iterations(), &[100, 300]);
@@ -285,7 +247,7 @@ mod tests {
     fn mem_roundtrip_per_lossless_codec() {
         let dataset = ReflectivityDataset::tiny(1, 7).unwrap();
         for codec in [CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz] {
-            let store = write_dataset_to(&dataset, &[200], MemStore::new(), codec).unwrap();
+            let store = write_dataset_to(&dataset, &[200], MemStore::new(), codec, None).unwrap();
             for id in [0u32, 63, 127] {
                 assert_eq!(
                     store.read_block(200, id).unwrap(),
@@ -300,13 +262,10 @@ mod tests {
     #[test]
     fn lossless_codecs_shrink_the_tiny_dataset() {
         let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
-        let raw = MemStore::new();
-        write_dataset_to(&dataset, &[250], raw, CodecKind::Raw).unwrap();
-        // Re-create stores to measure (consume backends by value).
         let measure = |codec: CodecKind| {
             let mem = MemStore::new();
-            let store = write_dataset_to(&dataset, &[250], mem, codec).unwrap();
-            store.backend().nbytes()
+            write_dataset_to(&dataset, &[250], &mem, codec, None).unwrap();
+            mem.nbytes()
         };
         let raw_bytes = measure(CodecKind::Raw);
         let fpz_bytes = measure(CodecKind::Fpz);
@@ -325,6 +284,7 @@ mod tests {
             &[200],
             MemStore::new(),
             CodecKind::Zfpx { tolerance: tol },
+            None,
         )
         .unwrap();
         let exact = dataset.block(200, 40);
@@ -353,7 +313,7 @@ mod tests {
     fn cached_open_replays_identically_and_prefetches() {
         let dataset = ReflectivityDataset::tiny(4, 55).unwrap();
         let dir = tmp_dir("cached-roundtrip");
-        write_dataset_sharded(&dataset, &[100, 200, 300], &dir, CodecKind::Fpz, 48).unwrap();
+        write_dataset(&dataset, &[100, 200, 300], &dir, CodecKind::Fpz, Some(48)).unwrap();
 
         let plain = open_dataset(&dir).unwrap();
         assert!(plain.cache_stats().is_none());
@@ -401,7 +361,7 @@ mod tests {
         let dataset = ReflectivityDataset::tiny(4, 55).unwrap();
         let dir = tmp_dir("sharded-roundtrip");
         // 128 blocks per iteration, 48 per shard → 2 full + 1 tail shard.
-        write_dataset_sharded(&dataset, &[100, 300], &dir, CodecKind::Fpz, 48).unwrap();
+        write_dataset(&dataset, &[100, 300], &dir, CodecKind::Fpz, Some(48)).unwrap();
         // The chunk directory holds shard containers, not per-chunk files.
         assert!(dir.join("c/000100/s000000").is_file());
         assert!(!dir.join("c/000100/000000").is_file());

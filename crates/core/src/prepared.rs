@@ -365,7 +365,7 @@ mod tests {
         let dataset = ReflectivityDataset::tiny(4, 11).unwrap();
         let iters = dataset.sample_iterations(2);
         let backend: Box<dyn StoreBackend> = Box::new(MemStore::new());
-        apc_cm1::write_dataset_to(&dataset, &iters, &backend, CodecKind::Fpz).unwrap();
+        apc_cm1::write_dataset_to(&dataset, &iters, &backend, CodecKind::Fpz, None).unwrap();
         let stored = StoredTimeSeries::from_backend(backend).unwrap();
 
         let from_store = Prepared::from_store(stored, ExecPolicy::Serial, NetModel::blue_waters());

@@ -45,12 +45,14 @@ use apc_serve::{
     check_reply, percentile, Fidelity, FrameRequest, FrameSink, RequestLog, Resolution, ServeCore,
     ServePolicy, ServeReport, ServerStats,
 };
-use apc_stage::{Partition, RankLog, StagedSpec};
+use apc_stage::RankLog;
 use apc_store::StoreBackend;
 
-use crate::config::{InSituMode, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::controller::BudgetController;
-use crate::staged::{merge_logs, rank_program, write_manifest, SimAux, StageOut, StagedRun};
+use crate::staged::{
+    begin_staged, end_staged, merge_logs, rank_program, SimAux, StageOut, StagedRun,
+};
 
 /// Sliding-window length (latency samples) a stager's
 /// [`BudgetController`] observes; it also re-steps mid-batch every
@@ -188,17 +190,6 @@ impl ServeParams {
     pub fn with_fault(mut self, fault: ServeFault) -> Self {
         self.fault = Some(fault);
         self
-    }
-
-    /// Check the three-way split fits a concrete rank count.
-    pub fn validate(&self, nranks: usize, viz_ranks: usize) {
-        assert!(
-            viz_ranks + self.clients < nranks,
-            "serving run dedicates {} viz + {} client of {nranks} ranks; at \
-             least one simulation rank must remain",
-            viz_ranks,
-            self.clients
-        );
     }
 }
 
@@ -585,7 +576,7 @@ enum ServingRankLog {
 /// covers the first `nranks − clients` ranks (dataset ranks fold onto the
 /// simulation ranks exactly as in a plain staged run), and the last
 /// `clients` ranks run the request/reply workload. The config must be
-/// [`InSituMode::Staged`] **with a frame sink attached**
+/// [`crate::InSituMode::Staged`] **with a frame sink attached**
 /// (`StagedParams::persist`) — serving reads the frames it ships from
 /// that sink's store. The run writes the sink's
 /// [`apc_serve::RunManifest`] before the ranks start.
@@ -601,32 +592,18 @@ pub fn run_staged_serving_in_session<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
-    let params = match &config.mode {
-        InSituMode::Staged(p) => p.clone(),
-        InSituMode::Synchronous => {
-            // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
-            panic!("run_staged_serving_in_session needs an InSituMode::Staged config")
-        }
-    };
+    // The clients take the session's last ranks; the staged split (and
+    // its check that a simulation rank remains) covers the rest.
+    let n_clients = serve.clients;
+    let staged_ranks = session.nranks().saturating_sub(n_clients);
+    let (params, spec) = begin_staged(session, decomp, config, iterations, staged_ranks);
     let sink = params
         .persist
         .clone()
         // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
         .expect("serving needs StagedParams::persist — attach a FrameSink");
-    let nranks = session.nranks();
-    assert_eq!(
-        nranks,
-        decomp.nranks(),
-        "session rank count must match the decomposition"
-    );
-    serve.validate(nranks, params.viz_ranks);
-    let n_stage = params.viz_ranks;
-    let n_clients = serve.clients;
-    let n_sim = nranks - n_stage - n_clients;
-    let partition = Partition::new(n_sim + n_stage, n_stage);
-    let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
-
-    write_manifest(&sink, n_stage, decomp, iterations);
+    let partition = spec.partition;
+    let (n_sim, n_stage) = (partition.n_sim(), partition.n_stage());
 
     let iters = iterations.to_vec();
     let logs: Vec<ServingRankLog> = session.run(|rank| {
@@ -670,10 +647,7 @@ where
         }
     });
 
-    // Seal any partially-filled shard groups now that every stager is
-    // done, so external readers (`open_run`) see the complete run.
-    // apc-lint: allow(unwrap-in-lib): driver-level teardown — failing to seal the run is unrecoverable and must be loud
-    sink.flush().expect("seal the run's tail shards");
+    end_staged(&params);
 
     let mut staged_logs = Vec::with_capacity(n_sim + n_stage);
     let mut servers = Vec::with_capacity(n_stage);
@@ -772,10 +746,7 @@ mod tests {
         let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
         let iters = dataset.sample_iterations(4);
         let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-        let sink = match shard {
-            Some(n) => FrameSink::sharded(Arc::clone(&backend), "test", CodecKind::Fpz, n),
-            None => FrameSink::new(Arc::clone(&backend), "test", CodecKind::Fpz),
-        };
+        let sink = FrameSink::with_layout(Arc::clone(&backend), "test", CodecKind::Fpz, shard);
         let params = StagedParams::new(2, 2, BackpressurePolicy::Block)
             .with_sim_compute(5.0)
             .with_persist(sink);
@@ -939,12 +910,6 @@ mod tests {
             }
         }
         assert!(latest > 0 && at > 0 && range > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one simulation rank")]
-    fn overfull_split_rejected() {
-        ServeParams::new(6, 1, ServePolicy::BestEffort).validate(8, 2);
     }
 
     #[test]

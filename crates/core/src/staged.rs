@@ -189,37 +189,14 @@ pub fn run_staged_in_session<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
-    let params = match &config.mode {
-        InSituMode::Staged(p) => p.clone(),
-        InSituMode::Synchronous => {
-            // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
-            panic!("run_staged_in_session needs an InSituMode::Staged config")
-        }
-    };
-    assert_eq!(
-        session.nranks(),
-        decomp.nranks(),
-        "session rank count must match the decomposition"
-    );
-    let nranks = session.nranks();
-    params.validate(nranks);
-    let partition = Partition::new(nranks, params.viz_ranks);
-    let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
-    if let Some(sink) = &params.persist {
-        write_manifest(sink, params.viz_ranks, decomp, iterations);
-    }
+    let (params, spec) = begin_staged(session, decomp, config, iterations, session.nranks());
     let iters = iterations.to_vec();
     let logs: Vec<RankLog<SimAux, StageOut>> = session.run(|rank| {
         rank_program(
             rank, &spec, &params, config, decomp, coords, &iters, blocks, None,
         )
     });
-    if let Some(sink) = &params.persist {
-        // Seal partially-filled shard groups so a stored run is complete
-        // the moment the run call returns.
-        // apc-lint: allow(unwrap-in-lib): driver-level teardown — failing to seal the run is unrecoverable and must be loud
-        sink.flush().expect("seal the run's tail shards");
-    }
+    end_staged(&params);
     merge_logs(&spec, iterations, logs)
 }
 
@@ -412,28 +389,47 @@ where
     )
 }
 
-/// Make the stored run self-describing before any frame lands: backends
-/// deliberately offer no key listing, so the manifest is how a later
-/// reader discovers what this run persisted.
-pub(crate) fn write_manifest(
-    sink: &apc_serve::FrameSink,
-    n_stagers: usize,
+/// The set-up both staged drivers share: the config's staged parameters,
+/// the sim/viz split of the session's first `staged_ranks` ranks (all of
+/// them for a plain staged run; the serving driver keeps the rest for its
+/// clients), and — when the run persists frames — its manifest, which the
+/// sink writes before any rank starts.
+pub(crate) fn begin_staged(
+    session: &Session,
     decomp: &DomainDecomp,
+    config: &PipelineConfig,
     iterations: &[usize],
-) {
-    let gb = decomp.global_block_grid();
-    sink.store()
-        .put_manifest(&apc_serve::RunManifest {
-            run_id: sink.run_id().to_owned(),
-            n_stagers,
-            width: gb.nx,
-            height: gb.ny,
-            codec: sink.codec(),
-            iterations: iterations.to_vec(),
-            shard_chunks: sink.shard_chunks(),
-        })
-        // apc-lint: allow(unwrap-in-lib): driver-level setup — a manifest write failure fails the run before it starts
-        .expect("write the run manifest");
+    staged_ranks: usize,
+) -> (StagedParams, StagedSpec) {
+    let InSituMode::Staged(params) = &config.mode else {
+        // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
+        panic!("a staged run needs an InSituMode::Staged config")
+    };
+    assert_eq!(
+        session.nranks(),
+        decomp.nranks(),
+        "session rank count must match the decomposition"
+    );
+    params.validate(staged_ranks);
+    let partition = Partition::new(staged_ranks, params.viz_ranks);
+    let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
+    if let Some(sink) = &params.persist {
+        let gb = decomp.global_block_grid();
+        sink.begin_run(params.viz_ranks, gb.nx, gb.ny, iterations)
+            // apc-lint: allow(unwrap-in-lib): driver-level setup — a manifest write failure fails the run before it starts
+            .expect("write the run manifest");
+    }
+    (params.clone(), spec)
+}
+
+/// The teardown both staged drivers share: seal partially-filled shard
+/// groups, so a stored run is complete (and readable through `open_run`)
+/// the moment the run call returns.
+pub(crate) fn end_staged(params: &StagedParams) {
+    if let Some(sink) = &params.persist {
+        // apc-lint: allow(unwrap-in-lib): driver-level teardown — failing to seal the run is unrecoverable and must be loud
+        sink.flush().expect("seal the run's tail shards");
+    }
 }
 
 /// Fold the per-rank logs into the per-iteration stream. Pure arithmetic

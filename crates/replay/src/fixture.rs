@@ -2,9 +2,9 @@
 //!
 //! A replay pool serves a run some *earlier* session produced; the
 //! fixtures here stand in for that session, writing a deterministic run
-//! (SplitMix64 pixels, strictly increasing iterations, manifest sealed)
-//! straight through the same [`FrameSink`] path the staged executor
-//! uses — flat or sharded, on any backend.
+//! (SplitMix64 pixels, strictly increasing iterations) straight through
+//! the same [`FrameSink`] lifecycle the staged executor uses — manifest,
+//! frames, seal — in whatever layout the caller names, on any backend.
 
 use std::sync::Arc;
 
@@ -33,10 +33,11 @@ pub fn synth_run(
         "iterations must be strictly increasing"
     );
     assert!(n_stagers >= 1, "a run needs at least one stager");
-    let sink = match shard_chunks {
-        Some(n) => FrameSink::sharded(Arc::clone(&backend), run_id, codec, n),
-        None => FrameSink::new(Arc::clone(&backend), run_id, codec),
-    };
+    let sink = FrameSink::with_layout(backend, run_id, codec, shard_chunks);
+    let manifest = sink
+        .begin_run(n_stagers, width, height, iterations)
+        // apc-lint: allow(unwrap-in-lib): fixture setup — a manifest write failure must fail the suite loudly
+        .expect("write the fixture manifest");
     for &it in iterations {
         for stager in 0..n_stagers {
             // Pixels keyed by (iteration, stager): frames differ across
@@ -57,19 +58,6 @@ pub fn synth_run(
             sink.persist(&frame);
         }
     }
-    let manifest = RunManifest {
-        run_id: run_id.to_owned(),
-        n_stagers,
-        width,
-        height,
-        codec,
-        iterations: iterations.to_vec(),
-        shard_chunks: sink.shard_chunks(),
-    };
-    sink.store()
-        .put_manifest(&manifest)
-        // apc-lint: allow(unwrap-in-lib): fixture setup — a manifest write failure must fail the suite loudly
-        .expect("write the fixture manifest");
     sink.flush()
         // apc-lint: allow(unwrap-in-lib): fixture setup — failing to seal the run must fail the suite loudly
         .expect("seal the fixture's tail shards");

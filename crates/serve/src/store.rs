@@ -13,14 +13,21 @@
 //! reader that knows the manifest can address every frame of the run.
 //! `run_id` namespacing is what lets several runs (or several datasets —
 //! the multi-dataset ROADMAP item) share one backend.
+//!
+//! Whether a run's frames sit one per key or packed into shard containers
+//! is recorded in the manifest and decided in `apc_store::layout`:
+//! [`FrameSink`] writes through its `LayoutWriter`, [`open_run`] reads
+//! through its `reader`, and nothing here branches on the layout.
 
 use std::sync::Arc;
 
-use apc_store::json::{parse_object, Value};
-use apc_store::{CodecKind, ShardedStore, StoreBackend};
+use apc_store::fields::{DocWriter, Fields};
+use apc_store::{layout, CodecKind, LayoutWriter, StoreBackend};
 
 use crate::frame::Frame;
 use crate::ServeError;
+
+const FORMAT: &str = "apc-serve";
 
 /// Key of the run-level manifest document.
 fn manifest_key(run_id: &str) -> String {
@@ -63,9 +70,8 @@ pub struct RunManifest {
     /// Simulation iterations the run renders, strictly increasing.
     pub iterations: Vec<usize>,
     /// Frame layout: `None` means one store key per frame; `Some(n)`
-    /// means frames are packed `n` per shard container and readers must
-    /// go through a [`ShardedStore`] wrap of the backend (see
-    /// [`open_run`]).
+    /// means frames are packed `n` per shard container. Recorded only:
+    /// [`open_run`] hands it to [`apc_store::layout::reader`].
     pub shard_chunks: Option<usize>,
 }
 
@@ -87,108 +93,29 @@ impl RunManifest {
         }
         keys
     }
+
     pub fn to_json(&self) -> String {
-        let iters: Vec<String> = self.iterations.iter().map(|i| i.to_string()).collect();
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"format\": \"apc-serve\",\n");
-        s.push_str("  \"version\": 1,\n");
-        s.push_str(&format!("  \"run_id\": \"{}\",\n", self.run_id));
-        s.push_str(&format!("  \"n_stagers\": {},\n", self.n_stagers));
-        s.push_str(&format!("  \"width\": {},\n", self.width));
-        s.push_str(&format!("  \"height\": {},\n", self.height));
-        s.push_str(&format!("  \"codec\": \"{}\",\n", self.codec.name()));
-        if let Some(tol) = self.codec.tolerance() {
-            s.push_str(&format!("  \"tolerance\": {tol},\n"));
-        }
-        if let Some(n) = self.shard_chunks {
-            s.push_str(&format!("  \"shard_chunks\": {n},\n"));
-        }
-        s.push_str(&format!("  \"iterations\": [{}]\n", iters.join(", ")));
-        s.push('}');
-        s
+        let mut doc = DocWriter::new(FORMAT);
+        doc.str_field("run_id", &self.run_id);
+        doc.field("n_stagers", self.n_stagers);
+        doc.field("width", self.width);
+        doc.field("height", self.height);
+        doc.layout(self.codec, self.shard_chunks);
+        doc.finish(&self.iterations)
     }
 
+    /// Parse a stored manifest; a malformed or out-of-range field is
+    /// [`ServeError::Corrupt`].
     pub fn from_json(text: &str) -> Result<Self, ServeError> {
-        let fields = parse_object(text).map_err(ServeError::Corrupt)?;
-        let get = |key: &str| -> Result<&Value, ServeError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ServeError::Corrupt(format!("manifest missing field {key:?}")))
-        };
-        match get("format")? {
-            Value::Str(s) if s == "apc-serve" => {}
-            other => {
-                return Err(ServeError::Corrupt(format!(
-                    "bad manifest format field {other:?}"
-                )))
-            }
-        }
-        match get("version")? {
-            Value::Int(1) => {}
-            other => {
-                return Err(ServeError::Corrupt(format!(
-                    "unsupported manifest version {other:?}"
-                )))
-            }
-        }
-        let string = |key: &str| -> Result<String, ServeError> {
-            match get(key)? {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(ServeError::Corrupt(format!("bad {key} field {other:?}"))),
-            }
-        };
-        let int = |key: &str| -> Result<usize, ServeError> {
-            match get(key)? {
-                Value::Int(v) if *v >= 0 => Ok(*v as usize),
-                other => Err(ServeError::Corrupt(format!("bad {key} field {other:?}"))),
-            }
-        };
-        let tolerance = match fields.iter().find(|(k, _)| k == "tolerance") {
-            Some((_, Value::Float(f))) => Some(*f as f32),
-            Some((_, Value::Int(i))) => Some(*i as f32),
-            Some((_, other)) => {
-                return Err(ServeError::Corrupt(format!(
-                    "bad tolerance field {other:?}"
-                )))
-            }
-            None => None,
-        };
-        let codec = CodecKind::from_name(&string("codec")?, tolerance)?;
-        let iterations = match get("iterations")? {
-            Value::Arr(v) if v.iter().all(|x| *x >= 0) => {
-                v.iter().map(|&x| x as usize).collect::<Vec<usize>>()
-            }
-            other => {
-                return Err(ServeError::Corrupt(format!(
-                    "bad iterations field {other:?}"
-                )))
-            }
-        };
-        if !iterations.windows(2).all(|w| w[1] > w[0]) {
-            return Err(ServeError::Corrupt(
-                "manifest iterations must be strictly increasing".into(),
-            ));
-        }
-        let shard_chunks = match fields.iter().find(|(k, _)| k == "shard_chunks") {
-            Some((_, Value::Int(n))) if *n >= 1 => Some(*n as usize),
-            Some((_, other)) => {
-                return Err(ServeError::Corrupt(format!(
-                    "bad shard_chunks field {other:?}"
-                )))
-            }
-            None => None,
-        };
+        let doc = Fields::parse(text, FORMAT)?;
         Ok(Self {
-            run_id: string("run_id")?,
-            n_stagers: int("n_stagers")?,
-            width: int("width")?,
-            height: int("height")?,
-            codec,
-            iterations,
-            shard_chunks,
+            run_id: doc.str("run_id")?.to_owned(),
+            n_stagers: doc.uint("n_stagers")?,
+            width: doc.uint("width")?,
+            height: doc.uint("height")?,
+            codec: doc.codec()?,
+            iterations: doc.iterations()?,
+            shard_chunks: doc.shard_chunks()?,
         })
     }
 }
@@ -247,14 +174,6 @@ impl<B: StoreBackend> FrameStore<B> {
             .contains(&frame_key(&self.run_id, iteration, stager))?)
     }
 
-    /// Write the run-level manifest.
-    pub fn put_manifest(&self, manifest: &RunManifest) -> Result<(), ServeError> {
-        assert_eq!(manifest.run_id, self.run_id, "manifest run id mismatch");
-        self.backend
-            .put(&manifest_key(&self.run_id), manifest.to_json().as_bytes())?;
-        Ok(())
-    }
-
     /// Read the run-level manifest. A stored document naming another run
     /// is `Corrupt`: its [`RunManifest::frame_keys`] would address that
     /// run's namespace, not this handle's.
@@ -274,98 +193,92 @@ impl<B: StoreBackend> FrameStore<B> {
 }
 
 /// Open a completed run for reading, honoring the frame layout its
-/// manifest records: sharded runs get the backend wrapped in a
-/// [`ShardedStore`] (frame reads become shard byte-range reads), plain
-/// runs open as-is. The layout probe is safe either way because
-/// `manifest.json` always passes through a `ShardedStore` unsharded.
+/// manifest records (the read stack is [`apc_store::layout::reader`]'s:
+/// shard byte-range reads for a sharded run, the backend as-is for a flat
+/// one). The layout probe is safe either way because `manifest.json`
+/// always passes through a shard layer unsharded.
 pub fn open_run(
     backend: Arc<dyn StoreBackend>,
     run_id: &str,
 ) -> Result<(FrameStore<Arc<dyn StoreBackend>>, RunManifest), ServeError> {
     let manifest = FrameStore::new(Arc::clone(&backend), run_id).manifest()?;
-    let reader: Arc<dyn StoreBackend> = match manifest.shard_chunks {
-        Some(n) => Arc::new(ShardedStore::new(backend, n)),
-        None => backend,
-    };
+    let (reader, _) = layout::reader(backend, manifest.shard_chunks, None);
     Ok((FrameStore::new(reader, run_id), manifest))
 }
 
 /// The cloneable write handle the staged executor threads through
-/// `StagedParams::persist`: a shared backend, a run id, and the codec to
-/// write frames with. Every stager clones the handle and writes its own
-/// disjoint keys.
+/// `StagedParams::persist`: a shared layout writer, a run id, and the
+/// codec to write frames with. Every stager clones the handle and writes
+/// its own disjoint keys. The sink also owns the run's lifecycle:
+/// [`FrameSink::begin_run`] writes the manifest before the first frame,
+/// [`FrameSink::flush`] seals the run after the last.
 #[derive(Clone)]
 pub struct FrameSink {
-    backend: Arc<dyn StoreBackend>,
-    /// Typed handle onto the same object as `backend` when the sink is
-    /// sharded, so [`FrameSink::flush`] can seal tail shards.
-    sharded: Option<Arc<ShardedStore<Arc<dyn StoreBackend>>>>,
+    writer: Arc<LayoutWriter<Arc<dyn StoreBackend>>>,
     run_id: String,
     codec: CodecKind,
 }
 
 impl FrameSink {
+    /// A sink writing one store key per frame.
     pub fn new(backend: Arc<dyn StoreBackend>, run_id: &str, codec: CodecKind) -> Self {
-        validate_run_id(run_id);
-        Self {
-            backend,
-            sharded: None,
-            run_id: run_id.to_owned(),
-            codec,
-        }
+        Self::with_layout(backend, run_id, codec, None)
     }
 
-    /// A sink that packs frames `chunks_per_shard` at a time into shard
-    /// containers on `backend`. Frames stay readable through the sink
-    /// (and its [`FrameSink::store`] views) while buffered; call
+    /// A sink writing in the layout `shard_chunks` names — `Some(n)`
+    /// packs frames `n` at a time into shard containers on `backend`.
+    /// Frames stay readable through the sink (and its
+    /// [`FrameSink::store`] views) while buffered; call
     /// [`FrameSink::flush`] once the run completes so external readers
     /// ([`open_run`]) see sealed shards.
-    pub fn sharded(
+    pub fn with_layout(
         backend: Arc<dyn StoreBackend>,
         run_id: &str,
         codec: CodecKind,
-        chunks_per_shard: usize,
+        shard_chunks: Option<usize>,
     ) -> Self {
         validate_run_id(run_id);
-        let sharded = Arc::new(ShardedStore::new(backend, chunks_per_shard));
         Self {
-            backend: Arc::clone(&sharded) as Arc<dyn StoreBackend>,
-            sharded: Some(sharded),
+            writer: Arc::new(LayoutWriter::new(backend, shard_chunks)),
             run_id: run_id.to_owned(),
             codec,
         }
     }
 
-    pub fn run_id(&self) -> &str {
-        &self.run_id
+    /// Make the stored run self-describing before any frame lands:
+    /// backends deliberately offer no key listing, so the manifest is how
+    /// a later reader discovers what this run persisted. The sink knows
+    /// the run id, codec and layout; the driver supplies the rest.
+    pub fn begin_run(
+        &self,
+        n_stagers: usize,
+        width: usize,
+        height: usize,
+        iterations: &[usize],
+    ) -> Result<RunManifest, ServeError> {
+        let manifest = RunManifest {
+            run_id: self.run_id.clone(),
+            n_stagers,
+            width,
+            height,
+            codec: self.codec,
+            iterations: iterations.to_vec(),
+            shard_chunks: self.writer.shard_chunks(),
+        };
+        self.writer
+            .put(&manifest_key(&self.run_id), manifest.to_json().as_bytes())?;
+        Ok(manifest)
     }
 
-    pub fn codec(&self) -> CodecKind {
-        self.codec
-    }
-
-    /// Frames per shard container, or `None` for one key per frame —
-    /// what the run driver records in the [`RunManifest`].
-    pub fn shard_chunks(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|s| s.chunks_per_shard())
-    }
-
-    /// Seal any partially-filled shard groups. A no-op for unsharded
-    /// sinks, so run drivers call it unconditionally at end of run.
+    /// Seal any partially-filled shard groups. A no-op for flat sinks, so
+    /// run drivers call it unconditionally at end of run.
     pub fn flush(&self) -> Result<(), ServeError> {
-        match &self.sharded {
-            Some(s) => Ok(s.flush()?),
-            None => Ok(()),
-        }
+        Ok(self.writer.flush()?)
     }
 
-    pub fn backend(&self) -> &Arc<dyn StoreBackend> {
-        &self.backend
-    }
-
-    /// A [`FrameStore`] view over the sink's backend and run id.
+    /// A [`FrameStore`] view over the sink's writer and run id.
     pub fn store(&self) -> FrameStore<&dyn StoreBackend> {
-        FrameStore::new(&*self.backend, &self.run_id)
+        FrameStore::new(&*self.writer, &self.run_id)
     }
 
     /// Persist one frame with the sink's codec; returns the stored bytes.
@@ -380,7 +293,7 @@ impl FrameSink {
     /// serving stager can seed its hot cache without encoding twice.
     pub fn persist_stream(&self, frame: &Frame) -> Vec<u8> {
         let stream = frame.encode(self.codec);
-        self.backend
+        self.writer
             .put(
                 &frame_key(&self.run_id, frame.iteration, frame.stager),
                 &stream,
@@ -406,13 +319,13 @@ impl std::fmt::Debug for FrameSink {
 }
 
 /// Two sinks are equal when they write the same run through the same
-/// backend instance — what config equality needs (`PipelineConfig`
-/// cloning must compare equal to its source).
+/// writer — what config equality needs (`PipelineConfig` cloning must
+/// compare equal to its source).
 impl PartialEq for FrameSink {
     fn eq(&self, other: &Self) -> bool {
         self.run_id == other.run_id
             && self.codec == other.codec
-            && Arc::ptr_eq(&self.backend, &other.backend)
+            && Arc::ptr_eq(&self.writer, &other.writer)
     }
 }
 
@@ -488,25 +401,11 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip() {
-        let store = FrameStore::new(MemStore::new(), "run");
-        let manifest = RunManifest {
-            run_id: "run".into(),
-            n_stagers: 4,
-            width: 8,
-            height: 8,
-            codec: CodecKind::Lz,
-            iterations: vec![100, 250, 400],
-            shard_chunks: None,
-        };
-        store.put_manifest(&manifest).unwrap();
-        assert_eq!(store.manifest().unwrap(), manifest);
-        // The shard layout round-trips too (and stays None when absent).
-        let sharded = RunManifest {
-            shard_chunks: Some(16),
-            ..manifest
-        };
-        store.put_manifest(&sharded).unwrap();
-        assert_eq!(store.manifest().unwrap().shard_chunks, Some(16));
+        let sink = FrameSink::new(Arc::new(MemStore::new()), "run", CodecKind::Lz);
+        let manifest = sink.begin_run(4, 8, 8, &[100, 250, 400]).unwrap();
+        assert_eq!(manifest.n_stagers, 4);
+        assert_eq!(manifest.shard_chunks, None);
+        assert_eq!(sink.store().manifest().unwrap(), manifest);
     }
 
     /// The stored manifest, byte for byte: flat, sharded, and a lossy
@@ -546,7 +445,7 @@ mod tests {
         );
     }
 
-    /// The read side of `put_manifest`'s run-id assert: a document that
+    /// A sink only ever writes its own run's manifest; a document that
     /// names run `a` but sits under run `b`'s key must not open as `b`.
     #[test]
     fn manifest_of_another_run_is_corrupt() {
@@ -610,21 +509,35 @@ mod tests {
         assert_eq!(keys, ["f/r/999999/0000", "f/r/1000000/0000"]);
     }
 
+    /// A manifest integer that does not fit is `Corrupt` (2^65 used to
+    /// truncate to a width of 0), as is everything else
+    /// `apc_store::fields` rejects.
     #[test]
-    fn manifest_rejects_malformed_documents() {
-        for text in [
-            "",
-            "{}",
-            "{\"format\": \"apc-store\", \"version\": 1}",
-            "{\"format\": \"apc-serve\", \"version\": 2}",
-            // Unsorted iterations.
-            "{\"format\":\"apc-serve\",\"version\":1,\"run_id\":\"r\",
-              \"n_stagers\":1,\"width\":2,\"height\":2,\"codec\":\"raw\",
-              \"iterations\":[5,2]}",
+    fn out_of_range_manifest_fields_are_corrupt() {
+        let manifest = RunManifest {
+            run_id: "r".into(),
+            n_stagers: 1,
+            width: 2,
+            height: 2,
+            codec: CodecKind::Raw,
+            iterations: vec![1, 5],
+            shard_chunks: None,
+        };
+        let text = manifest.to_json();
+        assert_eq!(RunManifest::from_json(&text).unwrap(), manifest);
+        for (from, to) in [
+            ("\"width\": 2", "\"width\": 36893488147419103232"),
+            ("\"n_stagers\": 1", "\"n_stagers\": -1"),
+            ("[1, 5]", "[5, 1]"),
+            ("apc-serve", "apc-store"),
         ] {
+            assert!(text.contains(from));
             assert!(
-                RunManifest::from_json(text).is_err(),
-                "accepted malformed manifest: {text:?}"
+                matches!(
+                    RunManifest::from_json(&text.replace(from, to)),
+                    Err(ServeError::Corrupt(_))
+                ),
+                "{to}"
             );
         }
     }
@@ -645,18 +558,13 @@ mod tests {
     #[test]
     fn sharded_sink_roundtrips_and_open_run_follows_the_manifest() {
         let inner: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-        let sink = FrameSink::sharded(Arc::clone(&inner), "run", CodecKind::Fpz, 4);
-        assert_eq!(sink.shard_chunks(), Some(4));
-        let manifest = RunManifest {
-            run_id: "run".into(),
-            n_stagers: 2,
-            width: 6,
-            height: 4,
-            codec: CodecKind::Fpz,
-            iterations: vec![100, 200, 300],
-            shard_chunks: sink.shard_chunks(),
-        };
-        sink.store().put_manifest(&manifest).unwrap();
+        let sink = FrameSink::with_layout(Arc::clone(&inner), "run", CodecKind::Fpz, Some(4));
+        let manifest = sink.begin_run(2, 6, 4, &[100, 200, 300]).unwrap();
+        assert_eq!(manifest.shard_chunks, Some(4));
+        assert_eq!(
+            (manifest.run_id.as_str(), manifest.codec),
+            ("run", CodecKind::Fpz)
+        );
         let mut streams = Vec::new();
         for &it in &manifest.iterations {
             for stager in 0..manifest.n_stagers as u32 {
@@ -679,16 +587,10 @@ mod tests {
         for (key, want) in manifest.frame_keys().iter().zip(&streams) {
             assert_eq!(&store.backend().get(key).unwrap(), want, "{key}");
         }
-        // And an unsharded sink round-trips through the same open_run.
+        // And a flat sink round-trips through the same open_run.
         let plain: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
         let sink = FrameSink::new(Arc::clone(&plain), "run", CodecKind::Fpz);
-        sink.store()
-            .put_manifest(&RunManifest {
-                iterations: vec![100],
-                shard_chunks: None,
-                ..manifest
-            })
-            .unwrap();
+        sink.begin_run(2, 6, 4, &[100]).unwrap();
         sink.persist(&sample_frame(100, 0));
         sink.flush().unwrap(); // no-op
         let (store, m) = open_run(plain, "run").unwrap();

@@ -112,33 +112,33 @@ impl DirStore {
         &self.root
     }
 
-    fn path_of(&self, key: &str) -> PathBuf {
+    /// The file a key names. Keys are relative paths of plain segments:
+    /// an empty, `.` or `..` segment (so also an absolute key) would alias
+    /// another key or leave the root, and is a [`StoreError::BadKey`] for
+    /// every operation.
+    fn path_of(&self, key: &str) -> Result<PathBuf, StoreError> {
         let mut p = self.root.clone();
         for part in key.split('/') {
+            if matches!(part, "" | "." | "..") {
+                return Err(StoreError::BadKey(key.to_owned()));
+            }
             p.push(part);
         }
-        p
+        Ok(p)
     }
 }
 
 impl StoreBackend for DirStore {
     fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let path = self.path_of(key);
-        let Some(file_name) = path.file_name().map(ToOwned::to_owned) else {
-            // A key like ".." or "a/.." has no final path segment to write
-            // to; reject before touching the filesystem.
-            return Err(StoreError::BadKey(key.to_owned()));
-        };
+        let path = self.path_of(key)?;
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         // Write-then-rename so a key is either absent or complete: an
         // interrupted writer (kill, ENOSPC) must not leave a truncated
         // chunk that `contains` would report as present.
-        let mut tmp_name = std::ffi::OsString::from(".");
-        tmp_name.push(&file_name);
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
+        let last = key.rsplit('/').next().unwrap_or(key);
+        let tmp = path.with_file_name(format!(".{last}.tmp"));
         std::fs::write(&tmp, bytes)?;
         match std::fs::rename(&tmp, &path) {
             Ok(()) => Ok(()),
@@ -150,7 +150,7 @@ impl StoreBackend for DirStore {
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StoreError> {
-        match std::fs::read(self.path_of(key)) {
+        match std::fs::read(self.path_of(key)?) {
             Ok(bytes) => Ok(bytes),
             Err(e) if e.kind() == ErrorKind::NotFound => Err(StoreError::NotFound(key.to_owned())),
             Err(e) => Err(e.into()),
@@ -158,12 +158,12 @@ impl StoreBackend for DirStore {
     }
 
     fn contains(&self, key: &str) -> Result<bool, StoreError> {
-        Ok(self.path_of(key).is_file())
+        Ok(self.path_of(key)?.is_file())
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
         // Genuine partial I/O: seek + exact read, never the whole file.
-        let mut file = match std::fs::File::open(self.path_of(key)) {
+        let mut file = match std::fs::File::open(self.path_of(key)?) {
             Ok(f) => f,
             Err(e) if e.kind() == ErrorKind::NotFound => {
                 return Err(StoreError::NotFound(key.to_owned()))
@@ -186,7 +186,7 @@ impl StoreBackend for DirStore {
     }
 
     fn size(&self, key: &str) -> Result<u64, StoreError> {
-        match std::fs::metadata(self.path_of(key)) {
+        match std::fs::metadata(self.path_of(key)?) {
             Ok(m) => Ok(m.len()),
             Err(e) if e.kind() == ErrorKind::NotFound => Err(StoreError::NotFound(key.to_owned())),
             Err(e) => Err(e.into()),
@@ -306,21 +306,39 @@ mod tests {
     }
 
     #[test]
-    fn dir_store_put_rejects_segmentless_keys() {
-        let root = std::env::temp_dir()
+    fn dir_store_keys_cannot_leave_the_root() {
+        let base = std::env::temp_dir()
             .join("apc_store_backend_tests")
             .join("badkey");
-        let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&base);
+        let root = base.join("root");
         let store = DirStore::create(&root).unwrap();
-        // `..` as the final component leaves no file name to write to; the
-        // put must fail typed, not panic or escape the root.
-        for key in ["..", "a/.."] {
+        // A file next to the root that an escaping key would reach.
+        std::fs::write(base.join("escaped"), b"outside").unwrap();
+        for key in [
+            "",
+            "..",
+            "a/..",
+            "../escaped",
+            "a/../../escaped",
+            ".",
+            "a/./b",
+            "a//b",
+            "a/",
+            "/abs",
+        ] {
+            let bad = |r: Result<(), StoreError>| matches!(r, Err(StoreError::BadKey(_)));
+            assert!(bad(store.put(key, b"x")), "put {key:?}");
+            assert!(bad(store.get(key).map(drop)), "get {key:?}");
+            assert!(bad(store.contains(key).map(drop)), "contains {key:?}");
+            assert!(bad(store.size(key).map(drop)), "size {key:?}");
             assert!(
-                matches!(store.put(key, b"x"), Err(StoreError::BadKey(_))),
-                "key {key:?} must be rejected"
+                bad(store.get_range(key, 0, 1).map(drop)),
+                "get_range {key:?}"
             );
         }
         assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
+        assert_eq!(std::fs::read(base.join("escaped")).unwrap(), b"outside");
     }
 
     #[test]

@@ -40,11 +40,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::backend::{slice_range, StoreBackend};
 use crate::StoreError;
 
-/// The shared caching-layer handle returned by the cached open paths
-/// (`ChunkedDataset::open_auto_cached` and friends): a [`CachedBackend`]
-/// over a type-erased backend, reference-counted so the dataset reads
-/// through it while the caller keeps it for statistics and cache control.
-pub type SharedCachedBackend = Arc<CachedBackend<Box<dyn StoreBackend>>>;
+/// The shared caching-layer handle returned by a cached open
+/// ([`crate::layout::reader`]): a [`CachedBackend`] over the type-erased
+/// stack below it, reference-counted so the reader goes through it while
+/// the caller keeps it for statistics and cache control.
+pub type SharedCachedBackend = Arc<CachedBackend<Arc<dyn StoreBackend>>>;
 
 /// Counters of one cache's lifetime (monotonic; snapshot via
 /// [`ChunkCache::stats`] or [`CachedBackend::stats`]).

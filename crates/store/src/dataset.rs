@@ -5,9 +5,9 @@ use std::sync::Arc;
 use apc_grid::{Block, BlockData, BlockId, Dims3, DomainDecomp};
 
 use crate::backend::StoreBackend;
-use crate::cache::{CachedBackend, Readahead, SharedCachedBackend};
+use crate::cache::SharedCachedBackend;
+use crate::layout;
 use crate::meta::{DatasetMeta, META_KEY};
-use crate::shard::ShardedStore;
 use crate::StoreError;
 
 /// A stored time series of chunked 3D `f32` arrays.
@@ -29,7 +29,7 @@ pub struct ChunkedDataset<B> {
 /// A dataset over a type-erased backend — what crosses crate boundaries
 /// (e.g. `apc-core`'s `Prepared::from_store` accepts disk- and
 /// memory-backed datasets alike through this alias).
-pub type DynChunkedDataset = ChunkedDataset<Box<dyn StoreBackend>>;
+pub type DynChunkedDataset = ChunkedDataset<Arc<dyn StoreBackend>>;
 
 impl<B: StoreBackend> ChunkedDataset<B> {
     /// Create a new dataset: validates the geometry and writes the
@@ -64,51 +64,29 @@ impl<B: StoreBackend> ChunkedDataset<B> {
         })
     }
 
-    /// Open honoring the chunk layout recorded in the metadata: a
-    /// `shard_chunks` field wraps the backend in a [`ShardedStore`] so
-    /// chunk reads become shard byte-range reads, while a plain layout
-    /// opens the backend as-is. Callers that don't know (or care) how a
-    /// dataset was written use this instead of [`ChunkedDataset::open`].
-    pub fn open_auto(backend: B) -> Result<DynChunkedDataset, StoreError>
+    /// Open honoring the chunk layout recorded in the metadata, through
+    /// the one read stack of [`layout::reader`]: callers that don't know
+    /// (or care) how a dataset was written use this instead of
+    /// [`ChunkedDataset::open`]. With `cache_bytes` the stack gets the
+    /// byte-budgeted chunk cache, prefetching along the dataset's own
+    /// iteration order, and its handle is returned for statistics and
+    /// cache control.
+    pub fn open_auto(
+        backend: B,
+        cache_bytes: Option<usize>,
+    ) -> Result<(DynChunkedDataset, Option<SharedCachedBackend>), StoreError>
     where
         B: 'static,
     {
         // meta.json passes through a ShardedStore untouched, so probing
         // the layout through the raw backend is always correct.
-        let shard_chunks = ChunkedDataset::open(&backend)?.meta().shard_chunks;
-        match shard_chunks {
-            Some(n) => ChunkedDataset::open(Box::new(ShardedStore::new(backend, n)) as _),
-            None => ChunkedDataset::open(Box::new(backend) as _),
-        }
-    }
-
-    /// [`ChunkedDataset::open_auto`] with a chunk cache (and iteration-
-    /// order readahead) layered over the layout adapter: logical chunk
-    /// payloads are cached whole against a `cache_bytes` budget, and a
-    /// sequential replay prefetches the next iteration's chunk for the
-    /// same rank. Also returns the [`CachedBackend`] handle so callers
-    /// can observe hit/miss/prefetch statistics.
-    ///
-    /// The cache sits *above* any [`ShardedStore`], so a warm hit skips
-    /// the shard index and range read entirely, and one cached entry maps
-    /// to one logical chunk regardless of layout.
-    pub fn open_auto_cached(
-        backend: B,
-        cache_bytes: usize,
-    ) -> Result<(DynChunkedDataset, SharedCachedBackend), StoreError>
-    where
-        B: 'static,
-    {
-        let probe = ChunkedDataset::open(&backend)?;
-        let readahead = Readahead::new(probe.meta().iterations.iter().map(|&i| i as u64).collect());
-        let shard_chunks = probe.meta().shard_chunks;
-        let layered: Box<dyn StoreBackend> = match shard_chunks {
-            Some(n) => Box::new(ShardedStore::new(backend, n)),
-            None => Box::new(backend),
-        };
-        let cached = Arc::new(CachedBackend::new(layered, cache_bytes).with_readahead(readahead));
-        let ds = ChunkedDataset::open(Box::new(Arc::clone(&cached)) as Box<dyn StoreBackend>)?;
-        Ok((ds, cached))
+        let meta = ChunkedDataset::open(&backend)?.meta;
+        let (layered, cache) = layout::reader(
+            Arc::new(backend),
+            meta.shard_chunks,
+            cache_bytes.map(|bytes| (bytes, &meta.iterations[..])),
+        );
+        Ok((ChunkedDataset::open(layered)?, cache))
     }
 
     pub fn meta(&self) -> &DatasetMeta {
@@ -217,6 +195,7 @@ mod tests {
     use super::*;
     use crate::backend::MemStore;
     use crate::codec::CodecKind;
+    use crate::layout::LayoutWriter;
     use apc_grid::ProcGrid;
 
     fn tiny_meta(codec: CodecKind) -> DatasetMeta {
@@ -312,7 +291,7 @@ mod tests {
 
     #[test]
     fn type_erased_dataset_works() {
-        let backend: Box<dyn StoreBackend> = Box::new(MemStore::new());
+        let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
         let store: DynChunkedDataset =
             ChunkedDataset::create(backend, tiny_meta(CodecKind::Lz)).unwrap();
         let dims = store.chunk_dims();
@@ -328,9 +307,9 @@ mod tests {
             shard_chunks: Some(3),
             ..tiny_meta(CodecKind::Fpz)
         };
-        let inner = std::sync::Arc::new(MemStore::new());
-        let sharded = ShardedStore::new(std::sync::Arc::clone(&inner), 3);
-        let store = ChunkedDataset::create(sharded, meta).unwrap();
+        let inner = Arc::new(MemStore::new());
+        let writer = LayoutWriter::new(Arc::clone(&inner), meta.shard_chunks);
+        let store = ChunkedDataset::create(writer, meta).unwrap();
         let dims = store.chunk_dims();
         for &it in &[10usize, 20] {
             for id in store.decomp().all_blocks() {
@@ -344,7 +323,7 @@ mod tests {
         assert!(inner.contains("c/000010/s000000").unwrap());
 
         // open_auto on the *raw* backend reads through the shards…
-        let auto = ChunkedDataset::open_auto(std::sync::Arc::clone(&inner)).unwrap();
+        let (auto, _) = ChunkedDataset::open_auto(Arc::clone(&inner), None).unwrap();
         assert_eq!(auto.meta().shard_chunks, Some(3));
         for id in auto.decomp().all_blocks() {
             assert_eq!(
@@ -357,9 +336,46 @@ mod tests {
         // …and on an unsharded dataset it opens plain.
         let plain = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
         plain.write_chunk(10, 0, &chunk_data(dims, 1.0)).unwrap();
-        let auto = ChunkedDataset::open_auto(plain.backend).unwrap();
+        let (auto, _) = ChunkedDataset::open_auto(plain.backend, None).unwrap();
         assert_eq!(auto.meta().shard_chunks, None);
         assert_eq!(auto.read_chunk(10, 0).unwrap(), chunk_data(dims, 1.0));
+    }
+
+    /// The kill case: a sharded writer that never gets to seal (or drop).
+    /// What it sealed on the way opens and reads; its unsealed tail is a
+    /// typed `NotFound`, never a torn read.
+    #[test]
+    fn unsealed_tail_of_a_killed_writer_is_not_found() {
+        let meta = DatasetMeta {
+            shard_chunks: Some(3),
+            ..tiny_meta(CodecKind::Raw)
+        };
+        let inner = Arc::new(MemStore::new());
+        let writer = LayoutWriter::new(Arc::clone(&inner), meta.shard_chunks);
+        let store = ChunkedDataset::create(writer, meta).unwrap();
+        let dims = store.chunk_dims();
+        // Eight chunks, three per shard: two groups seal, two chunks wait.
+        for id in store.decomp().all_blocks() {
+            store
+                .write_chunk(10, id, &chunk_data(dims, id as f32))
+                .unwrap();
+        }
+        std::mem::forget(store);
+
+        let (reopened, _) = ChunkedDataset::open_auto(inner, None).unwrap();
+        for id in 0..6 {
+            assert_eq!(
+                reopened.read_chunk(10, id).unwrap(),
+                chunk_data(dims, id as f32)
+            );
+        }
+        for id in 6..8 {
+            assert!(matches!(
+                reopened.read_chunk(10, id),
+                Err(StoreError::NotFound(_))
+            ));
+        }
+        assert!(!reopened.iteration_complete(10).unwrap());
     }
 
     #[test]

@@ -23,7 +23,18 @@
 //! * **Chunk cache + prefetch** — [`CachedBackend`] layers a
 //!   deterministic, byte-bounded LRU [`ChunkCache`] (and iteration-order
 //!   [`Readahead`]) over any backend, so every reader shares one caching
-//!   implementation (see [`cache`]).
+//!   implementation (see [`cache`]);
+//! * **One owner of the layout decision** — whether a stored run (a chunk
+//!   dataset here, a frame run in `apc-serve`) keeps one key per value or
+//!   packs values into shard containers is *recorded* as `shard_chunks`
+//!   in its metadata document and *decided* in [`layout`]:
+//!   [`layout::reader`] builds the read stack (cache → shard → backend)
+//!   for [`ChunkedDataset::open_auto`] and `apc_serve::open_run`, and
+//!   [`LayoutWriter`] is the write side of `apc_cm1::write_dataset` and
+//!   `apc_serve::FrameSink`; nothing else wraps a backend in an adapter;
+//! * **One metadata field reader** — [`fields`] reads and writes what
+//!   `meta.json` and the run manifest share; every integer range-checked,
+//!   every malformed document a [`StoreError::BadMeta`].
 //!
 //! The typical producer/consumer pair lives one layer up, in `apc-cm1`
 //! (`write_dataset` / `open_dataset`) and `apc-core`
@@ -34,7 +45,9 @@ pub mod backend;
 pub mod cache;
 pub mod codec;
 pub mod dataset;
+pub mod fields;
 pub mod json;
+pub mod layout;
 pub mod meta;
 pub mod shard;
 
@@ -42,6 +55,7 @@ pub use backend::{DirStore, MemStore, StoreBackend};
 pub use cache::{CacheStats, CachedBackend, ChunkCache, Readahead, SharedCachedBackend};
 pub use codec::CodecKind;
 pub use dataset::{ChunkedDataset, DynChunkedDataset};
+pub use layout::LayoutWriter;
 pub use meta::DatasetMeta;
 pub use shard::{ShardReader, ShardWriter, ShardedStore};
 
@@ -69,8 +83,8 @@ pub enum StoreError {
     },
     /// A shard container is malformed (bad footer, index or entries).
     Shard(String),
-    /// A key is not a legal `/`-separated store path (empty, or with an
-    /// empty final segment).
+    /// A key is not a legal `/`-separated store path (it has an empty,
+    /// `.` or `..` segment).
     BadKey(String),
 }
 

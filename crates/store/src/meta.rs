@@ -2,21 +2,20 @@
 //!
 //! Stored at key `meta.json` as a flat, human-readable JSON object (the
 //! zarr convention of keeping array geometry out-of-band in plain text).
-//! The parser below covers exactly the subset the document uses — string
-//! values, integers, floats, and integer arrays — with no external JSON
-//! dependency.
+//! The document is a field list over [`crate::fields`], which owns the
+//! parsing, the validation and the fields shared with `apc-serve`'s run
+//! manifest.
 
 use apc_grid::{Dims3, DomainDecomp, ProcGrid};
 
 use crate::codec::CodecKind;
-use crate::json::{parse_object, Value};
+use crate::fields::{DocWriter, Fields};
 use crate::StoreError;
 
 /// Key under which the metadata document is stored.
 pub const META_KEY: &str = "meta.json";
 
 const FORMAT: &str = "apc-store";
-const VERSION: i64 = 1;
 
 /// Everything needed to interpret a stored dataset: the full domain
 /// geometry (domain, chunk and process grids — chunks coincide with the
@@ -35,8 +34,8 @@ pub struct DatasetMeta {
     /// Simulation iterations stored, strictly increasing.
     pub iterations: Vec<usize>,
     /// Chunk layout: `None` means one store key per chunk; `Some(n)`
-    /// means chunks are packed `n` per shard container and readers must
-    /// go through a [`crate::ShardedStore`] wrap of the backend.
+    /// means chunks are packed `n` per shard container. Recorded only;
+    /// [`crate::layout`] turns it into adapters.
     pub shard_chunks: Option<usize>,
 }
 
@@ -48,116 +47,32 @@ impl DatasetMeta {
 
     /// Serialize to the JSON document stored at [`META_KEY`].
     pub fn to_json(&self) -> String {
-        let dims = |d: Dims3| format!("[{}, {}, {}]", d.nx, d.ny, d.nz);
-        let iters: Vec<String> = self.iterations.iter().map(|i| i.to_string()).collect();
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"format\": \"{FORMAT}\",\n"));
-        s.push_str(&format!("  \"version\": {VERSION},\n"));
-        s.push_str(&format!("  \"domain\": {},\n", dims(self.domain)));
-        s.push_str(&format!("  \"chunk\": {},\n", dims(self.chunk)));
-        s.push_str(&format!(
-            "  \"procs\": [{}, {}, {}],\n",
-            self.procs.px, self.procs.py, self.procs.pz
-        ));
-        s.push_str(&format!("  \"codec\": \"{}\",\n", self.codec.name()));
-        if let Some(tol) = self.codec.tolerance() {
-            s.push_str(&format!("  \"tolerance\": {tol},\n"));
-        }
-        if let Some(n) = self.shard_chunks {
-            s.push_str(&format!("  \"shard_chunks\": {n},\n"));
-        }
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"iterations\": [{}]\n", iters.join(", ")));
-        s.push('}');
-        s
+        let dims = |nx: usize, ny: usize, nz: usize| format!("[{nx}, {ny}, {nz}]");
+        let mut doc = DocWriter::new(FORMAT);
+        doc.field(
+            "domain",
+            dims(self.domain.nx, self.domain.ny, self.domain.nz),
+        );
+        doc.field("chunk", dims(self.chunk.nx, self.chunk.ny, self.chunk.nz));
+        doc.field("procs", dims(self.procs.px, self.procs.py, self.procs.pz));
+        doc.layout(self.codec, self.shard_chunks);
+        doc.field("seed", self.seed);
+        doc.finish(&self.iterations)
     }
 
     /// Parse a document produced by [`DatasetMeta::to_json`] (or written by
     /// hand in the same subset of JSON).
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        let fields = parse_object(text).map_err(StoreError::BadMeta)?;
-        let get = |key: &str| -> Result<&Value, StoreError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| StoreError::BadMeta(format!("missing field {key:?}")))
-        };
-        match get("format")? {
-            Value::Str(s) if s == FORMAT => {}
-            other => return Err(StoreError::BadMeta(format!("bad format field {other:?}"))),
-        }
-        match get("version")? {
-            Value::Int(v) if *v == VERSION as i128 => {}
-            other => {
-                return Err(StoreError::BadMeta(format!(
-                    "unsupported version {other:?}"
-                )))
-            }
-        }
-        let dims = |key: &str| -> Result<Dims3, StoreError> {
-            match get(key)? {
-                Value::Arr(v) if v.len() == 3 && v.iter().all(|x| *x >= 0) => {
-                    Ok(Dims3::new(v[0] as usize, v[1] as usize, v[2] as usize))
-                }
-                other => Err(StoreError::BadMeta(format!("bad {key} field {other:?}"))),
-            }
-        };
-        let domain = dims("domain")?;
-        let chunk = dims("chunk")?;
-        let p = dims("procs")?;
-        let codec_name = match get("codec")? {
-            Value::Str(s) => s.clone(),
-            other => return Err(StoreError::BadMeta(format!("bad codec field {other:?}"))),
-        };
-        let tolerance = match fields.iter().find(|(k, _)| k == "tolerance") {
-            Some((_, Value::Float(f))) => Some(*f as f32),
-            Some((_, Value::Int(i))) => Some(*i as f32),
-            Some((_, other)) => {
-                return Err(StoreError::BadMeta(format!(
-                    "bad tolerance field {other:?}"
-                )))
-            }
-            None => None,
-        };
-        let codec = CodecKind::from_name(&codec_name, tolerance)?;
-        let seed = match get("seed")? {
-            Value::Int(v) if (0..=u64::MAX as i128).contains(v) => *v as u64,
-            other => return Err(StoreError::BadMeta(format!("bad seed field {other:?}"))),
-        };
-        let iterations = match get("iterations")? {
-            Value::Arr(v) if v.iter().all(|x| *x >= 0) => {
-                v.iter().map(|&x| x as usize).collect::<Vec<usize>>()
-            }
-            other => {
-                return Err(StoreError::BadMeta(format!(
-                    "bad iterations field {other:?}"
-                )))
-            }
-        };
-        if !iterations.windows(2).all(|w| w[1] > w[0]) {
-            return Err(StoreError::BadMeta(
-                "iterations must be strictly increasing".to_owned(),
-            ));
-        }
-        let shard_chunks = match fields.iter().find(|(k, _)| k == "shard_chunks") {
-            Some((_, Value::Int(n))) if *n >= 1 => Some(*n as usize),
-            Some((_, other)) => {
-                return Err(StoreError::BadMeta(format!(
-                    "bad shard_chunks field {other:?}"
-                )))
-            }
-            None => None,
-        };
+        let doc = Fields::parse(text, FORMAT)?;
+        let procs = doc.dims3("procs")?;
         Ok(Self {
-            domain,
-            chunk,
-            procs: ProcGrid::new(p.nx, p.ny, p.nz),
-            codec,
-            seed,
-            iterations,
-            shard_chunks,
+            domain: doc.dims3("domain")?,
+            chunk: doc.dims3("chunk")?,
+            procs: ProcGrid::new(procs.nx, procs.ny, procs.nz),
+            codec: doc.codec()?,
+            seed: doc.uint("seed")?,
+            iterations: doc.iterations()?,
+            shard_chunks: doc.shard_chunks()?,
         })
     }
 }
@@ -207,46 +122,18 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_with_shard_layout() {
-        let meta = DatasetMeta {
+    fn json_roundtrip() {
+        let sharded = DatasetMeta {
             shard_chunks: Some(64),
             ..sample()
         };
-        let back = DatasetMeta::from_json(&meta.to_json()).unwrap();
-        assert_eq!(back, meta);
-        assert_eq!(back.shard_chunks, Some(64));
-        // Absent field stays None (documents from older writers).
-        assert_eq!(
-            DatasetMeta::from_json(&sample().to_json())
-                .unwrap()
-                .shard_chunks,
-            None
-        );
-        // A nonsense layout is rejected, not clamped.
-        let bad = sample()
-            .to_json()
-            .replace("\"seed\"", "\"shard_chunks\": 0,\n  \"seed\"");
-        assert!(matches!(
-            DatasetMeta::from_json(&bad),
-            Err(StoreError::BadMeta(_))
-        ));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let meta = sample();
-        let back = DatasetMeta::from_json(&meta.to_json()).unwrap();
-        assert_eq!(back, meta);
-    }
-
-    #[test]
-    fn json_roundtrip_with_tolerance() {
-        let meta = DatasetMeta {
+        let lossy = DatasetMeta {
             codec: CodecKind::Zfpx { tolerance: 0.25 },
             ..sample()
         };
-        let back = DatasetMeta::from_json(&meta.to_json()).unwrap();
-        assert_eq!(back, meta);
+        for meta in [sample(), sharded, lossy] {
+            assert_eq!(DatasetMeta::from_json(&meta.to_json()).unwrap(), meta);
+        }
     }
 
     #[test]
@@ -283,25 +170,19 @@ mod tests {
         assert!(matches!(bad.decomp(), Err(StoreError::Geometry(_))));
     }
 
+    /// Axis lengths that each fit a `usize` but whose product does not
+    /// used to reach `Dims3::len` and overflow there.
     #[test]
-    fn malformed_documents_are_rejected() {
-        for text in [
-            "",
-            "{",
-            "{}",
-            "not json at all",
-            "{\"format\": \"zarr\", \"version\": 1}",
-            "{\"format\": \"apc-store\", \"version\": 99}",
-            // Unsorted iterations.
-            "{\"format\":\"apc-store\",\"version\":1,\"domain\":[4,4,4],
-              \"chunk\":[2,2,2],\"procs\":[1,1,1],\"codec\":\"raw\",
-              \"seed\":1,\"iterations\":[5,2]}",
-        ] {
-            assert!(
-                matches!(DatasetMeta::from_json(text), Err(StoreError::BadMeta(_))),
-                "accepted malformed document: {text:?}"
-            );
-        }
+    fn huge_dims_are_bad_meta_not_an_overflow() {
+        let text = sample()
+            .to_json()
+            .replace("[80, 80, 16]", "[4294967296, 4294967296, 4294967296]");
+        let backend = crate::MemStore::new();
+        crate::StoreBackend::put(&backend, META_KEY, text.as_bytes()).unwrap();
+        assert!(matches!(
+            crate::ChunkedDataset::open(backend),
+            Err(StoreError::BadMeta(_))
+        ));
     }
 
     #[test]

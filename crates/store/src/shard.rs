@@ -329,6 +329,8 @@ type Pending = BTreeMap<String, Vec<(String, Vec<u8>)>>;
 /// Writes buffer in memory per shard group and seal automatically once a
 /// group reaches `chunks_per_shard` entries; call [`ShardedStore::flush`]
 /// to seal partial tail groups (dropping the store flushes best-effort).
+/// A `put` whose seal fails returns the error with its payload still
+/// buffered, so the next `put` to the group or the final `flush` retries.
 /// Reads check the pending buffer first, then resolve
 /// `key → (shard, offset, len)` through a cached shard index and issue a
 /// single range read — so readers and writers interleave safely, which is
@@ -373,15 +375,14 @@ impl<B: StoreBackend> ShardedStore<B> {
         lock(&self.pending).values().map(Vec::len).sum()
     }
 
-    /// Seal every partially-filled shard group. Idempotent.
+    /// Seal every partially-filled shard group, in shard-key order.
+    /// Idempotent. A group whose seal fails stays pending (and readable),
+    /// so a later `flush` retries it.
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut pending = lock(&self.pending);
-        let mut shard_keys: Vec<String> = pending.keys().cloned().collect();
-        shard_keys.sort();
-        for sk in shard_keys {
-            if let Some(items) = pending.remove(&sk) {
-                self.seal(&sk, items)?;
-            }
+        while let Some(group) = pending.first_entry() {
+            self.seal(group.key(), group.get())?;
+            group.remove();
         }
         Ok(())
     }
@@ -409,19 +410,23 @@ impl<B: StoreBackend> ShardedStore<B> {
     }
 
     /// Write `items` (plus anything already sealed under `shard_key` and
-    /// not overridden) as one container, in sorted key order.
-    fn seal(&self, shard_key: &str, items: Vec<(String, Vec<u8>)>) -> Result<(), StoreError> {
-        let mut merged: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    /// not overridden) as one container, in sorted key order. The caller
+    /// drops `items` from the pending buffer only once this returned `Ok`:
+    /// a `put` that was acknowledged is never lost to a failed seal.
+    fn seal(&self, shard_key: &str, items: &[(String, Vec<u8>)]) -> Result<(), StoreError> {
+        let mut sealed: Vec<(String, Vec<u8>)> = Vec::new();
         if let Some(existing) = self.index_of(shard_key)? {
             for (key, offset, len) in &existing.entries {
-                merged.insert(key.clone(), self.inner.get_range(shard_key, *offset, *len)?);
+                sealed.push((key.clone(), self.inner.get_range(shard_key, *offset, *len)?));
             }
         }
-        for (key, bytes) in items {
-            merged.insert(key, bytes);
-        }
+        let merged: BTreeMap<&str, &[u8]> = sealed
+            .iter()
+            .chain(items)
+            .map(|(key, bytes)| (key.as_str(), bytes.as_slice()))
+            .collect();
         let mut writer = ShardWriter::new();
-        for (key, bytes) in &merged {
+        for (key, bytes) in merged {
             writer.append(key, bytes)?;
         }
         writer.write_to(&self.inner, shard_key)?;
@@ -473,9 +478,8 @@ impl<B: StoreBackend> StoreBackend for ShardedStore<B> {
             None => group.push((key.to_owned(), bytes.to_vec())),
         }
         if group.len() >= self.chunks_per_shard {
-            // apc-lint: allow(unwrap-in-lib): the group was inserted two lines up under this same lock guard
-            let items = pending.remove(&sk).expect("group just filled");
-            self.seal(&sk, items)?;
+            self.seal(&sk, group)?;
+            pending.remove(&sk);
         }
         Ok(())
     }
@@ -669,6 +673,67 @@ mod tests {
         store.flush().unwrap();
         assert_eq!(store.get("c/0/000000").unwrap(), b"new-0");
         assert_eq!(store.get("c/0/000001").unwrap(), b"old-1");
+    }
+
+    /// A backend whose next `put` fails once, then works again.
+    #[derive(Default)]
+    struct FailOnce {
+        inner: MemStore,
+        fail_next_put: std::sync::atomic::AtomicBool,
+    }
+
+    impl StoreBackend for FailOnce {
+        fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            if self
+                .fail_next_put
+                .swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                return Err(StoreError::Io(std::io::Error::other("disk full")));
+            }
+            self.inner.put(key, bytes)
+        }
+        fn get(&self, key: &str) -> Result<Vec<u8>, StoreError> {
+            self.inner.get(key)
+        }
+        fn contains(&self, key: &str) -> Result<bool, StoreError> {
+            self.inner.contains(key)
+        }
+    }
+
+    /// A seal that fails must not take the group with it: the first,
+    /// acknowledged `put` and the one that triggered the seal both stay
+    /// buffered and readable, and the next `flush` lands them.
+    #[test]
+    fn failed_seal_keeps_accepted_puts() {
+        let store = ShardedStore::new(FailOnce::default(), 2);
+        store.put("c/0/000000", b"first").unwrap();
+        store
+            .inner()
+            .fail_next_put
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(
+            store.put("c/0/000001", b"second"),
+            Err(StoreError::Io(_))
+        ));
+        assert_eq!(store.pending_len(), 2);
+        assert_eq!(store.get("c/0/000000").unwrap(), b"first");
+        store.flush().unwrap();
+        assert_eq!(store.pending_len(), 0);
+        assert_eq!(store.get("c/0/000000").unwrap(), b"first");
+        assert_eq!(store.get("c/0/000001").unwrap(), b"second");
+
+        // The same through `flush`: a failed tail seal leaves the tail
+        // pending for the retry.
+        store.put("c/1/000000", b"tail").unwrap();
+        store
+            .inner()
+            .fail_next_put
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(store.flush().is_err());
+        assert_eq!(store.get("c/1/000000").unwrap(), b"tail");
+        store.flush().unwrap();
+        let reader = ShardReader::open(&store.inner().inner, "c/1/s000000").unwrap();
+        assert_eq!(reader.read_range("c/1/000000").unwrap(), b"tail");
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() {
     let dataset = ReflectivityDataset::tiny(16, 42).expect("tiny decomposition");
     let it = dataset.sample_iterations(3)[1];
     let store_dir = out.join("dataset");
-    write_dataset(&dataset, &[it], &store_dir, CodecKind::Fpz).expect("store dataset");
+    write_dataset(&dataset, &[it], &store_dir, CodecKind::Fpz, None).expect("store dataset");
     let stored = open_dataset(&store_dir).expect("reload dataset");
     println!("stored iterations: {:?}", stored.iterations());
 

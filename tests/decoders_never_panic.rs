@@ -1,6 +1,7 @@
 //! One sweep over every decoder that takes bytes from outside the
 //! process: the codec streams, the tagged chunk framing, the shard
-//! trailer + index, the frame stream and both wire messages.
+//! trailer + index, the two metadata documents, the frame stream and both
+//! wire messages.
 //!
 //! Each row of [`decoders`] names a valid byte image and a decode
 //! closure. The sweep feeds the closure **every truncation prefix** and
@@ -17,9 +18,14 @@
 
 use insitu::compress::{FloatCodec, Fpz, Lz77, Zfpx};
 use insitu::grid::Dims3;
+use insitu::grid::ProcGrid;
 use insitu::par::SplitMix64;
-use insitu::serve::{Fidelity, Frame, FrameReply, FrameRequest, ServeError, ServedFrame};
-use insitu::store::{CodecKind, MemStore, ShardReader, ShardWriter, StoreBackend, StoreError};
+use insitu::serve::{
+    Fidelity, Frame, FrameReply, FrameRequest, RunManifest, ServeError, ServedFrame,
+};
+use insitu::store::{
+    CodecKind, DatasetMeta, MemStore, ShardReader, ShardWriter, StoreBackend, StoreError,
+};
 
 /// `Ok` = decoded and still sane; `Err` = the typed error, rendered.
 type Decode = Box<dyn Fn(&[u8]) -> Result<(), String>>;
@@ -106,6 +112,57 @@ fn shard_row() -> Decoder {
     }
 }
 
+/// `meta.json`: every malformed document is `BadMeta`, and one that
+/// parses has a geometry whose point counts can be computed.
+fn dataset_meta_row(codec: CodecKind, shard_chunks: Option<usize>) -> Decoder {
+    let meta = DatasetMeta {
+        domain: Dims3::new(80, 80, 16),
+        chunk: Dims3::new(10, 10, 8),
+        procs: ProcGrid::new(2, 2, 1),
+        codec,
+        seed: u64::MAX,
+        iterations: vec![100, 250, 400],
+        shard_chunks,
+    };
+    Decoder {
+        name: format!("DatasetMeta::from_json / {} {shard_chunks:?}", codec.name()),
+        valid: meta.to_json().into_bytes(),
+        decode: Box::new(|bytes| {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            match DatasetMeta::from_json(text) {
+                Ok(meta) => {
+                    let _ = (meta.domain.len(), meta.chunk.len(), meta.procs.nranks());
+                    let _ = meta.decomp();
+                    Ok(())
+                }
+                Err(StoreError::BadMeta(msg)) => Err(msg),
+                Err(other) => panic!("a damaged meta.json must fail as BadMeta, got {other}"),
+            }
+        }),
+    }
+}
+
+/// The run manifest: the same field reader, surfacing as `Corrupt`.
+fn run_manifest_row(codec: CodecKind, shard_chunks: Option<usize>) -> Decoder {
+    let manifest = RunManifest {
+        run_id: "run-1".into(),
+        n_stagers: 8,
+        width: 40,
+        height: 40,
+        codec,
+        iterations: vec![100, 250, 400],
+        shard_chunks,
+    };
+    Decoder {
+        name: format!("RunManifest::from_json / {} {shard_chunks:?}", codec.name()),
+        valid: manifest.to_json().into_bytes(),
+        decode: Box::new(|bytes| {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            corrupt_only(RunManifest::from_json(text))
+        }),
+    }
+}
+
 fn frame_row(codec: CodecKind) -> Decoder {
     let pixels: Vec<f32> = (0..48).map(|i| (i as f32 * 0.7).sin() * 30.0).collect();
     let frame = Frame::new(420, 3, 8, 6, pixels).with_render_info(12345, 62.5);
@@ -124,12 +181,13 @@ fn frame_row(codec: CodecKind) -> Decoder {
     }
 }
 
-/// Both wire codecs report every malformed message as `Corrupt`.
+/// Both wire codecs and the run manifest report every malformed input as
+/// `Corrupt`.
 fn corrupt_only<T>(result: Result<T, ServeError>) -> Result<(), String> {
     match result {
         Ok(_) => Ok(()),
         Err(ServeError::Corrupt(msg)) => Err(msg),
-        Err(other) => panic!("wire decode must fail as Corrupt, got {other}"),
+        Err(other) => panic!("decode must fail as Corrupt, got {other}"),
     }
 }
 
@@ -170,6 +228,12 @@ fn decoders() -> Vec<Decoder> {
         shard_row(),
     ];
     rows.extend([CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz, zfpx].map(chunk_row));
+    rows.extend([
+        dataset_meta_row(CodecKind::Fpz, None),
+        dataset_meta_row(zfpx, Some(64)),
+        run_manifest_row(CodecKind::Fpz, None),
+        run_manifest_row(zfpx, Some(4)),
+    ]);
     rows.extend([CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz, zfpx].map(frame_row));
     rows.extend(
         [

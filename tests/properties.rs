@@ -207,7 +207,8 @@ fn sharded_backends_roundtrip_random_chunks_bit_exactly() {
             store.backend().flush().unwrap();
 
             // …and read it back through a fresh layout-aware open.
-            let reopened = ChunkedDataset::open_auto(std::sync::Arc::clone(&backend)).unwrap();
+            let (reopened, _) =
+                ChunkedDataset::open_auto(std::sync::Arc::clone(&backend), None).unwrap();
             assert_eq!(reopened.meta().shard_chunks, Some(shard_chunks));
             for (it, id, want) in &chunks {
                 let got = reopened.read_chunk(*it, *id).unwrap();
@@ -244,9 +245,9 @@ fn sharded_and_flat_layouts_replay_identically() {
         let chunks_per_shard = 1 + rng.below(60);
 
         let flat: Box<dyn StoreBackend> = Box::new(MemStore::new());
-        cm1::write_dataset_to(&dataset, &iters, &flat, codec).unwrap();
+        cm1::write_dataset_to(&dataset, &iters, &flat, codec, None).unwrap();
         let sharded: Box<dyn StoreBackend> = Box::new(MemStore::new());
-        cm1::write_dataset_sharded_to(&dataset, &iters, &sharded, codec, chunks_per_shard).unwrap();
+        cm1::write_dataset_to(&dataset, &iters, &sharded, codec, Some(chunks_per_shard)).unwrap();
 
         let configs = vec![
             PipelineConfig::default().with_fixed_percent(60.0),
@@ -374,10 +375,16 @@ fn cache_and_prefetch_do_not_perturb_replay() {
     let dataset = ReflectivityDataset::tiny(8, 21).unwrap();
     let iters = dataset.sample_iterations(3);
     let flat: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-    cm1::write_dataset_to(&dataset, &iters, Arc::clone(&flat), CodecKind::Fpz).unwrap();
+    cm1::write_dataset_to(&dataset, &iters, Arc::clone(&flat), CodecKind::Fpz, None).unwrap();
     let sharded: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-    cm1::write_dataset_sharded_to(&dataset, &iters, Arc::clone(&sharded), CodecKind::Fpz, 24)
-        .unwrap();
+    cm1::write_dataset_to(
+        &dataset,
+        &iters,
+        Arc::clone(&sharded),
+        CodecKind::Fpz,
+        Some(24),
+    )
+    .unwrap();
 
     let configs = vec![
         PipelineConfig::default().with_fixed_percent(60.0),

@@ -46,7 +46,7 @@ fn disk_store_replay_is_byte_identical_to_in_memory() {
     let expected = in_memory_reports(&dataset, &iters);
 
     let dir = tmp_dir("disk");
-    cm1::write_dataset(&dataset, &iters, &dir, CodecKind::Fpz).unwrap();
+    cm1::write_dataset(&dataset, &iters, &dir, CodecKind::Fpz, None).unwrap();
     let prepared = Prepared::from_store(
         cm1::open_dataset(&dir).unwrap(),
         ExecPolicy::Serial,
@@ -74,7 +74,7 @@ fn every_lossless_codec_replays_identically_from_memory_backend() {
 
     for codec in [CodecKind::Raw, CodecKind::Fpz, CodecKind::Lz] {
         let backend: Box<dyn StoreBackend> = Box::new(MemStore::new());
-        cm1::write_dataset_to(&dataset, &iters, &backend, codec).unwrap();
+        cm1::write_dataset_to(&dataset, &iters, &backend, codec, None).unwrap();
         let stored = StoredTimeSeries::from_backend(backend).unwrap();
         assert_eq!(
             stored.rank_blocks(iters[0], 0).unwrap(),
@@ -99,7 +99,7 @@ fn store_replay_is_deterministic_across_reopenings() {
     let dataset = ReflectivityDataset::tiny(4, 8).unwrap();
     let iters = dataset.sample_iterations(2);
     let dir = tmp_dir("reopen");
-    cm1::write_dataset(&dataset, &iters, &dir, CodecKind::Lz).unwrap();
+    cm1::write_dataset(&dataset, &iters, &dir, CodecKind::Lz, None).unwrap();
 
     let run_once = || {
         let prepared = Prepared::from_store(
@@ -117,7 +117,7 @@ fn store_geometry_twin_matches_the_writer() {
     let dataset = ReflectivityDataset::tiny(16, 77).unwrap();
     let iters = [300usize];
     let dir = tmp_dir("geometry");
-    cm1::write_dataset(&dataset, &iters, &dir, CodecKind::Raw).unwrap();
+    cm1::write_dataset(&dataset, &iters, &dir, CodecKind::Raw, None).unwrap();
     let stored = cm1::open_dataset(&dir).unwrap();
     assert_eq!(stored.decomp(), dataset.decomp());
     assert_eq!(stored.coords(), dataset.coords());
@@ -126,7 +126,7 @@ fn store_geometry_twin_matches_the_writer() {
     // bit-exact through the flat layout, the shard containers and the
     // chunk cache (each rank read twice, so cold and warm).
     let sharded_dir = tmp_dir("geometry-sharded");
-    cm1::write_dataset_sharded(&dataset, &iters, &sharded_dir, CodecKind::Fpz, 16).unwrap();
+    cm1::write_dataset(&dataset, &iters, &sharded_dir, CodecKind::Fpz, Some(16)).unwrap();
     let sharded = cm1::open_dataset(&sharded_dir).unwrap();
     let cached = StoredTimeSeries::from_backend_cached(
         Box::new(DirStore::open(&sharded_dir).unwrap()),
