@@ -29,14 +29,16 @@ use std::time::Instant;
 use apc_cm1::{write_dataset, ReflectivityDataset};
 use apc_store::CodecKind;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(s) => s
-            .trim()
+fn env_opt_usize(name: &str) -> Option<usize> {
+    std::env::var(name).ok().map(|s| {
+        s.trim()
             .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got {s:?}")),
-    }
+            .unwrap_or_else(|_| panic!("{name} must be an integer, got {s:?}"))
+    })
+}
+
+fn env_usize(name: &str, default: usize) -> usize {
+    env_opt_usize(name).unwrap_or(default)
 }
 
 fn env_codec() -> CodecKind {
@@ -84,8 +86,9 @@ fn main() {
     let seed = env_usize("APC_SEED", 42) as u64;
     let n_iters = env_usize("APC_STORE_ITERS", 12);
     let codec = env_codec();
-    let shard_chunks =
-        std::env::var_os("APC_SHARD_CHUNKS").map(|_| env_usize("APC_SHARD_CHUNKS", 0));
+    // Unset = one key per chunk. The layout owner rejects 0 ("chunks_per_shard
+    // must be ≥ 1", from `apc_store::LayoutWriter::new`, before any key is written).
+    let shard_chunks = env_opt_usize("APC_SHARD_CHUNKS");
 
     let geom = std::env::var("APC_GEOM").unwrap_or_else(|_| "paper".into());
     let dataset = match geom.as_str() {

@@ -87,13 +87,15 @@ impl StagedParams {
         self
     }
 
-    /// Check the partition fits a concrete rank count (run-entry guard —
-    /// the rank count is not known when the config is built).
-    pub fn validate(&self, nranks: usize) {
+    /// Check the partition fits a concrete rank count, `clients` of which
+    /// a serving run keeps for its clients (0 for a plain staged run).
+    /// Run-entry guard — the rank count is not known when the config is
+    /// built.
+    pub fn validate(&self, nranks: usize, clients: usize) {
         assert!(
-            self.viz_ranks < nranks,
-            "staged config dedicates {} of {nranks} ranks to viz; at least one \
-             simulation rank must remain",
+            self.viz_ranks + clients < nranks,
+            "staged config dedicates {} viz + {clients} client of {nranks} ranks; at \
+             least one simulation rank must remain",
             self.viz_ranks
         );
     }
@@ -324,7 +326,8 @@ mod tests {
             }
             InSituMode::Synchronous => panic!("builder must switch the mode"),
         }
-        params.validate(8); // 2 of 8 ranks staged is fine
+        params.validate(8, 0); // 2 of 8 ranks staged is fine
+        params.validate(8, 5); // and leaves a simulation rank next to 5 clients
     }
 
     #[test]
@@ -349,7 +352,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one simulation rank")]
     fn staged_all_viz_rejected() {
-        StagedParams::new(4, 2, BackpressurePolicy::Block).validate(4);
+        StagedParams::new(4, 2, BackpressurePolicy::Block).validate(4, 0);
     }
 
     #[test]

@@ -593,10 +593,9 @@ where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
     // The clients take the session's last ranks; the staged split (and
-    // its check that a simulation rank remains) covers the rest.
+    // its check that viz + clients leave a simulation rank) covers the rest.
     let n_clients = serve.clients;
-    let staged_ranks = session.nranks().saturating_sub(n_clients);
-    let (params, spec) = begin_staged(session, decomp, config, iterations, staged_ranks);
+    let (params, spec) = begin_staged(session, decomp, config, iterations, n_clients);
     let sink = params
         .persist
         .clone()
@@ -910,6 +909,15 @@ mod tests {
             }
         }
         assert!(latest > 0 && at > 0 && range > 0);
+    }
+
+    /// The driver subtracts the clients before it splits sim from viz:
+    /// 2 viz + 6 clients of 8 ranks leave no simulation rank, and the
+    /// message names both shares of the session, not the staged remainder.
+    #[test]
+    #[should_panic(expected = "2 viz + 6 client of 8 ranks; at least one simulation rank")]
+    fn overfull_split_rejected() {
+        let _ = tiny_serving_serve(ServeParams::new(6, 1, ServePolicy::BestEffort), None);
     }
 
     #[test]

@@ -189,7 +189,7 @@ pub fn run_staged_in_session<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
-    let (params, spec) = begin_staged(session, decomp, config, iterations, session.nranks());
+    let (params, spec) = begin_staged(session, decomp, config, iterations, 0);
     let iters = iterations.to_vec();
     let logs: Vec<RankLog<SimAux, StageOut>> = session.run(|rank| {
         rank_program(
@@ -390,28 +390,29 @@ where
 }
 
 /// The set-up both staged drivers share: the config's staged parameters,
-/// the sim/viz split of the session's first `staged_ranks` ranks (all of
-/// them for a plain staged run; the serving driver keeps the rest for its
-/// clients), and — when the run persists frames — its manifest, which the
-/// sink writes before any rank starts.
+/// the sim/viz split of the session's ranks but the last `clients` (0 for
+/// a plain staged run; the serving driver keeps those for its clients),
+/// and — when the run persists frames — its manifest, which the sink
+/// writes before any rank starts.
 pub(crate) fn begin_staged(
     session: &Session,
     decomp: &DomainDecomp,
     config: &PipelineConfig,
     iterations: &[usize],
-    staged_ranks: usize,
+    clients: usize,
 ) -> (StagedParams, StagedSpec) {
     let InSituMode::Staged(params) = &config.mode else {
         // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
         panic!("a staged run needs an InSituMode::Staged config")
     };
+    let nranks = session.nranks();
     assert_eq!(
-        session.nranks(),
+        nranks,
         decomp.nranks(),
         "session rank count must match the decomposition"
     );
-    params.validate(staged_ranks);
-    let partition = Partition::new(staged_ranks, params.viz_ranks);
+    params.validate(nranks, clients);
+    let partition = Partition::new(nranks - clients, params.viz_ranks);
     let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
     if let Some(sink) = &params.persist {
         let gb = decomp.global_block_grid();

@@ -100,7 +100,7 @@ impl RunManifest {
         doc.field("n_stagers", self.n_stagers);
         doc.field("width", self.width);
         doc.field("height", self.height);
-        doc.layout(self.codec, self.shard_chunks);
+        doc.codec_and_layout(self.codec, self.shard_chunks);
         doc.finish(&self.iterations)
     }
 

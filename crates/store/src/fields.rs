@@ -60,7 +60,7 @@ impl Fields {
     /// seed): out-of-range values are rejected, never truncated.
     pub fn uint<T: TryFrom<i128>>(&self, key: &str) -> Result<T, StoreError> {
         match self.get(key)? {
-            value @ Value::Int(v) => T::try_from(*v).map_err(|_| bad(key, value)),
+            value @ Value::Int(v) if *v >= 0 => T::try_from(*v).map_err(|_| bad(key, value)),
             other => Err(bad(key, other)),
         }
     }
@@ -145,7 +145,7 @@ impl DocWriter {
     }
 
     /// `codec` (+ `tolerance`) and the `shard_chunks` layout.
-    pub fn layout(&mut self, codec: CodecKind, shard_chunks: Option<usize>) {
+    pub fn codec_and_layout(&mut self, codec: CodecKind, shard_chunks: Option<usize>) {
         self.str_field("codec", codec.name());
         if let Some(tolerance) = codec.tolerance() {
             self.field("tolerance", tolerance);
@@ -207,7 +207,7 @@ mod tests {
         let mut w = DocWriter::new("t");
         w.str_field("name", "run-1");
         w.field("n", 7);
-        w.layout(CodecKind::Zfpx { tolerance: 0.25 }, Some(16));
+        w.codec_and_layout(CodecKind::Zfpx { tolerance: 0.25 }, Some(16));
         let doc = Fields::parse(&w.finish(&[3, 9]), "t").unwrap();
         assert_eq!(doc.str("name").unwrap(), "run-1");
         assert_eq!(doc.uint::<usize>("n").unwrap(), 7);
@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(doc.iterations().unwrap(), [3, 9]);
         // Absent optional fields stay absent (documents of older writers).
         let mut w = DocWriter::new("t");
-        w.layout(CodecKind::Fpz, None);
+        w.codec_and_layout(CodecKind::Fpz, None);
         let doc = Fields::parse(&w.finish(&[]), "t").unwrap();
         assert_eq!(doc.codec().unwrap(), CodecKind::Fpz);
         assert_eq!(doc.shard_chunks().unwrap(), None);
@@ -229,6 +229,7 @@ mod tests {
         let doc = parse("\"n\": 36893488147419103232, \"neg\": -1, \"s\": \"x\", ");
         assert!(is_bad(doc.uint::<usize>("n")));
         assert!(is_bad(doc.uint::<usize>("neg")));
+        assert!(is_bad(doc.uint::<i64>("neg")), "non-negative whatever T is");
         assert!(is_bad(doc.uint::<usize>("s")));
         assert!(is_bad(doc.uint::<usize>("absent")));
         assert!(is_bad(doc.str("n")));

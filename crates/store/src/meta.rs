@@ -55,7 +55,7 @@ impl DatasetMeta {
         );
         doc.field("chunk", dims(self.chunk.nx, self.chunk.ny, self.chunk.nz));
         doc.field("procs", dims(self.procs.px, self.procs.py, self.procs.pz));
-        doc.layout(self.codec, self.shard_chunks);
+        doc.codec_and_layout(self.codec, self.shard_chunks);
         doc.field("seed", self.seed);
         doc.finish(&self.iterations)
     }
