@@ -28,6 +28,13 @@ echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benc
 # this one runs the same suite, format pin included, on the optimised code.
 cargo test -p apc-compress --release -q
 
+echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm (the kernels as the benchmark runs them)"
+# VAR's lane sums (the score bits are pinned), the isosurface mask table
+# and the collectives on optimised code; the debug pass above keeps
+# trapping overflow and the debug_assert that ties the mesh builder's
+# emitted triangles to the count table.
+cargo test --release -q -p apc-metrics -p apc-render -p apc-comm
+
 echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
 # The one end-to-end run of the path no unit test reaches: the same tiny
 # dataset written flat and sharded by the write_dataset bin, one pipeline

@@ -8,17 +8,60 @@
 //! (paper §IV-D) hold in the simulation.
 
 use std::any::Any;
+use std::marker::PhantomData;
 
 use crate::meter::Meter;
 use crate::p2p::Tag;
-use crate::runtime::Rank;
+use crate::runtime::{Contribution, Rank};
+
+/// What one rendezvous' ranks deposited, by rank. Handed to the reader
+/// closure of [`Rank::rendezvous`] by reference, so a collective clones
+/// only the entries it returns.
+pub(crate) struct Deposits<'a, I> {
+    slots: &'a [Option<Contribution>],
+    _payload: PhantomData<fn() -> I>,
+}
+
+impl<'a, I: 'static> Deposits<'a, I> {
+    pub(crate) fn get(&self, rank: usize) -> &'a I {
+        let (_, _, payload) = self.slots[rank]
+            .as_ref()
+            // apc-lint: allow(unwrap-in-lib): the rendezvous barrier guarantees every rank deposited its slot
+            .expect("missing collective contribution");
+        payload
+            .downcast_ref::<I>()
+            // apc-lint: allow(unwrap-in-lib): SPMD contract — every rank calls the same collective with the same type
+            .expect("collective type mismatch across ranks")
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a I> + '_ {
+        (0..self.slots.len()).map(|r| self.get(r))
+    }
+}
+
+/// Every contribution, cloned in rank order.
+fn collect<I: Clone + 'static>(all: &Deposits<'_, I>) -> Vec<I> {
+    all.iter().cloned().collect()
+}
 
 impl Rank {
-    /// Shared-memory rendezvous: deposit `x`, wait for everyone, read all
-    /// contributions (in rank order) and the maximum participating clock.
+    /// Shared-memory rendezvous: deposit `x`, wait for everyone, let `read`
+    /// take what this rank needs from the contributions (by reference, in
+    /// rank order), and return that with the maximum participating clock.
     /// Contributions carry the session-run epoch so a slot left over from
     /// another run can never be mistaken for this run's data.
-    fn rendezvous<I: Clone + Send + 'static>(&mut self, x: I) -> (Vec<I>, f64) {
+    ///
+    /// `read` runs under the slot lock: it must not panic on anything a
+    /// caller's argument controls (validate after the rendezvous instead,
+    /// so every rank fails together rather than on a poisoned lock).
+    pub(crate) fn rendezvous<I, R>(
+        &mut self,
+        x: I,
+        read: impl FnOnce(&Deposits<'_, I>) -> R,
+    ) -> (R, f64)
+    where
+        I: Send + 'static,
+    {
         {
             // apc-lint: allow(unwrap-in-lib): mutex poisoning means another rank already panicked; propagate the abort
             let mut slots = self.shared.slots.lock().unwrap();
@@ -26,40 +69,36 @@ impl Rank {
             slots[self.id] = Some((self.epoch, self.clock, Box::new(x) as Box<dyn Any + Send>));
         }
         self.shared.barrier.wait();
-        let (vals, max_clock) = {
+        let out = {
             // apc-lint: allow(unwrap-in-lib): mutex poisoning means another rank already panicked; propagate the abort
             let slots = self.shared.slots.lock().unwrap();
             let mut max_clock = f64::MIN;
-            let mut vals = Vec::with_capacity(slots.len());
             for slot in slots.iter() {
                 // apc-lint: allow(unwrap-in-lib): the barrier above guarantees every rank deposited its slot
-                let (epoch, t, payload) = slot.as_ref().expect("missing collective contribution");
+                let (epoch, t, _) = slot.as_ref().expect("missing collective contribution");
                 assert_eq!(
                     *epoch, self.epoch,
                     "collective contribution from another session run"
                 );
                 max_clock = max_clock.max(*t);
-                vals.push(
-                    payload
-                        .downcast_ref::<I>()
-                        // apc-lint: allow(unwrap-in-lib): SPMD contract — every rank calls the same collective with the same type
-                        .expect("collective type mismatch across ranks")
-                        .clone(),
-                );
             }
-            (vals, max_clock)
+            let deposits = Deposits {
+                slots: &slots,
+                _payload: PhantomData,
+            };
+            (read(&deposits), max_clock)
         };
         self.shared.barrier.wait();
         // Everyone has read; reclaim our own slot for the next collective.
         // apc-lint: allow(unwrap-in-lib): mutex poisoning means another rank already panicked; propagate the abort
         self.shared.slots.lock().unwrap()[self.id] = None;
-        (vals, max_clock)
+        out
     }
 
     /// Synchronize all ranks (and their clocks).
     pub fn barrier(&mut self) {
         let n = self.nranks();
-        let (_, max_clock) = self.rendezvous(());
+        let ((), max_clock) = self.rendezvous((), |_| ());
         self.clock = max_clock + self.net().barrier(n);
     }
 
@@ -76,13 +115,9 @@ impl Rank {
             "exactly the root must supply a value"
         );
         let n = self.nranks();
-        let (vals, max_clock) = self.rendezvous(value);
-        let out = vals
-            .into_iter()
-            .nth(root)
-            .flatten()
-            // apc-lint: allow(unwrap-in-lib): asserted above — the root passed Some and root < nranks
-            .expect("root supplied no value");
+        let (out, max_clock) = self.rendezvous(value, |all| all.get(root).clone());
+        // apc-lint: allow(unwrap-in-lib): asserted above — the root passed Some and root < nranks
+        let out = out.expect("root supplied no value");
         self.clock = max_clock + self.net().broadcast(n, out.nbytes());
         out
     }
@@ -91,7 +126,7 @@ impl Rank {
     /// order.
     pub fn allgather<M: Meter + Clone + Send + 'static>(&mut self, value: M) -> Vec<M> {
         let n = self.nranks();
-        let (vals, max_clock) = self.rendezvous(value);
+        let (vals, max_clock) = self.rendezvous(value, collect);
         let total: usize = vals.iter().map(Meter::nbytes).sum();
         self.clock = max_clock + self.net().allgather(n, total);
         vals
@@ -107,10 +142,13 @@ impl Rank {
     ) -> Option<Vec<M>> {
         assert!(root < self.nranks(), "invalid root rank {root}");
         let n = self.nranks();
-        let (vals, max_clock) = self.rendezvous(value);
-        let total: usize = vals.iter().map(Meter::nbytes).sum();
+        let is_root = self.id == root;
+        let ((vals, total), max_clock) = self.rendezvous(value, |all| {
+            let total: usize = all.iter().map(Meter::nbytes).sum();
+            (is_root.then(|| collect(all)), total)
+        });
         self.clock = max_clock + self.net().allgather(n, total);
-        (self.id == root).then_some(vals)
+        vals
     }
 
     /// Scatter: the root supplies one value per rank; every rank receives
@@ -127,21 +165,19 @@ impl Rank {
             "exactly the root must supply values"
         );
         let n = self.nranks();
-        let (vals, max_clock) = self.rendezvous(values);
-        let all = vals
-            .into_iter()
-            .nth(root)
-            .flatten()
+        let me = self.id;
+        let ((mine, len, total), max_clock) = self.rendezvous(values, |all| {
             // apc-lint: allow(unwrap-in-lib): asserted above — the root passed Some and root < nranks
-            .expect("root supplied values");
+            let all = all.get(root).as_ref().expect("root supplied values");
+            (all.get(me).cloned(), all.len(), all.nbytes())
+        });
         // Validate *after* the rendezvous so a bad argument panics on every
         // rank together instead of deadlocking the barrier.
-        assert_eq!(all.len(), n, "scatter needs one value per rank");
+        assert_eq!(len, n, "scatter needs one value per rank");
         // Tree scatter moves ~the full payload out of the root.
-        let total: usize = all.iter().map(Meter::nbytes).sum();
         self.clock = max_clock + self.net().allgather(n, total);
         // apc-lint: allow(unwrap-in-lib): the length assert above guarantees an element at self.id
-        all.into_iter().nth(self.id).expect("one value per rank")
+        mine.expect("one value per rank")
     }
 
     /// Reduce to `root` only (folded in rank order); other ranks get
@@ -154,18 +190,15 @@ impl Rank {
         assert!(root < self.nranks(), "invalid root rank {root}");
         let n = self.nranks();
         let bytes = value.nbytes();
-        let (vals, max_clock) = self.rendezvous(value);
+        let is_root = self.id == root;
+        let (vals, max_clock) = self.rendezvous(value, |all| is_root.then(|| collect(all)));
         self.clock = max_clock + self.net().allreduce(n, bytes) / 2.0;
-        if self.id != root {
-            return None;
-        }
-        let mut it = vals.into_iter();
-        // apc-lint: allow(unwrap-in-lib): a runtime always has at least one rank
-        let first = it.next().expect("reduce over empty group");
-        Some(it.fold(first, {
-            let mut op = op;
-            move |acc, v| op(acc, v)
-        }))
+        vals.map(|vals| {
+            vals.into_iter()
+                .reduce(op)
+                // apc-lint: allow(unwrap-in-lib): a runtime always has at least one rank
+                .expect("reduce over empty group")
+        })
     }
 
     /// Reduce all values with `op` (folded in rank order — deterministic);
@@ -177,7 +210,7 @@ impl Rank {
     {
         let n = self.nranks();
         let bytes = value.nbytes();
-        let (vals, max_clock) = self.rendezvous(value);
+        let (vals, max_clock) = self.rendezvous(value, collect);
         self.clock = max_clock + self.net().allreduce(n, bytes);
         let mut it = vals.into_iter();
         // apc-lint: allow(unwrap-in-lib): a runtime always has at least one rank
@@ -197,7 +230,7 @@ impl Rank {
     {
         let n = self.nranks();
         let bytes = value.nbytes();
-        let (vals, max_clock) = self.rendezvous(value);
+        let (vals, max_clock) = self.rendezvous(value, collect);
         self.clock = max_clock + self.net().allreduce(n, bytes);
         let mut acc: Option<M> = None;
         for v in vals.into_iter().take(self.id) {
@@ -296,6 +329,65 @@ mod tests {
         assert_eq!(out[0], None);
         assert_eq!(out[1], Some(vec![0, 1, 2]));
         assert_eq!(out[2], None);
+    }
+
+    #[test]
+    fn collectives_clone_only_what_they_return() {
+        use crate::meter::Meter;
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Relaxed);
+                Counted
+            }
+        }
+        impl Meter for Counted {
+            fn nbytes(&self) -> usize {
+                1
+            }
+        }
+
+        let mut session = Runtime::new(8, NetModel::free()).session();
+        let mut clones_of = |collective: &(dyn Fn(&mut crate::Rank) + Sync)| {
+            CLONES.store(0, Relaxed);
+            session.run(collective);
+            CLONES.load(Relaxed)
+        };
+        // Root-only results are cloned by the root only (was 8 × 8).
+        assert_eq!(
+            clones_of(&|rank| assert_eq!(rank.gather(3, Counted).is_some(), rank.rank() == 3)),
+            8
+        );
+        assert_eq!(
+            clones_of(&|rank| {
+                let folded = rank.reduce(3, Counted, |a, _| a);
+                assert_eq!(folded.is_some(), rank.rank() == 3);
+            }),
+            8
+        );
+        // One entry per rank (was 8 × 8).
+        assert_eq!(
+            clones_of(&|rank| {
+                let _: Counted = rank.broadcast(3, (rank.rank() == 3).then_some(Counted));
+            }),
+            8
+        );
+        assert_eq!(
+            clones_of(&|rank| {
+                let values = (rank.rank() == 3).then(|| vec![Counted; 8]);
+                let _: Counted = rank.scatter(3, values);
+            }),
+            7 + 8,
+            "vec![x; 8] itself clones 7 times at the root"
+        );
+        // Everyone gets everything: N² by contract.
+        assert_eq!(
+            clones_of(&|rank| assert_eq!(rank.allgather(Counted).len(), 8)),
+            64
+        );
     }
 
     #[test]

@@ -27,6 +27,13 @@ fn sort_compute_cost(n: usize) -> f64 {
 /// The paper's strategy: gather all pairs, sort at the root, broadcast the
 /// sorted array back. Every rank returns the full sorted vector.
 ///
+/// The sort really runs once, on rank 0; the sorted vector reaches the
+/// other ranks through a second shared-memory rendezvous that moves data
+/// only. Virtual time is the same three charges on every rank: the
+/// gather's clock synchronization and transfer, the root's sort (it gates
+/// everyone waiting on the broadcast, so charging it uniformly is
+/// equivalent under max-sync), and the broadcast of the sorted array.
+///
 /// `cmp` must be a total order (ties broken deterministically by the
 /// caller, e.g. by block id — §IV-C).
 pub fn gather_sort_broadcast<K, F>(rank: &mut Rank, local: Vec<K>, cmp: F) -> Vec<K>
@@ -34,17 +41,22 @@ where
     K: Meter + Clone + Send + 'static,
     F: Fn(&K, &K) -> Ordering,
 {
-    let gathered = rank.allgather(local);
-    let mut all: Vec<K> = gathered.into_iter().flatten().collect();
-    // The root sorts; everyone then waits on the broadcast, so the root's
-    // compute time gates all ranks. We charge it uniformly after the
-    // allgather's clock synchronization (equivalent under max-sync).
-    rank.advance(sort_compute_cost(all.len()));
-    all.sort_by(&cmp);
-    // Model the broadcast of the sorted array (data is already everywhere
-    // in the simulation; only time needs to move).
-    let bytes: usize = all.iter().map(Meter::nbytes).sum();
+    const ROOT: usize = 0;
     let n = rank.nranks();
+    let sorted = rank.gather(ROOT, local).map(|gathered| {
+        let mut all: Vec<K> = gathered.into_iter().flatten().collect();
+        all.sort_by(&cmp);
+        all
+    });
+    let (all, _) = rank.rendezvous(sorted, |shared| {
+        shared
+            .get(ROOT)
+            .clone()
+            // apc-lint: allow(unwrap-in-lib): the root deposited `Some` just above (had it panicked instead, the barrier timeout fails this rank first)
+            .expect("the root shares the sorted vector")
+    });
+    rank.advance(sort_compute_cost(all.len()));
+    let bytes: usize = all.iter().map(Meter::nbytes).sum();
     let t = rank.net().broadcast(n, bytes);
     rank.advance(t);
     all
@@ -168,6 +180,54 @@ mod tests {
             assert_sorted(v);
         }
         assert_eq!(out[0], out[3], "all ranks must agree on the sorted list");
+    }
+
+    #[test]
+    fn gsb_sorts_once_and_charges_every_rank_the_same() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let comparisons = AtomicUsize::new(0);
+        let out = Runtime::new(8, NetModel::blue_waters()).run(|rank| {
+            let local = scored_pairs(rank.rank(), 100);
+            let sorted = gather_sort_broadcast(rank, local, |a, b| {
+                comparisons.fetch_add(1, Relaxed);
+                cmp_pairs(a, b)
+            });
+            (sorted, rank.clock().to_bits())
+        });
+        // One sort of n keys, not one per rank (which is ≈ 8·n·log₂n).
+        let n = 800.0f64;
+        let seen = comparisons.load(Relaxed) as f64;
+        assert!(seen < 2.0 * n * n.log2(), "{seen} comparisons for {n} keys");
+        assert_eq!(out[0].0.len(), 800);
+        assert_sorted(&out[0].0);
+        for (r, o) in out.iter().enumerate() {
+            assert_eq!(o, &out[0], "rank {r}");
+        }
+        // gather + sort + broadcast, as charged before the sort moved to
+        // the root.
+        assert_eq!(out[0].1, 0x3f2b_7f73_b51e_89f0, "clock {:#x}", out[0].1);
+    }
+
+    #[test]
+    fn a_panicking_root_comparator_fails_the_run_instead_of_hanging() {
+        // Only the root sorts, so only the root panics; the peers are
+        // parked in the share rendezvous and must time out of it.
+        use std::time::{Duration, Instant};
+        let t0 = Instant::now();
+        let caught = std::panic::catch_unwind(|| {
+            Runtime::new(3, NetModel::free())
+                .deadlock_timeout(Duration::from_millis(300))
+                .run(|rank| {
+                    gather_sort_broadcast(rank, scored_pairs(rank.rank(), 10), |_, _| {
+                        panic!("comparator blew up")
+                    })
+                });
+        });
+        assert!(caught.is_err(), "the run must fail, not hang");
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the failure must arrive within the deadlock timeout, not hang CI"
+        );
     }
 
     #[test]

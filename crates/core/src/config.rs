@@ -155,7 +155,7 @@ pub struct PipelineConfig {
     /// dataset — mismatches miss cleanly (see [`crate::StatsCache`]).
     pub stats_cache: Option<std::sync::Arc<crate::pipeline::StatsCache>>,
     /// Intra-rank execution policy for the per-block hot kernels (scoring
-    /// and isosurface extraction). Like `stats_cache`, this changes
+    /// and isosurface counting). Like `stats_cache`, this changes
     /// *wall-clock* time only: virtual-time accounting is summed from
     /// per-block counters, so `Serial` and `Threads(n)` produce
     /// byte-identical [`crate::IterationReport`]s (guarded by the

@@ -10,8 +10,9 @@
 //!    ([`apc_grid::Block::reduce`]);
 //! 4. **Redistribute** blocks across ranks — random shuffle or round-robin
 //!    by score ([`redistribute`]);
-//! 5. **Render** the 45 dBZ isosurface of the held blocks
-//!    ([`apc_render`]);
+//! 5. **Render** the 45 dBZ isosurface of the held blocks — here, count
+//!    its cells and triangles for the render-cost model
+//!    ([`apc_render::block_iso_stats`]; nothing is meshed);
 //! 6. **Adapt** `p` from the measured pipeline time toward the user's time
 //!    budget ([`controller`], the paper's Algorithm 1).
 //!
@@ -79,9 +80,10 @@ pub use driver::{
 };
 pub use pipeline::{Pipeline, StatsCache};
 pub use prepared::{spaced_subset, Prepared};
+pub use redistribute::WireBlock;
 pub use replay_serving::{run_replay_serving, run_replay_serving_in_session, ReplayRun};
 pub use report::IterationReport;
-pub use selection::{reduction_set, ScoredBlock};
+pub use selection::ScoredBlock;
 pub use serving::{
     run_staged_serving_in_session, run_staged_serving_prepared, ServeFault, ServeParams, ServingRun,
 };

@@ -4,13 +4,13 @@ use apc_comm::{sort, Rank};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_metrics::BlockScorer;
 use apc_par::par_map;
-use apc_render::{block_isosurface, IsoStats, RenderCostModel};
+use apc_render::{block_iso_stats, IsoStats, RenderCostModel};
 
 use crate::config::{PipelineConfig, Redistribution, SortStrategy};
 use crate::controller::BudgetController;
 use crate::redistribute::{assignment, exchange};
 use crate::report::IterationReport;
-use crate::selection::{reduction_count, reduction_set, score_order, ScoredBlock};
+use crate::selection::{reduction_count, reduction_mask, score_order, ScoredBlock};
 
 /// Virtual cost of reducing one block (a corner copy — negligible, but the
 /// step is measured like every other).
@@ -35,8 +35,7 @@ struct StatsKey {
 /// handful of evenly spaced sample bit patterns, mixed SplitMix64-style.
 /// Two blocks from different datasets (different storm seed, different
 /// iteration timeline) disagree on essentially every sample, so any probe
-/// catches the mismatch; the cost is eight array reads — nothing next to
-/// the isosurface extraction the cache elides.
+/// catches the mismatch; the cost is eight array reads.
 fn block_fingerprint(samples: &[f32], b: &Block) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut mix = |v: u64| {
@@ -94,15 +93,10 @@ impl StatsCache {
     }
 }
 
-/// Isosurface work counters of one block under `config` — through the
-/// shared [`StatsCache`] when one is attached and the block is full
-/// (reduced blocks are cheap to extract and never cached).
-fn cached_block_stats(
-    config: &PipelineConfig,
-    coords: &RectilinearCoords,
-    iteration: usize,
-    b: &Block,
-) -> IsoStats {
+/// Isosurface work counters of one block under `config` (counted, never
+/// meshed) — through the shared [`StatsCache`] when one is attached and
+/// the block is full (reduced blocks are never cached).
+fn cached_block_stats(config: &PipelineConfig, iteration: usize, b: &Block) -> IsoStats {
     match (&config.stats_cache, b.is_reduced()) {
         (Some(cache), false) => {
             let key = StatsKey {
@@ -112,12 +106,12 @@ fn cached_block_stats(
                 content_fp: block_fingerprint(&b.samples(), b),
             };
             cache.get(key).unwrap_or_else(|| {
-                let (_mesh, s) = block_isosurface(b, coords, config.isovalue);
+                let s = block_iso_stats(b, config.isovalue);
                 cache.put(key, s);
                 s
             })
         }
-        _ => block_isosurface(b, coords, config.isovalue).1,
+        _ => block_iso_stats(b, config.isovalue),
     }
 }
 
@@ -136,10 +130,10 @@ pub(crate) fn reduce_lowest(
     sorted: &[ScoredBlock],
     percent: f64,
 ) -> usize {
-    let to_reduce = reduction_set(sorted, percent);
+    let to_reduce = reduction_mask(sorted, percent);
     let mut reduced_here = 0usize;
     for b in held {
-        if to_reduce.contains(&b.id) && !b.is_reduced() {
+        if to_reduce.get(b.id as usize) == Some(&true) && !b.is_reduced() {
             b.downsample(config.reduce_keep);
             reduced_here += 1;
         }
@@ -148,16 +142,16 @@ pub(crate) fn reduce_lowest(
     reduced_here
 }
 
-/// The paper's render step, the one copy both executors run: extract the
-/// isosurface of the `held` blocks and charge the cost model's render
-/// time. Extraction is fanned out per block under `config.exec` (the
-/// stats cache is thread-safe); per-block counters are merged in block
-/// order, so the counted work — and with it the virtual render time — is
-/// identical under every policy.
+/// The paper's render step, the one copy both executors run: count the
+/// isosurface work of the `held` blocks — cells visited, triangles emitted;
+/// no mesh is built — and charge the cost model's render time. Counting is
+/// fanned out per block under `config.exec` (the stats cache is
+/// thread-safe); per-block counters are merged in block order, so the
+/// counted work — and with it the virtual render time — is identical
+/// under every policy.
 pub(crate) fn render_held(
     rank: &mut Rank,
     config: &PipelineConfig,
-    coords: &RectilinearCoords,
     iteration: usize,
     held: &[Block],
 ) -> IsoStats {
@@ -166,7 +160,7 @@ pub(crate) fn render_held(
             .exec
             .for_kernel(apc_render::isosurface::recommended_concurrency(held.len())),
         held,
-        |b| cached_block_stats(config, coords, iteration, b),
+        |b| cached_block_stats(config, iteration, b),
     );
     let mut stats = IsoStats::default();
     for s in per_block {
@@ -185,7 +179,7 @@ pub(crate) fn render_held(
 /// rank and stays identical because it is fed with the globally-agreed
 /// iteration time (deterministic adaptation without extra communication).
 ///
-/// The per-block hot kernels (scoring, isosurface extraction) run under
+/// The per-block hot kernels (scoring, isosurface counting) run under
 /// the config's [`crate::ExecPolicy`]; virtual time is counted, not
 /// measured, so the policy never changes the reports:
 ///
@@ -212,11 +206,13 @@ pub struct Pipeline {
     scorer: Box<dyn BlockScorer>,
     controller: Option<BudgetController>,
     decomp: DomainDecomp,
-    coords: RectilinearCoords,
 }
 
 impl Pipeline {
-    pub fn new(config: PipelineConfig, decomp: DomainDecomp, coords: RectilinearCoords) -> Self {
+    /// `_coords` is the grid the blocks sit in. The pipeline itself never
+    /// needs it — the render step counts, positions play no part — but
+    /// callers construct a pipeline next to the dataset they render from.
+    pub fn new(config: PipelineConfig, decomp: DomainDecomp, _coords: RectilinearCoords) -> Self {
         assert!(
             matches!(config.mode, crate::config::InSituMode::Synchronous),
             "Pipeline is the synchronous executor; staged configs run through \
@@ -233,7 +229,6 @@ impl Pipeline {
             scorer,
             controller,
             decomp,
-            coords,
         }
     }
 
@@ -311,7 +306,7 @@ impl Pipeline {
         let c4 = rank.clock();
 
         // Step 5 — render the isosurface of the held blocks.
-        let stats = render_held(rank, &self.config, &self.coords, iteration, &held);
+        let stats = render_held(rank, &self.config, iteration, &held);
         rank.barrier();
         let c5 = rank.clock();
 

@@ -5,12 +5,30 @@
 //! exchange blocks with non-blocking sends/receives — realized here over
 //! [`apc_comm`]'s `alltoallv`.
 
-use apc_comm::Rank;
-use apc_grid::{Block, BlockId};
+use apc_comm::{Meter, Rank};
+use apc_grid::{Block, BlockData, BlockId};
 use apc_par::SplitMix64;
 
 use crate::config::Redistribution;
 use crate::selection::ScoredBlock;
+
+/// A block as it crosses ranks — in the synchronous exchange and in the
+/// staged sim → stager hand-off. The ranks are threads, so the block is
+/// moved, not serialized; its [`Meter`] charges the flat `f32` message a
+/// real transfer ships: a header of id, kind and the extent's six bounds
+/// (plus the three lattice dims of a `Sampled` payload), then the payload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireBlock(pub Block);
+
+impl Meter for WireBlock {
+    fn nbytes(&self) -> usize {
+        let header = match self.0.data {
+            BlockData::Full(_) | BlockData::Reduced(_) => 8,
+            BlockData::Sampled { .. } => 11,
+        };
+        header * std::mem::size_of::<f32>() + self.0.nbytes()
+    }
+}
 
 /// Compute the destination rank of every block. `sorted` is the global
 /// score list in ascending order; returns `assignment[block_id] = rank`.
@@ -64,18 +82,13 @@ pub fn assignment(
 /// determinism.
 pub fn exchange(rank: &mut Rank, held: Vec<Block>, assign: &[usize]) -> Vec<Block> {
     let n = rank.nranks();
-    let mut outgoing: Vec<Vec<Vec<f32>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut outgoing: Vec<Vec<WireBlock>> = (0..n).map(|_| Vec::new()).collect();
     for block in held {
         let dst = assign[block.id as usize];
-        outgoing[dst].push(block.encode());
+        outgoing[dst].push(WireBlock(block));
     }
     let incoming = rank.alltoallv(outgoing);
-    let mut blocks: Vec<Block> = incoming
-        .into_iter()
-        .flatten()
-        // apc-lint: allow(unwrap-in-lib): the bytes came from an in-process peer's `encode`; a decode failure is a codec bug, not input
-        .map(|buf| Block::decode(&buf).expect("peer sent a malformed block"))
-        .collect();
+    let mut blocks: Vec<Block> = incoming.into_iter().flatten().map(|w| w.0).collect();
     blocks.sort_by_key(|b| b.id);
     blocks
 }
@@ -83,8 +96,8 @@ pub fn exchange(rank: &mut Rank, held: Vec<Block>, assign: &[usize]) -> Vec<Bloc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apc_comm::{NetModel, Runtime};
-    use apc_grid::{BlockData, Extent3};
+    use apc_comm::{NetModel, Runtime, Tag};
+    use apc_grid::{Dims3, Extent3};
 
     fn sorted_fixture(n: usize) -> Vec<ScoredBlock> {
         // Ascending scores; block id i has score i.
@@ -155,6 +168,46 @@ mod tests {
             extent: Extent3::new((0, 0, 0), (2, 2, 2)),
             data: BlockData::Reduced([value; 8]),
         }
+    }
+
+    #[test]
+    fn wire_block_meters_header_plus_payload() {
+        // The byte count of the flat `[id, kind, lo, hi, (lattice dims)?,
+        // payload...]` f32 message: 8 header floats, 11 for `Sampled`.
+        let extent = Extent3::new((0, 0, 0), (5, 4, 3));
+        let full = Block {
+            id: 7,
+            extent,
+            data: BlockData::Full(vec![1.5; 60]),
+        };
+        let sampled = full.downsampled(3);
+        assert!(
+            matches!(sampled.data, BlockData::Sampled { dims, .. } if dims == Dims3::new(3, 3, 3))
+        );
+        for (block, floats) in [
+            (full.clone(), 8 + 60),
+            (full.reduced(), 8 + 8),
+            (sampled, 11 + 27),
+        ] {
+            assert_eq!(WireBlock(block).nbytes(), floats * 4);
+        }
+        // A scored block of the staged hand-off adds its f64 score.
+        assert_eq!((WireBlock(full.reduced()), 0.5f64).nbytes(), 16 * 4 + 8);
+    }
+
+    #[test]
+    fn block_ids_above_two_to_the_24_survive_the_wire() {
+        // An id carried in an f32 header aliased from 2^24 + 1 on.
+        let id: BlockId = (1 << 24) + 1;
+        let out = Runtime::new(2, NetModel::blue_waters()).run(|rank| {
+            if rank.rank() == 0 {
+                rank.send(1, Tag(1), WireBlock(tiny_block(id, 3.0)));
+                None
+            } else {
+                Some(rank.recv::<WireBlock>(0, Tag(1)).0)
+            }
+        });
+        assert_eq!(out[1], Some(tiny_block(id, 3.0)));
     }
 
     #[test]

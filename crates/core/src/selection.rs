@@ -2,7 +2,6 @@
 //! (paper §IV-C).
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
 use apc_comm::Meter;
 use apc_grid::BlockId;
@@ -41,12 +40,17 @@ pub fn reduction_count(n: usize, percent: f64) -> usize {
     ((n as f64 * percent / 100.0).floor() as usize).min(n)
 }
 
-/// The ids of the `percent%` lowest-scored blocks of a globally-sorted
-/// list (ascending — the head of the list is reduced). A `BTreeSet` so
-/// any caller that iterates it sees a deterministic id order.
-pub fn reduction_set(sorted: &[ScoredBlock], percent: f64) -> BTreeSet<BlockId> {
-    let k = reduction_count(sorted.len(), percent);
-    sorted[..k].iter().map(|s| s.id).collect()
+/// Which blocks are among the `percent%` lowest-scored of a globally-sorted
+/// list (ascending — the head of the list is reduced), indexed by block id:
+/// `mask[id]` is set for a reduced block, and ids past the end are kept.
+pub(crate) fn reduction_mask(sorted: &[ScoredBlock], percent: f64) -> Vec<bool> {
+    let head = &sorted[..reduction_count(sorted.len(), percent)];
+    let len = head.iter().map(|s| s.id as usize + 1).max().unwrap_or(0);
+    let mut mask = vec![false; len];
+    for s in head {
+        mask[s.id as usize] = true;
+    }
+    mask
 }
 
 #[cfg(test)]
@@ -85,21 +89,22 @@ mod tests {
         assert_eq!(reduction_count(3, 50.0), 1);
     }
 
+    fn reduced_ids(sorted: &[ScoredBlock], percent: f64) -> Vec<usize> {
+        let mask = reduction_mask(sorted, percent);
+        (0..mask.len()).filter(|&id| mask[id]).collect()
+    }
+
     #[test]
-    fn reduction_set_takes_the_lowest_scores() {
-        let sorted = sorted_fixture();
-        let set = reduction_set(&sorted, 30.0);
-        assert_eq!(set.len(), 3);
+    fn reduction_mask_takes_the_lowest_scores() {
         // Lowest scores are blocks 9, 8, 7 (score 1, 2, 3).
-        assert!(set.contains(&9) && set.contains(&8) && set.contains(&7));
-        assert!(!set.contains(&0));
+        assert_eq!(reduced_ids(&sorted_fixture(), 30.0), vec![7, 8, 9]);
     }
 
     #[test]
     fn zero_and_full_percent() {
         let sorted = sorted_fixture();
-        assert!(reduction_set(&sorted, 0.0).is_empty());
-        assert_eq!(reduction_set(&sorted, 100.0).len(), 10);
+        assert!(reduction_mask(&sorted, 0.0).is_empty());
+        assert_eq!(reduced_ids(&sorted, 100.0), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -129,7 +134,7 @@ mod tests {
             vec![4, 2, 3, 0, 1]
         );
         // Selection still works on the NaN-bracketed list.
-        assert_eq!(reduction_set(&v, 40.0).len(), 2);
+        assert_eq!(reduced_ids(&v, 40.0), vec![2, 4]);
     }
 
     #[test]

@@ -579,11 +579,12 @@ enum ServingRankLog {
 /// [`crate::InSituMode::Staged`] **with a frame sink attached**
 /// (`StagedParams::persist`) — serving reads the frames it ships from
 /// that sink's store. The run writes the sink's
-/// [`apc_serve::RunManifest`] before the ranks start.
+/// [`apc_serve::RunManifest`] before the ranks start. `_coords` is unused,
+/// as in [`crate::staged::run_staged_in_session`].
 pub fn run_staged_serving_in_session<F>(
     session: &mut Session,
     decomp: &DomainDecomp,
-    coords: &RectilinearCoords,
+    _coords: &RectilinearCoords,
     config: &PipelineConfig,
     iterations: &[usize],
     serve: &ServeParams,
@@ -608,9 +609,7 @@ where
     let logs: Vec<ServingRankLog> = session.run(|rank| {
         let r = rank.rank();
         if r < n_sim {
-            let log = rank_program(
-                rank, &spec, &params, config, decomp, coords, &iters, blocks, None,
-            );
+            let log = rank_program(rank, &spec, &params, config, decomp, &iters, blocks, None);
             ServingRankLog::Staged(log, None)
         } else if r < n_sim + n_stage {
             let slot = r - n_sim;
@@ -625,7 +624,6 @@ where
                 &params,
                 config,
                 decomp,
-                coords,
                 &iters,
                 blocks,
                 Some(&mut srv),

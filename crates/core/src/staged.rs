@@ -43,12 +43,13 @@ use apc_stage::{run_staged, Partition, RankLog, SimFrameLog, StageFrameLog, Stag
 use crate::config::{InSituMode, PipelineConfig, StagedParams};
 use crate::controller::BudgetController;
 use crate::pipeline::{reduce_lowest, render_held};
+use crate::redistribute::WireBlock;
 use crate::report::IterationReport;
 use crate::selection::{score_order, ScoredBlock};
 
-/// A block slice on the wire: `(encoded block, score)` pairs. Scores ride
-/// along so stagers never re-score what the simulation already measured.
-type Slice = Vec<(Vec<f32>, f64)>;
+/// A block slice on the wire: `(block, score)` pairs. Scores ride along so
+/// stagers never re-score what the simulation already measured.
+type Slice = Vec<(WireBlock, f64)>;
 
 /// What a simulation rank logs per frame (beyond the engine's timing).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,6 +175,9 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 /// `n_sim`), so a staged run at N total ranks visualizes exactly the same
 /// domain as a synchronous run at N ranks.
 ///
+/// `_coords` is the dataset's grid; the staged steps never read it (the
+/// render step counts, positions play no part).
+///
 /// Like [`crate::Pipeline::run_iteration`], this low-level entry uses the
 /// config's [`crate::ExecPolicy`] exactly as given; the experiment drivers
 /// ([`crate::run_sweep_in_session`], [`crate::Prepared`]) clamp it to the
@@ -181,7 +185,7 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 pub fn run_staged_in_session<F>(
     session: &mut Session,
     decomp: &DomainDecomp,
-    coords: &RectilinearCoords,
+    _coords: &RectilinearCoords,
     config: &PipelineConfig,
     iterations: &[usize],
     blocks: &F,
@@ -191,11 +195,8 @@ where
 {
     let (params, spec) = begin_staged(session, decomp, config, iterations, 0);
     let iters = iterations.to_vec();
-    let logs: Vec<RankLog<SimAux, StageOut>> = session.run(|rank| {
-        rank_program(
-            rank, &spec, &params, config, decomp, coords, &iters, blocks, None,
-        )
-    });
+    let logs: Vec<RankLog<SimAux, StageOut>> = session
+        .run(|rank| rank_program(rank, &spec, &params, config, decomp, &iters, blocks, None));
     end_staged(&params);
     merge_logs(&spec, iterations, logs)
 }
@@ -231,7 +232,6 @@ pub(crate) fn rank_program<F>(
     params: &StagedParams,
     config: &PipelineConfig,
     decomp: &DomainDecomp,
-    coords: &RectilinearCoords,
     iterations: &[usize],
     blocks: &F,
     mut serve: Option<&mut crate::serving::StagerServe<'_>>,
@@ -287,11 +287,12 @@ where
             // Score-aware dealing: highest-scored block to stager 0, next
             // to stager 1, ... — every stager gets a balanced share of the
             // expensive blocks.
-            let by_id: BTreeMap<BlockId, &Block> = held.iter().map(|b| (b.id, b)).collect();
+            let mut by_id: BTreeMap<BlockId, Block> = held.into_iter().map(|b| (b.id, b)).collect();
             let mut batches: Vec<Slice> = (0..n_stage).map(|_| Vec::new()).collect();
             for (pos, sb) in order.iter().rev().enumerate() {
-                let b = by_id[&sb.id];
-                batches[pos % n_stage].push((b.encode(), sb.score));
+                // apc-lint: allow(unwrap-in-lib): `order` lists exactly the ids of `held`, each once
+                let b = by_id.remove(&sb.id).expect("every scored block is held");
+                batches[pos % n_stage].push((WireBlock(b), sb.score));
             }
             (
                 batches,
@@ -308,9 +309,7 @@ where
             let mut held: Vec<Block> = Vec::new();
             let mut entries: Vec<ScoredBlock> = Vec::new();
             for (_slot, slice) in parts {
-                for (buf, score) in slice {
-                    // apc-lint: allow(unwrap-in-lib): the bytes came from an in-process peer's `encode`; a decode failure is a codec bug, not input
-                    let b = Block::decode(&buf).expect("simulation rank sent a malformed block");
+                for (WireBlock(b), score) in slice {
                     entries.push(ScoredBlock { id: b.id, score });
                     held.push(b);
                 }
@@ -333,7 +332,7 @@ where
             let t_reduce = rank.clock() - t0;
 
             let t1 = rank.clock();
-            let stats = render_held(rank, config, coords, it, &held);
+            let stats = render_held(rank, config, it, &held);
             let t_render = rank.clock() - t1;
 
             if let Some(ctrl) = &mut controller {

@@ -151,94 +151,6 @@ impl Block {
             BlockData::Sampled { dims, values } => corners_of(values, *dims),
         }
     }
-
-    /// Serialize to a flat `f32` buffer for transport:
-    /// `[id, kind, lo.0, lo.1, lo.2, hi.0, hi.1, hi.2, (lattice dims)?,
-    /// payload...]` where `kind` is 0 = full, 1 = reduced, 2 = sampled.
-    /// Indices fit f32 exactly for any realistic grid (< 2^24 points/axis).
-    pub fn encode(&self) -> Vec<f32> {
-        let (kind, payload): (f32, &[f32]) = match &self.data {
-            BlockData::Full(v) => (0.0, v),
-            BlockData::Reduced(c) => (1.0, c),
-            BlockData::Sampled { values, .. } => (2.0, values),
-        };
-        let mut out = Vec::with_capacity(11 + payload.len());
-        out.push(self.id as f32);
-        out.push(kind);
-        out.push(self.extent.lo.0 as f32);
-        out.push(self.extent.lo.1 as f32);
-        out.push(self.extent.lo.2 as f32);
-        out.push(self.extent.hi.0 as f32);
-        out.push(self.extent.hi.1 as f32);
-        out.push(self.extent.hi.2 as f32);
-        if let BlockData::Sampled { dims, .. } = &self.data {
-            out.push(dims.nx as f32);
-            out.push(dims.ny as f32);
-            out.push(dims.nz as f32);
-        }
-        out.extend_from_slice(payload);
-        out
-    }
-
-    /// Inverse of [`Block::encode`].
-    pub fn decode(buf: &[f32]) -> Result<Self, GridError> {
-        if buf.len() < 8 {
-            return Err(GridError::LengthMismatch {
-                expected: 8,
-                got: buf.len(),
-            });
-        }
-        let id = buf[0] as BlockId;
-        let kind = buf[1];
-        let extent = Extent3::new(
-            (buf[2] as usize, buf[3] as usize, buf[4] as usize),
-            (buf[5] as usize, buf[6] as usize, buf[7] as usize),
-        );
-        let payload = &buf[8..];
-        let data = if kind == 1.0 {
-            if payload.len() != 8 {
-                return Err(GridError::LengthMismatch {
-                    expected: 8,
-                    got: payload.len(),
-                });
-            }
-            let mut c = [0.0f32; 8];
-            c.copy_from_slice(payload);
-            BlockData::Reduced(c)
-        } else if kind == 2.0 {
-            if payload.len() < 3 {
-                return Err(GridError::LengthMismatch {
-                    expected: 3,
-                    got: payload.len(),
-                });
-            }
-            let dims = Dims3::new(
-                payload[0] as usize,
-                payload[1] as usize,
-                payload[2] as usize,
-            );
-            let values = &payload[3..];
-            if values.len() != dims.len() {
-                return Err(GridError::LengthMismatch {
-                    expected: dims.len(),
-                    got: values.len(),
-                });
-            }
-            BlockData::Sampled {
-                dims,
-                values: values.to_vec(),
-            }
-        } else {
-            if payload.len() != extent.len() {
-                return Err(GridError::LengthMismatch {
-                    expected: extent.len(),
-                    got: payload.len(),
-                });
-            }
-            BlockData::Full(payload.to_vec())
-        };
-        Ok(Self { id, extent, data })
-    }
 }
 
 #[cfg(test)]
@@ -288,23 +200,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn encode_decode_full_roundtrip() {
-        let b = sample_block();
-        let buf = b.encode();
-        let d = Block::decode(&buf).unwrap();
-        assert_eq!(d, b);
-    }
-
-    #[test]
-    fn encode_decode_reduced_roundtrip() {
-        let b = sample_block().reduced();
-        let buf = b.encode();
-        assert_eq!(buf.len(), 16);
-        let d = Block::decode(&buf).unwrap();
-        assert_eq!(d, b);
     }
 
     #[test]
@@ -359,13 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_sampled_roundtrip() {
-        let b = sample_block().downsampled(3);
-        let buf = b.encode();
-        assert_eq!(Block::decode(&buf).unwrap(), b);
-    }
-
-    #[test]
     fn downsample_is_noop_on_reduced() {
         let mut b = sample_block().reduced();
         let before = b.clone();
@@ -378,14 +266,5 @@ mod tests {
     fn downsample_rejects_singleton() {
         let mut b = sample_block();
         b.downsample(1);
-    }
-
-    #[test]
-    fn decode_rejects_bad_lengths() {
-        let b = sample_block();
-        let mut buf = b.encode();
-        buf.pop();
-        assert!(Block::decode(&buf).is_err());
-        assert!(Block::decode(&buf[..4]).is_err());
     }
 }

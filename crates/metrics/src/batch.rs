@@ -31,7 +31,7 @@ pub fn recommended_concurrency(nblocks: usize) -> RecommendedConcurrency {
 }
 
 /// Score every block with `scorer` under `policy`; results come back in
-/// input order. The serial path is byte-for-byte the seed's loop.
+/// input order, and every policy yields the same bits.
 pub fn score_blocks(
     scorer: &dyn BlockScorer,
     blocks: &[Block],

@@ -39,6 +39,32 @@ impl BlockScorer for Range {
     }
 }
 
+/// Running sums kept side by side in [`lane_sum`].
+const LANES: usize = 8;
+
+/// Σ `term(v)` over `data` in one fixed order: [`LANES`] running sums over
+/// the whole chunks, folded as a balanced tree, then the tail in sequence.
+/// The order is written out rather than left to the optimiser, so debug and
+/// release builds on every target add the same values in the same order and
+/// produce the same bits — and no sum waits on the one before it.
+#[inline]
+fn lane_sum(data: &[f32], term: impl Fn(f64) -> f64) -> f64 {
+    let chunks = data.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    let mut lanes = [0.0f64; LANES];
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane += term(f64::from(v));
+        }
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    let mut sum = ((a + b) + (c + d)) + ((e + f) + (g + h));
+    for &v in tail {
+        sum += term(f64::from(v));
+    }
+    sum
+}
+
 /// VAR: population variance of the block's samples.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Variance;
@@ -52,16 +78,13 @@ impl BlockScorer for Variance {
         if data.is_empty() {
             return 0.0;
         }
-        // Welford's online algorithm: numerically stable in one pass.
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
-        for (count, &v) in data.iter().enumerate() {
-            let v = v as f64;
-            let delta = v - mean;
-            mean += delta / (count + 1) as f64;
-            m2 += delta * (v - mean);
-        }
-        m2 / data.len() as f64
+        // Two passes: the mean, then the squared deviations from it. A
+        // constant block scores exactly zero — its sum is exact in f64 (a
+        // block's few thousand equal f32 values need well under 53 bits),
+        // so the mean is the value itself and every deviation is 0.
+        let n = data.len() as f64;
+        let mean = lane_sum(data, |v| v) / n;
+        lane_sum(data, |v| (v - mean) * (v - mean)) / n
     }
 
     fn cost_per_point(&self) -> f64 {
@@ -98,12 +121,12 @@ mod tests {
     }
 
     #[test]
-    fn variance_matches_two_pass() {
+    fn variance_matches_sequential_two_pass() {
         let data = noise(1000, 10.0, 3);
         let mean: f64 = data.iter().map(|&v| v as f64).sum::<f64>() / 1000.0;
         let two_pass: f64 = data.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / 1000.0;
-        let welford = Variance.score(&data, DIMS);
-        assert!((welford - two_pass).abs() < 1e-9 * two_pass.max(1.0));
+        let lanes = Variance.score(&data, DIMS);
+        assert!((lanes - two_pass).abs() < 1e-9 * two_pass.max(1.0));
     }
 
     #[test]

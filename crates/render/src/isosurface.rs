@@ -42,6 +42,33 @@ const TETS: [[usize; 4]; 6] = [
     [0, 7, 5, 1],
 ];
 
+/// Triangles a tetrahedron emits, by how many of its vertices are inside.
+const TET_TRIANGLES: [u8; 5] = [0, 1, 2, 1, 0];
+
+/// Triangles a cell emits, by its inside mask (bit `c` set when corner `c`
+/// is `> iso`) — the one classification of the [`TETS`] decomposition: the
+/// counter sums it, the mesh builder skips cells it maps to zero and checks
+/// its emitted count against it.
+const CELL_TRIANGLES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let mut t = 0;
+        while t < TETS.len() {
+            let mut inside = 0;
+            let mut v = 0;
+            while v < 4 {
+                inside += (mask >> TETS[t][v]) & 1;
+                v += 1;
+            }
+            table[mask] += TET_TRIANGLES[inside];
+            t += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
 /// Intersection point on the edge `(a, b)` at the isovalue.
 #[inline]
 fn edge_point(pa: Vec3, va: f32, pb: Vec3, vb: f32, iso: f32) -> Vec3 {
@@ -166,33 +193,88 @@ where
                 stats.cells += 1;
                 // Gather the cell's 8 corners (bit0=+x, bit1=+y, bit2=+z).
                 let mut vals = [0.0f32; 8];
-                let mut above = 0;
-                let mut below = 0;
+                let mut mask = 0usize;
                 for (c, val) in vals.iter_mut().enumerate() {
                     let v = data[dims.idx(i + (c & 1), j + ((c >> 1) & 1), k + (c >> 2))];
                     *val = v;
-                    if v > iso {
-                        above += 1;
-                    } else {
-                        below += 1;
-                    }
+                    mask |= usize::from(v > iso) << c;
                 }
-                if above == 0 || below == 0 {
+                let expected = usize::from(CELL_TRIANGLES[mask]);
+                if expected == 0 {
                     continue; // cell doesn't cross the isovalue
                 }
                 let mut pos = [Vec3::default(); 8];
                 for (c, pc) in pos.iter_mut().enumerate() {
                     *pc = Vec3::from_array(position(i + (c & 1), j + ((c >> 1) & 1), k + (c >> 2)));
                 }
+                let mut emitted = 0;
                 for tet in &TETS {
                     let p = [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]];
                     let v = [vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]]];
-                    stats.triangles += tetra(&mut mesh, p, v, iso);
+                    emitted += tetra(&mut mesh, p, v, iso);
                 }
+                debug_assert_eq!(emitted, expected, "cell mask {mask:#010b}");
+                stats.triangles += emitted;
             }
         }
     }
     (mesh, stats)
+}
+
+/// The [`IsoStats`] that [`marching_tetrahedra`] reports for the same array,
+/// counted without building the mesh: no positions, no interpolation, no
+/// allocation. This is what the render-cost step runs — only the counters
+/// feed the virtual clock.
+pub fn iso_stats(data: &[f32], dims: Dims3, iso: f32) -> IsoStats {
+    assert_eq!(data.len(), dims.len(), "data/dims mismatch");
+    if dims.nx < 2 || dims.ny < 2 || dims.nz < 2 {
+        return IsoStats::default();
+    }
+    let cells = (dims.nx - 1) * (dims.ny - 1) * (dims.nz - 1);
+    // Clear air is the majority of a storm domain: with no sample (or
+    // every sample) inside, no cell crosses the isovalue.
+    let inside = data.iter().filter(|&&v| v > iso).count();
+    if inside == 0 || inside == data.len() {
+        return IsoStats {
+            cells,
+            triangles: 0,
+        };
+    }
+    let row = |j: usize, k: usize| &data[dims.idx(0, j, k)..][..dims.nx];
+    let mut triangles = 0usize;
+    for k in 0..dims.nz - 1 {
+        for j in 0..dims.ny - 1 {
+            // The four x-rows bounding this row of cells, in corner order
+            // (bit1 = +y, bit2 = +z). Column `i` holds its four samples at
+            // bits 0, 2, 4, 6: the -x corners of the cell to its right and,
+            // shifted up by one, the +x corners of the cell to its left.
+            let rows = [row(j, k), row(j + 1, k), row(j, k + 1), row(j + 1, k + 1)];
+            let column = |i: usize| {
+                usize::from(rows[0][i] > iso)
+                    | usize::from(rows[1][i] > iso) << 2
+                    | usize::from(rows[2][i] > iso) << 4
+                    | usize::from(rows[3][i] > iso) << 6
+            };
+            let mut left = column(0);
+            for i in 1..dims.nx {
+                let right = column(i);
+                triangles += usize::from(CELL_TRIANGLES[left | right << 1]);
+                left = right;
+            }
+        }
+    }
+    IsoStats { cells, triangles }
+}
+
+/// [`iso_stats`] of one (possibly reduced) block: exactly the counters
+/// [`block_isosurface`] reports, which marches the lattice the block
+/// carries — all samples, the 2×2×2 corners, or the k×k×k samples.
+pub fn block_iso_stats(block: &Block, iso: f32) -> IsoStats {
+    match &block.data {
+        apc_grid::BlockData::Full(samples) => iso_stats(samples, block.dims(), iso),
+        apc_grid::BlockData::Reduced(corners) => iso_stats(corners, Dims3::new(2, 2, 2), iso),
+        apc_grid::BlockData::Sampled { dims, values } => iso_stats(values, *dims, iso),
+    }
 }
 
 /// Isosurface of one (possibly reduced) block, positioned in the domain's
@@ -250,20 +332,19 @@ pub fn recommended_concurrency(nblocks: usize) -> RecommendedConcurrency {
     RecommendedConcurrency::per_items(nblocks, 2)
 }
 
-/// Extract isosurface work counters for a whole block set under an
-/// [`ExecPolicy`], in block order. Meshes are discarded — this is the entry
-/// point for the pipeline's render-cost step and for sweeps, where only the
-/// counted work feeds the virtual clock. The serial path is exactly the
-/// per-block loop the pipeline ran before this layer existed, so counters
-/// are bit-identical under every policy.
+/// Isosurface work counters for a whole block set under an [`ExecPolicy`],
+/// in block order — [`block_iso_stats`] per block, so nothing is meshed and
+/// the counters are bit-identical under every policy. `coords` is unused
+/// (counting needs no positions); it stays in the signature for callers
+/// that hold a block set and its grid together.
 pub fn batch_isosurface_stats(
     blocks: &[Block],
-    coords: &RectilinearCoords,
+    _coords: &RectilinearCoords,
     iso: f32,
     policy: ExecPolicy,
 ) -> Vec<IsoStats> {
     let policy = policy.for_kernel(recommended_concurrency(blocks.len()));
-    par_map(policy, blocks, |b| block_isosurface(b, coords, iso).1)
+    par_map(policy, blocks, |b| block_iso_stats(b, iso))
 }
 
 #[cfg(test)]
@@ -405,6 +486,62 @@ mod tests {
         let (lo, hi) = mesh.bounds().unwrap();
         // Physical extent is [4, 14] on each axis.
         assert!(lo.x >= 4.0 - 1e-4 && hi.x <= 14.0 + 1e-4, "{lo:?} {hi:?}");
+    }
+
+    #[test]
+    fn cell_table_counts_what_the_tetrahedra_emit() {
+        for (mask, &expected) in CELL_TRIANGLES.iter().enumerate() {
+            // One cell with exactly `mask` inside: the builder's own
+            // debug_assert ties its emitted count to the table as well.
+            let data: Vec<f32> = (0..8)
+                .map(|c| if mask >> c & 1 == 1 { 1.0 } else { -1.0 })
+                .collect();
+            let (mesh, stats) = marching_tetrahedra(&data, Dims3::new(2, 2, 2), 0.0, ident);
+            assert_eq!(stats.triangles, usize::from(expected), "{mask}");
+            assert_eq!(mesh.triangle_count(), stats.triangles);
+            let mixed = mask != 0 && mask != 255;
+            assert_eq!(
+                stats.triangles >= 2,
+                mixed,
+                "a cell crosses iff it is mixed"
+            );
+        }
+    }
+
+    #[test]
+    fn count_only_stats_equal_the_mesh_builders() {
+        use apc_par::SplitMix64;
+        let mut rng = SplitMix64::new(0x150_57A7);
+        let shapes = [(2, 2, 2), (11, 11, 19), (5, 3, 7), (1, 6, 4), (4, 1, 3)];
+        for (case, &(nx, ny, nz)) in shapes.iter().cycle().take(40).enumerate() {
+            let dims = Dims3::new(nx, ny, nz);
+            let iso = 45.0f32;
+            // Smooth-ish fields around the isovalue, then the awkward
+            // samples: NaNs (never inside) and exact ties (not inside).
+            let spread = [0.5f32, 5.0, 60.0][case % 3];
+            let mut data: Vec<f32> = (0..dims.len())
+                .map(|_| iso + rng.range_f32(-spread, spread))
+                .collect();
+            for v in &mut data {
+                match rng.below(16) {
+                    0 => *v = f32::NAN,
+                    1 => *v = iso,
+                    _ => {}
+                }
+            }
+            let (mesh, meshed) = marching_tetrahedra(&data, dims, iso, ident);
+            assert_eq!(iso_stats(&data, dims, iso), meshed, "{dims:?} case {case}");
+            assert_eq!(mesh.triangle_count(), meshed.triangles);
+        }
+        // The early-outs: nothing inside, everything inside, all NaN.
+        let dims = Dims3::new(5, 3, 7);
+        for fill in [0.0f32, 90.0, f32::NAN] {
+            let data = vec![fill; dims.len()];
+            let meshed = marching_tetrahedra(&data, dims, 45.0, ident).1;
+            assert_eq!(iso_stats(&data, dims, 45.0), meshed);
+            assert_eq!(meshed.triangles, 0);
+            assert_eq!(meshed.cells, 4 * 2 * 6);
+        }
     }
 
     #[test]

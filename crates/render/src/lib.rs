@@ -32,7 +32,9 @@ pub use camera::Camera;
 pub use colormap::{Colormap, Palette};
 pub use cost::RenderCostModel;
 pub use image::Image;
-pub use isosurface::{batch_isosurface_stats, block_isosurface, marching_tetrahedra, IsoStats};
+pub use isosurface::{
+    batch_isosurface_stats, block_iso_stats, block_isosurface, marching_tetrahedra, IsoStats,
+};
 pub use mesh::TriangleMesh;
 pub use raster::Framebuffer;
 pub use scoremap::render_scoremap;

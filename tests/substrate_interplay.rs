@@ -3,9 +3,10 @@
 
 use insitu::cm1::{ReflectivityDataset, DBZ_ISOVALUE, DBZ_MAX, DBZ_MIN};
 use insitu::compress::{FloatCodec, Fpz};
-use insitu::grid::{interp, Block};
+use insitu::grid::interp;
 use insitu::metrics::{by_name, BlockScorer, CompressionScore};
-use insitu::render::{block_isosurface, Colormap, RenderCostModel};
+use insitu::pipeline::WireBlock;
+use insitu::render::{block_iso_stats, block_isosurface, Colormap, RenderCostModel};
 
 #[test]
 fn fpzip_metric_equals_codec_ratio() {
@@ -104,16 +105,41 @@ fn block_transport_roundtrip_through_comm_layer() {
     let out = Runtime::new(2, NetModel::blue_waters()).run(move |rank| {
         if rank.rank() == 0 {
             for b in &sent {
-                rank.send(1, Tag(1), b.encode());
+                rank.send(1, Tag(1), WireBlock(b.clone()));
             }
             Vec::new()
         } else {
             (0..sent.len())
-                .map(|_| Block::decode(&rank.recv::<Vec<f32>>(0, Tag(1))).unwrap())
+                .map(|_| rank.recv::<WireBlock>(0, Tag(1)).0)
                 .collect()
         }
     });
     assert_eq!(out[1], blocks);
+}
+
+#[test]
+fn count_only_stats_match_the_mesh_builder_on_storm_blocks() {
+    // What the render-cost step counts is what the drawing path meshes,
+    // for every payload a block can carry.
+    let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
+    let coords = dataset.coords();
+    let mut triangles = [0usize; 4];
+    for rank in 0..4 {
+        for block in dataset.rank_blocks(300, rank) {
+            let variants = [
+                block.clone(),
+                block.reduced(),
+                block.downsampled(3),
+                block.downsampled(4),
+            ];
+            for (v, b) in variants.iter().enumerate() {
+                let meshed = block_isosurface(b, coords, DBZ_ISOVALUE).1;
+                assert_eq!(block_iso_stats(b, DBZ_ISOVALUE), meshed, "block {}", b.id);
+                triangles[v] += meshed.triangles;
+            }
+        }
+    }
+    assert!(triangles.iter().all(|&t| t > 0), "{triangles:?}");
 }
 
 #[test]
