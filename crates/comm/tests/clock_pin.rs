@@ -11,7 +11,9 @@
 //! but pasting it is a virtual-time change: every golden moves with it.
 //!
 //! One scripted SPMD sequence on `NetModel::blue_waters()` at 8 and 64
-//! ranks: rank-skewed compute before every step, then each collective
+//! ranks — as the pure wire model and `for_paper_scale()`, whose additive
+//! per-byte ingest makes the order of a receiver's merges and charges
+//! visible: rank-skewed compute before every step, then each collective
 //! once, ending in an `alltoallv` with uneven batches (empty ones, a
 //! non-empty self batch, block-like payloads whose metered size varies).
 
@@ -20,8 +22,13 @@ use std::cmp::Ordering;
 use apc_comm::sort::{gather_sort_broadcast, sample_sort};
 use apc_comm::{Meter, NetModel, Rank, Runtime};
 
-/// `(ranks, digest)` of the script below.
-const PINNED: [(usize, u64); 2] = [(8, 0xc364_0815_3620_705f), (64, 0xde37_ca77_8bff_1a7c)];
+/// `(paper scale, ranks, digest)` of the script below.
+const PINNED: [(bool, usize, u64); 4] = [
+    (false, 8, 0xc364_0815_3620_705f),
+    (false, 64, 0xde37_ca77_8bff_1a7c),
+    (true, 8, 0xe4b4_4bb2_8388_4e7e),
+    (true, 64, 0x3277_7d54_cf31_71ae),
+];
 
 /// Shaped like `apc_core::WireBlock`: a fixed header plus a body whose
 /// length varies per message, metered as the flat buffer a transfer ships.
@@ -176,27 +183,27 @@ fn script(rank: &mut Rank) -> u64 {
 
 #[test]
 fn collective_clocks_and_payloads_are_pinned() {
-    let actual: Vec<(usize, u64)> = PINNED
+    let actual = PINNED.map(|(paper_scale, n, _)| {
+        let net = NetModel::blue_waters();
+        let net = if paper_scale {
+            net.for_paper_scale()
+        } else {
+            net
+        };
+        let mut h = Fnv::new();
+        for (r, d) in Runtime::new(n, net).run(script).into_iter().enumerate() {
+            h.u64(r as u64);
+            h.u64(d);
+        }
+        (paper_scale, n, h.0)
+    });
+    let table: String = actual
         .iter()
-        .map(|&(n, _)| {
-            let mut h = Fnv::new();
-            let per_rank = Runtime::new(n, NetModel::blue_waters()).run(script);
-            for (r, d) in per_rank.into_iter().enumerate() {
-                h.u64(r as u64);
-                h.u64(d);
-            }
-            (n, h.0)
-        })
-        .collect();
-    let table: Vec<String> = actual
-        .iter()
-        .map(|(n, d)| format!("({n}, {d:#018x})"))
+        .map(|(paper_scale, n, d)| format!("    ({paper_scale}, {n}, {d:#018x}),\n"))
         .collect();
     assert_eq!(
-        actual,
-        PINNED,
+        actual, PINNED,
         "virtual time or a delivered payload moved; actual table:\n\
-         const PINNED: [(usize, u64); 2] = [{}];",
-        table.join(", ")
+         const PINNED: [(bool, usize, u64); 4] = [\n{table}];"
     );
 }
