@@ -1,33 +1,38 @@
 //! Collective operations over the rank group.
 //!
 //! All collectives must be called by every rank in the same order (the usual
-//! MPI contract). Data moves through a shared-memory rendezvous; *time*
-//! moves through the [`crate::NetModel`] collective cost formulas, and every
-//! collective max-synchronizes the participating virtual clocks first —
-//! which is what makes "the pipeline is as slow as its slowest rank"
-//! (paper §IV-D) hold in the simulation.
+//! MPI contract). Data moves through one shared-memory rendezvous per
+//! collective — a single phase: every rank deposits its contribution, the
+//! last arriver releases all of them, and each rank then reads what it
+//! needs concurrently, with no lock held. *Time* moves through the
+//! [`crate::NetModel`] collective cost formulas, and every collective
+//! max-synchronizes the participating virtual clocks first — which is what
+//! makes "the pipeline is as slow as its slowest rank" (paper §IV-D) hold
+//! in the simulation.
+//!
+//! A caller argument only some ranks can judge (who supplied the root's
+//! value, how many batches a sender brought) is validated *after* the
+//! rendezvous, from the deposits every rank sees — so a bad argument fails
+//! every rank at once with its own message instead of stranding the
+//! others until the deadlock timeout.
 
-use std::any::Any;
 use std::marker::PhantomData;
+use std::sync::{Mutex, PoisonError};
 
 use crate::meter::Meter;
-use crate::p2p::Tag;
 use crate::runtime::{Contribution, Rank};
 
 /// What one rendezvous' ranks deposited, by rank. Handed to the reader
 /// closure of [`Rank::rendezvous`] by reference, so a collective clones
 /// only the entries it returns.
 pub(crate) struct Deposits<'a, I> {
-    slots: &'a [Option<Contribution>],
+    slots: &'a [Contribution],
     _payload: PhantomData<fn() -> I>,
 }
 
 impl<'a, I: 'static> Deposits<'a, I> {
     pub(crate) fn get(&self, rank: usize) -> &'a I {
-        let (_, _, payload) = self.slots[rank]
-            .as_ref()
-            // apc-lint: allow(unwrap-in-lib): the rendezvous barrier guarantees every rank deposited its slot
-            .expect("missing collective contribution");
+        let (_, _, payload) = &self.slots[rank];
         payload
             .downcast_ref::<I>()
             // apc-lint: allow(unwrap-in-lib): SPMD contract — every rank calls the same collective with the same type
@@ -36,6 +41,21 @@ impl<'a, I: 'static> Deposits<'a, I> {
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &'a I> + '_ {
         (0..self.slots.len()).map(|r| self.get(r))
+    }
+}
+
+impl<'a, T: 'static> Deposits<'a, Option<T>> {
+    /// The value of a root-only argument, once every rank agrees that the
+    /// root and nobody else supplied one.
+    pub(crate) fn of_root(&self, root: usize) -> &'a T {
+        assert!(
+            self.iter()
+                .enumerate()
+                .all(|(r, v)| v.is_some() == (r == root)),
+            "exactly the root must supply a value"
+        );
+        // apc-lint: allow(unwrap-in-lib): asserted just above — the root's deposit is `Some`
+        self.get(root).as_ref().expect("root supplied no value")
     }
 }
 
@@ -48,51 +68,34 @@ impl Rank {
     /// Shared-memory rendezvous: deposit `x`, wait for everyone, let `read`
     /// take what this rank needs from the contributions (by reference, in
     /// rank order), and return that with the maximum participating clock.
-    /// Contributions carry the session-run epoch so a slot left over from
-    /// another run can never be mistaken for this run's data.
+    /// Contributions carry the session-run epoch so a deposit left over
+    /// from another run can never be mistaken for this run's data.
     ///
-    /// `read` runs under the slot lock: it must not panic on anything a
-    /// caller's argument controls (validate after the rendezvous instead,
-    /// so every rank fails together rather than on a poisoned lock).
+    /// `read` runs on every rank concurrently with no lock held (hence
+    /// `I: Sync`), so it may clone at leisure and may panic on what a
+    /// caller's argument controls: every rank sees the same deposits and
+    /// fails together.
     pub(crate) fn rendezvous<I, R>(
         &mut self,
         x: I,
         read: impl FnOnce(&Deposits<'_, I>) -> R,
     ) -> (R, f64)
     where
-        I: Send + 'static,
+        I: Send + Sync + 'static,
     {
-        {
-            // apc-lint: allow(unwrap-in-lib): mutex poisoning means another rank already panicked; propagate the abort
-            let mut slots = self.shared.slots.lock().unwrap();
-            debug_assert!(slots[self.id].is_none(), "collective slot already full");
-            slots[self.id] = Some((self.epoch, self.clock, Box::new(x) as Box<dyn Any + Send>));
+        let mine: Contribution = (self.epoch, self.clock, Box::new(x));
+        let released = self.shared.rendezvous.meet(self.id, mine);
+        for (epoch, _, _) in &released.deposits {
+            assert_eq!(
+                *epoch, self.epoch,
+                "collective contribution from another session run"
+            );
         }
-        self.shared.barrier.wait();
-        let out = {
-            // apc-lint: allow(unwrap-in-lib): mutex poisoning means another rank already panicked; propagate the abort
-            let slots = self.shared.slots.lock().unwrap();
-            let mut max_clock = f64::MIN;
-            for slot in slots.iter() {
-                // apc-lint: allow(unwrap-in-lib): the barrier above guarantees every rank deposited its slot
-                let (epoch, t, _) = slot.as_ref().expect("missing collective contribution");
-                assert_eq!(
-                    *epoch, self.epoch,
-                    "collective contribution from another session run"
-                );
-                max_clock = max_clock.max(*t);
-            }
-            let deposits = Deposits {
-                slots: &slots,
-                _payload: PhantomData,
-            };
-            (read(&deposits), max_clock)
+        let deposits = Deposits {
+            slots: &released.deposits,
+            _payload: PhantomData,
         };
-        self.shared.barrier.wait();
-        // Everyone has read; reclaim our own slot for the next collective.
-        // apc-lint: allow(unwrap-in-lib): mutex poisoning means another rank already panicked; propagate the abort
-        self.shared.slots.lock().unwrap()[self.id] = None;
-        out
+        (read(&deposits), released.max_clock)
     }
 
     /// Synchronize all ranks (and their clocks).
@@ -103,28 +106,21 @@ impl Rank {
     }
 
     /// Broadcast `root`'s value to every rank. Non-root ranks pass `None`.
-    pub fn broadcast<M: Meter + Clone + Send + 'static>(
+    pub fn broadcast<M: Meter + Clone + Send + Sync + 'static>(
         &mut self,
         root: usize,
         value: Option<M>,
     ) -> M {
         assert!(root < self.nranks(), "invalid root rank {root}");
-        assert_eq!(
-            value.is_some(),
-            self.id == root,
-            "exactly the root must supply a value"
-        );
         let n = self.nranks();
-        let (out, max_clock) = self.rendezvous(value, |all| all.get(root).clone());
-        // apc-lint: allow(unwrap-in-lib): asserted above — the root passed Some and root < nranks
-        let out = out.expect("root supplied no value");
+        let (out, max_clock) = self.rendezvous(value, |all| all.of_root(root).clone());
         self.clock = max_clock + self.net().broadcast(n, out.nbytes());
         out
     }
 
     /// Gather every rank's value; all ranks receive the full vector in rank
     /// order.
-    pub fn allgather<M: Meter + Clone + Send + 'static>(&mut self, value: M) -> Vec<M> {
+    pub fn allgather<M: Meter + Clone + Send + Sync + 'static>(&mut self, value: M) -> Vec<M> {
         let n = self.nranks();
         let (vals, max_clock) = self.rendezvous(value, collect);
         let total: usize = vals.iter().map(Meter::nbytes).sum();
@@ -135,7 +131,7 @@ impl Rank {
     /// Gather to `root` only; other ranks get `None`. (The data motion in the
     /// simulation is shared-memory either way; the *charged* time follows the
     /// gather model, which we approximate with the allgather formula.)
-    pub fn gather<M: Meter + Clone + Send + 'static>(
+    pub fn gather<M: Meter + Clone + Send + Sync + 'static>(
         &mut self,
         root: usize,
         value: M,
@@ -153,38 +149,29 @@ impl Rank {
 
     /// Scatter: the root supplies one value per rank; every rank receives
     /// its own entry. Non-root ranks pass `None`.
-    pub fn scatter<M: Meter + Clone + Send + 'static>(
+    pub fn scatter<M: Meter + Clone + Send + Sync + 'static>(
         &mut self,
         root: usize,
         values: Option<Vec<M>>,
     ) -> M {
         assert!(root < self.nranks(), "invalid root rank {root}");
-        assert_eq!(
-            values.is_some(),
-            self.id == root,
-            "exactly the root must supply values"
-        );
         let n = self.nranks();
         let me = self.id;
-        let ((mine, len, total), max_clock) = self.rendezvous(values, |all| {
-            // apc-lint: allow(unwrap-in-lib): asserted above — the root passed Some and root < nranks
-            let all = all.get(root).as_ref().expect("root supplied values");
-            (all.get(me).cloned(), all.len(), all.nbytes())
+        let ((mine, total), max_clock) = self.rendezvous(values, |all| {
+            let values = all.of_root(root);
+            assert_eq!(values.len(), n, "scatter needs one value per rank");
+            (values[me].clone(), values.nbytes())
         });
-        // Validate *after* the rendezvous so a bad argument panics on every
-        // rank together instead of deadlocking the barrier.
-        assert_eq!(len, n, "scatter needs one value per rank");
         // Tree scatter moves ~the full payload out of the root.
         self.clock = max_clock + self.net().allgather(n, total);
-        // apc-lint: allow(unwrap-in-lib): the length assert above guarantees an element at self.id
-        mine.expect("one value per rank")
+        mine
     }
 
     /// Reduce to `root` only (folded in rank order); other ranks get
     /// `None`. Charged like half an allreduce (no result distribution).
     pub fn reduce<M, F>(&mut self, root: usize, value: M, op: F) -> Option<M>
     where
-        M: Meter + Clone + Send + 'static,
+        M: Meter + Clone + Send + Sync + 'static,
         F: FnMut(M, M) -> M,
     {
         assert!(root < self.nranks(), "invalid root rank {root}");
@@ -205,7 +192,7 @@ impl Rank {
     /// every rank receives the result.
     pub fn allreduce<M, F>(&mut self, value: M, op: F) -> M
     where
-        M: Meter + Clone + Send + 'static,
+        M: Meter + Clone + Send + Sync + 'static,
         F: FnMut(M, M) -> M,
     {
         let n = self.nranks();
@@ -225,7 +212,7 @@ impl Rank {
     /// rank 0 receives `None`.
     pub fn exclusive_scan<M, F>(&mut self, value: M, mut op: F) -> Option<M>
     where
-        M: Meter + Clone + Send + 'static,
+        M: Meter + Clone + Send + Sync + 'static,
         F: FnMut(M, M) -> M,
     {
         let n = self.nranks();
@@ -246,36 +233,56 @@ impl Rank {
     /// batch of items for rank `d` (including `d == self`, moved locally).
     /// Returns the incoming batches indexed by source rank.
     ///
-    /// Unlike the other collectives this one really moves the data through
-    /// the point-to-point layer, so per-message sizes are charged
-    /// individually — this is the primitive behind the paper's block
+    /// Unlike the other collectives this one charges every batch
+    /// individually, as the message it is in the paper's block
     /// redistribution (§IV-D: "a series of nonblocking receives ... and a
-    /// series of nonblocking sends").
-    // Loop variables double as rank ids for addressing, not just indices.
-    #[allow(clippy::needless_range_loop)]
-    pub fn alltoallv<M: Meter + Clone + Send + 'static>(
-        &mut self,
-        mut outgoing: Vec<Vec<M>>,
-    ) -> Vec<Vec<M>> {
+    /// series of nonblocking sends"). The batches themselves cross in one
+    /// rendezvous — a metered shared-memory exchange; what replays the
+    /// sends and receives is the *clock*: each batch is stamped with the
+    /// time its send would have left (one `send_overhead` per peer, in
+    /// destination order) and each receiver then merges arrival and ingest
+    /// in source order, the same float operations the point-to-point layer
+    /// performs for those messages.
+    pub fn alltoallv<M: Meter + Send + 'static>(&mut self, outgoing: Vec<Vec<M>>) -> Vec<Vec<M>> {
         let n = self.nranks();
-        assert_eq!(
-            outgoing.len(),
-            n,
-            "alltoallv needs one outgoing batch per rank"
-        );
-        let mut incoming: Vec<Vec<M>> = (0..n).map(|_| Vec::new()).collect();
-        incoming[self.id] = std::mem::take(&mut outgoing[self.id]);
-        // Post all sends first (non-blocking), then drain receives.
-        for dst in 0..n {
-            if dst != self.id {
-                let batch = std::mem::take(&mut outgoing[dst]);
-                self.isend(dst, Tag::ALLTOALLV, batch);
+        let me = self.id;
+        let net = self.net();
+        // One cell per destination: (send clock, metered bytes, batch).
+        // A cell is taken once, by its destination, so the mutex is never
+        // contended; it is what lets a batch move out of a shared deposit.
+        let cells: Vec<_> = outgoing
+            .into_iter()
+            .enumerate()
+            .map(|(dst, batch)| {
+                if dst != me {
+                    self.clock += net.send_overhead;
+                }
+                Mutex::new(Some((self.clock, batch.nbytes(), batch)))
+            })
+            .collect();
+        // The rendezvous' own max clock is not charged: peers synchronize
+        // through the per-message arrivals below, as real p2p traffic does.
+        let (column, _) = self.rendezvous(cells, |all| {
+            all.iter()
+                .map(|cells| {
+                    assert_eq!(
+                        cells.len(),
+                        n,
+                        "alltoallv needs one outgoing batch per rank"
+                    );
+                    let mut cell = cells[me].lock().unwrap_or_else(PoisonError::into_inner);
+                    // apc-lint: allow(unwrap-in-lib): each cell is taken exactly once, by its destination
+                    cell.take().expect("alltoallv cell already taken")
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut incoming = Vec::with_capacity(n);
+        for (src, (ts, bytes, batch)) in column.into_iter().enumerate() {
+            if src != me {
+                self.merge_clock(ts + net.p2p(bytes));
+                self.advance(net.ingest(bytes));
             }
-        }
-        for src in 0..n {
-            if src != self.id {
-                incoming[src] = self.recv::<Vec<M>>(src, Tag::ALLTOALLV);
-            }
+            incoming.push(batch);
         }
         incoming
     }
@@ -283,8 +290,15 @@ impl Rank {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::{Duration, Instant};
+
+    use apc_par::SplitMix64;
+
+    use crate::meter::Meter;
     use crate::netmodel::NetModel;
-    use crate::runtime::Runtime;
+    use crate::p2p::Tag;
+    use crate::runtime::{Rank, Runtime};
 
     #[test]
     fn barrier_synchronizes_clocks() {
@@ -449,6 +463,122 @@ mod tests {
                 assert!(batch.iter().all(|&v| v == src as u32));
             }
         }
+    }
+
+    /// The isend/recv exchange `alltoallv` was before its batches moved
+    /// onto the rendezvous: the reference its clock replay must equal.
+    // Loop variables double as rank ids for addressing, not just indices.
+    #[allow(clippy::needless_range_loop)]
+    fn alltoallv_by_p2p<M: Meter + Send + 'static>(
+        rank: &mut Rank,
+        mut outgoing: Vec<Vec<M>>,
+    ) -> Vec<Vec<M>> {
+        const TAG: Tag = Tag(77);
+        let (n, me) = (rank.nranks(), rank.rank());
+        let mut incoming: Vec<Vec<M>> = (0..n).map(|_| Vec::new()).collect();
+        incoming[me] = std::mem::take(&mut outgoing[me]);
+        // Post all sends first (non-blocking), then drain receives.
+        for dst in 0..n {
+            if dst != me {
+                let batch = std::mem::take(&mut outgoing[dst]);
+                rank.isend(dst, TAG, batch);
+            }
+        }
+        for src in 0..n {
+            if src != me {
+                incoming[src] = rank.recv::<Vec<M>>(src, TAG);
+            }
+        }
+        incoming
+    }
+
+    /// Deliberately not `Clone`: batches move.
+    #[derive(Debug, PartialEq)]
+    struct Chunk(Vec<f32>);
+
+    impl Meter for Chunk {
+        fn nbytes(&self) -> usize {
+            32 + self.0.nbytes()
+        }
+    }
+
+    type Exchange = fn(&mut Rank, Vec<Vec<Chunk>>) -> Vec<Vec<Chunk>>;
+
+    /// Three skewed exchanges of random shape per rank (empty batches,
+    /// empty chunks, a self batch); every delivery and the clock after it.
+    fn exchanges(n: usize, seed: u64, exchange: Exchange) -> Vec<Vec<(Vec<Vec<Chunk>>, u64)>> {
+        // Paper scale: the additive ingest charge makes the order of a
+        // receiver's merges and charges visible in the clock bits.
+        Runtime::new(n, NetModel::blue_waters().for_paper_scale()).run(|rank| {
+            let mut rng = SplitMix64::new(seed ^ ((rank.rank() as u64) << 32));
+            (0..3)
+                .map(|_| {
+                    rank.advance(rng.next_f64() * 1e-3);
+                    let outgoing = (0..n)
+                        .map(|_| {
+                            (0..rng.below(4))
+                                .map(|_| Chunk(vec![rng.range_f32(-1.0, 1.0); rng.below(400)]))
+                                .collect()
+                        })
+                        .collect();
+                    (exchange(rank, outgoing), rank.clock().to_bits())
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn alltoallv_replays_the_p2p_exchange_bit_for_bit() {
+        for (n, seed) in [(1, 11), (2, 12), (3, 13), (7, 14), (16, 15)] {
+            assert_eq!(
+                exchanges(n, seed, |rank, outgoing| rank.alltoallv(outgoing)),
+                exchanges(n, seed, alltoallv_by_p2p),
+                "{n} ranks: payload order or clock bits differ from the p2p exchange"
+            );
+        }
+    }
+
+    /// An argument one rank gets wrong fails every rank right after the
+    /// rendezvous, with the argument's own message — not the offender
+    /// alone before it, stranding its peers until the deadlock timeout.
+    fn assert_fails_every_rank_at_once(expected: &str, job: impl Fn(&mut Rank) + Sync) {
+        let t0 = Instant::now();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            Runtime::new(4, NetModel::free())
+                .deadlock_timeout(Duration::from_secs(30))
+                .run(job)
+        }));
+        let payload = caught.expect_err("a bad argument must fail the run");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains(expected), "expected {expected:?}, got: {msg}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "peers sat out the deadlock timeout: {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_bad_argument_on_one_rank_fails_every_rank_at_once() {
+        // Rank 0's panic is the one `run` re-raises, so the offender is
+        // always another rank: rank 0 must have seen the mistake itself.
+        assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
+            let _: u32 = rank.broadcast(3, (rank.rank() >= 2).then_some(7));
+        });
+        assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
+            let _: u32 = rank.broadcast(3, None);
+        });
+        assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
+            let _: u32 = rank.scatter(1, (rank.rank() % 2 == 1).then(|| vec![1, 2, 3, 4]));
+        });
+        assert_fails_every_rank_at_once("one outgoing batch per rank", |rank| {
+            let batches = if rank.rank() == 2 { 3 } else { 4 };
+            rank.alltoallv(vec![vec![0u8]; batches]);
+        });
     }
 
     #[test]

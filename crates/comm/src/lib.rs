@@ -14,7 +14,7 @@
 //!   threads once and executes a series of closures over them
 //!   ([`Session::run`]) — the substrate of parameter sweeps, which replay
 //!   many configurations over the same ranks. Runs are isolated by
-//!   epoch-stamped envelopes and collective slots plus a per-run
+//!   epoch-stamped envelopes and collective contributions plus a per-run
 //!   virtual-clock reset, so a session run is observationally identical to
 //!   a one-shot `Runtime::run` (which is itself implemented as a
 //!   single-run session).
@@ -24,6 +24,13 @@
 //!   Collectives max-synchronize clocks, so "the step is as slow as the
 //!   slowest rank" holds exactly as on a real machine, while wall-clock
 //!   execution stays laptop-scale and deterministic.
+//! * **One rendezvous under every collective** ([`collectives`]): a single
+//!   phase — each rank deposits its contribution and is counted under one
+//!   lock, the last arriver releases all of them and wakes the rest, and
+//!   every rank reads what it needs with no lock held. `alltoallv` is a
+//!   metered shared-memory exchange through it: the batches cross in one
+//!   meeting, and the paper's §IV-D sends and receives are what its
+//!   *clock* replays.
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
 //!   (§IV-C) plus a real parallel sample sort used as an ablation.
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):

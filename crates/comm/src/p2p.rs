@@ -12,16 +12,14 @@ use std::marker::PhantomData;
 use crate::meter::Meter;
 use crate::runtime::Rank;
 
-/// Message tag. The pipeline uses small user tags; the runtime reserves the
-/// upper half of the space for internal collectives.
+/// Message tag. The pipeline uses small user tags; the runtime reserves two
+/// bands at the top of the space for the stage queues and serve endpoints
+/// of [`crate::bounded`]. No collective travels by tag (the two values above
+/// `STAGE_BASE` are unreserved).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tag(pub u32);
 
 impl Tag {
-    /// Internal tag used by [`crate::collectives::Rank::alltoallv`].
-    pub(crate) const ALLTOALLV: Tag = Tag(u32::MAX);
-    /// Internal tag used by [`crate::sort::sample_sort`].
-    pub(crate) const SAMPLE_SORT: Tag = Tag(u32::MAX - 1);
     /// Base of the internal tag pairs used by [`crate::bounded`] stage
     /// queues; channel `c` occupies `STAGE_BASE - 2c` (data) and
     /// `STAGE_BASE - 2c - 1` (credits).

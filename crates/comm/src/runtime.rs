@@ -1,4 +1,5 @@
-//! The rank runtime: one OS thread per rank, shared rendezvous state.
+//! The rank runtime: one OS thread per rank, one shared `Rendezvous` under
+//! every collective.
 //!
 //! Two entry points share the same machinery:
 //!
@@ -28,8 +29,8 @@ use std::time::{Duration, Instant};
 use crate::netmodel::NetModel;
 use crate::p2p::{Envelope, Tag};
 
-/// Default for how long a blocking receive — or a collective barrier
-/// wait — lasts before declaring the program deadlocked. Generous enough
+/// Default for how long a blocking receive — or a wait in a collective's
+/// rendezvous — lasts before declaring the program deadlocked. Generous enough
 /// for oversubscribed CI machines, small enough that a buggy pipeline
 /// fails a test instead of hanging it forever. Override with
 /// `APC_RECV_TIMEOUT` (seconds, float) — the workspace-level
@@ -67,57 +68,110 @@ fn recv_timeout() -> Duration {
 
 /// A deposited collective contribution: `(epoch, virtual clock, payload)`.
 /// The epoch pins the contribution to the session run that deposited it.
-pub(crate) type Contribution = (u64, f64, Box<dyn Any + Send>);
+pub(crate) type Contribution = (u64, f64, Box<dyn Any + Send + Sync>);
 
-/// A reusable (generation-counted) barrier whose wait gives up after the
-/// configured receive timeout. `std::sync::Barrier` waits forever, which
-/// turns "one rank panicked before its collective" into every *other*
-/// rank blocking eternally — and with it the whole run. Here the stranded
-/// ranks panic with a diagnostic instead, so the run fails loudly within
-/// the timeout and the original panic still propagates.
-pub(crate) struct TimeoutBarrier {
+/// What one completed rendezvous hands every participant: the
+/// contributions by rank and the latest of their clocks. Shared, so ranks
+/// read it concurrently with no lock held; the payloads are freed once
+/// the last reader is done and the next rendezvous has completed.
+#[derive(Default)]
+pub(crate) struct Released {
+    pub deposits: Vec<Contribution>,
+    pub max_clock: f64,
+}
+
+struct Meeting {
+    /// Contributions to the generation still assembling, by rank.
+    pending: Vec<Option<Contribution>>,
+    arrived: usize,
+    generation: u64,
+    /// What the last completed generation released.
+    released: Arc<Released>,
+}
+
+/// The single-phase meeting point under every collective: each rank takes
+/// the one mutex once, to deposit its contribution *and* be counted; the
+/// last arriver moves the deposits into a fresh [`Released`], bumps the
+/// generation, drops the lock and only then wakes the others (waking them
+/// under the lock would park all of them on it again, to be handed it one
+/// context switch at a time).
+///
+/// One phase is enough. Generation *g + 1* can complete only after every
+/// rank arrived at it, and a rank arrives at *g + 1* only after it woke
+/// from *g* and cloned `released` under the lock — so `released` is never
+/// replaced while a rank of *g* still has to pick it up, and the `pending`
+/// deposits of *g + 1* never mix with the released ones of *g*. Spurious
+/// wake-ups loop on the generation.
+///
+/// A wait gives up after the configured receive timeout.
+/// `std::sync::Barrier` waits forever, which turns "one rank panicked
+/// before its collective" into every *other* rank blocking eternally — and
+/// with it the whole run. Here the stranded ranks panic with a diagnostic
+/// instead, so the run fails loudly within the timeout and the original
+/// panic still propagates. Nothing panics while the lock is held: epoch
+/// and type checks run on every rank after the release, so a mismatch is
+/// a diagnostic on every rank rather than a poisoned mutex.
+pub(crate) struct Rendezvous {
     n: usize,
     timeout: Duration,
-    state: Mutex<(usize, u64)>, // (waiting count, generation)
+    state: Mutex<Meeting>,
     cvar: Condvar,
 }
 
-impl TimeoutBarrier {
+impl Rendezvous {
     fn new(n: usize, timeout: Duration) -> Self {
         Self {
             n,
             timeout,
-            state: Mutex::new((0, 0)),
+            state: Mutex::new(Meeting {
+                pending: (0..n).map(|_| None).collect(),
+                arrived: 0,
+                generation: 0,
+                released: Arc::default(),
+            }),
             cvar: Condvar::new(),
         }
     }
 
-    pub fn wait(&self) {
-        // apc-lint: allow(unwrap-in-lib): barrier mutex poisoning means a rank already panicked; propagate the abort
+    /// Deposit rank `id`'s contribution and wait for everyone else's.
+    pub fn meet(&self, id: usize, contribution: Contribution) -> Arc<Released> {
+        // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex; poisoning means a rank thread was killed mid-update, propagate the abort
         let mut state = self.state.lock().unwrap();
-        let generation = state.1;
-        state.0 += 1;
-        if state.0 == self.n {
-            state.0 = 0;
-            state.1 += 1;
+        state.pending[id] = Some(contribution);
+        state.arrived += 1;
+        if state.arrived == self.n {
+            let deposits: Vec<Contribution> =
+                state.pending.iter_mut().filter_map(Option::take).collect();
+            let max_clock = deposits.iter().fold(f64::MIN, |max, d| max.max(d.1));
+            let released = Arc::new(Released {
+                deposits,
+                max_clock,
+            });
+            // The previous generation's payloads are freed below, after
+            // the unlock and the wake-up.
+            let _previous = std::mem::replace(&mut state.released, Arc::clone(&released));
+            state.arrived = 0;
+            state.generation += 1;
+            drop(state);
             self.cvar.notify_all();
-            return;
+            return released;
         }
+        let generation = state.generation;
         // apc-lint: allow(wall-clock): deadlock-timeout machinery only — the real clock bounds how long we
         // wait for dead peers and never reaches virtual time or results
         let deadline = Instant::now() + self.timeout;
-        while state.1 == generation {
+        while state.generation == generation {
             // apc-lint: allow(wall-clock): deadlock-timeout machinery (see above)
             let remaining = deadline.saturating_duration_since(Instant::now());
-            // apc-lint: allow(unwrap-in-lib): condvar mutex poisoning means a rank already panicked; propagate the abort
+            // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex (see above); propagate the abort
             let (guard, result) = self.cvar.wait_timeout(state, remaining).unwrap();
             state = guard;
-            if result.timed_out() && state.1 == generation {
-                let arrived = state.0;
+            if result.timed_out() && state.generation == generation {
+                let arrived = state.arrived;
                 // Release the lock before unwinding so fellow waiters see
                 // their own timeout diagnostic, not a poisoned mutex.
                 drop(state);
-                // apc-lint: allow(unwrap-in-lib): a barrier deadlock is unrecoverable; the panic is the diagnostic
+                // apc-lint: allow(unwrap-in-lib): a collective deadlock is unrecoverable; the panic is the diagnostic
                 panic!(
                     "deadlocked in a collective barrier after {:.1} s: only {arrived} \
                      of {} ranks arrived (a peer died or diverged)",
@@ -126,17 +180,18 @@ impl TimeoutBarrier {
                 );
             }
         }
+        Arc::clone(&state.released)
     }
 }
 
 pub(crate) struct Shared {
     pub nranks: usize,
     pub net: NetModel,
-    pub barrier: TimeoutBarrier,
-    /// Rendezvous slots for collectives.
-    pub slots: Mutex<Vec<Option<Contribution>>>,
-    /// How long receives and barrier waits block before declaring
-    /// deadlock (from `APC_RECV_TIMEOUT`, overridable per runtime).
+    /// Where every collective meets.
+    pub rendezvous: Rendezvous,
+    /// How long receives block before declaring deadlock (from
+    /// `APC_RECV_TIMEOUT`, overridable per runtime); the rendezvous holds
+    /// the same value for its waits.
     pub timeout: Duration,
 }
 
@@ -166,7 +221,7 @@ impl Runtime {
         self
     }
 
-    /// Override the deadlock timeout (receives and barrier waits) for
+    /// Override the deadlock timeout (receives and rendezvous waits) for
     /// runtimes built from this configuration; defaults to
     /// `APC_RECV_TIMEOUT` / 300 s.
     pub fn deadlock_timeout(mut self, timeout: Duration) -> Self {
@@ -198,8 +253,7 @@ impl Runtime {
         let shared = Arc::new(Shared {
             nranks: n,
             net: self.net,
-            barrier: TimeoutBarrier::new(n, timeout),
-            slots: Mutex::new((0..n).map(|_| None).collect()),
+            rendezvous: Rendezvous::new(n, timeout),
             timeout,
         });
 
@@ -234,8 +288,8 @@ impl Runtime {
                     };
                     // The job loop: run each dispatched closure, report its
                     // outcome, and stop on the first panic (the session is
-                    // poisoned then — shared barrier/slot state may be out
-                    // of step) or when the session is dropped.
+                    // poisoned then — the shared rendezvous may be out of
+                    // step) or when the session is dropped.
                     while let Ok(job) = job_rx.recv() {
                         rank.begin_run(job.epoch);
                         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -325,14 +379,14 @@ where
 ///
 /// Each [`Session::run`] call executes one SPMD closure across all ranks
 /// and blocks until every rank finishes, so consecutive runs are fully
-/// serialized — combined with epoch-stamped envelopes and collective slots,
+/// serialized — combined with epoch-stamped envelopes and contributions,
 /// messages from different runs can never cross. Per run, every rank's
 /// virtual clock restarts at zero and its stash is cleared, so a session
 /// run is observationally identical to a fresh [`Runtime::run`].
 ///
 /// A panic in any rank propagates out of [`Session::run`] with the original
-/// payload and **poisons** the session (the shared barrier may be out of
-/// step); later runs panic immediately. Dropping the session joins the
+/// payload and **poisons** the session (the shared rendezvous may be out
+/// of step); later runs panic immediately. Dropping the session joins the
 /// threads.
 ///
 /// ```
@@ -707,8 +761,8 @@ mod tests {
     #[test]
     fn panic_next_to_a_collective_fails_the_run_instead_of_hanging() {
         // Rank 2 panics before its allreduce contribution; ranks 0 and 1
-        // are stranded in the collective barrier. With std's Barrier they
-        // would block forever and the run would hang; the timeout barrier
+        // are stranded in the collective's rendezvous. With std's Barrier
+        // they would block forever and the run would hang; the timed wait
         // fails them loudly and the run terminates with a panic within
         // the deadlock timeout.
         let t0 = Instant::now();

@@ -9,7 +9,6 @@
 use std::cmp::Ordering;
 
 use crate::meter::Meter;
-use crate::p2p::Tag;
 use crate::runtime::Rank;
 
 /// Cost charged per element of a comparison sort, seconds. Calibrated to a
@@ -38,7 +37,7 @@ fn sort_compute_cost(n: usize) -> f64 {
 /// caller, e.g. by block id — §IV-C).
 pub fn gather_sort_broadcast<K, F>(rank: &mut Rank, local: Vec<K>, cmp: F) -> Vec<K>
 where
-    K: Meter + Clone + Send + 'static,
+    K: Meter + Clone + Send + Sync + 'static,
     F: Fn(&K, &K) -> Ordering,
 {
     const ROOT: usize = 0;
@@ -48,13 +47,9 @@ where
         all.sort_by(&cmp);
         all
     });
-    let (all, _) = rank.rendezvous(sorted, |shared| {
-        shared
-            .get(ROOT)
-            .clone()
-            // apc-lint: allow(unwrap-in-lib): the root deposited `Some` just above (had it panicked instead, the barrier timeout fails this rank first)
-            .expect("the root shares the sorted vector")
-    });
+    // Had the root panicked in its sort instead of depositing, the
+    // rendezvous timeout fails this rank first.
+    let (all, _) = rank.rendezvous(sorted, |shared| shared.of_root(ROOT).clone());
     rank.advance(sort_compute_cost(all.len()));
     let bytes: usize = all.iter().map(Meter::nbytes).sum();
     let t = rank.net().broadcast(n, bytes);
@@ -63,14 +58,12 @@ where
 }
 
 /// Parallel sample sort (ablation): local sort, regular sampling, splitter
-/// selection, bucket exchange via point-to-point, local merge, and a final
-/// allgather so every rank holds the full sorted vector — same contract as
-/// [`gather_sort_broadcast`].
-// Loop variables double as rank ids for addressing, not just indices.
-#[allow(clippy::needless_range_loop)]
+/// selection, bucket exchange via [`Rank::alltoallv`], local merge, and a
+/// final allgather so every rank holds the full sorted vector — same
+/// contract as [`gather_sort_broadcast`].
 pub fn sample_sort<K, F>(rank: &mut Rank, mut local: Vec<K>, cmp: F) -> Vec<K>
 where
-    K: Meter + Clone + Send + 'static,
+    K: Meter + Clone + Send + Sync + 'static,
     F: Fn(&K, &K) -> Ordering,
 {
     let n = rank.nranks();
@@ -111,21 +104,8 @@ where
         buckets[b].push(item);
     }
 
-    // Exchange buckets (real p2p traffic, charged per message).
-    for dst in 0..n {
-        if dst != rank.rank() {
-            let batch = std::mem::take(&mut buckets[dst]);
-            rank.isend(dst, Tag::SAMPLE_SORT, batch);
-        }
-    }
-    let mut mine: Vec<Vec<K>> = Vec::with_capacity(n);
-    for src in 0..n {
-        if src == rank.rank() {
-            mine.push(std::mem::take(&mut buckets[src]));
-        } else {
-            mine.push(rank.recv::<Vec<K>>(src, Tag::SAMPLE_SORT));
-        }
-    }
+    // Exchange buckets (charged per message).
+    let mine = rank.alltoallv(buckets);
 
     // Merge the sorted runs (charged as one comparison sort of the total).
     let total: usize = mine.iter().map(Vec::len).sum();
@@ -272,7 +252,7 @@ mod tests {
     #[test]
     fn both_sorts_are_stable_across_session_runs() {
         // Sweeps re-run the global sort many times over one session; the
-        // internal SAMPLE_SORT p2p tags must not leak between runs.
+        // bucket exchange must not leak between runs.
         let mut session = Runtime::new(4, NetModel::blue_waters()).session();
         let gsb = session
             .run(|rank| gather_sort_broadcast(rank, scored_pairs(rank.rank(), 40), cmp_pairs));

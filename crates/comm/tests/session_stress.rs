@@ -3,8 +3,8 @@
 //! every run either **completes** or **panics and poisons the session**;
 //! nothing is allowed to deadlock past the configured receive timeout,
 //! no matter where in the SPMD workload the panic lands (before a
-//! collective, between a collective and the p2p ring, or after a
-//! receive).
+//! collective, between a collective and the p2p ring, after a receive
+//! in front of the all-to-all, or before the closing barrier).
 //!
 //! All randomness comes from the in-tree seeded PRNG, so a failure here
 //! replays deterministically.
@@ -22,8 +22,12 @@ const ROUNDS: usize = 10;
 /// needs microseconds.
 const TIMEOUT: Duration = Duration::from_millis(400);
 
-/// One SPMD job: an allreduce, a ring exchange, a barrier — with an
-/// optional panic injected at one of three sites on one victim rank.
+/// How many places [`job`] can be told to panic at.
+const SITES: usize = 4;
+
+/// One SPMD job: an allreduce, a ring exchange, an all-to-all, a barrier —
+/// with an optional panic injected at one of [`SITES`] sites on one victim
+/// rank.
 fn job(rank: &mut apc_comm::Rank, inject_site: Option<(usize, usize)>) -> (u64, u64) {
     let r = rank.rank();
     let n = rank.nranks();
@@ -37,7 +41,16 @@ fn job(rank: &mut apc_comm::Rank, inject_site: Option<(usize, usize)>) -> (u64, 
     boom(1); // between collective and ring: peers strand in recv
     rank.send((r + 1) % n, Tag(7), r as u64);
     let left = rank.recv::<u64>((r + n - 1) % n, Tag(7));
-    boom(2); // after the exchange: peers strand in the closing barrier
+    boom(2); // after the ring: peers strand in the all-to-all's rendezvous
+    let incoming = rank.alltoallv((0..n).map(|dst| vec![(r * n + dst) as u64]).collect());
+    for (src, batch) in incoming.into_iter().enumerate() {
+        assert_eq!(
+            batch,
+            [(src * n + r) as u64],
+            "all-to-all wrong on rank {r}"
+        );
+    }
+    boom(3); // after the exchanges: peers strand in the closing barrier
     rank.barrier();
     (sum, left)
 }
@@ -57,7 +70,7 @@ fn randomized_rank_panics_complete_or_poison_never_deadlock() {
         let runs = 1 + rng.below(8);
         for run_idx in 0..runs {
             // ~1/3 of runs sabotage one rank at a random site.
-            let inject_site = (rng.below(3) == 0).then(|| (rng.below(nranks), rng.below(3)));
+            let inject_site = (rng.below(3) == 0).then(|| (rng.below(nranks), rng.below(SITES)));
             let t0 = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 session.run(|rank| job(rank, inject_site))
@@ -124,6 +137,45 @@ fn randomized_rank_panics_complete_or_poison_never_deadlock() {
         "stress suite exceeded its wall budget: {:?}",
         overall.elapsed()
     );
+}
+
+/// The all-to-all's failure story, where it moved: its batches cross in a
+/// rendezvous now, not as per-peer messages, so a rank that dies in front
+/// of it strands its peers *there* — they must fail with the rendezvous'
+/// arrival-count diagnostic inside the timeout (it used to be a receive
+/// timeout per missing message), the session poisoned, a fresh one sound.
+#[test]
+fn a_rank_dying_before_the_all_to_all_strands_peers_in_its_rendezvous() {
+    const NRANKS: usize = 4;
+    let runtime = Runtime::new(NRANKS, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let mut session = runtime.session();
+    assert_eq!(session.run(|rank| job(rank, None))[0].0, 10);
+
+    let t0 = Instant::now();
+    // Rank 0's panic is the one `run` re-raises; the victim is rank 1, so
+    // what surfaces is a stranded peer's diagnostic.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        session.run(|rank| job(rank, Some((1, 2))))
+    }));
+    let payload = result.expect_err("the run must fail, not complete");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("only 3 of 4 ranks arrived"),
+        "stranded peers must report the rendezvous' arrival count, got: {msg}"
+    );
+    assert!(
+        t0.elapsed() < Duration::from_secs(30),
+        "stranded peers must fail within the deadlock timeout"
+    );
+    assert!(session.is_poisoned(), "the panic poisons the session");
+
+    drop(session);
+    let mut fresh = runtime.session();
+    let out = fresh.run(|rank| job(rank, None));
+    assert_eq!(out[2], (10, 1));
 }
 
 /// The staged-queue failure story: simulation ranks feed a stager through

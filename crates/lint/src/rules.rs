@@ -101,10 +101,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "tag-range",
-        summary: "reserved message-tag ranges in apc-comm (ALLTOALLV, \
-                  SAMPLE_SORT, STAGE, SERVE, user tags) must stay pairwise \
-                  disjoint; checked by evaluating the const arithmetic in \
-                  p2p.rs and bounded.rs",
+        summary: "reserved message-tag ranges in apc-comm (STAGE, SERVE, \
+                  user tags) must stay pairwise disjoint; checked by \
+                  evaluating the const arithmetic in p2p.rs and bounded.rs",
         scope: "semantic check over crates/comm/src/{p2p,bounded}.rs",
     },
 ];

@@ -5,7 +5,6 @@
 //!
 //! The tag scheme this rule encodes (see the rustdoc on `Tag` in p2p.rs):
 //!
-//! * `ALLTOALLV` and `SAMPLE_SORT` are single reserved tags;
 //! * stage queues occupy `[STAGE_BASE - 2*(MAX_CHANNEL-1) - 1, STAGE_BASE]`
 //!   (channel `c` uses `STAGE_BASE - 2c` for data, `- 2c - 1` for credits);
 //! * serve endpoints occupy the same-shaped band below `SERVE_BASE`;
@@ -63,13 +62,9 @@ pub fn check_tag_layout(p2p_src: &str, bounded_src: &str) -> Vec<Violation> {
         }
     };
 
-    let (Some(alltoallv), Some(sample_sort), Some(stage_base), Some(serve_base), Some(max_channel)) = (
-        get("ALLTOALLV"),
-        get("SAMPLE_SORT"),
-        get("STAGE_BASE"),
-        get("SERVE_BASE"),
-        get("MAX_CHANNEL"),
-    ) else {
+    let (Some(stage_base), Some(serve_base), Some(max_channel)) =
+        (get("STAGE_BASE"), get("SERVE_BASE"), get("MAX_CHANNEL"))
+    else {
         return out;
     };
 
@@ -83,18 +78,7 @@ pub fn check_tag_layout(p2p_src: &str, bounded_src: &str) -> Vec<Violation> {
             hi: base,
         })
     };
-    let mut bands = vec![
-        TagBand {
-            name: "ALLTOALLV",
-            lo: alltoallv,
-            hi: alltoallv,
-        },
-        TagBand {
-            name: "SAMPLE_SORT",
-            lo: sample_sort,
-            hi: sample_sort,
-        },
-    ];
+    let mut bands = Vec::new();
     for (name, base) in [("STAGE", stage_base), ("SERVE", serve_base)] {
         match band(name, base) {
             Some(b) => bands.push(b),
@@ -389,8 +373,6 @@ mod tests {
     use super::*;
 
     const GOOD_P2P: &str = "
-        pub(crate) const ALLTOALLV: Tag = Tag(u32::MAX);
-        pub(crate) const SAMPLE_SORT: Tag = Tag(u32::MAX - 1);
         pub(crate) const STAGE_BASE: u32 = u32::MAX - 2;
         pub(crate) const SERVE_BASE: u32 = Tag::STAGE_BASE - 2 * (1 << 16);
     ";
