@@ -84,7 +84,8 @@ impl Rank {
         I: Send + Sync + 'static,
     {
         let mine: Contribution = (self.epoch, self.clock, Box::new(x));
-        let released = self.shared.rendezvous.meet(self.id, mine);
+        let shared = &self.shared;
+        let released = shared.rendezvous.meet(self.id, mine, shared.timeout);
         for (epoch, _, _) in &released.deposits {
             assert_eq!(
                 *epoch, self.epoch,
@@ -240,9 +241,9 @@ impl Rank {
     /// rendezvous — a metered shared-memory exchange; what replays the
     /// sends and receives is the *clock*: each batch is stamped with the
     /// time its send would have left (one `send_overhead` per peer, in
-    /// destination order) and each receiver then merges arrival and ingest
-    /// in source order, the same float operations the point-to-point layer
-    /// performs for those messages.
+    /// destination order) and each receiver then charges the receipts in
+    /// source order, through the same `charge_receive` a point-to-point
+    /// `recv` of those messages goes through.
     pub fn alltoallv<M: Meter + Send + 'static>(&mut self, outgoing: Vec<Vec<M>>) -> Vec<Vec<M>> {
         let n = self.nranks();
         let me = self.id;
@@ -279,8 +280,7 @@ impl Rank {
         let mut incoming = Vec::with_capacity(n);
         for (src, (ts, bytes, batch)) in column.into_iter().enumerate() {
             if src != me {
-                self.merge_clock(ts + net.p2p(bytes));
-                self.advance(net.ingest(bytes));
+                self.charge_receive(ts + net.p2p(bytes), bytes);
             }
             incoming.push(batch);
         }

@@ -90,12 +90,17 @@ impl Rank {
     /// sender's clock plus the modeled transfer time into this rank's clock.
     pub fn recv<M: Send + 'static>(&mut self, src: usize, tag: Tag) -> M {
         let (msg, arrival, bytes) = self.recv_with_arrival(src, tag);
-        self.merge_clock(arrival);
-        // Receiver-side software cost (deserialization/ingest). Additive,
-        // so a rank receiving many messages pays for each of them.
-        let ingest = self.net().ingest(bytes);
-        self.advance(ingest);
+        self.charge_receive(arrival, bytes);
         msg
+    }
+
+    /// What receiving a `bytes`-sized message that arrived at `arrival`
+    /// does to the clock: wait for it, then pay the receiver-side software
+    /// cost (deserialization/ingest). Additive, so a rank receiving many
+    /// messages pays for each of them.
+    pub(crate) fn charge_receive(&mut self, arrival: f64, bytes: usize) {
+        self.merge_clock(arrival);
+        self.advance(self.net().ingest(bytes));
     }
 
     /// Blocking receive that does **not** touch the consumer's clock:

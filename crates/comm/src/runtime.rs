@@ -103,7 +103,7 @@ struct Meeting {
 /// deposits of *g + 1* never mix with the released ones of *g*. Spurious
 /// wake-ups loop on the generation.
 ///
-/// A wait gives up after the configured receive timeout.
+/// A wait gives up after `timeout`, the configured receive timeout.
 /// `std::sync::Barrier` waits forever, which turns "one rank panicked
 /// before its collective" into every *other* rank blocking eternally — and
 /// with it the whole run. Here the stranded ranks panic with a diagnostic
@@ -113,16 +113,14 @@ struct Meeting {
 /// a diagnostic on every rank rather than a poisoned mutex.
 pub(crate) struct Rendezvous {
     n: usize,
-    timeout: Duration,
     state: Mutex<Meeting>,
     cvar: Condvar,
 }
 
 impl Rendezvous {
-    fn new(n: usize, timeout: Duration) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             n,
-            timeout,
             state: Mutex::new(Meeting {
                 pending: (0..n).map(|_| None).collect(),
                 arrived: 0,
@@ -133,8 +131,9 @@ impl Rendezvous {
         }
     }
 
-    /// Deposit rank `id`'s contribution and wait for everyone else's.
-    pub fn meet(&self, id: usize, contribution: Contribution) -> Arc<Released> {
+    /// Deposit rank `id`'s contribution and wait, at most `timeout`, for
+    /// everyone else's.
+    pub fn meet(&self, id: usize, contribution: Contribution, timeout: Duration) -> Arc<Released> {
         // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex; poisoning means a rank thread was killed mid-update, propagate the abort
         let mut state = self.state.lock().unwrap();
         state.pending[id] = Some(contribution);
@@ -159,7 +158,7 @@ impl Rendezvous {
         let generation = state.generation;
         // apc-lint: allow(wall-clock): deadlock-timeout machinery only — the real clock bounds how long we
         // wait for dead peers and never reaches virtual time or results
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + timeout;
         while state.generation == generation {
             // apc-lint: allow(wall-clock): deadlock-timeout machinery (see above)
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -175,7 +174,7 @@ impl Rendezvous {
                 panic!(
                     "deadlocked in a collective barrier after {:.1} s: only {arrived} \
                      of {} ranks arrived (a peer died or diverged)",
-                    self.timeout.as_secs_f64(),
+                    timeout.as_secs_f64(),
                     self.n
                 );
             }
@@ -189,9 +188,8 @@ pub(crate) struct Shared {
     pub net: NetModel,
     /// Where every collective meets.
     pub rendezvous: Rendezvous,
-    /// How long receives block before declaring deadlock (from
-    /// `APC_RECV_TIMEOUT`, overridable per runtime); the rendezvous holds
-    /// the same value for its waits.
+    /// How long receives and rendezvous waits block before declaring
+    /// deadlock (from `APC_RECV_TIMEOUT`, overridable per runtime).
     pub timeout: Duration,
 }
 
@@ -253,7 +251,7 @@ impl Runtime {
         let shared = Arc::new(Shared {
             nranks: n,
             net: self.net,
-            rendezvous: Rendezvous::new(n, timeout),
+            rendezvous: Rendezvous::new(n),
             timeout,
         });
 
