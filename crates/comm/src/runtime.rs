@@ -133,10 +133,10 @@ impl Rendezvous {
 
     /// Deposit rank `id`'s contribution and wait, at most `timeout`, for
     /// everyone else's.
-    pub fn meet(&self, id: usize, contribution: Contribution, timeout: Duration) -> Arc<Released> {
+    pub(crate) fn meet(&self, id: usize, mine: Contribution, timeout: Duration) -> Arc<Released> {
         // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex; poisoning means a rank thread was killed mid-update, propagate the abort
         let mut state = self.state.lock().unwrap();
-        state.pending[id] = Some(contribution);
+        state.pending[id] = Some(mine);
         state.arrived += 1;
         if state.arrived == self.n {
             let deposits: Vec<Contribution> =
