@@ -360,15 +360,19 @@ fn cached_backend_is_transparent_under_random_traffic() {
     }
 }
 
-/// Cache + prefetch never perturb replay: `Prepared::from_store` sweeps
-/// over flat and sharded datasets produce identical reports with the
-/// cache off, with a tight (constantly evicting) budget, and with a
-/// roomy one — across `Serial` and `Threads(8)` execution.
+/// Cache + prefetch never perturb replay: sweeps over flat and sharded
+/// datasets produce the reports of the uncached serial
+/// `Prepared::from_store` sweep with the cache off and at every budget
+/// that changes what the cache does — zero (holds nothing), one decoded
+/// chunk (every insert evicts), about half the decoded set (evicts once
+/// the charge is decoded bytes) and the whole set (never evicts) — across
+/// `Serial` and `Threads(8)` execution. A cache that answered with a
+/// stale or foreign chunk would move a report.
 #[test]
 fn cache_and_prefetch_do_not_perturb_replay() {
     use insitu::cm1::{self, ReflectivityDataset, StoredTimeSeries};
     use insitu::comm::NetModel;
-    use insitu::pipeline::{ExecPolicy, PipelineConfig, Prepared};
+    use insitu::pipeline::{run_sweep_prepared, ExecPolicy, PipelineConfig, Prepared};
     use insitu::store::{CodecKind, MemStore, StoreBackend};
     use std::sync::Arc;
 
@@ -392,28 +396,63 @@ fn cache_and_prefetch_do_not_perturb_replay() {
             .with_metric("LEA")
             .with_target(5.0),
     ];
-    let sweep = |backend: &Arc<dyn StoreBackend>, cache: Option<usize>, exec: ExecPolicy| {
+    let open = |backend: &Arc<dyn StoreBackend>, cache: Option<usize>| {
         let boxed: Box<dyn StoreBackend> = Box::new(Arc::clone(backend));
-        let stored = match cache {
+        match cache {
             Some(bytes) => StoredTimeSeries::from_backend_cached(boxed, bytes).unwrap(),
             None => StoredTimeSeries::from_backend(boxed).unwrap(),
-        };
-        Prepared::from_store(stored, exec, NetModel::blue_waters()).run_sweep(&configs, &iters)
+        }
+    };
+    // The reports plus the cache's final counters. The counters are read
+    // after the sweep, so the stored series stays here and the sweep runs
+    // on the engine under `Prepared` instead of being moved into one.
+    let sweep = |backend: &Arc<dyn StoreBackend>, cache: Option<usize>, exec: ExecPolicy| {
+        let stored = open(backend, cache);
+        let configs: Vec<PipelineConfig> =
+            configs.iter().map(|c| c.clone().with_exec(exec)).collect();
+        let reports = run_sweep_prepared(
+            stored.decomp(),
+            stored.coords(),
+            &configs,
+            &iters,
+            NetModel::blue_waters(),
+            |it, rank| stored.rank_blocks(it, rank).unwrap(),
+        );
+        (reports, stored.cache_stats())
     };
 
+    let chunk_bytes = dataset.decomp().block_dims().len() * std::mem::size_of::<f32>();
+    let set_bytes = chunk_bytes * dataset.decomp().n_blocks() * iters.len();
     let mut reference = None;
     for (layout, backend) in [("flat", &flat), ("sharded", &sharded)] {
-        let base = sweep(backend, None, ExecPolicy::Serial);
-        for (label, cache, exec) in [
-            ("cache-off threads", None, ExecPolicy::Threads(8)),
-            ("tight cache serial", Some(32 << 10), ExecPolicy::Serial),
-            ("roomy cache threads", Some(8 << 20), ExecPolicy::Threads(8)),
-        ] {
-            assert_eq!(
-                base,
-                sweep(backend, cache, exec),
-                "{layout}: {label} diverged from the uncached serial sweep"
-            );
+        let base = Prepared::from_store(
+            open(backend, None),
+            ExecPolicy::Serial,
+            NetModel::blue_waters(),
+        )
+        .run_sweep(&configs, &iters);
+        let (uncached, stats) = sweep(backend, None, ExecPolicy::Threads(8));
+        assert_eq!(base, uncached, "{layout}: cache-off threads diverged");
+        assert_eq!(stats, None, "{layout}: an uncached open has no counters");
+        for budget in [0, chunk_bytes, set_bytes / 2, set_bytes] {
+            for exec in [ExecPolicy::Serial, ExecPolicy::Threads(8)] {
+                let (reports, stats) = sweep(backend, Some(budget), exec);
+                let case = format!("{layout}: budget {budget} under {exec:?}");
+                assert_eq!(
+                    base, reports,
+                    "{case} diverged from the uncached serial sweep"
+                );
+                let stats = stats.expect("opened with a cache");
+                if budget == 0 {
+                    assert_eq!(stats.insertions, 0, "{case}: a zero budget holds nothing");
+                }
+                if budget == chunk_bytes {
+                    assert!(stats.evictions > 0, "{case}: a one-chunk budget must evict");
+                }
+                if budget == set_bytes {
+                    assert_eq!(stats.evictions, 0, "{case}: the whole set must fit");
+                }
+            }
         }
         match &reference {
             None => reference = Some(base),
