@@ -140,7 +140,7 @@ impl ReflectivityDataset {
                 Block {
                     id,
                     extent: ext,
-                    data: apc_grid::BlockData::Full(data),
+                    data: apc_grid::BlockData::Full(data.into()),
                 }
             })
             .collect()
@@ -156,7 +156,7 @@ impl ReflectivityDataset {
         Block {
             id,
             extent: ext,
-            data: apc_grid::BlockData::Full(field.into_vec()),
+            data: apc_grid::BlockData::Full(field.into_vec().into()),
         }
     }
 }

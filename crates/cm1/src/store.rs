@@ -23,7 +23,7 @@ use std::path::Path;
 use apc_grid::{Block, BlockData, BlockId, DomainDecomp, RectilinearCoords};
 use apc_store::{
     CacheStats, ChunkedDataset, CodecKind, DatasetMeta, DirStore, DynChunkedDataset, LayoutWriter,
-    SharedCachedBackend, StoreBackend, StoreError,
+    StoreBackend, StoreError,
 };
 
 use crate::dataset::ReflectivityDataset;
@@ -107,9 +107,6 @@ pub fn open_dataset(dir: &Path) -> Result<StoredTimeSeries, StoreError> {
 pub struct StoredTimeSeries {
     store: DynChunkedDataset,
     geometry: ReflectivityDataset,
-    /// Present when opened through [`StoredTimeSeries::from_backend_cached`]:
-    /// the caching layer's handle, kept for statistics and cache control.
-    cache: Option<SharedCachedBackend>,
 }
 
 impl StoredTimeSeries {
@@ -121,11 +118,11 @@ impl StoredTimeSeries {
         Self::open(backend, None)
     }
 
-    /// [`StoredTimeSeries::from_backend`] with a byte-budgeted chunk
-    /// cache and iteration-order readahead layered over the (possibly
-    /// sharded) backend: repeat reads of a chunk are answered from
-    /// memory, and a sequential replay prefetches the next iteration's
-    /// chunk for the same rank. Replay results are byte-identical to the
+    /// [`StoredTimeSeries::from_backend`] with the dataset's
+    /// decoded-chunk cache (`apc_store::ChunkedDataset::open_auto`):
+    /// `cache_bytes` is the budget in **decoded** bytes, and a repeat read
+    /// of a chunk it holds returns the cached buffer itself — no backend
+    /// read, no decode, no copy. Replay results are byte-identical to the
     /// uncached open; only speed and [`StoredTimeSeries::cache_stats`]
     /// change.
     pub fn from_backend_cached(
@@ -139,28 +136,22 @@ impl StoredTimeSeries {
         backend: Box<dyn StoreBackend>,
         cache_bytes: Option<usize>,
     ) -> Result<Self, StoreError> {
-        let (store, cache) = ChunkedDataset::open_auto(backend, cache_bytes)?;
+        let store = ChunkedDataset::open_auto(backend, cache_bytes)?;
         let geometry =
             ReflectivityDataset::new(*store.decomp(), StormModel::new(store.meta().seed));
-        Ok(Self {
-            store,
-            geometry,
-            cache,
-        })
+        Ok(Self { store, geometry })
     }
 
     /// Chunk-cache counters, when this series was opened through
     /// [`StoredTimeSeries::from_backend_cached`].
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.store.cache_stats()
     }
 
     /// Drop every cached chunk (counters keep counting); no-op without a
     /// cache. Lets benchmarks measure cold reads from a warm process.
     pub fn cache_clear(&self) {
-        if let Some(c) = &self.cache {
-            c.clear();
-        }
+        self.store.cache_clear();
     }
 
     /// The geometry twin of the stored dataset (decomposition +
@@ -196,7 +187,8 @@ impl StoredTimeSeries {
         &self.store
     }
 
-    /// One block, read and decompressed from the store.
+    /// One block, read and decompressed from the store (or, warm, the
+    /// cached buffer).
     pub fn block(&self, iteration: usize, id: BlockId) -> Result<Block, StoreError> {
         self.store.read_block(iteration, id)
     }
@@ -294,7 +286,7 @@ mod tests {
         };
         let max_err = a
             .iter()
-            .zip(b)
+            .zip(b.iter())
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f32, f32::max);
         // Reflectivity spans ~[-60, 80]; the lifting can amplify the cut

@@ -119,9 +119,10 @@ impl Prepared {
     /// so datasets larger than memory stream through. The prepared
     /// iteration set is exactly the stored one.
     ///
-    /// A series opened through
-    /// `StoredTimeSeries::from_backend_cached` layers the shared chunk
-    /// cache + iteration-order readahead under these reads; replay
+    /// A series opened through `StoredTimeSeries::from_backend_cached`
+    /// answers these reads from the dataset's decoded-chunk cache (budget
+    /// in decoded bytes): a chunk it holds is neither read nor decoded
+    /// again, and the block a rank gets shares the cached buffer. Replay
     /// results are byte-identical either way (`tests/properties.rs` pins
     /// this), only read speed changes.
     ///

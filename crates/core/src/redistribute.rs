@@ -178,7 +178,7 @@ mod tests {
         let full = Block {
             id: 7,
             extent,
-            data: BlockData::Full(vec![1.5; 60]),
+            data: BlockData::Full(vec![1.5; 60].into()),
         };
         let sampled = full.downsampled(3);
         assert!(

@@ -1,5 +1,7 @@
 //! Blocks: the unit of scoring, reduction and redistribution.
 
+use std::sync::Arc;
+
 use crate::interp::{corners_of, reconstruct_from_corners, resample_trilinear, sample_indices};
 use crate::{Dims3, Extent3, Field3, GridError};
 
@@ -12,8 +14,10 @@ pub type BlockId = u32;
 /// paper leaves as future work).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BlockData {
-    /// All samples, x-fastest layout of the block's extent.
-    Full(Vec<f32>),
+    /// All samples, x-fastest layout of the block's extent. Immutable and
+    /// shared: cloning a full block, moving it between ranks or handing it
+    /// out of the store's chunk cache is a refcount, never a sample copy.
+    Full(Arc<[f32]>),
     /// Only the 8 corners, in [`crate::interp::trilinear`] corner order.
     Reduced([f32; 8]),
     /// A coarse sample lattice of shape `dims` (each axis ≥ 2 points, first
@@ -53,7 +57,7 @@ impl Block {
         Ok(Self {
             id,
             extent,
-            data: BlockData::Full(data),
+            data: BlockData::Full(data.into()),
         })
     }
 

@@ -6,10 +6,10 @@
 //! those frames while the producing session is running, each client
 //! pinned to the one stager that holds its frames. This crate removes
 //! both constraints. A **replay pool** is a set of server ranks that each
-//! open the same completed run ([`apc_serve::open_run`], fronted by a
-//! per-server [`apc_store::CachedBackend`]) and answer
-//! [`apc_serve::FrameRequest`]s from client ranks — no sim ranks, no
-//! stage ranks, any server can answer any request.
+//! open the same completed run ([`apc_serve::open_run`], fronted by the
+//! per-server [`apc_store::ChunkCache`] of its [`apc_serve::ServeCore`])
+//! and answer [`apc_serve::FrameRequest`]s from client ranks — no sim
+//! ranks, no stage ranks, any server can answer any request.
 //!
 //! The pieces, all deterministic and runtime-agnostic:
 //!

@@ -51,7 +51,8 @@ pub struct PoolParams {
     pub nservers: usize,
     /// Routing mode.
     pub mode: RouteMode,
-    /// Byte budget of each server's `CachedBackend` (0 disables caching).
+    /// Byte budget of each server's `ServeCore` frame cache (0 disables
+    /// caching).
     pub cache_bytes: usize,
     /// Virtual seconds of per-request service work (decode, resolve,
     /// reply assembly).

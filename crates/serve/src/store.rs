@@ -202,7 +202,7 @@ pub fn open_run(
     run_id: &str,
 ) -> Result<(FrameStore<Arc<dyn StoreBackend>>, RunManifest), ServeError> {
     let manifest = FrameStore::new(Arc::clone(&backend), run_id).manifest()?;
-    let (reader, _) = layout::reader(backend, manifest.shard_chunks, None);
+    let reader = layout::reader(backend, manifest.shard_chunks);
     Ok((FrameStore::new(reader, run_id), manifest))
 }
 

@@ -1,14 +1,41 @@
-//! The chunked dataset: a time series of 3D arrays over a backend.
+//! The chunked dataset: a time series of 3D arrays over a backend, and
+//! the cache of the chunks it has decoded.
+//!
+//! # The decoded-chunk cache
+//!
+//! A dataset opened with a byte budget ([`ChunkedDataset::open_auto`]
+//! with `Some(cache_bytes)`) keeps decoded chunks in one
+//! [`ChunkCache`] keyed by `(iteration, block id)`, charged at their
+//! decoded size (`chunk.len() × 4` bytes). The payload is the shared
+//! `Arc<[f32]>` that [`ChunkedDataset::read_chunk`] returns and
+//! [`BlockData::Full`] holds, so a warm read is a lock, a lookup and a
+//! refcount: the block a rank gets *is* the cached buffer, and it stays
+//! valid after the entry is evicted or the cache cleared. The encoded
+//! bytes are not kept as well — a second cached form of the same chunk
+//! would only add memory. A miss reads and decodes outside the lock, so
+//! rank threads decode concurrently.
+//!
+//! **Transparency.** A cached open returns exactly the samples an
+//! uncached one does (the workspace `properties` suite pins the reports
+//! at budgets that bypass, evict and hold everything); only wall-clock
+//! and the [`CacheStats`] change. A chunk rewritten through the same
+//! dataset drops its entry; writes that reach the backend some other way
+//! are outside the contract. Under concurrency the *stats* (and eviction
+//! victims, when the budget is tight) can depend on thread timing, so
+//! they are diagnostics, not replay state.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use apc_grid::{Block, BlockData, BlockId, Dims3, DomainDecomp};
 
 use crate::backend::StoreBackend;
-use crate::cache::SharedCachedBackend;
+use crate::cache::{CacheStats, ChunkCache};
 use crate::layout;
 use crate::meta::{DatasetMeta, META_KEY};
 use crate::StoreError;
+
+/// Decoded chunks by `(iteration, block id)`.
+type DecodedCache = ChunkCache<(usize, BlockId), Arc<[f32]>>;
 
 /// A stored time series of chunked 3D `f32` arrays.
 ///
@@ -24,12 +51,26 @@ pub struct ChunkedDataset<B> {
     backend: B,
     meta: DatasetMeta,
     decomp: DomainDecomp,
+    /// Present when opened with a cache budget (see the module docs).
+    cache: Option<Mutex<DecodedCache>>,
 }
 
 /// A dataset over a type-erased backend — what crosses crate boundaries
 /// (e.g. `apc-core`'s `Prepared::from_store` accepts disk- and
 /// memory-backed datasets alike through this alias).
 pub type DynChunkedDataset = ChunkedDataset<Arc<dyn StoreBackend>>;
+
+/// Lock the cache. A poisoned lock means a panic unwound mid-update
+/// (only possible through a library bug); the entries could be torn,
+/// but dropping them restores every invariant — a cache is always
+/// allowed to forget.
+fn lock(cache: &Mutex<DecodedCache>) -> MutexGuard<'_, DecodedCache> {
+    cache.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        guard.clear();
+        guard
+    })
+}
 
 impl<B: StoreBackend> ChunkedDataset<B> {
     /// Create a new dataset: validates the geometry and writes the
@@ -42,6 +83,7 @@ impl<B: StoreBackend> ChunkedDataset<B> {
             backend,
             meta,
             decomp,
+            cache: None,
         })
     }
 
@@ -61,32 +103,44 @@ impl<B: StoreBackend> ChunkedDataset<B> {
             backend,
             meta,
             decomp,
+            cache: None,
         })
     }
 
     /// Open honoring the chunk layout recorded in the metadata, through
     /// the one read stack of [`layout::reader`]: callers that don't know
     /// (or care) how a dataset was written use this instead of
-    /// [`ChunkedDataset::open`]. With `cache_bytes` the stack gets the
-    /// byte-budgeted chunk cache, prefetching along the dataset's own
-    /// iteration order, and its handle is returned for statistics and
-    /// cache control.
+    /// [`ChunkedDataset::open`]. `cache_bytes` is the byte budget of the
+    /// decoded-chunk cache (see the module docs) — **decoded** bytes,
+    /// `chunk.len() × 4` per chunk held: `None` opens without a cache,
+    /// `Some(0)` with one that holds nothing.
     pub fn open_auto(
         backend: B,
         cache_bytes: Option<usize>,
-    ) -> Result<(DynChunkedDataset, Option<SharedCachedBackend>), StoreError>
+    ) -> Result<DynChunkedDataset, StoreError>
     where
         B: 'static,
     {
         // meta.json passes through a ShardedStore untouched, so probing
         // the layout through the raw backend is always correct.
         let meta = ChunkedDataset::open(&backend)?.meta;
-        let (layered, cache) = layout::reader(
-            Arc::new(backend),
-            meta.shard_chunks,
-            cache_bytes.map(|bytes| (bytes, &meta.iterations[..])),
-        );
-        Ok((ChunkedDataset::open(layered)?, cache))
+        let layered = layout::reader(Arc::new(backend), meta.shard_chunks);
+        let mut dataset = ChunkedDataset::open(layered)?;
+        dataset.cache = cache_bytes.map(|bytes| Mutex::new(ChunkCache::new(bytes)));
+        Ok(dataset)
+    }
+
+    /// The decoded-chunk cache's counters, when opened with a budget.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache.as_ref().map(|c| lock(c).stats())
+    }
+
+    /// Drop every cached chunk (counters keep counting); no-op without a
+    /// cache. Buffers already handed out stay valid.
+    pub fn cache_clear(&self) {
+        if let Some(c) = &self.cache {
+            lock(c).clear();
+        }
     }
 
     pub fn meta(&self) -> &DatasetMeta {
@@ -141,17 +195,39 @@ impl<B: StoreBackend> ChunkedDataset<B> {
             });
         }
         let bytes = self.meta.codec.encode_chunk(samples, dims);
-        self.backend.put(&Self::chunk_key(iteration, id), &bytes)
+        self.backend.put(&Self::chunk_key(iteration, id), &bytes)?;
+        if let Some(cache) = &self.cache {
+            // The chunk was just redefined; what a lossy codec will decode
+            // it to is not `samples`, so forget rather than refresh.
+            lock(cache).remove(&(iteration, id));
+        }
+        Ok(())
     }
 
-    /// Read and decompress one chunk's samples.
-    pub fn read_chunk(&self, iteration: usize, id: BlockId) -> Result<Vec<f32>, StoreError> {
+    /// One chunk's decoded samples, shared: from the cache when this
+    /// dataset has one and holds the chunk, otherwise read, decompressed
+    /// and (with a cache) kept for the next reader.
+    pub fn read_chunk(&self, iteration: usize, id: BlockId) -> Result<Arc<[f32]>, StoreError> {
         self.check_iteration(iteration)?;
+        if let Some(cache) = &self.cache {
+            if let Some(hit) = lock(cache).get(&(iteration, id)) {
+                return Ok(Arc::clone(hit));
+            }
+        }
         let bytes = self.backend.get(&Self::chunk_key(iteration, id))?;
-        self.meta.codec.decode_chunk(&bytes, self.meta.chunk)
+        let samples: Arc<[f32]> = self
+            .meta
+            .codec
+            .decode_chunk(&bytes, self.meta.chunk)?
+            .into();
+        if let Some(cache) = &self.cache {
+            lock(cache).put((iteration, id), Arc::clone(&samples));
+        }
+        Ok(samples)
     }
 
-    /// Read one chunk as a pipeline [`Block`] (full payload, global
+    /// Read one chunk as a pipeline [`Block`] (full payload — the buffer
+    /// [`ChunkedDataset::read_chunk`] returned, not a copy — and global
     /// extent from the decomposition).
     pub fn read_block(&self, iteration: usize, id: BlockId) -> Result<Block, StoreError> {
         Ok(Block {
@@ -235,7 +311,7 @@ mod tests {
         for id in reopened.decomp().all_blocks() {
             let got = reopened.read_chunk(20, id).unwrap();
             assert_eq!(
-                got,
+                got[..],
                 chunk_data(dims, (20 + id as usize) as f32),
                 "chunk {id}"
             );
@@ -296,7 +372,7 @@ mod tests {
             ChunkedDataset::create(backend, tiny_meta(CodecKind::Lz)).unwrap();
         let dims = store.chunk_dims();
         store.write_chunk(10, 0, &chunk_data(dims, 1.0)).unwrap();
-        assert_eq!(store.read_chunk(10, 0).unwrap(), chunk_data(dims, 1.0));
+        assert_eq!(store.read_chunk(10, 0).unwrap()[..], chunk_data(dims, 1.0));
     }
 
     #[test]
@@ -323,11 +399,11 @@ mod tests {
         assert!(inner.contains("c/000010/s000000").unwrap());
 
         // open_auto on the *raw* backend reads through the shards…
-        let (auto, _) = ChunkedDataset::open_auto(Arc::clone(&inner), None).unwrap();
+        let auto = ChunkedDataset::open_auto(Arc::clone(&inner), None).unwrap();
         assert_eq!(auto.meta().shard_chunks, Some(3));
         for id in auto.decomp().all_blocks() {
             assert_eq!(
-                auto.read_chunk(20, id).unwrap(),
+                auto.read_chunk(20, id).unwrap()[..],
                 chunk_data(dims, (20 + id as usize) as f32)
             );
         }
@@ -336,9 +412,9 @@ mod tests {
         // …and on an unsharded dataset it opens plain.
         let plain = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
         plain.write_chunk(10, 0, &chunk_data(dims, 1.0)).unwrap();
-        let (auto, _) = ChunkedDataset::open_auto(plain.backend, None).unwrap();
+        let auto = ChunkedDataset::open_auto(plain.backend, None).unwrap();
         assert_eq!(auto.meta().shard_chunks, None);
-        assert_eq!(auto.read_chunk(10, 0).unwrap(), chunk_data(dims, 1.0));
+        assert_eq!(auto.read_chunk(10, 0).unwrap()[..], chunk_data(dims, 1.0));
     }
 
     /// The kill case: a sharded writer that never gets to seal (or drop).
@@ -362,10 +438,10 @@ mod tests {
         }
         std::mem::forget(store);
 
-        let (reopened, _) = ChunkedDataset::open_auto(inner, None).unwrap();
+        let reopened = ChunkedDataset::open_auto(inner, None).unwrap();
         for id in 0..6 {
             assert_eq!(
-                reopened.read_chunk(10, id).unwrap(),
+                reopened.read_chunk(10, id).unwrap()[..],
                 chunk_data(dims, id as f32)
             );
         }
@@ -386,5 +462,66 @@ mod tests {
             .put(&ChunkedDataset::<MemStore>::chunk_key(10, 0), &[1, 0xFF])
             .unwrap();
         assert!(matches!(store.read_chunk(10, 0), Err(StoreError::Codec(_))));
+    }
+
+    /// A flat raw dataset of 16 chunks (8 blocks × 2 iterations, 128
+    /// decoded bytes each) reopened with `cache_bytes`.
+    fn cached_dataset(cache_bytes: usize) -> (DynChunkedDataset, Dims3) {
+        let store = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
+        let dims = store.chunk_dims();
+        for &it in &[10usize, 20] {
+            for id in store.decomp().all_blocks() {
+                store
+                    .write_chunk(it, id, &chunk_data(dims, (it + id as usize) as f32))
+                    .unwrap();
+            }
+        }
+        let cached = ChunkedDataset::open_auto(store.backend, Some(cache_bytes)).unwrap();
+        (cached, dims)
+    }
+
+    /// The budget is decoded bytes: `k` chunks' worth (and any remainder
+    /// short of one more) holds exactly `k`, every read is one counted
+    /// lookup, and what it holds is what a warm read returns.
+    #[test]
+    fn cache_budget_counts_decoded_bytes() {
+        let chunk_bytes = tiny_meta(CodecKind::Raw).chunk.len() * 4;
+        for (budget, k) in [(3 * chunk_bytes, 3), (4 * chunk_bytes - 1, 3)] {
+            let (cached, _) = cached_dataset(budget);
+            let mut reads = Vec::new();
+            for &it in &[10usize, 20] {
+                for id in cached.decomp().all_blocks() {
+                    reads.push(((it, id), cached.read_chunk(it, id).unwrap()));
+                }
+            }
+            let held = lock(cached.cache.as_ref().unwrap());
+            assert_eq!((held.len(), held.used_bytes()), (k, k * chunk_bytes));
+            let s = held.stats();
+            assert_eq!((s.hits, s.misses), (0, reads.len()));
+            assert_eq!((s.insertions, s.evictions), (reads.len(), reads.len() - k));
+            drop(held);
+
+            // The k most recent chunks are warm, and warm means shared.
+            for (key, first) in &reads[reads.len() - k..] {
+                assert!(Arc::ptr_eq(
+                    first,
+                    &cached.read_chunk(key.0, key.1).unwrap()
+                ));
+            }
+            let s = cached.cache_stats().unwrap();
+            assert_eq!((s.hits, s.misses), (k, reads.len()));
+        }
+    }
+
+    #[test]
+    fn rewriting_a_cached_chunk_drops_the_stale_entry() {
+        let (cached, dims) = cached_dataset(1 << 20);
+        let before = cached.read_chunk(10, 3).unwrap();
+        let rewritten = chunk_data(dims, 99.0);
+        cached.write_chunk(10, 3, &rewritten).unwrap();
+        assert_eq!(cached.read_chunk(10, 3).unwrap()[..], rewritten);
+        // The buffer handed out earlier is untouched.
+        assert_eq!(before[..], chunk_data(dims, 13.0));
+        assert_eq!(cached.cache_stats().unwrap().misses, 2);
     }
 }

@@ -11,31 +11,22 @@
 use std::sync::Arc;
 
 use crate::backend::StoreBackend;
-use crate::cache::{CachedBackend, Readahead, SharedCachedBackend};
 use crate::shard::ShardedStore;
 use crate::StoreError;
 
 /// The read stack for a run recorded as `shard_chunks`: a
 /// [`ShardedStore`] over `backend` when sharded, `backend` itself when
-/// flat. `cache = Some((byte budget, the run's iterations in replay
-/// order))` puts a [`CachedBackend`] with [`Readahead`] on top — above the
-/// shard layer, so one entry is one logical value and a warm hit skips the
-/// shard index — and returns its handle for statistics and cache control.
+/// flat. Nothing here caches: a dataset caches the chunks it has decoded
+/// ([`crate::ChunkedDataset::open_auto`]) and a frame server the streams
+/// it has fetched (`apc_serve::ServeCore`), each above this stack.
 pub fn reader(
     backend: Arc<dyn StoreBackend>,
     shard_chunks: Option<usize>,
-    cache: Option<(usize, &[usize])>,
-) -> (Arc<dyn StoreBackend>, Option<SharedCachedBackend>) {
-    let layered: Arc<dyn StoreBackend> = match shard_chunks {
+) -> Arc<dyn StoreBackend> {
+    match shard_chunks {
         Some(n) => Arc::new(ShardedStore::new(backend, n)),
         None => backend,
-    };
-    let Some((budget_bytes, iterations)) = cache else {
-        return (layered, None);
-    };
-    let readahead = Readahead::new(iterations.iter().map(|&i| i as u64).collect());
-    let cached = Arc::new(CachedBackend::new(layered, budget_bytes).with_readahead(readahead));
-    (Arc::clone(&cached) as Arc<dyn StoreBackend>, Some(cached))
+    }
 }
 
 /// The write side of a layout: the backend a run's values are `put`

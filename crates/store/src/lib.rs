@@ -20,16 +20,19 @@
 //! * **Pluggable backends** — [`DirStore`] persists to disk, [`MemStore`]
 //!   keeps chunks in memory so tests never touch the filesystem. Both are
 //!   `Sync`: rank threads read their chunks concurrently;
-//! * **Chunk cache + prefetch** — [`CachedBackend`] layers a
-//!   deterministic, byte-bounded LRU [`ChunkCache`] (and iteration-order
-//!   [`Readahead`]) over any backend, so every reader shares one caching
-//!   implementation (see [`cache`]);
+//! * **Decoded-chunk cache** — a dataset opened with a byte budget
+//!   ([`ChunkedDataset::open_auto`]) keeps the chunks it has decoded in a
+//!   deterministic, byte-bounded LRU ([`ChunkCache`], the one caching
+//!   implementation `apc-serve` shares; see [`cache`]) as shared
+//!   `Arc<[f32]>` buffers: a warm [`ChunkedDataset::read_chunk`] is a
+//!   lock, a lookup and a refcount, and the block a rank gets *is* the
+//!   cached buffer;
 //! * **One owner of the layout decision** — whether a stored run (a chunk
 //!   dataset here, a frame run in `apc-serve`) keeps one key per value or
 //!   packs values into shard containers is *recorded* as `shard_chunks`
 //!   in its metadata document and *decided* in [`layout`]:
-//!   [`layout::reader`] builds the read stack (cache → shard → backend)
-//!   for [`ChunkedDataset::open_auto`] and `apc_serve::open_run`, and
+//!   [`layout::reader`] builds the read stack (shard → backend) for
+//!   [`ChunkedDataset::open_auto`] and `apc_serve::open_run`, and
 //!   [`LayoutWriter`] is the write side of `apc_cm1::write_dataset` and
 //!   `apc_serve::FrameSink`; nothing else wraps a backend in an adapter;
 //! * **One metadata field reader** — [`fields`] reads and writes what
@@ -52,7 +55,7 @@ pub mod meta;
 pub mod shard;
 
 pub use backend::{DirStore, MemStore, StoreBackend};
-pub use cache::{CacheStats, CachedBackend, ChunkCache, Readahead, SharedCachedBackend};
+pub use cache::{CacheStats, ChunkCache};
 pub use codec::CodecKind;
 pub use dataset::{ChunkedDataset, DynChunkedDataset};
 pub use layout::LayoutWriter;

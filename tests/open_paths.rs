@@ -129,7 +129,7 @@ fn chunk_dataset_row(shard_chunks: Option<usize>, cache_bytes: Option<usize>) ->
         let block = stored.block(it, id).unwrap();
         assert_eq!(
             block.data,
-            insitu::grid::BlockData::Full(chunk(it, id)),
+            insitu::grid::BlockData::Full(chunk(it, id).into()),
             "{step}"
         );
         row.push_str(&format!("{step}\n{}\n", backend.take()));

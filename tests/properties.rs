@@ -207,7 +207,7 @@ fn sharded_backends_roundtrip_random_chunks_bit_exactly() {
             store.backend().flush().unwrap();
 
             // …and read it back through a fresh layout-aware open.
-            let (reopened, _) =
+            let reopened =
                 ChunkedDataset::open_auto(std::sync::Arc::clone(&backend), None).unwrap();
             assert_eq!(reopened.meta().shard_chunks, Some(shard_chunks));
             for (it, id, want) in &chunks {
@@ -269,107 +269,16 @@ fn sharded_and_flat_layouts_replay_identically() {
     }
 }
 
-/// The chunk cache's transparency contract: a `CachedBackend` twin fed
-/// the identical random get/put/range/contains/size sequence as a bare
-/// backend returns byte-identical results and identical errors — over
-/// Mem, Dir, and Sharded backends, with a budget tight enough that
-/// eviction, oversized bypass, and re-put resizing all fire, and with
-/// readahead prefetching against the same traffic.
-#[test]
-fn cached_backend_is_transparent_under_random_traffic() {
-    use insitu::store::{
-        CachedBackend, DirStore, MemStore, Readahead, ShardedStore, StoreBackend, StoreError,
-    };
-
-    let root = std::env::temp_dir()
-        .join("apc_properties_tests")
-        .join("cached-transparent");
-    let _ = std::fs::remove_dir_all(&root);
-    let iterations: Vec<u64> = vec![100, 200, 300];
-    // Small budget vs payloads up to ~1.4 KiB: constant eviction churn
-    // and a steady rate of oversized bypasses.
-    const BUDGET: usize = 1024;
-
-    let outcome = |r: Result<Vec<u8>, StoreError>| match r {
-        Ok(b) => format!("ok:{b:?}"),
-        Err(e) => format!("err:{e}"),
-    };
-
-    for scenario in 0..3usize {
-        let readahead = Readahead::new(iterations.clone());
-        let (bare, cached): (Box<dyn StoreBackend>, Box<dyn StoreBackend>) = match scenario {
-            0 => (
-                Box::new(MemStore::new()),
-                Box::new(CachedBackend::new(MemStore::new(), BUDGET).with_readahead(readahead)),
-            ),
-            1 => (
-                Box::new(DirStore::create(&root.join("bare")).unwrap()),
-                Box::new(
-                    CachedBackend::new(DirStore::create(&root.join("cached")).unwrap(), BUDGET)
-                        .with_readahead(readahead),
-                ),
-            ),
-            _ => (
-                Box::new(ShardedStore::new(MemStore::new(), 3)),
-                Box::new(
-                    CachedBackend::new(ShardedStore::new(MemStore::new(), 3), BUDGET)
-                        .with_readahead(readahead),
-                ),
-            ),
-        };
-
-        let mut rng = SplitMix64::new(0xCA0 + scenario as u64);
-        for step in 0..400 {
-            let it = iterations[rng.below(iterations.len())];
-            let id = rng.below(4);
-            let key = format!("c/{it:06}/{id:06}");
-            let ctx = format!("scenario {scenario} step {step} key {key}");
-            match rng.below(8) {
-                0..=2 => {
-                    let n = rng.below(1400);
-                    let bytes: Vec<u8> = (0..n).map(|_| rng.below(256) as u8).collect();
-                    bare.put(&key, &bytes).unwrap();
-                    cached.put(&key, &bytes).unwrap();
-                }
-                3..=5 => {
-                    assert_eq!(outcome(bare.get(&key)), outcome(cached.get(&key)), "{ctx}");
-                }
-                6 => {
-                    let offset = rng.below(1600) as u64;
-                    let len = rng.below(200) as u64;
-                    assert_eq!(
-                        outcome(bare.get_range(&key, offset, len)),
-                        outcome(cached.get_range(&key, offset, len)),
-                        "{ctx} range {offset}+{len}"
-                    );
-                }
-                _ => {
-                    assert_eq!(
-                        format!("{:?}", bare.contains(&key)),
-                        format!("{:?}", cached.contains(&key)),
-                        "{ctx} contains"
-                    );
-                    assert_eq!(
-                        format!("{:?}", bare.size(&key).map_err(|e| e.to_string())),
-                        format!("{:?}", cached.size(&key).map_err(|e| e.to_string())),
-                        "{ctx} size"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Cache + prefetch never perturb replay: sweeps over flat and sharded
-/// datasets produce the reports of the uncached serial
+/// The decoded-chunk cache never perturbs replay: sweeps over flat and
+/// sharded datasets produce the reports of the uncached serial
 /// `Prepared::from_store` sweep with the cache off and at every budget
 /// that changes what the cache does — zero (holds nothing), one decoded
-/// chunk (every insert evicts), about half the decoded set (evicts once
-/// the charge is decoded bytes) and the whole set (never evicts) — across
-/// `Serial` and `Threads(8)` execution. A cache that answered with a
-/// stale or foreign chunk would move a report.
+/// chunk (every insert evicts), about half the decoded set (evicts under
+/// churn) and the whole set (never evicts) — across `Serial` and
+/// `Threads(8)` execution. A cache that answered with a stale or foreign
+/// chunk would move a report; every chunk read is one counted lookup.
 #[test]
-fn cache_and_prefetch_do_not_perturb_replay() {
+fn chunk_cache_does_not_perturb_replay() {
     use insitu::cm1::{self, ReflectivityDataset, StoredTimeSeries};
     use insitu::comm::NetModel;
     use insitu::pipeline::{run_sweep_prepared, ExecPolicy, PipelineConfig, Prepared};
@@ -422,7 +331,8 @@ fn cache_and_prefetch_do_not_perturb_replay() {
     };
 
     let chunk_bytes = dataset.decomp().block_dims().len() * std::mem::size_of::<f32>();
-    let set_bytes = chunk_bytes * dataset.decomp().n_blocks() * iters.len();
+    let set_chunks = dataset.decomp().n_blocks() * iters.len();
+    let set_bytes = chunk_bytes * set_chunks;
     let mut reference = None;
     for (layout, backend) in [("flat", &flat), ("sharded", &sharded)] {
         let base = Prepared::from_store(
@@ -443,11 +353,19 @@ fn cache_and_prefetch_do_not_perturb_replay() {
                     "{case} diverged from the uncached serial sweep"
                 );
                 let stats = stats.expect("opened with a cache");
+                assert_eq!(
+                    stats.hits + stats.misses,
+                    set_chunks * configs.len(),
+                    "{case}: one lookup per chunk read"
+                );
                 if budget == 0 {
                     assert_eq!(stats.insertions, 0, "{case}: a zero budget holds nothing");
                 }
-                if budget == chunk_bytes {
-                    assert!(stats.evictions > 0, "{case}: a one-chunk budget must evict");
+                if budget == chunk_bytes || budget == set_bytes / 2 {
+                    assert!(
+                        stats.evictions > 0,
+                        "{case}: a budget below the decoded set must evict"
+                    );
                 }
                 if budget == set_bytes {
                     assert_eq!(stats.evictions, 0, "{case}: the whole set must fit");
