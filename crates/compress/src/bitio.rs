@@ -131,6 +131,16 @@ impl<'a> BitReader<'a> {
         word >> (self.pos % 8)
     }
 
+    /// The number of units in a `counts.0 × counts.1 × counts.2` grid when
+    /// the stream spends at least one bit on each: the underrun their
+    /// decode would end in if the count overflows or exceeds the bits
+    /// left. Decoders ask before allocating for a caller-supplied shape.
+    pub fn at_least_a_bit_each(&self, counts: crate::Shape) -> Result<usize, CodecError> {
+        crate::checked_volume(counts)
+            .filter(|&n| n <= self.remaining())
+            .ok_or(UNDERRUN)
+    }
+
     /// Read `n` bits (n ≤ 64), LSB first.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {

@@ -172,13 +172,15 @@ impl FloatCodec for Fpz {
     }
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let (nx, ny, nz) = shape;
-        let n = nx * ny * nz;
+        let (nx, _, _) = shape;
+        let mut r = BitReader::new(stream);
+        // Every sample costs at least the closing bit of its unary width
+        // delta, which also bounds the padded field by the stream length.
+        let n = r.at_least_a_bit_each(shape)?;
         if n == 0 {
             return Ok(Vec::new());
         }
         let mut out = Vec::with_capacity(n);
-        let mut r = BitReader::new(stream);
         let mut ctx = Lorenzo::zeroed(shape);
         let mut prev_nbits = 0i32;
         for start in ctx.row_starts() {

@@ -31,6 +31,16 @@ pub use zfpx::Zfpx;
 /// bare tuple: this crate sits below `apc-grid` in the dependency graph.)
 pub type Shape = (usize, usize, usize);
 
+/// `nx · ny · nz`, or `None` when it overflows. A decoder's shape can come
+/// out of damaged bytes, so decoders count with this before they size
+/// anything from it. A zero axis holds nothing whatever the others say.
+pub(crate) fn checked_volume((nx, ny, nz): Shape) -> Option<usize> {
+    if nx == 0 || ny == 0 || nz == 0 {
+        return Some(0);
+    }
+    nx.checked_mul(ny)?.checked_mul(nz)
+}
+
 /// Errors produced by decoders on malformed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {

@@ -145,8 +145,14 @@ impl FloatCodec for Lz77 {
     }
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let (nx, ny, nz) = shape;
-        let n = nx * ny * nz;
+        // No token yields more than `MAX_MATCH` bytes, so a stream cannot
+        // decode to more than that per byte of its own: a shape it cannot
+        // back fails as the length mismatch it would end in, before
+        // anything is sized from it.
+        let most = stream.len().saturating_mul(MAX_MATCH);
+        let n = crate::checked_volume(shape)
+            .filter(|n| n.checked_mul(4).is_some_and(|bytes| bytes <= most))
+            .ok_or(CodecError::Corrupt("decompressed length mismatch"))?;
         let bytes = decompress_bytes(stream, n * 4)?;
         let mut out = vec![[0u8; 4]; n];
         for (p, plane) in (0..4).rev().enumerate() {

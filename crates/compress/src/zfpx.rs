@@ -328,11 +328,14 @@ impl FloatCodec for Zfpx {
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
         let (nx, ny, nz) = shape;
-        let mut out = vec![0.0f32; nx * ny * nz];
         let mut r = BitReader::new(stream);
         let bx = nx.div_ceil(4);
         let by = ny.div_ceil(4);
         let bz = nz.div_ceil(4);
+        // Every block costs at least its flag bit; at most 64 samples per
+        // block, so the output is bounded by the stream length as well.
+        r.at_least_a_bit_each((bx, by, bz))?;
+        let mut out = vec![0.0f32; nx * ny * nz];
         for kb in 0..bz {
             for jb in 0..by {
                 for ib in 0..bx {

@@ -1,6 +1,6 @@
 //! Adversarial codec property tests — the inputs `proptests.rs` skips.
 //!
-//! Four families, all driven by the in-tree seeded PRNG
+//! Five families, all driven by the in-tree seeded PRNG
 //! ([`apc_par::SplitMix64`]) so every run replays the same cases:
 //!
 //! 1. **Special payloads** — NaN (several bit patterns), ±inf, -0.0 and
@@ -13,6 +13,9 @@
 //!    `CodecError::Corrupt`, and garbage after it never panics. (The
 //!    every-prefix and every-bit-flip sweep over all decoders is
 //!    `tests/decoders_never_panic.rs`.)
+//! 5. **Absurd shapes** — a shape no stream of that length could back
+//!    (what a decoder is handed when the shape came out of damaged bytes)
+//!    is a corrupt stream, decided before anything is allocated for it.
 
 use apc_compress::{CodecError, FloatCodec, Fpz, Lz77, Zfpx};
 use apc_par::SplitMix64;
@@ -261,6 +264,36 @@ fn half_truncated_streams_are_corrupt() {
             let mut mangled = enc[..enc.len() / 2].to_vec();
             mangled.extend((0..rng.below(32)).map(|_| rng.next_u64() as u8));
             let _ = codec.decode(&mangled, shape);
+        }
+    }
+}
+
+/// Sized from the shape, each of these took the process down — an
+/// allocation of 2⁶² bytes aborts, it does not unwind — so a regression
+/// here kills the test binary rather than failing one assert.
+#[test]
+fn shapes_the_stream_cannot_back_are_corrupt_before_any_allocation() {
+    let absurd: [Shape; 4] = [
+        (1 << 20, 1 << 20, 1 << 20),
+        (usize::MAX, usize::MAX, 2), // the count itself overflows
+        (1 << 14, 1 << 14, 1),       // a bit-flipped 2²⁸-pixel frame header
+        (1, 1, 129),                 // one sample more than 16 bytes have bits
+    ];
+    let streams: [&[u8]; 3] = [&[0xff; 8], &[0x00; 16], &[]];
+    let underrun = Err(CodecError::Corrupt("bitstream underrun"));
+    for shape in absurd {
+        for stream in streams {
+            assert_eq!(Fpz.decode(stream, shape), underrun, "fpz {shape:?}");
+            let lz = Lz77.decode(stream, shape);
+            assert!(matches!(lz, Err(CodecError::Corrupt(_))), "lz {shape:?}");
+        }
+    }
+    // zfpx spends its minimum per 4×4×4 block, so its last case is one
+    // block more than 16 bytes have bits.
+    for shape in [absurd[0], absurd[1], absurd[2], (4, 4, 4 * 129)] {
+        for stream in streams {
+            let zfpx = Zfpx::default().decode(stream, shape);
+            assert_eq!(zfpx, underrun, "zfpx {shape:?}");
         }
     }
 }

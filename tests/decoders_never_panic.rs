@@ -12,6 +12,10 @@
 //! every format here either carries its own lengths or is decoded against
 //! a known shape. A panic anywhere fails the row.
 //!
+//! One thing the sweep cannot reach from a small valid image: a header
+//! that promises far more than the bytes behind it hold.
+//! [`oversized_frame_headers_are_corrupt`] feeds the frame decoder those.
+//!
 //! What a single format promises beyond this — forged shard indexes,
 //! half-truncation ⇒ `Corrupt`, unknown tags, inverted ranges, trailing
 //! bytes — stays in that crate's own adversarial tests.
@@ -298,6 +302,33 @@ fn every_decoder_survives_every_truncation_and_bit_flip() {
             let mut flipped = valid.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let _ = decode(&flipped);
+        }
+    }
+}
+
+/// A frame header may claim up to 2²⁸ pixels before `Frame::decode` calls
+/// it implausible; over a 16-byte pixel chunk, under every codec tag, that
+/// claim is a corrupt stream — decided from the chunk's length, not after
+/// sizing a gigabyte from the header.
+#[test]
+fn oversized_frame_headers_are_corrupt() {
+    let (width, height) = (1u32 << 14, 1u32 << 14);
+    let small = Frame::new(420, 3, 8, 6, vec![0.5; 48]);
+    for codec in [
+        CodecKind::Raw,
+        CodecKind::Fpz,
+        CodecKind::Lz,
+        CodecKind::Zfpx { tolerance: 1e-2 },
+    ] {
+        let mut bytes = small.encode(codec);
+        // [version][iteration u64][stager u32][width u32][height u32]…,
+        // then the chunk: its tag byte and 15 bytes of payload.
+        bytes[13..17].copy_from_slice(&width.to_le_bytes());
+        bytes[17..21].copy_from_slice(&height.to_le_bytes());
+        bytes.resize(37 + 16, 0xFF);
+        match Frame::decode(&bytes) {
+            Err(ServeError::Corrupt(_)) => {}
+            other => panic!("{}: expected Corrupt, got {other:?}", codec.name()),
         }
     }
 }
