@@ -28,15 +28,17 @@ echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benc
 # this one runs the same suite, format pin included, on the optimised code.
 cargo test -p apc-compress --release -q
 
-echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm (the kernels as the benchmark runs them)"
+echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 (the kernels as the benchmark runs them)"
 # VAR's lane sums (the score bits are pinned), the isosurface mask table
 # and the collectives on optimised code; the debug pass above keeps
 # trapping overflow and the debug_assert that ties the mesh builder's
 # emitted triangles to the count table. The environment wins over
 # .cargo/config.toml's 120 s: a lost wake-up in the rendezvous' wait loop
 # (the lapping stress hunts for one) fails here in 30 s with the arrival
-# count instead of after two minutes per stranded test.
-APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm
+# count instead of after two minutes per stranded test. The grid, store
+# and cm1 suites put the shared block payload, the LRU charged at decoded
+# sizes and the dataset's cache mutex on optimised code too.
+APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1
 
 echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
 # The one end-to-end run of the path no unit test reaches: the same tiny

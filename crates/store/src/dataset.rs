@@ -524,4 +524,34 @@ mod tests {
         assert_eq!(before[..], chunk_data(dims, 13.0));
         assert_eq!(cached.cache_stats().unwrap().misses, 2);
     }
+
+    /// Eight readers released together over a two-chunk budget: whatever
+    /// the interleaving evicts, every read returns the chunk that was
+    /// written and is counted once.
+    #[test]
+    fn concurrent_readers_under_eviction_read_what_was_written() {
+        const READERS: usize = 8;
+        let chunk_bytes = tiny_meta(CodecKind::Raw).chunk.len() * 4;
+        let (cached, dims) = cached_dataset(2 * chunk_bytes);
+        let start = std::sync::Barrier::new(READERS);
+        std::thread::scope(|scope| {
+            for reader in 0..READERS {
+                let (cached, start) = (&cached, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for step in 0..64 {
+                        let it = [10usize, 20][(reader + step) % 2];
+                        let id = ((reader * 3 + step) % 8) as BlockId;
+                        assert_eq!(
+                            cached.read_chunk(it, id).unwrap()[..],
+                            chunk_data(dims, (it + id as usize) as f32)
+                        );
+                    }
+                });
+            }
+        });
+        let s = cached.cache_stats().unwrap();
+        assert_eq!(s.hits + s.misses, READERS * 64);
+        assert_eq!(s.insertions, s.misses);
+    }
 }
