@@ -466,7 +466,7 @@ mod tests {
 
     /// A flat raw dataset of 16 chunks (8 blocks × 2 iterations, 128
     /// decoded bytes each) reopened with `cache_bytes`.
-    fn cached_dataset(cache_bytes: usize) -> (DynChunkedDataset, Dims3) {
+    fn cached_dataset(cache_bytes: usize) -> DynChunkedDataset {
         let store = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
         let dims = store.chunk_dims();
         for &it in &[10usize, 20] {
@@ -476,8 +476,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let cached = ChunkedDataset::open_auto(store.backend, Some(cache_bytes)).unwrap();
-        (cached, dims)
+        ChunkedDataset::open_auto(store.backend, Some(cache_bytes)).unwrap()
     }
 
     /// The budget is decoded bytes: `k` chunks' worth (and any remainder
@@ -487,7 +486,7 @@ mod tests {
     fn cache_budget_counts_decoded_bytes() {
         let chunk_bytes = tiny_meta(CodecKind::Raw).chunk.len() * 4;
         for (budget, k) in [(3 * chunk_bytes, 3), (4 * chunk_bytes - 1, 3)] {
-            let (cached, _) = cached_dataset(budget);
+            let cached = cached_dataset(budget);
             let mut reads = Vec::new();
             for &it in &[10usize, 20] {
                 for id in cached.decomp().all_blocks() {
@@ -515,7 +514,8 @@ mod tests {
 
     #[test]
     fn rewriting_a_cached_chunk_drops_the_stale_entry() {
-        let (cached, dims) = cached_dataset(1 << 20);
+        let cached = cached_dataset(1 << 20);
+        let dims = cached.chunk_dims();
         let before = cached.read_chunk(10, 3).unwrap();
         let rewritten = chunk_data(dims, 99.0);
         cached.write_chunk(10, 3, &rewritten).unwrap();
@@ -532,7 +532,8 @@ mod tests {
     fn concurrent_readers_under_eviction_read_what_was_written() {
         const READERS: usize = 8;
         let chunk_bytes = tiny_meta(CodecKind::Raw).chunk.len() * 4;
-        let (cached, dims) = cached_dataset(2 * chunk_bytes);
+        let cached = cached_dataset(2 * chunk_bytes);
+        let dims = cached.chunk_dims();
         let start = std::sync::Barrier::new(READERS);
         std::thread::scope(|scope| {
             for reader in 0..READERS {

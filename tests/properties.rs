@@ -358,18 +358,16 @@ fn chunk_cache_does_not_perturb_replay() {
                     set_chunks * configs.len(),
                     "{case}: one lookup per chunk read"
                 );
-                if budget == 0 {
-                    assert_eq!(stats.insertions, 0, "{case}: a zero budget holds nothing");
-                }
-                if budget == chunk_bytes || budget == set_bytes / 2 {
-                    assert!(
-                        stats.evictions > 0,
-                        "{case}: a budget below the decoded set must evict"
-                    );
-                }
-                if budget == set_bytes {
-                    assert_eq!(stats.evictions, 0, "{case}: the whole set must fit");
-                }
+                assert_eq!(
+                    stats.insertions == 0,
+                    budget == 0,
+                    "{case}: a zero budget, and only that, holds nothing"
+                );
+                assert_eq!(
+                    stats.evictions > 0,
+                    (1..set_bytes).contains(&budget),
+                    "{case}: a budget evicts exactly when it is below the decoded set"
+                );
             }
         }
         match &reference {
