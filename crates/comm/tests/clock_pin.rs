@@ -1,33 +1,56 @@
-//! Clock pin: the virtual time every collective charges, and the payloads
-//! it delivers, as 64-bit FNV-1a digests.
+//! Clock pin: the virtual time every collective and every point-to-point
+//! path charges, and the payloads they deliver, as 64-bit FNV-1a digests.
 //!
 //! Every report, golden and benchmark digest downstream is a function of
 //! the per-rank virtual clocks, so a change to how the collectives meet
 //! (the rendezvous, the `alltoallv` data plane, the sample sort's bucket
-//! exchange) must reproduce both digests below bit for bit. The constants
-//! were generated on the code *before* the single-phase rendezvous landed —
-//! two barrier phases, a global slot table and one boxed envelope per
-//! `alltoallv` peer. A mismatch prints the actual table in source form,
-//! but pasting it is a virtual-time change: every golden moves with it.
+//! exchange) or to how a message finds its receiver (the structures under
+//! `send` and `recv`) must reproduce the digests below bit for bit. Each
+//! table was generated on the code *before* the rewrite it fences: the
+//! collectives' before the single-phase rendezvous landed — two barrier
+//! phases, a global slot table and one boxed envelope per `alltoallv`
+//! peer — and the p2p one on one `mpsc` inbox, n² senders and a scanned
+//! stash per rank. A mismatch prints the actual table in source form, but
+//! pasting it is a virtual-time change: every golden moves with it.
 //!
-//! One scripted SPMD sequence on `NetModel::blue_waters()` at 8 and 64
+//! Two scripted SPMD sequences on `NetModel::blue_waters()` at 8 and 64
 //! ranks — as the pure wire model and `for_paper_scale()`, whose additive
 //! per-byte ingest makes the order of a receiver's merges and charges
-//! visible: rank-skewed compute before every step, then each collective
-//! once, ending in an `alltoallv` with uneven batches (empty ones, a
-//! non-empty self batch, block-like payloads whose metered size varies).
+//! visible — with rank-skewed compute before every step. [`script`] runs
+//! each collective once, ending in an `alltoallv` with uneven batches
+//! (empty ones, a non-empty self batch, block-like payloads whose metered
+//! size varies). [`p2p_script`] runs everything that travels by tag: a
+//! ring, receives in the opposite order of sending (across two tags, then
+//! across three sources), `irecv` / `wait_all`, the stage queues under
+//! credit flow and through `dequeue_deferred`, and serve endpoints in the
+//! replay client's shape — requests posted eagerly, replies collected
+//! pair by pair in server order while the servers answer in theirs.
 
 use std::cmp::Ordering;
 
 use apc_comm::sort::{gather_sort_broadcast, sample_sort};
-use apc_comm::{Meter, NetModel, Rank, Runtime};
+use apc_comm::{
+    FlowControl, Meter, NetModel, QueueReceiver, QueueSender, Rank, Request, Runtime, ServeClient,
+    ServeServer, Tag,
+};
 
-/// `(paper scale, ranks, digest)` of the script below.
-const PINNED: [(bool, usize, u64); 4] = [
+/// `(paper scale, ranks, digest)` of one script.
+type Pins = [(bool, usize, u64); 4];
+
+/// [`script`], the collectives.
+const PINNED: Pins = [
     (false, 8, 0xc364_0815_3620_705f),
     (false, 64, 0xde37_ca77_8bff_1a7c),
     (true, 8, 0xe4b4_4bb2_8388_4e7e),
     (true, 64, 0x3277_7d54_cf31_71ae),
+];
+
+/// [`p2p_script`], everything that travels by tag.
+const PINNED_P2P: Pins = [
+    (false, 8, 0x0af0_b97a_75d0_268e),
+    (false, 64, 0xb197_5160_7ee8_0ca2),
+    (true, 8, 0x15b7_1c5d_6270_fd63),
+    (true, 64, 0x9d93_57cf_c983_cd16),
 ];
 
 /// Shaped like `apc_core::WireBlock`: a fixed header plus a body whose
@@ -60,6 +83,24 @@ impl Fnv {
     fn pair(&mut self, &(id, score): &(u32, f64)) {
         self.u64(id as u64);
         self.u64(score.to_bits());
+    }
+
+    fn blob(&mut self, blob: &Blob) {
+        self.u64(blob.id as u64);
+        self.u64(blob.body.len() as u64);
+        blob.body.iter().for_each(|x| self.u64(x.to_bits() as u64));
+    }
+
+    fn clock(&mut self, rank: &Rank) {
+        self.u64(rank.clock().to_bits());
+    }
+}
+
+/// A blob whose metered size is `len`-dependent and whose body names it.
+fn blob(id: usize, len: usize) -> Blob {
+    Blob {
+        id: id as u32,
+        body: vec![id as f32 * 0.25 - len as f32; len],
     }
 }
 
@@ -181,9 +222,174 @@ fn script(rank: &mut Rank) -> u64 {
     h.0
 }
 
-#[test]
-fn collective_clocks_and_payloads_are_pinned() {
-    let actual = PINNED.map(|(paper_scale, n, _)| {
+/// The p2p script. Every receive names its `(source, tag)`, so what a rank
+/// is handed and when (in virtual time) is a function of the script alone,
+/// however the OS schedules the threads.
+fn p2p_script(rank: &mut Rank) -> u64 {
+    let r = rank.rank();
+    let n = rank.nranks();
+    let mut h = Fnv::new();
+    let mut step = 0usize;
+    let mut skew = |rank: &mut Rank| {
+        step += 1;
+        rank.advance(1e-4 * ((r * 5 + step * 7) % 13) as f64);
+    };
+
+    // A ring: the neighbour's skewed clock plus the wire time of a blob of
+    // its size, against this rank's own skew.
+    skew(rank);
+    rank.send((r + 1) % n, Tag(1), blob(r, r % 5 * 24));
+    h.blob(&rank.recv((r + n - 1) % n, Tag(1)));
+    h.clock(rank);
+
+    // Two tags from one source, received in the opposite order of sending:
+    // the later message is merged and charged first.
+    skew(rank);
+    let (dst, src) = ((r + 3) % n, (r + n - 3) % n);
+    rank.send(dst, Tag(2), blob(2 * r, 40));
+    rank.advance(2e-5);
+    rank.send(dst, Tag(3), blob(2 * r + 1, r % 3 * 64));
+    h.blob(&rank.recv(src, Tag(3)));
+    h.clock(rank);
+    h.blob(&rank.recv(src, Tag(2)));
+    h.clock(rank);
+
+    // One tag from three sources, received from the last sender first.
+    skew(rank);
+    for k in 1..=3 {
+        rank.isend((r + k) % n, Tag(4), blob(r * 4 + k, (r + k) % 4 * 32));
+    }
+    for k in (1..=3).rev() {
+        h.blob(&rank.recv((r + n - k) % n, Tag(4)));
+        h.clock(rank);
+    }
+
+    // Fan-in through `irecv` / `wait_all`, posted from the highest source
+    // down (under paper scale the root pays every ingest, in that order),
+    // then the root's clock travels back out.
+    skew(rank);
+    let root = n / 2;
+    if r == root {
+        let reqs: Vec<Request<Blob>> = (0..n)
+            .rev()
+            .filter(|&src| src != root)
+            .map(|src| rank.irecv(src, Tag(5)))
+            .collect();
+        rank.wait_all(reqs).iter().for_each(|b| h.blob(b));
+        h.clock(rank);
+        (0..n)
+            .filter(|&dst| dst != root)
+            .for_each(|dst| rank.send(dst, Tag(6), rank.clock().to_bits()));
+    } else {
+        rank.send(root, Tag(5), blob(r, r % 6 * 20));
+        h.u64(rank.recv(root, Tag(6)));
+    }
+    h.clock(rank);
+
+    // Credit flow: even ranks produce faster than their odd neighbour
+    // serves, through a depth-2 queue — stalls, credits and arrivals.
+    skew(rank);
+    const FRAMES: usize = 7;
+    if r.is_multiple_of(2) {
+        let mut tx = QueueSender::new(r + 1, 3, 2, FlowControl::Credit);
+        for k in 0..FRAMES {
+            rank.advance(1e-5 * ((r + k) % 3) as f64);
+            h.u64(
+                tx.enqueue(rank, blob(r * FRAMES + k, (r + k) % 5 * 48))
+                    .to_bits(),
+            );
+            h.clock(rank);
+        }
+    } else {
+        let mut rx = QueueReceiver::new(r - 1, 3, FlowControl::Credit);
+        for _ in 0..FRAMES {
+            let d = rx.dequeue::<Blob>(rank);
+            h.blob(&d.msg);
+            h.u64(d.arrival.to_bits());
+            h.u64(d.bytes as u64);
+            h.clock(rank);
+            rank.advance(4e-5);
+        }
+    }
+
+    // Lossy flow the other way round: the consumer pulls every frame ahead
+    // of its clock and settles only the ones it keeps.
+    skew(rank);
+    if r % 2 == 1 {
+        let mut tx = QueueSender::new(r - 1, 5, 1, FlowControl::Lossy);
+        for k in 0..FRAMES {
+            rank.advance(3e-5);
+            h.u64(
+                tx.enqueue(rank, blob(r * FRAMES + k, (r + 2 * k) % 4 * 40))
+                    .to_bits(),
+            );
+        }
+    } else {
+        let mut rx = QueueReceiver::new(r + 1, 5, FlowControl::Lossy);
+        let before = rank.clock();
+        let pulled: Vec<_> = (0..FRAMES)
+            .map(|_| rx.dequeue_deferred::<Blob>(rank))
+            .collect();
+        assert_eq!(rank.clock(), before, "a deferred dequeue moved the clock");
+        for (k, d) in pulled.iter().enumerate() {
+            h.blob(&d.msg);
+            h.u64(d.arrival.to_bits());
+            if k % 2 == 0 {
+                rank.merge_clock_to(d.arrival);
+                rank.advance(rank.net().ingest(d.bytes));
+            }
+            h.clock(rank);
+        }
+    }
+    h.clock(rank);
+
+    // Serve endpoints in the replay client's shape: the first quarter of
+    // the ranks serve, the others post every request eagerly and collect
+    // the replies pair by pair in *server* order, while each server works
+    // through its share round by round, highest client first.
+    skew(rank);
+    const ROUNDS: usize = 6;
+    let nservers = n / 4;
+    let server_of = |c: usize, j: usize| (c * 3 + j * 5) % nservers;
+    if r < nservers {
+        let mut eps: Vec<ServeServer> = (nservers..n).map(|c| ServeServer::new(c, 0)).collect();
+        for j in 0..ROUNDS {
+            for c in (nservers..n).rev().filter(|&c| server_of(c, j) == r) {
+                let ep = &mut eps[c - nservers];
+                let q = ep.recv_request::<Vec<u8>>(rank);
+                assert_eq!(q.msg, vec![j as u8; c % 7 + 1], "request of another round");
+                h.u64(q.arrival.to_bits());
+                rank.advance(1e-5 * ((c + j) % 4) as f64);
+                ep.send_reply(rank, blob(c * ROUNDS + j, (c + j) % 5 * 56));
+                h.clock(rank);
+            }
+        }
+    } else {
+        let mut eps: Vec<ServeClient> = (0..nservers).map(|s| ServeClient::new(s, 0)).collect();
+        for j in 0..ROUNDS {
+            rank.merge_clock_to(1e-3 + 2e-5 * j as f64);
+            eps[server_of(r, j)].send_request(rank, vec![j as u8; r % 7 + 1]);
+        }
+        for (s, ep) in eps.iter_mut().enumerate() {
+            for j in (0..ROUNDS).filter(|&j| server_of(r, j) == s) {
+                let d = ep.recv_reply::<Blob>(rank);
+                assert_eq!(
+                    d.msg.id as usize,
+                    r * ROUNDS + j,
+                    "reply of another request"
+                );
+                h.blob(&d.msg);
+                h.u64(d.arrival.to_bits());
+                h.clock(rank);
+            }
+        }
+    }
+    h.0
+}
+
+/// Run `script` under the four pinned configurations.
+fn digests(script: fn(&mut Rank) -> u64, pinned: &Pins) -> Pins {
+    pinned.map(|(paper_scale, n, _)| {
         let net = NetModel::blue_waters();
         let net = if paper_scale {
             net.for_paper_scale()
@@ -196,14 +402,28 @@ fn collective_clocks_and_payloads_are_pinned() {
             h.u64(d);
         }
         (paper_scale, n, h.0)
-    });
+    })
+}
+
+fn assert_pinned(name: &str, script: fn(&mut Rank) -> u64, pinned: &Pins) {
+    let actual = digests(script, pinned);
     let table: String = actual
         .iter()
         .map(|(paper_scale, n, d)| format!("    ({paper_scale}, {n}, {d:#018x}),\n"))
         .collect();
     assert_eq!(
-        actual, PINNED,
+        &actual, pinned,
         "virtual time or a delivered payload moved; actual table:\n\
-         const PINNED: [(bool, usize, u64); 4] = [\n{table}];"
+         const {name}: Pins = [\n{table}];"
     );
+}
+
+#[test]
+fn collective_clocks_and_payloads_are_pinned() {
+    assert_pinned("PINNED", script, &PINNED);
+}
+
+#[test]
+fn p2p_clocks_and_payloads_are_pinned() {
+    assert_pinned("PINNED_P2P", p2p_script, &PINNED_P2P);
 }
