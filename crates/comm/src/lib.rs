@@ -31,6 +31,11 @@
 //!   metered shared-memory exchange through it: the batches cross in one
 //!   meeting, and the paper's §IV-D sends and receives are what its
 //!   *clock* replays.
+//! * **One mailbox per rank under every point-to-point message**
+//!   ([`p2p`]): a sender locks only the destination's mailbox and wakes its
+//!   owner only for the `(source, tag)` it is blocked on; a receiver locks
+//!   only its own, waits until a deadline fixed when the receive started,
+//!   and fails at once when the rank it waits for has died.
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
 //!   (§IV-C) plus a real parallel sample sort used as an ablation.
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):

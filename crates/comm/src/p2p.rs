@@ -5,6 +5,15 @@
 //! Sends are buffered (the virtual network has unbounded eager buffers), so
 //! `send` never blocks — matching the paper's use of non-blocking
 //! sends/receives for block redistribution (§IV-D).
+//!
+//! Underneath, every rank owns one mailbox (`crate::runtime`, "Who wakes
+//! whom"): [`Rank::send`] puts the envelope into the destination's, in the
+//! FIFO of its own rank, and wakes the destination only if it is parked on
+//! exactly that `(source, tag)`; a receive looks in its own mailbox and
+//! parks — until a deadline fixed when it started — only if the message is
+//! not there yet. A receive from a rank whose thread has died fails at
+//! once, naming it, unless the message was delivered first; a send to one
+//! panics "destination rank hung up".
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -74,10 +83,7 @@ impl Rank {
             bytes,
             payload: Box::new(msg),
         };
-        self.senders[dst]
-            .send(env)
-            // apc-lint: allow(unwrap-in-lib): a dropped receiver means the destination rank panicked; propagate the abort
-            .expect("destination rank hung up");
+        self.shared.mailboxes[dst].deliver(env);
     }
 
     /// Non-blocking send. With eager buffering this is identical to

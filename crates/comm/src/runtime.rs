@@ -1,5 +1,6 @@
 //! The rank runtime: one OS thread per rank, one shared `Rendezvous` under
-//! every collective.
+//! every collective, one `Mailbox` per rank under every point-to-point
+//! message.
 //!
 //! Two entry points share the same machinery:
 //!
@@ -14,16 +15,34 @@
 //! Runs inside one session are isolated from each other by an **epoch**:
 //! every envelope and collective contribution is stamped with the epoch of
 //! the run that produced it, and each run starts by resetting the rank's
-//! virtual clock, clearing its stash, and discarding stale-epoch messages.
+//! virtual clock and discarding the stale-epoch messages in its mailbox.
 //! A closure that leaks unconsumed messages therefore cannot corrupt the
 //! next run. `Runtime::run` is implemented as a single-run session, so the
 //! two paths produce byte-identical results by construction.
+//!
+//! # Who wakes whom
+//!
+//! A rank blocks in exactly two places, both bounded by the deadlock
+//! timeout: `Rendezvous::meet` (collectives) and `Rank::pop_matching`
+//! (receives). A mailbox is a mutex over one FIFO per source rank plus the
+//! `(source, tag)` its owner is parked on, and a condvar only the owner
+//! ever waits on. A sender locks the *destination's* mailbox, appends to
+//! its own FIFO there and wakes the owner only if that is the very message
+//! it is parked on — after unlocking, so the owner does not wake into a
+//! held lock; a receiver locks *its own* mailbox once, and a message that
+//! is already there costs it no system call at all. A message a rank
+//! cannot use yet therefore costs its sender no wake-up and its receiver
+//! no context switch — with 272 ranks on two cores, wake-ups that end in
+//! "not mine, back to sleep" were most of what a replay client did. No
+//! thread ever holds two mailbox locks, so there is no lock order, and
+//! nothing panics while holding one.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::netmodel::NetModel;
@@ -183,14 +202,117 @@ impl Rendezvous {
     }
 }
 
+/// What a mailbox's mutex guards.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    /// Undelivered envelopes, one FIFO per source rank, grown to a source's
+    /// index on its first delivery (a rank that only ever hears from a few
+    /// low ranks never holds n of them).
+    from: Vec<VecDeque<Envelope>>,
+    /// The `(source, tag)` the owner is parked on, if it is parked. A
+    /// delivery of exactly that clears it and wakes the owner.
+    pub(crate) waiting: Option<(usize, Tag)>,
+    /// How often the owner parked and was woken (by a delivery, a dying
+    /// peer or spuriously — not by its own timeout).
+    pub(crate) wakeups: u64,
+}
+
+impl Inbox {
+    /// Remove the first envelope of run `epoch` that `src` sent with `tag`
+    /// (non-overtaking per `(source, tag)`, selective otherwise).
+    fn pop(&mut self, src: usize, tag: Tag, epoch: u64) -> Option<Envelope> {
+        let fifo = self.from.get_mut(src)?;
+        // Runs are serialized by the session and `begin_run` dropped what
+        // earlier ones leaked, so an envelope of another run cannot be
+        // here; the epoch test keeps a violation of that from crossing runs.
+        let pos = fifo.iter().position(|e| e.tag == tag && e.epoch == epoch)?;
+        fifo.remove(pos)
+    }
+}
+
+/// One rank's incoming point-to-point messages. See "Who wakes whom" in
+/// the module docs for the protocol.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    inbox: Mutex<Inbox>,
+    /// Signalled when the envelope the owner is parked on arrives, or when
+    /// the rank it is parked on dies. Only the owner waits on it.
+    arrived: Condvar,
+    /// Set once, when the owner's thread exits: nothing will ever be taken
+    /// from this mailbox or sent by its owner again. Outside the mutex so a
+    /// receiver can read its *source's* flag while holding only its own
+    /// lock.
+    pub(crate) dead: AtomicBool,
+}
+
+impl Mailbox {
+    /// Nothing panics while holding this lock, and every update under it
+    /// is a single push, removal or store, so even a poisoned lock guards a
+    /// valid inbox — which also keeps [`HangUp`]'s `drop` from panicking.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `env` to its source's FIFO and wake the owner if it is parked
+    /// on exactly this `(source, tag)`. The one place a message is
+    /// delivered. Panics if the owner's thread is gone.
+    pub(crate) fn deliver(&self, env: Envelope) {
+        assert!(
+            !self.dead.load(Ordering::SeqCst),
+            "destination rank hung up"
+        );
+        let mut inbox = self.lock();
+        let wake = inbox
+            .waiting
+            .take_if(|w| *w == (env.src, env.tag))
+            .is_some();
+        if inbox.from.len() <= env.src {
+            inbox.from.resize_with(env.src + 1, VecDeque::new);
+        }
+        inbox.from[env.src].push_back(env);
+        drop(inbox);
+        if wake {
+            // After the unlock, or the owner would wake into a held lock;
+            // `notify_one` because only the owner ever waits here.
+            self.arrived.notify_one();
+        }
+    }
+}
+
 pub(crate) struct Shared {
     pub nranks: usize,
     pub net: NetModel,
     /// Where every collective meets.
     pub rendezvous: Rendezvous,
+    /// Where every point-to-point message waits for its receiver, by
+    /// destination rank.
+    pub mailboxes: Vec<Mailbox>,
     /// How long receives and rendezvous waits block before declaring
     /// deadlock (from `APC_RECV_TIMEOUT`, overridable per runtime).
     pub timeout: Duration,
+}
+
+/// Lives on a rank thread's stack: when the thread exits — its job loop
+/// ended, or something unwound past it — the rank's mailbox is closed and
+/// every rank parked on a message from it is woken to fail at once,
+/// naming it, instead of after the deadlock timeout.
+struct HangUp {
+    shared: Arc<Shared>,
+    id: usize,
+}
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let mailboxes = &self.shared.mailboxes;
+        // Flag first, then one mailbox lock at a time (see `Rank::pop_matching`).
+        mailboxes[self.id].dead.store(true, Ordering::SeqCst);
+        for mailbox in mailboxes {
+            let waits_for_me = matches!(mailbox.lock().waiting, Some((src, _)) if src == self.id);
+            if waits_for_me {
+                mailbox.arrived.notify_one();
+            }
+        }
+    }
 }
 
 /// Launch configuration: number of ranks and network model.
@@ -252,37 +374,32 @@ impl Runtime {
             nranks: n,
             net: self.net,
             rendezvous: Rendezvous::new(n),
+            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             timeout,
         });
-
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<Envelope>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
 
         let mut job_txs = Vec::with_capacity(n);
         let mut status_rxs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for (id, inbox) in rxs.into_iter().enumerate() {
+        for id in 0..n {
             let (job_tx, job_rx) = channel::<RawJob>();
             let (status_tx, status_rx) = channel::<RunStatus>();
-            let senders = txs.clone();
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("rank-{id}"))
                 .stack_size(self.stack_size)
                 .spawn(move || {
+                    // A rank that stops (panic) makes sends to it and
+                    // receives from it fail loudly instead of waiting.
+                    let _hang_up = HangUp {
+                        shared: Arc::clone(&shared),
+                        id,
+                    };
                     let mut rank = Rank {
                         id,
                         epoch: 0,
                         clock: 0.0,
                         shared,
-                        senders,
-                        inbox,
-                        stash: VecDeque::new(),
                     };
                     // The job loop: run each dispatched closure, report its
                     // outcome, and stop on the first panic (the session is
@@ -308,9 +425,6 @@ impl Runtime {
             status_rxs.push(status_rx);
             handles.push(handle);
         }
-        // Workers hold the only envelope senders, so a rank that stops
-        // (panic) makes sends to it fail loudly instead of queueing forever.
-        drop(txs);
         Session {
             nranks: n,
             epoch: 0,
@@ -379,8 +493,9 @@ where
 /// and blocks until every rank finishes, so consecutive runs are fully
 /// serialized — combined with epoch-stamped envelopes and contributions,
 /// messages from different runs can never cross. Per run, every rank's
-/// virtual clock restarts at zero and its stash is cleared, so a session
-/// run is observationally identical to a fresh [`Runtime::run`].
+/// virtual clock restarts at zero and its mailbox drops what earlier runs
+/// leaked, so a session run is observationally identical to a fresh
+/// [`Runtime::run`].
 ///
 /// A panic in any rank propagates out of [`Session::run`] with the original
 /// payload and **poisons** the session (the shared rendezvous may be out
@@ -522,28 +637,25 @@ pub struct Rank {
     /// envelope and collective contribution so runs cannot interfere.
     pub(crate) epoch: u64,
     pub(crate) clock: f64,
+    /// The session's meeting points: the rendezvous, and every rank's
+    /// mailbox — this rank takes from `mailboxes[id]` and delivers into its
+    /// destinations'.
     pub(crate) shared: Arc<Shared>,
-    pub(crate) senders: Vec<Sender<Envelope>>,
-    pub(crate) inbox: Receiver<Envelope>,
-    pub(crate) stash: VecDeque<Envelope>,
 }
 
 impl Rank {
     /// Reset per-run state at the start of a session run: fresh virtual
-    /// clock, empty stash, and any *stale-epoch* envelopes still sitting in
-    /// the inbox are discarded. Current-epoch envelopes are kept — a peer
-    /// that started this run earlier may already have sent to us.
+    /// clock, and any *stale-epoch* envelopes still sitting in the mailbox
+    /// — leftovers from a run that did not consume all of its messages,
+    /// exactly the cross-run leak the epoch tag exists to stop — are
+    /// discarded. Current-epoch envelopes are kept — a peer that started
+    /// this run earlier may already have sent to us.
     fn begin_run(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.clock = 0.0;
-        self.stash.clear();
-        while let Ok(env) = self.inbox.try_recv() {
-            if env.epoch == epoch {
-                self.stash.push_back(env);
-            }
-            // Older epochs: leftovers from a run that did not consume all
-            // of its messages — exactly the cross-run leak the epoch tag
-            // exists to stop. Dropped.
+        let mut inbox = self.shared.mailboxes[self.id].lock();
+        for fifo in &mut inbox.from {
+            fifo.retain(|env| env.epoch == epoch);
         }
     }
 
@@ -592,39 +704,61 @@ impl Rank {
         self.merge_clock(t);
     }
 
+    /// Block until the first message of this run that `src` sent with
+    /// `tag` is in this rank's mailbox, and remove it. The one place a
+    /// receive blocks. Gives up — with the lock released — when `src` has
+    /// died without delivering it, or the deadlock timeout after the call
+    /// started: the deadline is per receive, so traffic the rank is not
+    /// waiting for cannot postpone the diagnostic.
     pub(crate) fn pop_matching(&mut self, src: usize, tag: Tag) -> Envelope {
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.src == src && e.tag == tag && e.epoch == self.epoch)
-        {
-            // apc-lint: allow(unwrap-in-lib): `pos` came from `position` on this same stash two lines up
-            return self.stash.remove(pos).unwrap();
-        }
-        loop {
-            match self.inbox.recv_timeout(self.shared.timeout) {
-                Ok(env) => {
-                    // Runs are serialized by the session, so an envelope
-                    // from a *future* epoch is impossible; one from a past
-                    // epoch is a leak from a sloppy closure — drop it.
-                    debug_assert!(env.epoch <= self.epoch, "message from a future run");
-                    if env.epoch != self.epoch {
-                        continue;
-                    }
-                    if env.src == src && env.tag == tag {
-                        return env;
-                    }
-                    self.stash.push_back(env);
-                }
-                // apc-lint: allow(unwrap-in-lib): a recv deadlock is unrecoverable; the panic is the diagnostic
-                Err(_) => panic!(
-                    "rank {} deadlocked waiting for message (src={src}, tag={tag:?}); \
-                     {} stashed envelopes",
-                    self.id,
-                    self.stash.len()
-                ),
+        let shared = &*self.shared;
+        let mailbox = &shared.mailboxes[self.id];
+        let mut inbox = mailbox.lock();
+        let mut deadline = None;
+        let died = loop {
+            if let Some(env) = inbox.pop(src, tag, self.epoch) {
+                return env;
             }
+            // After the FIFO: what a peer delivered before dying still
+            // wins. Before parking and after every wake: the dying peer
+            // sets its flag and then takes this lock to look at `waiting`,
+            // so either this load sees the flag or that look sees us.
+            if shared.mailboxes[src].dead.load(Ordering::SeqCst) {
+                break true;
+            }
+            // The clock is read only on the way to parking, never on the
+            // path that finds its message.
+            // apc-lint: allow(wall-clock): deadlock-timeout machinery only — the real clock bounds how long we
+            // wait for dead peers and never reaches virtual time or results
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + shared.timeout);
+            if now >= deadline {
+                break false;
+            }
+            inbox.waiting = Some((src, tag));
+            let (guard, result) = mailbox
+                .arrived
+                .wait_timeout(inbox, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            inbox = guard;
+            inbox.waiting = None;
+            inbox.wakeups += u64::from(!result.timed_out());
+        };
+        let stashed: usize = inbox.from.iter().map(VecDeque::len).sum();
+        drop(inbox);
+        let me = self.id;
+        if died {
+            // apc-lint: allow(unwrap-in-lib): the peer is gone and the message will never come; the panic is the diagnostic
+            panic!(
+                "rank {me} waiting for message (src={src}, tag={tag:?}) from rank {src}, \
+                 which died; {stashed} stashed envelopes"
+            );
         }
+        // apc-lint: allow(unwrap-in-lib): a recv deadlock is unrecoverable; the panic is the diagnostic
+        panic!(
+            "rank {me} deadlocked waiting for message (src={src}, tag={tag:?}); \
+             {stashed} stashed envelopes"
+        );
     }
 }
 
@@ -736,6 +870,129 @@ mod tests {
             }
         });
         assert_eq!(out[0], 222, "run 2 must not see run 1's leaked message");
+    }
+
+    /// Wake accounting: only the message a rank is parked on wakes it. A
+    /// design that signals the owner on every arrival counts one wake-up
+    /// per noise message here.
+    #[test]
+    fn only_the_awaited_message_wakes_a_parked_receiver() {
+        const NOISE: u32 = 1_000;
+        let (awaited, noise, go) = (Tag(1), Tag(2), Tag(3));
+        let out = Runtime::new(3, NetModel::free()).run(|rank| match rank.rank() {
+            0 => {
+                let got = rank.recv::<u32>(2, awaited);
+                let woken = rank.shared.mailboxes[0].lock().wakeups;
+                let drained: Vec<u32> = (0..NOISE).map(|_| rank.recv(1, noise)).collect();
+                assert_eq!(
+                    drained,
+                    (0..NOISE).collect::<Vec<_>>(),
+                    "rank 1's stream must arrive in order"
+                );
+                assert_eq!(
+                    rank.shared.mailboxes[0].lock().wakeups,
+                    woken,
+                    "a receive that finds its message must not park"
+                );
+                (got, woken)
+            }
+            1 => {
+                // Not before rank 0 is parked on rank 2's message:
+                // `waiting` is published under the lock the wait releases.
+                while rank.shared.mailboxes[0].lock().waiting != Some((2, awaited)) {
+                    std::thread::yield_now();
+                }
+                (0..NOISE).for_each(|i| rank.send(0, noise, i));
+                rank.send(2, go, ());
+                (0, 0)
+            }
+            _ => {
+                rank.recv::<()>(1, go);
+                rank.send(0, awaited, 7u32);
+                (0, 0)
+            }
+        });
+        let (got, woken) = out[0];
+        assert_eq!(got, 7);
+        assert!(
+            (1..10).contains(&woken),
+            "rank 0 parked once and {NOISE} messages it was not waiting for \
+             arrived meanwhile; it was woken {woken} times"
+        );
+    }
+
+    #[test]
+    fn a_receive_takes_the_first_match_of_its_tag_in_the_sources_fifo() {
+        const N: u32 = 30;
+        let (a, b, last) = (Tag(1), Tag(2), Tag(3));
+        let is_a = |i: &u32| i.is_multiple_of(3);
+        let out = Runtime::new(2, NetModel::free()).run(|rank| {
+            if rank.rank() == 0 {
+                (0..N).for_each(|i| rank.send(1, if is_a(&i) { a } else { b }, i));
+                rank.send(1, last, ());
+                Vec::new()
+            } else {
+                // Taken from behind all the others: both tags now sit
+                // interleaved in rank 0's FIFO.
+                rank.recv::<()>(0, last);
+                let mut got: Vec<u32> = (0..N)
+                    .filter(|i| !is_a(i))
+                    .map(|_| rank.recv(0, b))
+                    .collect();
+                got.extend((0..N).filter(is_a).map(|_| rank.recv::<u32>(0, a)));
+                got
+            }
+        });
+        let expect: Vec<u32> = (0..N)
+            .filter(|i| !is_a(i))
+            .chain((0..N).filter(is_a))
+            .collect();
+        assert_eq!(out[1], expect, "each tag's stream in sending order");
+    }
+
+    #[test]
+    #[should_panic(expected = "destination rank hung up")]
+    fn send_to_a_rank_whose_thread_has_exited_panics() {
+        Runtime::new(2, NetModel::free()).run(|rank| {
+            if rank.rank() == 1 {
+                panic!("rank 1 exits");
+            }
+            while !rank.shared.mailboxes[1].dead.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // Rank 0's panic is the one `run` re-raises.
+            rank.send(1, Tag(0), 0u8);
+        });
+    }
+
+    #[test]
+    fn what_a_rank_delivered_before_dying_is_still_received() {
+        let first = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            Runtime::new(2, NetModel::free())
+                .deadlock_timeout(Duration::from_secs(30))
+                .run(|rank| {
+                    if rank.rank() == 1 {
+                        rank.send(0, Tag(0), 5u8);
+                        panic!("rank 1 exits");
+                    }
+                    while !rank.shared.mailboxes[1].dead.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    first.store(rank.recv::<u8>(1, Tag(0)) == 5, Ordering::SeqCst);
+                    rank.recv::<u8>(1, Tag(0)) // never sent
+                });
+        }));
+        let payload = caught.expect_err("the second receive must fail");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(first.load(Ordering::SeqCst), "the delivered message wins");
+        assert!(
+            msg.contains("from rank 1, which died"),
+            "the failed receive must name the dead peer, got: {msg}"
+        );
     }
 
     #[test]

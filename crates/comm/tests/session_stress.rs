@@ -321,6 +321,120 @@ fn client_panic_mid_request_fails_the_server_not_strands_it() {
     assert_eq!(out, vec![0, 1]);
 }
 
+/// A receive blocked on a rank that has *died* does not sit out the
+/// deadlock timeout: the dying rank's thread wakes whoever is parked on a
+/// message from it, and the receive fails at once, naming the peer. Both
+/// serving shapes above under a 30 s timeout, with the stranded rank the
+/// lowest one so its diagnostic is what `run` re-raises.
+#[test]
+fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
+    let runtime = Runtime::new(3, NetModel::free()).deadlock_timeout(Duration::from_secs(30));
+    let fails_fast_naming = |dead: &str, job: &(dyn Fn(&mut apc_comm::Rank) + Sync)| {
+        let mut session = runtime.session();
+        let t0 = Instant::now();
+        let payload = catch_unwind(AssertUnwindSafe(|| session.run(job)))
+            .expect_err("the run must fail, not complete");
+        let elapsed = t0.elapsed();
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains(dead) && msg.contains("died"),
+            "the stranded receive must name {dead}, got: {msg}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "a receive from a dead rank waited {elapsed:?} of a 30 s timeout"
+        );
+        assert!(session.is_poisoned(), "a dead rank poisons the session");
+    };
+
+    // Server side: clients 0 and 1 strand in `recv_reply` when server 2
+    // dies holding their second requests.
+    fails_fast_naming("rank 2", &|rank| match rank.rank() {
+        0 | 1 => {
+            let mut ep = ServeClient::new(2, 0);
+            ep.send_request(rank, 1u64);
+            let _ = ep.recv_reply::<u64>(rank);
+            ep.send_request(rank, 2u64);
+            let _ = ep.recv_reply::<u64>(rank); // strands here
+        }
+        _ => {
+            let mut eps: Vec<ServeServer> = (0..2).map(|c| ServeServer::new(c, 0)).collect();
+            for ep in &mut eps {
+                let q = ep.recv_request::<u64>(rank).msg;
+                ep.send_reply(rank, q);
+            }
+            for ep in &mut eps {
+                let _ = ep.recv_request::<u64>(rank);
+            }
+            panic!("server died mid-request");
+        }
+    });
+
+    // Client side: server 0 strands in `recv_request` when client 1 dies
+    // after one round trip; rank 2 idles.
+    fails_fast_naming("rank 1", &|rank| match rank.rank() {
+        0 => {
+            let mut ep = ServeServer::new(1, 0);
+            let q = ep.recv_request::<u64>(rank).msg;
+            ep.send_reply(rank, q);
+            let _ = ep.recv_request::<u64>(rank); // never comes
+        }
+        1 => {
+            let mut ep = ServeClient::new(0, 0);
+            ep.send_request(rank, 7u64);
+            let _ = ep.recv_reply::<u64>(rank);
+            panic!("client died mid-conversation");
+        }
+        _ => {}
+    });
+}
+
+/// A receive's deadline is fixed when it starts. Rank 0 blocks on rank 1,
+/// which is alive and silent, while rank 2 keeps sending it something
+/// else: every such arrival used to restart the full timeout, so a
+/// talkative third rank postponed the diagnostic for as long as it talked.
+#[test]
+fn traffic_a_receive_is_not_waiting_for_does_not_postpone_its_deadline() {
+    // Wide enough that a loaded CI box cannot blur "after one timeout"
+    // into "after the traffic stopped" (four timeouts).
+    let timeout = Duration::from_secs(1);
+    let t0 = Instant::now();
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        Runtime::new(3, NetModel::free())
+            .deadlock_timeout(timeout)
+            .run(|rank| match rank.rank() {
+                0 => rank.recv::<u32>(1, Tag(1)),
+                1 => 0,
+                _ => {
+                    // Once rank 0 has given up, the next send finds it
+                    // gone and ends this loop (and with it the run) early.
+                    for k in 0..12 {
+                        rank.send(0, Tag(2), k);
+                        std::thread::sleep(timeout / 4);
+                    }
+                    0
+                }
+            })
+    }))
+    .expect_err("rank 0 must fail, rank 1 never sends");
+    let elapsed = t0.elapsed();
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("rank 0 deadlocked waiting for message (src=1"),
+        "rank 0's timeout diagnostic expected, got: {msg}"
+    );
+    assert!(
+        elapsed < 2 * timeout,
+        "the diagnostic took {elapsed:?}: arrivals from rank 2 restarted a {timeout:?} deadline"
+    );
+}
+
 /// The sharded-store failure story: ranks read their chunks out of one
 /// shared shard container via byte-range partial reads, then meet in a
 /// barrier. One rank panics mid-read — after fetching its bytes but
