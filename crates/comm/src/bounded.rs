@@ -25,9 +25,10 @@
 //!   surviving message actually enters service.
 //!
 //! Every blocking wait here goes through the runtime's receive path, so
-//! the `APC_RECV_TIMEOUT` deadlock machinery applies unchanged: a producer
-//! stranded on a credit because its consumer panicked fails loudly within
-//! the timeout and poisons the session, exactly like any other stranded
+//! its failure story applies unchanged: a producer stranded on a credit
+//! because its consumer panicked fails loudly — at once, naming the dead
+//! consumer, or within `APC_RECV_TIMEOUT` when the peer is alive but never
+//! answers — and poisons the session, exactly like any other stranded
 //! receive (guarded by the stager-panic case in `tests/session_stress.rs`).
 //!
 //! On a second reserved tag range the module also provides **request/reply
@@ -39,8 +40,8 @@
 //! timeline, which is how `apc-serve` models replies that wait for a frame
 //! still being produced. Requests and replies are ordinary envelopes, so
 //! the same clock-merge arithmetic that prices queue traffic prices the
-//! round trip, and the same timeout machinery fails a stranded side loudly
-//! when its peer dies mid-request.
+//! round trip, and the same machinery fails a stranded side loudly when
+//! its peer dies mid-request.
 
 use crate::meter::Meter;
 use crate::p2p::Tag;
@@ -139,9 +140,7 @@ impl QueueSender {
                 rank.recv_with_arrival::<u64>(self.dst, credit_tag(self.channel));
             debug_assert_eq!(ack, expect, "stage credit out of sequence");
             stall = (arrival - before).max(0.0);
-            rank.merge_clock_to(arrival);
-            let ingest = rank.net().ingest(bytes);
-            rank.advance(ingest);
+            rank.charge_receive(arrival, bytes);
         }
         rank.send(self.dst, data_tag(self.channel), msg);
         self.seq += 1;
@@ -191,9 +190,7 @@ impl QueueReceiver {
     /// time).
     pub fn dequeue<M: Send + 'static>(&mut self, rank: &mut Rank) -> Dequeued<M> {
         let d = self.dequeue_deferred(rank);
-        rank.merge_clock_to(d.arrival);
-        let ingest = rank.net().ingest(d.bytes);
-        rank.advance(ingest);
+        rank.charge_receive(d.arrival, d.bytes);
         if self.flow == FlowControl::Credit {
             rank.send(self.src, credit_tag(self.channel), self.seq - 1);
         }
@@ -253,9 +250,7 @@ impl ServeClient {
             "no outstanding request to receive a reply for"
         );
         let (msg, arrival, bytes) = rank.recv_with_arrival(self.server, reply_tag(self.channel));
-        rank.merge_clock_to(arrival);
-        let ingest = rank.net().ingest(bytes);
-        rank.advance(ingest);
+        rank.charge_receive(arrival, bytes);
         self.answered += 1;
         Dequeued {
             msg,
@@ -300,9 +295,7 @@ impl ServeServer {
     /// server's clock and charging the ingest cost.
     pub fn recv_request<Q: Send + 'static>(&mut self, rank: &mut Rank) -> Dequeued<Q> {
         let (msg, arrival, bytes) = rank.recv_with_arrival(self.client, request_tag(self.channel));
-        rank.merge_clock_to(arrival);
-        let ingest = rank.net().ingest(bytes);
-        rank.advance(ingest);
+        rank.charge_receive(arrival, bytes);
         self.taken += 1;
         Dequeued {
             msg,
