@@ -34,11 +34,20 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-rend
 # trapping overflow and the debug_assert that ties the mesh builder's
 # emitted triangles to the count table. The environment wins over
 # .cargo/config.toml's 120 s: a lost wake-up in the rendezvous' wait loop
-# (the lapping stress hunts for one) fails here in 30 s with the arrival
-# count instead of after two minutes per stranded test. The grid, store
+# (the lapping stress hunts for one) or under a mailbox (`mailbox_stress`)
+# fails here in 30 s with the arrival count or the stranded `(src, tag)`
+# instead of after two minutes per stranded test. The grid, store
 # and cm1 suites put the shared block payload, the LRU charged at decoded
 # sizes and the dataset's cache mutex on optimised code too.
 APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1
+
+echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving (the serving executors as the benchmark runs them)"
+# Staged serving and the replay pool are where p2p blocking matters: 272
+# ranks parked on selective receives. The debug pass above pins their
+# reports; this one runs the same suites on the optimised mailbox, where a
+# lost wake-up or a missed notify fails in 30 s with the stranded rank's
+# (src, tag) instead of after two minutes per stranded test.
+APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
 
 echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
 # The one end-to-end run of the path no unit test reaches: the same tiny
