@@ -204,17 +204,17 @@ impl Rendezvous {
 
 /// What a mailbox's mutex guards.
 #[derive(Default)]
-pub(crate) struct Inbox {
+struct Inbox {
     /// Undelivered envelopes, one FIFO per source rank, grown to a source's
     /// index on its first delivery (a rank that only ever hears from a few
     /// low ranks never holds n of them).
     from: Vec<VecDeque<Envelope>>,
     /// The `(source, tag)` the owner is parked on, if it is parked. A
     /// delivery of exactly that clears it and wakes the owner.
-    pub(crate) waiting: Option<(usize, Tag)>,
+    waiting: Option<(usize, Tag)>,
     /// How often the owner parked and was woken (by a delivery, a dying
     /// peer or spuriously — not by its own timeout).
-    pub(crate) wakeups: u64,
+    wakeups: u64,
 }
 
 impl Inbox {
@@ -242,14 +242,14 @@ pub(crate) struct Mailbox {
     /// from this mailbox or sent by its owner again. Outside the mutex so a
     /// receiver can read its *source's* flag while holding only its own
     /// lock.
-    pub(crate) dead: AtomicBool,
+    dead: AtomicBool,
 }
 
 impl Mailbox {
     /// Nothing panics while holding this lock, and every update under it
     /// is a single push, removal or store, so even a poisoned lock guards a
     /// valid inbox — which also keeps [`HangUp`]'s `drop` from panicking.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Inbox> {
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

@@ -387,9 +387,9 @@ fn p2p_script(rank: &mut Rank) -> u64 {
     h.0
 }
 
-/// Run `script` under the four pinned configurations.
-fn digests(script: fn(&mut Rank) -> u64, pinned: &Pins) -> Pins {
-    pinned.map(|(paper_scale, n, _)| {
+/// Run `script` under the four pinned configurations and compare.
+fn assert_pinned(name: &str, script: fn(&mut Rank) -> u64, pinned: &Pins) {
+    let actual = pinned.map(|(paper_scale, n, _)| {
         let net = NetModel::blue_waters();
         let net = if paper_scale {
             net.for_paper_scale()
@@ -402,11 +402,7 @@ fn digests(script: fn(&mut Rank) -> u64, pinned: &Pins) -> Pins {
             h.u64(d);
         }
         (paper_scale, n, h.0)
-    })
-}
-
-fn assert_pinned(name: &str, script: fn(&mut Rank) -> u64, pinned: &Pins) {
-    let actual = digests(script, pinned);
+    });
     let table: String = actual
         .iter()
         .map(|(paper_scale, n, d)| format!("    ({paper_scale}, {n}, {d:#018x}),\n"))

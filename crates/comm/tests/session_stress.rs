@@ -22,6 +22,14 @@ const ROUNDS: usize = 10;
 /// needs microseconds.
 const TIMEOUT: Duration = Duration::from_millis(400);
 
+/// The message of a formatted `panic!` caught from a run.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
 /// How many places [`job`] can be told to panic at.
 const SITES: usize = 4;
 
@@ -158,10 +166,7 @@ fn a_rank_dying_before_the_all_to_all_strands_peers_in_its_rendezvous() {
         session.run(|rank| job(rank, Some((1, 2))))
     }));
     let payload = result.expect_err("the run must fail, not complete");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
+    let msg = panic_text(&*payload);
     assert!(
         msg.contains("only 3 of 4 ranks arrived"),
         "stranded peers must report the rendezvous' arrival count, got: {msg}"
@@ -335,10 +340,7 @@ fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
         let payload = catch_unwind(AssertUnwindSafe(|| session.run(job)))
             .expect_err("the run must fail, not complete");
         let elapsed = t0.elapsed();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = panic_text(&*payload);
         assert!(
             msg.contains(dead) && msg.contains("died"),
             "the stranded receive must name {dead}, got: {msg}"
@@ -421,10 +423,7 @@ fn traffic_a_receive_is_not_waiting_for_does_not_postpone_its_deadline() {
     }))
     .expect_err("rank 0 must fail, rank 1 never sends");
     let elapsed = t0.elapsed();
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
+    let msg = panic_text(&*payload);
     assert!(
         msg.contains("rank 0 deadlocked waiting for message (src=1"),
         "rank 0's timeout diagnostic expected, got: {msg}"
