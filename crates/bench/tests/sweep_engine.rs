@@ -15,7 +15,10 @@
 use apc_bench::harness::Prepared;
 use apc_cm1::ReflectivityDataset;
 use apc_comm::NetModel;
-use apc_core::{run_experiment_on, ExecPolicy, IterationReport, PipelineConfig, Redistribution};
+use apc_core::{
+    run_experiment_on, BackpressurePolicy, ExecPolicy, IterationReport, PipelineConfig,
+    Redistribution, StagedParams,
+};
 
 fn tiny_prepared(nranks: usize, seed: u64, n_iters: usize) -> Prepared {
     let dataset = ReflectivityDataset::tiny(nranks, seed).expect("tiny decomposition");
@@ -146,6 +149,20 @@ fn heterogeneous_sweep_matches_spawn_per_run() {
         PipelineConfig::default()
             .deterministic()
             .with_redistribution(Redistribution::RandomShuffle { seed: 5 }),
+        // A second isovalue over the same blocks.
+        PipelineConfig::default()
+            .deterministic()
+            .with_isovalue(20.0),
+        // Every block rendered as a 3³ `Sampled` lattice, none full.
+        PipelineConfig::default()
+            .deterministic()
+            .with_fixed_percent(100.0)
+            .with_reduce_keep(3),
+        // The staged executor's render step: 3 sim ranks, 1 stager.
+        PipelineConfig::default()
+            .deterministic()
+            .with_fixed_percent(50.0)
+            .with_staged(StagedParams::new(1, 2, BackpressurePolicy::Block)),
     ];
     let swept = prepared.run_sweep(&configs, &iters);
     for (config, series) in configs.iter().zip(&swept) {
