@@ -3,11 +3,11 @@
 //! The centerpiece is [`Prepared`] (now hosted by `apc-core`, re-exported
 //! here): pipeline input plus a persistent rank session, so a figure's
 //! parameter sweep replays many configurations over **one** set of rank
-//! threads and one shared isosurface-stats cache instead of re-spawning
-//! everything per configuration ([`Prepared::run_sweep`]). The input can
-//! be pre-generated in memory or — with `APC_DATASET=<dir>` pointing at
-//! an `apc-store` dataset written by `apc_cm1::write_dataset` — read
-//! lazily from disk through [`Prepared::from_store`].
+//! threads instead of re-spawning them per configuration
+//! ([`Prepared::run_sweep`]). The input can be pre-generated in memory or
+//! — with `APC_DATASET=<dir>` pointing at an `apc-store` dataset written
+//! by `apc_cm1::write_dataset` — read lazily from disk through
+//! [`Prepared::from_store`].
 
 // apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::path::PathBuf;

@@ -4,8 +4,7 @@
 //!
 //! * [`harness`] — run scales (quick vs `APC_SCALE=full`), the
 //!   [`harness::Prepared`] input (pre-generated blocks + persistent rank
-//!   session + shared stats cache) whose
-//!   [`run_sweep`](harness::Prepared::run_sweep) replays whole
+//!   session) whose [`run_sweep`](harness::Prepared::run_sweep) replays whole
 //!   configuration sweeps over one set of rank threads, CSV output under
 //!   `target/experiments/`, ASCII tables;
 //! * [`experiments`] — one module per paper table/figure plus the ablations

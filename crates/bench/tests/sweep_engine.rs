@@ -4,13 +4,13 @@
 //! The two contracts under guard:
 //!
 //! 1. **Byte-identical reports** — a fig07-style sweep through
-//!    `Prepared::run_sweep` (one session, shared stats cache) produces
-//!    exactly the reports the spawn-per-run driver produces per
-//!    configuration, down to the bits of every virtual-time field.
-//! 2. **No stale cache reuse** — configurations that vary the isovalue
-//!    through one `Prepared` (one shared `StatsCache`) get their own
-//!    isosurface stats, not the first configuration's (the regression this
-//!    PR fixes).
+//!    `Prepared::run_sweep` (one session, one block set) produces exactly
+//!    the reports the spawn-per-run driver produces per configuration,
+//!    down to the bits of every virtual-time field.
+//! 2. **Nothing carries over between configurations** — configurations
+//!    that vary the isovalue through one `Prepared` get their own
+//!    isosurface stats, not the first configuration's, and a second sweep
+//!    over the same session and blocks repeats the first exactly.
 
 use apc_bench::harness::Prepared;
 use apc_cm1::ReflectivityDataset;
@@ -68,12 +68,12 @@ fn fig07_style_sweep_is_byte_identical_to_spawn_per_run() {
         })
         .collect();
 
-    // One session, one shared stats cache, four configurations.
+    // One session, one block set, four configurations.
     let swept = prepared.run_sweep(&configs, &iters);
     assert_eq!(swept.len(), configs.len());
 
-    // Spawn-per-run reference: a fresh runtime per configuration, no
-    // shared cache, straight from the dataset.
+    // Spawn-per-run reference: a fresh runtime per configuration,
+    // straight from the dataset.
     for (config, series) in configs.iter().zip(&swept) {
         let reference = run_experiment_on(
             &prepared.dataset,
@@ -93,10 +93,10 @@ fn fig07_style_sweep_is_byte_identical_to_spawn_per_run() {
     );
 }
 
-/// Regression for the stale-cache bug: two isovalues swept through one
-/// `Prepared` (hence one shared `StatsCache`) must each see their own
-/// geometry. Before keying the cache on the isovalue, the second
-/// configuration silently got the first one's triangle counts.
+/// Two isovalues swept through one `Prepared` (one session, the same
+/// blocks) must each see their own geometry: the render step's counters
+/// are a function of `(block, isovalue)`, and nothing computed for the
+/// first configuration may reach the second.
 #[test]
 fn sweeping_two_isovalues_produces_different_triangle_counts() {
     let prepared = tiny_prepared(4, 42, 2);
@@ -112,11 +112,12 @@ fn sweeping_two_isovalues_produces_different_triangle_counts() {
     assert!(
         cool[0].triangles_total > hot[0].triangles_total,
         "the 20 dBZ surface must enclose more geometry than 45 dBZ \
-         ({} vs {}); equality means the cache returned stale stats",
+         ({} vs {}); equality means the second configuration was served \
+         the first one's counters",
         cool[0].triangles_total,
         hot[0].triangles_total
     );
-    // Both match their uncached spawn-per-run references exactly.
+    // Both match their spawn-per-run references exactly.
     for (config, series) in configs.iter().zip(&swept) {
         let reference = run_experiment_on(
             &prepared.dataset,
@@ -176,10 +177,10 @@ fn heterogeneous_sweep_matches_spawn_per_run() {
     }
 }
 
-/// Re-running a sweep over the (now warm) cache and the same session must
-/// reproduce the cold results exactly.
+/// Re-running a sweep over the same session and the same blocks must
+/// reproduce the first results exactly.
 #[test]
-fn warm_cache_rerun_is_exact() {
+fn second_sweep_over_the_same_session_is_exact() {
     let prepared = tiny_prepared(4, 42, 2);
     let iters = prepared.subset(2);
     let configs = [
@@ -190,9 +191,9 @@ fn warm_cache_rerun_is_exact() {
             .deterministic()
             .with_isovalue(20.0),
     ];
-    let cold = prepared.run_sweep(&configs, &iters);
-    let warm = prepared.run_sweep(&configs, &iters);
-    assert_eq!(cold, warm, "cache hits must not perturb any report");
+    let first = prepared.run_sweep(&configs, &iters);
+    let second = prepared.run_sweep(&configs, &iters);
+    assert_eq!(first, second, "a sweep must leave nothing behind");
 }
 
 /// `run_on` with the session's own network model reuses the session; with

@@ -146,19 +146,11 @@ pub struct PipelineConfig {
     pub reduce_keep: usize,
     /// Virtual render cost model.
     pub cost: RenderCostModel,
-    /// Optional shared isosurface-stats cache. Virtual time is unaffected
-    /// (the cost model charges the same counted work either way); this only
-    /// cuts the *wall-clock* cost of parameter sweeps that re-render
-    /// identical full blocks. Entries are keyed by isovalue and block
-    /// content fingerprint on top of `(iteration, block id)`, so one cache
-    /// may safely serve configurations that vary the isovalue or even the
-    /// dataset — mismatches miss cleanly (see [`crate::StatsCache`]).
-    pub stats_cache: Option<std::sync::Arc<crate::pipeline::StatsCache>>,
     /// Intra-rank execution policy for the per-block hot kernels (scoring
-    /// and isosurface counting). Like `stats_cache`, this changes
-    /// *wall-clock* time only: virtual-time accounting is summed from
-    /// per-block counters, so `Serial` and `Threads(n)` produce
-    /// byte-identical [`crate::IterationReport`]s (guarded by the
+    /// and isosurface counting). This changes *wall-clock* time only:
+    /// virtual-time accounting is summed from per-block counters, so
+    /// `Serial` and `Threads(n)` produce byte-identical
+    /// [`crate::IterationReport`]s (guarded by the
     /// `exec_policy_determinism` regression test). The pipeline uses the
     /// policy exactly as given; experiment drivers that spawn one OS thread
     /// per rank clamp it first so `ranks × threads ≤ cores`
@@ -184,7 +176,6 @@ impl Default for PipelineConfig {
             max_percent: 100.0,
             reduce_keep: 2,
             cost: RenderCostModel::default(),
-            stats_cache: None,
             exec: ExecPolicy::Serial,
             mode: InSituMode::Synchronous,
         }
@@ -203,8 +194,7 @@ impl PipelineConfig {
     }
 
     /// Select the rendered isovalue (the paper's scenario fixes 45 dBZ;
-    /// sweeps may vary it — the [`crate::StatsCache`] keys on it, so mixed
-    /// isovalues through one cache stay correct).
+    /// sweeps may vary it).
     pub fn with_isovalue(mut self, isovalue: f32) -> Self {
         assert!(isovalue.is_finite(), "isovalue must be finite");
         self.isovalue = isovalue;

@@ -124,33 +124,31 @@ where
     );
     configs
         .iter()
-        .map(|cfg| match cfg.mode {
-            InSituMode::Synchronous => {
-                let mut config = cfg.clone();
-                config.exec = config.exec.clamp_for_ranks(decomp.nranks());
-                let mut all: Vec<Vec<IterationReport>> = session.run(|rank| {
-                    let mut pipeline = Pipeline::new(config.clone(), *decomp, coords.clone());
-                    iterations
-                        .iter()
-                        .map(|&it| {
-                            let input = blocks(it, rank.rank());
-                            pipeline.run_iteration(rank, input, it).0
-                        })
-                        .collect()
-                });
-                all.swap_remove(0)
-            }
-            // Staged configs run the dedicated-core executor over the same
-            // session and fold into the same report-stream shape (the
-            // staged-only observables are available through
-            // `crate::staged::run_staged_in_session` directly).
-            InSituMode::Staged(_) => {
-                let mut config = cfg.clone();
-                config.exec = config.exec.clamp_for_ranks(decomp.nranks());
-                crate::staged::run_staged_in_session(
+        .map(|cfg| {
+            let mut config = cfg.clone();
+            config.exec = config.exec.clamp_for_ranks(decomp.nranks());
+            match config.mode {
+                InSituMode::Synchronous => {
+                    let mut all: Vec<Vec<IterationReport>> = session.run(|rank| {
+                        let mut pipeline = Pipeline::new(config.clone(), *decomp, coords.clone());
+                        iterations
+                            .iter()
+                            .map(|&it| {
+                                let input = blocks(it, rank.rank());
+                                pipeline.run_iteration(rank, input, it).0
+                            })
+                            .collect()
+                    });
+                    all.swap_remove(0)
+                }
+                // Staged configs run the dedicated-core executor over the
+                // same session and fold into the same report-stream shape
+                // (the staged-only observables are available through
+                // `crate::staged::run_staged_in_session` directly).
+                InSituMode::Staged(_) => crate::staged::run_staged_in_session(
                     session, decomp, coords, &config, iterations, blocks,
                 )
-                .reports()
+                .reports(),
             }
         })
         .collect()

@@ -24,12 +24,10 @@
 //! [`PipelineConfig`]s replayed over one persistent rank session
 //! ([`apc_comm::Session`]), byte-identical to running each configuration
 //! one-shot, minus the per-configuration thread-spawn cost. [`Prepared`]
-//! packages that pattern — input blocks + persistent session + shared
-//! cache — and [`Prepared::from_store`] binds it to a persisted
-//! `apc-store` dataset instead, with each rank lazily reading only its
-//! own chunks from inside its rank thread. The [`StatsCache`] wall-clock
-//! accelerator is keyed by isovalue and block content fingerprint so
-//! sweeps that vary either stay correct.
+//! packages that pattern — input blocks + persistent session — and
+//! [`Prepared::from_store`] binds it to a persisted `apc-store` dataset
+//! instead, with each rank lazily reading only its own chunks from inside
+//! its rank thread.
 //!
 //! Two **in situ modes** share this machinery ([`InSituMode`] on the
 //! config): the paper's time-partitioned pipeline above
@@ -78,7 +76,7 @@ pub use driver::{
     run_experiment, run_experiment_on, run_experiment_prepared, run_sweep_in_session,
     run_sweep_prepared,
 };
-pub use pipeline::{Pipeline, StatsCache};
+pub use pipeline::Pipeline;
 pub use prepared::{spaced_subset, Prepared};
 pub use redistribute::WireBlock;
 pub use replay_serving::{run_replay_serving, run_replay_serving_in_session, ReplayRun};

@@ -3,7 +3,7 @@
 use apc_comm::{sort, Rank};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_metrics::BlockScorer;
-use apc_par::par_map;
+use apc_par::{par_map, ExecPolicy};
 use apc_render::{block_iso_stats, IsoStats, RenderCostModel};
 
 use crate::config::{PipelineConfig, Redistribution, SortStrategy};
@@ -16,103 +16,29 @@ use crate::selection::{reduction_count, reduction_mask, score_order, ScoredBlock
 /// step is measured like every other).
 const REDUCE_COST_PER_BLOCK: f64 = 2.0e-6;
 
-/// Cache key for one block's isosurface stats. `IsoStats` is a pure
-/// function of `(block content, isovalue)`, so the key carries both: the
-/// isovalue bit pattern and a cheap content fingerprint of the block, on
-/// top of the `(iteration, block id)` coordinates that make lookups
-/// collision-free within one dataset. A sweep that varies the isovalue —
-/// or a cache accidentally shared between two datasets — therefore gets a
-/// clean miss instead of silently stale stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct StatsKey {
-    iteration: usize,
-    block: apc_grid::BlockId,
-    isovalue_bits: u32,
-    content_fp: u64,
-}
-
-/// O(1) content fingerprint of a block: its id, extent, sample count and a
-/// handful of evenly spaced sample bit patterns, mixed SplitMix64-style.
-/// Two blocks from different datasets (different storm seed, different
-/// iteration timeline) disagree on essentially every sample, so any probe
-/// catches the mismatch; the cost is eight array reads.
-fn block_fingerprint(samples: &[f32], b: &Block) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 31;
-    };
-    mix(b.id as u64);
-    mix(b.extent.lo.0 as u64 ^ ((b.extent.lo.1 as u64) << 21) ^ ((b.extent.lo.2 as u64) << 42));
-    mix(samples.len() as u64);
-    let probes = 8.min(samples.len());
-    for p in 0..probes {
-        let idx = p * (samples.len() - 1) / probes.max(1);
-        mix(u64::from(samples[idx].to_bits()) << 1 | 1);
-    }
-    h
-}
-
-/// Wall-clock accelerator for parameter sweeps: memoizes the isosurface
-/// work counters of *full* blocks. Block data is a pure function of
-/// `(dataset seed, iteration, id)`, so reuse across pipeline
-/// configurations is sound — and the cache enforces soundness itself:
-/// entries are keyed by `(iteration, block id, isovalue bits, block
-/// content fingerprint)`, so configurations that vary the isovalue or feed
-/// a different dataset through the same cache miss cleanly instead of
-/// returning stale stats (the pre-sweep-engine bug). Virtual time is
-/// identical with or without the cache; only wall-clock time changes.
-#[derive(Debug, Default)]
-pub struct StatsCache {
-    map: std::sync::Mutex<std::collections::BTreeMap<StatsKey, IsoStats>>,
-}
-
-impl StatsCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn get(&self, key: StatsKey) -> Option<IsoStats> {
-        // apc-lint: allow(unwrap-in-lib): mutex poisoning means a rank already panicked; propagate
-        self.map.lock().unwrap().get(&key).copied()
-    }
-
-    fn put(&self, key: StatsKey, stats: IsoStats) {
-        // apc-lint: allow(unwrap-in-lib): mutex poisoning means a rank already panicked; propagate
-        self.map.lock().unwrap().insert(key, stats);
-    }
-
-    pub fn len(&self) -> usize {
-        // apc-lint: allow(unwrap-in-lib): mutex poisoning means a rank already panicked; propagate
-        self.map.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Isosurface work counters of one block under `config` (counted, never
-/// meshed) — through the shared [`StatsCache`] when one is attached and
-/// the block is full (reduced blocks are never cached).
-fn cached_block_stats(config: &PipelineConfig, iteration: usize, b: &Block) -> IsoStats {
-    match (&config.stats_cache, b.is_reduced()) {
-        (Some(cache), false) => {
-            let key = StatsKey {
-                iteration,
-                block: b.id,
-                isovalue_bits: config.isovalue.to_bits(),
-                content_fp: block_fingerprint(&b.samples(), b),
-            };
-            cache.get(key).unwrap_or_else(|| {
-                let s = block_iso_stats(b, config.isovalue);
-                cache.put(key, s);
-                s
-            })
-        }
-        _ => block_iso_stats(b, config.isovalue),
-    }
+/// The paper's score step, the one copy both executors run (the
+/// synchronous step 1 and the staged simulation side): score `blocks` with
+/// `scorer` — real scores on real data, fanned out per block under `exec`
+/// — and charge the metric's calibrated per-point cost for the points
+/// evaluated. Scores come back in block order and the charge is summed
+/// from per-block point counts, so every policy yields the same scores and
+/// the same virtual time.
+pub(crate) fn score_held(
+    rank: &mut Rank,
+    scorer: &dyn BlockScorer,
+    blocks: &[Block],
+    exec: ExecPolicy,
+) -> Vec<ScoredBlock> {
+    let batch = apc_metrics::score_blocks(scorer, blocks, exec);
+    let points: usize = batch.iter().map(|r| r.points).sum();
+    rank.advance(points as f64 * scorer.cost_per_point());
+    batch
+        .iter()
+        .map(|r| ScoredBlock {
+            id: r.id,
+            score: r.score,
+        })
+        .collect()
 }
 
 /// The paper's reduce step, the one copy every executor runs (the
@@ -145,10 +71,9 @@ pub(crate) fn reduce_lowest(
 /// The paper's render step, the one copy both executors run: count the
 /// isosurface work of the `held` blocks — cells visited, triangles emitted;
 /// no mesh is built — and charge the cost model's render time. Counting is
-/// fanned out per block under `config.exec` (the stats cache is
-/// thread-safe); per-block counters are merged in block order, so the
-/// counted work — and with it the virtual render time — is identical
-/// under every policy.
+/// fanned out per block under `config.exec`; per-block counters are merged
+/// in block order, so the counted work — and with it the virtual render
+/// time — is identical under every policy.
 pub(crate) fn render_held(
     rank: &mut Rank,
     config: &PipelineConfig,
@@ -160,7 +85,7 @@ pub(crate) fn render_held(
             .exec
             .for_kernel(apc_render::isosurface::recommended_concurrency(held.len())),
         held,
-        |b| cached_block_stats(config, iteration, b),
+        |b| block_iso_stats(b, config.isovalue),
     );
     let mut stats = IsoStats::default();
     for s in per_block {
@@ -253,26 +178,11 @@ impl Pipeline {
         iteration: usize,
     ) -> (IterationReport, Vec<Block>) {
         let percent = self.percent();
-        let exec = self.config.exec;
         rank.barrier(); // align clocks so step times are max-over-ranks
         let c0 = rank.clock();
 
-        // Step 1 — score blocks (real scores on real data; virtual time
-        // from the metric's calibrated per-point cost). The batch entry
-        // point fans the per-block evaluations out under `exec`; results
-        // come back in block order, and the clock is charged from the
-        // summed per-block point counts, so every policy yields the same
-        // virtual time.
-        let batch = apc_metrics::score_blocks(self.scorer.as_ref(), &blocks, exec);
-        let scored: Vec<ScoredBlock> = batch
-            .iter()
-            .map(|r| ScoredBlock {
-                id: r.id,
-                score: r.score,
-            })
-            .collect();
-        let points: usize = batch.iter().map(|r| r.points).sum();
-        rank.advance(points as f64 * self.scorer.cost_per_point());
+        // Step 1 — score blocks.
+        let scored = score_held(rank, self.scorer.as_ref(), &blocks, self.config.exec);
         rank.barrier();
         let c1 = rank.clock();
 
@@ -541,39 +451,6 @@ mod tests {
             );
         }
         assert!(reports.last().unwrap().percent_reduced > 50.0);
-    }
-
-    #[test]
-    fn stats_cache_keys_on_isovalue() {
-        // Regression: one shared cache used to be keyed by
-        // `(iteration, block)` only, so the second isovalue silently got
-        // the first isovalue's stats. The key now carries the isovalue.
-        let cache = std::sync::Arc::new(StatsCache::new());
-        let cached = |iso: f32| {
-            let mut c = PipelineConfig::default().deterministic().with_isovalue(iso);
-            c.stats_cache = Some(std::sync::Arc::clone(&cache));
-            run_tiny(c, &[300])
-        };
-        let hot = cached(45.0); // warms the cache at the paper's 45 dBZ
-        let cool = cached(20.0); // same cache, lower isovalue
-        assert!(
-            cool[0].triangles_total > hot[0].triangles_total,
-            "a lower isovalue exposes more geometry ({} vs {}); equality means \
-             the cache served stale stats",
-            cool[0].triangles_total,
-            hot[0].triangles_total
-        );
-        // Both cached runs match their uncached references exactly, and a
-        // warm re-run (pure cache hits) is still exact.
-        let reference = run_tiny(
-            PipelineConfig::default()
-                .deterministic()
-                .with_isovalue(20.0),
-            &[300],
-        );
-        assert_eq!(cool, reference);
-        assert_eq!(cached(45.0), hot);
-        assert_eq!(cache.len(), 256, "128 blocks × 2 isovalues");
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! substrate every parameter sweep replays through.
 //!
 //! A `Prepared` owns (a) the input blocks for one `(rank count, iteration
-//! set)`, (b) a persistent [`Session`] of rank threads, and (c) a shared
-//! [`StatsCache`], so replaying many [`PipelineConfig`]s costs one thread
-//! spawn and one data pass instead of one per configuration. Two input
-//! sources exist:
+//! set)` and (b) a persistent [`Session`] of rank threads, so replaying
+//! many [`PipelineConfig`]s costs one thread spawn and one data pass
+//! instead of one per configuration. Two input sources exist:
 //!
 //! * **Preloaded** ([`Prepared::from_dataset`] and friends) — every
 //!   `(iteration, rank)` block set generated up front and held in memory;
@@ -18,7 +17,7 @@
 //!   by the `store_roundtrip` integration test).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use apc_cm1::{ReflectivityDataset, StoredTimeSeries};
 use apc_comm::{NetModel, Runtime, Session};
@@ -27,7 +26,6 @@ use apc_par::ExecPolicy;
 
 use crate::config::PipelineConfig;
 use crate::driver::{run_experiment_prepared, run_sweep_in_session};
-use crate::pipeline::StatsCache;
 use crate::report::IterationReport;
 use crate::serving::{run_staged_serving_in_session, ServeParams, ServingRun};
 use crate::staged::{run_staged_in_session, StagedRun};
@@ -42,11 +40,11 @@ enum BlockSource {
 }
 
 /// Pre-arranged pipeline input for one `(rank count, iteration set)`:
-/// blocks (in memory or behind a chunked store), a shared
-/// isosurface-stats cache, and a persistent rank [`Session`] so every
-/// configuration replayed through this input reuses the same rank
-/// threads. Preparing once and replaying across configurations is exactly
-/// what the paper does by reloading its stored dataset with BIL (§V-A).
+/// blocks (in memory or behind a chunked store) and a persistent rank
+/// [`Session`], so every configuration replayed through this input reuses
+/// the same rank threads. Preparing once and replaying across
+/// configurations is exactly what the paper does by reloading its stored
+/// dataset with BIL (§V-A).
 pub struct Prepared {
     /// The dataset's geometry (decomposition + coordinate axes). For a
     /// store-backed `Prepared` this is the deterministic geometry twin —
@@ -59,7 +57,6 @@ pub struct Prepared {
     /// Network model the session was built with; [`Prepared::run_on`] with
     /// a different model falls back to a one-shot runtime.
     net: NetModel,
-    cache: Arc<StatsCache>,
     source: BlockSource,
     session: Mutex<Session>,
 }
@@ -154,7 +151,6 @@ impl Prepared {
             iterations,
             exec,
             net,
-            cache: Arc::new(StatsCache::new()),
             source,
             session,
         }
@@ -174,8 +170,8 @@ impl Prepared {
     }
 
     /// The sweep engine entry point: replay every configuration over the
-    /// same prepared blocks, one rank session, one stats cache. Returns one
-    /// report series per configuration, in order — byte-identical to
+    /// same prepared blocks and one rank session. Returns one report
+    /// series per configuration, in order — byte-identical to
     /// running each configuration through a fresh spawn-per-run runtime
     /// (guarded by the `sweep_engine` integration tests).
     pub fn run_sweep(
@@ -204,8 +200,7 @@ impl Prepared {
     /// also flow through [`Prepared::run`]/[`Prepared::run_sweep`], which
     /// return just the report stream.
     pub fn run_staged(&self, config: PipelineConfig, iterations: &[usize]) -> StagedRun {
-        let mut config = self.instrument(config);
-        config.exec = config.exec.clamp_for_ranks(self.dataset.decomp().nranks());
+        let config = self.instrument(config);
         // apc-lint: allow(unwrap-in-lib): session mutex poisoning means an earlier sweep panicked; propagate
         let mut session = self.session.lock().expect("an earlier sweep panicked");
         run_staged_in_session(
@@ -232,8 +227,7 @@ impl Prepared {
         iterations: &[usize],
         serve: &ServeParams,
     ) -> ServingRun {
-        let mut config = self.instrument(config);
-        config.exec = config.exec.clamp_for_ranks(self.dataset.decomp().nranks());
+        let config = self.instrument(config);
         // apc-lint: allow(unwrap-in-lib): session mutex poisoning means an earlier sweep panicked; propagate
         let mut session = self.session.lock().expect("an earlier sweep panicked");
         run_staged_serving_in_session(
@@ -270,10 +264,10 @@ impl Prepared {
         )
     }
 
-    /// Inject the shared cache and execution policy into a configuration.
+    /// Inject this input's execution policy into a configuration, clamped
+    /// to the host's per-rank thread budget.
     fn instrument(&self, mut config: PipelineConfig) -> PipelineConfig {
-        config.stats_cache = Some(Arc::clone(&self.cache));
-        config.exec = self.exec;
+        config.exec = self.exec.clamp_for_ranks(self.dataset.decomp().nranks());
         config
     }
 

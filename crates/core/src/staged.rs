@@ -17,10 +17,10 @@
 //! * **Staging ranks** drain the queues and run the remaining steps with
 //!   the existing `apc-core` machinery: the paper's score order
 //!   ([`score_order`]), reduction-set selection, block downsampling, the
-//!   isosurface render-cost model (through the shared [`crate::StatsCache`] when
-//!   one is attached), and a per-stager Algorithm 1 [`BudgetController`].
-//!   Under [`apc_stage::BackpressurePolicy::DegradeHarder`] a frame that sat in the
-//!   queue is reduced `boost` percentage points harder than the
+//!   isosurface render-cost model, and a per-stager Algorithm 1
+//!   [`BudgetController`]. Under
+//!   [`apc_stage::BackpressurePolicy::DegradeHarder`] a frame that sat in
+//!   the queue is reduced `boost` percentage points harder than the
 //!   controller asked — the controller then observes the percentage
 //!   actually used ([`BudgetController::observe_at`]), so its linear model
 //!   stays fed with true `(time, percent)` pairs.
@@ -42,7 +42,7 @@ use apc_stage::{run_staged, Partition, RankLog, SimFrameLog, StageFrameLog, Stag
 
 use crate::config::{InSituMode, PipelineConfig, StagedParams};
 use crate::controller::BudgetController;
-use crate::pipeline::{reduce_lowest, render_held};
+use crate::pipeline::{reduce_lowest, render_held, score_held};
 use crate::redistribute::WireBlock;
 use crate::report::IterationReport;
 use crate::selection::{score_order, ScoredBlock};
@@ -265,18 +265,8 @@ where
                 .flat_map(|r| blocks(it, r))
                 .collect();
             let t0 = rank.clock();
-            let scored = apc_metrics::score_blocks(scorer.as_ref(), &held, config.exec);
-            let points: usize = scored.iter().map(|r| r.points).sum();
-            rank.advance(points as f64 * scorer.cost_per_point());
+            let mut order = score_held(rank, scorer.as_ref(), &held, config.exec);
             let t_score = rank.clock() - t0;
-
-            let mut order: Vec<ScoredBlock> = scored
-                .iter()
-                .map(|r| ScoredBlock {
-                    id: r.id,
-                    score: r.score,
-                })
-                .collect();
             order.sort_by(score_order);
 
             let t1 = rank.clock();
