@@ -465,7 +465,7 @@ mod tests {
         }
     }
 
-    /// The isend/recv exchange `alltoallv` was before its batches moved
+    /// The send/recv exchange `alltoallv` was before its batches moved
     /// onto the rendezvous: the reference its clock replay must equal.
     // Loop variables double as rank ids for addressing, not just indices.
     #[allow(clippy::needless_range_loop)]
@@ -477,11 +477,11 @@ mod tests {
         let (n, me) = (rank.nranks(), rank.rank());
         let mut incoming: Vec<Vec<M>> = (0..n).map(|_| Vec::new()).collect();
         incoming[me] = std::mem::take(&mut outgoing[me]);
-        // Post all sends first (non-blocking), then drain receives.
+        // Post all sends first (they never block), then drain receives.
         for dst in 0..n {
             if dst != me {
                 let batch = std::mem::take(&mut outgoing[dst]);
-                rank.isend(dst, TAG, batch);
+                rank.send(dst, TAG, batch);
             }
         }
         for src in 0..n {

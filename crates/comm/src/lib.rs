@@ -7,7 +7,7 @@
 //!
 //! * **Ranks are OS threads.** [`Runtime::run`] spawns one thread per rank;
 //!   each receives a [`Rank`] handle exposing point-to-point messaging
-//!   (`send`/`recv`/`isend`/`irecv` with tags) and the collectives the
+//!   (`send`/`recv` with tags) and the collectives the
 //!   pipeline needs (barrier, broadcast, gather, allgather, reduce,
 //!   allreduce, alltoall(v), exclusive scan).
 //! * **Reusable rank sessions.** [`Runtime::session`] spawns the rank
@@ -67,5 +67,5 @@ pub mod sort;
 pub use bounded::{Dequeued, FlowControl, QueueReceiver, QueueSender, ServeClient, ServeServer};
 pub use meter::Meter;
 pub use netmodel::NetModel;
-pub use p2p::{Request, Tag};
+pub use p2p::Tag;
 pub use runtime::{parse_recv_timeout, Rank, Runtime, Session};

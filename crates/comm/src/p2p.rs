@@ -1,4 +1,4 @@
-//! Point-to-point messaging: tagged, typed, with non-blocking variants.
+//! Point-to-point messaging: tagged and typed.
 //!
 //! Semantics mirror MPI: messages between a (sender, receiver) pair with the
 //! same tag are non-overtaking; receives are selective on `(source, tag)`.
@@ -16,7 +16,6 @@
 //! panics "destination rank hung up".
 
 use std::any::Any;
-use std::marker::PhantomData;
 
 use crate::meter::Meter;
 use crate::runtime::Rank;
@@ -52,22 +51,6 @@ pub(crate) struct Envelope {
     pub payload: Box<dyn Any + Send>,
 }
 
-/// Handle for a posted non-blocking receive. Completing it requires the rank
-/// handle again (the runtime is single-threaded per rank, like MPI).
-#[must_use = "a posted receive must be waited on"]
-pub struct Request<M> {
-    src: usize,
-    tag: Tag,
-    _m: PhantomData<fn() -> M>,
-}
-
-impl<M: Send + 'static> Request<M> {
-    /// Block until the matching message arrives and return its payload.
-    pub fn wait(self, rank: &mut Rank) -> M {
-        rank.recv(self.src, self.tag)
-    }
-}
-
 impl Rank {
     /// Send `msg` to `dst` with `tag`. Never blocks (eager buffering).
     /// Charges the sender the per-message software overhead.
@@ -84,12 +67,6 @@ impl Rank {
             payload: Box::new(msg),
         };
         self.shared.mailboxes[dst].deliver(env);
-    }
-
-    /// Non-blocking send. With eager buffering this is identical to
-    /// [`Rank::send`]; provided so pipeline code reads like the paper.
-    pub fn isend<M: Meter + Send + 'static>(&mut self, dst: usize, tag: Tag, msg: M) {
-        self.send(dst, tag, msg);
     }
 
     /// Blocking receive of a message from `src` with `tag`. Merges the
@@ -135,20 +112,6 @@ impl Rank {
             )
         });
         (msg, arrival, bytes)
-    }
-
-    /// Post a non-blocking receive for `(src, tag)`.
-    pub fn irecv<M: Send + 'static>(&mut self, src: usize, tag: Tag) -> Request<M> {
-        Request {
-            src,
-            tag,
-            _m: PhantomData,
-        }
-    }
-
-    /// Complete a set of posted receives, in any arrival order.
-    pub fn wait_all<M: Send + 'static>(&mut self, reqs: Vec<Request<M>>) -> Vec<M> {
-        reqs.into_iter().map(|r| r.wait(self)).collect()
     }
 }
 
@@ -244,21 +207,6 @@ mod tests {
             rank.clock()
         });
         assert_eq!(clocks[1], 10.0);
-    }
-
-    #[test]
-    fn irecv_wait_all() {
-        let out = Runtime::new(4, NetModel::free()).run(|rank| {
-            if rank.rank() == 0 {
-                let reqs: Vec<Request<u64>> =
-                    (1..4).map(|src| rank.irecv::<u64>(src, Tag(7))).collect();
-                rank.wait_all(reqs).iter().sum::<u64>()
-            } else {
-                rank.send(0, Tag(7), rank.rank() as u64);
-                0
-            }
-        });
-        assert_eq!(out[0], 6);
     }
 
     #[test]

@@ -353,16 +353,6 @@ impl Runtime {
         self.nranks
     }
 
-    /// How many *extra* worker threads each rank can afford for intra-rank
-    /// data parallelism (kernel fan-out) without oversubscribing the host:
-    /// the runtime already runs one OS thread per rank, so the budget is
-    /// `max(1, cores / nranks)`. Experiment drivers feed this to
-    /// `ExecPolicy::clamp_for_ranks` (in `apc-par`, which implements the
-    /// same rule) before entering the pipeline.
-    pub fn thread_budget(&self) -> usize {
-        thread_budget(self.nranks)
-    }
-
     /// Spawn the rank threads once and return a reusable [`Session`].
     /// Each [`Session::run`] executes one SPMD closure over the same
     /// threads; the network model and rank count are fixed for the
@@ -619,14 +609,6 @@ impl Drop for Session {
     }
 }
 
-/// Per-rank intra-rank worker-thread budget for `nranks` concurrently
-/// running rank threads: `max(1, cores / nranks)`. Delegates to
-/// [`apc_par::thread_budget`] so the oversubscription rule has exactly one
-/// implementation (the same one `ExecPolicy::clamp_for_ranks` applies).
-pub fn thread_budget(nranks: usize) -> usize {
-    apc_par::thread_budget(nranks)
-}
-
 /// Per-rank communicator handle, passed to the closure given to
 /// [`Runtime::run`] / [`Session::run`]. All point-to-point and collective
 /// operations live here (collectives are in [`crate::collectives`],
@@ -666,12 +648,6 @@ impl Rank {
 
     pub fn nranks(&self) -> usize {
         self.shared.nranks
-    }
-
-    /// This rank's intra-rank worker-thread budget (see
-    /// [`Runtime::thread_budget`]).
-    pub fn thread_budget(&self) -> usize {
-        thread_budget(self.shared.nranks)
     }
 
     pub fn net(&self) -> NetModel {
@@ -793,22 +769,6 @@ mod tests {
     #[should_panic(expected = "need at least one rank")]
     fn zero_ranks_rejected() {
         let _ = Runtime::new(0, NetModel::free());
-    }
-
-    #[test]
-    fn thread_budget_never_oversubscribes() {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        for n in [1, 2, 64, 400] {
-            let rt = Runtime::new(n, NetModel::free());
-            let budget = rt.thread_budget();
-            assert!(budget >= 1, "budget is at least one thread");
-            assert!(
-                n * budget <= cores.max(n),
-                "{n} ranks × {budget} threads > {cores} cores"
-            );
-        }
-        let budgets = Runtime::new(3, NetModel::free()).run(|rank| rank.thread_budget());
-        assert_eq!(budgets, vec![thread_budget(3); 3]);
     }
 
     #[test]

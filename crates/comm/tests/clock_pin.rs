@@ -21,7 +21,7 @@
 //! (empty ones, a non-empty self batch, block-like payloads whose metered
 //! size varies). [`p2p_script`] runs everything that travels by tag: a
 //! ring, receives in the opposite order of sending (across two tags, then
-//! across three sources), `irecv` / `wait_all`, the stage queues under
+//! across three sources), a fan-in to one root, the stage queues under
 //! credit flow and through `dequeue_deferred`, and serve endpoints in the
 //! replay client's shape — requests posted eagerly, replies collected
 //! pair by pair in server order while the servers answer in theirs.
@@ -30,7 +30,7 @@ use std::cmp::Ordering;
 
 use apc_comm::sort::{gather_sort_broadcast, sample_sort};
 use apc_comm::{
-    FlowControl, Meter, NetModel, QueueReceiver, QueueSender, Rank, Request, Runtime, ServeClient,
+    FlowControl, Meter, NetModel, QueueReceiver, QueueSender, Rank, Runtime, ServeClient,
     ServeServer, Tag,
 };
 
@@ -257,25 +257,23 @@ fn p2p_script(rank: &mut Rank) -> u64 {
     // One tag from three sources, received from the last sender first.
     skew(rank);
     for k in 1..=3 {
-        rank.isend((r + k) % n, Tag(4), blob(r * 4 + k, (r + k) % 4 * 32));
+        rank.send((r + k) % n, Tag(4), blob(r * 4 + k, (r + k) % 4 * 32));
     }
     for k in (1..=3).rev() {
         h.blob(&rank.recv((r + n - k) % n, Tag(4)));
         h.clock(rank);
     }
 
-    // Fan-in through `irecv` / `wait_all`, posted from the highest source
-    // down (under paper scale the root pays every ingest, in that order),
-    // then the root's clock travels back out.
+    // Fan-in to one root, received from the highest source down (under
+    // paper scale the root pays every ingest, in that order), then the
+    // root's clock travels back out.
     skew(rank);
     let root = n / 2;
     if r == root {
-        let reqs: Vec<Request<Blob>> = (0..n)
+        (0..n)
             .rev()
             .filter(|&src| src != root)
-            .map(|src| rank.irecv(src, Tag(5)))
-            .collect();
-        rank.wait_all(reqs).iter().for_each(|b| h.blob(b));
+            .for_each(|src| h.blob(&rank.recv(src, Tag(5))));
         h.clock(rank);
         (0..n)
             .filter(|&dst| dst != root)
