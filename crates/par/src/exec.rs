@@ -75,7 +75,7 @@ pub fn available_cores() -> usize {
 
 /// Per-rank worker-thread budget for `nranks` concurrently running rank
 /// threads: `max(1, cores / nranks)`. The single implementation of the
-/// oversubscription rule — `apc_comm`'s runtime delegates here.
+/// oversubscription rule; [`ExecPolicy::clamp_for_ranks`] applies it.
 pub fn thread_budget(nranks: usize) -> usize {
     (available_cores() / nranks.max(1)).max(1)
 }
@@ -86,8 +86,6 @@ pub fn thread_budget(nranks: usize) -> usize {
 /// [`ExecPolicy::for_kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecommendedConcurrency {
-    /// Below this, fan-out overhead dominates.
-    pub min: NonZeroUsize,
     /// Sweet spot for this input size.
     pub preferred: NonZeroUsize,
 }
@@ -103,7 +101,6 @@ impl RecommendedConcurrency {
     pub fn per_items(total_items: usize, items_per_thread: usize) -> Self {
         let pref = (total_items / items_per_thread.max(1)).max(1);
         Self {
-            min: NonZeroUsize::MIN,
             preferred: NonZeroUsize::new(pref).unwrap_or(NonZeroUsize::MIN),
         }
     }
@@ -111,7 +108,6 @@ impl RecommendedConcurrency {
     /// A strictly serial recommendation.
     pub fn serial() -> Self {
         Self {
-            min: NonZeroUsize::MIN,
             preferred: NonZeroUsize::MIN,
         }
     }
@@ -250,6 +246,12 @@ mod tests {
             assert_eq!(one, ExecPolicy::Serial);
         }
         assert_eq!(ExecPolicy::Serial.clamp_for_ranks(1), ExecPolicy::Serial);
+        // The rule itself: the budget never oversubscribes the host.
+        for n in [1usize, 2, 64, 400] {
+            let budget = thread_budget(n);
+            assert!(budget >= 1);
+            assert!(n * budget <= cores.max(n), "ranks {n} budget {budget}");
+        }
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   between [`ExecPolicy::Serial`] and [`ExecPolicy::Threads`].
 //! * **No external pool.** The backend is `std::thread::scope` with an
 //!   atomic work cursor (dynamic chunking), so the crate has zero
-//!   dependencies and works offline. A `rayon-pool` cargo feature is
-//!   reserved for slotting in a work-stealing pool later.
+//!   dependencies and works offline.
 //! * **Thread budgets.** One OS thread per rank already multiplies across
 //!   the simulated communicator; [`ExecPolicy::clamp_for_ranks`] caps the
 //!   per-rank pool so `ranks × threads ≤ cores` (the interplay rule the
