@@ -49,6 +49,13 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fa
 # (src, tag) instead of after two minutes per stranded test.
 APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
 
+echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
+# Every figure binary and the benchmark run --release; the debug pass above
+# is the only other place the fig06-fig11 and serving goldens are compared.
+# Two invocations: given `--test` names, cargo skips apc-core's own tests.
+APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-core
+APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-bench --test golden_reports --test sweep_engine
+
 echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
 # The one end-to-end run of the path no unit test reaches: the same tiny
 # dataset written flat and sharded by the write_dataset bin, one pipeline
