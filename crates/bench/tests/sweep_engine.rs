@@ -130,8 +130,9 @@ fn sweeping_two_isovalues_produces_different_triangle_counts() {
 }
 
 /// A sweep mixing every pipeline dimension (redistribution, sort strategy,
-/// adaptation) through one session still matches spawn-per-run — the
-/// epoch isolation holds under real p2p traffic, not just collectives.
+/// adaptation, isovalue, reduction lattice, staged mode) through one
+/// session still matches spawn-per-run — the epoch isolation holds under
+/// real p2p traffic, not just collectives.
 #[test]
 fn heterogeneous_sweep_matches_spawn_per_run() {
     let prepared = tiny_prepared(4, 7, 2);
