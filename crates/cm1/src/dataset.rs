@@ -88,7 +88,7 @@ impl ReflectivityDataset {
     pub fn sample_iterations(&self, n: usize) -> Vec<usize> {
         let total = self.n_iterations();
         let start = total / 10; // skip spin-up
-        if n == 0 {
+        if n == 0 || total == 0 {
             return Vec::new();
         }
         if n == 1 {
@@ -164,6 +164,7 @@ impl ReflectivityDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_grid::Extent3;
 
     #[test]
     fn paper_scaled_counts() {
@@ -191,6 +192,20 @@ mod tests {
         assert!(*iters.last().unwrap() < ds.n_iterations());
         assert_eq!(ds.sample_iterations(1).len(), 1);
         assert!(ds.sample_iterations(0).is_empty());
+    }
+
+    #[test]
+    fn an_empty_timeline_has_no_sample_iterations() {
+        // `n_iterations` is a public field; zero used to underflow.
+        let storm = StormModel {
+            n_iterations: 0,
+            ..StormModel::new(1)
+        };
+        let decomp = *ReflectivityDataset::tiny(4, 1).unwrap().decomp();
+        let ds = ReflectivityDataset::new(decomp, storm);
+        for n in [0, 1, 2, 10] {
+            assert!(ds.sample_iterations(n).is_empty());
+        }
     }
 
     #[test]
@@ -236,6 +251,39 @@ mod tests {
         let via_rank = &ds.rank_blocks(100, 1)[3];
         let direct = ds.block(100, via_rank.id);
         assert_eq!(direct, *via_rank);
+    }
+
+    #[test]
+    fn a_block_has_the_same_bits_however_it_is_generated() {
+        // On its own 11×11×19 box, cut from its rank's 55×55×76 subdomain,
+        // and cut from the rows `field(it)` makes for it (the domain-wide
+        // slab over the block's y and z; the other rows of the 14.7 Mpt
+        // field share no state with these): the generator's rows start at
+        // three different x for the same samples.
+        let ds = ReflectivityDataset::paper_scaled(64, 3).unwrap();
+        let it = ds.sample_iterations(6)[2];
+        // Rank 27 sits under the storm's core, rank 7 in clear air.
+        for (rank, stormy) in [(27, true), (7, false)] {
+            let blocks = ds.rank_blocks(it, rank);
+            let peak = |b: &Block| b.samples().iter().copied().fold(f32::MIN, f32::max);
+            let pick = blocks
+                .iter()
+                .max_by(|a, b| peak(a).total_cmp(&peak(b)))
+                .unwrap();
+            assert_eq!(peak(pick) > crate::DBZ_ISOVALUE, stormy, "rank {rank}");
+            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let via_rank = bits(&pick.samples());
+            assert_eq!(bits(&ds.block(it, pick.id).samples()), via_rank);
+            let ext = pick.extent;
+            let slab = ds.storm().reflectivity_on(
+                ds.coords(),
+                (0, ext.lo.1, ext.lo.2),
+                Dims3::new(ds.decomp().domain().nx, ext.dims().ny, ext.dims().nz),
+                it,
+            );
+            let in_slab = Extent3::new((ext.lo.0, 0, 0), (ext.hi.0, ext.dims().ny, ext.dims().nz));
+            assert_eq!(bits(&slab.extract(in_slab).unwrap()), via_rank);
+        }
     }
 
     #[test]

@@ -8,18 +8,7 @@
 //! its *rain-water content* `ρ·q`, summed in linear Z (mm⁶/m³) and
 //! converted to dBZ.
 
-use apc_grid::Field3;
-
-/// Mixing ratios (kg/kg) of the three precipitating species on a grid box.
-#[derive(Debug, Clone)]
-pub struct Hydrometeors {
-    /// Rain.
-    pub qr: Field3,
-    /// Snow.
-    pub qs: Field3,
-    /// Graupel / hail.
-    pub qg: Field3,
-}
+use crate::storm::smoothstep01;
 
 /// Air density (kg/m³) at normalized height `z ∈ [0,1]` (≈0–20 km):
 /// exponential profile with ~8 km scale height.
@@ -56,44 +45,49 @@ fn z_hail(gwc: f32) -> f32 {
     }
 }
 
-/// Convert hydrometeor fields to radar reflectivity (dBZ).
-///
-/// `heights` gives the normalized height (`z ∈ [0,1]`) of each z-plane of
-/// the box — callers generating a sub-box of a larger domain must pass the
-/// *global* heights so air density matches the full-field computation.
-pub fn reflectivity_from_hydrometeors_at(h: &Hydrometeors, heights: &[f32]) -> Field3 {
-    let dims = h.qr.dims();
-    assert_eq!(dims, h.qs.dims(), "hydrometeor fields must share dims");
-    assert_eq!(dims, h.qg.dims(), "hydrometeor fields must share dims");
-    assert_eq!(heights.len(), dims.nz, "one height per z-plane");
-    let qr = h.qr.as_slice();
-    let qs = h.qs.as_slice();
-    let qg = h.qg.as_slice();
-    let plane = dims.nx * dims.ny;
-    let mut out = Vec::with_capacity(dims.len());
-    for (idx, ((&r, &s), &g)) in qr.iter().zip(qs).zip(qg).enumerate() {
-        let rho = air_density(heights[idx / plane.max(1)]);
-        let zsum = z_rain(rho * r) + z_snow(rho * s) + z_hail(rho * g);
-        // 1e-6 mm⁶/m³ floor ⇒ −60 dBZ, the radar sensitivity floor.
-        out.push(10.0 * zsum.max(1e-6).log10());
-    }
-    // apc-lint: allow(unwrap-in-lib): `out` is filled by one push per grid cell of `dims`
-    Field3::from_vec(dims, out).expect("capacity matches dims")
+/// How a plane at normalized height `z` splits condensate into the three
+/// precipitating species: rain below the freezing level, snow aloft, hail
+/// (graupel) in the strong core only. The snow onset is wide so the anvil
+/// base is a gentle dB gradient rather than a block-scale cliff.
+#[derive(Debug, Clone, Copy)]
+pub struct SpeciesSplit {
+    rain: f32,
+    snow: f32,
+    core: f32,
 }
 
-/// [`reflectivity_from_hydrometeors_at`] with the box assumed to span the
-/// full height range `[0, 1]`.
-pub fn reflectivity_from_hydrometeors(h: &Hydrometeors) -> Field3 {
-    let nz = h.qr.dims().nz;
-    let denom = (nz.max(2) - 1) as f32;
-    let heights: Vec<f32> = (0..nz).map(|k| k as f32 / denom).collect();
-    reflectivity_from_hydrometeors_at(h, &heights)
+impl SpeciesSplit {
+    pub fn at(z: f32) -> Self {
+        Self {
+            rain: 1.0 - smoothstep01((z - 0.15) / 0.45),
+            snow: smoothstep01((z - 0.35) / 0.45),
+            core: (-(((z - 0.33) / 0.22) * ((z - 0.33) / 0.22))).exp(),
+        }
+    }
+
+    /// Mixing ratios `[qr, qs, qg]` (kg/kg) of condensate `c ∈ [0, 1]`.
+    #[inline]
+    pub fn mixing_ratios(&self, c: f32) -> [f32; 3] {
+        [
+            c * self.rain * 6.0e-3,
+            c * self.snow * 4.0e-3,
+            c * c * self.core * 8.0e-3,
+        ]
+    }
+}
+
+/// Radar reflectivity (dBZ) of rain / snow / hail mixing ratios in air of
+/// density `rho`.
+#[inline]
+pub fn dbz(rho: f32, qr: f32, qs: f32, qg: f32) -> f32 {
+    let zsum = z_rain(rho * qr) + z_snow(rho * qs) + z_hail(rho * qg);
+    // 1e-6 mm⁶/m³ floor ⇒ −60 dBZ, the radar sensitivity floor.
+    10.0 * zsum.max(1e-6).log10()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apc_grid::Dims3;
 
     #[test]
     fn density_profile_decreases() {
@@ -104,67 +98,47 @@ mod tests {
 
     #[test]
     fn zero_hydrometeors_hit_the_floor() {
-        let dims = Dims3::new(3, 3, 3);
-        let h = Hydrometeors {
-            qr: Field3::zeros(dims),
-            qs: Field3::zeros(dims),
-            qg: Field3::zeros(dims),
-        };
-        let dbz = reflectivity_from_hydrometeors(&h);
-        assert!(dbz.as_slice().iter().all(|&v| (v - (-60.0)).abs() < 1e-4));
+        for z in [0.0, 0.5, 1.0] {
+            let [qr, qs, qg] = SpeciesSplit::at(z).mixing_ratios(0.0);
+            let v = dbz(air_density(z), qr, qs, qg);
+            assert!((v - (-60.0)).abs() < 1e-4, "dry air at z = {z}: {v} dBZ");
+        }
     }
 
     #[test]
     fn heavy_rain_is_realistic_dbz() {
         // 6 g/kg of rain at the surface ⇒ upper-50s dBZ, a strong storm.
-        let dims = Dims3::new(1, 1, 2);
-        let h = Hydrometeors {
-            qr: Field3::from_vec(dims, vec![6.0e-3, 0.0]).unwrap(),
-            qs: Field3::zeros(dims),
-            qg: Field3::zeros(dims),
-        };
-        let dbz = reflectivity_from_hydrometeors(&h);
-        let surface = dbz.get(0, 0, 0);
+        let surface = dbz(air_density(0.0), 6.0e-3, 0.0, 0.0);
         assert!((50.0..65.0).contains(&surface), "surface dBZ = {surface}");
     }
 
     #[test]
     fn hail_outshines_equal_snow() {
-        let dims = Dims3::new(1, 1, 2);
-        let mk = |qs: f32, qg: f32| Hydrometeors {
-            qr: Field3::zeros(dims),
-            qs: Field3::from_vec(dims, vec![qs, 0.0]).unwrap(),
-            qg: Field3::from_vec(dims, vec![qg, 0.0]).unwrap(),
-        };
-        let snow = reflectivity_from_hydrometeors(&mk(3e-3, 0.0)).get(0, 0, 0);
-        let hail = reflectivity_from_hydrometeors(&mk(0.0, 3e-3)).get(0, 0, 0);
+        let rho = air_density(0.0);
+        let snow = dbz(rho, 0.0, 3e-3, 0.0);
+        let hail = dbz(rho, 0.0, 0.0, 3e-3);
         assert!(hail > snow + 10.0, "hail {hail} dBZ vs snow {snow} dBZ");
     }
 
     #[test]
     fn reflectivity_monotone_in_content() {
-        let dims = Dims3::new(1, 1, 2);
         let mut prev = f32::MIN;
         for q in [1e-4f32, 1e-3, 3e-3, 8e-3] {
-            let h = Hydrometeors {
-                qr: Field3::from_vec(dims, vec![q, 0.0]).unwrap(),
-                qs: Field3::zeros(dims),
-                qg: Field3::zeros(dims),
-            };
-            let v = reflectivity_from_hydrometeors(&h).get(0, 0, 0);
+            let v = dbz(air_density(0.0), q, 0.0, 0.0);
             assert!(v > prev, "dBZ must grow with rain content");
             prev = v;
         }
     }
 
     #[test]
-    #[should_panic(expected = "share dims")]
-    fn mismatched_dims_rejected() {
-        let h = Hydrometeors {
-            qr: Field3::zeros(Dims3::new(2, 2, 2)),
-            qs: Field3::zeros(Dims3::new(3, 2, 2)),
-            qg: Field3::zeros(Dims3::new(2, 2, 2)),
-        };
-        let _ = reflectivity_from_hydrometeors(&h);
+    fn species_follow_height() {
+        // Saturated condensate: all rain at the surface, all snow aloft,
+        // hail peaking in the mid-level core.
+        let [qr, qs, _] = SpeciesSplit::at(0.0).mixing_ratios(1.0);
+        assert!(qr > 0.0 && qs == 0.0);
+        let [qr, qs, _] = SpeciesSplit::at(0.9).mixing_ratios(1.0);
+        assert!(qr == 0.0 && qs > 0.0);
+        let hail = |z: f32| SpeciesSplit::at(z).mixing_ratios(1.0)[2];
+        assert!(hail(0.33) > hail(0.05) && hail(0.33) > hail(0.7));
     }
 }

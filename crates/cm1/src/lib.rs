@@ -10,10 +10,10 @@
 //! * [`storm`] — a procedural supercell: condensate envelope with updraft
 //!   core, weak-echo region, hook echo, anvil and flanking cells, evolving
 //!   deterministically over iterations;
-//! * [`hydro`] — CM1-style microphysics split of the condensate into rain /
-//!   snow / hail mixing ratios and the radar-reflectivity derivation
-//!   ("derives from a calculation based on cloud rain, hail, and snow
-//!   microphysical variables", paper §II-A);
+//! * [`hydro`] — the pointwise CM1-style microphysics law: the split of
+//!   condensate into rain / snow / hail mixing ratios at a height and the
+//!   radar-reflectivity derivation ("derives from a calculation based on
+//!   cloud rain, hail, and snow microphysical variables", paper §II-A);
 //! * [`solver`] — a small semi-Lagrangian advection–diffusion solver that
 //!   stands in for the simulation's compute phase;
 //! * [`dataset`] — the replayable iteration sequence the experiments feed
@@ -35,7 +35,6 @@ pub mod store;
 pub mod storm;
 
 pub use dataset::ReflectivityDataset;
-pub use hydro::{reflectivity_from_hydrometeors, reflectivity_from_hydrometeors_at, Hydrometeors};
 pub use noise::{fbm3, value_noise3};
 pub use solver::AdvectionSolver;
 pub use store::{open_dataset, write_dataset, write_dataset_to, StoredTimeSeries};

@@ -31,40 +31,128 @@ fn smoothstep(t: f32) -> f32 {
     t * t * (3.0 - 2.0 * t)
 }
 
+/// One octave of value noise along a grid row: `(y, z)` are fixed, so the
+/// cell indices `j, k` and the weights `v, w` are row constants, and the
+/// eight corner hashes change only when `floor(x)` does — a handful of
+/// times along a row against eight hashes per sample. Fixed-size state,
+/// nothing allocated.
+#[derive(Debug, Clone, Copy)]
+struct OctaveRow {
+    seed: u64,
+    j: i64,
+    k: i64,
+    v: f32,
+    w: f32,
+    /// The x cell `corners` belongs to; `None` until the first sample.
+    cell: Option<i64>,
+    /// `lattice(i + di, j + dj, k + dk)` at index `dk * 4 + dj * 2 + di`.
+    corners: [f32; 8],
+}
+
+impl OctaveRow {
+    fn new(y: f32, z: f32, seed: u64) -> Self {
+        let (yf, zf) = (y.floor(), z.floor());
+        Self {
+            seed,
+            j: yf as i64,
+            k: zf as i64,
+            v: smoothstep(y - yf),
+            w: smoothstep(z - zf),
+            cell: None,
+            corners: [0.0; 8],
+        }
+    }
+
+    /// Hash the eight corners of x cell `i`.
+    #[cold]
+    #[inline(never)]
+    fn enter(&mut self, i: i64) {
+        self.cell = Some(i);
+        for (n, corner) in self.corners.iter_mut().enumerate() {
+            let (di, dj, dk) = ((n & 1) as i64, (n >> 1 & 1) as i64, (n >> 2) as i64);
+            *corner = lattice(i + di, self.j + dj, self.k + dk, self.seed);
+        }
+    }
+
+    /// The noise at `x` on this row. The corners restart from whatever cell
+    /// `x` falls in, so a row may begin (or jump) anywhere.
+    #[inline]
+    fn at(&mut self, x: f32) -> f32 {
+        let xf = x.floor();
+        let i = xf as i64;
+        if self.cell != Some(i) {
+            self.enter(i);
+        }
+        let u = smoothstep(x - xf);
+        let wu = [1.0 - u, u];
+        let wv = [1.0 - self.v, self.v];
+        let ww = [1.0 - self.w, self.w];
+        let mut acc = 0.0;
+        for (n, corner) in self.corners.iter().enumerate() {
+            acc += wu[n & 1] * wv[n >> 1 & 1] * ww[n >> 2] * corner;
+        }
+        acc * 2.0 - 1.0
+    }
+}
+
 /// Trilinearly interpolated value noise in [-1, 1] at continuous position
 /// `(x, y, z)` (lattice spacing 1).
 pub fn value_noise3(x: f32, y: f32, z: f32, seed: u64) -> f32 {
-    let (xf, yf, zf) = (x.floor(), y.floor(), z.floor());
-    let (i, j, k) = (xf as i64, yf as i64, zf as i64);
-    let (u, v, w) = (smoothstep(x - xf), smoothstep(y - yf), smoothstep(z - zf));
-    let mut acc = 0.0;
-    for dk in 0..2i64 {
-        let wk = if dk == 0 { 1.0 - w } else { w };
-        for dj in 0..2i64 {
-            let wj = if dj == 0 { 1.0 - v } else { v };
-            for di in 0..2i64 {
-                let wi = if di == 0 { 1.0 - u } else { u };
-                acc += wi * wj * wk * lattice(i + di, j + dj, k + dk, seed);
-            }
-        }
-    }
-    acc * 2.0 - 1.0
+    OctaveRow::new(y, z, seed).at(x)
 }
 
-/// Fractional Brownian motion: `octaves` layers of value noise, each at
-/// double frequency and half amplitude. Output roughly in [-1, 1].
-pub fn fbm3(x: f32, y: f32, z: f32, octaves: u32, seed: u64) -> f32 {
+/// [`fbm3`] with `N` octaves along a row of constant `(y, z)`: the same
+/// sum over the same [`value_noise3`] terms, with every octave's lattice
+/// corners kept between samples. `FbmRow::new(y, z, seed).at(x)` is
+/// `fbm3(x, y, z, N, seed)` bit for bit, whatever was sampled before.
+#[derive(Debug, Clone, Copy)]
+pub struct FbmRow<const N: usize> {
+    octaves: [OctaveRow; N],
+}
+
+impl<const N: usize> FbmRow<N> {
+    pub fn new(y: f32, z: f32, seed: u64) -> Self {
+        let mut freq = 1.0;
+        let octaves = std::array::from_fn(|oct| {
+            let row = OctaveRow::new(y * freq, z * freq, seed.wrapping_add(oct as u64));
+            freq *= 2.0;
+            row
+        });
+        Self { octaves }
+    }
+
+    #[inline]
+    pub fn at(&mut self, x: f32) -> f32 {
+        fbm_sum(N, |oct, freq| self.octaves[oct].at(x * freq))
+    }
+}
+
+/// The fBm sum: `octaves` samples, each at double the frequency and half
+/// the amplitude of the one before, normalised by the amplitude sum.
+#[inline]
+fn fbm_sum(octaves: usize, mut sample: impl FnMut(usize, f32) -> f32) -> f32 {
     let mut acc = 0.0;
     let mut amp = 0.5;
     let mut freq = 1.0;
     let mut norm = 0.0;
     for oct in 0..octaves {
-        acc += amp * value_noise3(x * freq, y * freq, z * freq, seed.wrapping_add(oct as u64));
+        acc += amp * sample(oct, freq);
         norm += amp;
         amp *= 0.5;
         freq *= 2.0;
     }
     acc / norm
+}
+
+/// Fractional Brownian motion: `octaves` layers of value noise, each at
+/// double frequency and half amplitude — a convex combination of
+/// [`value_noise3`] samples, so in [-1, 1] up to the rounding of the
+/// interpolation weights (`tests::bounded`; the generator's background
+/// skip rests on it).
+pub fn fbm3(x: f32, y: f32, z: f32, octaves: u32, seed: u64) -> f32 {
+    fbm_sum(octaves as usize, |oct, freq| {
+        value_noise3(x * freq, y * freq, z * freq, seed.wrapping_add(oct as u64))
+    })
 }
 
 #[cfg(test)]
@@ -85,14 +173,60 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// A SplitMix64 stream of coordinates in `[-scale, scale)`.
+    fn corpus(seed: u64, scale: f32) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            ((mix64(state) >> 40) as f32 / (1u64 << 23) as f32 - 1.0) * scale
+        }
+    }
+
     #[test]
     fn bounded() {
-        for i in 0..500 {
-            let t = i as f32 * 0.173;
-            let v = value_noise3(t, t * 0.7, t * 1.3, 7);
-            assert!((-1.0..=1.0).contains(&v), "noise out of range: {v}");
-            let f = fbm3(t, t * 0.7, t * 1.3, 5, 7);
-            assert!((-1.2..=1.2).contains(&f), "fbm out of range: {f}");
+        // A convex combination of lattice values in [0, 1): only the
+        // rounding of the weights can carry it past ±1, by an ulp or so.
+        // The generator skips the clear-air background where a sample
+        // already exceeds the value this bound gives it.
+        let range = -1.0 - 4.0 * f32::EPSILON..=1.0 + 4.0 * f32::EPSILON;
+        let mut next = corpus(0xB0_07ED, 64.0);
+        let (mut lo, mut hi) = (f32::MAX, f32::MIN);
+        for _ in 0..20_000 {
+            let (x, y, z) = (next(), next(), next());
+            let v = value_noise3(x, y, z, 7);
+            assert!(range.contains(&v), "noise out of range: {v}");
+            for octaves in [3, 5] {
+                let f = fbm3(x, y, z, octaves, 7);
+                assert!(range.contains(&f), "fbm out of range: {f}");
+                (lo, hi) = (lo.min(f), hi.max(f));
+            }
+        }
+        assert!(lo < -0.5 && hi > 0.5, "corpus too tame: [{lo}, {hi}]");
+    }
+
+    #[test]
+    fn a_row_is_its_pointwise_samples_wherever_it_goes() {
+        // The corner cache must restart on any cell change: ascending
+        // through cells, descending, standing still, jumping, and starting
+        // mid-cell or on a cell boundary.
+        let mut next = corpus(0x40_77, 9.0);
+        for _ in 0..50 {
+            let (y, z, seed) = (next(), next(), next().to_bits() as u64);
+            let start = if seed % 2 == 0 {
+                next()
+            } else {
+                next().floor()
+            };
+            let mut row3 = FbmRow::<3>::new(y, z, seed);
+            let mut row5 = FbmRow::<5>::new(y, z, seed);
+            let ascending = (0..40).map(|i| start + i as f32 * 0.11);
+            let descending = (0..40).map(|i| start - i as f32 * 0.07);
+            let still = [start; 3].into_iter();
+            let jumps: Vec<f32> = (0..20).map(|_| next()).collect();
+            for x in ascending.chain(descending).chain(still).chain(jumps) {
+                assert_eq!(row3.at(x).to_bits(), fbm3(x, y, z, 3, seed).to_bits());
+                assert_eq!(row5.at(x).to_bits(), fbm3(x, y, z, 5, seed).to_bits());
+            }
         }
     }
 

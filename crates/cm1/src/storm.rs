@@ -11,17 +11,104 @@
 //! the storm's inside high, §V-B).
 //!
 //! Everything is a pure function of `(position, iteration, seed)`.
+//!
+//! # One pass, four rates
+//!
+//! [`StormModel::reflectivity_on`] writes each dBZ sample once, and every
+//! sub-expression of the model is evaluated at the rate its operands change
+//! (the axes are rectilinear, so a grid point is `(x[i], y[j], z[k])`):
+//!
+//! * **per call** (`CallTerms`, functions of `τ`): storm centre, intensity,
+//!   each flanking cell's centre and `intensity · amp · pulse`, the hook's
+//!   angle, the weak echo region's centre, the texture's drift, and the
+//!   box's three normalized axes — O(nx + ny + nz), which is what keeps a
+//!   2×2×8 block cheap;
+//! * **per z-plane** (`PlaneTerms`, `SpeciesSplit`, `air_density`): core
+//!   radius, the vertical profile, every coefficient down to its Gaussian,
+//!   the hook and vault gates, the rain / snow / hail height factors;
+//! * **per row** (`RowTerms`, two `FbmRow`s): the `y` halves of every
+//!   squared distance, and the noise lattices — along a row `(y, z)` are
+//!   fixed, so an octave's eight corner hashes change only when `floor(x)`
+//!   does;
+//! * **per point**: the `x` halves, the Gaussians, the interpolation.
+//!
+//! Hoisting moves an expression, never its operands or its association, so
+//! the bits are those of evaluating the whole formula at every point
+//! (`tests/field_pin.rs` pins them against the generator that did). Three
+//! things are *not* evaluated, each because its result is known:
+//!
+//! * **Clear air is culled.** Where `r²/2σ²` of the main cell and of all
+//!   three flanks exceeds `CULL_EXPONENT`, each Gaussian is below `e^-T` of
+//!   its amplitude, the hook's ring is further still inside, the weak echo
+//!   region only subtracts and the texture at most scales by `1 + GAIN +
+//!   BOOST`: the envelope is under a quarter of `CONDENSATE_FLOOR`, and the
+//!   floor makes condensate exactly `0.0` (`culled_points_are_dry` derives
+//!   the bound from the constants and checks it point by point).
+//! * **Dry points skip the reflectivity law.** Zero condensate is zero of
+//!   every species, whose dBZ is one constant.
+//! * **Echo skips the background.** The clear-air background only replaces
+//!   samples below it and never exceeds −56 dBZ while the noise is in
+//!   [-1, 1] (`noise::tests::bounded`); samples above `BACKGROUND_CEILING`
+//!   never sample it.
+//!
+//! The texture lattice is built on the first sample of a row whose envelope
+//! reaches `1e-3`; most rows never do.
 
 use apc_grid::{Dims3, Field3, RectilinearCoords};
 
-use crate::hydro::Hydrometeors;
-use crate::noise::fbm3;
+use crate::hydro::{air_density, dbz, SpeciesSplit};
+use crate::noise::FbmRow;
 
 #[inline]
-fn smoothstep01(t: f32) -> f32 {
+pub(crate) fn smoothstep01(t: f32) -> f32 {
     let t = t.clamp(0.0, 1.0);
     t * t * (3.0 - 2.0 * t)
 }
+
+/// Core radius at the surface.
+const CORE_SIGMA: f32 = 0.060;
+
+/// Horizontal core radius at normalized height `z` (anvil spreads aloft;
+/// kept moderate so the echo stays spatially local — the property the
+/// paper's whole pipeline exploits).
+fn sigma_h(z: f32) -> f32 {
+    let anvil = smoothstep01((z - 0.55) / 0.40);
+    CORE_SIGMA * (1.0 + 0.8 * anvil)
+}
+
+/// Flanking line: `(distance behind the core, amplitude)` of three smaller
+/// cells trailing southwest.
+const FLANKS: [(f32, f32); 3] = [(0.085, 0.45), (0.16, 0.35), (0.23, 0.25)];
+const FLANK_SIGMA: f32 = 0.028;
+const TWO_FLANK_SIGMA2: f32 = 2.0 * FLANK_SIGMA * FLANK_SIGMA;
+/// Hook echo: amplitude, ring radius in core radii, ring width.
+const HOOK_AMP: f32 = 0.55;
+const HOOK_RADIUS: f32 = 1.35;
+const HOOK_WIDTH: f32 = 0.014;
+/// Texture `t ∈ [-1, 1]` scales the envelope by `1 + GAIN·t + BOOST·max(t, 0)`.
+const TEXTURE_GAIN: f32 = 0.45;
+const TEXTURE_BOOST: f32 = 0.35;
+/// Condensate below this saturation floor evaporates. Without it the
+/// Gaussian envelope's tail stays radar-visible for ~5σ in log space
+/// and the echo loses the spatial locality the paper's data has.
+const CONDENSATE_FLOOR: f32 = 0.05;
+/// Clear-air cull: a point whose Gaussian exponents `r²/2σ²` — main cell
+/// and all three flanks — exceed this is dry without evaluating anything
+/// (why: module doc; `tests::culled_points_are_dry`).
+const CULL_EXPONENT: f32 = 6.0;
+
+/// Clear-air background (dBZ): weak, *flat* noise near the sensitivity
+/// floor. Real clear air returns essentially nothing to the radar; keeping
+/// it flat is what gives the paper its "set of blocks that all metrics
+/// agree are not variable enough" (§V-B).
+#[inline]
+fn background(noise: f32) -> f32 {
+    -58.0 + 2.0 * (noise * 0.5 + 0.5)
+}
+
+/// No background reaches this: `background(1.0)` is −56 and the noise stays
+/// in [-1, 1] to within an ulp, so a sample above it is left alone unseen.
+const BACKGROUND_CEILING: f32 = -55.0;
 
 /// The storm model and its timeline.
 #[derive(Debug, Clone)]
@@ -38,6 +125,182 @@ impl Default for StormModel {
             seed: 0xC1_5EED,
             n_iterations: 572,
         }
+    }
+}
+
+/// One flanking cell at time `τ`.
+#[derive(Clone, Copy)]
+struct Flank {
+    at: [f32; 2],
+    /// `intensity · amp · pulse`.
+    coef: f32,
+}
+
+/// What the envelope needs that depends on `τ` alone — once per call.
+struct CallTerms {
+    seed: u64,
+    center: [f32; 2],
+    intensity: f32,
+    flanks: [Flank; 3],
+    hook_theta: f32,
+    /// Weak-echo-region centre, offset toward the inflow flank.
+    wer: [f32; 2],
+    /// The texture's drift through the noise lattice.
+    drift: f32,
+}
+
+/// What depends on `(τ, z)` — once per z-plane.
+struct PlaneTerms<'a> {
+    call: &'a CallTerms,
+    z: f32,
+    two_sigma2: f32,
+    /// `r²` beyond which the main cell's exponent passes [`CULL_EXPONENT`].
+    cull_r2: f32,
+    /// `intensity · vertical`.
+    main: f32,
+    /// The flanks' coefficients down to (excluding) their Gaussians.
+    flanks: [f32; 3],
+    /// Below the hook's top: its coefficient and ring radius.
+    hook: Option<(f32, f32)>,
+    /// Below the vault's top: the weak echo region's depth.
+    wer_depth: Option<f32>,
+}
+
+/// What depends on `(τ, z, y)` — once per row — and the row's texture
+/// lattice, built on the first sample that needs it.
+struct RowTerms<'a> {
+    plane: &'a PlaneTerms<'a>,
+    y: f32,
+    dy: f32,
+    dy2: f32,
+    flank_dy2: [f32; 3],
+    wer_dy2: f32,
+    texture: Option<FbmRow<5>>,
+}
+
+impl CallTerms {
+    fn plane(&self, z: f32) -> PlaneTerms<'_> {
+        let sh = sigma_h(z);
+        let vertical = if z < 0.60 {
+            1.0
+        } else {
+            1.0 - 0.65 * smoothstep01((z - 0.60) / 0.38)
+        } * (1.0 - smoothstep01((z - 0.93) / 0.07)); // echo top
+        let two_sigma2 = 2.0 * sh * sh;
+        let hook_coef = self.intensity * HOOK_AMP * (1.0 - z / 0.30);
+        PlaneTerms {
+            call: self,
+            z,
+            two_sigma2,
+            cull_r2: CULL_EXPONENT * two_sigma2,
+            main: self.intensity * vertical,
+            flanks: self
+                .flanks
+                .map(|f| f.coef * vertical * (1.0 - smoothstep01((z - 0.55) / 0.2))),
+            // A low-level appendage curling around the mesocyclone.
+            hook: (z < 0.30).then_some((hook_coef, HOOK_RADIUS * sh)),
+            // The inflow vault carved out at low levels.
+            wer_depth: (z < 0.38).then_some((1.0 - z / 0.38) * 0.85),
+        }
+    }
+}
+
+impl<'a> PlaneTerms<'a> {
+    fn row(&'a self, y: f32) -> RowTerms<'a> {
+        let call = self.call;
+        let dy = y - call.center[1];
+        RowTerms {
+            plane: self,
+            y,
+            dy,
+            dy2: dy * dy,
+            flank_dy2: call.flanks.map(|f| (y - f.at[1]).powi(2)),
+            wer_dy2: (y - call.wer[1]).powi(2),
+            texture: None,
+        }
+    }
+}
+
+impl RowTerms<'_> {
+    /// `x − center`, and the squared distances from `x` on this row to the
+    /// main cell and to each flanking cell.
+    #[inline]
+    fn distances(&self, x: f32) -> (f32, f32, [f32; 3]) {
+        let call = self.plane.call;
+        let dx = x - call.center[0];
+        let fr2 = std::array::from_fn(|n| (x - call.flanks[n].at[0]).powi(2) + self.flank_dy2[n]);
+        (dx, dx * dx + self.dy2, fr2)
+    }
+
+    /// The cull predicate: every Gaussian of the envelope is past
+    /// [`CULL_EXPONENT`] here.
+    #[inline]
+    fn is_clear_air(&self, r2: f32, fr2: &[f32; 3]) -> bool {
+        r2 > self.plane.cull_r2 && fr2.iter().all(|&r2| r2 > CULL_EXPONENT * TWO_FLANK_SIGMA2)
+    }
+
+    /// Condensate in `[0, 1]` at `x` on this row.
+    #[inline]
+    fn condensate(&mut self, x: f32) -> f32 {
+        let (dx, r2, fr2) = self.distances(x);
+        if self.is_clear_air(r2, &fr2) {
+            0.0
+        } else {
+            self.condensate_unculled(x, dx, r2, &fr2)
+        }
+    }
+
+    /// The envelope itself: main cell, flanking line, hook, weak echo
+    /// region, texture, saturation floor — the model's one formula.
+    fn condensate_unculled(&mut self, x: f32, dx: f32, r2: f32, fr2: &[f32; 3]) -> f32 {
+        let plane = self.plane;
+        let call = plane.call;
+        let mut env = plane.main * (-r2 / plane.two_sigma2).exp();
+        for (coef, fr2) in plane.flanks.iter().zip(fr2) {
+            env += coef * (-fr2 / TWO_FLANK_SIGMA2).exp();
+        }
+
+        if let Some((coef, rh)) = plane.hook {
+            let theta = self.dy.atan2(dx);
+            let mut dth = theta - call.hook_theta;
+            while dth > std::f32::consts::PI {
+                dth -= 2.0 * std::f32::consts::PI;
+            }
+            while dth < -std::f32::consts::PI {
+                dth += 2.0 * std::f32::consts::PI;
+            }
+            let r = r2.sqrt();
+            env += coef
+                * (-((r - rh) * (r - rh)) / (2.0 * HOOK_WIDTH * HOOK_WIDTH)).exp()
+                * (-dth * dth / (2.0 * 0.55 * 0.55)).exp();
+        }
+
+        if let Some(depth) = plane.wer_depth {
+            let wr2 = (x - call.wer[0]).powi(2) + self.wer_dy2;
+            env -= depth * env * (-wr2 / (2.0 * 0.020 * 0.020)).exp();
+        }
+
+        // Turbulent texture: strong inside the storm, absent outside. The
+        // additive part is proportional to the envelope so the storm's
+        // faint fringe stays smooth (in log-reflectivity space a relative
+        // perturbation is a bounded dB wiggle).
+        if env > 1e-3 {
+            let freq = 11.0;
+            let tex = self
+                .texture
+                .get_or_insert_with(|| {
+                    FbmRow::new(
+                        self.y * freq - 0.6 * call.drift,
+                        plane.z * freq * 0.7,
+                        call.seed,
+                    )
+                })
+                .at(x * freq + call.drift);
+            env = env * (1.0 + TEXTURE_GAIN * tex) + TEXTURE_BOOST * env * tex.max(0.0);
+        }
+
+        // Saturation floor: evaporate the faint tail, renormalize the rest.
+        ((env - CONDENSATE_FLOOR).max(0.0) / (1.0 - CONDENSATE_FLOOR)).clamp(0.0, 1.0)
     }
 }
 
@@ -69,105 +332,34 @@ impl StormModel {
         smoothstep01(tau / 0.2 + 0.35) * (0.92 + 0.08 * (tau * 12.0).sin())
     }
 
-    /// Horizontal core radius at normalized height `z` (anvil spreads
-    /// aloft; kept moderate so the echo stays spatially local — the
-    /// property the paper's whole pipeline exploits).
-    fn sigma_h(&self, z: f32) -> f32 {
-        let anvil = smoothstep01((z - 0.55) / 0.40);
-        0.060 * (1.0 + 0.8 * anvil)
+    fn call_terms(&self, tau: f32) -> CallTerms {
+        let center = self.center(tau);
+        let intensity = self.intensity(tau);
+        let flanks = std::array::from_fn(|idx| {
+            let (dist, amp) = FLANKS[idx];
+            let pulse = 0.8 + 0.2 * ((tau * 17.0) + idx as f32 * 2.1).sin();
+            Flank {
+                at: [center[0] - dist * 0.83, center[1] - dist * 0.55],
+                coef: intensity * amp * pulse,
+            }
+        });
+        CallTerms {
+            seed: self.seed,
+            center,
+            intensity,
+            flanks,
+            // The hook precesses as the storm matures.
+            hook_theta: -2.3 + 2.2 * tau,
+            wer: [center[0] + 0.022, center[1] - 0.020],
+            drift: tau * 3.0,
+        }
     }
 
-    /// Condensate below this saturation floor evaporates. Without it the
-    /// Gaussian envelope's tail stays radar-visible for ~5σ in log space
-    /// and the echo loses the spatial locality the paper's data has.
-    const CONDENSATE_FLOOR: f32 = 0.05;
-
-    /// Condensate envelope in `[0, 1]` at normalized position `p`, time `τ`.
+    /// Condensate envelope in `[0, 1]` at normalized position `p`, time `τ`
+    /// — one sample of the pass [`StormModel::reflectivity_on`] makes.
     pub fn condensate(&self, p: [f32; 3], tau: f32) -> f32 {
         let [x, y, z] = p;
-        let c = self.center(tau);
-        let intensity = self.intensity(tau);
-
-        // Main cell.
-        let sh = self.sigma_h(z);
-        let dx = x - c[0];
-        let dy = y - c[1];
-        let r2 = dx * dx + dy * dy;
-        let vertical = if z < 0.60 {
-            1.0
-        } else {
-            1.0 - 0.65 * smoothstep01((z - 0.60) / 0.38)
-        } * (1.0 - smoothstep01((z - 0.93) / 0.07)); // echo top
-        let mut env = intensity * vertical * (-r2 / (2.0 * sh * sh)).exp();
-
-        // Flanking line: three smaller cells trailing southwest.
-        for (idx, (dist, amp)) in [(0.085f32, 0.45f32), (0.16, 0.35), (0.23, 0.25)]
-            .iter()
-            .enumerate()
-        {
-            let pulse = 0.8 + 0.2 * ((tau * 17.0) + idx as f32 * 2.1).sin();
-            let fx = c[0] - dist * 0.83;
-            let fy = c[1] - dist * 0.55;
-            let fr2 = (x - fx).powi(2) + (y - fy).powi(2);
-            let fsh = 0.028;
-            env += intensity
-                * amp
-                * pulse
-                * vertical
-                * (1.0 - smoothstep01((z - 0.55) / 0.2))
-                * (-fr2 / (2.0 * fsh * fsh)).exp();
-        }
-
-        // Hook echo: a low-level appendage curling around the mesocyclone.
-        if z < 0.30 {
-            let rot = 2.2 * tau; // the hook precesses as the storm matures
-            let theta = dy.atan2(dx);
-            let hook_theta = -2.3 + rot;
-            let mut dth = theta - hook_theta;
-            while dth > std::f32::consts::PI {
-                dth -= 2.0 * std::f32::consts::PI;
-            }
-            while dth < -std::f32::consts::PI {
-                dth += 2.0 * std::f32::consts::PI;
-            }
-            let rh = 1.35 * sh;
-            let r = r2.sqrt();
-            env += intensity
-                * 0.55
-                * (1.0 - z / 0.30)
-                * (-((r - rh) * (r - rh)) / (2.0 * 0.014 * 0.014)).exp()
-                * (-dth * dth / (2.0 * 0.55 * 0.55)).exp();
-        }
-
-        // Weak echo region: the inflow vault carved out at low levels,
-        // offset toward the storm's inflow flank.
-        if z < 0.38 {
-            let wx = c[0] + 0.022;
-            let wy = c[1] - 0.020;
-            let wr2 = (x - wx).powi(2) + (y - wy).powi(2);
-            let depth = (1.0 - z / 0.38) * 0.85;
-            env -= depth * env * (-wr2 / (2.0 * 0.020 * 0.020)).exp();
-        }
-
-        // Turbulent texture: strong inside the storm, absent outside. The
-        // additive part is proportional to the envelope so the storm's
-        // faint fringe stays smooth (in log-reflectivity space a relative
-        // perturbation is a bounded dB wiggle).
-        if env > 1e-3 {
-            let freq = 11.0;
-            let drift = tau * 3.0;
-            let tex = fbm3(
-                x * freq + drift,
-                y * freq - 0.6 * drift,
-                z * freq * 0.7,
-                5,
-                self.seed,
-            );
-            env = env * (1.0 + 0.45 * tex) + 0.35 * env * tex.max(0.0);
-        }
-
-        // Saturation floor: evaporate the faint tail, renormalize the rest.
-        ((env - Self::CONDENSATE_FLOOR).max(0.0) / (1.0 - Self::CONDENSATE_FLOOR)).clamp(0.0, 1.0)
+        self.call_terms(tau).plane(z).row(y).condensate(x)
     }
 
     /// Wind field (normalized units/iteration) at `p`, time `τ`: steering
@@ -180,7 +372,7 @@ impl StormModel {
         let dx = x - c[0];
         let dy = y - c[1];
         let r2 = dx * dx + dy * dy;
-        let sh = self.sigma_h(z);
+        let sh = sigma_h(z);
         let g = (-r2 / (2.0 * (1.8 * sh) * (1.8 * sh))).exp();
         let omega = 5.0 * self.intensity(tau);
         // Steering flow matches the storm-center drift per iteration.
@@ -192,68 +384,10 @@ impl StormModel {
         ]
     }
 
-    /// Normalize grid coordinates to `[0,1]³` using the physical bounds.
-    fn normalizer(coords: &RectilinearCoords) -> impl Fn(usize, usize, usize) -> [f32; 3] + '_ {
-        let (lo, hi) = coords.bounds();
-        let span = [
-            (hi[0] - lo[0]).max(f32::MIN_POSITIVE),
-            (hi[1] - lo[1]).max(f32::MIN_POSITIVE),
-            (hi[2] - lo[2]).max(f32::MIN_POSITIVE),
-        ];
-        move |i, j, k| {
-            let p = coords.position(i, j, k);
-            [
-                (p[0] - lo[0]) / span[0],
-                (p[1] - lo[1]) / span[1],
-                (p[2] - lo[2]) / span[2],
-            ]
-        }
-    }
-
-    /// Hydrometeor mixing-ratio fields on (part of) the grid.
-    /// `offset`/`dims` select a sub-box of the coordinate arrays, so ranks
-    /// can generate just their subdomain.
-    pub fn hydrometeors_on(
-        &self,
-        coords: &RectilinearCoords,
-        offset: (usize, usize, usize),
-        dims: Dims3,
-        iteration: usize,
-    ) -> Hydrometeors {
-        let tau = self.tau(iteration);
-        let norm = Self::normalizer(coords);
-        let mut qr = Vec::with_capacity(dims.len());
-        let mut qs = Vec::with_capacity(dims.len());
-        let mut qg = Vec::with_capacity(dims.len());
-        for k in 0..dims.nz {
-            for j in 0..dims.ny {
-                for i in 0..dims.nx {
-                    let p = norm(offset.0 + i, offset.1 + j, offset.2 + k);
-                    let c = self.condensate(p, tau);
-                    let z = p[2];
-                    // Height partition: rain below the freezing level, snow
-                    // aloft, hail (graupel) in the strong core only. The
-                    // snow onset is wide so the anvil base is a gentle dB
-                    // gradient rather than a block-scale cliff.
-                    qr.push(c * (1.0 - smoothstep01((z - 0.15) / 0.45)) * 6.0e-3);
-                    qs.push(c * smoothstep01((z - 0.35) / 0.45) * 4.0e-3);
-                    let core = (-(((z - 0.33) / 0.22) * ((z - 0.33) / 0.22))).exp();
-                    qg.push(c * c * core * 8.0e-3);
-                }
-            }
-        }
-        Hydrometeors {
-            // apc-lint: allow(unwrap-in-lib): each vec gets one push per grid cell of `dims`
-            qr: Field3::from_vec(dims, qr).expect("capacity matches dims"),
-            // apc-lint: allow(unwrap-in-lib): each vec gets one push per grid cell of `dims`
-            qs: Field3::from_vec(dims, qs).expect("capacity matches dims"),
-            // apc-lint: allow(unwrap-in-lib): each vec gets one push per grid cell of `dims`
-            qg: Field3::from_vec(dims, qg).expect("capacity matches dims"),
-        }
-    }
-
     /// Reflectivity (dBZ) on a sub-box of the grid — the field the paper's
-    /// whole evaluation renders.
+    /// whole evaluation renders. `offset`/`dims` select a sub-box of the
+    /// coordinate arrays, so ranks can generate just their subdomain; a
+    /// sample's bits do not depend on the box it is generated in.
     pub fn reflectivity_on(
         &self,
         coords: &RectilinearCoords,
@@ -261,43 +395,48 @@ impl StormModel {
         dims: Dims3,
         iteration: usize,
     ) -> Field3 {
-        let hydro = self.hydrometeors_on(coords, offset, dims, iteration);
-        let norm = Self::normalizer(coords);
         let tau = self.tau(iteration);
-        // Global normalized height of each z-plane of this sub-box.
-        let heights: Vec<f32> = (0..dims.nz)
-            .map(|k| norm(offset.0, offset.1, offset.2 + k)[2])
-            .collect();
-        let mut dbz = crate::hydro::reflectivity_from_hydrometeors_at(&hydro, &heights);
-        // Clear-air background: weak, *flat* noise near the sensitivity
-        // floor. Real clear air returns essentially nothing to the radar;
-        // keeping it flat is what gives the paper its "set of blocks that
-        // all metrics agree are not variable enough" (§V-B).
-        let data = dbz.as_mut_slice();
-        let mut idx = 0;
-        for k in 0..dims.nz {
-            for j in 0..dims.ny {
-                for i in 0..dims.nx {
-                    let p = norm(offset.0 + i, offset.1 + j, offset.2 + k);
-                    let bg = -58.0
-                        + 2.0
-                            * (fbm3(
-                                p[0] * 5.0 + tau,
-                                p[1] * 5.0,
-                                p[2] * 3.0,
-                                3,
-                                self.seed ^ 0xBA5E,
-                            ) * 0.5
-                                + 0.5);
-                    if data[idx] < bg {
-                        data[idx] = bg;
+        let call = self.call_terms(tau);
+        // Normalize the box's axes to `[0, 1]` using the physical bounds.
+        let (lo, hi) = coords.bounds();
+        let axis = |values: &[f32], at: usize, n: usize, lo: f32, hi: f32| -> Vec<f32> {
+            let span = (hi - lo).max(f32::MIN_POSITIVE);
+            values[at..at + n].iter().map(|v| (v - lo) / span).collect()
+        };
+        let xs = axis(&coords.x, offset.0, dims.nx, lo[0], hi[0]);
+        let ys = axis(&coords.y, offset.1, dims.ny, lo[1], hi[1]);
+        let zs = axis(&coords.z, offset.2, dims.nz, lo[2], hi[2]);
+        // Zero condensate is the radar's sensitivity floor at any height.
+        let dry = dbz(0.0, 0.0, 0.0, 0.0);
+
+        let mut out = Vec::with_capacity(dims.len());
+        for &z in &zs {
+            let plane = call.plane(z);
+            let split = SpeciesSplit::at(z);
+            let rho = air_density(z);
+            for &y in &ys {
+                let mut row = plane.row(y);
+                let mut clear_air = FbmRow::<3>::new(y * 5.0, z * 3.0, self.seed ^ 0xBA5E);
+                for &x in &xs {
+                    let c = row.condensate(x);
+                    let mut v = if c == 0.0 {
+                        dry
+                    } else {
+                        let [qr, qs, qg] = split.mixing_ratios(c);
+                        dbz(rho, qr, qs, qg)
+                    };
+                    if v <= BACKGROUND_CEILING {
+                        let bg = background(clear_air.at(x * 5.0 + tau));
+                        if v < bg {
+                            v = bg;
+                        }
                     }
-                    data[idx] = data[idx].clamp(crate::DBZ_MIN, crate::DBZ_MAX);
-                    idx += 1;
+                    out.push(v.clamp(crate::DBZ_MIN, crate::DBZ_MAX));
                 }
             }
         }
-        dbz
+        // apc-lint: allow(unwrap-in-lib): one push per grid cell of `dims`
+        Field3::from_vec(dims, out).expect("capacity matches dims")
     }
 
     /// Whole-domain reflectivity field.
@@ -416,17 +555,97 @@ mod tests {
 
     #[test]
     fn subbox_generation_matches_full_field() {
+        // A sample's bits do not depend on the box it is generated in: the
+        // per-plane and per-row terms are functions of the coordinates
+        // alone, and the noise rows restart wherever a box begins.
         let m = StormModel::default();
-        let coords = small_coords();
-        let full = m.reflectivity(&coords, 100);
-        let sub = m.reflectivity_on(&coords, (10, 20, 3), Dims3::new(5, 4, 6), 100);
-        for k in 0..6 {
-            for j in 0..4 {
-                for i in 0..5 {
-                    assert_eq!(sub.get(i, j, k), full.get(10 + i, 20 + j, 3 + k));
+        for coords in [
+            small_coords(),
+            RectilinearCoords::stretched(Dims3::new(48, 48, 12), 1.0, 8, 1.12),
+        ] {
+            let full = m.reflectivity(&coords, 100);
+            for (offset, dims) in [
+                ((10, 20, 3), Dims3::new(5, 4, 6)),
+                // Odd offsets and extents, through the storm's core.
+                ((7, 13, 1), Dims3::new(19, 11, 5)),
+                // Single-point rows, single-row planes, a single column.
+                ((18, 15, 2), Dims3::new(1, 9, 4)),
+                ((11, 19, 0), Dims3::new(20, 1, 12)),
+                ((18, 19, 0), Dims3::new(1, 1, 12)),
+                // Starting inside a texture cell (48/11 points wide) and a
+                // background cell (48/5), ending at the domain's corner.
+                ((23, 17, 5), Dims3::new(25, 31, 7)),
+            ] {
+                let sub = m.reflectivity_on(&coords, offset, dims, 100);
+                for k in 0..dims.nz {
+                    for j in 0..dims.ny {
+                        for i in 0..dims.nx {
+                            let whole = full.get(offset.0 + i, offset.1 + j, offset.2 + k);
+                            assert_eq!(
+                                sub.get(i, j, k).to_bits(),
+                                whole.to_bits(),
+                                "box {offset:?} + {dims:?} at ({i}, {j}, {k})"
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn culled_points_are_dry() {
+        // Past the cull every Gaussian is below e^-T of its amplitude, none
+        // of which exceeds its constant (asserted below); the hook's ring
+        // lies so far inside the cull radius that its own exponent is past
+        // T as well; the weak echo region only subtracts; the texture
+        // scales by at most 1 + GAIN + BOOST. That total sits far enough
+        // under the saturation floor that rounding cannot reach it.
+        let amplitudes = 1.0 + FLANKS.iter().map(|f| f.1).sum::<f32>() + HOOK_AMP;
+        let texture = 1.0 + TEXTURE_GAIN + TEXTURE_BOOST;
+        let bound = amplitudes * (-CULL_EXPONENT).exp() * texture;
+        assert!(bound < CONDENSATE_FLOOR / 4.0, "cull bound {bound}");
+        let ring_gap = ((2.0 * CULL_EXPONENT).sqrt() - HOOK_RADIUS) * CORE_SIGMA;
+        assert!(ring_gap * ring_gap / (2.0 * HOOK_WIDTH * HOOK_WIDTH) > CULL_EXPONENT);
+
+        // And point by point: the full formula at every culled point of a
+        // dense grid, young storm to old.
+        let m = StormModel::default();
+        let (mut culled, mut total) = (0usize, 0usize);
+        for tau in [0.0, 0.13, 0.46, 0.77, 1.0] {
+            let call = m.call_terms(tau);
+            assert!(call.intensity <= 1.0);
+            for k in 0..=24 {
+                let z = k as f32 / 24.0;
+                assert!(sigma_h(z) >= CORE_SIGMA);
+                let plane = call.plane(z);
+                assert!(plane.main <= 1.0);
+                assert!(plane.flanks.iter().zip(FLANKS).all(|(c, f)| *c <= f.1));
+                assert!(plane.hook.is_none_or(|(coef, _)| coef <= HOOK_AMP));
+                for j in 0..=96 {
+                    let mut row = plane.row(j as f32 / 96.0);
+                    for i in 0..=96 {
+                        let x = i as f32 / 96.0;
+                        let (dx, r2, fr2) = row.distances(x);
+                        total += 1;
+                        if row.is_clear_air(r2, &fr2) {
+                            culled += 1;
+                            let c = row.condensate_unculled(x, dx, r2, &fr2);
+                            assert_eq!(c, 0.0, "culled point ({x}, {j}/96, {z}) at τ = {tau}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(2 * culled > total, "the cull must pay: {culled} of {total}");
+    }
+
+    #[test]
+    fn background_is_skipped_only_where_it_cannot_show() {
+        // `noise::tests::bounded` holds the noise to [-1, 1] ± 4ε.
+        assert!(background(1.0 + 4.0 * f32::EPSILON) < BACKGROUND_CEILING);
+        // Dry air is under every background value, so it always gets one.
+        assert!(dbz(0.0, 0.0, 0.0, 0.0) < background(-1.0 - 4.0 * f32::EPSILON));
     }
 
     #[test]
