@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use apc_cm1::{ReflectivityDataset, StoredTimeSeries};
 use apc_comm::{NetModel, Runtime, Session};
 use apc_grid::Block;
-use apc_par::ExecPolicy;
+use apc_par::{par_map, ExecPolicy, RecommendedConcurrency};
 
 use crate::config::PipelineConfig;
 use crate::driver::{run_experiment_prepared, run_sweep_in_session};
@@ -95,12 +95,17 @@ impl Prepared {
         // duplicate-free timeline; enforce it here once.
         iterations.sort_unstable();
         iterations.dedup();
-        let mut blocks = BTreeMap::new();
-        for &it in &iterations {
-            for rank in 0..nranks {
-                blocks.insert((it, rank), dataset.rank_blocks(it, rank));
-            }
-        }
+        let pairs: Vec<(usize, usize)> = iterations
+            .iter()
+            .flat_map(|&it| (0..nranks).map(move |rank| (it, rank)))
+            .collect();
+        // Generation is a pure function of `(iteration, rank)` and no rank
+        // thread exists yet to compete for the cores: fan out over all of
+        // them, a rank's subdomain being the kernel's grain.
+        let policy =
+            ExecPolicy::auto().for_kernel(RecommendedConcurrency::per_items(pairs.len(), 1));
+        let generated = par_map(policy, &pairs, |&(it, rank)| dataset.rank_blocks(it, rank));
+        let blocks = pairs.into_iter().zip(generated).collect();
         Self::assemble(
             dataset,
             iterations,
