@@ -85,6 +85,20 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
+echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper scale, end to end)"
+# One iteration of the 6400-block paper-scaled storm (14.7 Mpts) generated,
+# then scored, sorted, reduced, redistributed and rendered adaptively at 64
+# ranks; the digest folds the run's iteration reports — the score order,
+# triangle counts and virtual seconds downstream of every generated block.
+# `crates/cm1/tests/field_pin.rs` pins sampled fields bit by bit; this is
+# the paper-scale fence, and no other stage compares a benchmark digest.
+bench_out="$(bash benchmark/run.sh --workload sync_adaptive --seed 42 --seconds 1 --trace 0)"
+grep '^result' <<<"$bench_out"
+if ! grep -q '^result .* failed 0 digest eef30fa47b6271d8$' <<<"$bench_out"; then
+  echo "sync_adaptive seed-42 digest is not eef30fa47b6271d8 (or an op failed)" >&2
+  exit 1
+fi
+
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
