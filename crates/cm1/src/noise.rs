@@ -2,7 +2,9 @@
 //!
 //! Hash-based (no tables, no global state): the same `(position, seed)`
 //! always yields the same value, which keeps every experiment in the
-//! workspace reproducible bit-for-bit.
+//! workspace reproducible bit-for-bit. One interpolation serves both the
+//! pointwise functions and the storm generator's grid rows (`FbmRow`), which
+//! keep an octave's lattice corners for as long as `x` stays in one cell.
 
 /// SplitMix64 finalizer — a high-quality 64-bit mix.
 #[inline]
@@ -63,7 +65,9 @@ impl OctaveRow {
         }
     }
 
-    /// Hash the eight corners of x cell `i`.
+    /// Hash the eight corners of x cell `i`. Out of line so that `at` stays
+    /// small enough to inline into the generator's row loop; inlined here,
+    /// `at` becomes a call per octave per sample and clear air costs double.
     #[cold]
     #[inline(never)]
     fn enter(&mut self, i: i64) {
@@ -106,12 +110,12 @@ pub fn value_noise3(x: f32, y: f32, z: f32, seed: u64) -> f32 {
 /// corners kept between samples. `FbmRow::new(y, z, seed).at(x)` is
 /// `fbm3(x, y, z, N, seed)` bit for bit, whatever was sampled before.
 #[derive(Debug, Clone, Copy)]
-pub struct FbmRow<const N: usize> {
+pub(crate) struct FbmRow<const N: usize> {
     octaves: [OctaveRow; N],
 }
 
 impl<const N: usize> FbmRow<N> {
-    pub fn new(y: f32, z: f32, seed: u64) -> Self {
+    pub(crate) fn new(y: f32, z: f32, seed: u64) -> Self {
         let mut freq = 1.0;
         let octaves = std::array::from_fn(|oct| {
             let row = OctaveRow::new(y * freq, z * freq, seed.wrapping_add(oct as u64));
@@ -122,7 +126,7 @@ impl<const N: usize> FbmRow<N> {
     }
 
     #[inline]
-    pub fn at(&mut self, x: f32) -> f32 {
+    pub(crate) fn at(&mut self, x: f32) -> f32 {
         fbm_sum(N, |oct, freq| self.octaves[oct].at(x * freq))
     }
 }

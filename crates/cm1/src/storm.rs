@@ -154,8 +154,6 @@ struct PlaneTerms<'a> {
     call: &'a CallTerms,
     z: f32,
     two_sigma2: f32,
-    /// `r²` beyond which the main cell's exponent passes [`CULL_EXPONENT`].
-    cull_r2: f32,
     /// `intensity · vertical`.
     main: f32,
     /// The flanks' coefficients down to (excluding) their Gaussians.
@@ -192,7 +190,6 @@ impl CallTerms {
             call: self,
             z,
             two_sigma2,
-            cull_r2: CULL_EXPONENT * two_sigma2,
             main: self.intensity * vertical,
             flanks: self
                 .flanks
@@ -236,7 +233,8 @@ impl RowTerms<'_> {
     /// [`CULL_EXPONENT`] here.
     #[inline]
     fn is_clear_air(&self, r2: f32, fr2: &[f32; 3]) -> bool {
-        r2 > self.plane.cull_r2 && fr2.iter().all(|&r2| r2 > CULL_EXPONENT * TWO_FLANK_SIGMA2)
+        r2 > CULL_EXPONENT * self.plane.two_sigma2
+            && fr2.iter().all(|&r2| r2 > CULL_EXPONENT * TWO_FLANK_SIGMA2)
     }
 
     /// Condensate in `[0, 1]` at `x` on this row.
