@@ -17,6 +17,20 @@
 //! after a couple of planes, storm cores need most of them — which is what
 //! makes the codec usable as a relevance score (paper §IV-B-e: "FPZIP and
 //! ZFP also have knowledge of the fact that blocks are 3D arrays").
+//!
+//! The two halves of step 3 are written differently. `encode_planes` is
+//! zfp's group testing done on words (Lindstrom 2014): the significant set,
+//! the signs and each bit plane are one `u64` mask, empty top planes leave
+//! as one run of zeros, a plane's refinement bits as one write and each
+//! significance record as one write, with gaps read off a population count —
+//! no per-coefficient branch, no allocation. `decode_planes` still walks
+//! the 64 coefficients plane by plane. Both speak the format the
+//! per-coefficient encoder defined: that encoder is kept under
+//! `#[cfg(test)]` as the oracle of a property test, and the emitted bytes
+//! are pinned across the serving ladder's tolerances by
+//! `tests/format_pin.rs`. The encoder is the half the serving path waits
+//! on — one stager re-encodes every degraded reply, 256 clients decode
+//! them in parallel — and the ZFP block score is an encode and nothing else.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{CodecError, FloatCodec, Shape};
@@ -162,55 +176,91 @@ fn lane_index(axis: usize, u: usize, v: usize, w: usize) -> usize {
     }
 }
 
-/// Encode one transformed block's coefficients as embedded bit planes down
-/// to `min_plane` (exclusive of planes below it).
+/// Encode one transformed block's coefficients as embedded bit planes from
+/// [`TOP_PLANE`] down to `min_plane` (inclusive; planes below it are cut).
 ///
 /// Each plane writes (a) refinement bits for already-significant
 /// coefficients, then (b) the *newly* significant positions as a sequence of
 /// `1 + unary-gap + sign` records terminated by a single `0` — so planes
 /// where nothing becomes significant cost one bit, which is what lets flat
 /// blocks terminate almost immediately (zfp's group testing plays the same
-/// role).
+/// role). The gap counts the still-insignificant coefficients skipped since
+/// the previous record, and a record that reaches the last insignificant
+/// coefficient needs no terminator.
+///
+/// The coder does not walk the coefficients to find that out: the
+/// significant set `sig`, the signs `neg` and the current plane `pb` are one
+/// `u64` each (bit `i` = coefficient `i`), and every step is the word form
+/// of the per-coefficient rule — `tests::encode_planes_oracle` is that
+/// rule, kept as the reference the two are compared on:
+///
+/// * planes above the highest set magnitude bit have nothing significant
+///   and nothing to find, one `0` each, so they leave as one run of zeros
+///   (bits above `TOP_PLANE` are never coded and do not count);
+/// * refinement bits are `pb` at the positions of `sig`, packed in index
+///   order into one write — all 64 of them once everything is significant,
+///   which also ends the plane (nothing is left to test);
+/// * the newly significant are `pb & !sig`, visited lowest index first;
+///   `ahead` holds the insignificant positions not yet passed, so a gap is
+///   a population count below the hit, a record is one write (three past
+///   64 bits, gaps of 62 and 63), and the terminator is owed exactly while
+///   `ahead` is non-empty.
 fn encode_planes(w: &mut BitWriter, coeffs: &[i64; 64], min_plane: i32) {
-    let mag: Vec<u64> = coeffs.iter().map(|&c| c.unsigned_abs()).collect();
-    let mut significant = [false; 64];
-    let mut plane = TOP_PLANE;
-    while plane >= min_plane && plane >= 0 {
-        let bit = 1u64 << plane;
-        for i in 0..64 {
-            if significant[i] {
-                w.write_bit(mag[i] & bit != 0);
-            }
+    debug_assert!((0..=TOP_PLANE).contains(&min_plane));
+    let mut mag = [0u64; 64];
+    let (mut neg, mut any) = (0u64, 0u64);
+    for (i, &c) in coeffs.iter().enumerate() {
+        mag[i] = c.unsigned_abs();
+        any |= mag[i];
+        neg |= u64::from(c < 0) << i;
+    }
+    // -1 when no bit at or below TOP_PLANE is set.
+    let top = 63 - (any & ((2u64 << TOP_PLANE) - 1)).leading_zeros() as i32;
+    w.write_bits(0, (TOP_PLANE - top.max(min_plane - 1)) as u32);
+
+    let mut sig = 0u64;
+    for plane in (min_plane..=top).rev() {
+        let mut pb = 0u64;
+        for (i, &m) in mag.iter().enumerate() {
+            pb |= (m >> plane & 1) << i;
         }
-        // Significance pass over the insignificant coefficients, in order.
-        let insig: Vec<usize> = (0..64).filter(|&i| !significant[i]).collect();
-        if insig.is_empty() {
-            plane -= 1;
+        // (a) Refinement: `pb` at the positions of `sig`, in index order.
+        if sig == u64::MAX {
+            w.write_bits(pb, 64);
             continue;
         }
-        let mut cursor = 0;
-        loop {
-            let next = insig[cursor..].iter().position(|&i| mag[i] & bit != 0);
-            match next {
-                None => {
-                    w.write_bit(false);
-                    break;
-                }
-                Some(gap) => {
-                    w.write_bit(true);
-                    w.write_unary(gap as u32);
-                    let i = insig[cursor + gap];
-                    w.write_bit(coeffs[i] < 0);
-                    significant[i] = true;
-                    cursor += gap + 1;
-                    if cursor == insig.len() {
-                        // Nothing left to test in this plane.
-                        break;
-                    }
-                }
-            }
+        let (mut refine, mut n) = (0u64, 0u32);
+        let mut rest = sig;
+        while rest != 0 {
+            refine |= (pb >> rest.trailing_zeros() & 1) << n;
+            n += 1;
+            rest &= rest - 1;
         }
-        plane -= 1;
+        w.write_bits(refine, n);
+
+        // (b) Significance: one record per newly significant coefficient.
+        let mut ahead = !sig;
+        let mut fresh = pb & ahead;
+        sig |= fresh;
+        while fresh != 0 {
+            let i = fresh.trailing_zeros();
+            let below = (1u64 << i) - 1;
+            let gap = (ahead & below).count_ones();
+            let sign = neg >> i & 1;
+            // `1`, `gap` zeros, `1`, sign — the first bit is the lowest.
+            if gap + 3 <= 64 {
+                w.write_bits(1 | 1 << (gap + 1) | sign << (gap + 2), gap + 3);
+            } else {
+                w.write_bits(1, 1);
+                w.write_unary(gap);
+                w.write_bits(sign, 1);
+            }
+            ahead &= !below << 1;
+            fresh &= fresh - 1;
+        }
+        if ahead != 0 {
+            w.write_bits(0, 1);
+        }
     }
 }
 
@@ -264,7 +314,9 @@ impl Zfpx {
             return 0;
         }
         // Quantized units: 1 ulp of the plane-p cut = 2^p * 2^emax / 2^Q.
-        let p = (self.tolerance.log2().floor() as i32) + Q - emax;
+        // The cast saturates for `+inf`, the loosest tolerance there is
+        // (the cut-off lands on `TOP_PLANE`), hence the saturating sum.
+        let p = (self.tolerance.log2().floor() as i32).saturating_add(Q - emax);
         p.clamp(0, TOP_PLANE)
     }
 }
@@ -313,10 +365,10 @@ impl FloatCodec for Zfpx {
                     w.write_bit(true);
                     let emax = amax.log2().floor() as i32;
                     w.write_bits((emax + 127) as u64, 9);
-                    let scale = (Q - emax) as f32;
+                    let scale = ((Q - emax) as f32).exp2();
                     let mut q = [0i64; 64];
                     for (dst, &s) in q.iter_mut().zip(samples.iter()) {
-                        *dst = (s * scale.exp2()) as i64;
+                        *dst = (s * scale) as i64;
                     }
                     transform_fwd(&mut q);
                     encode_planes(&mut w, &q, self.min_plane(emax));
@@ -373,6 +425,7 @@ impl FloatCodec for Zfpx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_par::SplitMix64;
 
     #[test]
     fn lifting_roundtrip() {
@@ -421,6 +474,126 @@ mod tests {
         assert!(top4 > rest, "top4={top4} rest={rest}");
     }
 
+    /// The plane coder one coefficient at a time — the encoder this crate
+    /// shipped before the mask-based [`encode_planes`], kept verbatim as the
+    /// definition of the bits.
+    fn encode_planes_oracle(w: &mut BitWriter, coeffs: &[i64; 64], min_plane: i32) {
+        let mag: Vec<u64> = coeffs.iter().map(|&c| c.unsigned_abs()).collect();
+        let mut significant = [false; 64];
+        let mut plane = TOP_PLANE;
+        while plane >= min_plane && plane >= 0 {
+            let bit = 1u64 << plane;
+            for i in 0..64 {
+                if significant[i] {
+                    w.write_bit(mag[i] & bit != 0);
+                }
+            }
+            // Significance pass over the insignificant coefficients, in order.
+            let insig: Vec<usize> = (0..64).filter(|&i| !significant[i]).collect();
+            if insig.is_empty() {
+                plane -= 1;
+                continue;
+            }
+            let mut cursor = 0;
+            loop {
+                let next = insig[cursor..].iter().position(|&i| mag[i] & bit != 0);
+                match next {
+                    None => {
+                        w.write_bit(false);
+                        break;
+                    }
+                    Some(gap) => {
+                        w.write_bit(true);
+                        w.write_unary(gap as u32);
+                        let i = insig[cursor + gap];
+                        w.write_bit(coeffs[i] < 0);
+                        significant[i] = true;
+                        cursor += gap + 1;
+                        if cursor == insig.len() {
+                            // Nothing left to test in this plane.
+                            break;
+                        }
+                    }
+                }
+            }
+            plane -= 1;
+        }
+    }
+
+    /// A coefficient of at most `bits` magnitude bits, either sign.
+    fn coefficient(rng: &mut SplitMix64, bits: usize) -> i64 {
+        let m = (rng.next_u64() >> (64 - bits)) as i64;
+        if rng.below(2) == 0 {
+            m
+        } else {
+            -m
+        }
+    }
+
+    /// Blocks that reach every branch of the coder: nothing to code, every
+    /// density, a full significant set from the first plane, gaps of 62 and
+    /// 63 (the split record), magnitudes whose top bits are never coded.
+    fn coefficient_block(rng: &mut SplitMix64, kind: usize) -> [i64; 64] {
+        let mut block = [0i64; 64];
+        let width = 1 + rng.below(34);
+        match kind {
+            0 => {}
+            1 => block.fill_with(|| coefficient(rng, width)),
+            2 => block.fill_with(|| match rng.below(8) {
+                0 => coefficient(rng, width),
+                _ => 0,
+            }),
+            3 => block[rng.below(64)] = coefficient(rng, width),
+            4 => block[62 + rng.below(2)] = coefficient(rng, width),
+            5 => block.fill_with(|| [-1, 1][rng.below(2)] * ((2i64 << TOP_PLANE) - 1)),
+            6 => block.fill_with(|| coefficient(rng, 7) << (TOP_PLANE + 1 - rng.below(3) as i32)),
+            _ => block.fill_with(|| coefficient(rng, 2)),
+        }
+        block
+    }
+
+    /// What a decoder must return for `coeffs` cut at `min_plane`: the
+    /// coded planes of each magnitude, plus half the cut for the
+    /// significant ones.
+    fn truncated(coeffs: &[i64; 64], min_plane: i32) -> [i64; 64] {
+        let coded = ((2u64 << TOP_PLANE) - 1) & !((1u64 << min_plane) - 1);
+        coeffs.map(|c| {
+            let mut m = (c.unsigned_abs() & coded) as i64;
+            if m != 0 && min_plane > 0 {
+                m += 1 << (min_plane - 1);
+            }
+            m * c.signum()
+        })
+    }
+
+    #[test]
+    fn mask_coder_emits_the_oracle_bits() {
+        const CUTS: [i32; 10] = [0, 1, 2, 5, 9, 13, 17, 20, 25, TOP_PLANE];
+        let mut rng = SplitMix64::new(0x5EED_2F9C);
+        for case in 0..20_000 {
+            let coeffs = coefficient_block(&mut rng, case % 8);
+            for min_plane in CUTS {
+                // A 3-bit lead-in leaves both writers off a byte boundary.
+                let mut expected = BitWriter::new();
+                expected.write_bits(0b101, 3);
+                encode_planes_oracle(&mut expected, &coeffs, min_plane);
+                let mut actual = BitWriter::new();
+                actual.write_bits(0b101, 3);
+                encode_planes(&mut actual, &coeffs, min_plane);
+                let bit_len = expected.bit_len();
+                assert_eq!(actual.bit_len(), bit_len, "case {case} cut {min_plane}");
+                let bytes = actual.into_bytes();
+                assert_eq!(bytes, expected.into_bytes(), "case {case} cut {min_plane}");
+
+                let mut r = BitReader::new(&bytes);
+                r.read_bits(3).unwrap();
+                let decoded = decode_planes(&mut r, min_plane).unwrap();
+                assert_eq!(decoded, truncated(&coeffs, min_plane), "case {case}");
+                assert_eq!(bytes.len() * 8 - r.remaining(), bit_len, "case {case}");
+            }
+        }
+    }
+
     fn max_err(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
             .zip(b)
@@ -461,6 +634,21 @@ mod tests {
         let loose = Zfpx { tolerance: 1.0 }.encode(&data, shape).len();
         let tight = Zfpx { tolerance: 1e-3 }.encode(&data, shape).len();
         assert!(tight > loose, "tight {tight} loose {loose}");
+    }
+
+    #[test]
+    fn infinite_tolerance_is_the_loosest_not_the_tightest() {
+        // `+inf` used to overflow the cut-off sum: a panic with overflow
+        // checks, a wrap to plane 0 (every plane coded) without.
+        let data: Vec<f32> = (0..64).map(|i| (i as f32 * 0.13).sin() * 60.0).collect();
+        let shape = (4, 4, 4);
+        let loosest = Zfpx {
+            tolerance: f32::INFINITY,
+        };
+        let enc = loosest.encode(&data, shape);
+        assert_eq!(enc, Zfpx { tolerance: 3e38 }.encode(&data, shape));
+        assert!(enc.len() < Zfpx { tolerance: 1.0 }.encode(&data, shape).len());
+        assert_eq!(loosest.decode(&enc, shape).unwrap(), [0.0; 64]);
     }
 
     #[test]
