@@ -54,7 +54,9 @@ fn env_codec() -> CodecKind {
                 .unwrap_or_else(|_| panic!("APC_CODEC zfpx tolerance must be a float: {raw:?}")),
             _ => panic!("APC_CODEC must be raw|fpz|lz|zfpx[:tol], got {raw:?}"),
         };
-        return CodecKind::Zfpx { tolerance };
+        return CodecKind::from_name("zfpx", Some(tolerance)).unwrap_or_else(|_| {
+            panic!("APC_CODEC zfpx tolerance must be finite and non-negative: {raw:?}")
+        });
     }
     CodecKind::from_name(s, None)
         .unwrap_or_else(|_| panic!("APC_CODEC must be raw|fpz|lz|zfpx[:tol], got {raw:?}"))

@@ -50,8 +50,13 @@ impl CodecKind {
         }
     }
 
-    /// Inverse of [`CodecKind::name`]; `tolerance` only applies to `zfpx`.
+    /// Inverse of [`CodecKind::name`]; `tolerance` only applies to `zfpx`,
+    /// and must be one [`CodecKind::decode_chunk`] accepts in the header of
+    /// the chunks it would write (finite, non-negative).
     pub fn from_name(name: &str, tolerance: Option<f32>) -> Result<Self, StoreError> {
+        if let Some(bad) = tolerance.filter(|&t| !valid_tolerance(t)) {
+            return Err(StoreError::BadMeta(format!("bad tolerance {bad}")));
+        }
         match name {
             "raw" => Ok(CodecKind::Raw),
             "fpz" => Ok(CodecKind::Fpz),
@@ -133,7 +138,7 @@ impl CodecKind {
                     )));
                 };
                 let tolerance = f32::from_le_bytes(*tol_bytes);
-                if !tolerance.is_finite() || tolerance < 0.0 {
+                if !valid_tolerance(tolerance) {
                     return Err(StoreError::Codec(apc_compress::CodecError::Corrupt(
                         "zfpx chunk has a non-finite or negative tolerance",
                     )));
@@ -162,6 +167,11 @@ impl CodecKind {
             _ => None,
         }
     }
+}
+
+/// A `zfpx` tolerance a chunk header may carry and a document may ask for.
+fn valid_tolerance(tolerance: f32) -> bool {
+    tolerance.is_finite() && tolerance >= 0.0
 }
 
 fn tagged(tag: u8, mut payload: Vec<u8>) -> Vec<u8> {
@@ -253,6 +263,14 @@ mod tests {
             CodecKind::from_name("gzip", None),
             Err(StoreError::BadMeta(_))
         ));
+        // A tolerance `decode_chunk` refuses in a chunk header is refused
+        // before a chunk is written with it.
+        for tolerance in [f32::INFINITY, f32::NAN, -0.5] {
+            assert!(matches!(
+                CodecKind::from_name("zfpx", Some(tolerance)),
+                Err(StoreError::BadMeta(_))
+            ));
+        }
     }
 
     #[test]

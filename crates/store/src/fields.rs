@@ -87,7 +87,8 @@ impl Fields {
         }
     }
 
-    /// `codec`, with the optional `tolerance` of a lossy one.
+    /// `codec`, with the optional `tolerance` of a lossy one, narrowed to
+    /// the `f32` the codec takes (`1e39` is `inf` there, and refused).
     pub fn codec(&self) -> Result<CodecKind, StoreError> {
         let tolerance = match self.find("tolerance") {
             Some(Value::Float(f)) => Some(*f as f32),
@@ -256,6 +257,18 @@ mod tests {
     fn codec_tolerance_iterations_and_layout_are_validated() {
         assert_eq!(parse("").codec().unwrap(), CodecKind::Raw);
         assert!(is_bad(parse("\"tolerance\": \"tight\", ").codec()));
+        // Finite as an f64 is not enough: 1e39 is `inf` as the f32 the
+        // codec takes, and the chunks it wrote would not decode.
+        for tolerance in ["1e39", "-1e39", "-0.5", "-1"] {
+            let doc = parse(&format!("\"tolerance\": {tolerance}, "));
+            assert!(is_bad(doc.codec()), "{tolerance}");
+        }
+        let loosest =
+            "{\"format\": \"t\", \"version\": 1, \"codec\": \"zfpx\", \"tolerance\": 3e38}";
+        assert_eq!(
+            Fields::parse(loosest, "t").unwrap().codec().unwrap(),
+            CodecKind::Zfpx { tolerance: 3e38 }
+        );
         let unknown = "{\"format\": \"t\", \"version\": 1, \"codec\": \"gzip\"}";
         assert!(is_bad(Fields::parse(unknown, "t").unwrap().codec()));
 
