@@ -99,6 +99,20 @@ if ! grep -q '^result .* failed 0 digest eef30fa47b6271d8$' <<<"$bench_out"; the
   exit 1
 fi
 
+echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discrimination runs only here)"
+# The workload's own check — degrading must use more than
+# DEGRADE_SHARE_FLOOR of a budgeted sweep's CPU — runs in the traced pass
+# only, and a failed discrimination is a failed op. A change that makes
+# the degrade path cheap enough to sink under the floor (a faster zfpx
+# decoder, a reply cache: ROADMAP items 4 and 5) fails here, before the
+# PR driver's traced run does; so does one that moves the served bytes.
+bench_out="$(bash benchmark/run.sh --workload serve_adaptive --seed 42 --seconds 4 --trace 1)"
+grep -E '^(result|info discrimination)' <<<"$bench_out"
+if ! grep -q '^result .* failed 0 digest b87ec648e373c0dd$' <<<"$bench_out"; then
+  echo "serve_adaptive seed-42 traced run: digest is not b87ec648e373c0dd, or an op failed (discrimination under the floor?)" >&2
+  exit 1
+fi
+
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
