@@ -20,6 +20,14 @@
 //! shapes and contents plus `sparse`, the mostly-zero raster a `Dropped`
 //! reply re-encodes. Generated on the per-coefficient plane encoder
 //! before the mask-based one replaced it; same rule, never paste.
+//!
+//! A third pair, [`PINNED_FPZ_EDGES`] and [`PINNED_FPZ_TAILS`], pins `fpz`
+//! where its per-sample coder branches: residual widths driven directly
+//! (swings of ±32, every width in turn, any width after any other), the
+//! IEEE-754 specials, all-zero input and dBZ-like noise over the shapes
+//! the store and the replay pool encode, and one stream per byte length
+//! modulo 8. Generated on the two-call (`write_unary` + `write_bits`)
+//! coder before the fused one replaced it; same rule, never paste.
 
 use apc_compress::{FloatCodec, Fpz, Lz77, Zfpx};
 use apc_par::SplitMix64;
@@ -289,6 +297,78 @@ const PINNED_ZFPX_SWEEP: [[u64; 5]; 30] = [
     ], // (8, 8, 8) sparse
 ];
 
+/// The shapes of [`PINNED_FPZ_EDGES`]: a point, the shortest row with a
+/// left neighbour, a long row, the replay pool's frames, the store's chunks.
+const EDGE_SHAPES: [Shape; 5] = [(1, 1, 1), (3, 1, 1), (64, 1, 1), (40, 40, 1), (11, 11, 19)];
+
+const EDGE_CONTENTS: [&str; 6] = [
+    "width_swing",
+    "ramp",
+    "any_width",
+    "specials",
+    "zeros",
+    "dbz_noise",
+];
+
+/// `fpz` digests, one row per shape in `EDGE_SHAPES` order, one column per
+/// `EDGE_CONTENTS` entry.
+const PINNED_FPZ_EDGES: [[u64; 6]; 5] = [
+    [
+        0x2a7224c76cb3bdc9, // width_swing
+        0xaf63bc4c8601b62c, // ramp
+        0x6f3e20f27ef532ef, // any_width
+        0x566df23ca8b5feb6, // specials
+        0x7f682652c26b1bf1, // zeros
+        0x084604efb1f08659, // dbz_noise
+    ], // (1, 1, 1)
+    [
+        0xe4ebac793c9642f6, // width_swing
+        0xaf64044c86023084, // ramp
+        0xc1ae86fdac9bf9c4, // any_width
+        0x090faac004ec2c9d, // specials
+        0x976a6a1a7f383bb0, // zeros
+        0x7c2c324b524a455c, // dbz_noise
+    ], // (3, 1, 1)
+    [
+        0xbecd6848aa6d7848, // width_swing
+        0x1bf1bf2170bb23b8, // ramp
+        0x57c5ae2fb2567166, // any_width
+        0xfd7f60fe467d59d4, // specials
+        0xb4606dc0a0f61569, // zeros
+        0x87d04a380ce18f4b, // dbz_noise
+    ], // (64, 1, 1)
+    [
+        0x6e26fa7dfb40fcd0, // width_swing
+        0x6127e110e8f5b41e, // ramp
+        0x5597b459f670afbb, // any_width
+        0x65e06b71b7bdc8f0, // specials
+        0xceda21fc9a83e729, // zeros
+        0x1a05e5c446adb189, // dbz_noise
+    ], // (40, 40, 1)
+    [
+        0x303578098cfcfd08, // width_swing
+        0xa3826ae134de0943, // ramp
+        0xf658f42c3a052a03, // any_width
+        0x3a5fe500764f299a, // specials
+        0xa14a7ab991c1340f, // zeros
+        0xc53f1975adf35f9f, // dbz_noise
+    ], // (11, 11, 19)
+];
+
+/// `(samples, fpz digest)` of the dBZ-like noise row trimmed to the first
+/// sample count (from 64 down) whose stream is `r` bytes past a multiple
+/// of 8, for `r` in `0..8`: every tail the decoder's last refill can meet.
+const PINNED_FPZ_TAILS: [(usize, u64); 8] = [
+    (64, 0x3d5cf8b6a1adc213), // 0 bytes past a multiple of 8
+    (59, 0x81b694d6110c1ac7), // 1 bytes past a multiple of 8
+    (47, 0x0a44313deb7671d7), // 2 bytes past a multiple of 8
+    (56, 0xb6a692d5126b269a), // 3 bytes past a multiple of 8
+    (63, 0x30598ff6181baf84), // 4 bytes past a multiple of 8
+    (48, 0xacc29890032dd468), // 5 bytes past a multiple of 8
+    (60, 0xa596d661ab3129fd), // 6 bytes past a multiple of 8
+    (57, 0xcdba2dfa1a364880), // 7 bytes past a multiple of 8
+];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -414,5 +494,142 @@ fn lossless_codecs_roundtrip_the_corpus_bit_exactly() {
                 codec.name()
             );
         }
+    }
+}
+
+/// Inverse of `fpz`'s order-preserving map from `f32` bits to `u32`.
+fn ordered_to_float(m: u32) -> f32 {
+    f32::from_bits(if m & 0x8000_0000 != 0 {
+        m & 0x7FFF_FFFF
+    } else {
+        !m
+    })
+}
+
+/// Samples whose `fpz` residual widths are exactly `width(idx)`, in coding
+/// order: each sample is the 3D Lorenzo prediction from the samples before
+/// it plus a residual whose zig-zag magnitude has that many significant
+/// bits (top bit set, the rest drawn from `rng`). Widths are what the coder
+/// delta-codes in unary, so this reaches every unary run and payload size
+/// at will — float contents cannot (the first sample alone is 32 wide).
+fn with_residual_widths(
+    (nx, ny, nz): Shape,
+    rng: &mut SplitMix64,
+    width: impl Fn(usize) -> u32,
+) -> Vec<f32> {
+    let mut ordered = vec![0u32; nx * ny * nz];
+    for idx in 0..ordered.len() {
+        let (i, j, k) = (idx % nx, (idx / nx) % ny, idx / (nx * ny));
+        // The neighbour `di, dj, dk` steps back, zero outside the array.
+        let at = |di: usize, dj: usize, dk: usize| {
+            if i < di || j < dj || k < dk {
+                0
+            } else {
+                ordered[(i - di) + nx * ((j - dj) + ny * (k - dk))]
+            }
+        };
+        let prediction = at(1, 0, 0)
+            .wrapping_add(at(0, 1, 0))
+            .wrapping_add(at(0, 0, 1))
+            .wrapping_sub(at(1, 1, 0))
+            .wrapping_sub(at(1, 0, 1))
+            .wrapping_sub(at(0, 1, 1))
+            .wrapping_add(at(1, 1, 1));
+        let magnitude = match width(idx) {
+            0 => 0,
+            w => (1u32 << (w - 1)) | (rng.next_u64() as u32 & ((1u32 << (w - 1)) - 1)),
+        };
+        let residual = (magnitude >> 1) ^ (magnitude & 1).wrapping_neg();
+        ordered[idx] = prediction.wrapping_add(residual);
+    }
+    ordered.into_iter().map(ordered_to_float).collect()
+}
+
+fn edge_corpus(shape: Shape, content: &str, rng: &mut SplitMix64) -> Vec<f32> {
+    let n = shape.0 * shape.1 * shape.2;
+    match content {
+        // Widths 32, 0, 32, 0, …: width deltas of −32 and +32 — unary runs
+        // of 63 and 64, the second with 31 payload bits behind it — all
+        // the way down the stream and not only on its first sample.
+        "width_swing" => with_residual_widths(shape, rng, |idx| if idx % 2 == 0 { 32 } else { 0 }),
+        // Every width in turn, up and back down: deltas of ±1.
+        "ramp" => with_residual_widths(shape, rng, |idx| {
+            let phase = (idx % 64) as u32;
+            phase.min(64 - phase)
+        }),
+        // Any width after any other: every unary run 0..=64 next to every
+        // payload size. (Its own generator, so the widths are drawn first.)
+        "any_width" => {
+            let widths: Vec<u32> = (0..n).map(|_| rng.below(33) as u32).collect();
+            with_residual_widths(shape, rng, |idx| widths[idx])
+        }
+        "specials" => (0..n).map(|_| special(rng)).collect(),
+        "zeros" => vec![0.0; n],
+        "dbz_noise" => (0..n).map(|_| rng.range_f32(-60.0, 75.0)).collect(),
+        other => unreachable!("unknown content {other}"),
+    }
+}
+
+fn assert_fpz_roundtrip(data: &[f32], shape: Shape, stream: &[u8], what: &str) {
+    let dec = Fpz
+        .decode(stream, shape)
+        .unwrap_or_else(|e| panic!("fpz {what}: {e}"));
+    let same = dec.len() == data.len()
+        && data
+            .iter()
+            .zip(&dec)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(same, "fpz not bit-exact on {what}");
+}
+
+#[test]
+fn fpz_emits_the_pinned_bytes_at_its_coder_edges() {
+    let mut rng = SplitMix64::new(0xED_6E5);
+    let mut actual = [[0u64; 6]; 5];
+    for (row, shape) in actual.iter_mut().zip(EDGE_SHAPES) {
+        for (digest, content) in row.iter_mut().zip(EDGE_CONTENTS) {
+            let data = edge_corpus(shape, content, &mut rng);
+            let stream = Fpz.encode(&data, shape);
+            assert_fpz_roundtrip(&data, shape, &stream, &format!("{shape:?} {content}"));
+            *digest = fnv1a(&stream);
+        }
+    }
+    if actual != PINNED_FPZ_EDGES {
+        let mut table = String::new();
+        for (row, shape) in actual.iter().zip(EDGE_SHAPES) {
+            table += "    [\n";
+            for (digest, content) in row.iter().zip(EDGE_CONTENTS) {
+                table += &format!("        {digest:#018x}, // {content}\n");
+            }
+            table += &format!("    ], // {shape:?}\n");
+        }
+        panic!("fpz bytes differ from the pinned edge table; actual table:\n{table}");
+    }
+}
+
+#[test]
+fn fpz_emits_the_pinned_bytes_at_every_stream_length_mod_8() {
+    let mut rng = SplitMix64::new(0x7A_115);
+    let row: Vec<f32> = (0..64).map(|_| rng.range_f32(-60.0, 75.0)).collect();
+    let mut actual = [(0usize, 0u64); 8];
+    for n in (1..=row.len()).rev() {
+        let shape = (n, 1, 1);
+        let stream = Fpz.encode(&row[..n], shape);
+        assert_fpz_roundtrip(&row[..n], shape, &stream, &format!("noise row of {n}"));
+        let slot = &mut actual[stream.len() % 8];
+        if slot.0 == 0 {
+            *slot = (n, fnv1a(&stream));
+        }
+    }
+    assert!(
+        actual.iter().all(|&(n, _)| n > 0),
+        "a stream length modulo 8 was never hit: {actual:?}"
+    );
+    if actual != PINNED_FPZ_TAILS {
+        let mut table = String::new();
+        for (r, (n, digest)) in actual.iter().enumerate() {
+            table += &format!("    ({n}, {digest:#018x}), // {r} bytes past a multiple of 8\n");
+        }
+        panic!("fpz bytes differ from the pinned tail table; actual table:\n{table}");
     }
 }
