@@ -5,11 +5,12 @@
 //! with its least significant one. That makes a run of stream bits equal to
 //! a little-endian integer, so both ends move a word at a time:
 //!
-//! * [`BitWriter`] ORs values into a `u64` accumulator and appends its whole
-//!   bytes to the buffer at the end of every call. The invariant between
-//!   calls is **fewer than 8 pending bits**, with every accumulator bit
-//!   above them zero; a 64-bit write on top of 7 pending bits is the one
-//!   case that spills, and it is handled by flushing the full word first.
+//! * [`BitWriter`] ORs values into a `u64` accumulator and appends it to
+//!   the buffer, as one whole word, only when a write fills it; the bits
+//!   of that write the word had no room for start the next one. The
+//!   invariant between calls is **fewer than 64 pending bits**, with every
+//!   accumulator bit above them zero, so the buffer holds whole words
+//!   until [`BitWriter::into_bytes`] appends the pending bits' bytes.
 //! * [`BitReader`] peeks the unaligned little-endian `u64` at its byte
 //!   position — zero-extended inside the last 8 bytes of the buffer — and
 //!   shifts/masks the answer out of it. Underrun is checked against
@@ -28,7 +29,7 @@ pub struct BitWriter {
     buf: Vec<u8>,
     /// Pending bits, LSB first; zero at and above bit `pending`.
     acc: u64,
-    /// Bits held in `acc`; `< 8` between calls.
+    /// Bits held in `acc`; `< 64` between calls.
     pending: u32,
 }
 
@@ -57,8 +58,8 @@ impl BitWriter {
         if n < 64 {
             value &= (1u64 << n) - 1;
         }
-        // `pending < 8`, so the shift is in range; bits of `value` pushed
-        // past bit 63 are re-read from `value` in the spill branch.
+        // `pending < 64`, so the shift is in range; the bits of `value` it
+        // pushes past bit 63 are re-read from `value` once the word is out.
         self.acc |= value << self.pending;
         let total = self.pending + n;
         if total >= 64 {
@@ -68,10 +69,7 @@ impl BitWriter {
             self.acc = value.checked_shr(64 - self.pending).unwrap_or(0);
             self.pending = total - 64;
         } else {
-            let whole = (total / 8) as usize;
-            self.buf.extend_from_slice(&self.acc.to_le_bytes()[..whole]);
-            self.acc >>= whole * 8;
-            self.pending = total % 8;
+            self.pending = total;
         }
     }
 
@@ -91,9 +89,8 @@ impl BitWriter {
 
     /// Finish and return the byte buffer (final partial byte zero-padded).
     pub fn into_bytes(mut self) -> Vec<u8> {
-        if self.pending > 0 {
-            self.buf.push(self.acc as u8);
-        }
+        let bytes = self.pending.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
         self.buf
     }
 }
@@ -228,7 +225,8 @@ mod tests {
     #[test]
     fn every_offset_and_width_matches_the_per_bit_oracle() {
         let mut rng = SplitMix64::new(0xB170);
-        for offset in 0..8u32 {
+        // Every state the writer can be in between calls: 0..64 pending bits.
+        for offset in 0..64u32 {
             for width in 0..=64u32 {
                 // Lead-in, the value under test (unmasked: the writer must
                 // drop the bits above `width`), then a value behind it.
@@ -262,7 +260,7 @@ mod tests {
         // 55..=57 straddle the reader's guaranteed 57-bit window, 63/64
         // the writer's one-word code, 200 takes several windows.
         let runs = [0u32, 1, 5, 13, 40, 55, 56, 57, 63, 64, 200];
-        for offset in 0..8u32 {
+        for offset in 0..64u32 {
             let mut w = BitWriter::new();
             let mut oracle = BitOracle::default();
             w.write_bits(0, offset);
@@ -301,6 +299,72 @@ mod tests {
                 let zeros = (start..).take_while(|&b| !bit(b)).count();
                 assert_eq!(r.read_unary().unwrap() as usize, zeros, "{len}/{start}");
                 assert_eq!(r.pos, start + zeros + 1);
+            }
+        }
+    }
+
+    /// A writer with `pending` random bits written, and their oracle.
+    fn with_pending(pending: u32, rng: &mut SplitMix64) -> (BitWriter, BitOracle) {
+        let (mut w, mut oracle) = (BitWriter::new(), BitOracle::default());
+        let lead_in = rng.next_u64();
+        w.write_bits(lead_in, pending);
+        oracle.write(lead_in, pending);
+        (w, oracle)
+    }
+
+    #[test]
+    fn bit_len_counts_across_a_filled_accumulator() {
+        let mut rng = SplitMix64::new(0xB172);
+        for pending in 0..64u32 {
+            // One bit short of the word, the word exactly, one bit over.
+            for width in (63 - pending..=65 - pending).filter(|w| *w <= 64) {
+                let (mut w, mut oracle) = with_pending(pending, &mut rng);
+                assert_eq!(w.bit_len(), pending as usize);
+                let value = rng.next_u64();
+                w.write_bits(value, width);
+                oracle.write(value, width);
+                assert_eq!(w.bit_len(), (pending + width) as usize, "{pending}+{width}");
+                assert_eq!(w.into_bytes(), oracle.bytes(), "{pending}+{width}");
+            }
+        }
+    }
+
+    #[test]
+    fn into_bytes_pads_the_pending_bits_to_whole_bytes() {
+        let mut rng = SplitMix64::new(0xB173);
+        for words in 0..2u32 {
+            for pending in [0u32, 1, 7, 8, 9, 63] {
+                let (mut w, mut oracle) = with_pending(pending, &mut rng);
+                for _ in 0..words {
+                    let value = rng.next_u64();
+                    w.write_bits(value, 64);
+                    oracle.write(value, 64);
+                }
+                let bytes = w.into_bytes();
+                assert_eq!(bytes.len(), (words * 8 + pending.div_ceil(8)) as usize);
+                assert_eq!(bytes, oracle.bytes(), "{words} words + {pending}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_width_writes_and_long_unary_codes_at_every_state() {
+        let mut rng = SplitMix64::new(0xB174);
+        for pending in 0..64u32 {
+            for run in [64u32, 200] {
+                let (mut w, mut oracle) = with_pending(pending, &mut rng);
+                w.write_bits(rng.next_u64(), 0);
+                assert_eq!(w.bit_len(), pending as usize, "a 0-bit write is a no-op");
+                w.write_unary(run);
+                w.write_bits(rng.next_u64(), 0);
+                (0..run).for_each(|_| oracle.write(0, 1));
+                oracle.write(1, 1);
+                assert_eq!(w.bit_len(), (pending + run + 1) as usize, "{pending}+{run}");
+                let bytes = w.into_bytes();
+                assert_eq!(bytes, oracle.bytes(), "{pending}+{run}");
+                let mut r = BitReader::new(&bytes);
+                r.read_bits(pending).unwrap();
+                assert_eq!(r.read_unary().unwrap(), run, "{pending}+{run}");
             }
         }
     }

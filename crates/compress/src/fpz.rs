@@ -24,6 +24,42 @@
 //! offsets from four row slices, and the coder walks rows instead of
 //! re-deriving `(i, j, k)` per sample. The emitted bytes are those of the
 //! bounds-checked predictor this replaced (pinned by `tests/format_pin.rs`).
+//!
+//! # How a sample is written and read
+//!
+//! A sample is a unary run of `u = zigzag(width − previous width)` zeros,
+//! the one that closes it, and `pay = width − 1` payload bits (none for a
+//! width of 0 or 1). Stream bits are LSB first, so that is the integer
+//! `(payload << 1 | 1) << u`, `u + 1 + pay` bits wide, and the encoder
+//! writes it with **one** [`BitWriter::write_bits`]. It splits into the
+//! run and the payload only when the code is wider than 64 bits, which
+//! takes a width jump of 17 or more upwards: mid-stream that is rare, but
+//! the first sample of practically every stream is one (`0.0` maps to
+//! `0x8000_0000`, so the width goes 0 → 32: `u = 64`, 65 + 31 bits).
+//!
+//! The decoder keeps the stream in a register window (`BitWindow`):
+//! `have` valid bits at the bottom of a `u64`. Before each sample it ORs
+//! the unaligned little-endian word at its byte cursor on top of them and
+//! counts the bytes that fit whole (56..=63 bits held afterwards); the
+//! byte that was cut is read again by the next refill, which is harmless
+//! because ORing a stream bit onto itself changes nothing. Inside the
+//! last 8 bytes it loads bytewise instead, so the window then holds every
+//! bit that is left and a shortfall is an underrun, never a read past the
+//! end. With the run's closing one among the first 25 bits, the run, the
+//! width check, the underrun check, the payload and the advance all come
+//! from that one window (`24 + 1 + 31 = 56`); a longer run is counted
+//! window by window and its payload read from a fresh one.
+//!
+//! The prediction is summed in a different order than it is written
+//! above: the six terms that lie in other rows first, a whole row at a
+//! time (`corner_sums` — none of them waits for a sample of the row
+//! being coded), the left neighbor last. Wrapping adds are associative
+//! and commutative, so the prediction is the same bits, and the decoder's
+//! chain from one sample to the next is two adds. `mod tests` keeps the
+//! coder this replaced — seven terms in source order, a `write_unary` and
+//! a `write_bits` per sample, `read_unary` and `read_bits` back — as the
+//! oracle: equal bytes on 5 000 arrays, and on damaged streams the same
+//! samples or the same error.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{CodecError, FloatCodec, Shape};
@@ -81,18 +117,24 @@ struct Rows<'a> {
     pyz: &'a [u32],
 }
 
-impl Rows<'_> {
-    /// Prediction for padded column `i ≥ 1` from its causal corner neighbors
-    /// (the inclusion–exclusion sum over the unit cube behind the sample).
-    #[inline]
-    fn predict(&self, i: usize) -> u32 {
-        self.cur[i - 1]
-            .wrapping_add(self.py[i])
-            .wrapping_add(self.pz[i])
-            .wrapping_sub(self.py[i - 1])
-            .wrapping_sub(self.pz[i - 1])
-            .wrapping_sub(self.pyz[i])
-            .wrapping_add(self.pyz[i - 1])
+/// For each sample column of a row, its prediction less the left neighbor:
+/// the six terms of the inclusion–exclusion sum (over the unit cube behind
+/// the sample) that lie in the other three rows, written to `out` (one slot
+/// per sample, so `nx` long against the rows' `nx + 1`). None of them waits
+/// for a sample of the row being coded, so the whole row is summed at once
+/// and the caller adds the left neighbor last — wrapping sums reassociate
+/// freely, so the prediction is the same bits.
+#[inline]
+fn corner_sums(py: &[u32], pz: &[u32], pyz: &[u32], out: &mut [u32]) {
+    let n = out.len();
+    let (py, pz, pyz) = (&py[..=n], &pz[..=n], &pyz[..=n]);
+    for (i, sum) in out.iter_mut().enumerate() {
+        *sum = py[i + 1]
+            .wrapping_add(pz[i + 1])
+            .wrapping_sub(py[i])
+            .wrapping_sub(pz[i])
+            .wrapping_sub(pyz[i + 1])
+            .wrapping_add(pyz[i]);
     }
 }
 
@@ -130,6 +172,140 @@ impl Lorenzo {
     }
 }
 
+const UNDERRUN: CodecError = CodecError::Corrupt("bitstream underrun");
+const WIDTH_RANGE: CodecError = CodecError::Corrupt("residual width out of range");
+
+/// The longest unary run [`BitWindow::read_sample`] takes together with its
+/// payload: `24 + 1 + 31` bits are the 56 a refill guarantees.
+const SHORT_RUN: u32 = 24;
+
+/// The decoder's view of the stream: a register of the bits at the read
+/// position, topped up a word at a time.
+struct BitWindow<'a> {
+    stream: &'a [u8],
+    /// The first byte not yet counted in `have`: the read position is bit
+    /// `8 * next - have` of the stream.
+    next: usize,
+    /// The stream from the read position on, LSB first, `have` bits of it.
+    /// A bit at or above `have` is zero or the stream's own bit there, so
+    /// a refill that ORs the same byte in a second time changes nothing.
+    acc: u64,
+    /// `≤ 63`; after [`Self::refill`], `≥ 56` or every bit that is left.
+    have: u32,
+}
+
+impl<'a> BitWindow<'a> {
+    fn new(stream: &'a [u8]) -> Self {
+        Self {
+            stream,
+            next: 0,
+            acc: 0,
+            have: 0,
+        }
+    }
+
+    /// Top the window up to at least 56 bits, or to all that is left.
+    #[inline]
+    fn refill(&mut self) {
+        let tail = &self.stream[self.next..];
+        if let Some(word) = tail.first_chunk::<8>() {
+            // The unaligned word lands on top of the held bits; only the
+            // bytes that fit whole under bit 64 are counted, the cut one
+            // is read again next time.
+            self.acc |= u64::from_le_bytes(*word) << self.have;
+            let whole = (63 - self.have) / 8;
+            self.next += whole as usize;
+            self.have += whole * 8;
+        } else {
+            for &byte in tail.iter().take(((63 - self.have) / 8) as usize) {
+                self.acc |= (byte as u64) << self.have;
+                self.next += 1;
+                self.have += 8;
+            }
+        }
+    }
+
+    /// Drop `n ≤ have` bits from the front.
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.have);
+        self.acc >>= n;
+        self.have -= n;
+    }
+
+    /// One sample: its residual's width (from the unary-coded zig-zag delta
+    /// against `prev_nbits`) and the payload bits under the width's MSB.
+    #[inline]
+    fn read_sample(&mut self, prev_nbits: u32) -> Result<(u32, u32), CodecError> {
+        self.refill();
+        let run = self.acc.trailing_zeros();
+        if run > SHORT_RUN {
+            return self.read_sample_after_long_run(prev_nbits);
+        }
+        // A one at `run ≤ 24` is inside the window: a refilled window is
+        // shorter than 56 bits only at the end of the stream, where
+        // nothing is set above it.
+        debug_assert!(run < self.have);
+        let nbits = width_after(prev_nbits, run as usize)?;
+        let pay = nbits.saturating_sub(1);
+        let used = run + 1 + pay;
+        if used > self.have {
+            return Err(UNDERRUN);
+        }
+        let payload = (self.acc >> (run + 1)) as u32 & ((1 << pay) - 1);
+        self.consume(used);
+        Ok((nbits, payload))
+    }
+
+    /// [`Self::read_sample`] when no one shows in the window's first 25
+    /// bits: the run is counted window by window, then the payload read
+    /// from a fresh one. (Legal runs end at 64; the first sample of most
+    /// streams, whose width jumps from 0 to 32, has exactly that.)
+    #[cold]
+    fn read_sample_after_long_run(&mut self, prev_nbits: u32) -> Result<(u32, u32), CodecError> {
+        let mut zeros = 0usize;
+        loop {
+            if self.have == 0 {
+                return Err(UNDERRUN);
+            }
+            let run = self.acc.trailing_zeros();
+            if run < self.have {
+                zeros += run as usize;
+                self.consume(run + 1);
+                break;
+            }
+            zeros += self.have as usize;
+            self.consume(self.have);
+            self.refill();
+        }
+        let nbits = width_after(prev_nbits, zeros)?;
+        let pay = nbits.saturating_sub(1);
+        self.refill();
+        if pay > self.have {
+            return Err(UNDERRUN);
+        }
+        let payload = self.acc as u32 & ((1 << pay) - 1);
+        self.consume(pay);
+        Ok((nbits, payload))
+    }
+}
+
+/// The width a unary run of `run` zeros moves `prev_nbits` to, refused
+/// outside `0..=32`.
+#[inline]
+fn width_after(prev_nbits: u32, run: usize) -> Result<u32, CodecError> {
+    // The zig-zag of ±32: no legal run is longer, and none that is longer
+    // lands in range from a width that is.
+    if run > 64 {
+        return Err(WIDTH_RANGE);
+    }
+    let nbits = prev_nbits as i32 + unzigzag(run as u32);
+    if !(0..=32).contains(&nbits) {
+        return Err(WIDTH_RANGE);
+    }
+    Ok(nbits as u32)
+}
+
 /// The fpzip-like codec. Stateless; the default instance is what the FPZIP
 /// scoring metric uses.
 #[derive(Debug, Clone, Copy, Default)]
@@ -147,24 +323,37 @@ impl FloatCodec for Fpz {
             return Vec::new();
         }
         let mut ctx = Lorenzo::zeroed(shape);
-        // Smooth data lands well under its raw size and noise just above
-        // it; starting there leaves at most one regrowth.
-        let mut w = BitWriter::with_capacity(std::mem::size_of_val(data));
-        let mut prev_nbits = 0i32;
+        // Smooth data lands well under its raw size and noise an eighth
+        // above it (≈ 36 bits a sample): room for either without regrowth.
+        let raw = std::mem::size_of_val(data);
+        let mut w = BitWriter::with_capacity(raw + raw / 8 + 16);
+        let mut prev_nbits = 0u32;
+        // The row's zig-zagged residuals; no residual waits for another.
+        let mut magnitudes = vec![0u32; nx];
         for (start, samples) in ctx.row_starts().zip(data.chunks_exact(nx)) {
-            let rows = ctx.rows_mut(start);
-            for (i, &v) in (1..).zip(samples) {
-                let ordered = float_to_ordered(v);
-                rows.cur[i] = ordered;
-                let residual = ordered.wrapping_sub(rows.predict(i)) as i32;
-                let m = zigzag(residual);
-                let nbits = (32 - m.leading_zeros()) as i32;
+            let Rows { cur, py, pz, pyz } = ctx.rows_mut(start);
+            for (ordered, &v) in cur[1..].iter_mut().zip(samples) {
+                *ordered = float_to_ordered(v);
+            }
+            corner_sums(py, pz, pyz, &mut magnitudes);
+            for (m, pair) in magnitudes.iter_mut().zip(cur.windows(2)) {
+                let prediction = m.wrapping_add(pair[0]);
+                *m = zigzag(pair[1].wrapping_sub(prediction) as i32);
+            }
+            for &m in &magnitudes {
+                let nbits = 32 - m.leading_zeros();
                 // Counts are locally stable: delta-code them in unary.
-                w.write_unary(zigzag(nbits - prev_nbits));
+                let unary = zigzag(nbits as i32 - prev_nbits as i32);
                 prev_nbits = nbits;
-                if nbits > 1 {
-                    // The MSB of an nbits-wide value is always 1; skip it.
-                    w.write_bits((m & !(1 << (nbits - 1))) as u64, nbits as u32 - 1);
+                // The MSB of an nbits-wide value is always 1; skip it.
+                let pay = nbits.saturating_sub(1);
+                let payload = (m & ((1 << pay) - 1)) as u64;
+                if unary + 1 + pay <= 64 {
+                    // The run's closing one under the payload, one write.
+                    w.write_bits((payload << 1 | 1) << unary, unary + 1 + pay);
+                } else {
+                    w.write_unary(unary);
+                    w.write_bits(payload, pay);
                 }
             }
         }
@@ -172,36 +361,30 @@ impl FloatCodec for Fpz {
     }
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let (nx, _, _) = shape;
-        let mut r = BitReader::new(stream);
         // Every sample costs at least the closing bit of its unary width
         // delta, which also bounds the padded field by the stream length.
-        let n = r.at_least_a_bit_each(shape)?;
+        let n = BitReader::new(stream).at_least_a_bit_each(shape)?;
         if n == 0 {
             return Ok(Vec::new());
         }
         let mut out = Vec::with_capacity(n);
         let mut ctx = Lorenzo::zeroed(shape);
-        let mut prev_nbits = 0i32;
+        let mut bits = BitWindow::new(stream);
+        let mut prev_nbits = 0u32;
         for start in ctx.row_starts() {
-            let rows = ctx.rows_mut(start);
-            for i in 1..=nx {
-                let delta = unzigzag(r.read_unary()?);
-                let nbits_i = prev_nbits + delta;
-                if !(0..=32).contains(&nbits_i) {
-                    return Err(CodecError::Corrupt("residual width out of range"));
-                }
-                prev_nbits = nbits_i;
-                let nbits = nbits_i as u32;
-                let m = match nbits {
-                    0 => 0u32,
-                    1 => 1u32,
-                    _ => (r.read_bits(nbits - 1)? as u32) | (1 << (nbits - 1)),
-                };
-                let residual = unzigzag(m);
-                rows.cur[i] = rows.predict(i).wrapping_add(residual as u32);
+            let Rows { cur, py, pz, pyz } = ctx.rows_mut(start);
+            let row = &mut cur[1..];
+            corner_sums(py, pz, pyz, row);
+            let mut left = 0u32;
+            for slot in row.iter_mut() {
+                let (nbits, payload) = bits.read_sample(prev_nbits)?;
+                prev_nbits = nbits;
+                // Put back the skipped MSB (a 0-wide residual has none).
+                let m = payload | ((1u64 << nbits) >> 1) as u32;
+                left = slot.wrapping_add(left).wrapping_add(unzigzag(m) as u32);
+                *slot = left;
             }
-            out.extend(rows.cur[1..].iter().map(|&m| ordered_to_float(m)));
+            out.extend(row.iter().map(|&m| ordered_to_float(m)));
         }
         Ok(out)
     }
@@ -214,6 +397,189 @@ impl FloatCodec for Fpz {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_par::SplitMix64;
+
+    /// The per-sample coder the fused one replaced, kept as the reference:
+    /// the seven-term prediction in source order, a `write_unary` and a
+    /// `write_bits` call per sample one way, `read_unary` and `read_bits`
+    /// the other. It shares the padded field and nothing of the coding.
+    fn predict_oracle(rows: &Rows<'_>, i: usize) -> u32 {
+        rows.cur[i - 1]
+            .wrapping_add(rows.py[i])
+            .wrapping_add(rows.pz[i])
+            .wrapping_sub(rows.py[i - 1])
+            .wrapping_sub(rows.pz[i - 1])
+            .wrapping_sub(rows.pyz[i])
+            .wrapping_add(rows.pyz[i - 1])
+    }
+
+    fn encode_oracle(data: &[f32], shape: Shape) -> Vec<u8> {
+        if data.is_empty() {
+            return Vec::new();
+        }
+        let mut ctx = Lorenzo::zeroed(shape);
+        let mut w = BitWriter::new();
+        let mut prev_nbits = 0i32;
+        for (start, samples) in ctx.row_starts().zip(data.chunks_exact(shape.0)) {
+            let rows = ctx.rows_mut(start);
+            for (i, &v) in (1..).zip(samples) {
+                let ordered = float_to_ordered(v);
+                rows.cur[i] = ordered;
+                let m = zigzag(ordered.wrapping_sub(predict_oracle(&rows, i)) as i32);
+                let nbits = (32 - m.leading_zeros()) as i32;
+                w.write_unary(zigzag(nbits - prev_nbits));
+                prev_nbits = nbits;
+                if nbits > 1 {
+                    w.write_bits((m & !(1 << (nbits - 1))) as u64, nbits as u32 - 1);
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    fn decode_oracle(stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
+        let mut r = BitReader::new(stream);
+        let n = r.at_least_a_bit_each(shape)?;
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let mut out = Vec::with_capacity(n);
+        let mut ctx = Lorenzo::zeroed(shape);
+        let mut prev_nbits = 0i32;
+        for start in ctx.row_starts() {
+            let rows = ctx.rows_mut(start);
+            for i in 1..=shape.0 {
+                let nbits = prev_nbits + unzigzag(r.read_unary()?);
+                if !(0..=32).contains(&nbits) {
+                    return Err(WIDTH_RANGE);
+                }
+                prev_nbits = nbits;
+                let m = match nbits as u32 {
+                    0 => 0u32,
+                    1 => 1u32,
+                    nbits => (r.read_bits(nbits - 1)? as u32) | (1 << (nbits - 1)),
+                };
+                rows.cur[i] = predict_oracle(&rows, i).wrapping_add(unzigzag(m) as u32);
+            }
+            out.extend(rows.cur[1..].iter().map(|&m| ordered_to_float(m)));
+        }
+        Ok(out)
+    }
+
+    /// A point, the shortest row with a left neighbor, a long row, the
+    /// replay pool's frames, the store's chunks.
+    const ORACLE_SHAPES: [Shape; 5] = [(1, 1, 1), (3, 1, 1), (64, 1, 1), (40, 40, 1), (11, 11, 19)];
+
+    /// `n` samples of one of six kinds, from dBZ-like noise (≈ 36 bits a
+    /// sample) to raw bit patterns next to zeros (widths swinging by up to
+    /// 32 either way, so unary runs of every length up to 64).
+    fn oracle_array(rng: &mut SplitMix64, n: usize) -> Vec<f32> {
+        let any_bits = |rng: &mut SplitMix64| f32::from_bits(rng.next_u64() as u32);
+        match rng.below(6) {
+            0 => (0..n).map(|_| rng.range_f32(-60.0, 75.0)).collect(),
+            1 => {
+                let step = rng.range_f32(0.001, 0.5);
+                let wobble = rng.range_f32(0.0, 1e-3);
+                (0..n)
+                    .map(|i| {
+                        (i as f32 * step).sin() * 40.0 + rng.range_f32(-wobble, wobble.max(1e-9))
+                    })
+                    .collect()
+            }
+            2 => (0..n).map(|_| any_bits(rng)).collect(),
+            3 => (0..n)
+                .map(|_| {
+                    if rng.below(8) == 0 {
+                        rng.range_f32(-60.0, 75.0)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+            4 => {
+                let levels = rng.below(4) + 1;
+                (0..n).map(|_| rng.below(levels) as f32 * 12.5).collect()
+            }
+            _ => (0..n)
+                .map(|_| {
+                    if rng.below(2) == 0 {
+                        any_bits(rng)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn oracle_cases(count: usize) -> impl Iterator<Item = (usize, Shape, Vec<f32>)> {
+        let mut rng = SplitMix64::new(0xF2_0AC1E);
+        (0..count).map(move |case| {
+            let shape = ORACLE_SHAPES[rng.below(ORACLE_SHAPES.len())];
+            (
+                case,
+                shape,
+                oracle_array(&mut rng, shape.0 * shape.1 * shape.2),
+            )
+        })
+    }
+
+    fn bits_of(decoded: Result<Vec<f32>, CodecError>) -> Result<Vec<u32>, CodecError> {
+        decoded.map(|samples| samples.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn fused_coder_emits_the_oracle_bytes() {
+        for (case, shape, data) in oracle_cases(5_000) {
+            let stream = Fpz.encode(&data, shape);
+            assert_eq!(stream, encode_oracle(&data, shape), "case {case} {shape:?}");
+            let expected: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                bits_of(Fpz.decode(&stream, shape)),
+                Ok(expected),
+                "case {case} {shape:?}"
+            );
+        }
+    }
+
+    /// The error contract no byte pin covers: on a damaged stream the window
+    /// decoder returns what the reference returns — the same samples bit for
+    /// bit, or the same error.
+    #[test]
+    fn window_decoder_returns_the_oracle_result_on_damaged_streams() {
+        let agree = |stream: &[u8], shape: Shape, what: &dyn Fn() -> String| {
+            let (got, expected) = (Fpz.decode(stream, shape), decode_oracle(stream, shape));
+            assert_eq!(bits_of(got), bits_of(expected), "{}", what());
+        };
+        let mut rng = SplitMix64::new(0xDA_3A6ED);
+        for (case, shape, data) in oracle_cases(5_000).step_by(25) {
+            let stream = Fpz.encode(&data, shape);
+            let bits = stream.len() * 8;
+            // Every truncated prefix. The unoptimised build, where a long
+            // stream decodes slowly, takes every cut near both ends of one
+            // and 64 seeded cuts between.
+            let every_cut = stream.len() <= 1024 || !cfg!(debug_assertions);
+            for cut in 0..stream.len() {
+                let near_an_end = cut < 32 || stream.len() - cut <= 32;
+                if every_cut || near_an_end || rng.below(stream.len()) < 64 {
+                    agree(&stream[..cut], shape, &|| {
+                        format!("case {case} {shape:?} cut at {cut}")
+                    });
+                }
+            }
+            // Every single-bit flip in the first and the last 64 bits, and
+            // ten seeded flips anywhere (2 000 over the 200 streams).
+            let ends = (0..bits.min(64)).chain(bits.saturating_sub(64)..bits);
+            let seeded: Vec<usize> = (0..10).map(|_| rng.below(bits)).collect();
+            for bit in ends.chain(seeded) {
+                let mut damaged = stream.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                agree(&damaged, shape, &|| {
+                    format!("case {case} {shape:?} bit {bit} flipped")
+                });
+            }
+        }
+    }
 
     fn roundtrip(data: &[f32], shape: Shape) {
         let codec = Fpz;
