@@ -113,6 +113,19 @@ if ! grep -q '^result .* failed 0 digest b87ec648e373c0dd$' <<<"$bench_out"; the
   exit 1
 fi
 
+echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination runs only here)"
+# The store workload's own check — store and codec spans must hold more
+# than half of a cycle's CPU — also runs in the traced pass only. A faster
+# fpz lowers that share (0.86 -> 0.8 with the fused coder), so a codec change
+# meets the floor here first; the digest folds every replayed report, so
+# one that moves a stored or decoded byte fails here too.
+bench_out="$(bash benchmark/run.sh --workload store_replay --seed 42 --seconds 4 --trace 1)"
+grep -E '^(result|info discrimination)' <<<"$bench_out"
+if ! grep -q '^result .* failed 0 digest 497235393972ad56$' <<<"$bench_out"; then
+  echo "store_replay seed-42 traced run: digest is not 497235393972ad56, or an op failed (store + codec share under the floor?)" >&2
+  exit 1
+fi
+
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
