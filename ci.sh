@@ -116,7 +116,7 @@ fi
 echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination runs only here)"
 # The store workload's own check — store and codec spans must hold more
 # than half of a cycle's CPU — also runs in the traced pass only. A faster
-# fpz lowers that share (0.86 -> 0.8 with the fused coder), so a codec change
+# fpz lowers that share (0.87 -> 0.81 with the fused coder), so a codec change
 # meets the floor here first; the digest folds every replayed report, so
 # one that moves a stored or decoded byte fails here too.
 bench_out="$(bash benchmark/run.sh --workload store_replay --seed 42 --seconds 4 --trace 1)"

@@ -61,7 +61,7 @@
 //! oracle: equal bytes on 5 000 arrays, and on damaged streams the same
 //! samples or the same error.
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{BitReader, BitWriter, UNDERRUN};
 use crate::{CodecError, FloatCodec, Shape};
 
 /// Order-preserving map from IEEE-754 `f32` bits to `u32`.
@@ -172,7 +172,6 @@ impl Lorenzo {
     }
 }
 
-const UNDERRUN: CodecError = CodecError::Corrupt("bitstream underrun");
 const WIDTH_RANGE: CodecError = CodecError::Corrupt("residual width out of range");
 
 /// The longest unary run [`BitWindow::read_sample`] takes together with its
