@@ -85,6 +85,20 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
+# bench_digest <workload> <seconds> <trace> <digest>: one seed-42 benchmark
+# run; prints its result line (and, traced, the workload's discrimination
+# line) and fails unless no op failed and the report digest is <digest>. A
+# discrimination under its floor is a failed op.
+bench_digest() {
+  local out
+  out="$(bash benchmark/run.sh --workload "$1" --seed 42 --seconds "$2" --trace "$3")"
+  grep -E '^(result|info discrimination)' <<<"$out"
+  if ! grep -q "^result .* failed 0 digest $4\$" <<<"$out"; then
+    echo "$1 seed-42 run (trace $3): digest is not $4, or an op failed (traced: a share under its floor?)" >&2
+    exit 1
+  fi
+}
+
 echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper scale, end to end)"
 # One iteration of the 6400-block paper-scaled storm (14.7 Mpts) generated,
 # then scored, sorted, reduced, redistributed and rendered adaptively at 64
@@ -92,12 +106,7 @@ echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper 
 # triangle counts and virtual seconds downstream of every generated block.
 # `crates/cm1/tests/field_pin.rs` pins sampled fields bit by bit; this is
 # the paper-scale fence, and no other stage compares a benchmark digest.
-bench_out="$(bash benchmark/run.sh --workload sync_adaptive --seed 42 --seconds 1 --trace 0)"
-grep '^result' <<<"$bench_out"
-if ! grep -q '^result .* failed 0 digest eef30fa47b6271d8$' <<<"$bench_out"; then
-  echo "sync_adaptive seed-42 digest is not eef30fa47b6271d8 (or an op failed)" >&2
-  exit 1
-fi
+bench_digest sync_adaptive 1 0 eef30fa47b6271d8
 
 echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discrimination runs only here)"
 # The workload's own check — degrading must use more than
@@ -106,12 +115,7 @@ echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discriminati
 # the degrade path cheap enough to sink under the floor (a faster zfpx
 # decoder, a reply cache: ROADMAP items 4 and 5) fails here, before the
 # PR driver's traced run does; so does one that moves the served bytes.
-bench_out="$(bash benchmark/run.sh --workload serve_adaptive --seed 42 --seconds 4 --trace 1)"
-grep -E '^(result|info discrimination)' <<<"$bench_out"
-if ! grep -q '^result .* failed 0 digest b87ec648e373c0dd$' <<<"$bench_out"; then
-  echo "serve_adaptive seed-42 traced run: digest is not b87ec648e373c0dd, or an op failed (discrimination under the floor?)" >&2
-  exit 1
-fi
+bench_digest serve_adaptive 4 1 b87ec648e373c0dd
 
 echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination runs only here)"
 # The store workload's own check — store and codec spans must hold more
@@ -119,12 +123,7 @@ echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination r
 # fpz lowers that share (0.87 -> 0.81 with the fused coder), so a codec change
 # meets the floor here first; the digest folds every replayed report, so
 # one that moves a stored or decoded byte fails here too.
-bench_out="$(bash benchmark/run.sh --workload store_replay --seed 42 --seconds 4 --trace 1)"
-grep -E '^(result|info discrimination)' <<<"$bench_out"
-if ! grep -q '^result .* failed 0 digest 497235393972ad56$' <<<"$bench_out"; then
-  echo "store_replay seed-42 traced run: digest is not 497235393972ad56, or an op failed (store + codec share under the floor?)" >&2
-  exit 1
-fi
+bench_digest store_replay 4 1 497235393972ad56
 
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
