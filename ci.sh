@@ -125,6 +125,14 @@ echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination r
 # one that moves a stored or decoded byte fails here too.
 bench_digest store_replay 4 1 497235393972ad56
 
+echo "==> benchmark digest: replay_fanout, seed 42 (the replay pool's plan, routes and replies, end to end)"
+# 8192 arrivals from 256 clients planned onto 16 servers and served over
+# 272 ranks; the digest folds the whole run — every server's stats and every
+# request's log — so a change to the pool's serial prelude (resolution, the
+# cost estimates the plan balances by), to routing, stealing or the wire
+# shows here. It was the one seed-42 digest no stage compared.
+bench_digest replay_fanout 2 0 7621ebad6bb3edb2
+
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
