@@ -74,7 +74,15 @@ impl OctaveRow {
         self.cell = Some(i);
         for (n, corner) in self.corners.iter_mut().enumerate() {
             let (di, dj, dk) = ((n & 1) as i64, (n >> 1 & 1) as i64, (n >> 2) as i64);
-            *corner = lattice(i + di, self.j + dj, self.k + dk, self.seed);
+            // Wrapping: `±∞ as i64` saturates, and `lattice` hashes the
+            // index as a `u64` anyway — a debug build must not trap where a
+            // release build wraps.
+            *corner = lattice(
+                i.wrapping_add(di),
+                self.j.wrapping_add(dj),
+                self.k.wrapping_add(dk),
+                self.seed,
+            );
         }
     }
 
