@@ -242,6 +242,112 @@ mod tests {
         }
     }
 
+    /// A whole row through `FbmRow<N>`, as bits.
+    fn filled<const N: usize>(y: f32, z: f32, seed: u64, xs: &[f32]) -> Vec<u32> {
+        let mut row = FbmRow::<N>::new(y, z, seed);
+        xs.iter().map(|&x| row.at(x).to_bits()).collect()
+    }
+
+    /// `xs` as one row of three and of five octaves against `fbm3` sample
+    /// by sample.
+    fn assert_row_is_pointwise(what: &str, y: f32, z: f32, seed: u64, xs: &[f32]) {
+        let pointwise = |octaves| -> Vec<u32> {
+            xs.iter()
+                .map(|&x| fbm3(x, y, z, octaves, seed).to_bits())
+                .collect()
+        };
+        assert_eq!(filled::<3>(y, z, seed, xs), pointwise(3), "{what}: {xs:?}");
+        assert_eq!(filled::<5>(y, z, seed, xs), pointwise(5), "{what}: {xs:?}");
+    }
+
+    #[test]
+    fn a_filled_row_is_its_pointwise_samples() {
+        // The generator's row lengths (a serving strip's 1 and 2, a block's
+        // 11, a rank's 55, the domain's 440) at the generator's two
+        // spacings — a background cell is 88 grid points wide and a texture
+        // cell 40, their finest octaves' 22 and 2.5 — ascending, descending
+        // and striding over whole cells, from mid-cell and from exactly on
+        // a lattice plane, and ending exactly on one.
+        let mut next = corpus(0xF1_11, 9.0);
+        for round in 0..12 {
+            let (y, z, seed) = (next(), next(), next().to_bits() as u64);
+            let start = if round % 2 == 0 {
+                next()
+            } else {
+                next().floor()
+            };
+            for n in [1usize, 2, 11, 55, 440] {
+                for step in [5.0 / 440.0, 11.0 / 440.0, -5.0 / 440.0, -0.4] {
+                    let xs: Vec<f32> = (0..n).map(|i| start + i as f32 * step).collect();
+                    assert_row_is_pointwise("evenly spaced", y, z, seed, &xs);
+                    let end = xs[n - 1].floor();
+                    let onto: Vec<f32> = (0..n).rev().map(|i| end - i as f32 * step).collect();
+                    assert_row_is_pointwise("ending on a plane", y, z, seed, &onto);
+                }
+            }
+            let still = [start; 7];
+            assert_row_is_pointwise("standing still", y, z, seed, &still);
+            let jumps: Vec<f32> = (0..55).map(|_| next()).collect();
+            assert_row_is_pointwise("jumping", y, z, seed, &jumps);
+            // Lattice planes themselves, and the values either side of one.
+            let planes = [
+                -1.0,
+                -0.0,
+                0.0,
+                1.0,
+                1.0 - f32::EPSILON,
+                1.0,
+                2.0,
+                0.999_999_94,
+            ];
+            assert_row_is_pointwise("on planes", y, z, seed, &planes);
+        }
+    }
+
+    #[test]
+    fn a_filled_row_survives_coordinates_no_grid_has() {
+        // NaN compares false with everything, ±∞ saturate the cell index,
+        // and from 2²⁴ on `xf + 1.0 == xf` (or the next float up, two
+        // away): a run found by comparing against `xf` and `xf + 1.0` must
+        // still advance, and still agree with the pointwise form — NaN in,
+        // the same NaN out; the lattice index wraps in both.
+        let big = (1u32 << 24) as f32;
+        let odd = [
+            f32::NAN,
+            0.3,
+            f32::NAN,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            big,
+            big,
+            big + 2.0,
+            big + 4.0,
+            -big,
+            -big - 2.0,
+            -big + 1.0,
+            big - 1.0,
+            big - 0.5,
+            3.0e9,
+            -3.0e9,
+            1.0e19,
+            -1.0e19,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            0.7,
+        ];
+        for (y, z, seed) in [(0.4, 1.7, 3), (-2.5, 0.0, 0xBA5E)] {
+            assert_row_is_pointwise("odd coordinates", y, z, seed, &odd);
+            for x in odd {
+                assert_row_is_pointwise("alone", y, z, seed, &[x]);
+                assert_row_is_pointwise("after a sample", y, z, seed, &[0.5, x, 0.5]);
+            }
+        }
+    }
+
     #[test]
     fn continuous_at_lattice_points() {
         // Value just left and just right of a lattice plane must agree.

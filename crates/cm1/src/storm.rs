@@ -302,6 +302,25 @@ impl RowTerms<'_> {
     }
 }
 
+/// The three axes of a sub-box, normalized to `[0, 1]` by the physical
+/// bounds of the whole grid.
+fn unit_axes(
+    coords: &RectilinearCoords,
+    offset: (usize, usize, usize),
+    dims: Dims3,
+) -> [Vec<f32>; 3] {
+    let (lo, hi) = coords.bounds();
+    let axis = |values: &[f32], at: usize, n: usize, lo: f32, hi: f32| -> Vec<f32> {
+        let span = (hi - lo).max(f32::MIN_POSITIVE);
+        values[at..at + n].iter().map(|v| (v - lo) / span).collect()
+    };
+    [
+        axis(&coords.x, offset.0, dims.nx, lo[0], hi[0]),
+        axis(&coords.y, offset.1, dims.ny, lo[1], hi[1]),
+        axis(&coords.z, offset.2, dims.nz, lo[2], hi[2]),
+    ]
+}
+
 impl StormModel {
     pub fn new(seed: u64) -> Self {
         Self {
@@ -395,15 +414,7 @@ impl StormModel {
     ) -> Field3 {
         let tau = self.tau(iteration);
         let call = self.call_terms(tau);
-        // Normalize the box's axes to `[0, 1]` using the physical bounds.
-        let (lo, hi) = coords.bounds();
-        let axis = |values: &[f32], at: usize, n: usize, lo: f32, hi: f32| -> Vec<f32> {
-            let span = (hi - lo).max(f32::MIN_POSITIVE);
-            values[at..at + n].iter().map(|v| (v - lo) / span).collect()
-        };
-        let xs = axis(&coords.x, offset.0, dims.nx, lo[0], hi[0]);
-        let ys = axis(&coords.y, offset.1, dims.ny, lo[1], hi[1]);
-        let zs = axis(&coords.z, offset.2, dims.nz, lo[2], hi[2]);
+        let [xs, ys, zs] = unit_axes(coords, offset, dims);
         // Zero condensate is the radar's sensitivity floor at any height.
         let dry = dbz(0.0, 0.0, 0.0, 0.0);
 
@@ -446,7 +457,7 @@ impl StormModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DBZ_ISOVALUE, DBZ_MAX, DBZ_MIN};
+    use crate::{fbm3, DBZ_ISOVALUE, DBZ_MAX, DBZ_MIN};
 
     fn small_coords() -> RectilinearCoords {
         RectilinearCoords::uniform(Dims3::new(48, 48, 12), 1.0)
@@ -588,6 +599,166 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The per-point generator: every sample of a box from the pointwise
+    /// public forms alone — `StormModel::condensate`, the reflectivity law
+    /// at every condensate, dry included, `fbm3` — and the background
+    /// compared at *every* sample, echo included. As bits.
+    fn pointwise(
+        m: &StormModel,
+        coords: &RectilinearCoords,
+        offset: (usize, usize, usize),
+        dims: Dims3,
+        iteration: usize,
+    ) -> Vec<u32> {
+        let tau = m.tau(iteration);
+        let [xs, ys, zs] = unit_axes(coords, offset, dims);
+        let mut out = Vec::with_capacity(dims.len());
+        for &z in &zs {
+            for &y in &ys {
+                for &x in &xs {
+                    let c = m.condensate([x, y, z], tau);
+                    let [qr, qs, qg] = SpeciesSplit::at(z).mixing_ratios(c);
+                    let v = dbz(air_density(z), qr, qs, qg);
+                    let bg = background(fbm3(x * 5.0 + tau, y * 5.0, z * 3.0, 3, m.seed ^ 0xBA5E));
+                    let v = if v < bg { bg } else { v };
+                    out.push(v.clamp(DBZ_MIN, DBZ_MAX).to_bits());
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(field: &Field3) -> Vec<u32> {
+        field.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `is_clear_air` at every `x` of a row.
+    fn classify(row: &RowTerms<'_>, xs: &[f32]) -> Vec<bool> {
+        xs.iter()
+            .map(|&x| {
+                let (_, r2, fr2) = row.distances(x);
+                row.is_clear_air(r2, &fr2)
+            })
+            .collect()
+    }
+
+    /// The lengths of the unculled stretches of a row.
+    fn unculled_spans(clear: &[bool]) -> Vec<usize> {
+        clear
+            .split(|&c| c)
+            .map(<[bool]>::len)
+            .filter(|&n| n > 0)
+            .collect()
+    }
+
+    #[test]
+    fn the_row_generator_is_the_pointwise_generator() {
+        // Whole small domains, young storm and mature, uniform axes and
+        // stretched: every row kind there is — all clear, fringe, core,
+        // under the hook and the vault and above them.
+        let m = StormModel::default();
+        for coords in [
+            small_coords(),
+            RectilinearCoords::stretched(Dims3::new(48, 48, 12), 1.0, 8, 1.12),
+        ] {
+            for iteration in [40, 300] {
+                let field = m.reflectivity(&coords, iteration);
+                let expect = pointwise(&m, &coords, (0, 0, 0), coords.dims(), iteration);
+                assert_eq!(bits(&field), expect, "iteration {iteration}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_through_two_echoes_is_its_pointwise_samples() {
+        // South of the core a domain-wide row crosses the last flanking
+        // cell, clear air, and then the main cell's edge: two unculled
+        // spans with culled points before, between and after them. Every
+        // such row of one low plane, whole (440 wide) and as the 55-wide
+        // pieces the ranks generate.
+        let ds = crate::ReflectivityDataset::paper_scaled(64, 42).unwrap();
+        let (m, coords) = (ds.storm(), ds.coords());
+        let iteration = ds.sample_iterations(6)[2];
+        let domain = coords.dims();
+        let k = 9;
+        let [xs, ys, zs] = unit_axes(coords, (0, 0, 0), domain);
+        let call = m.call_terms(m.tau(iteration));
+        let plane = call.plane(zs[k]);
+        let mut seen = 0;
+        for (j, &y) in ys.iter().enumerate() {
+            let clear = classify(&plane.row(y), &xs);
+            let spans = unculled_spans(&clear);
+            if spans.len() < 2 {
+                continue;
+            }
+            seen += 1;
+            assert!(clear[0] && clear[domain.nx - 1], "row {j} starts in echo");
+            let gap = clear
+                .iter()
+                .skip_while(|&&c| c)
+                .skip_while(|&&c| !c)
+                .take_while(|&&c| c)
+                .count();
+            assert!(gap >= 2, "row {j}: no clear air between the echoes");
+            let whole = Dims3::new(domain.nx, 1, 1);
+            let expect = pointwise(m, coords, (0, j, k), whole, iteration);
+            let row = m.reflectivity_on(coords, (0, j, k), whole, iteration);
+            assert_eq!(bits(&row), expect, "row {j}, whole");
+            for (piece, expect) in expect.chunks(55).enumerate() {
+                let at = (piece * 55, j, k);
+                let row = m.reflectivity_on(coords, at, Dims3::new(55, 1, 1), iteration);
+                assert_eq!(bits(&row), expect, "row {j}, piece {piece}");
+            }
+        }
+        assert!(seen >= 10, "only {seen} rows cross two echoes");
+    }
+
+    #[test]
+    fn the_row_classifier_is_the_point_predicate_on_the_pinned_ranks() {
+        // The three ranks `tests/field_pin.rs` pins, row by row: the
+        // classifier against `is_clear_air` at every point, and the census
+        // the row path's rates rest on — a clear-air rank is all-clear rows
+        // only, the fringe rank (the cull radius reaches well past the last
+        // visible echo) has every kind of row, the storm rank has no culled
+        // point at all.
+        let ds = crate::ReflectivityDataset::paper_scaled(64, 42).unwrap();
+        let iteration = ds.sample_iterations(6)[2];
+        let call = ds.storm().call_terms(ds.storm().tau(iteration));
+        // (rank, has all-clear rows, has mixed rows, has all-unculled rows)
+        for (rank, census) in [
+            (7, [true, false, false]),
+            (12, [true, true, true]),
+            (27, [false, false, true]),
+        ] {
+            let ext = ds.decomp().subdomain_extent(rank);
+            let [xs, ys, zs] = unit_axes(ds.coords(), ext.lo, ext.dims());
+            let mut seen = [false; 3];
+            for &z in &zs {
+                let plane = call.plane(z);
+                for &y in &ys {
+                    let row = plane.row(y);
+                    let clear = classify(&row, &xs);
+                    for (&x, &c) in xs.iter().zip(&clear) {
+                        let (_, r2, fr2) = row.distances(x);
+                        assert_eq!(
+                            c,
+                            row.is_clear_air(r2, &fr2),
+                            "rank {rank} at ({x}, {y}, {z})"
+                        );
+                    }
+                    let culled = clear.iter().filter(|&&c| c).count();
+                    seen[0] |= culled == xs.len();
+                    seen[1] |= 0 < culled && culled < xs.len();
+                    seen[2] |= culled == 0;
+                }
+            }
+            assert_eq!(
+                seen, census,
+                "rank {rank}: [all clear, mixed, all unculled]"
+            );
         }
     }
 
