@@ -35,9 +35,7 @@ fn smoothstep(t: f32) -> f32 {
 
 /// One octave of value noise along a grid row: `(y, z)` are fixed, so the
 /// cell indices `j, k` and the weights `v, w` are row constants, and the
-/// eight corner hashes change only when `floor(x)` does — a handful of
-/// times along a row against eight hashes per sample. Fixed-size state,
-/// nothing allocated.
+/// eight corner hashes are a function of the x cell alone.
 #[derive(Debug, Clone, Copy)]
 struct OctaveRow {
     seed: u64,
@@ -45,10 +43,6 @@ struct OctaveRow {
     k: i64,
     v: f32,
     w: f32,
-    /// The x cell `corners` belongs to; `None` until the first sample.
-    cell: Option<i64>,
-    /// `lattice(i + di, j + dj, k + dk)` at index `dk * 4 + dj * 2 + di`.
-    corners: [f32; 8],
 }
 
 impl OctaveRow {
@@ -60,50 +54,94 @@ impl OctaveRow {
             k: zf as i64,
             v: smoothstep(y - yf),
             w: smoothstep(z - zf),
-            cell: None,
-            corners: [0.0; 8],
         }
     }
 
-    /// Hash the eight corners of x cell `i`. Out of line so that `at` stays
-    /// small enough to inline into the generator's row loop; inlined here,
-    /// `at` becomes a call per octave per sample and clear air costs double.
-    #[cold]
-    #[inline(never)]
-    fn enter(&mut self, i: i64) {
-        self.cell = Some(i);
-        for (n, corner) in self.corners.iter_mut().enumerate() {
+    /// The eight lattice values around the x cell that starts at `xf`:
+    /// `lattice(i + di, j + dj, k + dk)` at index `dk * 4 + dj * 2 + di`.
+    #[inline]
+    fn corners(&self, xf: f32) -> [f32; 8] {
+        let i = xf as i64;
+        std::array::from_fn(|n| {
             let (di, dj, dk) = ((n & 1) as i64, (n >> 1 & 1) as i64, (n >> 2) as i64);
             // Wrapping: `±∞ as i64` saturates, and `lattice` hashes the
             // index as a `u64` anyway — a debug build must not trap where a
             // release build wraps.
-            *corner = lattice(
+            lattice(
                 i.wrapping_add(di),
                 self.j.wrapping_add(dj),
                 self.k.wrapping_add(dk),
                 self.seed,
-            );
-        }
+            )
+        })
     }
 
-    /// The noise at `x` on this row. The corners restart from whatever cell
-    /// `x` falls in, so a row may begin (or jump) anywhere.
+    /// The interpolation — the crate's only one: the noise at `x` in the
+    /// cell that starts at `xf = floor(x)`, between that cell's `corners`.
+    /// Branch-free, so a loop over a run of `x` vectorises; the products
+    /// associate `((wu · wv) · ww) · corner` and the sum runs corner 0 to 7,
+    /// which is the bits.
     #[inline]
-    fn at(&mut self, x: f32) -> f32 {
-        let xf = x.floor();
-        let i = xf as i64;
-        if self.cell != Some(i) {
-            self.enter(i);
-        }
+    fn interpolate(&self, corners: &[f32; 8], xf: f32, x: f32) -> f32 {
         let u = smoothstep(x - xf);
         let wu = [1.0 - u, u];
         let wv = [1.0 - self.v, self.v];
         let ww = [1.0 - self.w, self.w];
         let mut acc = 0.0;
-        for (n, corner) in self.corners.iter().enumerate() {
+        for (n, corner) in corners.iter().enumerate() {
             acc += wu[n & 1] * wv[n >> 1 & 1] * ww[n >> 2] * corner;
         }
         acc * 2.0 - 1.0
+    }
+
+    /// The noise at `x` on this row: a run of one.
+    fn at(&self, x: f32) -> f32 {
+        let xf = x.floor();
+        self.interpolate(&self.corners(xf), xf, x)
+    }
+
+    /// `out[n] += amp * self.at(xs[n] * freq)`, a cell run at a time: the
+    /// stretch of `xs` that stays in the first sample's cell is found by
+    /// two comparisons a sample (no `floor`; eight samples a step while
+    /// they all pass), its corners are hashed once, and one loop
+    /// interpolates it. Always inlined into `fill`, with the run's loop kept
+    /// out of line in `add_run`: the vector loop's broadcast constants then
+    /// live inside `add_run` only, not across every run's `floor` call —
+    /// the two attributes are ≈ 6 % of a two-sample row, the serving
+    /// strip's kind.
+    #[inline(always)]
+    fn add_to(&self, xs: &[f32], freq: f32, amp: f32, out: &mut [f32]) {
+        let mut at = 0;
+        while at < xs.len() {
+            let xf = (xs[at] * freq).floor();
+            let next = xf + 1.0;
+            // `floor(x) == xf` exactly where `xf <= x < xf + 1.0`: when the
+            // sum rounds (|xf| ≥ 2²⁴) it rounds to `xf` or its successor,
+            // and no float lies between those. The first sample belongs to
+            // the run whatever the comparisons say — NaN fails both, and
+            // past 2²⁴ so can `xf` itself — so every run advances.
+            let same_cell = |&x: &f32| (xf <= x * freq) & (x * freq < next);
+            let mut len = 1;
+            for eight in xs[at + 1..].chunks_exact(8) {
+                if !eight.iter().fold(true, |all, x| all & same_cell(x)) {
+                    break;
+                }
+                len += 8;
+            }
+            len += xs[at + len..].iter().take_while(|x| same_cell(x)).count();
+            let run = at..at + len;
+            self.add_run(xf, &xs[run.clone()], freq, amp, &mut out[run]);
+            at += len;
+        }
+    }
+
+    /// One run of [`Self::add_to`]: every `xs[n] * freq` lies in cell `xf`.
+    #[inline(never)]
+    fn add_run(&self, xf: f32, xs: &[f32], freq: f32, amp: f32, out: &mut [f32]) {
+        let corners = self.corners(xf);
+        for (acc, &x) in out.iter_mut().zip(xs) {
+            *acc += amp * self.interpolate(&corners, xf, x * freq);
+        }
     }
 }
 
@@ -114,9 +152,9 @@ pub fn value_noise3(x: f32, y: f32, z: f32, seed: u64) -> f32 {
 }
 
 /// [`fbm3`] with `N` octaves along a row of constant `(y, z)`: the same
-/// sum over the same [`value_noise3`] terms, with every octave's lattice
-/// corners kept between samples. `FbmRow::new(y, z, seed).at(x)` is
-/// `fbm3(x, y, z, N, seed)` bit for bit, whatever was sampled before.
+/// sum over the same [`value_noise3`] terms, every octave a cell run at a
+/// time. `FbmRow::new(y, z, seed).fill(xs, out)` leaves `fbm3(xs[n], y, z,
+/// N, seed)` in `out[n]` bit for bit, whatever order `xs` is in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FbmRow<const N: usize> {
     octaves: [OctaveRow; N],
@@ -133,27 +171,36 @@ impl<const N: usize> FbmRow<N> {
         Self { octaves }
     }
 
-    #[inline]
-    pub(crate) fn at(&mut self, x: f32) -> f32 {
-        fbm_sum(N, |oct, freq| self.octaves[oct].at(x * freq))
+    /// The fBm at every `xs[n]`, into `out[n]` (equal lengths): octave by
+    /// octave across the row, which sums each element in `fbm3`'s order.
+    pub(crate) fn fill(&self, xs: &[f32], out: &mut [f32]) {
+        assert_eq!(xs.len(), out.len(), "one output per coordinate");
+        out.fill(0.0);
+        let norm = each_octave(N, |oct, freq, amp| {
+            self.octaves[oct].add_to(xs, freq, amp, out);
+        });
+        for acc in out {
+            *acc /= norm;
+        }
     }
 }
 
-/// The fBm sum: `octaves` samples, each at double the frequency and half
-/// the amplitude of the one before, normalised by the amplitude sum.
+/// The fBm schedule: calls `octave(index, frequency, amplitude)` for each
+/// of `octaves` octaves, each at double the frequency and half the
+/// amplitude of the one before, and returns the amplitude sum the
+/// accumulated samples are normalised by.
 #[inline]
-fn fbm_sum(octaves: usize, mut sample: impl FnMut(usize, f32) -> f32) -> f32 {
-    let mut acc = 0.0;
+fn each_octave(octaves: usize, mut octave: impl FnMut(usize, f32, f32)) -> f32 {
     let mut amp = 0.5;
     let mut freq = 1.0;
     let mut norm = 0.0;
     for oct in 0..octaves {
-        acc += amp * sample(oct, freq);
+        octave(oct, freq, amp);
         norm += amp;
         amp *= 0.5;
         freq *= 2.0;
     }
-    acc / norm
+    norm
 }
 
 /// Fractional Brownian motion: `octaves` layers of value noise, each at
@@ -162,9 +209,12 @@ fn fbm_sum(octaves: usize, mut sample: impl FnMut(usize, f32) -> f32) -> f32 {
 /// interpolation weights (`tests::bounded`; the generator's background
 /// skip rests on it).
 pub fn fbm3(x: f32, y: f32, z: f32, octaves: u32, seed: u64) -> f32 {
-    fbm_sum(octaves as usize, |oct, freq| {
-        value_noise3(x * freq, y * freq, z * freq, seed.wrapping_add(oct as u64))
-    })
+    let mut acc = 0.0;
+    let norm = each_octave(octaves as usize, |oct, freq, amp| {
+        let seed = seed.wrapping_add(oct as u64);
+        acc += amp * value_noise3(x * freq, y * freq, z * freq, seed);
+    });
+    acc / norm
 }
 
 #[cfg(test)]
@@ -218,9 +268,9 @@ mod tests {
 
     #[test]
     fn a_row_is_its_pointwise_samples_wherever_it_goes() {
-        // The corner cache must restart on any cell change: ascending
-        // through cells, descending, standing still, jumping, and starting
-        // mid-cell or on a cell boundary.
+        // A run must end on any cell change: one row that ascends through
+        // cells, descends, stands still and jumps, starting mid-cell or on
+        // a cell boundary.
         let mut next = corpus(0x40_77, 9.0);
         for _ in 0..50 {
             let (y, z, seed) = (next(), next(), next().to_bits() as u64);
@@ -229,23 +279,24 @@ mod tests {
             } else {
                 next().floor()
             };
-            let mut row3 = FbmRow::<3>::new(y, z, seed);
-            let mut row5 = FbmRow::<5>::new(y, z, seed);
             let ascending = (0..40).map(|i| start + i as f32 * 0.11);
             let descending = (0..40).map(|i| start - i as f32 * 0.07);
             let still = [start; 3].into_iter();
             let jumps: Vec<f32> = (0..20).map(|_| next()).collect();
-            for x in ascending.chain(descending).chain(still).chain(jumps) {
-                assert_eq!(row3.at(x).to_bits(), fbm3(x, y, z, 3, seed).to_bits());
-                assert_eq!(row5.at(x).to_bits(), fbm3(x, y, z, 5, seed).to_bits());
-            }
+            let xs: Vec<f32> = ascending
+                .chain(descending)
+                .chain(still)
+                .chain(jumps)
+                .collect();
+            assert_row_is_pointwise("wandering", y, z, seed, &xs);
         }
     }
 
     /// A whole row through `FbmRow<N>`, as bits.
     fn filled<const N: usize>(y: f32, z: f32, seed: u64, xs: &[f32]) -> Vec<u32> {
-        let mut row = FbmRow::<N>::new(y, z, seed);
-        xs.iter().map(|&x| row.at(x).to_bits()).collect()
+        let mut out = vec![f32::NAN; xs.len()];
+        FbmRow::<N>::new(y, z, seed).fill(xs, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
     }
 
     /// `xs` as one row of three and of five octaves against `fbm3` sample

@@ -164,8 +164,7 @@ struct PlaneTerms<'a> {
     wer_depth: Option<f32>,
 }
 
-/// What depends on `(τ, z, y)` — once per row — and the row's texture
-/// lattice, built on the first sample that needs it.
+/// What depends on `(τ, z, y)` — once per row.
 struct RowTerms<'a> {
     plane: &'a PlaneTerms<'a>,
     y: f32,
@@ -173,7 +172,6 @@ struct RowTerms<'a> {
     dy2: f32,
     flank_dy2: [f32; 3],
     wer_dy2: f32,
-    texture: Option<FbmRow<5>>,
 }
 
 impl CallTerms {
@@ -213,7 +211,6 @@ impl<'a> PlaneTerms<'a> {
             dy2: dy * dy,
             flank_dy2: call.flanks.map(|f| (y - f.at[1]).powi(2)),
             wer_dy2: (y - call.wer[1]).powi(2),
-            texture: None,
         }
     }
 }
@@ -237,22 +234,80 @@ impl RowTerms<'_> {
             && fr2.iter().all(|&r2| r2 > CULL_EXPONENT * TWO_FLANK_SIGMA2)
     }
 
-    /// Condensate in `[0, 1]` at `x` on this row.
-    #[inline]
-    fn condensate(&mut self, x: f32) -> f32 {
-        let (dx, r2, fr2) = self.distances(x);
-        if self.is_clear_air(r2, &fr2) {
-            0.0
-        } else {
-            self.condensate_unculled(x, dx, r2, &fr2)
+    /// Whether this row is clear air at every `x` there is: its `y` alone
+    /// puts it past every cull radius. Each squared distance is its `y`
+    /// half plus a square, and adding a non-negative float never rounds
+    /// below the other operand, so the point predicate holds wherever this
+    /// does.
+    fn is_all_clear_air(&self) -> bool {
+        self.is_clear_air(self.dy2, &self.flank_dy2)
+    }
+
+    /// [`Self::is_clear_air`] at every `x` of a stretch of this row — one
+    /// loop, nothing but arithmetic and comparisons in it.
+    fn classify(&self, xs: &[f32], clear: &mut [bool]) {
+        for (clear, &x) in clear.iter_mut().zip(xs) {
+            let (_, r2, fr2) = self.distances(x);
+            *clear = self.is_clear_air(r2, &fr2);
         }
     }
 
-    /// The envelope itself: main cell, flanking line, hook, weak echo
-    /// region, texture, saturation floor — the model's one formula.
-    fn condensate_unculled(&mut self, x: f32, dx: f32, r2: f32, fr2: &[f32; 3]) -> f32 {
+    /// One segment of this row, its background noise already in `s.noise`:
+    /// span by span, a culled stretch as dry air, an unculled one through
+    /// the envelope and `echo` (condensate to dBZ) — a segment the cull
+    /// clears whole is one span and one loop.
+    fn settle_spans(
+        &self,
+        xs: &[f32],
+        s: &mut Scratch,
+        echo: impl Fn(f32) -> f32,
+        dry: f32,
+        out: &mut [f32],
+    ) {
+        let n = xs.len();
+        self.classify(xs, &mut s.clear[..n]);
+        let mut at = 0;
+        while at < n {
+            let clear = s.clear[at];
+            let same = |&c: &bool| c == clear;
+            let end = at + s.clear[at..n].iter().take_while(|c| same(c)).count();
+            let (out, noise) = (&mut out[at..end], &s.noise[at..end]);
+            if clear {
+                settle_clear_air(dry, noise, out);
+            } else {
+                let (coord, tex) = (&mut s.coord[at..end], &mut s.tex[at..end]);
+                self.condensate_span(&xs[at..end], coord, tex, out);
+                for (v, &noise) in out.iter_mut().zip(noise) {
+                    *v = settle(echo(*v), noise);
+                }
+            }
+            at = end;
+        }
+    }
+
+    /// Condensate in `[0, 1]` at `x` on this row.
+    fn condensate(&self, x: f32) -> f32 {
+        let (_, r2, fr2) = self.distances(x);
+        if self.is_clear_air(r2, &fr2) {
+            0.0
+        } else {
+            self.condensate_unculled(x)
+        }
+    }
+
+    /// Condensate at `x` whatever the cull says: a span of one.
+    fn condensate_unculled(&self, x: f32) -> f32 {
+        let (mut coord, mut tex, mut c) = ([0.0], [0.0], [0.0]);
+        self.condensate_span(&[x], &mut coord, &mut tex, &mut c);
+        c[0]
+    }
+
+    /// The envelope before its texture: main cell, flanking line, hook,
+    /// weak echo region.
+    fn envelope(&self, x: f32) -> f32 {
         let plane = self.plane;
         let call = plane.call;
+        let (dx, r2, fr2) = self.distances(x);
         let mut env = plane.main * (-r2 / plane.two_sigma2).exp();
         for (coef, fr2) in plane.flanks.iter().zip(fr2) {
             env += coef * (-fr2 / TWO_FLANK_SIGMA2).exp();
@@ -277,28 +332,96 @@ impl RowTerms<'_> {
             let wr2 = (x - call.wer[0]).powi(2) + self.wer_dy2;
             env -= depth * env * (-wr2 / (2.0 * 0.020 * 0.020)).exp();
         }
+        env
+    }
+
+    /// Condensate in `[0, 1]` at every `x` of a span of this row, culled or
+    /// not — the model's one formula: envelope, texture, saturation floor.
+    /// `coord` and `tex` are scratch; all four slices are as long as `xs`.
+    fn condensate_span(&self, xs: &[f32], coord: &mut [f32], tex: &mut [f32], out: &mut [f32]) {
+        for (env, &x) in out.iter_mut().zip(xs) {
+            *env = self.envelope(x);
+        }
 
         // Turbulent texture: strong inside the storm, absent outside. The
         // additive part is proportional to the envelope so the storm's
         // faint fringe stays smooth (in log-reflectivity space a relative
-        // perturbation is a bounded dB wiggle).
-        if env > 1e-3 {
+        // perturbation is a bounded dB wiggle). Its lattice is built for,
+        // and filled over, the stretch from the first to the last sample
+        // whose envelope reaches `1e-3`; most spans of a fringe hold none.
+        let textured = |env: &f32| *env > 1e-3;
+        if let Some(lo) = out.iter().position(textured) {
+            let hi = out.iter().rposition(textured).map_or(lo, |last| last + 1);
+            let (plane, call) = (self.plane, self.plane.call);
             let freq = 11.0;
-            let tex = self
-                .texture
-                .get_or_insert_with(|| {
-                    FbmRow::new(
-                        self.y * freq - 0.6 * call.drift,
-                        plane.z * freq * 0.7,
-                        call.seed,
-                    )
-                })
-                .at(x * freq + call.drift);
-            env = env * (1.0 + TEXTURE_GAIN * tex) + TEXTURE_BOOST * env * tex.max(0.0);
+            let texture = FbmRow::<5>::new(
+                self.y * freq - 0.6 * call.drift,
+                plane.z * freq * 0.7,
+                call.seed,
+            );
+            for (coord, &x) in coord[lo..hi].iter_mut().zip(&xs[lo..hi]) {
+                *coord = x * freq + call.drift;
+            }
+            texture.fill(&coord[lo..hi], &mut tex[lo..hi]);
+            for (env, &tex) in out[lo..hi].iter_mut().zip(&tex[lo..hi]) {
+                if textured(env) {
+                    *env = *env * (1.0 + TEXTURE_GAIN * tex) + TEXTURE_BOOST * *env * tex.max(0.0);
+                }
+            }
         }
 
         // Saturation floor: evaporate the faint tail, renormalize the rest.
-        ((env - CONDENSATE_FLOOR).max(0.0) / (1.0 - CONDENSATE_FLOOR)).clamp(0.0, 1.0)
+        for env in out {
+            *env = ((*env - CONDENSATE_FLOOR).max(0.0) / (1.0 - CONDENSATE_FLOOR)).clamp(0.0, 1.0);
+        }
+    }
+}
+
+/// A sample's last step: the clear-air background where it can show, then
+/// the radar's range. `noise` is the background's fBm at the sample.
+#[inline]
+fn settle(mut v: f32, noise: f32) -> f32 {
+    if v <= BACKGROUND_CEILING {
+        let bg = background(noise);
+        if v < bg {
+            v = bg;
+        }
+    }
+    v.clamp(crate::DBZ_MIN, crate::DBZ_MAX)
+}
+
+/// A culled span: dry air under its background, one loop.
+fn settle_clear_air(dry: f32, noise: &[f32], out: &mut [f32]) {
+    for (v, &noise) in out.iter_mut().zip(noise) {
+        *v = settle(dry, noise);
+    }
+}
+
+/// A row is generated in segments of at most this many samples, so that
+/// the row path's buffers are a fixed size on the stack: a rank's 55-wide
+/// row is one segment, a 2-wide serving strip allocates nothing.
+const SEGMENT: usize = 64;
+
+/// The buffers of one segment, reused by every segment of a call.
+struct Scratch {
+    /// Noise coordinates: the background's, then an unculled span's
+    /// texture's.
+    coord: [f32; SEGMENT],
+    /// The background's fBm.
+    noise: [f32; SEGMENT],
+    /// An unculled span's texture.
+    tex: [f32; SEGMENT],
+    clear: [bool; SEGMENT],
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Self {
+            coord: [0.0; SEGMENT],
+            noise: [0.0; SEGMENT],
+            tex: [0.0; SEGMENT],
+            clear: [false; SEGMENT],
+        }
     }
 }
 
@@ -418,34 +541,43 @@ impl StormModel {
         // Zero condensate is the radar's sensitivity floor at any height.
         let dry = dbz(0.0, 0.0, 0.0, 0.0);
 
-        let mut out = Vec::with_capacity(dims.len());
+        let mut s = Scratch::new();
+        let mut out = vec![0.0; dims.len()];
+        let mut written = 0;
         for &z in &zs {
             let plane = call.plane(z);
             let split = SpeciesSplit::at(z);
             let rho = air_density(z);
+            let echo = |c: f32| {
+                if c == 0.0 {
+                    dry
+                } else {
+                    let [qr, qs, qg] = split.mixing_ratios(c);
+                    dbz(rho, qr, qs, qg)
+                }
+            };
             for &y in &ys {
-                let mut row = plane.row(y);
-                let mut clear_air = FbmRow::<3>::new(y * 5.0, z * 3.0, self.seed ^ 0xBA5E);
-                for &x in &xs {
-                    let c = row.condensate(x);
-                    let mut v = if c == 0.0 {
-                        dry
-                    } else {
-                        let [qr, qs, qg] = split.mixing_ratios(c);
-                        dbz(rho, qr, qs, qg)
-                    };
-                    if v <= BACKGROUND_CEILING {
-                        let bg = background(clear_air.at(x * 5.0 + tau));
-                        if v < bg {
-                            v = bg;
-                        }
+                let row = plane.row(y);
+                let all_clear = row.is_all_clear_air();
+                let clear_air = FbmRow::<3>::new(y * 5.0, z * 3.0, self.seed ^ 0xBA5E);
+                for xs in xs.chunks(SEGMENT) {
+                    let n = xs.len();
+                    let out = &mut out[written..written + n];
+                    written += n;
+                    for (coord, &x) in s.coord.iter_mut().zip(xs) {
+                        *coord = x * 5.0 + tau;
                     }
-                    out.push(v.clamp(crate::DBZ_MIN, crate::DBZ_MAX));
+                    clear_air.fill(&s.coord[..n], &mut s.noise[..n]);
+                    if all_clear {
+                        settle_clear_air(dry, &s.noise[..n], out);
+                    } else {
+                        row.settle_spans(xs, &mut s, echo, dry, out);
+                    }
                 }
             }
         }
-        // apc-lint: allow(unwrap-in-lib): one push per grid cell of `dims`
-        Field3::from_vec(dims, out).expect("capacity matches dims")
+        // apc-lint: allow(unwrap-in-lib): `out` was allocated with `dims.len()` samples
+        Field3::from_vec(dims, out).expect("length matches dims")
     }
 
     /// Whole-domain reflectivity field.
@@ -635,14 +767,11 @@ mod tests {
         field.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `is_clear_air` at every `x` of a row.
+    /// The row classifier over a whole row.
     fn classify(row: &RowTerms<'_>, xs: &[f32]) -> Vec<bool> {
-        xs.iter()
-            .map(|&x| {
-                let (_, r2, fr2) = row.distances(x);
-                row.is_clear_air(r2, &fr2)
-            })
-            .collect()
+        let mut clear = vec![false; xs.len()];
+        row.classify(xs, &mut clear);
+        clear
     }
 
     /// The lengths of the unculled stretches of a row.
@@ -792,14 +921,14 @@ mod tests {
                 assert!(plane.flanks.iter().zip(FLANKS).all(|(c, f)| *c <= f.1));
                 assert!(plane.hook.is_none_or(|(coef, _)| coef <= HOOK_AMP));
                 for j in 0..=96 {
-                    let mut row = plane.row(j as f32 / 96.0);
+                    let row = plane.row(j as f32 / 96.0);
                     for i in 0..=96 {
                         let x = i as f32 / 96.0;
-                        let (dx, r2, fr2) = row.distances(x);
+                        let (_, r2, fr2) = row.distances(x);
                         total += 1;
                         if row.is_clear_air(r2, &fr2) {
                             culled += 1;
-                            let c = row.condensate_unculled(x, dx, r2, &fr2);
+                            let c = row.condensate_unculled(x);
                             assert_eq!(c, 0.0, "culled point ({x}, {j}/96, {z}) at τ = {tau}");
                         }
                     }
