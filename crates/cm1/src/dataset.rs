@@ -136,11 +136,10 @@ impl ReflectivityDataset {
                     ),
                 );
                 // apc-lint: allow(unwrap-in-lib): block extents are produced by partitioning this same subdomain
-                let data = field.extract(local).expect("block inside subdomain");
+                let block = Block::from_field(id, local, &field).expect("block inside subdomain");
                 Block {
-                    id,
                     extent: ext,
-                    data: apc_grid::BlockData::Full(data.into()),
+                    ..block
                 }
             })
             .collect()

@@ -53,11 +53,10 @@ pub struct Block {
 impl Block {
     /// Extract a full block from a domain-global field.
     pub fn from_field(id: BlockId, extent: Extent3, field: &Field3) -> Result<Self, GridError> {
-        let data = field.extract(extent)?;
         Ok(Self {
             id,
             extent,
-            data: BlockData::Full(data.into()),
+            data: BlockData::Full(field.extract_shared(extent)?),
         })
     }
 

@@ -1,5 +1,7 @@
 //! Dense 3D scalar fields.
 
+use std::sync::Arc;
+
 use crate::{Dims3, Extent3, GridError};
 
 /// A dense 3D array of `f32` samples in x-fastest layout.
@@ -99,15 +101,42 @@ impl Field3 {
         if !extent.fits_in(self.dims) {
             return Err(GridError::OutOfBounds);
         }
-        let ed = extent.dims();
-        let mut out = Vec::with_capacity(ed.len());
-        for k in extent.lo.2..extent.hi.2 {
-            for j in extent.lo.1..extent.hi.1 {
-                let row = self.dims.idx(extent.lo.0, j, k);
-                out.extend_from_slice(&self.data[row..row + ed.nx]);
-            }
+        let mut out = Vec::with_capacity(extent.dims().len());
+        for row in self.rows(extent) {
+            out.extend_from_slice(row);
         }
         Ok(out)
+    }
+
+    /// [`Field3::extract`] as a shared block payload: the `Arc` is allocated
+    /// once at its final size and the rows are copied straight into it — no
+    /// `Vec` in between for `Arc::from` to copy a second time.
+    pub(crate) fn extract_shared(&self, extent: Extent3) -> Result<Arc<[f32]>, GridError> {
+        if !extent.fits_in(self.dims) {
+            return Err(GridError::OutOfBounds);
+        }
+        let ed = extent.dims();
+        let mut out: Arc<[f32]> = std::iter::repeat_n(0.0, ed.len()).collect();
+        // apc-lint: allow(unwrap-in-lib): the Arc was created on the line above and has not been cloned
+        let samples = Arc::get_mut(&mut out).expect("a new Arc has one owner");
+        for (dst, src) in samples
+            .chunks_exact_mut(ed.nx.max(1))
+            .zip(self.rows(extent))
+        {
+            dst.copy_from_slice(src);
+        }
+        Ok(out)
+    }
+
+    /// The rows of `extent` (which fits), in layout order.
+    fn rows(&self, extent: Extent3) -> impl Iterator<Item = &[f32]> {
+        let nx = extent.dims().nx;
+        (extent.lo.2..extent.hi.2).flat_map(move |k| {
+            (extent.lo.1..extent.hi.1).map(move |j| {
+                let row = self.dims.idx(extent.lo.0, j, k);
+                &self.data[row..row + nx]
+            })
+        })
     }
 
     /// Write a contiguous buffer (shaped like `extent.dims()`) back into the
@@ -206,6 +235,25 @@ mod tests {
         let f = ramp(Dims3::new(4, 4, 4));
         let ext = Extent3::new((2, 2, 2), (5, 4, 4));
         assert_eq!(f.extract(ext), Err(GridError::OutOfBounds));
+        assert_eq!(f.extract_shared(ext), Err(GridError::OutOfBounds));
+    }
+
+    #[test]
+    fn a_shared_extract_is_the_extract() {
+        let f = ramp(Dims3::new(6, 5, 4));
+        for ext in [
+            Extent3::new((1, 1, 1), (4, 4, 3)),
+            Extent3::new((0, 0, 0), (6, 5, 4)),
+            Extent3::new((5, 4, 3), (6, 5, 4)),
+            // Empty along x, and along z.
+            Extent3::new((2, 1, 1), (2, 4, 3)),
+            Extent3::new((1, 1, 2), (4, 4, 2)),
+        ] {
+            assert_eq!(
+                &*f.extract_shared(ext).unwrap(),
+                &f.extract(ext).unwrap()[..]
+            );
+        }
     }
 
     #[test]
