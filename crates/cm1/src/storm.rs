@@ -848,7 +848,8 @@ mod tests {
     #[test]
     fn the_row_classifier_is_the_point_predicate_on_the_pinned_ranks() {
         // The three ranks `tests/field_pin.rs` pins, row by row: the
-        // classifier against `is_clear_air` at every point, and the census
+        // classifier against `is_clear_air` at every point, the row-level
+        // test against the classifier, and the census
         // the row path's rates rest on — a clear-air rank is all-clear rows
         // only, the fringe rank (the cull radius reaches well past the last
         // visible echo) has every kind of row, the storm rank has no culled
@@ -865,6 +866,7 @@ mod tests {
             let ext = ds.decomp().subdomain_extent(rank);
             let [xs, ys, zs] = unit_axes(ds.coords(), ext.lo, ext.dims());
             let mut seen = [false; 3];
+            let mut far_rows = 0;
             for &z in &zs {
                 let plane = call.plane(z);
                 for &y in &ys {
@@ -879,6 +881,10 @@ mod tests {
                         );
                     }
                     let culled = clear.iter().filter(|&&c| c).count();
+                    if row.is_all_clear_air() {
+                        assert_eq!(culled, xs.len(), "rank {rank}: row ({y}, {z})");
+                        far_rows += 1;
+                    }
                     seen[0] |= culled == xs.len();
                     seen[1] |= 0 < culled && culled < xs.len();
                     seen[2] |= culled == 0;
@@ -888,6 +894,9 @@ mod tests {
                 seen, census,
                 "rank {rank}: [all clear, mixed, all unculled]"
             );
+            // The row-level test (clear by `y` alone) fires south of the
+            // storm — ranks 7 and 12 — and never under its core.
+            assert_eq!(far_rows > 0, rank != 27, "rank {rank}: {far_rows} rows");
         }
     }
 
