@@ -32,14 +32,15 @@
 //! function of `(trace, params, manifest)`, byte-stable across OS
 //! scheduling, [`ExecPolicy`], and session reuse.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use apc_comm::{NetModel, Rank, ServeClient, ServeServer, Session};
 use apc_par::{par_map, ExecPolicy};
 use apc_replay::{resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution};
 use apc_serve::{
-    check_reply, frame_key, open_run, percentile, Fidelity, FrameStore, RequestLog, ServeCore,
-    ServeReport, ServerStats,
+    check_reply, frame_key, open_run, percentile, Fidelity, FrameKey, FrameStore, RequestLog,
+    ServeCore, ServeReport, ServerStats,
 };
 use apc_store::StoreBackend;
 
@@ -110,18 +111,31 @@ pub fn run_replay_serving_in_session(
         .unwrap_or_else(|e| panic!("replay pool failed to open run {run_id:?}: {e}"));
     let reader: Arc<dyn StoreBackend> = Arc::clone(store.backend());
 
-    // Resolve every arrival and estimate its service cost (pessimistic
-    // all-miss store reads) under the caller's ExecPolicy. par_map
-    // returns results in input order, so the pass is policy-invariant.
-    let resolved: Vec<(Resolution, f64)> = par_map(exec, &trace.arrivals, |a| {
-        let res = resolve(a.request, a.stager, a.tier, &manifest.iterations);
-        let mut cost = params.service_base;
-        for &(it, st) in res.keys() {
-            let bytes = reader.size(&frame_key(run_id, it, st)).unwrap_or(0);
-            cost += params.miss_read + params.read_per_byte * bytes as f64;
-        }
-        (res, cost)
+    // Resolve every arrival under the caller's ExecPolicy (par_map returns
+    // results in input order, so the pass is policy-invariant), ask the
+    // store for each *distinct* frame's size once — a trace asks for the
+    // same few hundred frames thousands of times over — and estimate each
+    // arrival's service cost (pessimistic all-miss store reads), summed in
+    // key order as before.
+    let resolutions: Vec<Resolution> = par_map(exec, &trace.arrivals, |a| {
+        resolve(a.request, a.stager, a.tier, &manifest.iterations)
     });
+    let mut sizes: BTreeMap<FrameKey, u64> = BTreeMap::new();
+    for &(it, st) in resolutions.iter().flat_map(Resolution::keys) {
+        sizes
+            .entry((it, st))
+            .or_insert_with(|| reader.size(&frame_key(run_id, it, st)).unwrap_or(0));
+    }
+    let resolved: Vec<(Resolution, f64)> = resolutions
+        .into_iter()
+        .map(|res| {
+            let mut cost = params.service_base;
+            for key in res.keys() {
+                cost += params.miss_read + params.read_per_byte * sizes[key] as f64;
+            }
+            (res, cost)
+        })
+        .collect();
     let est_cost: Vec<f64> = resolved.iter().map(|(_, c)| *c).collect();
     let plan = PoolPlan::plan(trace, params, &manifest.iterations, &est_cost);
 
