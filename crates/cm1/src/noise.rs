@@ -2,9 +2,22 @@
 //!
 //! Hash-based (no tables, no global state): the same `(position, seed)`
 //! always yields the same value, which keeps every experiment in the
-//! workspace reproducible bit-for-bit. One interpolation serves both the
-//! pointwise functions and the storm generator's grid rows (`FbmRow`), which
-//! keep an octave's lattice corners for as long as `x` stays in one cell.
+//! workspace reproducible bit-for-bit.
+//!
+//! There is one interpolation (`OctaveRow::interpolate`) and two ways in.
+//! The pointwise functions [`value_noise3`] and [`fbm3`] take a position.
+//! The storm generator's grid rows go through `FbmRow::fill`, which takes a
+//! whole row of `x` at constant `(y, z)` and works an octave a **cell run**
+//! at a time: the stretch of samples that stays inside one lattice cell is
+//! found by comparing against the cell's two planes (`xf <= x < xf + 1.0`
+//! — no `floor` in the loop), the cell's eight corners are hashed once, and
+//! one loop with no branch and no call interpolates the stretch, which the
+//! compiler vectorises for baseline SSE2. A pointwise sample is a run of
+//! one, so `fill` and `fbm3` agree bit for bit on any row — ascending,
+//! descending, jumping, NaN, ±∞, or past 2²⁴ where `xf + 1.0 == xf`
+//! (`tests::a_filled_row_*`). Per element the octaves are still summed in
+//! `fbm3`'s order, and within an octave the eight terms in corner order:
+//! that order is the bits.
 
 /// SplitMix64 finalizer — a high-quality 64-bit mix.
 #[inline]

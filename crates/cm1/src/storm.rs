@@ -12,7 +12,7 @@
 //!
 //! Everything is a pure function of `(position, iteration, seed)`.
 //!
-//! # One pass, four rates
+//! # One pass, five rates
 //!
 //! [`StormModel::reflectivity_on`] writes each dBZ sample once, and every
 //! sub-expression of the model is evaluated at the rate its operands change
@@ -26,15 +26,31 @@
 //! * **per z-plane** (`PlaneTerms`, `SpeciesSplit`, `air_density`): core
 //!   radius, the vertical profile, every coefficient down to its Gaussian,
 //!   the hook and vault gates, the rain / snow / hail height factors;
-//! * **per row** (`RowTerms`, two `FbmRow`s): the `y` halves of every
-//!   squared distance, and the noise lattices — along a row `(y, z)` are
-//!   fixed, so an octave's eight corner hashes change only when `floor(x)`
-//!   does;
+//! * **per row** (`RowTerms`, the background's `FbmRow`): the `y` halves of
+//!   every squared distance, the noise lattice's `(y, z)` cell and weights,
+//!   and whether `y` alone puts the whole row past every cull radius;
+//! * **per cell run** (`noise::FbmRow::fill`): along a row an octave's
+//!   eight corner hashes change only when `floor(x)` does, so the stretch
+//!   of samples inside one lattice cell is found first and interpolated in
+//!   one branch-free loop — no `floor`, no hash and no branch per sample,
+//!   which is what lets the compiler vectorise it;
 //! * **per point**: the `x` halves, the Gaussians, the interpolation.
+//!
+//! A row is worked a segment (at most `SEGMENT` samples, a rank's whole
+//! 55-wide row) at a time, through fixed stack buffers: the background
+//! noise of the segment is filled once; the cull predicate is evaluated for
+//! every `x` in one loop (skipped where the row-level test already
+//! answered); a **culled span is written by one loop** — `max(dry,
+//! background)`, clamp — and only an unculled span goes through the
+//! envelope, its texture filled once over the stretch that reaches `1e-3`.
+//! A segment the cull clears whole never enters the envelope at all; seven
+//! points in ten of a paper-scaled iteration lie in such rows.
 //!
 //! Hoisting moves an expression, never its operands or its association, so
 //! the bits are those of evaluating the whole formula at every point
-//! (`tests/field_pin.rs` pins them against the generator that did). Three
+//! (`tests/field_pin.rs` pins them against the generator that did, and
+//! `tests::the_row_generator_is_the_pointwise_generator` rebuilds it from
+//! [`StormModel::condensate`], the reflectivity law and `fbm3`). Three
 //! things are *not* evaluated, each because its result is known:
 //!
 //! * **Clear air is culled.** Where `r²/2σ²` of the main cell and of all
@@ -48,11 +64,12 @@
 //!   every species, whose dBZ is one constant.
 //! * **Echo skips the background.** The clear-air background only replaces
 //!   samples below it and never exceeds −56 dBZ while the noise is in
-//!   [-1, 1] (`noise::tests::bounded`); samples above `BACKGROUND_CEILING`
-//!   never sample it.
+//!   [-1, 1] (`noise::tests::bounded`); a sample above `BACKGROUND_CEILING`
+//!   ignores the noise that was filled for its segment.
 //!
-//! The texture lattice is built on the first sample of a row whose envelope
-//! reaches `1e-3`; most rows never do.
+//! The texture lattice is built per unculled span, and only for a span
+//! that holds a sample whose envelope reaches `1e-3`; most spans of the
+//! storm's fringe hold none.
 
 use apc_grid::{Dims3, Field3, RectilinearCoords};
 
