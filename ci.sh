@@ -114,7 +114,8 @@ echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper 
 # ranks; the digest folds the run's iteration reports — the score order,
 # triangle counts and virtual seconds downstream of every generated block.
 # `crates/cm1/tests/field_pin.rs` pins sampled fields bit by bit; this is
-# the paper-scale fence, and no other stage compares a benchmark digest.
+# the paper-scale fence. (The three stages below compare the other three
+# seed-42 digests.)
 bench_digest sync_adaptive 1 0 eef30fa47b6271d8
 
 echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discrimination runs only here)"
