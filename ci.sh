@@ -82,7 +82,7 @@ cmp "$smoke/flat.csv" "$smoke/sharded.csv"
 echo "==> fig05_redistribution at quick scale against its golden (the figure binary itself, 64 and 400 ranks)"
 # The golden_reports fixtures replay fig06-fig11's grids on the tiny
 # geometry; this is a figure binary's own CSV, paper-scaled storm and both
-# rank counts, as the generator before the row-wise one wrote it. ~20 s,
+# rank counts, as the generator before the row-wise one wrote it. ~15 s,
 # nearly all of it generating 2 x 12 iterations; ~1.4 GB resident.
 cargo build --release -q -p apc-bench --bin fig05_redistribution
 target/release/fig05_redistribution >/dev/null

@@ -284,12 +284,10 @@ impl RowTerms<'_> {
         let n = xs.len();
         self.classify(xs, &mut s.clear[..n]);
         let mut at = 0;
-        while at < n {
-            let clear = s.clear[at];
-            let same = |&c: &bool| c == clear;
-            let end = at + s.clear[at..n].iter().take_while(|c| same(c)).count();
+        for span in s.clear[..n].chunk_by(|a, b| a == b) {
+            let end = at + span.len();
             let (out, noise) = (&mut out[at..end], &s.noise[at..end]);
-            if clear {
+            if span[0] {
                 settle_clear_air(dry, noise, out);
             } else {
                 let (coord, tex) = (&mut s.coord[at..end], &mut s.tex[at..end]);
