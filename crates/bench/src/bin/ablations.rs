@@ -1,4 +1,4 @@
-//! Standalone harness for all ablations — see DESIGN.md §4.
+//! Standalone harness for all ablations.
 
 use apc_bench::experiments::{ablations, Ctx};
 use apc_bench::Scale;

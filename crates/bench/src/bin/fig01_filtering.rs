@@ -1,4 +1,4 @@
-//! Standalone harness for fig01 — see DESIGN.md §4.
+//! Standalone harness for fig01.
 
 use apc_bench::{experiments, Scale};
 

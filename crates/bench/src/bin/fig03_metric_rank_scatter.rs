@@ -1,4 +1,4 @@
-//! Standalone harness for fig03 — see DESIGN.md §4.
+//! Standalone harness for fig03.
 
 use apc_bench::{experiments, Scale};
 

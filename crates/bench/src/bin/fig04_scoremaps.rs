@@ -1,4 +1,4 @@
-//! Standalone harness for fig04 — see DESIGN.md §4.
+//! Standalone harness for fig04.
 
 use apc_bench::{experiments, Scale};
 

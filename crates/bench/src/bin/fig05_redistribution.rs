@@ -1,4 +1,4 @@
-//! Standalone harness for fig05 — see DESIGN.md §4.
+//! Standalone harness for fig05.
 
 use apc_bench::experiments::{self, Ctx};
 use apc_bench::Scale;

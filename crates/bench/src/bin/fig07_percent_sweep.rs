@@ -1,4 +1,4 @@
-//! Standalone harness for fig07 — see DESIGN.md §4.
+//! Standalone harness for fig07.
 
 use apc_bench::experiments::{self, Ctx};
 use apc_bench::Scale;

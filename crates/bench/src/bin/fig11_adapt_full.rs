@@ -1,4 +1,4 @@
-//! Standalone harness for fig11 — see DESIGN.md §4.
+//! Standalone harness for fig11.
 
 use apc_bench::experiments::{self, Ctx};
 use apc_bench::Scale;

@@ -1,4 +1,4 @@
-//! Standalone harness for table1 — see DESIGN.md §4.
+//! Standalone harness for table1.
 
 use apc_bench::{experiments, Scale};
 

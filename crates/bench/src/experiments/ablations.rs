@@ -1,4 +1,4 @@
-//! Ablations of design choices the paper discusses in text (DESIGN.md §4).
+//! Ablations of design choices the paper discusses in text.
 
 // apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::time::Instant;

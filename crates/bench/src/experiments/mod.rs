@@ -1,4 +1,4 @@
-//! One module per paper table/figure, plus ablations (DESIGN.md §4).
+//! One module per paper table/figure, plus ablations.
 
 pub mod ablations;
 pub mod context;

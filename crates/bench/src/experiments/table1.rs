@@ -90,7 +90,7 @@ pub fn run(scale: &Scale) {
         &rows,
     );
     println!(
-        "note: RANGE deviates from the paper by design — see DESIGN.md §5 \
+        "note: RANGE deviates from the paper by design \
          (our RANGE is a plain min/max scan)."
     );
     let path = write_csv(

@@ -7,8 +7,8 @@
 //!   session) whose [`run_sweep`](harness::Prepared::run_sweep) replays whole
 //!   configuration sweeps over one set of rank threads, CSV output under
 //!   `target/experiments/`, ASCII tables;
-//! * [`experiments`] — one module per paper table/figure plus the ablations
-//!   listed in DESIGN.md §4. Each exposes `run(&Scale)`, prints the
+//! * [`experiments`] — one module per paper table/figure plus the
+//!   ablations. Each exposes `run(&Scale)`, prints the
 //!   series/rows the paper reports, and writes CSV.
 //!
 //! Thin binaries in `src/bin/` wrap single experiments; the `figures` bench

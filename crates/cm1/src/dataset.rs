@@ -5,8 +5,8 @@
 //! 2200×2200×380 reflectivity field decomposed over 64 or 400 ranks with
 //! 55×55×38-point blocks (16,000 blocks). Our default experiments run the
 //! 1:5-per-axis scale — 440×440×76 with 11×11×19 blocks, 6,400 blocks —
-//! documented in DESIGN.md §2; the full-size decomposition is available for
-//! anyone with the memory budget.
+//! whose byte counts the virtual network scales back up by 125; the
+//! full-size decomposition is available for anyone with the memory budget.
 
 use apc_grid::{
     Block, BlockId, Dims3, DomainDecomp, Field3, GridError, ProcGrid, RectilinearCoords,
@@ -169,17 +169,17 @@ mod tests {
     fn paper_scaled_counts() {
         let ds = ReflectivityDataset::paper_scaled(64, 1).unwrap();
         assert_eq!(ds.decomp().n_blocks(), 6400);
-        assert_eq!(ds.decomp().blocks_per_rank(), 100);
+        assert_eq!(ds.decomp().blocks_of_rank(0).len(), 100);
         let ds = ReflectivityDataset::paper_scaled(400, 1).unwrap();
         assert_eq!(ds.decomp().n_blocks(), 6400);
-        assert_eq!(ds.decomp().blocks_per_rank(), 16);
+        assert_eq!(ds.decomp().blocks_of_rank(0).len(), 16);
     }
 
     #[test]
     fn tiny_counts() {
         let ds = ReflectivityDataset::tiny(4, 1).unwrap();
         assert_eq!(ds.decomp().n_blocks(), 128);
-        assert_eq!(ds.decomp().blocks_per_rank(), 32);
+        assert_eq!(ds.decomp().blocks_of_rank(0).len(), 32);
     }
 
     #[test]

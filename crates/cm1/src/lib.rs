@@ -3,7 +3,7 @@
 //! The paper replays a 572-iteration reflectivity dataset produced by a
 //! 3-day CM1 (Bryan & Fritsch 2002) run on Blue Waters. Neither CM1 nor the
 //! dataset is available here, so this crate builds the closest synthetic
-//! equivalent (DESIGN.md §2):
+//! equivalent:
 //!
 //! * [`noise`] — deterministic hash-based 3D value noise / fBm, the
 //!   turbulence texture of the storm;
@@ -14,8 +14,6 @@
 //!   condensate into rain / snow / hail mixing ratios at a height and the
 //!   radar-reflectivity derivation ("derives from a calculation based on
 //!   cloud rain, hail, and snow microphysical variables", paper §II-A);
-//! * [`solver`] — a small semi-Lagrangian advection–diffusion solver that
-//!   stands in for the simulation's compute phase;
 //! * [`dataset`] — the replayable iteration sequence the experiments feed
 //!   to the pipeline, at the paper's two scales (64 and 400 ranks);
 //! * [`store`] — persistence through the `apc-store` chunked dataset
@@ -26,17 +24,20 @@
 //! pin — is *spatial locality*: the storm covers a small fraction of the
 //! domain, so a regular decomposition puts nearly all of the rendering and
 //! scoring load on a few ranks.
+//!
+//! Nothing here runs CM1's compute phase: the paper replays stored data
+//! "to avoid running CM1's computational part" (§V-A), and the staged
+//! executor charges that phase as `StagedParams::sim_compute` virtual
+//! seconds per iteration (`apc-core`).
 
 pub mod dataset;
 pub mod hydro;
 pub mod noise;
-pub mod solver;
 pub mod store;
 pub mod storm;
 
 pub use dataset::ReflectivityDataset;
 pub use noise::{fbm3, value_noise3};
-pub use solver::AdvectionSolver;
 pub use store::{open_dataset, write_dataset, write_dataset_to, StoredTimeSeries};
 pub use storm::StormModel;
 

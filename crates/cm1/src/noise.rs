@@ -221,6 +221,7 @@ fn each_octave(octaves: usize, mut octave: impl FnMut(usize, f32, f32)) -> f32 {
 /// [`value_noise3`] samples, so in [-1, 1] up to the rounding of the
 /// interpolation weights (`tests::bounded`; the generator's background
 /// skip rests on it).
+// apc-lint: allow(dead-pub): the pointwise oracle FbmRow::fill and the storm's row path are checked against
 pub fn fbm3(x: f32, y: f32, z: f32, octaves: u32, seed: u64) -> f32 {
     let mut acc = 0.0;
     let norm = each_octave(octaves as usize, |oct, freq, amp| {

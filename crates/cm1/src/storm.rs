@@ -517,28 +517,6 @@ impl StormModel {
         self.call_terms(tau).plane(z).row(y).condensate(x)
     }
 
-    /// Wind field (normalized units/iteration) at `p`, time `τ`: steering
-    /// flow plus mesocyclone rotation plus the updraft core. Used by the
-    /// advection solver and the streamline visualization scenario the paper
-    /// mentions (§IV-B).
-    pub fn wind(&self, p: [f32; 3], tau: f32) -> [f32; 3] {
-        let [x, y, z] = p;
-        let c = self.center(tau);
-        let dx = x - c[0];
-        let dy = y - c[1];
-        let r2 = dx * dx + dy * dy;
-        let sh = sigma_h(z);
-        let g = (-r2 / (2.0 * (1.8 * sh) * (1.8 * sh))).exp();
-        let omega = 5.0 * self.intensity(tau);
-        // Steering flow matches the storm-center drift per iteration.
-        let steering = [0.30 * 0.001, 0.24 * 0.001, 0.0];
-        [
-            steering[0] - omega * dy * g * 0.01,
-            steering[1] + omega * dx * g * 0.01,
-            0.035 * self.intensity(tau) * g * (std::f32::consts::PI * z).sin(),
-        ]
-    }
-
     /// Reflectivity (dBZ) on a sub-box of the grid — the field the paper's
     /// whole evaluation renders. `offset`/`dims` select a sub-box of the
     /// coordinate arrays, so ranks can generate just their subdomain; a
@@ -606,8 +584,9 @@ mod tests {
     use super::*;
     use crate::{fbm3, DBZ_ISOVALUE, DBZ_MAX, DBZ_MIN};
 
+    /// Unit spacing: no stretched border cells.
     fn small_coords() -> RectilinearCoords {
-        RectilinearCoords::uniform(Dims3::new(48, 48, 12), 1.0)
+        RectilinearCoords::stretched(Dims3::new(48, 48, 12), 1.0, 0, 1.0)
     }
 
     #[test]
@@ -968,19 +947,5 @@ mod tests {
         assert!(background(1.0 + 4.0 * f32::EPSILON) < BACKGROUND_CEILING);
         // Dry air is under every background value, so it always gets one.
         assert!(dbz(0.0, 0.0, 0.0, 0.0) < background(-1.0 - 4.0 * f32::EPSILON));
-    }
-
-    #[test]
-    fn wind_rotates_around_center() {
-        let m = StormModel::default();
-        let tau = 0.5;
-        let c = m.center(tau);
-        // East of center the rotational component points north (+v).
-        let east = m.wind([c[0] + 0.03, c[1], 0.3], tau);
-        let west = m.wind([c[0] - 0.03, c[1], 0.3], tau);
-        assert!(east[1] > west[1], "cyclonic rotation expected");
-        // Updraft at core.
-        let updraft = m.wind([c[0], c[1], 0.5], tau);
-        assert!(updraft[2] > 0.0);
     }
 }

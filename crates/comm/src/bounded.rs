@@ -119,11 +119,6 @@ impl QueueSender {
         }
     }
 
-    /// Messages enqueued so far.
-    pub fn enqueued(&self) -> u64 {
-        self.seq
-    }
-
     /// Enqueue `msg`, returning the virtual stall this enqueue cost the
     /// producer (always `0.0` under [`FlowControl::Lossy`]; under credit
     /// flow it is the queue-full wait — the time the producer spent ahead
@@ -176,11 +171,6 @@ impl QueueReceiver {
             flow,
             seq: 0,
         }
-    }
-
-    /// Messages dequeued so far.
-    pub fn dequeued(&self) -> u64 {
-        self.seq
     }
 
     /// Blocking dequeue: merges the arrival into the consumer's clock,
@@ -257,11 +247,6 @@ impl ServeClient {
             arrival,
             bytes,
         }
-    }
-
-    /// Requests still awaiting a reply.
-    pub fn outstanding(&self) -> u64 {
-        self.sent - self.answered
     }
 }
 
@@ -464,7 +449,6 @@ mod tests {
                 ep.send_request(rank, 7u64);
                 let d = ep.recv_reply::<u64>(rank);
                 assert_eq!(d.msg, 14);
-                assert_eq!(ep.outstanding(), 0);
                 rank.clock() - t0
             } else {
                 let mut ep = ServeServer::new(0, 0);

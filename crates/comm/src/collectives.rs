@@ -150,6 +150,7 @@ impl Rank {
 
     /// Scatter: the root supplies one value per rank; every rank receives
     /// its own entry. Non-root ranks pass `None`.
+    // apc-lint: allow(dead-pub): tests/clock_pin.rs pins its clock bits and payloads
     pub fn scatter<M: Meter + Clone + Send + Sync + 'static>(
         &mut self,
         root: usize,
@@ -211,6 +212,7 @@ impl Rank {
 
     /// Exclusive prefix scan: rank `r` receives `op(v_0, ..., v_{r-1})`,
     /// rank 0 receives `None`.
+    // apc-lint: allow(dead-pub): tests/clock_pin.rs pins its clock bits and payloads
     pub fn exclusive_scan<M, F>(&mut self, value: M, mut op: F) -> Option<M>
     where
         M: Meter + Clone + Send + Sync + 'static,

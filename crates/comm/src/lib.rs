@@ -2,14 +2,13 @@
 //!
 //! The paper runs its pipeline over Cray MPI on Blue Waters at 64 and 400
 //! ranks. The Rust MPI ecosystem is thin and no 400-core allocation exists
-//! here, so this crate substitutes a *simulated* communicator (see
-//! DESIGN.md §2):
+//! here, so this crate substitutes a *simulated* communicator:
 //!
 //! * **Ranks are OS threads.** [`Runtime::run`] spawns one thread per rank;
 //!   each receives a [`Rank`] handle exposing point-to-point messaging
 //!   (`send`/`recv` with tags) and the collectives the
 //!   pipeline needs (barrier, broadcast, gather, allgather, reduce,
-//!   allreduce, alltoall(v), exclusive scan).
+//!   allreduce, alltoallv, exclusive scan).
 //! * **Reusable rank sessions.** [`Runtime::session`] spawns the rank
 //!   threads once and executes a series of closures over them
 //!   ([`Session::run`]) — the substrate of parameter sweeps, which replay

@@ -18,7 +18,7 @@ pub struct NetModel {
     pub send_overhead: f64,
     /// Multiplier applied to byte counts before the bandwidth/ingest terms.
     /// Experiments that run a 1:5-per-axis scaled dataset set this to 125
-    /// so the virtual network moves full-scale volumes (DESIGN.md §2) —
+    /// so the virtual network moves full-scale volumes —
     /// the communication analogue of the render model's per-triangle
     /// calibration.
     pub byte_scale: f64,
@@ -136,20 +136,6 @@ impl NetModel {
         2.0 * (Self::tree_depth(nranks) as f64 * self.latency
             + frac * bytes as f64 / self.bandwidth)
     }
-
-    /// Personalized all-to-all where `max_outgoing_bytes` is the largest
-    /// per-rank outgoing volume. Pairwise-exchange model: `n-1` rounds of
-    /// latency, bandwidth bound by the busiest rank. Unlike the other
-    /// collective formulas this one describes a *data* exchange, so it
-    /// carries the byte-scale and ingest calibration.
-    pub fn alltoall(&self, nranks: usize, max_outgoing_bytes: usize) -> f64 {
-        if nranks <= 1 {
-            return 0.0;
-        }
-        (nranks - 1) as f64 * self.latency
-            + self.scaled(max_outgoing_bytes) / self.bandwidth
-            + self.ingest(max_outgoing_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -186,20 +172,6 @@ mod tests {
     fn free_network_is_free() {
         let n = NetModel::free();
         assert_eq!(n.p2p(1 << 30), 0.0);
-        assert_eq!(n.alltoall(64, 1 << 30), 0.0);
-    }
-
-    #[test]
-    fn redistribution_magnitude_matches_paper() {
-        // Paper §IV-D: exchanging the storm's blocks costs ~1 s on Blue
-        // Waters. At paper calibration, a 64-rank exchange of ~0.9 MB of
-        // scaled data per rank (= ~114 MB full-scale) lands near 1.2 s.
-        let n = NetModel::blue_waters().for_paper_scale();
-        let t = n.alltoall(64, 920_000);
-        assert!(t > 0.5 && t < 2.5, "t = {t}");
-        // The pure wire model stays far below the software-inclusive time.
-        let wire = NetModel::blue_waters().alltoall(64, 920_000);
-        assert!(wire < 0.01, "wire = {wire}");
     }
 
     #[test]

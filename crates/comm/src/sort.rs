@@ -2,7 +2,7 @@
 //!
 //! The paper (§IV-C) globally sorts all pairs by increasing score and
 //! broadcasts the sorted array to every rank. We provide the paper's
-//! gather-sort-broadcast and, as an ablation (DESIGN.md §4), a real
+//! gather-sort-broadcast and, as an ablation (the `ablations` binary), a real
 //! parallel *sample sort* whose final allgather yields the same
 //! everyone-has-everything result.
 

@@ -47,6 +47,7 @@ impl BitWriter {
     }
 
     /// Number of bits written so far.
+    // apc-lint: allow(dead-pub): mask_coder_emits_the_oracle_bits checks the decoder reads exactly these
     pub fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.pending as usize
     }

@@ -4,8 +4,7 @@
 //! squeeze them: highly compressible ⇒ little information ⇒ low relevance.
 //! It uses FPZIP (Lindstrom & Isenburg 2006), ZFP (Lindstrom 2014) and an
 //! LZ-based byte compressor. None of those C libraries are available here,
-//! so this crate implements the same *family* of algorithms from scratch
-//! (DESIGN.md §2):
+//! so this crate implements the same *family* of algorithms from scratch:
 //!
 //! * [`fpz`] — a lossless predictive codec: 3D Lorenzo prediction over an
 //!   order-preserving integer mapping of IEEE-754 floats, residuals stored

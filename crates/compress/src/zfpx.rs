@@ -76,6 +76,7 @@ impl Zfpx {
     /// reach 2.25× per axis, and a tolerance below `2^-20` of a block's
     /// largest magnitude is floored by the block-floating-point
     /// quantization instead.
+    // apc-lint: allow(dead-pub): the bound the codec, property, adversarial and degrade tests assert
     pub const ERROR_ENVELOPE: f32 = 4.0;
 
     /// Map a reduction-pressure percent (0 = no pressure, 100 = shed
@@ -91,13 +92,6 @@ impl Zfpx {
         }
         let p = percent.clamp(0.0, 100.0);
         (1e-3 * 10f64.powf(p / 25.0)) as f32
-    }
-
-    /// A codec at the [`Zfpx::graded_tolerance`] for `percent`.
-    pub fn graded(percent: f64) -> Self {
-        Self {
-            tolerance: Self::graded_tolerance(percent),
-        }
     }
 }
 
@@ -669,7 +663,6 @@ mod tests {
             Zfpx::graded_tolerance(f64::NAN),
             Zfpx::graded_tolerance(100.0)
         );
-        assert_eq!(Zfpx::graded(30.0).tolerance, Zfpx::graded_tolerance(30.0));
     }
 
     #[test]

@@ -78,6 +78,7 @@ impl StagedParams {
     }
 
     /// Enable sim-side pre-reduction of the `percent` lowest-scored blocks.
+    // apc-lint: allow(dead-pub): only tests set it (staged_determinism); a later PR may drop the knob
     pub fn with_pre_reduce(mut self, percent: f64) -> Self {
         assert!(
             (0.0..=100.0).contains(&percent),
@@ -114,8 +115,8 @@ pub enum Redistribution {
     RoundRobin,
 }
 
-/// How the global score sort is implemented (§IV-C; sample sort is the
-/// ablation of DESIGN.md §4).
+/// How the global score sort is implemented (§IV-C; sample sort is an
+/// ablation the `ablations` binary runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SortStrategy {
     #[default]
@@ -195,6 +196,7 @@ impl PipelineConfig {
 
     /// Select the rendered isovalue (the paper's scenario fixes 45 dBZ;
     /// sweeps may vary it).
+    // apc-lint: allow(dead-pub): only tests set it (sweep_engine); a later PR may drop the knob
     pub fn with_isovalue(mut self, isovalue: f32) -> Self {
         assert!(isovalue.is_finite(), "isovalue must be finite");
         self.isovalue = isovalue;

@@ -25,6 +25,7 @@ use crate::report::IterationReport;
 /// Run `config` over the given dataset iterations on the dataset's own rank
 /// count, with a Blue Waters-like network. Returns one report per
 /// iteration (identical across ranks; rank 0's copy).
+// apc-lint: allow(dead-pub): the spawn-per-run reference of pipeline_e2e and staged_determinism
 pub fn run_experiment(
     dataset: &ReflectivityDataset,
     config: PipelineConfig,

@@ -207,6 +207,7 @@ pub fn run_replay_serving_in_session(
 
 /// One-shot replay run: spawns its own session (small rank stacks — the
 /// fan-out benches run thousands of client ranks) and tears it down.
+// apc-lint: allow(dead-pub): the spawn-per-run reference of replay_fanout and golden_reports
 pub fn run_replay_serving(
     backend: Arc<dyn StoreBackend>,
     run_id: &str,

@@ -33,11 +33,13 @@ pub struct IterationReport {
 
 impl IterationReport {
     /// CSV header matching [`IterationReport::to_csv_row`].
+    // apc-lint: allow(dead-pub): golden_reports writes the fig06-fig11 goldens' header with it
     pub fn csv_header() -> &'static str {
         "iteration,percent_reduced,blocks_reduced,t_score,t_sort,t_reduce,\
          t_redistribute,t_render,t_total,triangles_total,triangles_max_rank"
     }
 
+    // apc-lint: allow(dead-pub): golden_reports writes the fig06-fig11 goldens' rows with it
     pub fn to_csv_row(&self) -> String {
         format!(
             "{},{:.4},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{}",
@@ -53,14 +55,6 @@ impl IterationReport {
             self.triangles_total,
             self.triangles_max_rank
         )
-    }
-
-    /// Load-imbalance factor of the rendering work (max/mean over ranks).
-    pub fn imbalance(&self, nranks: usize) -> f64 {
-        if self.triangles_total == 0 {
-            return 1.0;
-        }
-        self.triangles_max_rank as f64 / (self.triangles_total as f64 / nranks as f64)
     }
 }
 
@@ -98,23 +92,5 @@ mod tests {
             IterationReport::csv_header().split(',').count()
         );
         assert!(row.starts_with("3,42.5"));
-    }
-
-    #[test]
-    fn imbalance_factor() {
-        let r = fixture();
-        // mean = 100k/64, max = 40k → imbalance 25.6.
-        assert!((r.imbalance(64) - 25.6).abs() < 1e-9);
-        let balanced = IterationReport {
-            triangles_max_rank: 1563,
-            ..r
-        };
-        assert!(balanced.imbalance(64) < 1.01);
-        let empty = IterationReport {
-            triangles_total: 0,
-            triangles_max_rank: 0,
-            ..r
-        };
-        assert_eq!(empty.imbalance(64), 1.0);
     }
 }

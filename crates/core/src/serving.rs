@@ -187,6 +187,7 @@ impl ServeParams {
     }
 
     /// Script a deterministic stager crash (see [`ServeFault`]).
+    // apc-lint: allow(dead-pub): session_stress scripts a stager death with it
     pub fn with_fault(mut self, fault: ServeFault) -> Self {
         self.fault = Some(fault);
         self
@@ -676,6 +677,7 @@ where
 /// counterpart of [`crate::staged::run_staged_prepared`], and like it,
 /// runs the config's `ExecPolicy` unclamped so policy-determinism guards
 /// can exercise `Threads(n)` on small hosts.
+// apc-lint: allow(dead-pub): the spawn-per-run reference of frame_serving, staged_determinism, goldens
 pub fn run_staged_serving_prepared<F>(
     decomp: &DomainDecomp,
     coords: &RectilinearCoords,

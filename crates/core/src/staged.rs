@@ -206,6 +206,7 @@ where
 /// clamp (like [`run_staged_in_session`], it runs the policy as given —
 /// which is what lets the policy-determinism guards exercise `Threads(n)`
 /// on small hosts).
+// apc-lint: allow(dead-pub): the spawn-per-run reference of frame_serving and staged_determinism
 pub fn run_staged_prepared<F>(
     decomp: &DomainDecomp,
     coords: &RectilinearCoords,

@@ -94,7 +94,7 @@ impl Block {
     /// Downsample in place to a `keep × keep × keep` lattice (clamped to
     /// the block's own dims). `keep == 2` is exactly [`Block::reduce`];
     /// larger lattices trade bytes for fidelity — the reduction-size
-    /// ablation of DESIGN.md §4. No-op on already-reduced data.
+    /// ablation. No-op on already-reduced data.
     pub fn downsample(&mut self, keep: usize) {
         assert!(
             keep >= 2,

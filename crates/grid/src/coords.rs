@@ -5,7 +5,7 @@
 //! without interacting with the boundary (paper §II-A; the "longer blocks on
 //! the borders of the domain" in Fig. 4 come from this stretching).
 
-use crate::{Dims3, GridError};
+use crate::Dims3;
 
 /// Per-axis monotonically increasing physical coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,16 +16,6 @@ pub struct RectilinearCoords {
 }
 
 impl RectilinearCoords {
-    /// Uniform spacing `d` starting at 0 on all axes.
-    pub fn uniform(dims: Dims3, d: f32) -> Self {
-        let axis = |n: usize| (0..n).map(|i| i as f32 * d).collect();
-        Self {
-            x: axis(dims.nx),
-            y: axis(dims.ny),
-            z: axis(dims.nz),
-        }
-    }
-
     /// CM1-style stretched axes: uniform interior spacing `d_inner`, with the
     /// outermost `stretch_n` cells on each horizontal side geometrically
     /// stretched by `ratio` per cell. The vertical axis stays uniform.
@@ -62,20 +52,6 @@ impl RectilinearCoords {
         }
     }
 
-    /// Build from explicit axis vectors, validating monotonicity.
-    pub fn from_axes(x: Vec<f32>, y: Vec<f32>, z: Vec<f32>) -> Result<Self, GridError> {
-        fn monotone(v: &[f32]) -> bool {
-            v.windows(2).all(|w| w[1] > w[0])
-        }
-        if x.is_empty() || y.is_empty() || z.is_empty() {
-            return Err(GridError::ZeroDim);
-        }
-        if !monotone(&x) || !monotone(&y) || !monotone(&z) {
-            return Err(GridError::OutOfBounds);
-        }
-        Ok(Self { x, y, z })
-    }
-
     pub fn dims(&self) -> Dims3 {
         Dims3::new(self.x.len(), self.y.len(), self.z.len())
     }
@@ -91,11 +67,11 @@ impl RectilinearCoords {
         (
             [self.x[0], self.y[0], self.z[0]],
             [
-                // apc-lint: allow(unwrap-in-lib): the constructor rejects empty axes
+                // apc-lint: allow(unwrap-in-lib): grids span a DomainDecomp's domain, never zero-sized
                 *self.x.last().unwrap(),
-                // apc-lint: allow(unwrap-in-lib): the constructor rejects empty axes
+                // apc-lint: allow(unwrap-in-lib): grids span a DomainDecomp's domain, never zero-sized
                 *self.y.last().unwrap(),
-                // apc-lint: allow(unwrap-in-lib): the constructor rejects empty axes
+                // apc-lint: allow(unwrap-in-lib): grids span a DomainDecomp's domain, never zero-sized
                 *self.z.last().unwrap(),
             ],
         )
@@ -107,8 +83,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_axes() {
-        let c = RectilinearCoords::uniform(Dims3::new(4, 3, 2), 0.5);
+    fn no_stretched_cells_is_uniform() {
+        let c = RectilinearCoords::stretched(Dims3::new(4, 3, 2), 0.5, 0, 1.2);
         assert_eq!(c.x, vec![0.0, 0.5, 1.0, 1.5]);
         assert_eq!(c.dims(), Dims3::new(4, 3, 2));
         assert_eq!(c.position(1, 2, 1), [0.5, 1.0, 0.5]);
@@ -131,15 +107,8 @@ mod tests {
     }
 
     #[test]
-    fn from_axes_validates() {
-        assert!(RectilinearCoords::from_axes(vec![0.0, 1.0], vec![0.0, 1.0], vec![0.0]).is_ok());
-        assert!(RectilinearCoords::from_axes(vec![0.0, 0.0], vec![0.0, 1.0], vec![0.0]).is_err());
-        assert!(RectilinearCoords::from_axes(vec![], vec![0.0], vec![0.0]).is_err());
-    }
-
-    #[test]
     fn bounds() {
-        let c = RectilinearCoords::uniform(Dims3::new(3, 3, 3), 2.0);
+        let c = RectilinearCoords::stretched(Dims3::new(3, 3, 3), 2.0, 0, 1.0);
         assert_eq!(c.bounds(), ([0.0, 0.0, 0.0], [4.0, 4.0, 4.0]));
     }
 }

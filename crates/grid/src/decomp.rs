@@ -120,17 +120,8 @@ impl DomainDecomp {
         self.block
     }
 
-    pub fn subdomain_dims(&self) -> Dims3 {
-        self.sub
-    }
-
     pub fn nranks(&self) -> usize {
         self.procs.nranks()
-    }
-
-    /// Blocks per subdomain (total count) — constant across ranks.
-    pub fn blocks_per_rank(&self) -> usize {
-        self.blocks_per_sub.len()
     }
 
     /// Total number of blocks in the domain.
@@ -246,8 +237,8 @@ mod tests {
     fn counts_match_paper_scaling() {
         let d = paper_scaled();
         assert_eq!(d.nranks(), 64);
-        assert_eq!(d.subdomain_dims(), Dims3::new(55, 55, 76));
-        assert_eq!(d.blocks_per_rank(), 5 * 5 * 4);
+        assert_eq!(d.subdomain_extent(0).dims(), Dims3::new(55, 55, 76));
+        assert_eq!(d.blocks_of_rank(0).len(), 5 * 5 * 4);
         assert_eq!(d.n_blocks(), 6400);
         assert_eq!(d.global_block_grid(), Dims3::new(40, 40, 4));
     }
@@ -274,7 +265,7 @@ mod tests {
         let mut seen = vec![false; d.n_blocks()];
         for rank in 0..d.nranks() {
             let blocks = d.blocks_of_rank(rank);
-            assert_eq!(blocks.len(), d.blocks_per_rank());
+            assert_eq!(blocks.len(), d.n_blocks() / d.nranks());
             for id in blocks {
                 assert_eq!(d.owner_of_block(id), rank, "block {id}");
                 assert!(!seen[id as usize], "block {id} owned twice");
@@ -292,8 +283,9 @@ mod tests {
         let mut covered = 0;
         for id in d.blocks_of_rank(rank) {
             let e = d.block_extent(id);
+            let last = (e.hi.0 - 1, e.hi.1 - 1, e.hi.2 - 1);
             assert!(
-                sub.intersect(&e) == Some(e),
+                sub.contains(e.lo) && sub.contains(last),
                 "block {id} extent {e} outside subdomain {sub}"
             );
             covered += e.len();

@@ -120,25 +120,6 @@ impl Extent3 {
     pub fn fits_in(&self, dims: Dims3) -> bool {
         self.hi.0 <= dims.nx && self.hi.1 <= dims.ny && self.hi.2 <= dims.nz
     }
-
-    /// Intersection of two extents, `None` if disjoint.
-    pub fn intersect(&self, other: &Extent3) -> Option<Extent3> {
-        let lo = (
-            self.lo.0.max(other.lo.0),
-            self.lo.1.max(other.lo.1),
-            self.lo.2.max(other.lo.2),
-        );
-        let hi = (
-            self.hi.0.min(other.hi.0),
-            self.hi.1.min(other.hi.1),
-            self.hi.2.min(other.hi.2),
-        );
-        if lo.0 < hi.0 && lo.1 < hi.1 && lo.2 < hi.2 {
-            Some(Extent3::new(lo, hi))
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Extent3 {
@@ -193,15 +174,6 @@ mod tests {
         assert!(e.contains((3, 5, 8)));
         assert!(!e.contains((4, 2, 3)));
         assert!(!e.contains((0, 2, 3)));
-    }
-
-    #[test]
-    fn extent_intersect() {
-        let a = Extent3::new((0, 0, 0), (4, 4, 4));
-        let b = Extent3::new((2, 2, 2), (6, 6, 6));
-        assert_eq!(a.intersect(&b), Some(Extent3::new((2, 2, 2), (4, 4, 4))));
-        let c = Extent3::new((4, 4, 4), (5, 5, 5));
-        assert_eq!(a.intersect(&c), None);
     }
 
     #[test]

@@ -60,10 +60,6 @@ impl Field3 {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     pub fn into_vec(self) -> Vec<f32> {
         self.data
     }
@@ -80,6 +76,7 @@ impl Field3 {
     }
 
     /// Minimum and maximum sample values (ignoring NaN); `None` if empty.
+    // apc-lint: allow(dead-pub): field_pin.rs and substrate_interplay check generated dBZ ranges with it
     pub fn min_max(&self) -> Option<(f32, f32)> {
         let mut it = self.data.iter().copied().filter(|v| !v.is_nan());
         let first = it.next()?;

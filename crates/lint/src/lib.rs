@@ -5,7 +5,8 @@
 //! *statically*, before a nondeterminism bug can reach a pinned fixture.
 //! It is a zero-dependency, hand-rolled analyzer (lexer in
 //! [`lexer`], rules in [`rules`], the semantic tag-range check in
-//! [`tagrange`]) run from CI as `cargo run -p apc-lint`.
+//! [`tagrange`], the cross-file caller check in [`deadpub`]) run from CI
+//! as `cargo run -p apc-lint`.
 //!
 //! Rules (see [`rules::RULES`] or `cargo run -p apc-lint -- --list`):
 //!
@@ -17,6 +18,7 @@
 //! | `float-ord` | NaN-unsafe sort comparators (the PR-2 bug class) |
 //! | `raw-spawn` | threads created behind the deterministic runtime's back |
 //! | `tag-range` | reserved message-tag range collisions in apc-comm |
+//! | `dead-pub` | `pub` items that only tests, examples or re-exports name |
 //!
 //! Violations are suppressed in place, never globally:
 //!
@@ -30,12 +32,14 @@
 //! unknown rule name or missing reason is itself a violation
 //! (`allow-syntax`).
 
+pub mod deadpub;
 pub mod lexer;
 pub mod rules;
 pub mod tagrange;
 
 use std::path::{Path, PathBuf};
 
+pub use deadpub::check_dead_pub;
 pub use rules::{check_source, classify, FileClass, RuleInfo, Violation, RULES};
 pub use tagrange::check_tag_layout;
 
@@ -55,31 +59,40 @@ impl Report {
 }
 
 /// Scan the workspace rooted at `root`: every `.rs` file under `crates/`,
-/// `src/`, `tests/` and `examples/` goes through the textual rules, and
-/// the tag-range check runs over `crates/comm/src/{p2p,bounded}.rs`.
+/// `src/`, `tests/` and `examples/` goes through the textual rules, the
+/// tag-range check runs over `crates/comm/src/{p2p,bounded}.rs`, and
+/// `dead-pub` runs over all of them plus `benchmark/src` (a caller only).
 /// Files are visited in sorted order so the report is deterministic.
 pub fn scan_workspace(root: &Path) -> Result<Report, String> {
-    let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    let mut paths = Vec::new();
+    for top in ["crates", "src", "tests", "examples", "benchmark/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
+            collect_rs_files(&dir, &mut paths)?;
         }
     }
-    files.sort();
+    paths.sort();
+    let mut files = Vec::with_capacity(paths.len());
+    for path in &paths {
+        let src =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        files.push((relative(root, path), src));
+    }
 
     let mut violations = Vec::new();
     let mut files_scanned = 0usize;
-    for path in &files {
-        let rel = relative(root, path);
-        if classify(&rel) == FileClass::Skip {
+    for (rel, src) in &files {
+        if classify(rel) == FileClass::Skip {
             continue;
         }
-        let src =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         files_scanned += 1;
-        violations.extend(check_source(&rel, &src));
+        violations.extend(check_source(rel, src));
     }
+    let sources: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(r, s)| (r.as_str(), s.as_str()))
+        .collect();
+    violations.extend(check_dead_pub(&sources));
 
     let p2p = root.join("crates/comm/src/p2p.rs");
     let bounded = root.join("crates/comm/src/bounded.rs");

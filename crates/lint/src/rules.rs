@@ -106,6 +106,15 @@ pub const RULES: &[RuleInfo] = &[
                   evaluating the const arithmetic in p2p.rs and bounded.rs",
         scope: "semantic check over crates/comm/src/{p2p,bounded}.rs",
     },
+    RuleInfo {
+        name: "dead-pub",
+        summary: "a pub fn/struct/enum/trait/type/const/static whose name no \
+                  non-test code uses: callers are crates/*/src, src/ and \
+                  benchmark/src outside #[cfg(test)]; pub use re-exports, \
+                  tests/, crates/*/tests and examples/ are not. Delete it, or \
+                  annotate the test or run that keeps it",
+        scope: "workspace-level: pub items in crates/*/src, outside #[cfg(test)]",
+    },
 ];
 
 /// True if `name` is a rule the analyzer knows (valid in an allow).
@@ -223,7 +232,7 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
 }
 
 /// Per-file suppression table resolved from the parsed allows.
-struct Suppressions {
+pub(crate) struct Suppressions {
     /// (rule, line) pairs allowed inline.
     lines: Vec<(String, usize)>,
     /// Rules allowed file-wide.
@@ -231,7 +240,7 @@ struct Suppressions {
 }
 
 impl Suppressions {
-    fn resolve(allows: &[Allow], lines: &[&str]) -> Self {
+    pub(crate) fn resolve(allows: &[Allow], lines: &[&str]) -> Self {
         let mut line_allows = Vec::new();
         let mut file_allows = Vec::new();
         for a in allows {
@@ -258,7 +267,7 @@ impl Suppressions {
         }
     }
 
-    fn allowed(&self, rule: &str, line: usize) -> bool {
+    pub(crate) fn allowed(&self, rule: &str, line: usize) -> bool {
         self.files.iter().any(|r| r == rule)
             || self.lines.iter().any(|(r, l)| r == rule && *l == line)
     }
@@ -267,7 +276,7 @@ impl Suppressions {
 /// Mark every line inside a `#[cfg(test)]` item (attribute line through the
 /// item's closing brace). Works on masked lines, so braces in strings or
 /// comments cannot unbalance the count.
-fn cfg_test_lines(lines: &[&str]) -> Vec<bool> {
+pub(crate) fn cfg_test_lines(lines: &[&str]) -> Vec<bool> {
     let joined = lines.join("\n");
     let mut flags = vec![false; lines.len()];
     // Byte offset -> line number lookup.
@@ -349,7 +358,7 @@ fn find_word<'p>(text: &str, patterns: &[&'p str]) -> Option<&'p str> {
     None
 }
 
-fn is_word_byte(b: u8) -> bool {
+pub(crate) fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

@@ -1,10 +1,11 @@
 //! Fixture-driven checks of every lint rule: each rule has a flagged
 //! snippet, a clean snippet, and a snippet silenced by a reasoned
 //! `// apc-lint: allow(...)` — plus a tag-layout collision that must
-//! fail. The fixture directory itself is classified `Skip`, so the
-//! workspace scan never trips over these deliberately-bad files.
+//! fail, and `dead-pub`'s cross-file cases fed as `(path, source)` pairs.
+//! The fixture directory itself is classified `Skip`, so the workspace
+//! scan never trips over these deliberately-bad files.
 
-use apc_lint::{check_source, check_tag_layout, Violation, RULES};
+use apc_lint::{check_dead_pub, check_source, check_tag_layout, Violation, RULES};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -116,6 +117,87 @@ fn malformed_allows_are_violations() {
     let bad = check_as_lib("allow_syntax_bad.rs");
     assert_eq!(rules_hit(&bad), ["allow-syntax"], "{bad:?}");
     assert_eq!(bad.len(), 2, "missing reason + unknown rule: {bad:?}");
+}
+
+/// `dead-pub` spans files: each fixture is `crates/demo/src/lib.rs`, and
+/// `others` are the rest of the workspace. Returns the flagged names.
+fn dead_pub(name: &str, others: &[(&str, &str)]) -> Vec<String> {
+    let src = fixture(name);
+    let mut files = vec![("crates/demo/src/lib.rs", src.as_str())];
+    files.extend_from_slice(others);
+    check_dead_pub(&files)
+        .iter()
+        .map(|v| v.message.split('`').nth(1).unwrap_or_default().to_owned())
+        .collect()
+}
+
+const OTHER_CRATE: (&str, &str) = (
+    "crates/other/src/lib.rs",
+    "fn drive(m: &demo::Meter) -> u32 { m.reading() }",
+);
+const BENCHMARK: (&str, &str) = (
+    "benchmark/src/main.rs",
+    "pub fn unchecked() {}\nfn main() { let _ = demo::bench_entry(); }",
+);
+
+#[test]
+fn dead_pub_fixtures() {
+    let bad = dead_pub("dead_pub_bad.rs", &[]);
+    assert_eq!(bad, ["reexported_only", "tested_only", "Orphan", "LIMIT"]);
+    assert!(dead_pub("dead_pub_clean.rs", &[OTHER_CRATE, BENCHMARK]).is_empty());
+    assert!(dead_pub("dead_pub_allowed.rs", &[]).is_empty());
+    assert!(check_as_lib("dead_pub_allowed.rs").is_empty());
+}
+
+#[test]
+fn dead_pub_test_example_and_cfg_test_uses_are_not_callers() {
+    // The bad fixture's own `#[cfg(test)]` module calls three of them.
+    let call_all = "fn t() { reexported_only(); tested_only(); let _ = (Orphan, LIMIT); }";
+    let others = [
+        ("crates/demo/tests/it.rs", call_all),
+        ("tests/e2e.rs", call_all),
+        ("examples/ex.rs", call_all),
+    ];
+    assert_eq!(dead_pub("dead_pub_bad.rs", &others).len(), 4);
+}
+
+#[test]
+fn dead_pub_reexport_comment_and_string_are_not_callers() {
+    let umbrella = (
+        "src/lib.rs",
+        "pub use demo::{\n    reexported_only,\n    tested_only,\n};",
+    );
+    let bad = dead_pub("dead_pub_bad.rs", &[umbrella]);
+    assert!(bad.iter().any(|n| n == "reexported_only"), "{bad:?}");
+    assert!(bad.iter().any(|n| n == "tested_only"), "{bad:?}");
+}
+
+#[test]
+fn dead_pub_benchmark_use_is_a_caller_and_is_not_checked() {
+    assert_eq!(
+        dead_pub("dead_pub_clean.rs", &[OTHER_CRATE]),
+        ["bench_entry"]
+    );
+    // `unchecked` in benchmark/src has no caller either, and is not reported.
+    assert!(dead_pub("dead_pub_clean.rs", &[OTHER_CRATE, BENCHMARK]).is_empty());
+}
+
+#[test]
+fn dead_pub_method_called_from_another_crate_is_a_caller() {
+    assert_eq!(dead_pub("dead_pub_clean.rs", &[BENCHMARK]), ["reading"]);
+}
+
+#[test]
+fn dead_pub_allow_without_reason_is_allow_syntax() {
+    let src = "// apc-lint: allow(dead-pub)\npub fn kept() {}\n";
+    let syntax = check_source("crates/demo/src/lib.rs", src);
+    assert_eq!(rules_hit(&syntax), ["allow-syntax"], "{syntax:?}");
+    let dead = check_dead_pub(&[("crates/demo/src/lib.rs", src)]);
+    assert_eq!(
+        rules_hit(&dead),
+        ["dead-pub"],
+        "an unparsed allow suppresses nothing"
+    );
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! The workspace must stay lint-clean: this is the same scan `ci.sh`
 //! runs via `cargo run -p apc-lint`, expressed as a test so `cargo test
-//! --workspace` alone also catches a regression.
+//! --workspace` alone also catches a regression. Every rule runs,
+//! `dead-pub`'s cross-file scan included (`benchmark/src` read as a
+//! caller), so a `pub` item whose last caller is deleted fails here.
 
 use apc_lint::{default_root, scan_workspace};
 

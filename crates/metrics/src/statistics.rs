@@ -34,7 +34,7 @@ impl BlockScorer for Range {
     fn cost_per_point(&self) -> f64 {
         // A single min/max scan. NOTE: the paper measured its RANGE filter
         // slower than FPZIP (Table I), an artifact of their implementation;
-        // ours is the straightforward scan (see DESIGN.md §5).
+        // ours is the straightforward scan.
         2.0e-8
     }
 }

@@ -34,11 +34,6 @@ impl ExecPolicy {
         }
     }
 
-    /// True when this policy actually spawns workers.
-    pub fn is_parallel(self) -> bool {
-        self.threads() > 1
-    }
-
     /// Cap the pool so that `nranks × threads` does not exceed the
     /// machine's cores. The simulated communicator already runs one OS
     /// thread per rank; giving each of those a full-size pool would
@@ -225,9 +220,8 @@ mod tests {
     #[test]
     fn degenerate_thread_counts_are_serial() {
         assert_eq!(ExecPolicy::Threads(0).threads(), 1);
-        assert!(!ExecPolicy::Threads(1).is_parallel());
-        assert!(!ExecPolicy::Serial.is_parallel());
-        assert!(ExecPolicy::Threads(2).is_parallel());
+        assert_eq!(ExecPolicy::Serial.threads(), 1);
+        assert_eq!(ExecPolicy::Threads(2).threads(), 2);
     }
 
     #[test]

@@ -36,20 +36,6 @@ impl Camera {
         }
     }
 
-    /// A top-down camera (for plan-view colormaps of 3D meshes).
-    pub fn top_down(lo: Vec3, hi: Vec3) -> Self {
-        let center = (lo + hi) * 0.5;
-        let diag = (hi - lo).length();
-        Self {
-            eye: center + vec3(0.0, 0.0, diag),
-            target: center,
-            up: vec3(0.0, 1.0, 0.0),
-            projection: Projection::Orthographic {
-                half_height: (hi.y - lo.y) * 0.55,
-            },
-        }
-    }
-
     /// Combined view-projection matrix for a viewport of the given aspect
     /// ratio (width / height).
     pub fn view_projection(&self, aspect: f32) -> Mat4 {
@@ -112,15 +98,6 @@ mod tests {
                 "corner {corner:?} off-screen at {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn top_down_maps_xy_axis_aligned() {
-        let cam = Camera::top_down(vec3(0.0, 0.0, 0.0), vec3(10.0, 10.0, 2.0));
-        let a = cam.project(vec3(2.0, 5.0, 1.0), 100, 100).unwrap();
-        let b = cam.project(vec3(8.0, 5.0, 1.0), 100, 100).unwrap();
-        assert!(b[0] > a[0], "x increases to the right");
-        assert!((a[1] - b[1]).abs() < 1e-3, "same y row");
     }
 
     #[test]

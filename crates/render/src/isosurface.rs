@@ -7,7 +7,7 @@
 //! triangulated by a 16-case analysis with no external lookup tables. The
 //! output is crack-free and, like marching cubes, its size is proportional
 //! to the isosurface area crossing the cell — which is what makes per-rank
-//! triangle counts an honest proxy for rendering load (DESIGN.md §2).
+//! triangle counts an honest proxy for rendering load.
 
 use apc_grid::{Block, Dims3, RectilinearCoords};
 use apc_par::{par_map, ExecPolicy, RecommendedConcurrency};
@@ -352,6 +352,11 @@ mod tests {
     use super::*;
     use apc_grid::{BlockData, Extent3, Field3};
 
+    /// An `n`³ grid of spacing `d` with no stretched border cells.
+    fn uniform(n: usize, d: f32) -> RectilinearCoords {
+        RectilinearCoords::stretched(Dims3::new(n, n, n), d, 0, 1.0)
+    }
+
     fn sphere_field(dims: Dims3, r: f32) -> Vec<f32> {
         let c = [
             (dims.nx - 1) as f32 / 2.0,
@@ -448,7 +453,7 @@ mod tests {
 
     #[test]
     fn reduced_block_renders_single_cell() {
-        let coords = RectilinearCoords::uniform(Dims3::new(20, 20, 20), 1.0);
+        let coords = uniform(20, 1.0);
         let dims = Dims3::new(10, 10, 10);
         let field = Field3::from_vec(dims, sphere_field(dims, 4.0)).unwrap();
         let full_block = Block::from_field(0, Extent3::new((0, 0, 0), (10, 10, 10)), &field)
@@ -475,7 +480,7 @@ mod tests {
     fn reduced_block_geometry_spans_extent() {
         // A reduced block whose corners straddle the isovalue must produce
         // geometry inside its physical extent.
-        let coords = RectilinearCoords::uniform(Dims3::new(20, 20, 20), 2.0);
+        let coords = uniform(20, 2.0);
         let block = Block {
             id: 0,
             extent: Extent3::new((2, 2, 2), (8, 8, 8)),
@@ -547,7 +552,7 @@ mod tests {
     #[test]
     fn batch_stats_match_serial_loop_under_any_policy() {
         let dims = Dims3::new(8, 8, 8);
-        let coords = RectilinearCoords::uniform(Dims3::new(64, 64, 64), 1.0);
+        let coords = uniform(64, 1.0);
         let blocks: Vec<Block> = (0..12)
             .map(|i| {
                 let r = 1.5 + 0.3 * i as f32; // varying triangle density

@@ -2,7 +2,7 @@
 //!
 //! The paper renders a 45 dBZ reflectivity isosurface through Catalyst
 //! (marching cubes + rasterization) and 2D colormaps. This crate implements
-//! that pipeline from scratch (DESIGN.md §2):
+//! that pipeline from scratch:
 //!
 //! * [`isosurface`] — crack-free isosurface extraction via **marching
 //!   tetrahedra** (6-tet cell decomposition; same complexity class and
@@ -26,7 +26,6 @@ pub mod math;
 pub mod mesh;
 pub mod raster;
 pub mod scoremap;
-pub mod streamline;
 
 pub use camera::Camera;
 pub use colormap::{Colormap, Palette};
@@ -38,4 +37,3 @@ pub use isosurface::{
 pub use mesh::TriangleMesh;
 pub use raster::Framebuffer;
 pub use scoremap::render_scoremap;
-pub use streamline::{seed_grid, trace_streamline, StreamlineOptions};

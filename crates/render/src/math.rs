@@ -19,10 +19,6 @@ impl Vec3 {
         vec3(a[0], a[1], a[2])
     }
 
-    pub fn to_array(self) -> [f32; 3] {
-        [self.x, self.y, self.z]
-    }
-
     pub fn dot(self, o: Vec3) -> f32 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
@@ -104,14 +100,6 @@ impl Mul for Mat4 {
 }
 
 impl Mat4 {
-    pub fn identity() -> Self {
-        let mut m = [[0.0; 4]; 4];
-        for (i, col) in m.iter_mut().enumerate() {
-            col[i] = 1.0;
-        }
-        Mat4(m)
-    }
-
     /// View matrix looking from `eye` toward `target` with up-hint `up`.
     pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Self {
         let f = (target - eye).normalized();
@@ -181,13 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_transform() {
-        let p = vec3(1.0, 2.0, 3.0);
-        let out = Mat4::identity().transform(p);
-        assert_eq!(out, [1.0, 2.0, 3.0, 1.0]);
-    }
-
-    #[test]
     fn look_at_centers_target() {
         let view = Mat4::look_at(
             vec3(0.0, 0.0, 5.0),
@@ -223,7 +204,12 @@ mod tests {
     #[test]
     fn matrix_multiply_identity() {
         let m = Mat4::perspective(1.0, 1.3, 0.1, 50.0);
-        let i = Mat4::identity();
+        let i = Mat4([
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]);
         assert_eq!(m * i, m);
         assert_eq!(i * m, m);
     }

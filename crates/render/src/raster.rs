@@ -1,7 +1,6 @@
 //! Z-buffer triangle rasterization with Lambert shading.
 
 use crate::camera::Camera;
-use crate::colormap::Colormap;
 use crate::image::Image;
 use crate::math::Vec3;
 use crate::mesh::TriangleMesh;
@@ -33,12 +32,6 @@ impl Framebuffer {
         self.height
     }
 
-    /// Fraction of pixels that received geometry.
-    pub fn coverage(&self) -> f64 {
-        let covered = self.depth.iter().filter(|d| d.is_finite()).count();
-        covered as f64 / self.depth.len() as f64
-    }
-
     /// Rasterize a mesh with a single base color, flat (per-triangle)
     /// two-sided Lambert shading from a fixed directional light.
     pub fn draw_mesh(&mut self, mesh: &TriangleMesh, camera: &Camera, base: [u8; 3]) {
@@ -54,49 +47,6 @@ impl Framebuffer {
             // Two-sided: isosurface winding is not globally consistent.
             let lambert = normal.dot(light).abs().clamp(0.0, 1.0);
             let shade = 0.25 + 0.75 * lambert;
-            let rgb = [
-                (base[0] as f32 * shade) as u8,
-                (base[1] as f32 * shade) as u8,
-                (base[2] as f32 * shade) as u8,
-            ];
-            let (Some(pa), Some(pb), Some(pc)) = (
-                camera.project(a, self.width, self.height),
-                camera.project(b, self.width, self.height),
-                camera.project(c, self.width, self.height),
-            ) else {
-                continue;
-            };
-            self.fill_triangle(pa, pb, pc, rgb);
-        }
-    }
-
-    /// Rasterize coloring each triangle by a scalar through a colormap
-    /// (e.g. reflectivity values on the isosurface).
-    // `t` is a triangle id used against both mesh and scalars.
-    #[allow(clippy::needless_range_loop)]
-    pub fn draw_mesh_scalar(
-        &mut self,
-        mesh: &TriangleMesh,
-        scalars: &[f32],
-        camera: &Camera,
-        cmap: &Colormap,
-    ) {
-        assert_eq!(
-            scalars.len(),
-            mesh.triangle_count(),
-            "one scalar per triangle"
-        );
-        let light = Vec3 {
-            x: -0.4,
-            y: -0.55,
-            z: 0.73,
-        }
-        .normalized();
-        for t in 0..mesh.triangle_count() {
-            let [a, b, c] = mesh.triangle(t);
-            let normal = (b - a).cross(c - a).normalized();
-            let shade = 0.35 + 0.65 * normal.dot(light).abs().clamp(0.0, 1.0);
-            let base = cmap.rgb(scalars[t]);
             let rgb = [
                 (base[0] as f32 * shade) as u8,
                 (base[1] as f32 * shade) as u8,
@@ -151,16 +101,6 @@ impl Framebuffer {
         }
     }
 
-    /// Depth-tested single-pixel write (used by polyline rasterization).
-    pub(crate) fn plot_depth_tested(&mut self, x: usize, y: usize, depth: f32, rgb: [u8; 3]) {
-        debug_assert!(x < self.width && y < self.height);
-        let idx = y * self.width + x;
-        if depth < self.depth[idx] {
-            self.depth[idx] = depth;
-            self.color[idx] = rgb;
-        }
-    }
-
     /// Convert to an image.
     pub fn into_image(self) -> Image {
         let mut img = Image::new(self.width, self.height);
@@ -196,14 +136,15 @@ mod tests {
     fn empty_mesh_draws_nothing() {
         let mut fb = Framebuffer::new(64, 64, [0, 0, 0]);
         fb.draw_mesh(&TriangleMesh::new(), &test_camera(), [255, 255, 255]);
-        assert_eq!(fb.coverage(), 0.0);
+        assert!(fb.depth.iter().all(|d| d.is_infinite()));
     }
 
     #[test]
     fn triangle_covers_pixels() {
         let mut fb = Framebuffer::new(64, 64, [0, 0, 0]);
         fb.draw_mesh(&one_triangle(), &test_camera(), [255, 0, 0]);
-        assert!(fb.coverage() > 0.01, "coverage {}", fb.coverage());
+        let covered = fb.depth.iter().filter(|d| d.is_finite()).count();
+        assert!(covered > 40, "{covered} pixels covered");
         let img = fb.into_image();
         // Some pixel must be reddish.
         let mut found = false;
@@ -221,8 +162,13 @@ mod tests {
     #[test]
     fn depth_test_prefers_near_geometry() {
         // Two overlapping triangles at different depths viewed top-down:
-        // the higher-z one (nearer the top-down camera) must win.
-        let cam = Camera::top_down(vec3(0.0, 0.0, 0.0), vec3(10.0, 10.0, 10.0));
+        // the higher-z one (nearer the camera) must win.
+        let cam = Camera {
+            eye: vec3(5.0, 5.0, 22.0),
+            target: vec3(5.0, 5.0, 5.0),
+            up: vec3(0.0, 1.0, 0.0),
+            projection: crate::camera::Projection::Orthographic { half_height: 5.5 },
+        };
         let mut near = TriangleMesh::new();
         near.push_triangle(
             vec3(1.0, 1.0, 8.0),
@@ -251,28 +197,5 @@ mod tests {
         fb2.draw_mesh(&near, &cam, [0, 200, 0]);
         fb2.draw_mesh(&far, &cam, [0, 0, 200]);
         assert_eq!(img.get(16, 16), fb2.into_image().get(16, 16));
-    }
-
-    #[test]
-    fn scalar_coloring_uses_colormap() {
-        let cmap = Colormap::new(0.0, 1.0, crate::colormap::Palette::Greyscale);
-        let mut fb = Framebuffer::new(64, 64, [0, 0, 0]);
-        fb.draw_mesh_scalar(&one_triangle(), &[1.0], &test_camera(), &cmap);
-        let img = fb.into_image();
-        let mut max_px = 0u8;
-        for y in 0..64 {
-            for x in 0..64 {
-                max_px = max_px.max(img.get(x, y)[0]);
-            }
-        }
-        assert!(max_px > 100, "high scalar should be bright, max {max_px}");
-    }
-
-    #[test]
-    #[should_panic(expected = "one scalar per triangle")]
-    fn scalar_count_mismatch_panics() {
-        let cmap = Colormap::new(0.0, 1.0, crate::colormap::Palette::Greyscale);
-        let mut fb = Framebuffer::new(8, 8, [0, 0, 0]);
-        fb.draw_mesh_scalar(&one_triangle(), &[], &test_camera(), &cmap);
     }
 }

@@ -65,6 +65,7 @@ pub fn synth_run(
 }
 
 /// Convenience: a small flat in-memory run for unit suites.
+// apc-lint: allow(dead-pub): session_stress's replay-pool death and churn cases build their run with it
 pub fn small_run(backend: Arc<dyn StoreBackend>, run_id: &str) -> RunManifest {
     synth_run(
         backend,

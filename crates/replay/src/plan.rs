@@ -93,6 +93,7 @@ impl PoolParams {
     }
 
     /// Arm a deliberate server death (fault-injection suites).
+    // apc-lint: allow(dead-pub): session_stress scripts a server death with it
     pub fn with_fault(mut self, fault: ReplayFault) -> Self {
         assert!(fault.server < self.nservers, "fault names a pool server");
         self.fault = Some(fault);

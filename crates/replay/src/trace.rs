@@ -96,6 +96,7 @@ impl TraceSpec {
     }
 
     /// Set the fraction of premium clients.
+    // apc-lint: allow(dead-pub): only tests set it (replay_fanout); a later PR may drop the knob
     pub fn with_premium_share(mut self, share: f64) -> Self {
         assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
         self.premium_share = share;
@@ -111,6 +112,7 @@ impl TraceSpec {
     }
 
     /// Set the share of requests naming iterations past the run's end.
+    // apc-lint: allow(dead-pub): only tests set it (replay_fanout); a later PR may drop the knob
     pub fn with_miss_share(mut self, share: f64) -> Self {
         assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
         self.miss_share = share;

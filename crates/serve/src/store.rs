@@ -76,24 +76,6 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Every frame key of the run, in replay order: manifest iteration
-    /// order (numeric, the writer's), stagers within an iteration.
-    ///
-    /// This — not lexicographic key order — is the run's ordering
-    /// contract. The zero-padding in [`frame_key`] makes *typical* keys
-    /// sort correctly as strings, but it saturates (iteration 1 000 000
-    /// sorts before 999 999), so readers must iterate the manifest, never
-    /// a sorted key listing.
-    pub fn frame_keys(&self) -> Vec<String> {
-        let mut keys = Vec::with_capacity(self.iterations.len() * self.n_stagers);
-        for &it in &self.iterations {
-            for stager in 0..self.n_stagers {
-                keys.push(frame_key(&self.run_id, it as u64, stager as u32));
-            }
-        }
-        keys
-    }
-
     pub fn to_json(&self) -> String {
         let mut doc = DocWriter::new(FORMAT);
         doc.str_field("run_id", &self.run_id);
@@ -146,6 +128,7 @@ impl<B: StoreBackend> FrameStore<B> {
 
     /// Persist `frame` under its `(run_id, iteration, stager)` key,
     /// returning the stored stream size in bytes.
+    // apc-lint: allow(dead-pub): the apc-serve tests and crate doc seed stores frame by frame with it
     pub fn put_frame(&self, frame: &Frame, codec: CodecKind) -> Result<usize, ServeError> {
         let stream = frame.encode(codec);
         self.backend.put(
@@ -164,6 +147,7 @@ impl<B: StoreBackend> FrameStore<B> {
     }
 
     /// Read and decode a frame.
+    // apc-lint: allow(dead-pub): frame_serving and open_paths read persisted frames back with it
     pub fn get_frame(&self, iteration: u64, stager: u32) -> Result<Frame, ServeError> {
         Frame::decode(&self.encoded(iteration, stager)?)
     }
@@ -175,8 +159,8 @@ impl<B: StoreBackend> FrameStore<B> {
     }
 
     /// Read the run-level manifest. A stored document naming another run
-    /// is `Corrupt`: its [`RunManifest::frame_keys`] would address that
-    /// run's namespace, not this handle's.
+    /// is `Corrupt`: its frame keys would address that run's namespace,
+    /// not this handle's.
     pub fn manifest(&self) -> Result<RunManifest, ServeError> {
         let bytes = self.backend.get(&manifest_key(&self.run_id))?;
         let text = std::str::from_utf8(&bytes)
@@ -474,9 +458,10 @@ mod tests {
 
     /// The `{iteration:06}`/`{stager:04}` padding saturates: beyond it,
     /// keys stay unique and readable but no longer sort numerically as
-    /// strings. The manifest's `frame_keys` is the ordering contract.
+    /// strings ("1000000" sorts before "999999"), so readers follow the
+    /// manifest's iteration order, never a sorted key listing.
     #[test]
-    fn frame_keys_past_padding_stay_unique_and_ordered_by_manifest() {
+    fn frame_keys_past_padding_stay_unique_and_round_trip() {
         // Boundary: padding exactly exhausted / exceeded.
         assert_eq!(frame_key("r", 999_999, 9_999), "f/r/999999/9999");
         assert_eq!(frame_key("r", 1_000_000, 10_000), "f/r/1000000/10000");
@@ -489,24 +474,6 @@ mod tests {
             store.put_frame(&frame, CodecKind::Raw).unwrap();
             assert_eq!(store.get_frame(it, stager).unwrap(), frame);
         }
-
-        // Lexicographic key order breaks exactly there ("1000000" sorts
-        // before "999999")…
-        let manifest = RunManifest {
-            run_id: "r".into(),
-            n_stagers: 1,
-            width: 2,
-            height: 2,
-            codec: CodecKind::Raw,
-            iterations: vec![999_999, 1_000_000],
-            shard_chunks: None,
-        };
-        let keys = manifest.frame_keys();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_ne!(keys, sorted, "padding saturation breaks string order");
-        // …while the manifest's explicit order follows the iterations.
-        assert_eq!(keys, ["f/r/999999/0000", "f/r/1000000/0000"]);
     }
 
     /// A manifest integer that does not fit is `Corrupt` (2^65 used to
@@ -584,8 +551,11 @@ mod tests {
         // A fresh reader over the raw backend follows the manifest.
         let (store, read_back) = open_run(Arc::clone(&inner), "run").unwrap();
         assert_eq!(read_back, manifest);
-        for (key, want) in manifest.frame_keys().iter().zip(&streams) {
-            assert_eq!(&store.backend().get(key).unwrap(), want, "{key}");
+        let keys = manifest.iterations.iter().flat_map(|&it| {
+            (0..manifest.n_stagers as u32).map(move |stager| frame_key("run", it as u64, stager))
+        });
+        for (key, want) in keys.zip(&streams) {
+            assert_eq!(&store.backend().get(&key).unwrap(), want, "{key}");
         }
         // And a flat sink round-trips through the same open_run.
         let plain: Arc<dyn StoreBackend> = Arc::new(MemStore::new());

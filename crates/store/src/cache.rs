@@ -126,6 +126,7 @@ impl<K: Ord + Clone, V: Deref> ChunkCache<K, V> {
     }
 
     /// Payload bytes currently charged against the budget.
+    // apc-lint: allow(dead-pub): the cache and dataset tests assert the LRU's byte charge with it
     pub fn used_bytes(&self) -> usize {
         self.used
     }

@@ -26,7 +26,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use apc_grid::{Block, BlockData, BlockId, Dims3, DomainDecomp};
+use apc_grid::{Block, BlockData, BlockId, DomainDecomp};
 
 use crate::backend::StoreBackend;
 use crate::cache::{CacheStats, ChunkCache};
@@ -160,11 +160,6 @@ impl<B: StoreBackend> ChunkedDataset<B> {
         &self.backend
     }
 
-    /// Chunk dims (≡ block dims of the decomposition).
-    pub fn chunk_dims(&self) -> Dims3 {
-        self.meta.chunk
-    }
-
     /// Store key of one chunk.
     pub fn chunk_key(iteration: usize, id: BlockId) -> String {
         format!("c/{iteration:06}/{id:06}")
@@ -255,6 +250,7 @@ impl<B: StoreBackend> ChunkedDataset<B> {
 
     /// Whether every chunk of `iteration` is present (a completeness probe
     /// for partially-written stores).
+    // apc-lint: allow(dead-pub): the dataset tests assert what a write, a crash or a reopen left with it
     pub fn iteration_complete(&self, iteration: usize) -> Result<bool, StoreError> {
         self.check_iteration(iteration)?;
         for id in self.decomp.all_blocks() {
@@ -272,7 +268,7 @@ mod tests {
     use crate::backend::MemStore;
     use crate::codec::CodecKind;
     use crate::layout::LayoutWriter;
-    use apc_grid::ProcGrid;
+    use apc_grid::{Dims3, ProcGrid};
 
     fn tiny_meta(codec: CodecKind) -> DatasetMeta {
         DatasetMeta {
@@ -296,7 +292,7 @@ mod tests {
     fn create_open_read_write_roundtrip() {
         let meta = tiny_meta(CodecKind::Fpz);
         let store = ChunkedDataset::create(MemStore::new(), meta.clone()).unwrap();
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         for &it in &[10usize, 20] {
             for id in store.decomp().all_blocks() {
                 store
@@ -321,7 +317,7 @@ mod tests {
     #[test]
     fn read_block_carries_extent_and_rank_blocks_cover_rank() {
         let store = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         for id in store.decomp().all_blocks() {
             store
                 .write_chunk(10, id, &chunk_data(dims, id as f32))
@@ -350,7 +346,7 @@ mod tests {
             Err(StoreError::NotFound(_))
         ));
         assert!(!store.iteration_complete(10).unwrap());
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         assert!(matches!(
             store.write_chunk(10, 0, &chunk_data(dims, 0.0)[..5]),
             Err(StoreError::ChunkShape { .. })
@@ -370,7 +366,7 @@ mod tests {
         let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
         let store: DynChunkedDataset =
             ChunkedDataset::create(backend, tiny_meta(CodecKind::Lz)).unwrap();
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         store.write_chunk(10, 0, &chunk_data(dims, 1.0)).unwrap();
         assert_eq!(store.read_chunk(10, 0).unwrap()[..], chunk_data(dims, 1.0));
     }
@@ -386,7 +382,7 @@ mod tests {
         let inner = Arc::new(MemStore::new());
         let writer = LayoutWriter::new(Arc::clone(&inner), meta.shard_chunks);
         let store = ChunkedDataset::create(writer, meta).unwrap();
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         for &it in &[10usize, 20] {
             for id in store.decomp().all_blocks() {
                 store
@@ -429,7 +425,7 @@ mod tests {
         let inner = Arc::new(MemStore::new());
         let writer = LayoutWriter::new(Arc::clone(&inner), meta.shard_chunks);
         let store = ChunkedDataset::create(writer, meta).unwrap();
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         // Eight chunks, three per shard: two groups seal, two chunks wait.
         for id in store.decomp().all_blocks() {
             store
@@ -468,7 +464,7 @@ mod tests {
     /// decoded bytes each) reopened with `cache_bytes`.
     fn cached_dataset(cache_bytes: usize) -> DynChunkedDataset {
         let store = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
-        let dims = store.chunk_dims();
+        let dims = store.decomp().block_dims();
         for &it in &[10usize, 20] {
             for id in store.decomp().all_blocks() {
                 store
@@ -515,7 +511,7 @@ mod tests {
     #[test]
     fn rewriting_a_cached_chunk_drops_the_stale_entry() {
         let cached = cached_dataset(1 << 20);
-        let dims = cached.chunk_dims();
+        let dims = cached.decomp().block_dims();
         let before = cached.read_chunk(10, 3).unwrap();
         let rewritten = chunk_data(dims, 99.0);
         cached.write_chunk(10, 3, &rewritten).unwrap();
@@ -533,7 +529,7 @@ mod tests {
         const READERS: usize = 8;
         let chunk_bytes = tiny_meta(CodecKind::Raw).chunk.len() * 4;
         let cached = cached_dataset(2 * chunk_bytes);
-        let dims = cached.chunk_dims();
+        let dims = cached.decomp().block_dims();
         let start = std::sync::Barrier::new(READERS);
         std::thread::scope(|scope| {
             for reader in 0..READERS {

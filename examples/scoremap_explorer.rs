@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use insitu::cm1::ReflectivityDataset;
-use insitu::metrics::{by_name, METRIC_NAMES};
+use insitu::metrics::by_name;
 use insitu::render::{render_scoremap, Colormap};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
 
     for name in &names {
         let Some(metric) = by_name(name) else {
-            eprintln!("unknown metric {name:?}; available: {METRIC_NAMES:?}");
+            eprintln!("unknown metric {name:?}");
             continue;
         };
         let mut scores = Vec::new();

@@ -1,8 +1,8 @@
-//! Storm tracking: the paper's end-to-end scenario. A CM1-like simulation
-//! alternates compute phases (a real advection–diffusion solve) with in
-//! situ visualization under a time budget, while the supercell crosses the
-//! domain. Writes per-iteration measurements and a plan-view reflectivity
-//! frame every few iterations.
+//! Storm tracking: the paper's end-to-end scenario. The budgeted in situ
+//! pipeline replays the stored CM1-like timeline — as the paper does, "to
+//! avoid running CM1's computational part" (§V-A) — while the supercell
+//! crosses the domain. Writes per-iteration measurements and a plan-view
+//! reflectivity frame every few iterations.
 //!
 //! ```text
 //! cargo run --release --example storm_tracking
@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use insitu::cm1::{AdvectionSolver, ReflectivityDataset};
+use insitu::cm1::ReflectivityDataset;
 use insitu::pipeline::{run_experiment, PipelineConfig, Redistribution};
 use insitu::render::Colormap;
 
@@ -21,22 +21,7 @@ fn main() {
     let dataset = ReflectivityDataset::tiny(16, 7).expect("tiny decomposition");
     let iterations = dataset.sample_iterations(12);
 
-    // The "simulation" side: advect a tracer through the storm's wind field
-    // between visualization phases (the compute phase CM1 would run).
-    let tracer0 =
-        insitu::grid::Field3::from_fn(
-            dataset.decomp().domain(),
-            |_i, _j, k| {
-                if k < 2 {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-        );
-    let mut solver = AdvectionSolver::new(tracer0, dataset.storm().clone());
-
-    // The in situ side: budgeted pipeline with redistribution.
+    // Budgeted pipeline with redistribution.
     let config = PipelineConfig::default()
         .with_metric("VAR")
         .with_redistribution(Redistribution::RandomShuffle { seed: 7 })
@@ -44,11 +29,8 @@ fn main() {
 
     let cmap = Colormap::reflectivity();
     println!("iter  percent  t_total  triangles");
-    // Run the visualization pipeline over the replayed timeline; between
-    // iterations, advance the solver (the compute phase).
     let reports = run_experiment(&dataset, config, &iterations);
     for (frame, (r, &it)) in reports.iter().zip(&iterations).enumerate() {
-        solver.step(it);
         println!(
             "{it:>4}  {:>6.1}%  {:>7.2}  {:>9}",
             r.percent_reduced, r.t_total, r.triangles_total
@@ -60,9 +42,5 @@ fn main() {
                 .expect("write frame");
         }
     }
-    println!(
-        "\nsolver advanced {} steps; frames written to {}",
-        solver.steps_taken(),
-        out.display()
-    );
+    println!("\nframes written to {}", out.display());
 }
