@@ -90,6 +90,17 @@ cargo build --release -q -p apc-bench --bin fig05_redistribution
 target/release/fig05_redistribution >/dev/null
 cmp target/experiments/fig05_redistribution.csv crates/bench/tests/golden/fig05.csv
 
+echo "==> ablations at quick scale against their goldens (network, sort, downsample, controller)"
+# The ablations binary's own CSVs: the GigE rows of the network ablation
+# run over their own session, the rest over the shared 64/400-rank inputs.
+# ablation_entropy_bins.csv is not compared: its kernel_wall column is
+# wall-clock time. ~15 s.
+cargo build --release -q -p apc-bench --bin ablations
+target/release/ablations >/dev/null
+for a in network sort downsample controller; do
+  cmp "target/experiments/ablation_$a.csv" "crates/bench/tests/golden/ablation_$a.csv"
+done
+
 echo "==> benchmark package compiles (outside the workspace; nothing else checks it)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
