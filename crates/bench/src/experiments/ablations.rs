@@ -8,6 +8,7 @@ use apc_comm::NetModel;
 use apc_core::{adapt_percent, PipelineConfig, Redistribution, SortStrategy};
 use apc_metrics::{spearman, BlockScorer, Entropy};
 
+use crate::experiments::context::prepare;
 use crate::experiments::Ctx;
 use crate::harness::{print_table, stats, write_csv, Scale};
 
@@ -103,19 +104,21 @@ pub fn sort_strategy(ctx: &Ctx, scale: &Scale) {
 }
 
 /// §VI: "platforms with lower network performance" — rerun the
-/// redistribution experiment on a GigE-like network.
+/// redistribution experiment on a GigE-like network. A session's network
+/// is fixed, so the GigE arm prepares its own input over the same
+/// iterations (from the store under `APC_DATASET`, like the shared one)
+/// and drops it before the next rank count.
 pub fn slow_network(ctx: &Ctx, scale: &Scale) {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
-        let prepared = ctx.at(nranks);
-        let iters = prepared.subset(scale.component_iters.min(3));
-        for (label, net) in [
-            ("gemini", NetModel::blue_waters().for_paper_scale()),
-            ("gige", NetModel::gigabit_ethernet().for_paper_scale()),
-        ] {
+        let gemini = ctx.at(nranks);
+        let iters = gemini.subset(scale.component_iters.min(3));
+        let gige_net = NetModel::gigabit_ethernet().for_paper_scale();
+        let gige = prepare(scale, nranks, gige_net, |_| iters.clone());
+        for (label, prepared) in [("gemini", gemini), ("gige", &gige)] {
             let config = PipelineConfig::default().with_redistribution(Redistribution::RoundRobin);
-            let reports = prepared.run_on(config, &iters, net);
+            let reports = prepared.run(config, &iters);
             let (comm, _, _) = stats(reports.iter().map(|r| r.t_redistribute));
             let (render, _, _) = stats(reports.iter().map(|r| r.t_render));
             rows.push(vec![

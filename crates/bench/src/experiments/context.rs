@@ -1,6 +1,7 @@
 //! Shared experiment context: one prepared dataset per rank count.
 
 // apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
+use apc_cm1::ReflectivityDataset;
 use apc_comm::NetModel;
 
 use crate::harness::{Prepared, Scale};
@@ -22,33 +23,14 @@ pub struct Ctx {
 
 impl Ctx {
     pub fn new(scale: &Scale) -> Self {
-        if let Some(dir) = &scale.dataset {
-            // Re-opening is a cheap metadata read; `Scale::from_env`
-            // already validated the store and announced the replay.
-            let stored = apc_cm1::open_dataset(dir)
-                .unwrap_or_else(|e| panic!("APC_DATASET={}: {e}", dir.display()));
-            let prepared = Prepared::from_store(
-                stored,
-                scale.exec,
-                NetModel::blue_waters().for_paper_scale(),
-            );
-            return Self {
-                prepared: vec![prepared],
-            };
-        }
+        let net = NetModel::blue_waters().for_paper_scale();
         let prepared = scale
             .rank_counts
             .iter()
             .map(|&nranks| {
-                let dataset = apc_cm1::ReflectivityDataset::paper_scaled(nranks, scale.seed)
-                    .expect("paper-scaled decomposition");
-                let iters = dataset.sample_iterations(scale.adapt_iters);
-                eprintln!(
-                    "[prep] generating {} iterations at {} ranks ...",
-                    iters.len(),
-                    nranks
-                );
-                Prepared::with_exec(nranks, scale.seed, iters, scale.exec)
+                prepare(scale, nranks, net, |d| {
+                    d.sample_iterations(scale.adapt_iters)
+                })
             })
             .collect();
         Self { prepared }
@@ -61,4 +43,30 @@ impl Ctx {
             .find(|p| p.dataset.decomp().nranks() == nranks)
             .unwrap_or_else(|| panic!("no prepared dataset for {nranks} ranks"))
     }
+}
+
+/// One prepared input at `nranks`, its session on `net`: the iterations
+/// `pick` chooses of the paper-scaled dataset, generated up front — or,
+/// with `APC_DATASET` bound, the stored dataset reopened (a cheap metadata
+/// read `Scale::from_env` already validated), whatever `pick` says.
+pub(crate) fn prepare(
+    scale: &Scale,
+    nranks: usize,
+    net: NetModel,
+    pick: impl FnOnce(&ReflectivityDataset) -> Vec<usize>,
+) -> Prepared {
+    if let Some(dir) = &scale.dataset {
+        let stored = apc_cm1::open_dataset(dir)
+            .unwrap_or_else(|e| panic!("APC_DATASET={}: {e}", dir.display()));
+        return Prepared::from_store(stored, scale.exec, net);
+    }
+    let dataset =
+        ReflectivityDataset::paper_scaled(nranks, scale.seed).expect("paper-scaled decomposition");
+    let iters = pick(&dataset);
+    eprintln!(
+        "[prep] generating {} iterations at {} ranks ...",
+        iters.len(),
+        nranks
+    );
+    Prepared::from_dataset(dataset, iters, scale.exec, net)
 }

@@ -23,11 +23,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use apc_cm1::{ReflectivityDataset, StormModel};
-use apc_comm::NetModel;
+use apc_comm::{NetModel, Runtime};
 use apc_core::{
-    run_replay_serving, run_staged_serving_prepared, BackpressurePolicy, ExecPolicy, FrameSink,
-    IterationReport, PipelineConfig, Prepared, Redistribution, ReplayRun, RequestLog, ServeParams,
-    ServePolicy, ServeReport, ServerStats, ServingRun, StagedParams,
+    run_replay_serving_in_session, run_staged_serving_in_session, BackpressurePolicy, ExecPolicy,
+    FrameSink, IterationReport, PipelineConfig, Prepared, Redistribution, ReplayRun, RequestLog,
+    ServeParams, ServePolicy, ServeReport, ServerStats, ServingRun, StagedParams,
 };
 use apc_grid::{Dims3, DomainDecomp, ProcGrid};
 use apc_replay::{synth_run, ArrivalTrace, PoolParams, RouteMode, TraceSpec};
@@ -357,14 +357,14 @@ fn serving_run(
     serve: ServeParams,
 ) -> ServingRun {
     let sink = FrameSink::new(Arc::new(MemStore::new()), "golden", CodecKind::Fpz);
-    run_staged_serving_prepared(
+    run_staged_serving_in_session(
+        &mut Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session(),
         dataset.decomp(),
         dataset.coords(),
         &config.clone().with_staged(staged.with_persist(sink)),
         &dataset.sample_iterations(iters),
         &serve,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
+        &|it, rank| dataset.rank_blocks(it, rank),
     )
 }
 
@@ -448,13 +448,14 @@ fn serving_runs_match_golden_fixtures() {
         ] {
             for cache in [0, 2048, 64 << 10] {
                 let params = PoolParams::new(4, mode).with_cache_bytes(cache);
-                let run = run_replay_serving(
+                let run = run_replay_serving_in_session(
+                    &mut Runtime::new(params.nservers + trace.clients, NetModel::blue_waters())
+                        .session(),
                     Arc::clone(&backend),
                     "golden",
                     &trace,
                     &params,
                     ExecPolicy::Serial,
-                    NetModel::blue_waters(),
                 );
                 render_replay(&mut out, &format!("{layout}-{mode:?}-cache{cache}"), &run);
             }

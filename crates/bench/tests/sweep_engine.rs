@@ -16,7 +16,7 @@ use apc_bench::harness::Prepared;
 use apc_cm1::ReflectivityDataset;
 use apc_comm::NetModel;
 use apc_core::{
-    run_experiment_on, BackpressurePolicy, ExecPolicy, IterationReport, PipelineConfig,
+    run_experiment, BackpressurePolicy, ExecPolicy, IterationReport, PipelineConfig,
     Redistribution, StagedParams,
 };
 
@@ -75,12 +75,7 @@ fn fig07_style_sweep_is_byte_identical_to_spawn_per_run() {
     // Spawn-per-run reference: a fresh runtime per configuration,
     // straight from the dataset.
     for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment_on(
-            &prepared.dataset,
-            config.clone(),
-            &iters,
-            NetModel::blue_waters(),
-        );
+        let reference = run_experiment(&prepared.dataset, config.clone(), &iters);
         assert_bitwise_equal(series, &reference, "sweep vs spawn-per-run");
     }
 
@@ -119,12 +114,7 @@ fn sweeping_two_isovalues_produces_different_triangle_counts() {
     );
     // Both match their spawn-per-run references exactly.
     for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment_on(
-            &prepared.dataset,
-            config.clone(),
-            &iters,
-            NetModel::blue_waters(),
-        );
+        let reference = run_experiment(&prepared.dataset, config.clone(), &iters);
         assert_bitwise_equal(series, &reference, "isovalue sweep vs reference");
     }
 }
@@ -168,12 +158,7 @@ fn heterogeneous_sweep_matches_spawn_per_run() {
     ];
     let swept = prepared.run_sweep(&configs, &iters);
     for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment_on(
-            &prepared.dataset,
-            config.clone(),
-            &iters,
-            NetModel::blue_waters(),
-        );
+        let reference = run_experiment(&prepared.dataset, config.clone(), &iters);
         assert_bitwise_equal(series, &reference, "heterogeneous sweep");
     }
 }
@@ -195,21 +180,4 @@ fn second_sweep_over_the_same_session_is_exact() {
     let first = prepared.run_sweep(&configs, &iters);
     let second = prepared.run_sweep(&configs, &iters);
     assert_eq!(first, second, "a sweep must leave nothing behind");
-}
-
-/// `run_on` with the session's own network model reuses the session; with
-/// a different model it falls back to spawn-per-run. Both must agree with
-/// the driver.
-#[test]
-fn run_on_matches_driver_for_both_paths() {
-    let prepared = tiny_prepared(4, 42, 2);
-    let iters = prepared.subset(1);
-    let cfg = PipelineConfig::default()
-        .deterministic()
-        .with_redistribution(Redistribution::RandomShuffle { seed: 1 });
-    for net in [NetModel::blue_waters(), NetModel::gigabit_ethernet()] {
-        let via_prepared = prepared.run_on(cfg.clone(), &iters, net);
-        let reference = run_experiment_on(&prepared.dataset, cfg.clone(), &iters, net);
-        assert_bitwise_equal(&via_prepared, &reference, "run_on");
-    }
 }

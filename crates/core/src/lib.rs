@@ -19,12 +19,12 @@
 //! The crate exposes each step for unit testing and ablation, a
 //! [`Pipeline`] that chains them inside a rank, and an experiment
 //! [`driver`] that replays a [`apc_cm1::ReflectivityDataset`] through a
-//! virtual-time [`apc_comm::Runtime`]. For parameter sweeps the driver
-//! also offers a **sweep engine** ([`run_sweep_prepared`]): many
-//! [`PipelineConfig`]s replayed over one persistent rank session
-//! ([`apc_comm::Session`]), byte-identical to running each configuration
-//! one-shot, minus the per-configuration thread-spawn cost. [`Prepared`]
-//! packages that pattern — input blocks + persistent session — and
+//! virtual-time [`apc_comm::Runtime`]. The driver is a **sweep engine**
+//! ([`run_sweep_in_session`]): many [`PipelineConfig`]s replayed over one
+//! persistent rank session ([`apc_comm::Session`]), byte-identical to
+//! running each configuration over a fresh session, minus the
+//! per-configuration thread-spawn cost. [`Prepared`] packages that
+//! pattern — input blocks + persistent session — and
 //! [`Prepared::from_store`] binds it to a persisted `apc-store` dataset
 //! instead, with each rank lazily reading only its own chunks from inside
 //! its rank thread.
@@ -72,17 +72,12 @@ pub use apc_serve::{
 pub use apc_stage::BackpressurePolicy;
 pub use config::{InSituMode, PipelineConfig, Redistribution, SortStrategy, StagedParams};
 pub use controller::{adapt_percent, BudgetController};
-pub use driver::{
-    run_experiment, run_experiment_on, run_experiment_prepared, run_sweep_in_session,
-    run_sweep_prepared,
-};
+pub use driver::{run_experiment, run_sweep_in_session};
 pub use pipeline::Pipeline;
 pub use prepared::{spaced_subset, Prepared};
 pub use redistribute::WireBlock;
-pub use replay_serving::{run_replay_serving, run_replay_serving_in_session, ReplayRun};
+pub use replay_serving::{run_replay_serving_in_session, ReplayRun};
 pub use report::IterationReport;
 pub use selection::ScoredBlock;
-pub use serving::{
-    run_staged_serving_in_session, run_staged_serving_prepared, ServeFault, ServeParams, ServingRun,
-};
-pub use staged::{run_staged_in_session, run_staged_prepared, StagedFrame, StagedRun};
+pub use serving::{run_staged_serving_in_session, ServeFault, ServeParams, ServingRun};
+pub use staged::{run_staged_in_session, StagedFrame, StagedRun};

@@ -6,8 +6,8 @@
 //! many [`PipelineConfig`]s costs one thread spawn and one data pass
 //! instead of one per configuration. Two input sources exist:
 //!
-//! * **Preloaded** ([`Prepared::from_dataset`] and friends) — every
-//!   `(iteration, rank)` block set generated up front and held in memory;
+//! * **Preloaded** ([`Prepared::from_dataset`]) — every `(iteration,
+//!   rank)` block set generated up front and held in memory;
 //! * **Store** ([`Prepared::from_store`]) — blocks live in an `apc-store`
 //!   chunked dataset and each rank reads *only its own chunks, lazily,
 //!   from inside its rank thread* during the run. Peak memory per
@@ -15,6 +15,10 @@
 //!   which is what opens larger-than-memory replay; with a lossless chunk
 //!   codec the reports are byte-identical to the preloaded path (pinned
 //!   by the `store_roundtrip` integration test).
+//!
+//! The network model is a constructor argument: it is baked into the
+//! session's shared state, so replaying on another network means another
+//! `Prepared`.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -25,7 +29,7 @@ use apc_grid::Block;
 use apc_par::{par_map, ExecPolicy, RecommendedConcurrency};
 
 use crate::config::PipelineConfig;
-use crate::driver::{run_experiment_prepared, run_sweep_in_session};
+use crate::driver::run_sweep_in_session;
 use crate::report::IterationReport;
 use crate::serving::{run_staged_serving_in_session, ServeParams, ServingRun};
 use crate::staged::{run_staged_in_session, StagedRun};
@@ -54,36 +58,15 @@ pub struct Prepared {
     /// Execution policy injected into every config run through this input
     /// (figure experiments never set one themselves).
     pub exec: ExecPolicy,
-    /// Network model the session was built with; [`Prepared::run_on`] with
-    /// a different model falls back to a one-shot runtime.
-    net: NetModel,
     source: BlockSource,
     session: Mutex<Session>,
 }
 
 impl Prepared {
-    pub fn new(nranks: usize, seed: u64, iterations: Vec<usize>) -> Self {
-        Self::with_exec(nranks, seed, iterations, ExecPolicy::Serial)
-    }
-
-    /// [`Prepared::new`] with an intra-rank execution policy applied to
-    /// every run (the bench harness passes `Scale::exec` / `APC_THREADS`
-    /// here).
-    pub fn with_exec(nranks: usize, seed: u64, iterations: Vec<usize>, exec: ExecPolicy) -> Self {
-        let dataset =
-            // apc-lint: allow(unwrap-in-lib): geometry misconfiguration caught at preparation time
-            ReflectivityDataset::paper_scaled(nranks, seed).expect("paper-scaled decomposition");
-        Self::from_dataset(
-            dataset,
-            iterations,
-            exec,
-            NetModel::blue_waters().for_paper_scale(),
-        )
-    }
-
-    /// Prepare an arbitrary dataset (integration tests use the `tiny`
-    /// geometry) with an explicit network model for the session. All
-    /// blocks are generated up front and held in memory.
+    /// Prepare a dataset (the figures use `paper_scaled`, integration tests
+    /// the `tiny` geometry) with `exec` applied to every run and `net` as
+    /// the session's network model. All blocks are generated up front and
+    /// held in memory.
     pub fn from_dataset(
         dataset: ReflectivityDataset,
         mut iterations: Vec<usize>,
@@ -155,7 +138,6 @@ impl Prepared {
             dataset,
             iterations,
             exec,
-            net,
             source,
             session,
         }
@@ -243,29 +225,6 @@ impl Prepared {
             iterations,
             serve,
             &|it, rank| self.prepared_blocks(it, rank),
-        )
-    }
-
-    /// Like [`Prepared::run`] with an explicit network model. A model equal
-    /// to the prepared one reuses the session; a different model needs its
-    /// own runtime (the network is baked into the session's shared state),
-    /// so those runs fall back to spawn-per-run.
-    pub fn run_on(
-        &self,
-        config: PipelineConfig,
-        iterations: &[usize],
-        net: NetModel,
-    ) -> Vec<IterationReport> {
-        if net == self.net {
-            return self.run(config, iterations);
-        }
-        run_experiment_prepared(
-            self.dataset.decomp(),
-            self.dataset.coords(),
-            self.instrument(config),
-            iterations,
-            net,
-            |it, rank| self.prepared_blocks(it, rank),
         )
     }
 

@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use apc_comm::{NetModel, Rank, ServeClient, ServeServer, Session};
+use apc_comm::{Rank, ServeClient, ServeServer, Session};
 use apc_par::{par_map, ExecPolicy};
 use apc_replay::{resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution};
 use apc_serve::{
@@ -203,23 +203,6 @@ pub fn run_replay_serving_in_session(
         },
         stolen_total: plan.stolen_total,
     }
-}
-
-/// One-shot replay run: spawns its own session (small rank stacks — the
-/// fan-out benches run thousands of client ranks) and tears it down.
-// apc-lint: allow(dead-pub): the spawn-per-run reference of replay_fanout and golden_reports
-pub fn run_replay_serving(
-    backend: Arc<dyn StoreBackend>,
-    run_id: &str,
-    trace: &ArrivalTrace,
-    params: &PoolParams,
-    exec: ExecPolicy,
-    net: NetModel,
-) -> ReplayRun {
-    let mut session = apc_comm::Runtime::new(params.nservers + trace.clients, net)
-        .stack_size(512 << 10)
-        .session();
-    run_replay_serving_in_session(&mut session, backend, run_id, trace, params, exec)
 }
 
 /// The SPMD program of one replay server rank.

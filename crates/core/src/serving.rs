@@ -673,42 +673,13 @@ where
     }
 }
 
-/// One-shot serving run (spawns its own session) — the serving
-/// counterpart of [`crate::staged::run_staged_prepared`], and like it,
-/// runs the config's `ExecPolicy` unclamped so policy-determinism guards
-/// can exercise `Threads(n)` on small hosts.
-// apc-lint: allow(dead-pub): the spawn-per-run reference of frame_serving, staged_determinism, goldens
-pub fn run_staged_serving_prepared<F>(
-    decomp: &DomainDecomp,
-    coords: &RectilinearCoords,
-    config: &PipelineConfig,
-    iterations: &[usize],
-    serve: &ServeParams,
-    net: apc_comm::NetModel,
-    blocks: F,
-) -> ServingRun
-where
-    F: Fn(usize, usize) -> Vec<Block> + Sync,
-{
-    let mut session = apc_comm::Runtime::new(decomp.nranks(), net).session();
-    run_staged_serving_in_session(
-        &mut session,
-        decomp,
-        coords,
-        config,
-        iterations,
-        serve,
-        &blocks,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
     use apc_cm1::ReflectivityDataset;
-    use apc_comm::NetModel;
+    use apc_comm::{NetModel, Runtime};
     use apc_serve::FrameStore;
     use apc_stage::BackpressurePolicy;
     use apc_store::{CodecKind, MemStore, StoreBackend};
@@ -753,14 +724,14 @@ mod tests {
             .deterministic()
             .with_fixed_percent(40.0)
             .with_staged(params);
-        let run = run_staged_serving_prepared(
+        let run = run_staged_serving_in_session(
+            &mut Runtime::new(8, NetModel::blue_waters()).session(),
             dataset.decomp(),
             dataset.coords(),
             &config,
             &iters,
             &serve,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
+            &|it, rank| dataset.rank_blocks(it, rank),
         );
         (run, backend, iters)
     }
@@ -861,14 +832,14 @@ mod tests {
         let config = crate::PipelineConfig::default()
             .deterministic()
             .with_staged(StagedParams::new(2, 2, BackpressurePolicy::Block));
-        let _ = run_staged_serving_prepared(
+        let _ = run_staged_serving_in_session(
+            &mut Runtime::new(8, NetModel::blue_waters()).session(),
             dataset.decomp(),
             dataset.coords(),
             &config,
             &iters,
             &ServeParams::new(2, 2, ServePolicy::BestEffort),
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
+            &|it, rank| dataset.rank_blocks(it, rank),
         );
     }
 

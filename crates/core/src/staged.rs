@@ -201,27 +201,6 @@ where
     merge_logs(&spec, iterations, logs)
 }
 
-/// One-shot staged run (spawns its own session) — the staged counterpart
-/// of [`crate::run_experiment_prepared`], minus the driver's exec-policy
-/// clamp (like [`run_staged_in_session`], it runs the policy as given —
-/// which is what lets the policy-determinism guards exercise `Threads(n)`
-/// on small hosts).
-// apc-lint: allow(dead-pub): the spawn-per-run reference of frame_serving and staged_determinism
-pub fn run_staged_prepared<F>(
-    decomp: &DomainDecomp,
-    coords: &RectilinearCoords,
-    config: &PipelineConfig,
-    iterations: &[usize],
-    net: apc_comm::NetModel,
-    blocks: F,
-) -> StagedRun
-where
-    F: Fn(usize, usize) -> Vec<Block> + Sync,
-{
-    let mut session = apc_comm::Runtime::new(decomp.nranks(), net).session();
-    run_staged_in_session(&mut session, decomp, coords, config, iterations, &blocks)
-}
-
 /// The SPMD program of one staged rank (both roles). `serve` is the
 /// per-stager serving state the `crate::serving` executor threads in —
 /// `None` for plain staged runs; when present, the stager also answers
@@ -513,7 +492,7 @@ pub(crate) fn merge_logs(
 mod tests {
     use super::*;
     use apc_cm1::ReflectivityDataset;
-    use apc_comm::NetModel;
+    use apc_comm::{NetModel, Runtime};
     use apc_stage::BackpressurePolicy;
 
     fn staged_config(params: StagedParams) -> PipelineConfig {
@@ -523,17 +502,27 @@ mod tests {
             .with_staged(params)
     }
 
+    /// A staged run over a fresh session of the dataset's rank count.
+    fn run_fresh(
+        dataset: &ReflectivityDataset,
+        config: &PipelineConfig,
+        its: &[usize],
+    ) -> StagedRun {
+        let nranks = dataset.decomp().nranks();
+        run_staged_in_session(
+            &mut Runtime::new(nranks, NetModel::blue_waters()).session(),
+            dataset.decomp(),
+            dataset.coords(),
+            config,
+            its,
+            &|it, rank| dataset.rank_blocks(it, rank),
+        )
+    }
+
     fn run_tiny(params: StagedParams, iters: usize) -> StagedRun {
         let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
         let its = dataset.sample_iterations(iters);
-        run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &staged_config(params),
-            &its,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        )
+        run_fresh(&dataset, &staged_config(params), &its)
     }
 
     #[test]
@@ -558,15 +547,12 @@ mod tests {
             assert!(f.report.triangles_total <= s.triangles_total);
             assert!(f.report.triangles_total > 0);
         }
-        let unreduced = run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
+        let unreduced = run_fresh(
+            &dataset,
             &PipelineConfig::default()
                 .deterministic()
                 .with_staged(params),
             &its,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
         );
         for (f, s) in unreduced.frames.iter().zip(&sync) {
             assert_eq!(
@@ -631,14 +617,7 @@ mod tests {
             .deterministic()
             .with_target(1e6)
             .with_staged(params);
-        let run = run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &config,
-            &its,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let run = run_fresh(&dataset, &config, &its);
         assert!(run.total_degraded() > 0, "backlogged frames must degrade");
         let boosted = run
             .frames
@@ -661,14 +640,7 @@ mod tests {
         let config = PipelineConfig::default()
             .deterministic()
             .with_staged(params);
-        let run = run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &config,
-            &its,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let run = run_fresh(&dataset, &config, &its);
         for f in &run.frames {
             assert_eq!(
                 f.report.blocks_reduced, 64,
@@ -725,13 +697,10 @@ mod tests {
         // still carry a (zero) entry for the stager.
         let dataset = ReflectivityDataset::tiny(2, 42).unwrap();
         let its = dataset.sample_iterations(6);
-        let run = run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
+        let run = run_fresh(
+            &dataset,
             &staged_config(StagedParams::new(1, 1, BackpressurePolicy::DropOldest)),
             &its,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
         );
         assert!(
             run.frames.iter().all(|f| f.blocks_by_stager.len() == 1),
@@ -776,14 +745,7 @@ mod tests {
     #[should_panic(expected = "needs an InSituMode::Staged config")]
     fn sync_config_rejected() {
         let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
-        let _ = run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &PipelineConfig::default(),
-            &[300],
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let _ = run_fresh(&dataset, &PipelineConfig::default(), &[300]);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Acceptance guards for the frame-serving layer: frames persisted by
 //! staged runs replay **byte-identically** through every lossless codec,
 //! through disk and memory backends, through the serve path, and through
-//! one-shot vs in-session execution — and damaged frame files surface as
+//! fresh vs reused sessions — and damaged frame files surface as
 //! errors, never as panics.
 
 use std::sync::Arc;
 
 use insitu::cm1::ReflectivityDataset;
-use insitu::comm::NetModel;
+use insitu::comm::{NetModel, Runtime};
 use insitu::pipeline::{
-    run_staged_prepared, run_staged_serving_prepared, BackpressurePolicy, ExecPolicy, FrameSink,
-    FrameStore, PipelineConfig, Prepared, ServeParams, ServePolicy, StagedParams,
+    run_staged_in_session, run_staged_serving_in_session, BackpressurePolicy, ExecPolicy,
+    FrameSink, FrameStore, PipelineConfig, Prepared, ServeParams, ServePolicy, ServingRun,
+    StagedParams,
 };
 use insitu::serve::{store::frame_key, ServeError};
 use insitu::store::{CodecKind, DirStore, MemStore, StoreBackend};
@@ -33,15 +34,33 @@ fn persist_run(backend: Arc<dyn StoreBackend>, run_id: &str, codec: CodecKind) -
     let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
     let iters = dataset.sample_iterations(3);
     let sink = FrameSink::new(backend, run_id, codec);
-    let _ = run_staged_prepared(
+    let _ = run_staged_in_session(
+        &mut Runtime::new(8, NetModel::blue_waters()).session(),
         dataset.decomp(),
         dataset.coords(),
         &staged_config(sink),
         &iters,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
+        &|it, rank| dataset.rank_blocks(it, rank),
     );
     iters
+}
+
+/// A serving run of the tiny 8-rank workload over a fresh session.
+fn serve_fresh(
+    dataset: &ReflectivityDataset,
+    sink: FrameSink,
+    iters: &[usize],
+    serve: &ServeParams,
+) -> ServingRun {
+    run_staged_serving_in_session(
+        &mut Runtime::new(8, NetModel::blue_waters()).session(),
+        dataset.decomp(),
+        dataset.coords(),
+        &staged_config(sink),
+        iters,
+        serve,
+        &|it, rank| dataset.rank_blocks(it, rank),
+    )
 }
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -106,15 +125,7 @@ fn serve_path_ships_the_persisted_bytes() {
     let run_with = |serve: &ServeParams| {
         let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
         let sink = FrameSink::new(Arc::clone(&backend), "run", CodecKind::Fpz);
-        let run = run_staged_serving_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &staged_config(sink),
-            &iters,
-            serve,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let run = serve_fresh(&dataset, sink, &iters, serve);
         (run, backend)
     };
     let (wait, store_a) =
@@ -139,7 +150,7 @@ fn serve_path_ships_the_persisted_bytes() {
     }
     // The staged pipeline observables agree too: serving load shapes
     // service latency, not what was rendered.
-    let tri = |r: &insitu::pipeline::ServingRun| {
+    let tri = |r: &ServingRun| {
         r.staged
             .frames
             .iter()
@@ -170,15 +181,7 @@ fn cache_on_vs_off_serving_is_pinned() {
         let serve = ServeParams::new(4, 8, ServePolicy::BestEffort)
             .with_think_time(0.1)
             .with_cache_bytes(cache_bytes);
-        let run = run_staged_serving_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &staged_config(sink),
-            &iters,
-            &serve,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let run = serve_fresh(&dataset, sink, &iters, &serve);
         (run, backend)
     };
 
@@ -206,9 +209,7 @@ fn cache_on_vs_off_serving_is_pinned() {
             );
         }
     }
-    let reports = |r: &insitu::pipeline::ServingRun| {
-        r.staged.frames.iter().map(|f| f.report).collect::<Vec<_>>()
-    };
+    let reports = |r: &ServingRun| r.staged.frames.iter().map(|f| f.report).collect::<Vec<_>>();
     assert_eq!(reports(&cached), reports(&uncached));
     assert_eq!(cached.frames_served(), uncached.frames_served());
     assert_eq!(cached.requests.len(), uncached.requests.len());
@@ -222,7 +223,7 @@ fn cache_on_vs_off_serving_is_pinned() {
     );
 }
 
-/// One-shot serving (fresh runtime) and in-session serving (a `Prepared`'s
+/// Serving over a fresh session and in-session serving (a `Prepared`'s
 /// persistent ranks, replayed twice) produce identical runs and identical
 /// stored bytes.
 #[test]
@@ -232,19 +233,8 @@ fn one_shot_and_in_session_serving_replay_identically() {
     let serve = ServeParams::new(3, 6, ServePolicy::WaitForFrame).with_think_time(0.1);
 
     let backend_a: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-    let one_shot = run_staged_serving_prepared(
-        dataset.decomp(),
-        dataset.coords(),
-        &staged_config(FrameSink::new(
-            Arc::clone(&backend_a),
-            "run",
-            CodecKind::Fpz,
-        )),
-        &iters,
-        &serve,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
-    );
+    let sink_a = FrameSink::new(Arc::clone(&backend_a), "run", CodecKind::Fpz);
+    let one_shot = serve_fresh(&dataset, sink_a, &iters, &serve);
 
     let prepared = Prepared::from_dataset(
         ReflectivityDataset::tiny(8, 42).unwrap(),
@@ -261,7 +251,7 @@ fn one_shot_and_in_session_serving_replay_identically() {
     let first = prepared.run_staged_serving(config.clone(), &iters, &serve);
     let second = prepared.run_staged_serving(config, &iters, &serve);
 
-    assert_eq!(one_shot, first, "one-shot vs session serving diverged");
+    assert_eq!(one_shot, first, "fresh vs reused session serving diverged");
     assert_eq!(first, second, "session replay diverged");
     for &it in &iters {
         for stager in 0..VIZ as u32 {

@@ -2,9 +2,7 @@
 //! redistribution → rendering → adaptation, across all workspace crates.
 
 use insitu::cm1::ReflectivityDataset;
-use insitu::pipeline::{
-    run_experiment, run_experiment_on, IterationReport, PipelineConfig, Redistribution,
-};
+use insitu::pipeline::{run_experiment, IterationReport, PipelineConfig, Redistribution};
 
 fn tiny(nranks: usize) -> ReflectivityDataset {
     ReflectivityDataset::tiny(nranks, 42).expect("tiny decomposition")
@@ -158,28 +156,6 @@ fn metric_choice_does_not_change_unreduced_rendering() {
             "metric {m}"
         );
     }
-}
-
-#[test]
-fn network_model_only_affects_communication_steps() {
-    let dataset = tiny(4);
-    let cfg = PipelineConfig::default()
-        .deterministic()
-        .with_redistribution(Redistribution::RandomShuffle { seed: 1 });
-    let gemini = run_experiment_on(
-        &dataset,
-        cfg.clone(),
-        &[300],
-        insitu::comm::NetModel::blue_waters(),
-    );
-    let gige = run_experiment_on(
-        &dataset,
-        cfg,
-        &[300],
-        insitu::comm::NetModel::gigabit_ethernet(),
-    );
-    assert!(gige[0].t_redistribute > gemini[0].t_redistribute);
-    assert_eq!(gige[0].triangles_total, gemini[0].triangles_total);
 }
 
 #[test]

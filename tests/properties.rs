@@ -280,8 +280,8 @@ fn sharded_and_flat_layouts_replay_identically() {
 #[test]
 fn chunk_cache_does_not_perturb_replay() {
     use insitu::cm1::{self, ReflectivityDataset, StoredTimeSeries};
-    use insitu::comm::NetModel;
-    use insitu::pipeline::{run_sweep_prepared, ExecPolicy, PipelineConfig, Prepared};
+    use insitu::comm::{NetModel, Runtime};
+    use insitu::pipeline::{run_sweep_in_session, ExecPolicy, PipelineConfig, Prepared};
     use insitu::store::{CodecKind, MemStore, StoreBackend};
     use std::sync::Arc;
 
@@ -319,13 +319,13 @@ fn chunk_cache_does_not_perturb_replay() {
         let stored = open(backend, cache);
         let configs: Vec<PipelineConfig> =
             configs.iter().map(|c| c.clone().with_exec(exec)).collect();
-        let reports = run_sweep_prepared(
+        let reports = run_sweep_in_session(
+            &mut Runtime::new(8, NetModel::blue_waters()).session(),
             stored.decomp(),
             stored.coords(),
             &configs,
             &iters,
-            NetModel::blue_waters(),
-            |it, rank| stored.rank_blocks(it, rank).unwrap(),
+            &|it, rank| stored.rank_blocks(it, rank).unwrap(),
         );
         (reports, stored.cache_stats())
     };

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use insitu::comm::{NetModel, Runtime};
-use insitu::pipeline::{run_replay_serving, run_replay_serving_in_session, ExecPolicy, ReplayRun};
+use insitu::pipeline::{run_replay_serving_in_session, ExecPolicy, ReplayRun};
 use insitu::replay::{synth_run, ArrivalTrace, PoolParams, QosTier, RouteMode, TraceSpec};
 use insitu::store::{CodecKind, MemStore, StoreBackend};
 
@@ -38,6 +38,18 @@ fn trace(clients: usize, seed: u64) -> ArrivalTrace {
     ArrivalTrace::generate(&spec, &manifest)
 }
 
+/// A replay run over a fresh session of `[servers][clients]` ranks.
+fn run_fresh(
+    backend: Arc<dyn StoreBackend>,
+    tr: &ArrivalTrace,
+    params: &PoolParams,
+    exec: ExecPolicy,
+) -> ReplayRun {
+    let nranks = params.nservers + tr.clients;
+    let mut session = Runtime::new(nranks, NetModel::blue_waters()).session();
+    run_replay_serving_in_session(&mut session, backend, RUN, tr, params, exec)
+}
+
 fn run(
     backend: Arc<dyn StoreBackend>,
     tr: &ArrivalTrace,
@@ -45,7 +57,7 @@ fn run(
     exec: ExecPolicy,
 ) -> ReplayRun {
     let params = PoolParams::new(NSERVERS, mode).with_cache_bytes(8 << 10);
-    run_replay_serving(backend, RUN, tr, &params, exec, NetModel::blue_waters())
+    run_fresh(backend, tr, &params, exec)
 }
 
 #[test]
@@ -88,7 +100,7 @@ fn replay_is_identical_across_session_reuse() {
     );
     assert_eq!(a, b, "session reuse must not move a byte");
     let c = run(backend, &tr, RouteMode::RoutedStealing, ExecPolicy::Serial);
-    assert_eq!(a, c, "in-session and one-shot must agree");
+    assert_eq!(a, c, "a reused and a fresh session must agree");
 }
 
 #[test]
@@ -194,22 +206,8 @@ fn qos_tiers_split_the_miss_path() {
         &manifest,
     );
     let params = PoolParams::new(NSERVERS, RouteMode::Routed).with_cache_bytes(8 << 10);
-    let p = run_replay_serving(
-        Arc::clone(&backend),
-        RUN,
-        &premium,
-        &params,
-        ExecPolicy::Serial,
-        NetModel::blue_waters(),
-    );
-    let f = run_replay_serving(
-        backend,
-        RUN,
-        &free,
-        &params,
-        ExecPolicy::Serial,
-        NetModel::blue_waters(),
-    );
+    let p = run_fresh(Arc::clone(&backend), &premium, &params, ExecPolicy::Serial);
+    let f = run_fresh(backend, &free, &params, ExecPolicy::Serial);
     // Premium: every inexact answer is a typed error carrying no frames.
     let p_misses = p.requests.iter().filter(|r| !r.exact).count();
     assert!(p_misses > 0, "miss share must generate out-of-run requests");
@@ -235,14 +233,7 @@ fn cache_budget_changes_latency_but_never_replies() {
     let tr = trace(12, 13);
     let hot = run(fixture(None), &tr, RouteMode::Routed, ExecPolicy::Serial);
     let cold_params = PoolParams::new(NSERVERS, RouteMode::Routed).with_cache_bytes(0);
-    let cold = run_replay_serving(
-        fixture(None),
-        RUN,
-        &tr,
-        &cold_params,
-        ExecPolicy::Serial,
-        NetModel::blue_waters(),
-    );
+    let cold = run_fresh(fixture(None), &tr, &cold_params, ExecPolicy::Serial);
     assert!(
         hot.cache_hit_rate() > 0.0,
         "hot-window skew must produce hits"

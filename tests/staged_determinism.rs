@@ -11,16 +11,17 @@
 //!    mode's simulation-visible in situ time is a small fraction of the
 //!    synchronous pipeline's iteration time.
 //!
-//! The runs go through `run_staged_prepared` (no exec-policy clamp)
-//! so the `Threads(n)` comparison is real even on single-core CI hosts —
-//! same reasoning as `exec_policy_determinism.rs`.
+//! The runs call `run_staged_in_session` / `run_staged_serving_in_session`
+//! over a fresh session (no exec-policy clamp), so the `Threads(n)`
+//! comparison is real even on single-core CI hosts — same reasoning as
+//! `exec_policy_determinism.rs`.
 
 use std::sync::Arc;
 
 use insitu::cm1::ReflectivityDataset;
-use insitu::comm::NetModel;
+use insitu::comm::{NetModel, Runtime};
 use insitu::pipeline::{
-    run_staged_prepared, run_staged_serving_prepared, BackpressurePolicy, ExecPolicy, Fidelity,
+    run_staged_in_session, run_staged_serving_in_session, BackpressurePolicy, ExecPolicy, Fidelity,
     FrameSink, PipelineConfig, Prepared, ServeParams, ServePolicy, ServingRun, StagedParams,
     StagedRun,
 };
@@ -46,17 +47,23 @@ fn staged_config(policy: BackpressurePolicy, exec: ExecPolicy) -> PipelineConfig
         .with_staged(params)
 }
 
+/// A staged run over a fresh session of the dataset's rank count.
+fn run_fresh(dataset: &ReflectivityDataset, config: &PipelineConfig, iters: &[usize]) -> StagedRun {
+    let nranks = dataset.decomp().nranks();
+    run_staged_in_session(
+        &mut Runtime::new(nranks, NetModel::blue_waters()).session(),
+        dataset.decomp(),
+        dataset.coords(),
+        config,
+        iters,
+        &|it, rank| dataset.rank_blocks(it, rank),
+    )
+}
+
 fn run_once(policy: BackpressurePolicy, exec: ExecPolicy) -> StagedRun {
     let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
     let iters = dataset.sample_iterations(4);
-    run_staged_prepared(
-        dataset.decomp(),
-        dataset.coords(),
-        &staged_config(policy, exec),
-        &iters,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
-    )
+    run_fresh(&dataset, &staged_config(policy, exec), &iters)
 }
 
 fn assert_bit_identical(a: &StagedRun, b: &StagedRun, label: &str) {
@@ -165,16 +172,13 @@ fn staged_mode_cuts_simulation_visible_time() {
     let sync_mean = sync.iter().map(|r| r.t_total).sum::<f64>() / sync.len() as f64;
 
     let params = StagedParams::new(1, 2, BackpressurePolicy::Block).with_sim_compute(sync_mean);
-    let staged = run_staged_prepared(
-        dataset.decomp(),
-        dataset.coords(),
+    let staged = run_fresh(
+        &dataset,
         &PipelineConfig::default()
             .deterministic()
             .with_fixed_percent(40.0)
             .with_staged(params),
         &iters,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
     );
 
     let visible = staged.mean_sim_visible();
@@ -217,14 +221,14 @@ fn serving_once_serve(serve: ServeParams, exec: ExecPolicy) -> ServingRun {
         .with_target(20.0)
         .with_exec(exec)
         .with_staged(params);
-    run_staged_serving_prepared(
+    run_staged_serving_in_session(
+        &mut Runtime::new(8, NetModel::blue_waters()).session(),
         dataset.decomp(),
         dataset.coords(),
         &config,
         &iters,
         &serve,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
+        &|it, rank| dataset.rank_blocks(it, rank),
     )
 }
 
@@ -416,16 +420,13 @@ fn policies_respond_to_pressure_as_specified() {
     let iters = dataset.sample_iterations(5);
     let run = |policy| {
         let params = StagedParams::new(1, 1, policy);
-        run_staged_prepared(
-            dataset.decomp(),
-            dataset.coords(),
+        run_fresh(
+            &dataset,
             &PipelineConfig::default()
                 .deterministic()
                 .with_fixed_percent(20.0)
                 .with_staged(params),
             &iters,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
         )
     };
     let block = run(BackpressurePolicy::Block);
