@@ -90,6 +90,19 @@ cargo build --release -q -p apc-bench --bin fig05_redistribution
 target/release/fig05_redistribution >/dev/null
 cmp target/experiments/fig05_redistribution.csv crates/bench/tests/golden/fig05.csv
 
+echo "==> fig12-fig15 at quick scale against their goldens (staged, frame serving, replay fan-out, adaptive serving)"
+# The four serving-side figure binaries' own CSVs, none with a wall-clock
+# column: the staged merge of sim and viz logs, the replay trace's
+# generator, the pool's steal charge and the render-cost calibration, end
+# to end. ~35 s, most of it fig12 and fig13 generating their 64- and
+# 400-rank inputs.
+cargo build --release -q -p apc-bench --bin fig12_staged_vs_sync --bin fig13_frame_serving \
+  --bin fig14_replay_fanout --bin fig15_adaptive_serving
+for fig in fig12_staged_vs_sync fig13_frame_serving fig14_replay_fanout fig15_adaptive_serving; do
+  target/release/$fig >/dev/null
+  cmp "target/experiments/$fig.csv" "crates/bench/tests/golden/${fig%%_*}.csv"
+done
+
 echo "==> ablations at quick scale against their goldens (network, sort, downsample, controller)"
 # The ablations binary's own CSVs: the GigE rows of the network ablation
 # run over their own session, the rest over the shared 64/400-rank inputs.
