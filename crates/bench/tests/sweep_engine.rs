@@ -7,10 +7,10 @@
 //!    `Prepared::run_sweep` (one session, one block set) produces exactly
 //!    the reports the spawn-per-run driver produces per configuration,
 //!    down to the bits of every virtual-time field.
-//! 2. **Nothing carries over between configurations** — configurations
-//!    that vary the isovalue through one `Prepared` get their own
-//!    isosurface stats, not the first configuration's, and a second sweep
-//!    over the same session and blocks repeats the first exactly.
+//! 2. **Nothing carries over between configurations** — every
+//!    configuration of a mixed sweep through one `Prepared` matches its own
+//!    spawn-per-run reference, and a second sweep over the same session
+//!    and blocks repeats the first exactly.
 
 use apc_bench::harness::Prepared;
 use apc_cm1::ReflectivityDataset;
@@ -88,39 +88,8 @@ fn fig07_style_sweep_is_byte_identical_to_spawn_per_run() {
     );
 }
 
-/// Two isovalues swept through one `Prepared` (one session, the same
-/// blocks) must each see their own geometry: the render step's counters
-/// are a function of `(block, isovalue)`, and nothing computed for the
-/// first configuration may reach the second.
-#[test]
-fn sweeping_two_isovalues_produces_different_triangle_counts() {
-    let prepared = tiny_prepared(4, 42, 2);
-    let iters = prepared.subset(1);
-    let configs = [
-        PipelineConfig::default().deterministic(), // the paper's 45 dBZ
-        PipelineConfig::default()
-            .deterministic()
-            .with_isovalue(20.0),
-    ];
-    let swept = prepared.run_sweep(&configs, &iters);
-    let (hot, cool) = (&swept[0], &swept[1]);
-    assert!(
-        cool[0].triangles_total > hot[0].triangles_total,
-        "the 20 dBZ surface must enclose more geometry than 45 dBZ \
-         ({} vs {}); equality means the second configuration was served \
-         the first one's counters",
-        cool[0].triangles_total,
-        hot[0].triangles_total
-    );
-    // Both match their spawn-per-run references exactly.
-    for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment(&prepared.dataset, config.clone(), &iters);
-        assert_bitwise_equal(series, &reference, "isovalue sweep vs reference");
-    }
-}
-
 /// A sweep mixing every pipeline dimension (redistribution, sort strategy,
-/// adaptation, isovalue, reduction lattice, staged mode) through one
+/// adaptation, reduction lattice, staged mode) through one
 /// session still matches spawn-per-run — the epoch isolation holds under
 /// real p2p traffic, not just collectives.
 #[test]
@@ -141,10 +110,6 @@ fn heterogeneous_sweep_matches_spawn_per_run() {
         PipelineConfig::default()
             .deterministic()
             .with_redistribution(Redistribution::RandomShuffle { seed: 5 }),
-        // A second isovalue over the same blocks.
-        PipelineConfig::default()
-            .deterministic()
-            .with_isovalue(20.0),
         // Every block rendered as a 3³ `Sampled` lattice, none full.
         PipelineConfig::default()
             .deterministic()
@@ -169,14 +134,9 @@ fn heterogeneous_sweep_matches_spawn_per_run() {
 fn second_sweep_over_the_same_session_is_exact() {
     let prepared = tiny_prepared(4, 42, 2);
     let iters = prepared.subset(2);
-    let configs = [
-        PipelineConfig::default()
-            .deterministic()
-            .with_fixed_percent(30.0),
-        PipelineConfig::default()
-            .deterministic()
-            .with_isovalue(20.0),
-    ];
+    let configs = [PipelineConfig::default()
+        .deterministic()
+        .with_fixed_percent(30.0)];
     let first = prepared.run_sweep(&configs, &iters);
     let second = prepared.run_sweep(&configs, &iters);
     assert_eq!(first, second, "a sweep must leave nothing behind");

@@ -33,10 +33,6 @@ pub struct StagedParams {
     /// iteration — the work the staged visualization overlaps with. Zero
     /// models a solver that produces frames back to back.
     pub sim_compute: f64,
-    /// Percentage of each simulation rank's lowest-scored blocks reduced
-    /// *before* posting (trades sim-side reduce time for queue bytes);
-    /// zero disables pre-reduction.
-    pub pre_reduce_percent: f64,
     /// Where stagers persist the frames they render (`apc-serve`): a
     /// shared store backend, a run id, and a per-frame codec. `None` (the
     /// default) reproduces the pre-serving behavior — frames are counted
@@ -55,7 +51,6 @@ impl StagedParams {
             queue_depth,
             policy,
             sim_compute: 0.0,
-            pre_reduce_percent: 0.0,
             persist: None,
         }
     }
@@ -74,17 +69,6 @@ impl StagedParams {
     /// (see [`apc_serve::FrameSink`] and `crate::serving`).
     pub fn with_persist(mut self, sink: FrameSink) -> Self {
         self.persist = Some(sink);
-        self
-    }
-
-    /// Enable sim-side pre-reduction of the `percent` lowest-scored blocks.
-    // apc-lint: allow(dead-pub): only tests set it (staged_determinism); a later PR may drop the knob
-    pub fn with_pre_reduce(mut self, percent: f64) -> Self {
-        assert!(
-            (0.0..=100.0).contains(&percent),
-            "percent must be in [0, 100]"
-        );
-        self.pre_reduce_percent = percent;
         self
     }
 
@@ -131,16 +115,15 @@ pub struct PipelineConfig {
     pub metric: String,
     pub redistribution: Redistribution,
     pub sort: SortStrategy,
-    /// Isovalue rendered by the visualization scenario (45 dBZ).
+    /// Isovalue rendered by the visualization scenario, fixed at
+    /// [`apc_cm1::DBZ_ISOVALUE`] (45 dBZ). Public because the benchmark
+    /// hands it to its isosurface probe.
     pub isovalue: f32,
     /// Per-iteration time budget (seconds of virtual time). `None` disables
     /// adaptation and pins the percentage at `fixed_percent`.
     pub target_time: Option<f64>,
     /// Reduction percentage used when adaptation is off (paper §V-D runs).
     pub fixed_percent: f64,
-    /// Upper bound on the adaptive percentage — "the maximum percentage of
-    /// reduced blocks could easily be bounded by the user" (paper §IV-E).
-    pub max_percent: f64,
     /// Points kept per axis when a block is reduced: 2 is the paper's
     /// corner reduction; larger lattices are the downsampling-size
     /// extension (§IV-C outlook).
@@ -174,7 +157,6 @@ impl Default for PipelineConfig {
             isovalue: apc_cm1::DBZ_ISOVALUE,
             target_time: None,
             fixed_percent: 0.0,
-            max_percent: 100.0,
             reduce_keep: 2,
             cost: RenderCostModel::default(),
             exec: ExecPolicy::Serial,
@@ -194,16 +176,11 @@ impl PipelineConfig {
         self
     }
 
-    /// Select the rendered isovalue (the paper's scenario fixes 45 dBZ;
-    /// sweeps may vary it).
-    // apc-lint: allow(dead-pub): only tests set it (sweep_engine); a later PR may drop the knob
-    pub fn with_isovalue(mut self, isovalue: f32) -> Self {
-        assert!(isovalue.is_finite(), "isovalue must be finite");
-        self.isovalue = isovalue;
-        self
-    }
-
     pub fn with_target(mut self, seconds: f64) -> Self {
+        assert!(
+            seconds.is_finite() && seconds > 0.0,
+            "target time must be finite and positive"
+        );
         self.target_time = Some(seconds);
         self
     }
@@ -214,15 +191,6 @@ impl PipelineConfig {
             "percent must be in [0, 100]"
         );
         self.fixed_percent = percent;
-        self
-    }
-
-    pub fn with_max_percent(mut self, max: f64) -> Self {
-        assert!(
-            (0.0..=100.0).contains(&max),
-            "max percent must be in [0, 100]"
-        );
-        self.max_percent = max;
         self
     }
 
@@ -297,15 +265,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "target time must be finite and positive")]
+    fn bad_target_rejected() {
+        let _ = PipelineConfig::default().with_target(f64::NAN);
+    }
+
+    #[test]
     fn default_mode_is_synchronous() {
         assert_eq!(PipelineConfig::default().mode, InSituMode::Synchronous);
     }
 
     #[test]
     fn staged_builder_carries_params() {
-        let params = StagedParams::new(2, 4, BackpressurePolicy::Block)
-            .with_sim_compute(12.5)
-            .with_pre_reduce(30.0);
+        let params = StagedParams::new(2, 4, BackpressurePolicy::Block).with_sim_compute(12.5);
         let c = PipelineConfig::default().with_staged(params.clone());
         match c.mode {
             InSituMode::Staged(p) => {
@@ -313,7 +285,6 @@ mod tests {
                 assert_eq!(p.queue_depth, 4);
                 assert_eq!(p.policy, BackpressurePolicy::Block);
                 assert_eq!(p.sim_compute, 12.5);
-                assert_eq!(p.pre_reduce_percent, 30.0);
                 assert_eq!(p.persist, None, "no frame sink by default");
             }
             InSituMode::Synchronous => panic!("builder must switch the mode"),

@@ -40,12 +40,13 @@ pub fn adapt_percent(target: f64, t_prev: f64, p_prev: f64, t_cur: f64, p_cur: f
 /// Stateful wrapper: feeds Algorithm 1 with the paper's initial conditions
 /// (`t₀ = 0` at `p₀ = 100`; the first iteration runs unreduced, `p₁ = 0`)
 /// and keeps the two-iteration history.
+///
+/// Paper §IV-E notes that "the maximum percentage of reduced blocks could
+/// easily be bounded by the user". No run of the paper bounds it, so the
+/// bound is 100: the percentage Algorithm 1 solves for is the one used.
 #[derive(Debug, Clone)]
 pub struct BudgetController {
     target: f64,
-    /// User bound on the percentage (paper §IV-E: "the maximum percentage
-    /// of reduced blocks could easily be bounded by the user").
-    max_percent: f64,
     /// `(t, p)` of iteration n−1.
     prev: (f64, f64),
     /// `p` of the iteration currently in flight (time not yet observed).
@@ -55,18 +56,9 @@ pub struct BudgetController {
 
 impl BudgetController {
     pub fn new(target: f64) -> Self {
-        Self::with_max_percent(target, 100.0)
-    }
-
-    pub fn with_max_percent(target: f64, max_percent: f64) -> Self {
         assert!(target > 0.0, "target time must be positive");
-        assert!(
-            (0.0..=100.0).contains(&max_percent),
-            "max percent must be in [0, 100]"
-        );
         Self {
             target,
-            max_percent,
             prev: (0.0, 100.0),   // t0 = 0 when everything is reduced
             current_percent: 0.0, // p1 = 0: first output is not reduced
             iterations_seen: 0,
@@ -108,7 +100,9 @@ impl BudgetController {
             100.0
         };
         let (t_prev, p_prev) = self.prev;
-        let next = adapt_percent(self.target, t_prev, p_prev, t, p_used).min(self.max_percent);
+        // `adapt_percent` lands in [0, 100] already; this maps a NaN fit
+        // to 100.
+        let next = adapt_percent(self.target, t_prev, p_prev, t, p_used).min(100.0);
         self.prev = (t, p_used);
         self.current_percent = next;
         self.iterations_seen += 1;
@@ -235,29 +229,6 @@ mod tests {
     #[should_panic(expected = "target time must be positive")]
     fn zero_target_rejected() {
         let _ = BudgetController::new(0.0);
-    }
-
-    #[test]
-    fn max_percent_bound_is_honored() {
-        // An infeasible target (0 is unreachable) would drive p to 100;
-        // the user bound caps it (paper §IV-E).
-        let t = |p: f64| 160.0 * (1.0 - p / 100.0) + 5.0;
-        let mut c = BudgetController::with_max_percent(1.0, 70.0);
-        let mut p = c.percent();
-        for _ in 0..30 {
-            p = c.observe(t(p));
-            assert!(p <= 70.0, "p = {p} exceeds the user bound");
-        }
-        assert!(
-            p > 60.0,
-            "controller should saturate near the bound, p = {p}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "max percent must be in [0, 100]")]
-    fn bad_max_percent_rejected() {
-        let _ = BudgetController::with_max_percent(10.0, 150.0);
     }
 
     #[test]

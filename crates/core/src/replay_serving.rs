@@ -19,7 +19,7 @@
 //!   pair — per-pair issue order is the wire contract, the plan's
 //!   cross-client interleaving decides cache and queueing behavior;
 //! * virtual charges are explicit: `service_base` per request,
-//!   `steal_overhead` on stolen requests, and a storage-tier read cost
+//!   [`STEAL_OVERHEAD`] on stolen requests, and a storage-tier read cost
 //!   (`miss_read + read_per_byte × bytes`) per cache-missed frame. Cache
 //!   hits move no bytes and charge nothing.
 //!
@@ -37,7 +37,9 @@ use std::sync::Arc;
 
 use apc_comm::{Rank, ServeClient, ServeServer, Session};
 use apc_par::{par_map, ExecPolicy};
-use apc_replay::{resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution};
+use apc_replay::{
+    resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution, STEAL_OVERHEAD,
+};
 use apc_serve::{
     check_reply, frame_key, open_run, percentile, Fidelity, FrameKey, FrameStore, RequestLog,
     ServeCore, ServeReport, ServerStats,
@@ -256,7 +258,7 @@ fn server_program(
         }
 
         if asg.stolen {
-            rank.advance(params.steal_overhead);
+            rank.advance(STEAL_OVERHEAD);
             core.stats.stolen += 1;
         }
         rank.advance(params.service_base);

@@ -7,8 +7,7 @@
 //!
 //! * **Simulation ranks** replay the solver (a configurable virtual
 //!   compute charge per iteration), **score** their blocks with the
-//!   config's metric, optionally **pre-reduce** the lowest-scored
-//!   percentage, and deal the scored blocks into bounded per-stager
+//!   config's metric, and deal the scored blocks into bounded per-stager
 //!   queues — score-aware: blocks sorted by descending score are dealt
 //!   round-robin across the stagers, so each stager receives a balanced
 //!   share of the expensive (geometry-rich) blocks, the same idea as the
@@ -55,8 +54,6 @@ type Slice = Vec<(WireBlock, f64)>;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimAux {
     t_score: f64,
-    t_prereduce: f64,
-    blocks_prereduced: usize,
 }
 
 /// What a staging rank logs per frame (beyond the engine's timing).
@@ -80,8 +77,7 @@ pub struct StagedFrame {
     /// The familiar per-iteration report. Staged semantics of the step
     /// fields: `t_score` is the (max-over-sim-ranks) sim-side scoring
     /// time, `t_sort` is zero (stagers sort locally, no collective),
-    /// `t_reduce` covers pre-reduction and stager reduction,
-    /// `t_redistribute` is the queue transfer/ingest time visible at the
+    /// `t_reduce` is the stager reduction, `t_redistribute` is the queue transfer/ingest time visible at the
     /// stagers, `t_render` the stager render step, and `t_total` the
     /// end-to-end frame latency from the last simulation rank finishing
     /// the frame's production to the last stager finishing its render.
@@ -90,8 +86,7 @@ pub struct StagedFrame {
     /// ranks) — the quantity staging exists to minimize.
     pub t_sim_stall: f64,
     /// Everything the simulation saw of in situ processing this frame
-    /// (max over sim ranks): scoring + pre-reduction + enqueue overhead +
-    /// stall. The synchronous equivalent is the whole `t_total`.
+    /// (max over sim ranks): scoring + enqueue overhead + stall. The synchronous equivalent is the whole `t_total`.
     pub t_sim_visible: f64,
     /// Frame slices evicted by `DropOldest` this frame (over all queues).
     pub slices_dropped: usize,
@@ -224,9 +219,7 @@ where
         .unwrap_or_else(|| panic!("unknown metric {:?}", config.metric));
     let n_sim = spec.partition.n_sim();
     let n_stage = spec.partition.n_stage();
-    let mut controller = config
-        .target_time
-        .map(|t| BudgetController::with_max_percent(t, config.max_percent));
+    let mut controller = config.target_time.map(BudgetController::new);
 
     run_staged(
         rank,
@@ -240,7 +233,7 @@ where
             rank.advance(params.sim_compute);
             // This sim rank stands in for every dataset rank folded onto
             // its slot, producing (and paying to score) their blocks.
-            let mut held: Vec<Block> = (slot..decomp.nranks())
+            let held: Vec<Block> = (slot..decomp.nranks())
                 .step_by(n_sim)
                 .flat_map(|r| blocks(it, r))
                 .collect();
@@ -248,11 +241,6 @@ where
             let mut order = score_held(rank, scorer.as_ref(), &held, config.exec);
             let t_score = rank.clock() - t0;
             order.sort_by(score_order);
-
-            let t1 = rank.clock();
-            let blocks_prereduced =
-                reduce_lowest(rank, config, &mut held, &order, params.pre_reduce_percent);
-            let t_prereduce = rank.clock() - t1;
 
             // Score-aware dealing: highest-scored block to stager 0, next
             // to stager 1, ... — every stager gets a balanced share of the
@@ -264,14 +252,7 @@ where
                 let b = by_id.remove(&sb.id).expect("every scored block is held");
                 batches[pos % n_stage].push((WireBlock(b), sb.score));
             }
-            (
-                batches,
-                SimAux {
-                    t_score,
-                    t_prereduce,
-                    blocks_prereduced,
-                },
-            )
+            (batches, SimAux { t_score })
         },
         // ---- staging side ----------------------------------------------
         |rank, k, parts, ctx| {
@@ -291,7 +272,7 @@ where
                 .as_ref()
                 .map_or(config.fixed_percent, BudgetController::percent);
             let percent = if ctx.degrade_boost > 0.0 {
-                (base + ctx.degrade_boost).min(config.max_percent)
+                (base + ctx.degrade_boost).min(100.0)
             } else {
                 base
             };
@@ -423,22 +404,18 @@ pub(crate) fn merge_logs(
     let mut frames = Vec::with_capacity(iterations.len());
     for (k, &iteration) in iterations.iter().enumerate() {
         let mut t_score = 0.0f64;
-        let mut t_prereduce = 0.0f64;
         let mut produced = 0.0f64;
         let mut t_sim_stall = 0.0f64;
         let mut t_sim_visible = 0.0f64;
-        let mut blocks_reduced = 0usize;
         for sim in &sims {
             let (aux, f) = &sim[k];
             t_score = t_score.max(aux.t_score);
-            t_prereduce = t_prereduce.max(aux.t_prereduce);
             produced = produced.max(f.produced);
             t_sim_stall = t_sim_stall.max(f.stall);
-            t_sim_visible = t_sim_visible
-                .max(f.visible() - (f.produced - f.start) + (aux.t_score + aux.t_prereduce));
-            blocks_reduced += aux.blocks_prereduced;
+            t_sim_visible = t_sim_visible.max(f.visible() - (f.produced - f.start) + aux.t_score);
         }
-        let mut t_reduce = t_prereduce;
+        let mut t_reduce = 0.0f64;
+        let mut blocks_reduced = 0usize;
         let mut t_redistribute = 0.0f64;
         let mut t_render = 0.0f64;
         let mut finish = 0.0f64;
@@ -628,23 +605,6 @@ mod tests {
             assert!(
                 p >= 30.0,
                 "boost must show in the effective percent, got {p}"
-            );
-        }
-    }
-
-    #[test]
-    fn pre_reduction_moves_reduction_to_the_sim_side() {
-        let params = StagedParams::new(1, 2, BackpressurePolicy::Block).with_pre_reduce(50.0);
-        let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
-        let its = dataset.sample_iterations(2);
-        let config = PipelineConfig::default()
-            .deterministic()
-            .with_staged(params);
-        let run = run_fresh(&dataset, &config, &its);
-        for f in &run.frames {
-            assert_eq!(
-                f.report.blocks_reduced, 64,
-                "half of 128 blocks pre-reduced"
             );
         }
     }

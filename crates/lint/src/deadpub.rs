@@ -5,7 +5,10 @@
 //! The rule is name-based, with no resolver: an item is dead when its
 //! name, as a whole word in masked source, appears in no caller's code
 //! except at `pub` declarations. That misses an item whose name is common
-//! (`new`, `len`) and never flags one that is called.
+//! (`new`, `len`) and never flags one that is called. A `pub` item that
+//! shares its name with a live item is invisible to the rule too (a
+//! builder named like another type's called constructor), and `pub`
+//! fields are not items it checks.
 //!
 //! Whose code counts as a caller:
 //!

@@ -4,7 +4,7 @@
 //! rank is modeled as
 //!
 //! ```text
-//! t = base + n_blocks·per_block + cells·per_cell + triangles·per_triangle
+//! t = base + n_blocks·PER_BLOCK + cells·PER_CELL + triangles·PER_TRIANGLE
 //! ```
 //!
 //! multiplied by a seeded log-normal jitter that reproduces "the inherent
@@ -25,35 +25,33 @@
 
 use crate::isosurface::IsoStats;
 
+// The calibration, with the default `base` of 0.55 s, against the
+// 1:5-scale dataset (see the probe run in EXPERIMENTS.md): NONE ≈ 125–170 s
+// on 64 ranks, ≈ 42–52 s on 400 ranks, all-reduced ≈ 1–1.8 s.
+
+/// Per-block dataset handling overhead.
+const PER_BLOCK: f64 = 5.0e-4;
+/// Marching cost per visited cell.
+const PER_CELL: f64 = 2.0e-7;
+/// Triangle generation + rasterization cost per emitted triangle.
+const PER_TRIANGLE: f64 = 4.2e-3;
+/// Jitter stream seed.
+const JITTER_SEED: u64 = 0x5EED_CA57;
+
 /// Virtual rendering cost model (per rank, per iteration).
 #[derive(Debug, Clone, Copy)]
 pub struct RenderCostModel {
     /// Fixed per-iteration pipeline overhead (seconds).
     pub base: f64,
-    /// Per-block dataset handling overhead.
-    pub per_block: f64,
-    /// Marching cost per visited cell.
-    pub per_cell: f64,
-    /// Triangle generation + rasterization cost per emitted triangle.
-    pub per_triangle: f64,
     /// Log-normal jitter sigma (0 disables jitter).
     pub jitter_sigma: f64,
-    /// Jitter stream seed.
-    pub seed: u64,
 }
 
 impl Default for RenderCostModel {
     fn default() -> Self {
-        // Calibrated against the 1:5-scale dataset (see the probe run in
-        // EXPERIMENTS.md): NONE ≈ 125–170 s on 64 ranks, ≈ 42–52 s on 400
-        // ranks, all-reduced ≈ 1–1.8 s.
         Self {
             base: 0.55,
-            per_block: 5.0e-4,
-            per_cell: 2.0e-7,
-            per_triangle: 4.2e-3,
             jitter_sigma: 0.06,
-            seed: 0x5EED_CA57,
         }
     }
 }
@@ -66,21 +64,21 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Deterministic standard-normal draw for a jitter key (Box–Muller over
+/// two hash-derived uniforms).
+fn std_normal(key: u64) -> f64 {
+    let u1 = (mix64(key ^ JITTER_SEED) >> 11) as f64 / (1u64 << 53) as f64;
+    let u2 = (mix64(key.wrapping_mul(0xA24B_AED4_963E_E407) ^ JITTER_SEED) >> 11) as f64
+        / (1u64 << 53) as f64;
+    let u1 = u1.max(1e-12);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 impl RenderCostModel {
     /// A noiseless copy (unit tests, deterministic calibration runs).
     pub fn deterministic(mut self) -> Self {
         self.jitter_sigma = 0.0;
         self
-    }
-
-    /// Deterministic standard-normal draw for a jitter key (Box–Muller over
-    /// two hash-derived uniforms).
-    fn std_normal(&self, key: u64) -> f64 {
-        let u1 = (mix64(key ^ self.seed) >> 11) as f64 / (1u64 << 53) as f64;
-        let u2 = (mix64(key.wrapping_mul(0xA24B_AED4_963E_E407) ^ self.seed) >> 11) as f64
-            / (1u64 << 53) as f64;
-        let u1 = u1.max(1e-12);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Jitter key for a `(rank, iteration)` pair.
@@ -91,13 +89,13 @@ impl RenderCostModel {
     /// Modeled rendering time for the given work on one rank.
     pub fn render_time(&self, stats: IsoStats, n_blocks: usize, jitter_key: u64) -> f64 {
         let raw = self.base
-            + n_blocks as f64 * self.per_block
-            + stats.cells as f64 * self.per_cell
-            + stats.triangles as f64 * self.per_triangle;
+            + n_blocks as f64 * PER_BLOCK
+            + stats.cells as f64 * PER_CELL
+            + stats.triangles as f64 * PER_TRIANGLE;
         if self.jitter_sigma == 0.0 {
             raw
         } else {
-            raw * (self.jitter_sigma * self.std_normal(jitter_key)).exp()
+            raw * (self.jitter_sigma * std_normal(jitter_key)).exp()
         }
     }
 }

@@ -42,7 +42,7 @@ pub mod route;
 pub mod trace;
 
 pub use fixture::{small_run, synth_run};
-pub use plan::{Assignment, PoolParams, PoolPlan, ReplayFault};
+pub use plan::{Assignment, PoolParams, PoolPlan, ReplayFault, STEAL_OVERHEAD};
 pub use qos::{resolve, Resolution};
 pub use route::{primary_for, rendezvous_server, route_key, RouteMode};
 pub use trace::{Arrival, ArrivalTrace, QosTier, TraceSpec};

@@ -44,6 +44,10 @@ pub struct ReplayFault {
     pub after_requests: usize,
 }
 
+/// Extra virtual seconds a stolen request pays (queue migration): the
+/// planner's completion estimate and the executor's charge.
+pub const STEAL_OVERHEAD: f64 = 5e-5;
+
 /// Pool shape and virtual cost knobs of a replay run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolParams {
@@ -57,8 +61,6 @@ pub struct PoolParams {
     /// Virtual seconds of per-request service work (decode, resolve,
     /// reply assembly).
     pub service_base: f64,
-    /// Extra virtual seconds a stolen request pays (queue migration).
-    pub steal_overhead: f64,
     /// Virtual seconds of fixed storage-tier latency per cache-missed
     /// frame read. Deliberately *not* `NetModel::ingest` — the store is a
     /// storage tier with its own latency floor, and the stock
@@ -79,7 +81,6 @@ impl PoolParams {
             mode,
             cache_bytes: 1 << 20,
             service_base: 1e-4,
-            steal_overhead: 5e-5,
             miss_read: 2e-3,
             read_per_byte: 1e-8,
             fault: None,
@@ -236,7 +237,7 @@ impl PoolPlan {
             if stolen {
                 stolen_total += 1;
             }
-            let cost = est_cost[slot] + if stolen { params.steal_overhead } else { 0.0 };
+            let cost = est_cost[slot] + if stolen { STEAL_OVERHEAD } else { 0.0 };
             heap.push(Ev {
                 time: now + cost,
                 kind: 0,

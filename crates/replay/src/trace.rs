@@ -9,14 +9,27 @@
 //! race to resolve, only a deterministic order to honor.
 //!
 //! Arrivals follow a bursty phase scheme: virtual time alternates between
-//! *calm* and *burst* phases of [`TraceSpec::phase_len`] seconds, with
-//! exponential (Poisson-process) inter-arrival gaps whose mean switches
-//! between [`TraceSpec::base_interval`] and [`TraceSpec::burst_interval`].
-//! Each phase also shifts a hot iteration window across the run, so the
+//! *calm* and *burst* phases of `PHASE_LEN` seconds, with exponential
+//! (Poisson-process) inter-arrival gaps whose mean switches between
+//! [`TraceSpec::base_interval`] and [`TraceSpec::burst_interval`]. Each
+//! phase also shifts a hot iteration window across the run, so the
 //! request mix has the skew that makes cache routing matter.
 
 use apc_par::SplitMix64;
 use apc_serve::{FrameRequest, RunManifest, ServePolicy};
+
+/// Fraction of clients on the [`QosTier::Premium`] tier.
+const PREMIUM_SHARE: f64 = 0.25;
+/// Virtual seconds per calm/burst phase.
+const PHASE_LEN: f64 = 0.25;
+/// Probability an `AtIteration` draw lands in the current phase's hot
+/// window rather than uniformly over the run.
+const HOT_FRACTION: f64 = 0.8;
+/// Width of the hot window, in iterations.
+const HOT_WINDOW: usize = 4;
+/// Fraction of requests that name an iteration past the end of the run
+/// (the tier-policy miss path).
+const MISS_SHARE: f64 = 0.1;
 
 /// Quality-of-service tier of a client, layered over [`ServePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,23 +71,11 @@ pub struct TraceSpec {
     pub requests_per_client: usize,
     /// Seed of every random draw in the trace.
     pub seed: u64,
-    /// Fraction of clients on the [`QosTier::Premium`] tier.
-    pub premium_share: f64,
     /// Mean inter-arrival gap (virtual seconds, per client) in calm
     /// phases.
     pub base_interval: f64,
     /// Mean inter-arrival gap in burst phases (smaller = harder bursts).
     pub burst_interval: f64,
-    /// Virtual seconds per calm/burst phase.
-    pub phase_len: f64,
-    /// Probability an `AtIteration` draw lands in the current phase's hot
-    /// window rather than uniformly over the run.
-    pub hot_fraction: f64,
-    /// Width of the hot window, in iterations.
-    pub hot_window: usize,
-    /// Fraction of requests that name an iteration past the end of the
-    /// run (the tier-policy miss path).
-    pub miss_share: f64,
 }
 
 impl TraceSpec {
@@ -85,37 +86,19 @@ impl TraceSpec {
             clients,
             requests_per_client,
             seed,
-            premium_share: 0.25,
             base_interval: 2e-2,
             burst_interval: 2e-3,
-            phase_len: 0.25,
-            hot_fraction: 0.8,
-            hot_window: 4,
-            miss_share: 0.1,
         }
-    }
-
-    /// Set the fraction of premium clients.
-    // apc-lint: allow(dead-pub): only tests set it (replay_fanout); a later PR may drop the knob
-    pub fn with_premium_share(mut self, share: f64) -> Self {
-        assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
-        self.premium_share = share;
-        self
     }
 
     /// Set the calm/burst mean inter-arrival gaps.
     pub fn with_intervals(mut self, base: f64, burst: f64) -> Self {
-        assert!(base > 0.0 && burst > 0.0, "intervals must be positive");
+        assert!(
+            base.is_finite() && base > 0.0 && burst.is_finite() && burst > 0.0,
+            "intervals must be finite and positive"
+        );
         self.base_interval = base;
         self.burst_interval = burst;
-        self
-    }
-
-    /// Set the share of requests naming iterations past the run's end.
-    // apc-lint: allow(dead-pub): only tests set it (replay_fanout); a later PR may drop the knob
-    pub fn with_miss_share(mut self, share: f64) -> Self {
-        assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
-        self.miss_share = share;
         self
     }
 }
@@ -167,7 +150,7 @@ impl ArrivalTrace {
         let mut tier_rng = SplitMix64::new(spec.seed ^ 0x9e37_79b9_7f4a_7c15);
         let tiers: Vec<QosTier> = (0..spec.clients)
             .map(|_| {
-                if tier_rng.next_f64() < spec.premium_share {
+                if tier_rng.next_f64() < PREMIUM_SHARE {
                     QosTier::Premium
                 } else {
                     QosTier::Free
@@ -187,7 +170,7 @@ impl ArrivalTrace {
             for index in 0..spec.requests_per_client {
                 // Poisson-process gap whose mean follows the calm/burst
                 // phase the client is currently in.
-                let phase = (t / spec.phase_len) as u64;
+                let phase = (t / PHASE_LEN) as u64;
                 let mean = if phase.is_multiple_of(2) {
                     spec.base_interval
                 } else {
@@ -197,19 +180,19 @@ impl ArrivalTrace {
                 t += -mean * (1.0 - u).ln();
 
                 // The hot window shifts every phase, sliding over the run.
-                let phase = (t / spec.phase_len) as u64;
-                let window = spec.hot_window.min(iters.len());
+                let phase = (t / PHASE_LEN) as u64;
+                let window = HOT_WINDOW.min(iters.len());
                 let hot_lo = ((phase as usize).wrapping_mul(7)) % (iters.len() - window + 1);
                 let stager = rng.below(manifest.n_stagers) as u32;
 
                 let draw = rng.next_f64();
-                let request = if draw < spec.miss_share {
+                let request = if draw < MISS_SHARE {
                     // Past the end of the run: the tier decides whether
                     // this is an error or a substituted answer.
                     FrameRequest::AtIteration(last_it + 1 + rng.below(4) as u64)
-                } else if draw < spec.miss_share + 0.1 {
+                } else if draw < MISS_SHARE + 0.1 {
                     FrameRequest::Latest
-                } else if draw < spec.miss_share + 0.3 {
+                } else if draw < MISS_SHARE + 0.3 {
                     let start = rng.below(iters.len());
                     let len = 1 + rng.below(3);
                     let end = (start + len).min(iters.len() - 1);
@@ -218,7 +201,7 @@ impl ArrivalTrace {
                         end: iters[end] as u64,
                     }
                 } else {
-                    let idx = if rng.next_f64() < spec.hot_fraction {
+                    let idx = if rng.next_f64() < HOT_FRACTION {
                         hot_lo + rng.below(window)
                     } else {
                         rng.below(iters.len())
@@ -348,13 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn premium_share_selects_tiers_deterministically() {
-        let all_free = TraceSpec::new(10, 2, 1).with_premium_share(0.0);
-        let trace = ArrivalTrace::generate(&all_free, &manifest());
-        assert!(trace.tiers.iter().all(|t| *t == QosTier::Free));
-        let all_prem = TraceSpec::new(10, 2, 1).with_premium_share(1.0);
-        let trace = ArrivalTrace::generate(&all_prem, &manifest());
-        assert!(trace.tiers.iter().all(|t| *t == QosTier::Premium));
+    #[should_panic(expected = "intervals must be finite and positive")]
+    fn infinite_interval_rejected() {
+        let _ = TraceSpec::new(1, 1, 1).with_intervals(f64::INFINITY, 1e-3);
     }
 
     #[test]

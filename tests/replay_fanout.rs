@@ -189,43 +189,33 @@ fn stealing_moves_work_but_not_bytes() {
 
 #[test]
 fn qos_tiers_split_the_miss_path() {
-    let backend = fixture(None);
-    let (_, manifest) = insitu::serve::open_run(Arc::clone(&backend), RUN).unwrap();
-    // All-premium and all-free traces over the same seed: identical
-    // arrival process, opposite miss-path semantics.
-    let premium = ArrivalTrace::generate(
-        &TraceSpec::new(10, 12, 31)
-            .with_premium_share(1.0)
-            .with_miss_share(0.3),
-        &manifest,
-    );
-    let free = ArrivalTrace::generate(
-        &TraceSpec::new(10, 12, 31)
-            .with_premium_share(0.0)
-            .with_miss_share(0.3),
-        &manifest,
-    );
-    let params = PoolParams::new(NSERVERS, RouteMode::Routed).with_cache_bytes(8 << 10);
-    let p = run_fresh(Arc::clone(&backend), &premium, &params, ExecPolicy::Serial);
-    let f = run_fresh(backend, &free, &params, ExecPolicy::Serial);
+    // One trace carries both tiers, and clients of each ask past the end
+    // of the run: the same miss, opposite semantics.
+    let tr = trace(16, 19);
+    let out = run(fixture(None), &tr, RouteMode::Routed, ExecPolicy::Serial);
+    let misses = |tier| {
+        out.requests
+            .iter()
+            .filter(move |r| r.route.tier == tier && !r.exact)
+    };
     // Premium: every inexact answer is a typed error carrying no frames.
-    let p_misses = p.requests.iter().filter(|r| !r.exact).count();
-    assert!(p_misses > 0, "miss share must generate out-of-run requests");
-    for r in p.requests.iter().filter(|r| !r.exact) {
-        assert_eq!(r.frames, 0, "premium never gets substitutes");
-        assert_eq!(r.route.tier, QosTier::Premium);
-    }
+    assert!(
+        misses(QosTier::Premium).count() > 0,
+        "premium clients must ask for out-of-run iterations"
+    );
+    assert!(
+        misses(QosTier::Premium).all(|r| r.frames == 0),
+        "premium never gets substitutes"
+    );
     // Free: out-of-run requests get the newest earlier frame instead.
-    let f_subs = f
-        .requests
-        .iter()
-        .filter(|r| !r.exact && r.frames > 0)
-        .count();
-    assert!(f_subs > 0, "free tier substitutes instead of erroring");
-    // Per-tier latency accounting sees both tiers where both exist.
-    assert!(p.tier_latency_percentile(QosTier::Premium, 99.0) > 0.0);
-    assert!(f.tier_latency_percentile(QosTier::Free, 99.0) > 0.0);
-    assert_eq!(p.tier_latency_percentile(QosTier::Free, 99.0), 0.0);
+    assert!(
+        misses(QosTier::Free).any(|r| r.frames > 0),
+        "free tier substitutes instead of erroring"
+    );
+    // Per-tier latency accounting sees both tiers.
+    for tier in [QosTier::Premium, QosTier::Free] {
+        assert!(out.tier_latency_percentile(tier, 99.0) > 0.0, "{tier:?}");
+    }
 }
 
 #[test]

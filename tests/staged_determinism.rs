@@ -38,9 +38,7 @@ fn all_policies() -> [BackpressurePolicy; 3] {
 fn staged_config(policy: BackpressurePolicy, exec: ExecPolicy) -> PipelineConfig {
     // Adaptation on (a live controller is the hardest state to keep in
     // lockstep) and a modest solver compute so queues see real dynamics.
-    let params = StagedParams::new(1, 2, policy)
-        .with_sim_compute(5.0)
-        .with_pre_reduce(10.0);
+    let params = StagedParams::new(1, 2, policy).with_sim_compute(5.0);
     PipelineConfig::default()
         .with_target(20.0)
         .with_exec(exec)
