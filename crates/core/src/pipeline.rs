@@ -42,12 +42,12 @@ pub(crate) fn score_held(
 }
 
 /// The paper's reduce step, the one copy both executors run (the
-/// synchronous step 3 and the stager reduce): downsample the blocks of `held` that are among the `percent`%
-/// lowest-scored of the ascending `sorted` list — to 8 corners by default,
-/// to a k³ lattice with the downsampling extension — and charge
-/// [`REDUCE_COST_PER_BLOCK`] for each. A block that arrives already
-/// reduced is neither touched nor charged. Returns the blocks reduced
-/// here.
+/// synchronous step 3 and the stager reduce): downsample the blocks of
+/// `held` that are among the `percent`% lowest-scored of the ascending
+/// `sorted` list — to 8 corners by default, to a k³ lattice with the
+/// downsampling extension — and charge [`REDUCE_COST_PER_BLOCK`] for each.
+/// A block that arrives already reduced is neither touched nor charged.
+/// Returns the blocks reduced here.
 pub(crate) fn reduce_lowest(
     rank: &mut Rank,
     config: &PipelineConfig,

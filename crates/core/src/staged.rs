@@ -77,16 +77,18 @@ pub struct StagedFrame {
     /// The familiar per-iteration report. Staged semantics of the step
     /// fields: `t_score` is the (max-over-sim-ranks) sim-side scoring
     /// time, `t_sort` is zero (stagers sort locally, no collective),
-    /// `t_reduce` is the stager reduction, `t_redistribute` is the queue transfer/ingest time visible at the
-    /// stagers, `t_render` the stager render step, and `t_total` the
-    /// end-to-end frame latency from the last simulation rank finishing
-    /// the frame's production to the last stager finishing its render.
+    /// `t_reduce` is the stager reduction, `t_redistribute` the queue
+    /// transfer/ingest time visible at the stagers, `t_render` the stager
+    /// render step, and `t_total` the end-to-end frame latency from the
+    /// last simulation rank finishing the frame's production to the last
+    /// stager finishing its render.
     pub report: IterationReport,
     /// Queue-full stall this frame cost the simulation (max over sim
     /// ranks) — the quantity staging exists to minimize.
     pub t_sim_stall: f64,
     /// Everything the simulation saw of in situ processing this frame
-    /// (max over sim ranks): scoring + enqueue overhead + stall. The synchronous equivalent is the whole `t_total`.
+    /// (max over sim ranks): scoring + enqueue overhead + stall. The
+    /// synchronous equivalent is the whole `t_total`.
     pub t_sim_visible: f64,
     /// Frame slices evicted by `DropOldest` this frame (over all queues).
     pub slices_dropped: usize,
