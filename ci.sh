@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> apc-lint (in-tree determinism & safety lint, deny-by-default)"
 # Wall-clock reads, hash-order iteration, unannotated unwraps, NaN-unsafe
-# comparators, raw thread spawns, the reserved-tag layout, and `dead-pub`:
+# comparators, raw thread spawns, and `dead-pub`:
 # a `pub` item in crates/*/src that only tests, examples or re-exports name
 # (benchmark/src is read as a caller, never linted). Diagnostics
 # are file:line: rule: message; suppress a site with a reasoned
@@ -37,7 +37,7 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-rend
 # emitted triangles to the count table. The environment wins over
 # .cargo/config.toml's 120 s: a lost wake-up in the rendezvous' wait loop
 # (the lapping stress hunts for one) or under a mailbox (`mailbox_stress`)
-# fails here in 30 s with the arrival count or the stranded `(src, tag)`
+# fails here in 30 s with the arrival count or the stranded `(src, lane)`
 # instead of after two minutes per stranded test. The grid, store
 # and cm1 suites put the shared block payload, the LRU charged at decoded
 # sizes and the dataset's cache mutex on optimised code too.
@@ -48,7 +48,7 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fa
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
 # lost wake-up or a missed notify fails in 30 s with the stranded rank's
-# (src, tag) instead of after two minutes per stranded test.
+# (src, lane) instead of after two minutes per stranded test.
 APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
 
 echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"

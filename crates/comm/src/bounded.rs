@@ -3,9 +3,10 @@
 //!
 //! A queue connects one producer rank (a simulation rank) to one consumer
 //! rank (a staging rank). Data rides the ordinary epoch-stamped envelope
-//! layer — non-overtaking per `(src, tag)`, isolated per session run — on a
-//! pair of reserved internal tags, so *what* moves is exactly a normal
-//! message; what the queue adds is **capacity semantics in virtual time**:
+//! layer — non-overtaking per `(src, lane)`, isolated per session run — on
+//! the channel's data and credit lanes, which no user tag can reach, so
+//! *what* moves is exactly a normal message; what the queue adds is
+//! **capacity semantics in virtual time**:
 //!
 //! * **Credit flow** ([`FlowControl::Credit`]): the producer may have at
 //!   most `depth` messages enqueued beyond the one the consumer is
@@ -31,11 +32,12 @@
 //! answers — and poisons the session, exactly like any other stranded
 //! receive (guarded by the stager-panic case in `tests/session_stress.rs`).
 //!
-//! On a second reserved tag range the module also provides **request/reply
-//! endpoints** ([`ServeClient`] / [`ServeServer`]): a client sends a typed
-//! request and blocks for the typed reply; the server receives requests
-//! selectively per client (so a fixed service order is deterministic no
-//! matter how the OS schedules the client threads) and answers when it
+//! On request and reply lanes of their own the module also provides
+//! **request/reply endpoints** ([`ServeClient`] / [`ServeServer`]): a
+//! client sends a typed request and blocks for the typed reply; the server
+//! receives requests selectively per client (so a fixed service order is
+//! deterministic no matter how the OS schedules the client threads) and
+//! answers when it
 //! chooses — immediately, or deferred to a later point of its own
 //! timeline, which is how `apc-serve` models replies that wait for a frame
 //! still being produced. Requests and replies are ordinary envelopes, so
@@ -44,7 +46,7 @@
 //! its peer dies mid-request.
 
 use crate::meter::Meter;
-use crate::p2p::Tag;
+use crate::p2p::Lane;
 use crate::runtime::Rank;
 
 /// How a queue bounds its capacity. See the module docs.
@@ -56,42 +58,6 @@ pub enum FlowControl {
     /// No flow control: the producer never stalls; the consumer accounts
     /// overflow drops itself from the deferred arrival timestamps.
     Lossy,
-}
-
-/// Highest channel id; keeps the reserved stage-tag range well clear of
-/// the other internal tags and of any realistic user tag.
-const MAX_CHANNEL: u32 = 1 << 16;
-
-fn data_tag(channel: u32) -> Tag {
-    assert!(
-        channel < MAX_CHANNEL,
-        "stage channel {channel} out of range"
-    );
-    Tag(Tag::STAGE_BASE - 2 * channel)
-}
-
-fn credit_tag(channel: u32) -> Tag {
-    assert!(
-        channel < MAX_CHANNEL,
-        "stage channel {channel} out of range"
-    );
-    Tag(Tag::STAGE_BASE - 2 * channel - 1)
-}
-
-fn request_tag(channel: u32) -> Tag {
-    assert!(
-        channel < MAX_CHANNEL,
-        "serve channel {channel} out of range"
-    );
-    Tag(Tag::SERVE_BASE - 2 * channel)
-}
-
-fn reply_tag(channel: u32) -> Tag {
-    assert!(
-        channel < MAX_CHANNEL,
-        "serve channel {channel} out of range"
-    );
-    Tag(Tag::SERVE_BASE - 2 * channel - 1)
 }
 
 /// Producer half of a bounded queue to `dst`.
@@ -132,12 +98,12 @@ impl QueueSender {
             let expect = self.seq - self.depth as u64;
             let before = rank.clock();
             let (ack, arrival, bytes) =
-                rank.recv_with_arrival::<u64>(self.dst, credit_tag(self.channel));
+                rank.recv_with_arrival::<u64>(self.dst, Lane::StageCredit(self.channel));
             debug_assert_eq!(ack, expect, "stage credit out of sequence");
             stall = (arrival - before).max(0.0);
             rank.charge_receive(arrival, bytes);
         }
-        rank.send(self.dst, data_tag(self.channel), msg);
+        rank.send_on(self.dst, Lane::StageData(self.channel), msg);
         self.seq += 1;
         stall
     }
@@ -182,7 +148,7 @@ impl QueueReceiver {
         let d = self.dequeue_deferred(rank);
         rank.charge_receive(d.arrival, d.bytes);
         if self.flow == FlowControl::Credit {
-            rank.send(self.src, credit_tag(self.channel), self.seq - 1);
+            rank.send_on(self.src, Lane::StageCredit(self.channel), self.seq - 1);
         }
         d
     }
@@ -193,7 +159,7 @@ impl QueueReceiver {
     /// [`Rank::advance`] by `rank.net().ingest(bytes)` for the messages it
     /// actually consumes).
     pub fn dequeue_deferred<M: Send + 'static>(&mut self, rank: &mut Rank) -> Dequeued<M> {
-        let (msg, arrival, bytes) = rank.recv_with_arrival(self.src, data_tag(self.channel));
+        let (msg, arrival, bytes) = rank.recv_with_arrival(self.src, Lane::StageData(self.channel));
         self.seq += 1;
         Dequeued {
             msg,
@@ -226,7 +192,7 @@ impl ServeClient {
 
     /// Post a request (never blocks — eager buffering, like any send).
     pub fn send_request<Q: Meter + Send + 'static>(&mut self, rank: &mut Rank, request: Q) {
-        rank.send(self.server, request_tag(self.channel), request);
+        rank.send_on(self.server, Lane::Request(self.channel), request);
         self.sent += 1;
     }
 
@@ -239,7 +205,7 @@ impl ServeClient {
             self.answered < self.sent,
             "no outstanding request to receive a reply for"
         );
-        let (msg, arrival, bytes) = rank.recv_with_arrival(self.server, reply_tag(self.channel));
+        let (msg, arrival, bytes) = rank.recv_with_arrival(self.server, Lane::Reply(self.channel));
         rank.charge_receive(arrival, bytes);
         self.answered += 1;
         Dequeued {
@@ -271,15 +237,11 @@ impl ServeServer {
         }
     }
 
-    /// The client rank this endpoint serves.
-    pub fn client(&self) -> usize {
-        self.client
-    }
-
     /// Block for the client's next request, merging its arrival into the
     /// server's clock and charging the ingest cost.
     pub fn recv_request<Q: Send + 'static>(&mut self, rank: &mut Rank) -> Dequeued<Q> {
-        let (msg, arrival, bytes) = rank.recv_with_arrival(self.client, request_tag(self.channel));
+        let (msg, arrival, bytes) =
+            rank.recv_with_arrival(self.client, Lane::Request(self.channel));
         rank.charge_receive(arrival, bytes);
         self.taken += 1;
         Dequeued {
@@ -294,13 +256,8 @@ impl ServeServer {
     /// server makes a client wait in virtual time.
     pub fn send_reply<R: Meter + Send + 'static>(&mut self, rank: &mut Rank, reply: R) {
         assert!(self.replied < self.taken, "no received request to reply to");
-        rank.send(self.client, reply_tag(self.channel), reply);
+        rank.send_on(self.client, Lane::Reply(self.channel), reply);
         self.replied += 1;
-    }
-
-    /// Requests received but not yet answered.
-    pub fn pending(&self) -> u64 {
-        self.taken - self.replied
     }
 }
 
@@ -308,6 +265,7 @@ impl ServeServer {
 mod tests {
     use super::*;
     use crate::netmodel::NetModel;
+    use crate::p2p::Tag;
     use crate::runtime::Runtime;
 
     /// A producer that is faster than its consumer must stall once the
@@ -455,7 +413,6 @@ mod tests {
                 let q = ep.recv_request::<u64>(rank);
                 rank.advance(3.0); // service time
                 ep.send_reply(rank, q.msg * 2);
-                assert_eq!(ep.pending(), 0);
                 0.0
             }
         });
@@ -530,30 +487,54 @@ mod tests {
         });
     }
 
-    /// Serve endpoints and stage queues between the same pair of ranks
-    /// never collide: their reserved tag ranges are disjoint.
+    /// Serve endpoints, stage queues and user messages between the same
+    /// pair of ranks never cross: user tags at the top of the `u32` space
+    /// and a serve channel of `u32::MAX` each reach only their own receiver.
     #[test]
-    fn serve_and_stage_tags_are_disjoint() {
-        const {
-            assert!(Tag::SERVE_BASE < Tag::STAGE_BASE - 2 * (MAX_CHANNEL - 1) - 1);
-        }
+    fn lanes_never_cross() {
+        let (top, below) = (Tag(u32::MAX - 2), Tag(u32::MAX - 3));
         let out = Runtime::new(2, NetModel::free()).run(|rank| {
             if rank.rank() == 0 {
-                let mut tx = QueueSender::new(1, 0, 2, FlowControl::Credit);
+                // Sent first, so each sits ahead of the lane traffic.
+                rank.send(1, top, 1000u64);
+                rank.send(1, below, 2000u64);
+                let mut tx = QueueSender::new(1, 0, 1, FlowControl::Credit);
                 let mut ep = ServeClient::new(1, 0);
+                let mut wide = ServeClient::new(1, u32::MAX);
+                wide.send_request(rank, 6u64);
                 ep.send_request(rank, 5u64);
                 tx.enqueue(rank, 77u64);
-                ep.recv_reply::<u64>(rank).msg
+                tx.enqueue(rank, 78u64); // waits for the first credit
+                vec![
+                    ep.recv_reply::<u64>(rank).msg,
+                    wide.recv_reply::<u64>(rank).msg,
+                    rank.recv::<u64>(1, below),
+                    rank.recv::<u64>(1, top),
+                ]
             } else {
+                rank.send(0, below, 3000u64);
+                rank.send(0, top, 4000u64);
                 let mut rx = QueueReceiver::new(0, 0, FlowControl::Credit);
                 let mut ep = ServeServer::new(0, 0);
+                let mut wide = ServeServer::new(0, u32::MAX);
+                let d0 = rx.dequeue::<u64>(rank).msg;
+                let d1 = rx.dequeue::<u64>(rank).msg;
                 let q = ep.recv_request::<u64>(rank).msg;
-                let d = rx.dequeue::<u64>(rank).msg;
-                ep.send_reply(rank, q + d);
-                0
+                let w = wide.recv_request::<u64>(rank).msg;
+                ep.send_reply(rank, q + d0);
+                wide.send_reply(rank, w + d1);
+                vec![
+                    d0,
+                    d1,
+                    q,
+                    w,
+                    rank.recv::<u64>(0, top),
+                    rank.recv::<u64>(0, below),
+                ]
             }
         });
-        assert_eq!(out[0], 82);
+        assert_eq!(out[0], vec![82, 84, 3000, 4000]);
+        assert_eq!(out[1], vec![77, 78, 5, 6, 1000, 2000]);
     }
 
     /// Two channels between the same pair of ranks stay independent.

@@ -32,7 +32,7 @@
 //!   *clock* replays.
 //! * **One mailbox per rank under every point-to-point message**
 //!   ([`p2p`]): a sender locks only the destination's mailbox and wakes its
-//!   owner only for the `(source, tag)` it is blocked on; a receiver locks
+//!   owner only for the `(source, lane)` it is blocked on; a receiver locks
 //!   only its own, waits until a deadline fixed when the receive started,
 //!   and fails at once when the rank it waits for has died.
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
@@ -41,9 +41,9 @@
 //!   flow-controlled producer → consumer channels (credit-based or lossy)
 //!   whose capacity semantics live in virtual time — the substrate of
 //!   `apc-stage`'s dedicated-core asynchronous in situ mode — plus
-//!   request/reply endpoints ([`ServeClient`] / [`ServeServer`]) on a
-//!   second reserved tag range, the substrate of `apc-serve`'s frame
-//!   serving protocol.
+//!   request/reply endpoints ([`ServeClient`] / [`ServeServer`]), the
+//!   substrate of `apc-serve`'s frame serving protocol. Queues and
+//!   endpoints travel on lanes of their own, which no user [`Tag`] reaches.
 //!
 //! ```
 //! use apc_comm::{NetModel, Runtime};

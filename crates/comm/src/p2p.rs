@@ -1,7 +1,7 @@
 //! Point-to-point messaging: tagged and typed.
 //!
-//! Semantics mirror MPI: messages between a (sender, receiver) pair with the
-//! same tag are non-overtaking; receives are selective on `(source, tag)`.
+//! Semantics mirror MPI: messages between a (sender, receiver) pair on the
+//! same lane are non-overtaking; receives are selective on `(source, lane)`.
 //! Sends are buffered (the virtual network has unbounded eager buffers), so
 //! `send` never blocks — matching the paper's use of non-blocking
 //! sends/receives for block redistribution (§IV-D).
@@ -9,7 +9,7 @@
 //! Underneath, every rank owns one mailbox (`crate::runtime`, "Who wakes
 //! whom"): [`Rank::send`] puts the envelope into the destination's, in the
 //! FIFO of its own rank, and wakes the destination only if it is parked on
-//! exactly that `(source, tag)`; a receive looks in its own mailbox and
+//! exactly that `(source, lane)`; a receive looks in its own mailbox and
 //! parks — until a deadline fixed when it started — only if the message is
 //! not there yet. A receive from a rank whose thread has died fails at
 //! once, naming it, unless the message was delivered first; a send to one
@@ -20,28 +20,29 @@ use std::any::Any;
 use crate::meter::Meter;
 use crate::runtime::Rank;
 
-/// Message tag. The pipeline uses small user tags; the runtime reserves two
-/// bands at the top of the space for the stage queues and serve endpoints
-/// of [`crate::bounded`]. No collective travels by tag (the two values above
-/// `STAGE_BASE` are unreserved).
+/// User message tag: every `u32` is free for [`Rank::send`] / [`Rank::recv`].
+/// The stage queues and serve endpoints of [`crate::bounded`] travel on
+/// lanes of their own, so no user tag can reach them. No collective travels
+/// by tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tag(pub u32);
 
-impl Tag {
-    /// Base of the internal tag pairs used by [`crate::bounded`] stage
-    /// queues; channel `c` occupies `STAGE_BASE - 2c` (data) and
-    /// `STAGE_BASE - 2c - 1` (credits).
-    pub(crate) const STAGE_BASE: u32 = u32::MAX - 2;
-    /// Base of the internal tag pairs used by [`crate::bounded`]
-    /// request/reply endpoints, directly below the stage-queue range;
-    /// channel `c` occupies `SERVE_BASE - 2c` (requests) and
-    /// `SERVE_BASE - 2c - 1` (replies).
-    pub(crate) const SERVE_BASE: u32 = Tag::STAGE_BASE - 2 * (1 << 16);
+/// What a receive matches on besides its source: a user tag, or one
+/// direction of a [`crate::bounded`] endpoint on its channel. Distinct
+/// variants never match, so the kinds of traffic cannot collide whatever
+/// the tag or channel values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    User(Tag),
+    StageData(u32),
+    StageCredit(u32),
+    Request(u32),
+    Reply(u32),
 }
 
 pub(crate) struct Envelope {
     pub src: usize,
-    pub tag: Tag,
+    pub lane: Lane,
     /// Session run (epoch) that produced the message; receives only match
     /// envelopes from their own run, so session runs cannot interfere.
     pub epoch: u64,
@@ -55,12 +56,17 @@ impl Rank {
     /// Send `msg` to `dst` with `tag`. Never blocks (eager buffering).
     /// Charges the sender the per-message software overhead.
     pub fn send<M: Meter + Send + 'static>(&mut self, dst: usize, tag: Tag, msg: M) {
+        self.send_on(dst, Lane::User(tag), msg);
+    }
+
+    /// [`Rank::send`] on any lane.
+    pub(crate) fn send_on<M: Meter + Send + 'static>(&mut self, dst: usize, lane: Lane, msg: M) {
         assert!(dst < self.nranks(), "invalid destination rank {dst}");
         let bytes = msg.nbytes();
         self.clock += self.net().send_overhead;
         let env = Envelope {
             src: self.id,
-            tag,
+            lane,
             epoch: self.epoch,
             ts: self.clock,
             bytes,
@@ -72,7 +78,7 @@ impl Rank {
     /// Blocking receive of a message from `src` with `tag`. Merges the
     /// sender's clock plus the modeled transfer time into this rank's clock.
     pub fn recv<M: Send + 'static>(&mut self, src: usize, tag: Tag) -> M {
-        let (msg, arrival, bytes) = self.recv_with_arrival(src, tag);
+        let (msg, arrival, bytes) = self.recv_with_arrival(src, Lane::User(tag));
         self.charge_receive(arrival, bytes);
         msg
     }
@@ -96,16 +102,16 @@ impl Rank {
     pub(crate) fn recv_with_arrival<M: Send + 'static>(
         &mut self,
         src: usize,
-        tag: Tag,
+        lane: Lane,
     ) -> (M, f64, usize) {
         assert!(src < self.nranks(), "invalid source rank {src}");
-        let env = self.pop_matching(src, tag);
+        let env = self.pop_matching(src, lane);
         let arrival = env.ts + self.net().p2p(env.bytes);
         let bytes = env.bytes;
         let msg = *env.payload.downcast::<M>().unwrap_or_else(|_| {
-            // apc-lint: allow(unwrap-in-lib): a tag/type mismatch is a protocol bug in rank code, not recoverable input
+            // apc-lint: allow(unwrap-in-lib): a lane/type mismatch is a protocol bug in rank code, not recoverable input
             panic!(
-                "rank {} received type mismatch from rank {src} tag {tag:?} \
+                "rank {} received type mismatch from rank {src} lane={lane:?} \
                  (expected {})",
                 self.id,
                 std::any::type_name::<M>()

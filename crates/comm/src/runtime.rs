@@ -25,7 +25,7 @@
 //! A rank blocks in exactly two places, both bounded by the deadlock
 //! timeout: `Rendezvous::meet` (collectives) and `Rank::pop_matching`
 //! (receives). A mailbox is a mutex over one FIFO per source rank plus the
-//! `(source, tag)` its owner is parked on, and a condvar only the owner
+//! `(source, lane)` its owner is parked on, and a condvar only the owner
 //! ever waits on. A sender locks the *destination's* mailbox, appends to
 //! its own FIFO there and wakes the owner only if that is the very message
 //! it is parked on — after unlocking, so the owner does not wake into a
@@ -46,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::netmodel::NetModel;
-use crate::p2p::{Envelope, Tag};
+use crate::p2p::{Envelope, Lane};
 
 /// Default for how long a blocking receive — or a wait in a collective's
 /// rendezvous — lasts before declaring the program deadlocked. Generous enough
@@ -209,23 +209,25 @@ struct Inbox {
     /// index on its first delivery (a rank that only ever hears from a few
     /// low ranks never holds n of them).
     from: Vec<VecDeque<Envelope>>,
-    /// The `(source, tag)` the owner is parked on, if it is parked. A
+    /// The `(source, lane)` the owner is parked on, if it is parked. A
     /// delivery of exactly that clears it and wakes the owner.
-    waiting: Option<(usize, Tag)>,
+    waiting: Option<(usize, Lane)>,
     /// How often the owner parked and was woken (by a delivery, a dying
     /// peer or spuriously — not by its own timeout).
     wakeups: u64,
 }
 
 impl Inbox {
-    /// Remove the first envelope of run `epoch` that `src` sent with `tag`
-    /// (non-overtaking per `(source, tag)`, selective otherwise).
-    fn pop(&mut self, src: usize, tag: Tag, epoch: u64) -> Option<Envelope> {
+    /// Remove the first envelope of run `epoch` that `src` sent on `lane`
+    /// (non-overtaking per `(source, lane)`, selective otherwise).
+    fn pop(&mut self, src: usize, lane: Lane, epoch: u64) -> Option<Envelope> {
         let fifo = self.from.get_mut(src)?;
         // Runs are serialized by the session and `begin_run` dropped what
         // earlier ones leaked, so an envelope of another run cannot be
         // here; the epoch test keeps a violation of that from crossing runs.
-        let pos = fifo.iter().position(|e| e.tag == tag && e.epoch == epoch)?;
+        let pos = fifo
+            .iter()
+            .position(|e| e.lane == lane && e.epoch == epoch)?;
         fifo.remove(pos)
     }
 }
@@ -254,7 +256,7 @@ impl Mailbox {
     }
 
     /// Append `env` to its source's FIFO and wake the owner if it is parked
-    /// on exactly this `(source, tag)`. The one place a message is
+    /// on exactly this `(source, lane)`. The one place a message is
     /// delivered. Panics if the owner's thread is gone.
     pub(crate) fn deliver(&self, env: Envelope) {
         assert!(
@@ -264,7 +266,7 @@ impl Mailbox {
         let mut inbox = self.lock();
         let wake = inbox
             .waiting
-            .take_if(|w| *w == (env.src, env.tag))
+            .take_if(|w| *w == (env.src, env.lane))
             .is_some();
         if inbox.from.len() <= env.src {
             inbox.from.resize_with(env.src + 1, VecDeque::new);
@@ -677,19 +679,19 @@ impl Rank {
         self.merge_clock(t);
     }
 
-    /// Block until the first message of this run that `src` sent with
-    /// `tag` is in this rank's mailbox, and remove it. The one place a
+    /// Block until the first message of this run that `src` sent on
+    /// `lane` is in this rank's mailbox, and remove it. The one place a
     /// receive blocks. Gives up — with the lock released — when `src` has
     /// died without delivering it, or the deadlock timeout after the call
     /// started: the deadline is per receive, so traffic the rank is not
     /// waiting for cannot postpone the diagnostic.
-    pub(crate) fn pop_matching(&mut self, src: usize, tag: Tag) -> Envelope {
+    pub(crate) fn pop_matching(&mut self, src: usize, lane: Lane) -> Envelope {
         let shared = &*self.shared;
         let mailbox = &shared.mailboxes[self.id];
         let mut inbox = mailbox.lock();
         let mut deadline = None;
         let died = loop {
-            if let Some(env) = inbox.pop(src, tag, self.epoch) {
+            if let Some(env) = inbox.pop(src, lane, self.epoch) {
                 return env;
             }
             // After the FIFO: what a peer delivered before dying still
@@ -708,7 +710,7 @@ impl Rank {
             if now >= deadline {
                 break false;
             }
-            inbox.waiting = Some((src, tag));
+            inbox.waiting = Some((src, lane));
             let (guard, result) = mailbox
                 .arrived
                 .wait_timeout(inbox, deadline - now)
@@ -723,13 +725,13 @@ impl Rank {
         if died {
             // apc-lint: allow(unwrap-in-lib): the peer is gone and the message will never come; the panic is the diagnostic
             panic!(
-                "rank {me} waiting for message (src={src}, tag={tag:?}) from rank {src}, \
+                "rank {me} waiting for message (src={src}, lane={lane:?}) from rank {src}, \
                  which died; {stashed} stashed envelopes"
             );
         }
         // apc-lint: allow(unwrap-in-lib): a recv deadlock is unrecoverable; the panic is the diagnostic
         panic!(
-            "rank {me} deadlocked waiting for message (src={src}, tag={tag:?}); \
+            "rank {me} deadlocked waiting for message (src={src}, lane={lane:?}); \
              {stashed} stashed envelopes"
         );
     }
@@ -738,6 +740,7 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::p2p::Tag;
 
     #[test]
     fn run_returns_results_in_rank_order() {
@@ -855,7 +858,7 @@ mod tests {
             1 => {
                 // Not before rank 0 is parked on rank 2's message:
                 // `waiting` is published under the lock the wait releases.
-                while rank.shared.mailboxes[0].lock().waiting != Some((2, awaited)) {
+                while rank.shared.mailboxes[0].lock().waiting != Some((2, Lane::User(awaited))) {
                     std::thread::yield_now();
                 }
                 (0..NOISE).for_each(|i| rank.send(0, noise, i));

@@ -334,7 +334,7 @@ fn client_panic_mid_request_fails_the_server_not_strands_it() {
 #[test]
 fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
     let runtime = Runtime::new(3, NetModel::free()).deadlock_timeout(Duration::from_secs(30));
-    let fails_fast_naming = |dead: &str, job: &(dyn Fn(&mut apc_comm::Rank) + Sync)| {
+    let fails_fast_naming = |dead: &str, lane: &str, job: &(dyn Fn(&mut apc_comm::Rank) + Sync)| {
         let mut session = runtime.session();
         let t0 = Instant::now();
         let payload = catch_unwind(AssertUnwindSafe(|| session.run(job)))
@@ -342,8 +342,8 @@ fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
         let elapsed = t0.elapsed();
         let msg = panic_text(&*payload);
         assert!(
-            msg.contains(dead) && msg.contains("died"),
-            "the stranded receive must name {dead}, got: {msg}"
+            msg.contains(dead) && msg.contains(lane) && msg.contains("died"),
+            "the stranded receive must name {dead} and {lane}, got: {msg}"
         );
         assert!(
             elapsed < Duration::from_secs(5),
@@ -354,7 +354,7 @@ fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
 
     // Server side: clients 0 and 1 strand in `recv_reply` when server 2
     // dies holding their second requests.
-    fails_fast_naming("rank 2", &|rank| match rank.rank() {
+    fails_fast_naming("rank 2", "lane=Reply(0)", &|rank| match rank.rank() {
         0 | 1 => {
             let mut ep = ServeClient::new(2, 0);
             ep.send_request(rank, 1u64);
@@ -377,7 +377,7 @@ fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
 
     // Client side: server 0 strands in `recv_request` when client 1 dies
     // after one round trip; rank 2 idles.
-    fails_fast_naming("rank 1", &|rank| match rank.rank() {
+    fails_fast_naming("rank 1", "lane=Request(0)", &|rank| match rank.rank() {
         0 => {
             let mut ep = ServeServer::new(1, 0);
             let q = ep.recv_request::<u64>(rank).msg;

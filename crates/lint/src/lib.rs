@@ -4,9 +4,8 @@
 //! **byte-identically in virtual time** — and this crate guards it
 //! *statically*, before a nondeterminism bug can reach a pinned fixture.
 //! It is a zero-dependency, hand-rolled analyzer (lexer in
-//! [`lexer`], rules in [`rules`], the semantic tag-range check in
-//! [`tagrange`], the cross-file caller check in [`deadpub`]) run from CI
-//! as `cargo run -p apc-lint`.
+//! [`lexer`], rules in [`rules`], the cross-file caller check in
+//! [`deadpub`]) run from CI as `cargo run -p apc-lint`.
 //!
 //! Rules (see [`rules::RULES`] or `cargo run -p apc-lint -- --list`):
 //!
@@ -17,7 +16,6 @@
 //! | `unwrap-in-lib` | panics on corrupt/adversarial input in libraries |
 //! | `float-ord` | NaN-unsafe sort comparators (the PR-2 bug class) |
 //! | `raw-spawn` | threads created behind the deterministic runtime's back |
-//! | `tag-range` | reserved message-tag range collisions in apc-comm |
 //! | `dead-pub` | `pub` items that only tests, examples or re-exports name |
 //!
 //! Violations are suppressed in place, never globally:
@@ -35,13 +33,11 @@
 pub mod deadpub;
 pub mod lexer;
 pub mod rules;
-pub mod tagrange;
 
 use std::path::{Path, PathBuf};
 
 pub use deadpub::check_dead_pub;
 pub use rules::{check_source, classify, FileClass, RuleInfo, Violation, RULES};
-pub use tagrange::check_tag_layout;
 
 /// Result of scanning a workspace tree.
 #[derive(Debug)]
@@ -59,8 +55,7 @@ impl Report {
 }
 
 /// Scan the workspace rooted at `root`: every `.rs` file under `crates/`,
-/// `src/`, `tests/` and `examples/` goes through the textual rules, the
-/// tag-range check runs over `crates/comm/src/{p2p,bounded}.rs`, and
+/// `src/`, `tests/` and `examples/` goes through the textual rules, and
 /// `dead-pub` runs over all of them plus `benchmark/src` (a caller only).
 /// Files are visited in sorted order so the report is deterministic.
 pub fn scan_workspace(root: &Path) -> Result<Report, String> {
@@ -93,22 +88,6 @@ pub fn scan_workspace(root: &Path) -> Result<Report, String> {
         .map(|(r, s)| (r.as_str(), s.as_str()))
         .collect();
     violations.extend(check_dead_pub(&sources));
-
-    let p2p = root.join("crates/comm/src/p2p.rs");
-    let bounded = root.join("crates/comm/src/bounded.rs");
-    match (
-        std::fs::read_to_string(&p2p),
-        std::fs::read_to_string(&bounded),
-    ) {
-        (Ok(p), Ok(b)) => violations.extend(check_tag_layout(&p, &b)),
-        _ => violations.push(Violation {
-            file: "crates/comm/src/p2p.rs".to_owned(),
-            line: 1,
-            rule: "tag-range",
-            message: "cannot read crates/comm/src/{p2p,bounded}.rs for the tag-range check"
-                .to_owned(),
-        }),
-    }
 
     violations.sort_by(|a, b| {
         (&a.file, a.line, a.rule)

@@ -100,13 +100,6 @@ pub const RULES: &[RuleInfo] = &[
         scope: "lib + bin code outside crates/par and crates/comm",
     },
     RuleInfo {
-        name: "tag-range",
-        summary: "reserved message-tag ranges in apc-comm (STAGE, SERVE, \
-                  user tags) must stay pairwise disjoint; checked by \
-                  evaluating the const arithmetic in p2p.rs and bounded.rs",
-        scope: "semantic check over crates/comm/src/{p2p,bounded}.rs",
-    },
-    RuleInfo {
         name: "dead-pub",
         summary: "a pub fn/struct/enum/trait/type/const/static whose name no \
                   non-test code uses: callers are crates/*/src, src/ and \

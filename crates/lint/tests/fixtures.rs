@@ -1,11 +1,11 @@
 //! Fixture-driven checks of every lint rule: each rule has a flagged
 //! snippet, a clean snippet, and a snippet silenced by a reasoned
-//! `// apc-lint: allow(...)` — plus a tag-layout collision that must
-//! fail, and `dead-pub`'s cross-file cases fed as `(path, source)` pairs.
+//! `// apc-lint: allow(...)` — plus `dead-pub`'s cross-file cases fed as
+//! `(path, source)` pairs.
 //! The fixture directory itself is classified `Skip`, so the workspace
 //! scan never trips over these deliberately-bad files.
 
-use apc_lint::{check_dead_pub, check_source, check_tag_layout, Violation, RULES};
+use apc_lint::{check_dead_pub, check_source, Violation, RULES};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -93,23 +93,6 @@ fn raw_spawn_exempts_the_threading_crates() {
     let src = fixture("raw_spawn_bad.rs");
     assert!(check_source("crates/par/src/exec.rs", &src).is_empty());
     assert!(check_source("crates/comm/src/runtime.rs", &src).is_empty());
-}
-
-#[test]
-fn tag_layout_good_fixture_passes() {
-    let src = fixture("tag_layout_good.rs");
-    let violations = check_tag_layout(&src, &src);
-    assert!(violations.is_empty(), "{violations:?}");
-}
-
-#[test]
-fn tag_layout_collision_fixture_fails() {
-    let src = fixture("tag_layout_collision.rs");
-    let violations = check_tag_layout(&src, &src);
-    assert!(
-        violations.iter().any(|v| v.rule == "tag-range"),
-        "SERVE band inside the STAGE band must be reported: {violations:?}"
-    );
 }
 
 #[test]
@@ -216,27 +199,16 @@ fn every_rule_has_bad_and_clean_coverage() {
         .collect();
     for rule in RULES {
         let stem = match rule.name {
-            "tag-range" => "tag_layout".to_owned(),
             "unwrap-in-lib" => "unwrap".to_owned(),
             name => name.replace('-', "_"),
         };
         for suffix in ["_bad.rs", "_clean.rs"] {
-            // tag-range fixtures use good/collision instead of clean/bad.
-            let candidates = if rule.name == "tag-range" {
-                vec![
-                    "tag_layout_good.rs".to_owned(),
-                    "tag_layout_collision.rs".to_owned(),
-                ]
-            } else {
-                vec![format!("{stem}{suffix}")]
-            };
-            for c in &candidates {
-                assert!(
-                    names.contains(c),
-                    "missing fixture {c} for rule {}",
-                    rule.name
-                );
-            }
+            let c = format!("{stem}{suffix}");
+            assert!(
+                names.contains(&c),
+                "missing fixture {c} for rule {}",
+                rule.name
+            );
         }
     }
 }

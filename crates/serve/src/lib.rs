@@ -16,7 +16,7 @@
 //! * [`FrameSink`] — the cloneable write handle `apc-core` threads through
 //!   `StagedParams::persist` so stagers persist frames as they render;
 //! * [`FrameRequest`] / [`FrameReply`] — the deterministic request/reply
-//!   protocol served over `apc_comm::bounded`'s reserved serve tags, with
+//!   protocol served over `apc_comm::bounded`'s request/reply lanes, with
 //!   a [`ServePolicy`] deciding what happens when a request races frame
 //!   production (wait for the frame, or answer best-effort with the
 //!   newest one available);
