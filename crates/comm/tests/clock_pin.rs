@@ -17,7 +17,8 @@
 //! ranks — as the pure wire model and `for_paper_scale()`, whose additive
 //! per-byte ingest makes the order of a receiver's merges and charges
 //! visible — with rank-skewed compute before every step. [`script`] runs
-//! each collective once, ending in an `alltoallv` with uneven batches
+//! each collective the pipeline calls once (barrier, gather, allreduce,
+//! allgather, both sorts), ending in an `alltoallv` with uneven batches
 //! (empty ones, a non-empty self batch, block-like payloads whose metered
 //! size varies). [`p2p_script`] runs everything that travels by tag: a
 //! ring, receives in the opposite order of sending (across two tags, then
@@ -39,10 +40,10 @@ type Pins = [(bool, usize, u64); 4];
 
 /// [`script`], the collectives.
 const PINNED: Pins = [
-    (false, 8, 0xc364_0815_3620_705f),
-    (false, 64, 0xde37_ca77_8bff_1a7c),
-    (true, 8, 0xe4b4_4bb2_8388_4e7e),
-    (true, 64, 0x3277_7d54_cf31_71ae),
+    (false, 8, 0xacbe_921e_27a8_1b16),
+    (false, 64, 0xab6d_f27e_d921_8095),
+    (true, 8, 0xa841_93e1_f524_d070),
+    (true, 64, 0x2977_72da_28fd_c0f8),
 ];
 
 /// [`p2p_script`], everything that travels by tag.
@@ -138,27 +139,9 @@ fn script(rank: &mut Rank) -> u64 {
     h.u64(rank.clock().to_bits());
 
     skew(rank);
-    let root = n - 1;
-    let v: Vec<u32> = rank.broadcast(root, (r == root).then(|| (0..37).collect()));
-    v.iter().for_each(|&x| h.u64(x as u64));
-    h.u64(rank.clock().to_bits());
-
-    skew(rank);
     let gathered = rank.gather(1, (r as u32, r as f64 * 0.5));
     h.u64(gathered.is_some() as u64);
     gathered.iter().flatten().for_each(|p| h.pair(p));
-    h.u64(rank.clock().to_bits());
-
-    skew(rank);
-    let root = 2 % n;
-    let parts = (r == root).then(|| (0..n).map(|d| vec![d as f32; d % 4 * 5]).collect());
-    let mine: Vec<f32> = rank.scatter(root, parts);
-    mine.iter().for_each(|x| h.u64(x.to_bits() as u64));
-    h.u64(rank.clock().to_bits());
-
-    skew(rank);
-    let reduced = rank.reduce(0, 1.0 / (r as f64 + 1.0), |a, b| a + b);
-    h.u64(reduced.map_or(u64::MAX, f64::to_bits));
     h.u64(rank.clock().to_bits());
 
     skew(rank);
@@ -170,13 +153,6 @@ fn script(rank: &mut Rank) -> u64 {
         h.u64(part.len() as u64);
         part.iter().for_each(|&b| h.u64(b as u64));
     }
-    h.u64(rank.clock().to_bits());
-
-    skew(rank);
-    h.u64(
-        rank.exclusive_scan(r as u64 + 1, |a, b| a.wrapping_mul(3).wrapping_add(b))
-            .unwrap_or(u64::MAX),
-    );
     h.u64(rank.clock().to_bits());
 
     skew(rank);

@@ -44,8 +44,9 @@ fn round(rank: &mut Rank, k: u64) {
         }
         3 => {
             let root = k % n;
-            let got = rank.broadcast(root as usize, (r == root).then_some((k, root)));
-            assert_eq!(got, (k, root), "broadcast of round {k} on rank {r}");
+            let got = rank.gather(root as usize, (k, r));
+            let expect = (r == root).then(|| (0..n).map(|src| (k, src)).collect());
+            assert_eq!(got, expect, "gather of round {k} on rank {r}");
         }
         _ => {
             let outgoing = (0..n).map(|dst| vec![(k, r, dst)]).collect();
