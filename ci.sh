@@ -13,8 +13,9 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> apc-lint (in-tree determinism & safety lint, deny-by-default)"
 # Wall-clock reads, hash-order iteration, unannotated unwraps, NaN-unsafe
 # comparators, raw thread spawns, and `dead-pub`:
-# a `pub` item in crates/*/src that only tests, examples or re-exports name
-# (benchmark/src is read as a caller, never linted). Diagnostics
+# a `pub` item in crates/*/src that only tests, examples, re-exports, its own
+# body or its own `impl` blocks name (benchmark/src is read as a caller,
+# never linted). Diagnostics
 # are file:line: rule: message; suppress a site with a reasoned
 # `// apc-lint: allow(<rule>): <reason>`. See README "Static analysis".
 cargo run -q -p apc-lint

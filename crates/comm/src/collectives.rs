@@ -106,19 +106,6 @@ impl Rank {
         self.clock = max_clock + self.net().barrier(n);
     }
 
-    /// Broadcast `root`'s value to every rank. Non-root ranks pass `None`.
-    pub fn broadcast<M: Meter + Clone + Send + Sync + 'static>(
-        &mut self,
-        root: usize,
-        value: Option<M>,
-    ) -> M {
-        assert!(root < self.nranks(), "invalid root rank {root}");
-        let n = self.nranks();
-        let (out, max_clock) = self.rendezvous(value, |all| all.of_root(root).clone());
-        self.clock = max_clock + self.net().broadcast(n, out.nbytes());
-        out
-    }
-
     /// Gather every rank's value; all ranks receive the full vector in rank
     /// order.
     pub fn allgather<M: Meter + Clone + Send + Sync + 'static>(&mut self, value: M) -> Vec<M> {
@@ -148,48 +135,6 @@ impl Rank {
         vals
     }
 
-    /// Scatter: the root supplies one value per rank; every rank receives
-    /// its own entry. Non-root ranks pass `None`.
-    // apc-lint: allow(dead-pub): tests/clock_pin.rs pins its clock bits and payloads
-    pub fn scatter<M: Meter + Clone + Send + Sync + 'static>(
-        &mut self,
-        root: usize,
-        values: Option<Vec<M>>,
-    ) -> M {
-        assert!(root < self.nranks(), "invalid root rank {root}");
-        let n = self.nranks();
-        let me = self.id;
-        let ((mine, total), max_clock) = self.rendezvous(values, |all| {
-            let values = all.of_root(root);
-            assert_eq!(values.len(), n, "scatter needs one value per rank");
-            (values[me].clone(), values.nbytes())
-        });
-        // Tree scatter moves ~the full payload out of the root.
-        self.clock = max_clock + self.net().allgather(n, total);
-        mine
-    }
-
-    /// Reduce to `root` only (folded in rank order); other ranks get
-    /// `None`. Charged like half an allreduce (no result distribution).
-    pub fn reduce<M, F>(&mut self, root: usize, value: M, op: F) -> Option<M>
-    where
-        M: Meter + Clone + Send + Sync + 'static,
-        F: FnMut(M, M) -> M,
-    {
-        assert!(root < self.nranks(), "invalid root rank {root}");
-        let n = self.nranks();
-        let bytes = value.nbytes();
-        let is_root = self.id == root;
-        let (vals, max_clock) = self.rendezvous(value, |all| is_root.then(|| collect(all)));
-        self.clock = max_clock + self.net().allreduce(n, bytes) / 2.0;
-        vals.map(|vals| {
-            vals.into_iter()
-                .reduce(op)
-                // apc-lint: allow(unwrap-in-lib): a runtime always has at least one rank
-                .expect("reduce over empty group")
-        })
-    }
-
     /// Reduce all values with `op` (folded in rank order — deterministic);
     /// every rank receives the result.
     pub fn allreduce<M, F>(&mut self, value: M, op: F) -> M
@@ -208,28 +153,6 @@ impl Rank {
             let mut op = op;
             move |acc, v| op(acc, v)
         })
-    }
-
-    /// Exclusive prefix scan: rank `r` receives `op(v_0, ..., v_{r-1})`,
-    /// rank 0 receives `None`.
-    // apc-lint: allow(dead-pub): tests/clock_pin.rs pins its clock bits and payloads
-    pub fn exclusive_scan<M, F>(&mut self, value: M, mut op: F) -> Option<M>
-    where
-        M: Meter + Clone + Send + Sync + 'static,
-        F: FnMut(M, M) -> M,
-    {
-        let n = self.nranks();
-        let bytes = value.nbytes();
-        let (vals, max_clock) = self.rendezvous(value, collect);
-        self.clock = max_clock + self.net().allreduce(n, bytes);
-        let mut acc: Option<M> = None;
-        for v in vals.into_iter().take(self.id) {
-            acc = Some(match acc {
-                None => v,
-                Some(a) => op(a, v),
-            });
-        }
-        acc
     }
 
     /// Personalized all-to-all with variable counts: `outgoing[d]` is the
@@ -317,21 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_root_value() {
-        let out = Runtime::new(4, NetModel::free()).run(|rank| {
-            let v = if rank.rank() == 2 {
-                Some(vec![9u32, 8, 7])
-            } else {
-                None
-            };
-            rank.broadcast(2, v)
-        });
-        for v in out {
-            assert_eq!(v, vec![9, 8, 7]);
-        }
-    }
-
-    #[test]
     fn allgather_rank_order() {
         let out = Runtime::new(4, NetModel::free()).run(|rank| rank.allgather(rank.rank() as u32));
         for v in out {
@@ -372,63 +280,16 @@ mod tests {
             session.run(collective);
             CLONES.load(Relaxed)
         };
-        // Root-only results are cloned by the root only (was 8 × 8).
+        // A root-only result is cloned by the root only (was 8 × 8).
         assert_eq!(
             clones_of(&|rank| assert_eq!(rank.gather(3, Counted).is_some(), rank.rank() == 3)),
             8
-        );
-        assert_eq!(
-            clones_of(&|rank| {
-                let folded = rank.reduce(3, Counted, |a, _| a);
-                assert_eq!(folded.is_some(), rank.rank() == 3);
-            }),
-            8
-        );
-        // One entry per rank (was 8 × 8).
-        assert_eq!(
-            clones_of(&|rank| {
-                let _: Counted = rank.broadcast(3, (rank.rank() == 3).then_some(Counted));
-            }),
-            8
-        );
-        assert_eq!(
-            clones_of(&|rank| {
-                let values = (rank.rank() == 3).then(|| vec![Counted; 8]);
-                let _: Counted = rank.scatter(3, values);
-            }),
-            7 + 8,
-            "vec![x; 8] itself clones 7 times at the root"
         );
         // Everyone gets everything: N² by contract.
         assert_eq!(
             clones_of(&|rank| assert_eq!(rank.allgather(Counted).len(), 8)),
             64
         );
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank_values() {
-        let out = Runtime::new(4, NetModel::free()).run(|rank| {
-            let v = (rank.rank() == 1).then(|| vec![10u32, 11, 12, 13]);
-            rank.scatter(1, v)
-        });
-        assert_eq!(out, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one value per rank")]
-    fn scatter_validates_length() {
-        Runtime::new(3, NetModel::free()).run(|rank| {
-            let v = (rank.rank() == 0).then(|| vec![1u32, 2]);
-            rank.scatter(0, v)
-        });
-    }
-
-    #[test]
-    fn reduce_only_root_gets_result() {
-        let out = Runtime::new(5, NetModel::free())
-            .run(|rank| rank.reduce(2, rank.rank() as u64 + 1, |a, b| a + b));
-        assert_eq!(out, vec![None, None, Some(15), None, None]);
     }
 
     #[test]
@@ -442,13 +303,6 @@ mod tests {
             assert_eq!(sum, 28);
             assert_eq!(max, 7.0);
         }
-    }
-
-    #[test]
-    fn exclusive_scan_prefixes() {
-        let out =
-            Runtime::new(4, NetModel::free()).run(|rank| rank.exclusive_scan(1u32, |a, b| a + b));
-        assert_eq!(out, vec![None, Some(1), Some(2), Some(3)]);
     }
 
     #[test]
@@ -568,14 +422,16 @@ mod tests {
     fn a_bad_argument_on_one_rank_fails_every_rank_at_once() {
         // Rank 0's panic is the one `run` re-raises, so the offender is
         // always another rank: rank 0 must have seen the mistake itself.
+        // A root-only deposit, read the way `gather_sort_broadcast` reads
+        // the root's sorted array.
+        fn of_root(rank: &mut Rank, value: Option<u32>) -> u32 {
+            rank.rendezvous(value, |all| *all.of_root(3)).0
+        }
         assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
-            let _: u32 = rank.broadcast(3, (rank.rank() >= 2).then_some(7));
+            of_root(rank, (rank.rank() >= 2).then_some(7));
         });
         assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
-            let _: u32 = rank.broadcast(3, None);
-        });
-        assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
-            let _: u32 = rank.scatter(1, (rank.rank() % 2 == 1).then(|| vec![1, 2, 3, 4]));
+            of_root(rank, None);
         });
         assert_fails_every_rank_at_once("one outgoing batch per rank", |rank| {
             let batches = if rank.rank() == 2 { 3 } else { 4 };

@@ -6,9 +6,8 @@
 //!
 //! * **Ranks are OS threads.** [`Runtime::run`] spawns one thread per rank;
 //!   each receives a [`Rank`] handle exposing point-to-point messaging
-//!   (`send`/`recv` with tags) and the collectives the
-//!   pipeline needs (barrier, broadcast, gather, allgather, reduce,
-//!   allreduce, alltoallv, exclusive scan).
+//!   (`send`/`recv` with tags) and the five collectives the
+//!   pipeline needs (barrier, gather, allgather, allreduce, alltoallv).
 //! * **Reusable rank sessions.** [`Runtime::session`] spawns the rank
 //!   threads once and executes a series of closures over them
 //!   ([`Session::run`]) — the substrate of parameter sweeps, which replay

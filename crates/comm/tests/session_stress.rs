@@ -444,7 +444,7 @@ fn traffic_a_receive_is_not_waiting_for_does_not_postpone_its_deadline() {
 /// the store, not the session, so rank death never corrupts it.
 #[test]
 fn rank_panic_mid_shard_read_poisons_and_recovers() {
-    use apc_store::{DirStore, ShardReader, ShardWriter};
+    use apc_store::{DirStore, ShardWriter, ShardedStore, StoreBackend};
 
     const NRANKS: usize = 4;
     let root = std::env::temp_dir()
@@ -465,8 +465,9 @@ fn rank_panic_mid_shard_read_poisons_and_recovers() {
     let mut session = runtime.session();
 
     let read_own_chunk = |r: usize| {
-        let reader = ShardReader::open(&store, "c/000100/s000000").unwrap();
-        reader.read_range(&format!("c/000100/{r:06}")).unwrap()
+        ShardedStore::new(&store, NRANKS)
+            .get(&format!("c/000100/{r:06}"))
+            .unwrap()
     };
 
     let t0 = Instant::now();

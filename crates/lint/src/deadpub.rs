@@ -4,11 +4,14 @@
 //!
 //! The rule is name-based, with no resolver: an item is dead when its
 //! name, as a whole word in masked source, appears in no caller's code
-//! except at `pub` declarations. That misses an item whose name is common
-//! (`new`, `len`) and never flags one that is called. A `pub` item that
-//! shares its name with a live item is invisible to the rule too (a
-//! builder named like another type's called constructor), and `pub`
-//! fields are not items it checks.
+//! except at `pub` declarations and inside the items that own it. A `pub`
+//! declaration owns its name from `pub` to its closing `;` or `}`, and an
+//! `impl` block owns its self type's name, so neither an item's own body
+//! nor its own `impl` blocks call it; another item in the same `impl`
+//! does. That misses an item whose name is common (`new`, `len`) and
+//! never flags one that is called. A `pub` item that shares its name with
+//! a live item is invisible to the rule too (a builder named like another
+//! type's called constructor), and `pub` fields are not items it checks.
 //!
 //! Whose code counts as a caller:
 //!
@@ -66,6 +69,7 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
             .into_iter()
             .filter(|t| !in_test[t.line - 1])
             .collect();
+        let owned = self_uses(&toks);
 
         let mut k = 0;
         while k < toks.len() {
@@ -88,7 +92,7 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
                     continue;
                 }
             }
-            if !used.contains(tok.text) {
+            if !owned[k] && !used.contains(tok.text) {
                 used.insert(tok.text.to_owned());
             }
             k += 1;
@@ -172,9 +176,73 @@ fn declared_name(toks: &[Tok], k: usize) -> Option<(&'static str, usize)> {
     if kind == "static" && word(i) == "mut" {
         i += 1;
     }
-    word(i)
-        .starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
-        .then_some((kind, i))
+    is_name(word(i)).then_some((kind, i))
+}
+
+fn is_name(word: &str) -> bool {
+    word.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+}
+
+/// Which tokens are uses of a name inside an item that owns that name: a
+/// `pub` declaration owns its own name, an `impl` block its self type's.
+fn self_uses(toks: &[Tok]) -> Vec<bool> {
+    let mut owned = vec![false; toks.len()];
+    for k in 0..toks.len() {
+        let name = match toks[k].text {
+            "pub" => declared_name(toks, k).map(|(_, n)| toks[n].text),
+            "impl" => impl_self_name(toks, k),
+            _ => None,
+        };
+        if let Some(name) = name {
+            let span = k..=item_end(toks, k);
+            for (tok, own) in toks[span.clone()].iter().zip(&mut owned[span]) {
+                *own |= tok.text == name;
+            }
+        }
+    }
+    owned
+}
+
+/// The index of the `;` or the matching `}` that ends the item opened at
+/// `k` (the last token if the file ends first).
+fn item_end(toks: &[Tok], k: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, tok) in toks.iter().enumerate().skip(k) {
+        match tok.text {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        if depth == 0 && matches!(tok.text, ";" | "}") {
+            return i;
+        }
+    }
+    toks.len() - 1
+}
+
+/// For an item-position `impl` at `k`: the last path segment of its self
+/// type (`Reader` in `impl<'a, B: Io> Reader<'a, B>` and in `impl Read for
+/// io::Reader`). `None` for an `impl Trait` type and a self type with no
+/// name at its top level (a slice, a tuple).
+fn impl_self_name<'a>(toks: &[Tok<'a>], k: usize) -> Option<&'a str> {
+    let item_start = k.checked_sub(1).map_or("", |p| toks[p].text);
+    if !matches!(item_start, "" | ";" | "{" | "}" | "]" | "unsafe") {
+        return None;
+    }
+    let mut depth = 0usize;
+    let mut name = None;
+    for (i, tok) in toks.iter().enumerate().skip(k + 1) {
+        match tok.text {
+            "{" | "where" if depth == 0 => break,
+            "<" | "(" | "[" => depth += 1,
+            ">" if toks[i - 1].text == "-" => {}
+            ">" | ")" | "]" => depth = depth.saturating_sub(1),
+            "for" if depth == 0 => name = None,
+            word if depth == 0 && is_name(word) => name = Some(word),
+            _ => {}
+        }
+    }
+    name
 }
 
 #[cfg(test)]
@@ -206,6 +274,16 @@ mod tests {
     #[test]
     fn a_call_in_the_same_file_is_a_caller_and_the_declaration_is_not() {
         assert_eq!(dead("pub fn a() {}\npub fn b() { a() }\n"), ["b"]);
+    }
+
+    #[test]
+    fn an_items_own_body_and_impl_blocks_are_not_callers() {
+        let src = "pub struct R<'a, B: ?Sized>(&'a B);\n\
+                   impl<'a, B: Io + ?Sized> R<'a, B> {\n    pub fn open(b: &B) -> R<'_, B> { R(b) }\n}\n\
+                   impl<F: Fn() -> u8> Tr for crate::m::R<'_, F> where F: Copy { fn t() -> R { R } }\n\
+                   pub fn spin(n: u8) -> u8 { if n == 0 { 0 } else { spin(n - 1) } }\n\
+                   pub fn run(x: impl Into<u8>) -> u8 { open(x) }\n";
+        assert_eq!(dead(src), ["R", "spin", "run"]);
     }
 
     #[test]

@@ -126,7 +126,15 @@ const BENCHMARK: (&str, &str) = (
 #[test]
 fn dead_pub_fixtures() {
     let bad = dead_pub("dead_pub_bad.rs", &[]);
-    assert_eq!(bad, ["reexported_only", "tested_only", "Orphan", "LIMIT"]);
+    let dead = [
+        "reexported_only",
+        "tested_only",
+        "Orphan",
+        "LIMIT",
+        "Shade",
+        "countdown",
+    ];
+    assert_eq!(bad, dead);
     assert!(dead_pub("dead_pub_clean.rs", &[OTHER_CRATE, BENCHMARK]).is_empty());
     assert!(dead_pub("dead_pub_allowed.rs", &[]).is_empty());
     assert!(check_as_lib("dead_pub_allowed.rs").is_empty());
@@ -134,14 +142,15 @@ fn dead_pub_fixtures() {
 
 #[test]
 fn dead_pub_test_example_and_cfg_test_uses_are_not_callers() {
-    // The bad fixture's own `#[cfg(test)]` module calls three of them.
-    let call_all = "fn t() { reexported_only(); tested_only(); let _ = (Orphan, LIMIT); }";
+    // The bad fixture's own `#[cfg(test)]` module calls four of them.
+    let call_all = "fn t() { reexported_only(); tested_only(); let _ = (Orphan, LIMIT); \
+                    Shade::Dark.countdown(1); }";
     let others = [
         ("crates/demo/tests/it.rs", call_all),
         ("tests/e2e.rs", call_all),
         ("examples/ex.rs", call_all),
     ];
-    assert_eq!(dead_pub("dead_pub_bad.rs", &others).len(), 4);
+    assert_eq!(dead_pub("dead_pub_bad.rs", &others).len(), 6);
 }
 
 #[test]

@@ -16,6 +16,13 @@ impl Meter {
     }
 }
 
+/// Names `Meter`, but an `impl` for it is no caller of it.
+impl Default for Meter {
+    fn default() -> Meter {
+        Meter::new()
+    }
+}
+
 pub fn bench_entry() -> Meter {
     Meter::new()
 }

@@ -38,7 +38,7 @@ pub use combo::WeightedSum;
 pub use compressor::CompressionScore;
 pub use entropy::{Entropy, LocalEntropy};
 pub use lea::Lea;
-pub use registry::{by_name, standard_six, MetricName};
+pub use registry::{by_name, standard_six};
 pub use statistics::{Range, Variance};
 pub use trilin::Trilin;
 

@@ -1,4 +1,5 @@
-//! Metric registry: names ↔ scorer instances.
+//! Metric registry: a metric is named by its string, and [`by_name`] is
+//! the one place a name becomes a scorer.
 //!
 //! The paper evaluated ~30 filters and reports a representative subset of
 //! six (§IV-B): RANGE, VAR, ITL, LEA, FPZIP, TRILIN. [`standard_six`]
@@ -9,43 +10,6 @@
 use crate::{
     BlockScorer, CompressionScore, Entropy, Lea, LocalEntropy, Range, Trilin, Variance, WeightedSum,
 };
-
-/// Strongly-typed metric name (useful for experiment configs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetricName {
-    Range,
-    Var,
-    Itl,
-    Lea,
-    Fpzip,
-    Trilin,
-    Zfp,
-    Lz,
-    LocalEnt,
-    VarTrilin,
-}
-
-impl MetricName {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MetricName::Range => "RANGE",
-            MetricName::Var => "VAR",
-            MetricName::Itl => "ITL",
-            MetricName::Lea => "LEA",
-            MetricName::Fpzip => "FPZIP",
-            MetricName::Trilin => "TRILIN",
-            MetricName::Zfp => "ZFP",
-            MetricName::Lz => "LZ",
-            MetricName::LocalEnt => "LOCAL_ENT",
-            MetricName::VarTrilin => "VAR+TRILIN",
-        }
-    }
-
-    pub fn scorer(&self) -> Box<dyn BlockScorer> {
-        // apc-lint: allow(unwrap-in-lib): `as_str` and `by_name` enumerate the same variants; the round trip cannot miss
-        by_name(self.as_str()).expect("registry covers all MetricName variants")
-    }
-}
 
 /// Build a scorer from its name; `None` for unknown names.
 pub fn by_name(name: &str) -> Option<Box<dyn BlockScorer>> {
@@ -78,17 +42,17 @@ pub fn standard_six() -> Vec<Box<dyn BlockScorer>> {
 mod tests {
     use super::*;
 
-    const ALL: [MetricName; 10] = [
-        MetricName::Range,
-        MetricName::Var,
-        MetricName::Itl,
-        MetricName::Lea,
-        MetricName::Fpzip,
-        MetricName::Trilin,
-        MetricName::Zfp,
-        MetricName::Lz,
-        MetricName::LocalEnt,
-        MetricName::VarTrilin,
+    const ALL: [&str; 10] = [
+        "RANGE",
+        "VAR",
+        "ITL",
+        "LEA",
+        "FPZIP",
+        "TRILIN",
+        "ZFP",
+        "LZ",
+        "LOCAL_ENT",
+        "VAR+TRILIN",
     ];
 
     #[test]
@@ -103,10 +67,10 @@ mod tests {
     }
 
     #[test]
-    fn metric_name_enum_roundtrips() {
-        for m in ALL {
-            let s = m.scorer();
-            assert_eq!(s.name(), m.as_str());
+    fn every_registered_name_roundtrips() {
+        for name in ALL {
+            let s = by_name(name).unwrap();
+            assert_eq!(s.name(), name);
             assert!(s.cost_per_point() > 0.0);
         }
     }
@@ -122,7 +86,7 @@ mod tests {
         let dims = Dims3::new(11, 11, 19);
         for value in [0.0f32, -0.0, 45.0, -30.0] {
             let data = vec![value; dims.len()];
-            for name in ALL.map(|m| m.as_str()) {
+            for name in ALL {
                 let scorer = by_name(name).unwrap();
                 let score = scorer.score(&data, dims);
                 assert!(

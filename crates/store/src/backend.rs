@@ -34,7 +34,7 @@ pub fn slice_range(bytes: &[u8], key: &str, offset: u64, len: u64) -> Result<Vec
 /// Byte-range reads ([`StoreBackend::get_range`] / [`StoreBackend::size`])
 /// have `get`-based defaults so every backend supports them, but a real
 /// backend should override both with genuine partial I/O — the shard
-/// container ([`crate::ShardReader`]) depends on range reads touching only
+/// container ([`crate::ShardedStore`]) depends on range reads touching only
 /// the requested bytes, not the whole shard.
 pub trait StoreBackend: Send + Sync {
     fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError>;

@@ -60,7 +60,7 @@ pub use codec::CodecKind;
 pub use dataset::{ChunkedDataset, DynChunkedDataset};
 pub use layout::LayoutWriter;
 pub use meta::DatasetMeta;
-pub use shard::{ShardReader, ShardWriter, ShardedStore};
+pub use shard::{ShardWriter, ShardedStore};
 
 /// Errors produced by store backends, codecs and metadata handling.
 #[derive(Debug)]

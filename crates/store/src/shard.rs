@@ -26,15 +26,16 @@
 //! from two small range reads (16-byte trailer, then the index) without
 //! touching any payload bytes.
 //!
-//! Three layers build on the format:
+//! Two layers build on the format:
 //!
 //! * [`ShardWriter`] packs payloads and emits the container;
-//! * [`ShardReader`] opens a container and serves per-key range reads;
 //! * [`ShardedStore`] adapts any [`StoreBackend`] so *callers keep using
 //!   logical keys*: numeric-tailed keys (`c/000100/000042`,
 //!   `f/run/000300/0003`) are grouped `chunks_per_shard` at a time into
 //!   shard keys (`c/000100/s000000`), everything else (`meta.json`,
-//!   manifests) passes through unsharded.
+//!   manifests) passes through unsharded. It loads a shard's index with
+//!   the two footer reads above, caches it, and serves each payload with
+//!   one more range read.
 //!
 //! Corruption — truncated footers, bit-flipped indexes, out-of-bounds or
 //! overlapping entries, zero-entry shards — surfaces as
@@ -262,62 +263,6 @@ impl ShardIndex {
             }
         }
         Ok(ShardIndex { entries, by_key })
-    }
-}
-
-/// Reads single payloads out of a shard container.
-///
-/// [`ShardReader::open`] performs exactly two range reads (trailer, then
-/// index); each [`ShardReader::read_range`] performs exactly one more,
-/// covering only the requested payload.
-pub struct ShardReader<'a, B: StoreBackend + ?Sized> {
-    backend: &'a B,
-    shard_key: String,
-    index: ShardIndex,
-}
-
-impl<'a, B: StoreBackend + ?Sized> ShardReader<'a, B> {
-    /// Open and validate the container stored at `shard_key`.
-    pub fn open(backend: &'a B, shard_key: &str) -> Result<Self, StoreError> {
-        Ok(Self {
-            backend,
-            shard_key: shard_key.to_owned(),
-            index: ShardIndex::load(backend, shard_key)?,
-        })
-    }
-
-    /// Entry keys in index (append) order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.index.entries.iter().map(|(k, _, _)| k.as_str())
-    }
-
-    /// Number of payloads in the shard.
-    pub fn len(&self) -> usize {
-        self.index.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        // A valid shard is never empty, but keep the pair honest.
-        self.index.entries.is_empty()
-    }
-
-    pub fn contains(&self, key: &str) -> bool {
-        self.index.by_key.contains_key(key)
-    }
-
-    /// The `(offset, len)` byte span of `key` within the shard.
-    pub fn entry(&self, key: &str) -> Option<(u64, u64)> {
-        self.index.by_key.get(key).copied()
-    }
-
-    /// Fetch the payload stored under `key` with a single byte-range
-    /// read of exactly `len` bytes.
-    // apc-lint: allow(dead-pub): sharding, session_stress and decoders_never_panic read entries with it
-    pub fn read_range(&self, key: &str) -> Result<Vec<u8>, StoreError> {
-        let (offset, len) = self
-            .entry(key)
-            .ok_or_else(|| StoreError::NotFound(key.to_owned()))?;
-        self.backend.get_range(&self.shard_key, offset, len)
     }
 }
 
@@ -571,6 +516,14 @@ mod tests {
         assert_eq!(shard_key_of("c/000100/", 16), None);
     }
 
+    /// The payload of `key` in the container at `shard_key`, read through
+    /// its index; `None` if the index has no such entry.
+    fn read_entry(backend: &impl StoreBackend, shard_key: &str, key: &str) -> Option<Vec<u8>> {
+        let index = ShardIndex::load(backend, shard_key).unwrap();
+        let &(offset, len) = index.by_key.get(key)?;
+        Some(backend.get_range(shard_key, offset, len).unwrap())
+    }
+
     #[test]
     fn writer_reader_roundtrip_preserves_order_and_bytes() {
         let mem = MemStore::new();
@@ -581,18 +534,16 @@ mod tests {
         assert_eq!(w.len(), 3);
         w.write_to(&mem, "c/000000/s000000").unwrap();
 
-        let r = ShardReader::open(&mem, "c/000000/s000000").unwrap();
+        let sk = "c/000000/s000000";
+        let index = ShardIndex::load(&mem, sk).unwrap();
         assert_eq!(
-            r.keys().collect::<Vec<_>>(),
+            index.entries.iter().map(|(k, _, _)| k).collect::<Vec<_>>(),
             ["c/000000/000000", "c/000000/000001", "c/000000/000002"]
         );
-        assert_eq!(r.read_range("c/000000/000000").unwrap(), b"alpha");
-        assert_eq!(r.read_range("c/000000/000001").unwrap(), b"");
-        assert_eq!(r.read_range("c/000000/000002").unwrap(), b"gamma!");
-        assert!(matches!(
-            r.read_range("c/000000/000009"),
-            Err(StoreError::NotFound(_))
-        ));
+        assert_eq!(read_entry(&mem, sk, "c/000000/000000").unwrap(), b"alpha");
+        assert_eq!(read_entry(&mem, sk, "c/000000/000001").unwrap(), b"");
+        assert_eq!(read_entry(&mem, sk, "c/000000/000002").unwrap(), b"gamma!");
+        assert_eq!(read_entry(&mem, sk, "c/000000/000009"), None);
     }
 
     #[test]
@@ -734,8 +685,8 @@ mod tests {
         assert!(store.flush().is_err());
         assert_eq!(store.get("c/1/000000").unwrap(), b"tail");
         store.flush().unwrap();
-        let reader = ShardReader::open(&store.inner().inner, "c/1/s000000").unwrap();
-        assert_eq!(reader.read_range("c/1/000000").unwrap(), b"tail");
+        let sealed = read_entry(&store.inner().inner, "c/1/s000000", "c/1/000000");
+        assert_eq!(sealed.unwrap(), b"tail");
     }
 
     #[test]
@@ -745,7 +696,7 @@ mod tests {
             let store = ShardedStore::new(Arc::clone(&inner), 8);
             store.put("c/0/000000", b"tail").unwrap();
         }
-        let r = ShardReader::open(inner.as_ref(), "c/0/s000000").unwrap();
-        assert_eq!(r.read_range("c/0/000000").unwrap(), b"tail");
+        let sealed = read_entry(inner.as_ref(), "c/0/s000000", "c/0/000000");
+        assert_eq!(sealed.unwrap(), b"tail");
     }
 }

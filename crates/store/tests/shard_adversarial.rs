@@ -8,14 +8,15 @@
 //! format promises:
 //!
 //! 1. **Hand-forged indexes** — out-of-bounds, overlapping, duplicate,
-//!    empty-key and non-UTF-8 entries are all rejected at open;
+//!    empty-key and non-UTF-8 entries are all rejected when the index
+//!    loads;
 //! 2. **Degenerate containers** — zero-entry shards, sub-footer-size
 //!    files, wrong magic or version;
 //! 3. **The adapter** — corruption surfaces as the same typed error
 //!    through `ShardedStore`.
 
 use apc_par::SplitMix64;
-use apc_store::{MemStore, ShardReader, ShardWriter, ShardedStore, StoreBackend, StoreError};
+use apc_store::{MemStore, ShardWriter, ShardedStore, StoreBackend, StoreError};
 
 const SHARD_KEY: &str = "c/000000/s000000";
 
@@ -34,10 +35,16 @@ fn valid_shard(n: u32, rng: &mut SplitMix64) -> (Vec<u8>, Vec<String>) {
     (writer.finish().unwrap(), keys)
 }
 
+/// Store `bytes` at [`SHARD_KEY`] and probe its first key through
+/// `ShardedStore`, which loads and validates the index on that first read.
+/// The group size is large enough that every `c/000000/<id>` key maps to
+/// [`SHARD_KEY`].
 fn open_bytes(bytes: &[u8]) -> Result<(), StoreError> {
     let mem = MemStore::new();
     mem.put(SHARD_KEY, bytes).unwrap();
-    ShardReader::open(&mem, SHARD_KEY).map(|_| ())
+    ShardedStore::new(mem, usize::MAX)
+        .contains("c/000000/000000")
+        .map(|_| ())
 }
 
 /// Forge a container from raw index entries, bypassing the writer's

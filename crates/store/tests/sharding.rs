@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use apc_store::{MemStore, ShardReader, ShardWriter, ShardedStore, StoreBackend, StoreError};
+use apc_store::{MemStore, ShardedStore, StoreBackend, StoreError};
 
 /// A [`MemStore`] wrapper that counts how each byte reaches the caller:
 /// whole-value `get`s versus `get_range` calls and the bytes they return.
@@ -116,35 +116,6 @@ fn single_chunk_read_from_a_64_chunk_shard_is_partial() {
     assert_eq!(counting.full_gets(), 0);
     assert_eq!(counting.range_reads(), 1);
     assert_eq!(counting.range_bytes(), 1024);
-}
-
-/// Same accounting at the `ShardReader` layer: open = two range reads
-/// (trailer, index), each `read_range` = one more.
-#[test]
-fn shard_reader_io_is_exactly_footer_index_payload() {
-    let counting = CountingBackend::default();
-    let mut w = ShardWriter::new();
-    for id in 0..100u32 {
-        w.append(&format!("k/{id:06}"), &chunk_payload(id)).unwrap();
-    }
-    w.write_to(&counting, "k/s000000").unwrap();
-    counting.reset();
-
-    let reader = ShardReader::open(&counting, "k/s000000").unwrap();
-    assert_eq!(reader.len(), 100);
-    assert_eq!(counting.range_reads(), 2, "open reads trailer + index");
-    assert_eq!(counting.full_gets(), 0);
-
-    for id in [0u32, 50, 99] {
-        counting.reset();
-        assert_eq!(
-            reader.read_range(&format!("k/{id:06}")).unwrap(),
-            chunk_payload(id)
-        );
-        assert_eq!(counting.range_reads(), 1);
-        assert_eq!(counting.range_bytes(), 1024);
-        assert_eq!(counting.full_gets(), 0);
-    }
 }
 
 /// The `get_range` default implementation (via `get`) and the real

@@ -28,7 +28,7 @@ use insitu::serve::{
     Fidelity, Frame, FrameReply, FrameRequest, RunManifest, ServeError, ServedFrame,
 };
 use insitu::store::{
-    CodecKind, DatasetMeta, MemStore, ShardReader, ShardWriter, StoreBackend, StoreError,
+    CodecKind, DatasetMeta, MemStore, ShardWriter, ShardedStore, StoreBackend, StoreError,
 };
 
 /// `Ok` = decoded and still sane; `Err` = the typed error, rendered.
@@ -79,8 +79,9 @@ fn chunk_row(kind: CodecKind) -> Decoder {
     }
 }
 
-/// A shard container of varied payloads (one empty); opening parses the
-/// trailer and index, then every key is read back through it.
+/// A shard container of varied payloads (one empty), read through
+/// `ShardedStore`: the first `contains` parses the trailer and index, then
+/// every key is read back through it.
 fn shard_row() -> Decoder {
     const SHARD_KEY: &str = "c/000000/s000000";
     let mut rng = SplitMix64::new(0xDEC2);
@@ -99,17 +100,18 @@ fn shard_row() -> Decoder {
         decode: Box::new(move |bytes| {
             let mem = MemStore::new();
             mem.put(SHARD_KEY, bytes).unwrap();
-            let reader = match ShardReader::open(&mem, SHARD_KEY) {
-                Ok(reader) => reader,
+            let store = ShardedStore::new(mem, keys.len());
+            match store.contains(&keys[0]) {
+                Ok(_) => {}
                 Err(e @ (StoreError::Shard(_) | StoreError::Range { .. })) => {
                     return Err(e.to_string())
                 }
                 Err(other) => panic!("a damaged shard must fail as Shard or Range, got {other}"),
-            };
-            // Damage that moved entries around within bounds still opens;
+            }
+            // Damage that moved entries around within bounds still loads;
             // then every read is data or a typed error.
             for key in &keys {
-                let _ = reader.read_range(key);
+                let _ = store.get(key);
             }
             Ok(())
         }),
