@@ -9,6 +9,10 @@ use apc_bench::experiments::{self, Ctx};
 use apc_bench::Scale;
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports the suite's real elapsed time; no figure reads it"
+    )]
     let t0 = std::time::Instant::now();
     let scale = Scale::from_env();
     println!(

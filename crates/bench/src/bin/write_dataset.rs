@@ -115,7 +115,10 @@ fn main() {
         dir.display(),
     );
 
-    // apc-lint: allow(wall-clock): measuring the harness's real elapsed time is this bench's purpose
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measuring the harness's real elapsed time is this bench's purpose"
+    )]
     let t0 = Instant::now();
     write_dataset(&dataset, &iterations, &dir, codec, shard_chunks).expect("write dataset");
     let secs = t0.elapsed().as_secs_f64();

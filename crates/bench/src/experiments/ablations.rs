@@ -35,7 +35,10 @@ pub fn entropy_bins(scale: &Scale) {
     let mut csv = Vec::new();
     for bins in [32usize, 256, 1024] {
         let e = Entropy::with_bins(bins);
-        // apc-lint: allow(wall-clock): measuring the harness's real elapsed time is this bench's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measuring the harness's real elapsed time is this bench's purpose"
+        )]
         let t0 = Instant::now();
         let scores: Vec<f64> = blocks
             .iter()

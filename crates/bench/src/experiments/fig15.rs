@@ -45,6 +45,9 @@ const NSTAGE: usize = 8;
 /// Client fan-out ramp. The top entry is the acceptance bar: 128 queued
 /// requests per stager per frame.
 const CLIENT_SWEEP: &[usize] = &[16, 64, 256, 1024];
+/// Requests each client issues, the same at every fan-out: offered load
+/// grows linearly with the client count (16384 requests at the headline).
+const REQUESTS_PER_CLIENT: usize = 16;
 
 /// Per-reply virtual service cost: a small fixed dispatch charge plus a
 /// per-byte wire charge. The byte term dominates for full frames, so the
@@ -90,12 +93,6 @@ fn dataset_for(n_total: usize, seed: u64) -> ReflectivityDataset {
     ReflectivityDataset::new(decomp, StormModel::new(seed))
 }
 
-/// Requests per client, shrinking with fan-out so total request volume
-/// grows sub-linearly across the ramp (4096 requests at the headline).
-fn requests_per_client(_clients: usize) -> usize {
-    16
-}
-
 pub fn run(scale: &Scale) {
     println!(
         "\n== Fig 15 — adaptive serving under a client-load ramp, {NSTAGE} stagers, \
@@ -109,7 +106,7 @@ pub fn run(scale: &Scale) {
     // design), so the acceptance bar is the steady tail.
     let steady_p99 = |run: &ServingRun| -> f64 {
         let mut seen = vec![0usize; run.client_finish.len()];
-        let half = requests_per_client(run.client_finish.len()) / 2;
+        let half = REQUESTS_PER_CLIENT / 2;
         let lat: Vec<f64> = run
             .requests
             .iter()
@@ -152,15 +149,11 @@ pub fn run(scale: &Scale) {
             // the latency floor fidelity cannot shrink — stays well
             // below the serving budget.
             config.cost.base = 0.005;
-            let mut serve = ServeParams::new(
-                clients,
-                requests_per_client(clients),
-                ServePolicy::BestEffort,
-            )
-            .with_think_time(0.0)
-            .with_cache_bytes(256 << 10)
-            .with_serve_costs(SERVICE_BASE, REPLY_PER_BYTE)
-            .with_client_ramp(CLIENT_RAMP);
+            let mut serve = ServeParams::new(clients, REQUESTS_PER_CLIENT, ServePolicy::BestEffort)
+                .with_think_time(0.0)
+                .with_cache_bytes(256 << 10)
+                .with_serve_costs(SERVICE_BASE, REPLY_PER_BYTE)
+                .with_client_ramp(CLIENT_RAMP);
             if let Some(b) = budget {
                 serve = serve.with_latency_budget(b);
             }

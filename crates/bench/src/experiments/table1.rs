@@ -46,7 +46,10 @@ pub fn run(scale: &Scale) {
     let mut csv = Vec::new();
     for metric in standard_six() {
         // Real kernel throughput on this machine.
-        // apc-lint: allow(wall-clock): measuring the harness's real elapsed time is this bench's purpose
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measuring the harness's real elapsed time is this bench's purpose"
+        )]
         let t0 = Instant::now();
         let mut sink = 0.0;
         for b in &sample {

@@ -323,8 +323,10 @@ mod tests {
 
     /// The send/recv exchange `alltoallv` was before its batches moved
     /// onto the rendezvous: the reference its clock replay must equal.
-    // Loop variables double as rank ids for addressing, not just indices.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "loop variables double as rank ids for addressing, not just indices"
+    )]
     fn alltoallv_by_p2p<M: Meter + Send + 'static>(
         rank: &mut Rank,
         mut outgoing: Vec<Vec<M>>,
@@ -398,6 +400,10 @@ mod tests {
     /// rendezvous, with the argument's own message — not the offender
     /// alone before it, stranding its peers until the deadlock timeout.
     fn assert_fails_every_rank_at_once(expected: &str, job: impl Fn(&mut Rank) + Sync) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds the failure against the deadlock timeout, which is wall-clock by design"
+        )]
         let t0 = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             Runtime::new(4, NetModel::free())

@@ -88,7 +88,7 @@ impl Rank {
     /// cost (deserialization/ingest). Additive, so a rank receiving many
     /// messages pays for each of them.
     pub(crate) fn charge_receive(&mut self, arrival: f64, bytes: usize) {
-        self.merge_clock(arrival);
+        self.merge_clock_to(arrival);
         self.advance(self.net().ingest(bytes));
     }
 

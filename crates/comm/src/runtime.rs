@@ -175,11 +175,16 @@ impl Rendezvous {
             return released;
         }
         let generation = state.generation;
-        // apc-lint: allow(wall-clock): deadlock-timeout machinery only — the real clock bounds how long we
-        // wait for dead peers and never reaches virtual time or results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadlock-timeout machinery only: the real clock bounds how long we wait for dead peers and never reaches virtual time or results"
+        )]
         let deadline = Instant::now() + timeout;
         while state.generation == generation {
-            // apc-lint: allow(wall-clock): deadlock-timeout machinery (see above)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadlock-timeout machinery (see above)"
+            )]
             let remaining = deadline.saturating_duration_since(Instant::now());
             // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex (see above); propagate the abort
             let (guard, result) = self.cvar.wait_timeout(state, remaining).unwrap();
@@ -378,6 +383,10 @@ impl Runtime {
             let (job_tx, job_rx) = channel::<RawJob>();
             let (status_tx, status_rx) = channel::<RunStatus>();
             let shared = Arc::clone(&shared);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the runtime's own rank threads: this is where every rank is spawned"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("rank-{id}"))
                 .stack_size(self.stack_size)
@@ -664,19 +673,15 @@ impl Rank {
         self.clock += dt;
     }
 
-    pub(crate) fn merge_clock(&mut self, t: f64) {
+    /// Advance the clock to at least `t` (no-op if the clock is already
+    /// past it). This is the "wait until" primitive: every receive waits
+    /// for its arrival with it, and consumers that account arrival times
+    /// themselves — the staging engine settles a lossy queue's deferred
+    /// arrivals with it when a frame enters service — call it directly.
+    pub fn merge_clock_to(&mut self, t: f64) {
         if t > self.clock {
             self.clock = t;
         }
-    }
-
-    /// Advance the clock to at least `t` (no-op if the clock is already
-    /// past it). This is the "wait until" primitive for consumers that
-    /// account arrival times themselves — the staging engine settles a
-    /// lossy queue's deferred arrivals with it when a frame enters
-    /// service.
-    pub fn merge_clock_to(&mut self, t: f64) {
-        self.merge_clock(t);
     }
 
     /// Block until the first message of this run that `src` sent on
@@ -703,8 +708,10 @@ impl Rank {
             }
             // The clock is read only on the way to parking, never on the
             // path that finds its message.
-            // apc-lint: allow(wall-clock): deadlock-timeout machinery only — the real clock bounds how long we
-            // wait for dead peers and never reaches virtual time or results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadlock-timeout machinery only: the real clock bounds how long we wait for dead peers and never reaches virtual time or results"
+            )]
             let now = Instant::now();
             let deadline = *deadline.get_or_insert(now + shared.timeout);
             if now >= deadline {
@@ -979,6 +986,10 @@ mod tests {
         // they would block forever and the run would hang; the timed wait
         // fails them loudly and the run terminates with a panic within
         // the deadlock timeout.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the deadlock timeout, which is wall-clock by design"
+        )]
         let t0 = Instant::now();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             Runtime::new(3, NetModel::free())

@@ -193,6 +193,10 @@ mod tests {
         // Only the root sorts, so only the root panics; the peers are
         // parked in the share rendezvous and must time out of it.
         use std::time::{Duration, Instant};
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the deadlock timeout, which is wall-clock by design"
+        )]
         let t0 = Instant::now();
         let caught = std::panic::catch_unwind(|| {
             Runtime::new(3, NetModel::free())

@@ -8,6 +8,10 @@
 //!
 //! All randomness comes from the in-tree seeded PRNG, so a failure here
 //! replays deterministically.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the deadline timers bound each round against the real receive timeout"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};

@@ -416,10 +416,10 @@ let y = 'a'; /* HashMap */ let z: u8 = b'\n';"#;
 
     #[test]
     fn parses_inline_and_file_allows() {
-        let src = "\n// apc-lint: allow(wall-clock): timeout machinery\nfoo();\nbar(); // apc-lint: allow-file(hash-iter): keyed lookups only\n";
+        let src = "\n// apc-lint: allow(unwrap-in-lib): checked above\nfoo();\nbar(); // apc-lint: allow-file(dead-pub): kept for the oracle\n";
         let m = mask_source(src);
         assert_eq!(m.allows.len(), 2);
-        assert_eq!(m.allows[0].rule, "wall-clock");
+        assert_eq!(m.allows[0].rule, "unwrap-in-lib");
         assert!(!m.allows[0].trailing);
         assert_eq!(m.allows[0].comment_line, 2);
         assert!(m.allows[1].file_level);
@@ -430,10 +430,10 @@ let y = 'a'; /* HashMap */ let z: u8 = b'\n';"#;
     #[test]
     fn malformed_allow_is_reported() {
         for bad in [
-            "// apc-lint: allow(wall-clock)",         // no reason
-            "// apc-lint: allow(wall-clock):",        // empty reason
-            "// apc-lint: deny(wall-clock): why not", // unknown form
-            "// apc-lint: allow(wall-clock: oops",    // unclosed paren
+            "// apc-lint: allow(dead-pub)",         // no reason
+            "// apc-lint: allow(dead-pub):",        // empty reason
+            "// apc-lint: deny(dead-pub): why not", // unknown form
+            "// apc-lint: allow(dead-pub: oops",    // unclosed paren
         ] {
             let m = mask_source(bad);
             assert!(m.allows.is_empty(), "{bad}");

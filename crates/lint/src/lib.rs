@@ -1,27 +1,24 @@
-//! `apc-lint` — in-tree determinism & safety lint for the apc workspace.
+//! `apc-lint` — in-tree safety lint for the apc workspace.
 //!
-//! The whole reproduction rests on one invariant — runs replay
-//! **byte-identically in virtual time** — and this crate guards it
-//! *statically*, before a nondeterminism bug can reach a pinned fixture.
-//! It is a zero-dependency, hand-rolled analyzer (lexer in
-//! [`lexer`], rules in [`rules`], the cross-file caller check in
-//! [`deadpub`]) run from CI as `cargo run -p apc-lint`.
+//! It checks what clippy cannot: unannotated panics in library code and
+//! `pub` items that nothing but tests call. The determinism bans (real
+//! clocks, hash-ordered collections, raw thread spawns, `partial_cmp`) are
+//! the workspace's `clippy.toml`, which resolves paths. This crate is a
+//! zero-dependency, hand-rolled analyzer (lexer in [`lexer`], rules in
+//! [`rules`], the cross-file caller check in [`deadpub`]) run from CI as
+//! `cargo run -p apc-lint`.
 //!
 //! Rules (see [`rules::RULES`] or `cargo run -p apc-lint -- --list`):
 //!
 //! | rule | guards against |
 //! |------|----------------|
-//! | `wall-clock` | real-clock reads outside the timeout machinery |
-//! | `hash-iter` | hash-order iteration reaching output |
 //! | `unwrap-in-lib` | panics on corrupt/adversarial input in libraries |
-//! | `float-ord` | NaN-unsafe sort comparators (the PR-2 bug class) |
-//! | `raw-spawn` | threads created behind the deterministic runtime's back |
 //! | `dead-pub` | `pub` items that only tests, examples or re-exports name |
 //!
 //! Violations are suppressed in place, never globally:
 //!
 //! ```text
-//! // apc-lint: allow(wall-clock): deadline for the deadlock watchdog
+//! // apc-lint: allow(unwrap-in-lib): the length is checked one line up
 //! // apc-lint: allow-file(unwrap-in-lib): bench harness; panic on I/O error is the failure mode we want
 //! ```
 //!

@@ -125,7 +125,8 @@ fn normalize_ws(s: &str) -> String {
 
 fn print_help() {
     println!(
-        "apc-lint: in-tree determinism & safety lint for the apc workspace
+        "apc-lint: in-tree safety lint for the apc workspace
+(the determinism bans live in the workspace's clippy.toml)
 
 USAGE: cargo run -p apc-lint [--] [--list] [--json] [--root <dir>]
 

@@ -16,7 +16,7 @@ pub enum FileClass {
     /// `src/`.
     Lib,
     /// Binary entry points: `**/src/bin/**`. CLI tools may panic on
-    /// operator error, but still must not break determinism.
+    /// operator error.
     Bin,
     /// Integration tests, benches and examples: `crates/*/tests/**`,
     /// `crates/*/benches/**`, top-level `tests/**` and `examples/**`.
@@ -63,41 +63,16 @@ pub struct RuleInfo {
     pub scope: &'static str,
 }
 
-/// Every rule the analyzer knows, in reporting order.
+/// Every rule the analyzer knows, in reporting order. The determinism bans
+/// (real clocks, hash-ordered collections, raw thread spawns, NaN-unsafe
+/// comparators) live in the workspace's `clippy.toml`, which resolves paths.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "wall-clock",
-        summary: "Instant::now / SystemTime::now breaks virtual-time determinism; \
-                  only the apc-comm timeout machinery and bench harnesses may \
-                  read the real clock (annotate those sites)",
-        scope: "lib + bin code, outside #[cfg(test)]",
-    },
-    RuleInfo {
-        name: "hash-iter",
-        summary: "HashMap/HashSet iteration order is nondeterministic and must \
-                  not reach output; use BTreeMap/BTreeSet, sort before iterating, \
-                  or annotate a keyed-lookup-only use",
-        scope: "lib + bin code, outside #[cfg(test)]",
-    },
     RuleInfo {
         name: "unwrap-in-lib",
         summary: ".unwrap() / .expect() / bare panic! in library code turns \
                   corrupt or adversarial input into a crash; return a typed \
                   error, or annotate a genuine invariant",
         scope: "lib code only, outside #[cfg(test)]",
-    },
-    RuleInfo {
-        name: "float-ord",
-        summary: "partial_cmp(..).unwrap() in a comparator panics on NaN \
-                  mid-collective (the PR-2 score_order bug class); use \
-                  f64::total_cmp / f32::total_cmp",
-        scope: "everywhere, including tests and benches",
-    },
-    RuleInfo {
-        name: "raw-spawn",
-        summary: "std::thread::{spawn, Builder, scope} outside apc-par/apc-comm \
-                  bypasses the deterministic runtime and the rank thread budget",
-        scope: "lib + bin code outside crates/par and crates/comm",
     },
     RuleInfo {
         name: "dead-pub",
@@ -147,77 +122,23 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    let mut push = |line: usize, rule: &'static str, message: String| {
-        if suppress.allowed(rule, line) {
-            return;
-        }
-        out.push(Violation {
-            file: rel.to_owned(),
-            line,
-            rule,
-            message,
-        });
-    };
-
-    let in_lib_like = matches!(class, FileClass::Lib | FileClass::Bin);
-    let exempt_spawn = rel.starts_with("crates/par/") || rel.starts_with("crates/comm/");
-
-    for (idx, text) in lines.iter().enumerate() {
-        let line = idx + 1;
-        let in_test = test_lines.get(idx).copied().unwrap_or(false);
-
-        if in_lib_like && !in_test {
-            if let Some(what) = find_any(text, &["Instant::now", "SystemTime::now"]) {
-                push(
-                    line,
-                    "wall-clock",
-                    format!("{what} reads the real clock; determinism runs on virtual time"),
-                );
+    if class == FileClass::Lib {
+        for (idx, text) in lines.iter().enumerate() {
+            let line = idx + 1;
+            if test_lines[idx] || suppress.allowed("unwrap-in-lib", line) {
+                continue;
             }
-            if let Some(what) = find_word(text, &["HashMap", "HashSet"]) {
-                push(
-                    line,
-                    "hash-iter",
-                    format!("{what} has nondeterministic iteration order; use BTreeMap/BTreeSet or annotate a keyed-lookup-only use"),
-                );
-            }
-            if !exempt_spawn {
-                if let Some(what) =
-                    find_any(text, &["thread::spawn", "thread::Builder", "thread::scope"])
-                {
-                    push(
-                        line,
-                        "raw-spawn",
-                        format!(
-                            "{what} outside apc-par/apc-comm bypasses the deterministic runtime"
-                        ),
-                    );
-                }
-            }
-        }
-        if class == FileClass::Lib && !in_test {
             for v in unwrap_like(text) {
-                push(
+                out.push(Violation {
+                    file: rel.to_owned(),
                     line,
-                    "unwrap-in-lib",
-                    format!("{v} in library code; return a typed error or annotate the invariant"),
-                );
+                    rule: "unwrap-in-lib",
+                    message: format!(
+                        "{v} in library code; return a typed error or annotate the invariant"
+                    ),
+                });
             }
         }
-    }
-
-    // float-ord spans lines (rustfmt splits the chain), so it scans the
-    // whole masked text and applies everywhere, tests included.
-    for (idx, what) in float_ord_sites(&masked.text) {
-        if suppress.allowed("float-ord", idx) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel.to_owned(),
-            line: idx,
-            rule: "float-ord",
-            message: format!("partial_cmp followed by {what} panics on NaN; use total_cmp"),
-        });
     }
 
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -328,29 +249,6 @@ pub(crate) fn cfg_test_lines(lines: &[&str]) -> Vec<bool> {
     flags
 }
 
-/// First match of any plain substring pattern in `text`.
-fn find_any<'p>(text: &str, patterns: &[&'p str]) -> Option<&'p str> {
-    patterns.iter().find(|p| text.contains(*p)).copied()
-}
-
-/// First match of any pattern that must stand as a whole word.
-fn find_word<'p>(text: &str, patterns: &[&'p str]) -> Option<&'p str> {
-    for p in patterns {
-        let mut from = 0usize;
-        while let Some(pos) = text[from..].find(p) {
-            let start = from + pos;
-            let end = start + p.len();
-            let before_ok = start == 0 || !is_word_byte(text.as_bytes()[start - 1]);
-            let after_ok = end >= text.len() || !is_word_byte(text.as_bytes()[end]);
-            if before_ok && after_ok {
-                return Some(p);
-            }
-            from = end;
-        }
-    }
-    None
-}
-
 pub(crate) fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
@@ -394,71 +292,6 @@ fn next_non_ws(bytes: &[u8], mut i: usize) -> Option<u8> {
     None
 }
 
-/// Find `partial_cmp( … ).unwrap()` / `.expect(` chains in the whole
-/// masked text, crossing line breaks. Returns (1-based line, method).
-fn float_ord_sites(masked: &str) -> Vec<(usize, &'static str)> {
-    let bytes = masked.as_bytes();
-    let mut sites = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = masked[from..].find("partial_cmp") {
-        let start = from + pos;
-        let mut i = start + "partial_cmp".len();
-        from = i;
-        // Word boundary before (avoid e.g. `my_partial_cmp`).
-        if start > 0 && is_word_byte(bytes[start - 1]) {
-            continue;
-        }
-        // Balanced argument list.
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != b'(' {
-            continue;
-        }
-        let mut depth = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'(' => depth += 1,
-                b')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        // Optional whitespace, then `.unwrap` / `.expect`.
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != b'.' {
-            continue;
-        }
-        let rest = &masked[i..];
-        let method = if rest.starts_with(".unwrap") && !starts_word(rest, ".unwrap") {
-            ".unwrap()"
-        } else if rest.starts_with(".expect") && !starts_word(rest, ".expect") {
-            ".expect()"
-        } else {
-            continue;
-        };
-        let line = 1 + masked[..start].bytes().filter(|&b| b == b'\n').count();
-        sites.push((line, method));
-    }
-    sites
-}
-
-/// True when the character right after `prefix` extends it into a longer
-/// identifier (e.g. `.unwrap_or`).
-fn starts_word(text: &str, prefix: &str) -> bool {
-    text.as_bytes()
-        .get(prefix.len())
-        .is_some_and(|&b| is_word_byte(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,7 +322,7 @@ mod tests {
             FileClass::TestLike
         );
         assert_eq!(
-            classify("crates/lint/tests/fixtures/wall_clock/bad.rs"),
+            classify("crates/lint/tests/fixtures/unwrap_bad.rs"),
             FileClass::Skip
         );
         assert_eq!(classify("README.md"), FileClass::Skip);
@@ -512,28 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn float_ord_across_lines() {
-        let src = "fn f(v: &mut [f64]) {\n    v.sort_by(|a, b| {\n        a.partial_cmp(b)\n            .unwrap()\n    });\n}\n";
-        let v = check_source("crates/fake/tests/t.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "float-ord");
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn float_ord_ignores_unwrap_or() {
-        let src = "fn f(a: f64, b: f64) -> std::cmp::Ordering { a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal) }";
-        assert!(check_source("crates/fake/src/x.rs", src)
-            .iter()
-            .all(|v| v.rule != "float-ord"));
-    }
-
-    #[test]
     fn trailing_and_preceding_allows() {
-        let src =
-            "use std::collections::HashMap; // apc-lint: allow(hash-iter): keyed lookups only\n\
+        let src = "fn f() { a.unwrap(); } // apc-lint: allow(unwrap-in-lib): set just above\n\
                    // apc-lint: allow(unwrap-in-lib): len checked above\n\
-                   fn f() { a.unwrap(); }\n";
+                   fn g() { b.unwrap(); }\n";
         assert!(lint_lib(src).is_empty());
     }
 
@@ -543,23 +358,5 @@ mod tests {
         let v = lint_lib(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "allow-syntax");
-    }
-
-    #[test]
-    fn bin_files_may_unwrap_but_not_clock() {
-        let src = "fn main() { x.unwrap(); let t = std::time::Instant::now(); }";
-        let v = check_source("crates/bench/src/bin/tool.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
-    }
-
-    #[test]
-    fn spawn_exempt_in_par_and_comm() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert!(check_source("crates/par/src/exec.rs", src)
-            .iter()
-            .all(|v| v.rule != "raw-spawn"));
-        let v = check_source("crates/stage/src/engine.rs", src);
-        assert!(v.iter().any(|v| v.rule == "raw-spawn"));
     }
 }

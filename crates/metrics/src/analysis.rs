@@ -86,9 +86,10 @@ mod tests {
         assert_eq!(spearman(&[1.0], &[2.0]), 1.0);
     }
 
-    /// Regression for the float-ord lint class (the PR-2 `score_order`
-    /// NaN bug): a NaN score must not panic the rank sort and must land
-    /// in a deterministic position (total_cmp puts positive NaN last).
+    /// Regression for the NaN-unsafe comparator class `clippy.toml` bans
+    /// `partial_cmp` for (the `score_order` NaN bug): a NaN score must not
+    /// panic the rank sort and must land in a deterministic position
+    /// (total_cmp puts positive NaN last).
     #[test]
     fn nan_scores_rank_deterministically_without_panicking() {
         let scores = [0.5, f64::NAN, -0.5, f64::NAN, 0.0];

@@ -144,6 +144,10 @@ where
     let f = &f;
     let cursor = &cursor;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "apc-par's own worker threads: par_map is the one intra-rank threading door"
+    )]
     let mut parts: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {

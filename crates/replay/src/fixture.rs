@@ -16,7 +16,10 @@ use apc_store::{CodecKind, StoreBackend};
 /// Pure in everything but the writes: the same arguments always produce
 /// byte-identical frames, so replay suites can regenerate the fixture
 /// instead of shipping binary artifacts.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per knob of the synthetic run; callers name each at the call site"
+)]
 pub fn synth_run(
     backend: Arc<dyn StoreBackend>,
     run_id: &str,

@@ -159,8 +159,10 @@ impl ArrivalTrace {
             .collect();
 
         let mut arrivals = Vec::with_capacity(spec.clients * spec.requests_per_client);
-        // `client` seeds the per-client rng stream, not just the `tiers` index.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`client` seeds the per-client rng stream, not just the `tiers` index"
+        )]
         for client in 0..spec.clients {
             // Per-client stream: a client's request sequence is invariant
             // under changes to the client count above it.

@@ -531,6 +531,10 @@ mod tests {
         let cached = cached_dataset(2 * chunk_bytes);
         let dims = cached.decomp().block_dims();
         let start = std::sync::Barrier::new(READERS);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test races real threads on the cache mutex"
+        )]
         std::thread::scope(|scope| {
             for reader in 0..READERS {
                 let (cached, start) = (&cached, &start);

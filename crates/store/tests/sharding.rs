@@ -179,6 +179,10 @@ fn concurrent_readers_load_each_shard_index_once() {
         let store = ShardedStore::new(Arc::clone(&counting), PER_SHARD as usize);
         counting.reset();
         let start = Barrier::new(READERS);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test races real threads on cold shard indexes"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..READERS {
                 scope.spawn(|| {
