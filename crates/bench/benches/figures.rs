@@ -20,11 +20,13 @@ fn main() {
         std::env::var("APC_SCALE").unwrap_or_else(|_| "quick".into())
     );
 
-    // Snapshot experiments (build their own data).
+    // Experiments that build their own data and sessions.
     experiments::table1::run(&scale);
     experiments::fig01::run(&scale);
     experiments::fig03::run(&scale);
     experiments::fig04::run(&scale);
+    experiments::fig14::run(&scale);
+    experiments::fig15::run(&scale);
     experiments::ablations::entropy_bins(&scale);
 
     // Pipeline experiments share one prepared dataset per rank count.
@@ -39,6 +41,7 @@ fn main() {
     experiments::fig12::run(&ctx, &scale);
     experiments::fig13::run(&ctx, &scale);
     experiments::ablations::sort_strategy(&ctx, &scale);
+    experiments::ablations::downsample_size(&ctx, &scale);
     experiments::ablations::slow_network(&ctx, &scale);
     experiments::ablations::controller_variants(&ctx, &scale);
 

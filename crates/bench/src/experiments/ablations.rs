@@ -31,7 +31,6 @@ pub fn entropy_bins(scale: &Scale) {
             .collect()
     };
 
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for bins in [32usize, 256, 1024] {
         let e = Entropy::with_bins(bins);
@@ -49,24 +48,15 @@ pub fn entropy_bins(scale: &Scale) {
         distinct.sort_by(f64::total_cmp);
         distinct.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         let rho = spearman(&scores, &reference);
-        rows.push(vec![
-            bins.to_string(),
-            distinct.len().to_string(),
-            format!("{rho:+.3}"),
-            format!("{:.2}", wall),
-        ]);
         csv.push(format!("{bins},{},{rho:.4},{wall:.4}", distinct.len()));
     }
+    let header = "bins,distinct_scores,spearman_vs_256,kernel_wall";
     print_table(
         "Ablation — ITL histogram bin count (6400 blocks)",
-        &["bins", "distinct scores", "rho vs 256", "kernel wall (s)"],
-        &rows,
-    );
-    let path = write_csv(
-        "ablation_entropy_bins.csv",
-        "bins,distinct_scores,spearman_vs_256,kernel_wall",
+        header,
         &csv,
     );
+    let path = write_csv("ablation_entropy_bins.csv", header, &csv);
     println!("csv: {}", path.display());
 }
 
@@ -74,7 +64,6 @@ pub fn entropy_bins(scale: &Scale) {
 /// sort. At the paper's block counts the sort is negligible either way —
 /// this quantifies the crossover argument.
 pub fn sort_strategy(ctx: &Ctx, scale: &Scale) {
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let prepared = ctx.at(nranks);
@@ -89,20 +78,16 @@ pub fn sort_strategy(ctx: &Ctx, scale: &Scale) {
             };
             let reports = prepared.run(config, &iters);
             let (avg, _, _) = stats(reports.iter().map(|r| r.t_sort));
-            rows.push(vec![
-                nranks.to_string(),
-                label.to_string(),
-                format!("{avg:.4}"),
-            ]);
             csv.push(format!("{nranks},{label},{avg:.6}"));
         }
     }
+    let header = "nranks,strategy,t_sort";
     print_table(
         "Ablation — global sort strategy (avg sort-step time, s)",
-        &["ranks", "strategy", "t_sort"],
-        &rows,
+        header,
+        &csv,
     );
-    let path = write_csv("ablation_sort.csv", "nranks,strategy,t_sort", &csv);
+    let path = write_csv("ablation_sort.csv", header, &csv);
     println!("csv: {}", path.display());
 }
 
@@ -112,7 +97,6 @@ pub fn sort_strategy(ctx: &Ctx, scale: &Scale) {
 /// iterations (from the store under `APC_DATASET`, like the shared one)
 /// and drops it before the next rank count.
 pub fn slow_network(ctx: &Ctx, scale: &Scale) {
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let gemini = ctx.at(nranks);
@@ -124,32 +108,16 @@ pub fn slow_network(ctx: &Ctx, scale: &Scale) {
             let reports = prepared.run(config, &iters);
             let (comm, _, _) = stats(reports.iter().map(|r| r.t_redistribute));
             let (render, _, _) = stats(reports.iter().map(|r| r.t_render));
-            rows.push(vec![
-                nranks.to_string(),
-                label.to_string(),
-                format!("{comm:.3}"),
-                format!("{render:.1}"),
-                format!("{:.1}%", 100.0 * comm / (comm + render)),
-            ]);
             csv.push(format!("{nranks},{label},{comm:.5},{render:.4}"));
         }
     }
+    let header = "nranks,network,t_comm,t_render";
     print_table(
         "Ablation — network sensitivity of redistribution (s)",
-        &[
-            "ranks",
-            "network",
-            "t_redistribute",
-            "t_render",
-            "comm share",
-        ],
-        &rows,
-    );
-    let path = write_csv(
-        "ablation_network.csv",
-        "nranks,network,t_comm,t_render",
+        header,
         &csv,
     );
+    let path = write_csv("ablation_network.csv", header, &csv);
     println!("csv: {}", path.display());
 }
 
@@ -158,7 +126,8 @@ pub fn slow_network(ctx: &Ctx, scale: &Scale) {
 /// sweeps k ∈ {2, 3, 4} and reports the render-time / fidelity trade-off
 /// (fidelity = mean reconstruction MSE over the reduced blocks).
 pub fn downsample_size(ctx: &Ctx, scale: &Scale) {
-    let prepared = ctx.at(scale.rank_counts[0]);
+    let nranks = scale.rank_counts[0];
+    let prepared = ctx.at(nranks);
     let iters = prepared.subset(scale.component_iters.min(3));
     let dataset = &prepared.dataset;
 
@@ -169,7 +138,6 @@ pub fn downsample_size(ctx: &Ctx, scale: &Scale) {
         .map(|id| dataset.block(it, id as u32))
         .collect();
 
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for keep in [2usize, 3, 4] {
         let config = PipelineConfig::default()
@@ -191,29 +159,15 @@ pub fn downsample_size(ctx: &Ctx, scale: &Scale) {
             .sum::<f64>()
             / sample.len() as f64;
         let bytes = sample[0].downsampled(keep).nbytes();
-        rows.push(vec![
-            format!("{keep}x{keep}x{keep}"),
-            format!("{t_render:.2}"),
-            format!("{mse:.1}"),
-            bytes.to_string(),
-        ]);
         csv.push(format!("{keep},{t_render:.4},{mse:.4},{bytes}"));
     }
+    let header = "keep,t_render,reconstruction_mse,bytes_per_block";
     print_table(
-        "Ablation — reduction lattice size (95% reduced, 64 ranks)",
-        &[
-            "lattice",
-            "t_render (s)",
-            "reconstruction MSE (dBZ^2)",
-            "bytes/block",
-        ],
-        &rows,
-    );
-    let path = write_csv(
-        "ablation_downsample.csv",
-        "keep,t_render,reconstruction_mse,bytes_per_block",
+        &format!("Ablation — reduction lattice size (95% reduced, {nranks} ranks)"),
+        header,
         &csv,
     );
+    let path = write_csv("ablation_downsample.csv", header, &csv);
     println!("csv: {}", path.display());
 }
 
@@ -222,7 +176,8 @@ pub fn downsample_size(ctx: &Ctx, scale: &Scale) {
 /// log-normal noise. Reports iterations-to-converge and mean |error| after
 /// convergence.
 pub fn controller_variants(ctx: &Ctx, scale: &Scale) {
-    // Record the t(p) response once from the prepared 64-rank dataset.
+    // Record the t(p) response once from the first prepared rank count's
+    // dataset (the stored one under `APC_DATASET`).
     let prepared = ctx.at(scale.rank_counts[0]);
     let iters = prepared.subset(2);
     let probe: Vec<(f64, f64)> = [0.0, 50.0, 80.0, 90.0, 95.0, 100.0]
@@ -250,7 +205,6 @@ pub fn controller_variants(ctx: &Ctx, scale: &Scale) {
 
     let target = response(0.0) * 0.25;
     let n_iters = 40;
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for variant in ["algorithm1", "fixed-step-5"] {
         let mut p = 0.0f64;
@@ -282,25 +236,17 @@ pub fn controller_variants(ctx: &Ctx, scale: &Scale) {
         }
         let tail = &errs[n_iters / 2..];
         let mean_err = tail.iter().sum::<f64>() / tail.len() as f64;
-        rows.push(vec![
-            variant.to_string(),
-            converged_at.map_or("never".into(), |i| i.to_string()),
-            format!("{:.1}%", 100.0 * mean_err),
-        ]);
         csv.push(format!(
             "{variant},{},{mean_err:.4}",
             converged_at.map_or(-1i64, |i| i as i64)
         ));
     }
+    let header = "controller,converged_at,late_mean_err";
     print_table(
         "Ablation — controller variants (converge to 25% of unreduced time)",
-        &["controller", "first iter within 25%", "late mean |error|"],
-        &rows,
-    );
-    let path = write_csv(
-        "ablation_controller.csv",
-        "controller,converged_at,late_mean_err",
+        header,
         &csv,
     );
+    let path = write_csv("ablation_controller.csv", header, &csv);
     println!("csv: {}", path.display());
 }

@@ -30,33 +30,32 @@ pub fn run(scale: &Scale) {
     let ranks: Vec<Vec<usize>> = scores.iter().map(|s| ranks_by_score(s)).collect();
 
     // CSV: one row per block with its rank under each metric.
-    let header = {
-        let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
-        format!("block,{}", names.join(","))
-    };
+    let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
+    let names = names.join(",");
     let rows: Vec<String> = (0..n)
         .map(|b| {
             let cols: Vec<String> = ranks.iter().map(|r| r[b].to_string()).collect();
             format!("{b},{}", cols.join(","))
         })
         .collect();
-    let path = write_csv("fig03_metric_ranks.csv", &header, &rows);
+    let path = write_csv("fig03_metric_ranks.csv", &format!("block,{names}"), &rows);
 
-    // Spearman matrix.
-    let mut table = Vec::new();
-    for (i, mi) in metrics.iter().enumerate() {
-        let mut row = vec![mi.name().to_string()];
-        for (j, _mj) in metrics.iter().enumerate() {
-            row.push(format!("{:+.3}", spearman(&scores[i], &scores[j])));
-        }
-        table.push(row);
-    }
-    let mut headers: Vec<&str> = vec![""];
-    headers.extend(metrics.iter().map(|m| m.name()));
+    // Spearman matrix, printed only: one CSV-shaped line per metric.
+    let matrix: Vec<String> = metrics
+        .iter()
+        .zip(&scores)
+        .map(|(mi, si)| {
+            let rhos: Vec<String> = scores
+                .iter()
+                .map(|sj| format!("{:+.3}", spearman(si, sj)))
+                .collect();
+            format!("{},{}", mi.name(), rhos.join(","))
+        })
+        .collect();
     print_table(
         "Fig 3 — Spearman rank correlation between metrics",
-        &headers,
-        &table,
+        &format!("metric,{names}"),
+        &matrix,
     );
     println!(
         "paper observations to check: all pairs agree on the flat blocks \

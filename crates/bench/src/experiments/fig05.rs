@@ -7,25 +7,20 @@ use apc_core::{PipelineConfig, Redistribution};
 use crate::experiments::Ctx;
 use crate::harness::{print_table, stats, write_csv, Scale};
 
+const HEADER: &str = "nranks,strategy,avg_render,min_render,max_render,avg_comm";
+
 pub fn run(ctx: &Ctx, scale: &Scale) {
     let metrics = ["LEA", "FPZIP", "ITL", "RANGE", "VAR", "TRILIN"];
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let prepared = ctx.at(nranks);
         let iters = prepared.subset(scale.component_iters);
-        let mut rows = Vec::new();
+        let first = csv.len();
 
         let mut run_case = |label: &str, config: PipelineConfig| {
             let reports = prepared.run(config, &iters);
             let (avg, min, max) = stats(reports.iter().map(|r| r.t_render));
             let (comm, _, _) = stats(reports.iter().map(|r| r.t_redistribute));
-            rows.push(vec![
-                label.to_string(),
-                format!("{avg:.1}"),
-                format!("{min:.1}"),
-                format!("{max:.1}"),
-                format!("{comm:.2}"),
-            ]);
             csv.push(format!(
                 "{nranks},{label},{avg:.4},{min:.4},{max:.4},{comm:.4}"
             ));
@@ -51,8 +46,8 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
 
         print_table(
             &format!("Fig 5 — rendering time with redistribution, {nranks} ranks (s)"),
-            &["strategy", "avg", "min", "max", "comm"],
-            &rows,
+            HEADER,
+            &csv[first..],
         );
         println!(
             "speedup from redistribution alone: {:.1}x (shuffle) / {:.1}x (round-robin); \
@@ -63,10 +58,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
             nranks
         );
     }
-    let path = write_csv(
-        "fig05_redistribution.csv",
-        "nranks,strategy,avg_render,min_render,max_render,avg_comm",
-        &csv,
-    );
+    let path = write_csv("fig05_redistribution.csv", HEADER, &csv);
     println!("csv: {}", path.display());
 }

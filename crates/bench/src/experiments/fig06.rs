@@ -15,38 +15,30 @@ pub fn percent_set(nranks: usize) -> &'static [f64] {
     }
 }
 
+const HEADER: &str = "nranks,percent,iteration,t_render";
+
 pub fn run(ctx: &Ctx, scale: &Scale) {
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let prepared = ctx.at(nranks);
         let iters = prepared.subset(scale.component_iters);
-        let mut rows = Vec::new();
+        let first = csv.len();
         let configs: Vec<PipelineConfig> = percent_set(nranks)
             .iter()
             .map(|&p| PipelineConfig::default().with_fixed_percent(p))
             .collect();
         let swept = prepared.run_sweep(&configs, &iters);
         for (&p, reports) in percent_set(nranks).iter().zip(&swept) {
-            let mut row = vec![format!("{p:.0}%")];
             for r in reports {
-                row.push(format!("{:.1}", r.t_render));
                 csv.push(format!("{nranks},{p},{},{:.4}", r.iteration, r.t_render));
             }
-            rows.push(row);
         }
-        let mut headers: Vec<String> = vec!["reduced".to_string()];
-        headers.extend(iters.iter().map(|it| format!("it{it}")));
-        let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
         print_table(
             &format!("Fig 6 — per-iteration rendering time (s), {nranks} ranks"),
-            &headers_ref,
-            &rows,
+            HEADER,
+            &csv[first..],
         );
     }
-    let path = write_csv(
-        "fig06_fixed_percent.csv",
-        "nranks,percent,iteration,t_render",
-        &csv,
-    );
+    let path = write_csv("fig06_fixed_percent.csv", HEADER, &csv);
     println!("csv: {}", path.display());
 }

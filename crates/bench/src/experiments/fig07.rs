@@ -12,12 +12,14 @@ use apc_core::PipelineConfig;
 use crate::experiments::Ctx;
 use crate::harness::{print_table, stats, write_csv, Scale};
 
+const HEADER: &str = "nranks,percent,avg_render,min_render,max_render";
+
 pub fn run(ctx: &Ctx, scale: &Scale) {
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let prepared = ctx.at(nranks);
         let iters = prepared.subset(scale.component_iters);
-        let mut rows = Vec::new();
+        let first = csv.len();
         let mut series = Vec::new();
         // The whole percentage sweep replays through one rank session.
         let configs: Vec<PipelineConfig> = scale
@@ -28,19 +30,13 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
         let swept = prepared.run_sweep(&configs, &iters);
         for (&p, reports) in scale.sweep.iter().zip(&swept) {
             let (avg, min, max) = stats(reports.iter().map(|r| r.t_render));
-            rows.push(vec![
-                format!("{p:.0}"),
-                format!("{avg:.1}"),
-                format!("{min:.1}"),
-                format!("{max:.1}"),
-            ]);
             csv.push(format!("{nranks},{p},{avg:.4},{min:.4},{max:.4}"));
             series.push((p, avg));
         }
         print_table(
             &format!("Fig 7 — rendering time vs percentage, {nranks} ranks (s)"),
-            &["percent", "avg", "min", "max"],
-            &rows,
+            HEADER,
+            &csv[first..],
         );
         // Quantify the flat-then-drop shape: time at 50% vs 0% and 100%.
         let at = |p: f64| {
@@ -57,10 +53,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
             at(100.0) / at(0.0)
         );
     }
-    let path = write_csv(
-        "fig07_percent_sweep.csv",
-        "nranks,percent,avg_render,min_render,max_render",
-        &csv,
-    );
+    let path = write_csv("fig07_percent_sweep.csv", HEADER, &csv);
     println!("csv: {}", path.display());
 }

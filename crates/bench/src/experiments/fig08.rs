@@ -9,15 +9,16 @@ use apc_core::{PipelineConfig, Redistribution};
 use crate::experiments::Ctx;
 use crate::harness::{print_table, stats, write_csv, Scale};
 
+const HEADER: &str = "nranks,strategy,percent,avg_comm,min_comm,max_comm";
+
 pub fn run(ctx: &Ctx, scale: &Scale) {
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let prepared = ctx.at(nranks);
         let iters = prepared.subset(scale.component_iters);
-        let mut rows = Vec::new();
+        let first = csv.len();
         let mut first_last: Vec<(f64, f64)> = Vec::new();
         for &p in &scale.sweep {
-            let mut row = vec![format!("{p:.0}")];
             let mut pair = (0.0, 0.0);
             for (idx, (label, strat)) in [
                 ("RR", Redistribution::RoundRobin),
@@ -37,7 +38,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
                     &iters,
                 );
                 let (avg, min, max) = stats(reports.iter().map(|r| r.t_redistribute));
-                row.push(format!("{avg:.3}"));
                 csv.push(format!("{nranks},{label},{p},{avg:.5},{min:.5},{max:.5}"));
                 if idx == 0 {
                     pair.0 = avg;
@@ -46,12 +46,11 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
                 }
             }
             first_last.push(pair);
-            rows.push(row);
         }
         print_table(
             &format!("Fig 8 — redistribution time vs percentage, {nranks} ranks (s)"),
-            &["percent", "round-robin", "random"],
-            &rows,
+            HEADER,
+            &csv[first..],
         );
         let head = first_last.first().expect("sweep non-empty");
         let tail = first_last.last().expect("sweep non-empty");
@@ -61,10 +60,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
             head.0, tail.0
         );
     }
-    let path = write_csv(
-        "fig08_comm_time.csv",
-        "nranks,strategy,percent,avg_comm,min_comm,max_comm",
-        &csv,
-    );
+    let path = write_csv("fig08_comm_time.csv", HEADER, &csv);
     println!("csv: {}", path.display());
 }

@@ -10,12 +10,14 @@ use apc_core::{PipelineConfig, Redistribution};
 use crate::experiments::Ctx;
 use crate::harness::{print_table, stats, write_csv, Scale};
 
+const HEADER: &str = "nranks,strategy,percent,avg_render,min_render,max_render";
+
 pub fn run(ctx: &Ctx, scale: &Scale) {
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
         let prepared = ctx.at(nranks);
         let iters = prepared.subset(scale.component_iters);
-        let mut rows = Vec::new();
+        let first = csv.len();
         let strategies = [
             ("NONE", Redistribution::None),
             ("RR", Redistribution::RoundRobin),
@@ -39,24 +41,17 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
             .collect();
         let swept = prepared.run_sweep(&configs, &iters);
         for (&p, per_strategy) in scale.sweep.iter().zip(swept.chunks(strategies.len())) {
-            let mut row = vec![format!("{p:.0}")];
             for ((label, _), reports) in strategies.iter().zip(per_strategy) {
                 let (avg, min, max) = stats(reports.iter().map(|r| r.t_render));
-                row.push(format!("{avg:.1} [{min:.1},{max:.1}]"));
                 csv.push(format!("{nranks},{label},{p},{avg:.4},{min:.4},{max:.4}"));
             }
-            rows.push(row);
         }
         print_table(
             &format!("Fig 9 — rendering time vs percentage and strategy, {nranks} ranks (s)"),
-            &["percent", "none", "round-robin", "random"],
-            &rows,
+            HEADER,
+            &csv[first..],
         );
     }
-    let path = write_csv(
-        "fig09_reduce_plus_redist.csv",
-        "nranks,strategy,percent,avg_render,min_render,max_render",
-        &csv,
-    );
+    let path = write_csv("fig09_reduce_plus_redist.csv", HEADER, &csv);
     println!("csv: {}", path.display());
 }

@@ -47,6 +47,9 @@ fn viz_choices(nranks: usize) -> Vec<usize> {
     v
 }
 
+const HEADER: &str = "nranks,mode,viz_ranks,queue_depth,policy,mean_t_total,mean_sim_visible,\
+                      mean_sim_stall,slices_dropped,stagers_degraded,blocks_by_stager";
+
 pub fn run(ctx: &Ctx, scale: &Scale) {
     let mut csv = Vec::new();
     for &nranks in &scale.rank_counts {
@@ -64,19 +67,7 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
              {} iterations, solver compute {sim_compute:.1} s/iter ==",
             iters.len()
         );
-        let mut rows = Vec::new();
-        rows.push(vec![
-            "sync".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!("{sync_mean:.2}"),
-            format!("{sync_mean:.2}"),
-            "-".into(),
-            "0".into(),
-            "0".into(),
-            "-".into(),
-        ]);
+        let first = csv.len();
         csv.push(format!(
             "{nranks},sync,0,0,none,{sync_mean:.6},{sync_mean:.6},0,0,0,-"
         ));
@@ -100,18 +91,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
                         .map(ToString::to_string)
                         .collect::<Vec<String>>()
                         .join(";");
-                    rows.push(vec![
-                        "staged".into(),
-                        format!("{}:{}", nranks - viz, viz),
-                        format!("{depth}"),
-                        pname.into(),
-                        format!("{e2e:.2}"),
-                        format!("{visible:.2}"),
-                        format!("{stall:.2}"),
-                        format!("{}", run.total_dropped()),
-                        format!("{}", run.total_degraded()),
-                        summarize_per_stager(&run.blocks_by_stager()),
-                    ]);
                     csv.push(format!(
                         "{nranks},staged,{viz},{depth},{pname},{e2e:.6},{visible:.6},\
                          {stall:.6},{},{},{per_stager}",
@@ -123,34 +102,10 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
         }
         print_table(
             "mean virtual seconds per iteration (sim-visible is the headline)",
-            &[
-                "mode",
-                "sim:viz",
-                "depth",
-                "policy",
-                "e2e iter",
-                "sim-visible",
-                "stall",
-                "dropped",
-                "degraded",
-                "blocks/stager",
-            ],
-            &rows,
+            HEADER,
+            &csv[first..],
         );
     }
-    let path = write_csv(
-        "fig12_staged_vs_sync.csv",
-        "nranks,mode,viz_ranks,queue_depth,policy,mean_t_total,mean_sim_visible,\
-         mean_sim_stall,slices_dropped,stagers_degraded,blocks_by_stager",
-        &csv,
-    );
+    let path = write_csv("fig12_staged_vs_sync.csv", HEADER, &csv);
     println!("csv: {}", path.display());
-}
-
-/// Compact `min..max (n)` display of the per-stager block totals (the CSV
-/// carries the full `;`-joined vector).
-fn summarize_per_stager(totals: &[usize]) -> String {
-    let min = totals.iter().min().copied().unwrap_or(0);
-    let max = totals.iter().max().copied().unwrap_or(0);
-    format!("{min}..{max} ({})", totals.len())
 }

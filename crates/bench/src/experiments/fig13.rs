@@ -81,7 +81,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
          {} iterations, solver compute {sim_compute:.1} s/iter ==",
         iters.len()
     );
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     let counts = client_counts(nranks, viz);
     for &clients in &counts {
@@ -91,18 +90,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
             let hit = run.cache_hit_rate();
             let p50 = run.latency_percentile(50.0);
             let p99 = run.latency_percentile(99.0);
-            rows.push(vec![
-                format!("{clients}"),
-                policy.name().into(),
-                format!("{}", run.requests.len()),
-                format!("{}", run.frames_served()),
-                format!("{fps:.2}"),
-                format!("{:.1}%", hit * 100.0),
-                format!("{p50:.2}"),
-                format!("{p99:.2}"),
-                format!("{}", run.total_deferred()),
-                format!("{}", run.total_inexact()),
-            ]);
             csv.push(format!(
                 "{nranks},{viz},{clients},{},{},{},{fps:.6},{hit:.6},{p50:.6},{p99:.6},{},{}",
                 policy.name(),
@@ -113,21 +100,12 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
             ));
         }
     }
+    let header = "nranks,viz_ranks,clients,policy,requests,frames_served,frames_per_vsecond,\
+                  cache_hit_rate,p50_latency,p99_latency,deferred,inexact";
     print_table(
         "frame serving vs client count and policy (latency in virtual seconds)",
-        &[
-            "clients",
-            "policy",
-            "requests",
-            "frames",
-            "frames/vs",
-            "cache hit",
-            "p50",
-            "p99",
-            "deferred",
-            "inexact",
-        ],
-        &rows,
+        header,
+        &csv,
     );
 
     // Byte-determinism of the headline (largest) configuration: the whole
@@ -147,11 +125,6 @@ pub fn run(ctx: &Ctx, scale: &Scale) {
         );
     }
 
-    let path = write_csv(
-        "fig13_frame_serving.csv",
-        "nranks,viz_ranks,clients,policy,requests,frames_served,frames_per_vsecond,\
-         cache_hit_rate,p50_latency,p99_latency,deferred,inexact",
-        &csv,
-    );
+    let path = write_csv("fig13_frame_serving.csv", header, &csv);
     println!("csv: {}", path.display());
 }

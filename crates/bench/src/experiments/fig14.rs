@@ -84,7 +84,6 @@ pub fn run(scale: &Scale) {
          clients {CLIENT_SWEEP:?} x {{pinned, routed, routed+steal}} =="
     );
 
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &clients in CLIENT_SWEEP {
         let tr = trace_for(clients, scale.seed, &backend);
@@ -115,20 +114,6 @@ pub fn run(scale: &Scale) {
             let p99 = out.latency_percentile(99.0);
             let prem99 = out.tier_latency_percentile(QosTier::Premium, 99.0);
             let free99 = out.tier_latency_percentile(QosTier::Free, 99.0);
-            p99_by_mode.push((mode, p99, out));
-            let out = &p99_by_mode.last().unwrap().2;
-            rows.push(vec![
-                format!("{clients}"),
-                mode.name().into(),
-                format!("{}", out.requests.len()),
-                format!("{}", out.frames_served()),
-                format!("{}", out.stolen_total),
-                format!("{:.1}%", hit * 100.0),
-                format!("{p50:.4}"),
-                format!("{p99:.4}"),
-                format!("{prem99:.4}"),
-                format!("{free99:.4}"),
-            ]);
             csv.push(format!(
                 "{NSERVERS},{clients},{},{},{},{},{hit:.6},{p50:.6},{p99:.6},{prem99:.6},{free99:.6}",
                 mode.name(),
@@ -136,6 +121,7 @@ pub fn run(scale: &Scale) {
                 out.frames_served(),
                 out.stolen_total,
             ));
+            p99_by_mode.push((mode, p99, out));
         }
 
         // Acceptance: at every client count, deterministic stealing must
@@ -166,28 +152,13 @@ pub fn run(scale: &Scale) {
         }
     }
 
+    let header = "nservers,clients,mode,requests,frames_served,stolen,cache_hit_rate,\
+                  p50_latency,p99_latency,premium_p99,free_p99";
     print_table(
         "replay fan-out vs routing mode (latency in virtual seconds)",
-        &[
-            "clients",
-            "mode",
-            "requests",
-            "frames",
-            "stolen",
-            "cache hit",
-            "p50",
-            "p99",
-            "premium p99",
-            "free p99",
-        ],
-        &rows,
-    );
-
-    let path = write_csv(
-        "fig14_replay_fanout.csv",
-        "nservers,clients,mode,requests,frames_served,stolen,cache_hit_rate,\
-         p50_latency,p99_latency,premium_p99,free_p99",
+        header,
         &csv,
     );
+    let path = write_csv("fig14_replay_fanout.csv", header, &csv);
     println!("csv: {}", path.display());
 }

@@ -118,7 +118,6 @@ pub fn run(scale: &Scale) {
         apc_core::percentile(lat, 99.0)
     };
 
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     let headline = *CLIENT_SWEEP.last().unwrap();
     for &clients in CLIENT_SWEEP {
@@ -168,10 +167,7 @@ pub fn run(scale: &Scale) {
             )
         };
 
-        let report = |mode: &str,
-                      run: &ServingRun,
-                      rows: &mut Vec<Vec<String>>,
-                      csv: &mut Vec<String>| {
+        let report = |mode: &str, run: &ServingRun, csv: &mut Vec<String>| {
             let mix = run.fidelity_mix();
             let p50 = run.latency_percentile(50.0);
             let p99 = run.latency_percentile(99.0);
@@ -181,18 +177,6 @@ pub fn run(scale: &Scale) {
                 .iter()
                 .map(|s| s.final_percent)
                 .fold(0.0, f64::max);
-            rows.push(vec![
-                format!("{clients}"),
-                mode.into(),
-                format!("{}", run.requests.len()),
-                format!("{}", run.frames_served()),
-                format!("{:.1}%", run.cache_hit_rate() * 100.0),
-                format!("{p50:.4}"),
-                format!("{p99:.4}"),
-                format!("{steady:.4}"),
-                mix.summary(),
-                format!("{final_pct:.1}"),
-            ]);
             csv.push(format!(
                 "{NSTAGE},{clients},{mode},{},{},{:.6},{p50:.6},{p99:.6},{steady:.6},{},{},{},{},{final_pct:.2}",
                 run.requests.len(),
@@ -211,9 +195,9 @@ pub fn run(scale: &Scale) {
         };
 
         let fixed = run_mode("fixed", None);
-        let (_, fixed_steady) = report("fixed", &fixed, &mut rows, &mut csv);
+        let (_, fixed_steady) = report("fixed", &fixed, &mut csv);
         let adaptive = run_mode("adaptive", Some(BUDGET));
-        let (_, adaptive_steady) = report("adaptive", &adaptive, &mut rows, &mut csv);
+        let (_, adaptive_steady) = report("adaptive", &adaptive, &mut csv);
         assert_eq!(
             fixed.degraded_replies(),
             0,
@@ -269,28 +253,13 @@ pub fn run(scale: &Scale) {
         }
     }
 
+    let header = "nstagers,clients,mode,requests,frames_served,cache_hit_rate,p50_latency,\
+                  p99_latency,steady_p99,full,lossy,dropped,header_only,final_percent";
     print_table(
         "adaptive vs fixed serving under the client ramp (latency in virtual seconds)",
-        &[
-            "clients",
-            "mode",
-            "requests",
-            "frames",
-            "cache hit",
-            "p50",
-            "p99",
-            "steady p99",
-            "mix f/l/d/h",
-            "final %",
-        ],
-        &rows,
-    );
-
-    let path = write_csv(
-        "fig15_adaptive_serving.csv",
-        "nstagers,clients,mode,requests,frames_served,cache_hit_rate,p50_latency,p99_latency,steady_p99,\
-         full,lossy,dropped,header_only,final_percent",
+        header,
         &csv,
     );
+    let path = write_csv("fig15_adaptive_serving.csv", header, &csv);
     println!("csv: {}", path.display());
 }

@@ -42,7 +42,6 @@ pub fn run(scale: &Scale) {
         .collect();
     let sample_points: usize = sample.iter().map(|b| b.dims().len()).sum();
 
-    let mut rows = Vec::new();
     let mut csv = Vec::new();
     for metric in standard_six() {
         // Real kernel throughput on this machine.
@@ -59,7 +58,6 @@ pub fn run(scale: &Scale) {
         std::hint::black_box(sink);
         let measured_per_point = wall / sample_points as f64;
 
-        let mut row = vec![metric.name().to_string()];
         let mut csv_row = metric.name().to_string();
         for &nranks in &[64usize, 400] {
             let pts = paper_points_per_rank(nranks);
@@ -70,36 +68,17 @@ pub fn run(scale: &Scale) {
                 .find(|(n, _, _)| *n == metric.name())
                 .map(|&(_, p64, p400)| if nranks == 64 { p64 } else { p400 })
                 .unwrap_or(f64::NAN);
-            row.push(format!("{model:.2}"));
-            row.push(format!("{measured:.2}"));
-            row.push(format!("{paper:.2}"));
             csv_row.push_str(&format!(",{model:.4},{measured:.4},{paper:.2}"));
         }
-        rows.push(row);
         csv.push(csv_row);
     }
 
-    print_table(
-        "Table I — metric computation time (seconds)",
-        &[
-            "metric",
-            "64c model",
-            "64c measured",
-            "64c paper",
-            "400c model",
-            "400c measured",
-            "400c paper",
-        ],
-        &rows,
-    );
+    let header = "metric,model_64,measured_64,paper_64,model_400,measured_400,paper_400";
+    print_table("Table I — metric computation time (seconds)", header, &csv);
     println!(
         "note: RANGE deviates from the paper by design \
          (our RANGE is a plain min/max scan)."
     );
-    let path = write_csv(
-        "table1_metric_times.csv",
-        "metric,model_64,measured_64,paper_64,model_400,measured_400,paper_400",
-        &csv,
-    );
+    let path = write_csv("table1_metric_times.csv", header, &csv);
     println!("csv: {}", path.display());
 }

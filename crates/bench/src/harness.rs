@@ -153,26 +153,36 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// Print an ASCII table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// Print the CSV `header` and `rows` a figure passes to [`write_csv`] as an
+/// ASCII table (see [`render_table`]).
+pub fn print_table(title: &str, header: &str, rows: &[String]) {
+    print!("{}", render_table(title, header, rows));
+}
+
+/// Lay out CSV lines as a titled table: cells split on `,`, printed
+/// verbatim and right-aligned to their column's widest cell.
+pub fn render_table(title: &str, header: &str, rows: &[String]) -> String {
+    let lines: Vec<Vec<&str>> = std::iter::once(header)
+        .chain(rows.iter().map(String::as_str))
+        .map(|line| line.split(',').collect())
+        .collect();
+    let mut widths = Vec::new();
+    for cells in &lines {
+        widths.resize(widths.len().max(cells.len()), 0);
+        for (w, cell) in widths.iter_mut().zip(cells) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
+    let mut out = format!("\n== {title} ==\n");
+    for cells in &lines {
+        let mut line = String::new();
+        for (cell, w) in cells.iter().zip(&widths) {
+            line.push_str(&format!("{cell:>w$}  "));
         }
-        println!("{}", s.trim_end());
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    for row in rows {
-        line(row.clone());
+        out.push_str(line.trim_end());
+        out.push('\n');
     }
+    out
 }
 
 /// Average / min / max of a series.
@@ -202,6 +212,22 @@ mod tests {
             exec_from_str(Some("auto")),
             ExecPolicy::Serial | ExecPolicy::Threads(_)
         ));
+    }
+
+    #[test]
+    fn render_table_aligns_the_csv_cells_it_was_given() {
+        let rows = ["64,NONE,12.3456".to_owned(), "400,SHUFFLE,0.5".to_owned()];
+        let table = render_table("Fig X", "nranks,strategy,t", &rows);
+        // A blank separator, the title, the header and one line per row;
+        // each column pads to its widest cell, and no cell is re-rounded.
+        let expected = [
+            "",
+            "== Fig X ==",
+            "nranks  strategy        t",
+            "    64      NONE  12.3456",
+            "   400   SHUFFLE      0.5",
+        ];
+        assert_eq!(table, expected.join("\n") + "\n");
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!   configuration sweeps over one set of rank threads, CSV output under
 //!   `target/experiments/`, ASCII tables;
 //! * [`experiments`] — one module per paper table/figure plus the
-//!   ablations. Each exposes `run(&Scale)`, prints the
-//!   series/rows the paper reports, and writes CSV.
+//!   ablations. A figure exposes `run(&Scale)`, or `run(&Ctx, &Scale)`
+//!   when it replays the shared prepared inputs (fig05–fig13); the
+//!   ablations expose one such function each. Each writes CSV under
+//!   `target/experiments/` and prints the rows it writes as a table.
 //!
 //! Thin binaries in `src/bin/` wrap single experiments; the `figures` bench
 //! target (`cargo bench -p apc-bench --bench figures`) runs the whole set.

@@ -48,10 +48,12 @@ struct Decl {
 /// Run `dead-pub` over a whole file set, given as `(workspace-relative
 /// path, source)` pairs; paths decide what each file is (see the module
 /// doc). A callerless item is suppressed with `// apc-lint:
-/// allow(dead-pub): <reason>` on the line above its `pub`.
+/// allow(dead-pub): <reason>` on the line above its `pub`; such an allow
+/// on an item that has a caller is reported as `allow-syntax`.
 pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
     let mut used = BTreeSet::new();
     let mut decls = Vec::new();
+    let mut suppressions = Vec::new();
     for (file, &(rel, src)) in files.iter().enumerate() {
         let checked = if rel.starts_with("benchmark/src/") && rel.ends_with(".rs") {
             false
@@ -64,7 +66,9 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
         let masked = mask_source(src);
         let lines: Vec<&str> = masked.text.split('\n').collect();
         let in_test = cfg_test_lines(&lines);
-        let suppress = Suppressions::resolve(&masked.allows, &lines);
+        if checked {
+            suppressions.push((file, Suppressions::resolve(&masked.allows, &lines)));
+        }
         let toks: Vec<Tok> = tokens(&masked.text)
             .into_iter()
             .filter(|t| !in_test[t.line - 1])
@@ -80,7 +84,7 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
                     continue;
                 }
                 if let Some((kind, n)) = declared_name(&toks, k) {
-                    if checked && !suppress.allowed("dead-pub", tok.line) {
+                    if checked {
                         decls.push(Decl {
                             file,
                             line: tok.line,
@@ -99,20 +103,25 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
         }
     }
 
-    decls
-        .into_iter()
-        .filter(|d| !used.contains(&d.name))
-        .map(|d| Violation {
-            file: files[d.file].0.to_owned(),
-            line: d.line,
-            rule: "dead-pub",
-            message: format!(
-                "`{}` (pub {}) has no caller outside tests, examples and re-exports; \
-                 delete it, or say which test or run keeps it",
-                d.name, d.kind
-            ),
-        })
-        .collect()
+    let mut out = Vec::new();
+    for (file, suppress) in &suppressions {
+        let dead = decls
+            .iter()
+            .filter(|d| d.file == *file && !used.contains(&d.name))
+            .map(|d| Violation {
+                file: files[d.file].0.to_owned(),
+                line: d.line,
+                rule: "dead-pub",
+                message: format!(
+                    "`{}` (pub {}) has no caller outside tests, examples and re-exports; \
+                     delete it, or say which test or run keeps it",
+                    d.name, d.kind
+                ),
+            })
+            .collect();
+        out.extend(suppress.apply("dead-pub", files[*file].0, dead));
+    }
+    out
 }
 
 /// Words and ASCII punctuation of masked code, in order.

@@ -5,7 +5,8 @@
 //! match here is a match on real code. Rules are deliberately lexical:
 //! they cannot see types, so each one is scoped (see [`FileClass`]) and
 //! suppressible in place with
-//! `// apc-lint: allow(<rule>): <reason>`.
+//! `// apc-lint: allow(<rule>): <reason>`. An allow that suppresses
+//! nothing is itself reported, as clippy fails an unfulfilled `#[expect]`.
 
 use crate::lexer::{mask_source, Allow};
 
@@ -122,16 +123,16 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
+    let mut hits = Vec::new();
     if class == FileClass::Lib {
         for (idx, text) in lines.iter().enumerate() {
-            let line = idx + 1;
-            if test_lines[idx] || suppress.allowed("unwrap-in-lib", line) {
+            if test_lines[idx] {
                 continue;
             }
             for v in unwrap_like(text) {
-                out.push(Violation {
+                hits.push(Violation {
                     file: rel.to_owned(),
-                    line,
+                    line: idx + 1,
                     rule: "unwrap-in-lib",
                     message: format!(
                         "{v} in library code; return a typed error or annotate the invariant"
@@ -140,30 +141,30 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
             }
         }
     }
+    out.extend(suppress.apply("unwrap-in-lib", rel, hits));
 
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
 
 /// Per-file suppression table resolved from the parsed allows.
-pub(crate) struct Suppressions {
-    /// (rule, line) pairs allowed inline.
-    lines: Vec<(String, usize)>,
-    /// Rules allowed file-wide.
-    files: Vec<String>,
+pub(crate) struct Suppressions(Vec<Suppression>);
+
+struct Suppression {
+    rule: String,
+    /// The line the allow covers; `None` for `allow-file`.
+    target: Option<usize>,
+    comment_line: usize,
 }
 
 impl Suppressions {
     pub(crate) fn resolve(allows: &[Allow], lines: &[&str]) -> Self {
-        let mut line_allows = Vec::new();
-        let mut file_allows = Vec::new();
+        let mut entries = Vec::new();
         for a in allows {
-            if a.file_level {
-                file_allows.push(a.rule.clone());
-                continue;
-            }
-            let target = if a.trailing {
-                a.comment_line
+            let target = if a.file_level {
+                None
+            } else if a.trailing {
+                Some(a.comment_line)
             } else {
                 // A standalone comment applies to the next non-blank code
                 // line (comments are already blank in the masked text).
@@ -171,19 +172,40 @@ impl Suppressions {
                 while t <= lines.len() && lines[t - 1].trim().is_empty() {
                     t += 1;
                 }
-                t
+                Some(t)
             };
-            line_allows.push((a.rule.clone(), target));
+            entries.push(Suppression {
+                rule: a.rule.clone(),
+                target,
+                comment_line: a.comment_line,
+            });
         }
-        Suppressions {
-            lines: line_allows,
-            files: file_allows,
-        }
+        Suppressions(entries)
     }
 
-    pub(crate) fn allowed(&self, rule: &str, line: usize) -> bool {
-        self.files.iter().any(|r| r == rule)
-            || self.lines.iter().any(|(r, l)| r == rule && *l == line)
+    /// The `hits` of `rule` in `file` that no allow covers, plus an
+    /// `allow-syntax` violation for each allow of `rule` that covers none.
+    pub(crate) fn apply(&self, rule: &str, file: &str, hits: Vec<Violation>) -> Vec<Violation> {
+        let covers = |s: &Suppression, v: &Violation| s.target.is_none_or(|t| t == v.line);
+        let mine: Vec<&Suppression> = self.0.iter().filter(|s| s.rule == rule).collect();
+        let mut out: Vec<Violation> = mine
+            .iter()
+            .filter(|s| !hits.iter().any(|v| covers(s, v)))
+            .map(|s| Violation {
+                file: file.to_owned(),
+                line: s.comment_line,
+                rule: "allow-syntax",
+                message: format!(
+                    "allow{}({rule}) suppresses nothing; delete it",
+                    if s.target.is_none() { "-file" } else { "" }
+                ),
+            })
+            .collect();
+        out.extend(
+            hits.into_iter()
+                .filter(|v| !mine.iter().any(|s| covers(s, v))),
+        );
+        out
     }
 }
 

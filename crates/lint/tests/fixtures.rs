@@ -1,7 +1,8 @@
 //! Fixture-driven checks of every lint rule: each rule has a flagged
 //! snippet, a clean snippet, and a snippet silenced by a reasoned
 //! `// apc-lint: allow(...)` — plus `dead-pub`'s cross-file cases fed as
-//! `(path, source)` pairs, and the root `clippy.toml`'s determinism bans.
+//! `(path, source)` pairs, allows that suppress nothing, and the root
+//! `clippy.toml`'s determinism bans.
 //! The fixture directory itself is classified `Skip`, so the workspace
 //! scan never trips over these deliberately-bad files.
 
@@ -49,6 +50,38 @@ fn malformed_allows_are_violations() {
     let bad = check_as_lib("allow_syntax_bad.rs");
     assert_eq!(rules_hit(&bad), ["allow-syntax"], "{bad:?}");
     assert_eq!(bad.len(), 2, "missing reason + unknown rule: {bad:?}");
+}
+
+/// `(rule, line)` of each violation.
+fn sites(violations: &[Violation]) -> Vec<(&'static str, usize)> {
+    violations.iter().map(|v| (v.rule, v.line)).collect()
+}
+
+#[test]
+fn an_unwrap_allow_on_a_line_without_an_unwrap_is_allow_syntax() {
+    let bad = check_as_lib("unused_allow_unwrap_bad.rs");
+    assert_eq!(sites(&bad), [("allow-syntax", 3)], "{bad:?}");
+}
+
+#[test]
+fn a_file_allow_the_rule_finds_nothing_under_is_allow_syntax() {
+    // Clean library code, and a binary the rule does not apply to.
+    let src = fixture("unused_allow_file_bad.rs");
+    for path in ["crates/demo/src/lib.rs", "crates/demo/src/bin/tool.rs"] {
+        let bad = check_source(path, &src);
+        assert_eq!(sites(&bad), [("allow-syntax", 3)], "{path}: {bad:?}");
+    }
+}
+
+#[test]
+fn a_dead_pub_allow_on_an_item_with_a_caller_is_allow_syntax() {
+    let src = fixture("unused_allow_dead_pub_bad.rs");
+    let caller = (
+        "crates/other/src/lib.rs",
+        "fn f() -> f32 { demo::fast_sum(&[]) }",
+    );
+    let bad = check_dead_pub(&[("crates/demo/src/lib.rs", &src), caller]);
+    assert_eq!(sites(&bad), [("allow-syntax", 2)], "{bad:?}");
 }
 
 /// `dead-pub` spans files: each fixture is `crates/demo/src/lib.rs`, and
