@@ -10,18 +10,19 @@ cargo fmt --check
 echo "==> cargo clippy (warnings are errors; every allow/expect carries a reason)"
 # The root clippy.toml bans the determinism breakers everywhere, tests
 # included: real-clock reads, HashMap/HashSet, raw thread spawns and
-# partial_cmp. A justified site takes `#[expect(clippy::disallowed_methods,
-# reason = "...")]`; a reasonless allow/expect fails here, and so does a
-# stale expect (unfulfilled_lint_expectations).
+# partial_cmp. Every library crate root but apc-bench's denies
+# clippy::{unwrap_used, expect_used, panic} outside cfg(test). A justified
+# site takes a reasoned `#[expect(clippy::<lint>, reason = "...")]`; a
+# reasonless allow/expect fails here, and so does a stale expect
+# (unfulfilled_lint_expectations).
 cargo clippy --workspace --all-targets -q -- -D warnings -D clippy::allow_attributes_without_reason
 
-echo "==> apc-lint (in-tree safety lint, deny-by-default)"
-# Unannotated unwraps in library code (`unwrap-in-lib`), and `dead-pub`:
-# a `pub` item in crates/*/src that only tests, examples, re-exports, its own
-# body or its own `impl` blocks name (benchmark/src is read as a caller,
-# never linted). Diagnostics
-# are file:line: rule: message; suppress a site with a reasoned
-# `// apc-lint: allow(<rule>): <reason>`. See README "Static analysis".
+echo "==> apc-lint (dead-pub, deny-by-default)"
+# `dead-pub`: a `pub` item in crates/*/src that only tests, examples,
+# re-exports, its own body or its own `impl` blocks name (benchmark/src is
+# read as a caller, never linted). Diagnostics are file:line: rule:
+# message; keep an item with a reasoned
+# `// apc-lint: allow(dead-pub): <reason>`. See README "Static analysis".
 cargo run -q -p apc-lint
 
 echo "==> cargo build --release"

@@ -1,6 +1,5 @@
 //! Ablations of design choices the paper discusses in text.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::time::Instant;
 
 use apc_cm1::ReflectivityDataset;

@@ -1,6 +1,5 @@
 //! Shared experiment context: one prepared dataset per rank count.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_cm1::ReflectivityDataset;
 use apc_comm::NetModel;
 

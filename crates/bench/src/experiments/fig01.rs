@@ -7,7 +7,6 @@
 //! a low-level slice), plus the triangle counts and modeled render times
 //! that back the paper's "50 seconds vs 1 second" observation.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_cm1::{ReflectivityDataset, DBZ_ISOVALUE};
 use apc_grid::Field3;
 use apc_render::{

@@ -2,7 +2,6 @@
 //! metrics (15 scatter plots in the paper; here the rank pairs as CSV plus
 //! the Spearman correlation of every pair).
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_cm1::ReflectivityDataset;
 use apc_metrics::{ranks_by_score, spearman, standard_six};
 

@@ -1,7 +1,6 @@
 //! Fig 4: scoremaps — greyscale plan views of per-block scores (darker =
 //! higher) next to the original reflectivity field.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_cm1::ReflectivityDataset;
 use apc_metrics::standard_six;
 use apc_render::{render_scoremap, Colormap};

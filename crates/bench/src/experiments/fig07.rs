@@ -6,7 +6,6 @@
 //! whose load only shrinks once the percentage reaches their blocks — and
 //! because most blocks are transparent to the isosurface anyway (§V-D).
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_core::PipelineConfig;
 
 use crate::experiments::Ctx;

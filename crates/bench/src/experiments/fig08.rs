@@ -3,7 +3,6 @@
 //! paper's §V-E setup). More reduction ⇒ less data to exchange ⇒ shorter
 //! communication.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_core::{PipelineConfig, Redistribution};
 
 use crate::experiments::Ctx;

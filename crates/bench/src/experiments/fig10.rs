@@ -3,7 +3,6 @@
 //!
 //! Paper targets: 120/60/20 s at 64 ranks, 30/15/7 s at 400 ranks.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use apc_core::PipelineConfig;
 
 use crate::experiments::Ctx;

@@ -21,7 +21,6 @@
 //! (the serving engine is deterministic end to end); the bin prints the
 //! check explicitly.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::sync::Arc;
 
 use apc_core::{

@@ -24,7 +24,6 @@
 //! must replay byte-identically, and routed+steal p99 must not exceed
 //! pinned p99 at equal client count.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::sync::Arc;
 
 use apc_comm::{NetModel, Runtime};

@@ -26,7 +26,6 @@
 //! converges to 0%, not to a plateau above it); and the headline adaptive
 //! run replays byte-identically in the same session.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::sync::Arc;
 
 use apc_cm1::{ReflectivityDataset, StormModel};

@@ -7,7 +7,6 @@
 //! to the paper's per-core workload). The paper's own numbers are printed
 //! alongside for comparison.
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::time::Instant;
 
 use apc_cm1::ReflectivityDataset;

@@ -9,7 +9,6 @@
 //! by `apc_cm1::write_dataset` — read lazily from disk through
 //! [`Prepared::from_store`].
 
-// apc-lint: allow-file(unwrap-in-lib): bench harness — panicking on a bad run or I/O error is the failure mode we want
 use std::path::PathBuf;
 
 use apc_cm1::StoredTimeSeries;

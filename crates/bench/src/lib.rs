@@ -30,6 +30,10 @@
 //! report snapshots live in `tests/golden_reports.rs`; regenerate
 //! intentionally-changed fixtures with `APC_UPDATE_GOLDEN=1`.
 
+// The one library crate without the root `deny(clippy::unwrap_used,
+// clippy::expect_used, clippy::panic)`: a bench harness, where panicking on
+// a bad run or I/O error is the failure mode we want.
+
 pub mod experiments;
 pub mod harness;
 

@@ -135,7 +135,10 @@ impl ReflectivityDataset {
                         ext.hi.2 - sub.lo.2,
                     ),
                 );
-                // apc-lint: allow(unwrap-in-lib): block extents are produced by partitioning this same subdomain
+                #[expect(
+                    clippy::expect_used,
+                    reason = "block extents are produced by partitioning this same subdomain"
+                )]
                 let block = Block::from_field(id, local, &field).expect("block inside subdomain");
                 Block {
                     extent: ext,

@@ -30,6 +30,11 @@
 //! executor charges that phase as `StagedParams::sim_compute` virtual
 //! seconds per iteration (`apc-core`).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod dataset;
 pub mod hydro;
 pub mod noise;

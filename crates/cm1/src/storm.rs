@@ -569,7 +569,10 @@ impl StormModel {
                 }
             }
         }
-        // apc-lint: allow(unwrap-in-lib): `out` was allocated with `dims.len()` samples
+        #[expect(
+            clippy::expect_used,
+            reason = "`out` was allocated with `dims.len()` samples"
+        )]
         Field3::from_vec(dims, out).expect("length matches dims")
     }
 

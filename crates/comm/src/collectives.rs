@@ -33,9 +33,12 @@ pub(crate) struct Deposits<'a, I> {
 impl<'a, I: 'static> Deposits<'a, I> {
     pub(crate) fn get(&self, rank: usize) -> &'a I {
         let (_, _, payload) = &self.slots[rank];
+        #[expect(
+            clippy::expect_used,
+            reason = "SPMD contract — every rank calls the same collective with the same type"
+        )]
         payload
             .downcast_ref::<I>()
-            // apc-lint: allow(unwrap-in-lib): SPMD contract — every rank calls the same collective with the same type
             .expect("collective type mismatch across ranks")
     }
 
@@ -54,7 +57,10 @@ impl<'a, T: 'static> Deposits<'a, Option<T>> {
                 .all(|(r, v)| v.is_some() == (r == root)),
             "exactly the root must supply a value"
         );
-        // apc-lint: allow(unwrap-in-lib): asserted just above — the root's deposit is `Some`
+        #[expect(
+            clippy::expect_used,
+            reason = "asserted just above — the root's deposit is `Some`"
+        )]
         self.get(root).as_ref().expect("root supplied no value")
     }
 }
@@ -147,7 +153,7 @@ impl Rank {
         let (vals, max_clock) = self.rendezvous(value, collect);
         self.clock = max_clock + self.net().allreduce(n, bytes);
         let mut it = vals.into_iter();
-        // apc-lint: allow(unwrap-in-lib): a runtime always has at least one rank
+        #[expect(clippy::expect_used, reason = "a runtime always has at least one rank")]
         let first = it.next().expect("allreduce over empty group");
         it.fold(first, {
             let mut op = op;
@@ -197,7 +203,10 @@ impl Rank {
                         "alltoallv needs one outgoing batch per rank"
                     );
                     let mut cell = cells[me].lock().unwrap_or_else(PoisonError::into_inner);
-                    // apc-lint: allow(unwrap-in-lib): each cell is taken exactly once, by its destination
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "each cell is taken exactly once, by its destination"
+                    )]
                     cell.take().expect("alltoallv cell already taken")
                 })
                 .collect::<Vec<_>>()

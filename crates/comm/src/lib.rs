@@ -54,6 +54,11 @@
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod bounded;
 pub mod collectives;
 pub mod meter;

@@ -108,8 +108,11 @@ impl Rank {
         let env = self.pop_matching(src, lane);
         let arrival = env.ts + self.net().p2p(env.bytes);
         let bytes = env.bytes;
+        #[expect(
+            clippy::panic,
+            reason = "a lane/type mismatch is a protocol bug in rank code, not recoverable input"
+        )]
         let msg = *env.payload.downcast::<M>().unwrap_or_else(|_| {
-            // apc-lint: allow(unwrap-in-lib): a lane/type mismatch is a protocol bug in rank code, not recoverable input
             panic!(
                 "rank {} received type mismatch from rank {src} lane={lane:?} \
                  (expected {})",

@@ -66,8 +66,11 @@ pub fn parse_recv_timeout(var: Option<&str>) -> Duration {
     match var {
         None => RECV_TIMEOUT_DEFAULT,
         Some(s) => {
+            #[expect(
+                clippy::panic,
+                reason = "documented contract — a garbage timeout value must fail loudly, not default"
+            )]
             let secs: f64 = s.trim().parse().unwrap_or_else(|_| {
-                // apc-lint: allow(unwrap-in-lib): documented contract — a garbage timeout value must fail loudly, not default
                 panic!("APC_RECV_TIMEOUT must be a number of seconds, got {s:?}")
             });
             assert!(
@@ -153,7 +156,10 @@ impl Rendezvous {
     /// Deposit rank `id`'s contribution and wait, at most `timeout`, for
     /// everyone else's.
     pub(crate) fn meet(&self, id: usize, mine: Contribution, timeout: Duration) -> Arc<Released> {
-        // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex; poisoning means a rank thread was killed mid-update, propagate the abort
+        #[expect(
+            clippy::unwrap_used,
+            reason = "nothing panics under this mutex; poisoning means a rank thread was killed mid-update, propagate the abort"
+        )]
         let mut state = self.state.lock().unwrap();
         state.pending[id] = Some(mine);
         state.arrived += 1;
@@ -186,15 +192,21 @@ impl Rendezvous {
                 reason = "deadlock-timeout machinery (see above)"
             )]
             let remaining = deadline.saturating_duration_since(Instant::now());
-            // apc-lint: allow(unwrap-in-lib): nothing panics under this mutex (see above); propagate the abort
+            #[expect(
+                clippy::unwrap_used,
+                reason = "nothing panics under this mutex (see above); propagate the abort"
+            )]
             let (guard, result) = self.cvar.wait_timeout(state, remaining).unwrap();
             state = guard;
+            #[expect(
+                clippy::panic,
+                reason = "a collective deadlock is unrecoverable; the panic is the diagnostic"
+            )]
             if result.timed_out() && state.generation == generation {
                 let arrived = state.arrived;
                 // Release the lock before unwinding so fellow waiters see
                 // their own timeout diagnostic, not a poisoned mutex.
                 drop(state);
-                // apc-lint: allow(unwrap-in-lib): a collective deadlock is unrecoverable; the panic is the diagnostic
                 panic!(
                     "deadlocked in a collective barrier after {:.1} s: only {arrived} \
                      of {} ranks arrived (a peer died or diverged)",
@@ -387,6 +399,10 @@ impl Runtime {
                 clippy::disallowed_methods,
                 reason = "the runtime's own rank threads: this is where every rank is spawned"
             )]
+            #[expect(
+                clippy::expect_used,
+                reason = "OS refusing to spawn a rank thread is unrecoverable at session start"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("rank-{id}"))
                 .stack_size(self.stack_size)
@@ -421,7 +437,6 @@ impl Runtime {
                         }
                     }
                 })
-                // apc-lint: allow(unwrap-in-lib): OS refusing to spawn a rank thread is unrecoverable at session start
                 .expect("failed to spawn rank thread");
             job_txs.push(job_tx);
             status_rxs.push(status_rx);
@@ -594,14 +609,20 @@ impl Session {
             // #[should_panic] tests) see the rank's own message.
             std::panic::resume_unwind(payload);
         }
+        #[expect(
+            clippy::panic,
+            reason = "a dead rank thread poisons the session; failing the run loudly is the contract"
+        )]
         if dispatch_failed {
             self.poisoned = true;
-            // apc-lint: allow(unwrap-in-lib): a dead rank thread poisons the session; failing the run loudly is the contract
             panic!("a rank thread died outside a run; session unusable");
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the panic/dispatch checks above returned early on any failure"
+        )]
         results
             .into_iter()
-            // apc-lint: allow(unwrap-in-lib): the panic/dispatch checks above returned early on any failure
             .map(|r| r.expect("every rank reported success, so every slot is filled"))
             .collect()
     }
@@ -729,18 +750,26 @@ impl Rank {
         let stashed: usize = inbox.from.iter().map(VecDeque::len).sum();
         drop(inbox);
         let me = self.id;
+        #[expect(
+            clippy::panic,
+            reason = "the peer is gone and the message will never come; the panic is the diagnostic"
+        )]
         if died {
-            // apc-lint: allow(unwrap-in-lib): the peer is gone and the message will never come; the panic is the diagnostic
             panic!(
                 "rank {me} waiting for message (src={src}, lane={lane:?}) from rank {src}, \
                  which died; {stashed} stashed envelopes"
             );
         }
-        // apc-lint: allow(unwrap-in-lib): a recv deadlock is unrecoverable; the panic is the diagnostic
-        panic!(
-            "rank {me} deadlocked waiting for message (src={src}, lane={lane:?}); \
-             {stashed} stashed envelopes"
-        );
+        #[expect(
+            clippy::panic,
+            reason = "a recv deadlock is unrecoverable; the panic is the diagnostic"
+        )]
+        {
+            panic!(
+                "rank {me} deadlocked waiting for message (src={src}, lane={lane:?}); \
+                 {stashed} stashed envelopes"
+            )
+        }
     }
 }
 

@@ -14,12 +14,15 @@
 )]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apc_comm::{
     FlowControl, NetModel, QueueReceiver, QueueSender, Runtime, ServeClient, ServeServer, Tag,
 };
 use apc_par::SplitMix64;
+use apc_store::{MemStore, StoreBackend, StoreError};
 
 const ROUNDS: usize = 10;
 /// Short so stranded-peer rounds resolve quickly; the workload itself
@@ -448,7 +451,7 @@ fn traffic_a_receive_is_not_waiting_for_does_not_postpone_its_deadline() {
 /// the store, not the session, so rank death never corrupts it.
 #[test]
 fn rank_panic_mid_shard_read_poisons_and_recovers() {
-    use apc_store::{DirStore, ShardWriter, ShardedStore, StoreBackend};
+    use apc_store::{DirStore, ShardWriter, ShardedStore};
 
     const NRANKS: usize = 4;
     let root = std::env::temp_dir()
@@ -536,19 +539,65 @@ fn fresh_session_recovers_after_a_poisoned_one() {
     assert_eq!(sums, vec![3; 3]);
 }
 
-/// The replay-pool failure story: a replay server dies mid-request (after
-/// receiving a request, before replying), stranding every client waiting
-/// on its replies. The `APC_RECV_TIMEOUT` machinery must fail the
-/// stranded ranks within the timeout, the panic must poison the session —
-/// and because the run lives in the store, not the session, a fresh
-/// session must replay the same trace byte-identically, twice.
+/// A backend that panics on its `nth` read (`get` / `get_range`, counted
+/// from 1) of a frame key `f/<run>/<iteration>/…`; every other call goes
+/// straight through. A replay server or a serving stager reads frames
+/// after receiving a request and before replying, so the panic lands
+/// mid-request on whichever rank makes that read.
+struct DiesOnFrameRead {
+    inner: Arc<dyn StoreBackend>,
+    nth: usize,
+    reads: AtomicUsize,
+}
+
+impl DiesOnFrameRead {
+    fn wrap(inner: Arc<dyn StoreBackend>, nth: usize) -> Arc<dyn StoreBackend> {
+        Arc::new(Self {
+            inner,
+            nth,
+            reads: AtomicUsize::new(0),
+        })
+    }
+
+    fn read(&self, key: &str) {
+        let frame = key.starts_with("f/") && !key.ends_with("/manifest.json");
+        if frame && self.reads.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+            panic!("dying on frame read {} ({key})", self.nth);
+        }
+    }
+}
+
+impl StoreBackend for DiesOnFrameRead {
+    fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.put(key, bytes)
+    }
+    fn get(&self, key: &str) -> Result<Vec<u8>, StoreError> {
+        self.read(key);
+        self.inner.get(key)
+    }
+    fn contains(&self, key: &str) -> Result<bool, StoreError> {
+        self.inner.contains(key)
+    }
+    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+        self.read(key);
+        self.inner.get_range(key, offset, len)
+    }
+    fn size(&self, key: &str) -> Result<u64, StoreError> {
+        self.inner.size(key)
+    }
+}
+
+/// The replay-pool failure story: a replay server dies mid-request (on a
+/// cold frame read, after receiving a request, before replying),
+/// stranding every client waiting on its replies. The `APC_RECV_TIMEOUT`
+/// machinery must fail the stranded ranks within the timeout, the panic
+/// must poison the session — and because the run lives in the store, not
+/// the session, a fresh session must replay the same trace
+/// byte-identically, twice.
 #[test]
 fn replay_server_death_mid_request_poisons_and_fresh_session_replays() {
-    use std::sync::Arc;
-
     use apc_core::run_replay_serving_in_session;
-    use apc_replay::{small_run, ArrivalTrace, PoolParams, ReplayFault, RouteMode, TraceSpec};
-    use apc_store::{MemStore, StoreBackend};
+    use apc_replay::{small_run, ArrivalTrace, PoolParams, RouteMode, TraceSpec};
 
     let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
     let manifest = small_run(Arc::clone(&backend), "stress-replay");
@@ -556,19 +605,16 @@ fn replay_server_death_mid_request_poisons_and_fresh_session_replays() {
     let nranks = 4 + trace.clients;
     let runtime = Runtime::new(nranks, NetModel::free()).deadlock_timeout(TIMEOUT);
 
-    let faulty = PoolParams::new(4, RouteMode::RoutedStealing).with_fault(ReplayFault {
-        server: 1,
-        after_requests: 2,
-    });
+    let sound = PoolParams::new(4, RouteMode::RoutedStealing);
     let mut session = runtime.session();
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_replay_serving_in_session(
             &mut session,
-            Arc::clone(&backend),
+            DiesOnFrameRead::wrap(Arc::clone(&backend), 3),
             "stress-replay",
             &trace,
-            &faulty,
+            &sound,
             apc_par::ExecPolicy::Serial,
         )
     }));
@@ -588,7 +634,6 @@ fn replay_server_death_mid_request_poisons_and_fresh_session_replays() {
 
     // Fresh sessions over the same persisted run replay identically: the
     // panic touched session state only, never the store.
-    let sound = PoolParams::new(4, RouteMode::RoutedStealing);
     let replay = |_: usize| {
         let mut fresh = runtime.session();
         run_replay_serving_in_session(
@@ -616,11 +661,8 @@ fn replay_server_death_mid_request_poisons_and_fresh_session_replays() {
 /// decisions come from the recorded plan, never from thread timing.
 #[test]
 fn stealing_under_churn_is_byte_identical_across_exec_policies() {
-    use std::sync::Arc;
-
     use apc_core::run_replay_serving_in_session;
     use apc_replay::{small_run, ArrivalTrace, PoolParams, RouteMode, TraceSpec};
-    use apc_store::{MemStore, StoreBackend};
 
     let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
     let manifest = small_run(Arc::clone(&backend), "stress-churn");
@@ -654,29 +696,27 @@ fn stealing_under_churn_is_byte_identical_across_exec_policies() {
 }
 
 /// Adaptive-serving death: a stager running a tight latency budget dies
-/// **mid-degraded-reply** — after the reply has been built and pushed
-/// down the fidelity ladder, before the bytes go out — stranding its
-/// clients waiting on replies. The `APC_RECV_TIMEOUT` machinery must
-/// fail the stranded ranks within the timeout and the panic must poison
-/// the session; sound fresh sessions over the same configuration then
-/// run byte-identically, proving the fault touched session state only.
+/// **mid-reply** — on a frame read, after taking the request and before
+/// the bytes go out — stranding its clients waiting on replies. The
+/// `APC_RECV_TIMEOUT` machinery must fail the stranded ranks within the
+/// timeout and the panic must poison the session; sound fresh sessions
+/// over the same configuration then run byte-identically, proving the
+/// fault touched session state only.
 #[test]
 fn stager_death_mid_degraded_reply_poisons_within_recv_timeout() {
-    use std::sync::Arc;
-
     use apc_cm1::ReflectivityDataset;
     use apc_core::{
-        run_staged_serving_in_session, BackpressurePolicy, FrameSink, PipelineConfig, ServeFault,
-        ServeParams, ServePolicy, ServingRun, StagedParams,
+        run_staged_serving_in_session, BackpressurePolicy, FrameSink, PipelineConfig, ServeParams,
+        ServePolicy, ServingRun, StagedParams,
     };
-    use apc_store::{CodecKind, MemStore, StoreBackend};
+    use apc_store::CodecKind;
 
     // The tight-budget serving fixture: per-reply service cost far above
     // the latency budget, so the per-stager controller walks the
-    // fidelity ladder and replies are degraded well before the fault
-    // fires. Stager 1 serves clients 1 and 3 (6 requests each): dying
-    // after its 10th request lands deep in the run, when the controller
-    // has long since pushed replies down the ladder.
+    // fidelity ladder and replies are degraded. A stager reads the store
+    // only on a cache miss, so the faulty run serves uncached (2048 bytes
+    // hold every tiny frame) and dies on the run's 10th frame read, deep
+    // in the run.
     let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
     let iters = dataset.sample_iterations(4);
     let serve_base = ServeParams::new(4, 6, ServePolicy::BestEffort)
@@ -697,12 +737,8 @@ fn stager_death_mid_degraded_reply_poisons_within_recv_timeout() {
     let runtime =
         Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).deadlock_timeout(TIMEOUT);
 
-    let faulty = serve_base.with_fault(ServeFault {
-        stager: 1,
-        after_requests: 10,
-    });
-    let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-    let config = config_for(&backend);
+    let faulty = serve_base.with_cache_bytes(0);
+    let config = config_for(&DiesOnFrameRead::wrap(Arc::new(MemStore::new()), 10));
     let mut session = runtime.session();
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {

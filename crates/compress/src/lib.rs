@@ -17,6 +17,11 @@
 //! All codecs implement [`FloatCodec`]; the scoring metric consumes only
 //! [`FloatCodec::compressed_ratio`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod bitio;
 pub mod fpz;
 pub mod lz;

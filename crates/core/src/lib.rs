@@ -52,6 +52,11 @@
 //! clamp the policy so `ranks × threads ≤ cores`
 //! ([`ExecPolicy::clamp_for_ranks`]).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod config;
 pub mod controller;
 pub mod driver;
@@ -79,5 +84,5 @@ pub use redistribute::WireBlock;
 pub use replay_serving::{run_replay_serving_in_session, ReplayRun};
 pub use report::IterationReport;
 pub use selection::ScoredBlock;
-pub use serving::{run_staged_serving_in_session, ServeFault, ServeParams, ServingRun};
+pub use serving::{run_staged_serving_in_session, ServeParams, ServingRun};
 pub use staged::{run_staged_in_session, StagedFrame, StagedRun};

@@ -142,8 +142,11 @@ impl Pipeline {
             "Pipeline is the synchronous executor; staged configs run through \
              crate::staged (the experiment drivers dispatch on config.mode)"
         );
+        #[expect(
+            clippy::panic,
+            reason = "misconfiguration caught at construction, before any rank spawns"
+        )]
         let scorer = apc_metrics::by_name(&config.metric)
-            // apc-lint: allow(unwrap-in-lib): misconfiguration caught at construction, before any rank spawns
             .unwrap_or_else(|| panic!("unknown metric {:?}", config.metric));
         let controller = config.target_time.map(BudgetController::new);
         Self {

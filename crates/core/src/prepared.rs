@@ -168,7 +168,10 @@ impl Prepared {
     ) -> Vec<Vec<IterationReport>> {
         let configs: Vec<PipelineConfig> =
             configs.iter().map(|c| self.instrument(c.clone())).collect();
-        // apc-lint: allow(unwrap-in-lib): session mutex poisoning means an earlier sweep panicked; propagate
+        #[expect(
+            clippy::expect_used,
+            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
+        )]
         let mut session = self.session.lock().expect("an earlier sweep panicked");
         run_sweep_in_session(
             &mut session,
@@ -188,7 +191,10 @@ impl Prepared {
     /// return just the report stream.
     pub fn run_staged(&self, config: PipelineConfig, iterations: &[usize]) -> StagedRun {
         let config = self.instrument(config);
-        // apc-lint: allow(unwrap-in-lib): session mutex poisoning means an earlier sweep panicked; propagate
+        #[expect(
+            clippy::expect_used,
+            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
+        )]
         let mut session = self.session.lock().expect("an earlier sweep panicked");
         run_staged_in_session(
             &mut session,
@@ -215,7 +221,10 @@ impl Prepared {
         serve: &ServeParams,
     ) -> ServingRun {
         let config = self.instrument(config);
-        // apc-lint: allow(unwrap-in-lib): session mutex poisoning means an earlier sweep panicked; propagate
+        #[expect(
+            clippy::expect_used,
+            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
+        )]
         let mut session = self.session.lock().expect("an earlier sweep panicked");
         run_staged_serving_in_session(
             &mut session,
@@ -237,13 +246,19 @@ impl Prepared {
 
     fn prepared_blocks(&self, it: usize, rank: usize) -> Vec<Block> {
         match &self.source {
+            #[expect(
+                clippy::panic,
+                reason = "caller asked for an unprepared iteration — a driver bug, not input"
+            )]
             BlockSource::Preloaded(blocks) => blocks
                 .get(&(it, rank))
-                // apc-lint: allow(unwrap-in-lib): caller asked for an unprepared iteration — a driver bug, not input
                 .unwrap_or_else(|| panic!("iteration {it} not prepared"))
                 .clone(),
+            #[expect(
+                clippy::panic,
+                reason = "documented contract — a failed chunk read panics the owning rank and poisons the session"
+            )]
             BlockSource::Store(stored) => stored.rank_blocks(it, rank).unwrap_or_else(|e| {
-                // apc-lint: allow(unwrap-in-lib): documented contract — a failed chunk read panics the owning rank and poisons the session
                 panic!("store read failed for iteration {it} rank {rank}: {e}")
             }),
         }

@@ -108,8 +108,11 @@ pub fn run_replay_serving_in_session(
         nservers + trace.clients,
         "session ranks must split [servers][clients] exactly"
     );
+    #[expect(
+        clippy::panic,
+        reason = "driver-level setup — an unopenable run fails before any rank spawns"
+    )]
     let (store, manifest) = open_run(backend, run_id)
-        // apc-lint: allow(unwrap-in-lib): driver-level setup — an unopenable run fails before any rank spawns
         .unwrap_or_else(|e| panic!("replay pool failed to open run {run_id:?}: {e}"));
     let reader: Arc<dyn StoreBackend> = Arc::clone(store.backend());
 
@@ -193,7 +196,10 @@ pub fn run_replay_serving_in_session(
     let requests = requests
         .into_iter()
         .map(|r| {
-            // apc-lint: allow(unwrap-in-lib): every trace slot is owned by exactly one client rank
+            #[expect(
+                clippy::expect_used,
+                reason = "every trace slot is owned by exactly one client rank"
+            )]
             r.expect("every trace slot logged")
         })
         .collect();
@@ -246,19 +252,14 @@ fn server_program(
         let wire: Vec<u8> = ep.recv_request(rank).msg;
         // The wire codec is the trust boundary: decode totally, then pin
         // the decoded request to the recorded trace.
+        #[expect(
+            clippy::panic,
+            reason = "inside a rank program a corrupt request fails the replay loudly (poisons the session)"
+        )]
         let request = core
             .request(&wire)
-            // apc-lint: allow(unwrap-in-lib): inside a rank program a corrupt request fails the replay loudly (poisons the session)
             .unwrap_or_else(|e| panic!("replay server {s} received a corrupt request: {e}"));
         assert_eq!(request, a.request, "wire request diverged from the trace");
-
-        if let Some(f) = params.fault {
-            // `core.request` just counted this request.
-            if f.server == s && core.stats.requests == f.after_requests + 1 {
-                // apc-lint: allow(unwrap-in-lib): deliberate fault injection for the session-stress suites
-                panic!("replay server {s} dying mid-request (fault injection)");
-            }
-        }
 
         if asg.stolen {
             rank.advance(STEAL_OVERHEAD);
@@ -272,14 +273,15 @@ fn server_program(
         // The replay pool serves persisted bytes verbatim — no budget
         // controller, no degradation. The storage tier is real data
         // movement with its own latency floor; a hit moves no bytes.
+        #[expect(
+            clippy::panic,
+            reason = "inside a rank program a failed store read fails the replay loudly"
+        )]
         let reply = core
             .reply(&resolved[slot].0, Fidelity::Full, |bytes| {
                 rank.advance(params.miss_read + params.read_per_byte * bytes as f64)
             })
-            .unwrap_or_else(|e| {
-                // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the replay loudly
-                panic!("replay server {s} failed to serve slot {slot}: {e}")
-            });
+            .unwrap_or_else(|e| panic!("replay server {s} failed to serve slot {slot}: {e}"));
         // Replies ride the wire as their encoded bytes — the same codec
         // boundary the requests cross, charged at exactly the encoded
         // length.
@@ -327,10 +329,12 @@ fn client_program(
         for &slot in &pair_slots[s][c] {
             let a = &trace.arrivals[slot];
             let d = ep.recv_reply::<Vec<u8>>(rank);
-            let reply = check_reply(&d.msg).unwrap_or_else(|e| {
-                // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply or frame fails the replay loudly
-                panic!("client {c} received a bad reply: {e}")
-            });
+            #[expect(
+                clippy::panic,
+                reason = "end-to-end check in a rank program — a corrupt reply or frame fails the replay loudly"
+            )]
+            let reply = check_reply(&d.msg)
+                .unwrap_or_else(|e| panic!("client {c} received a bad reply: {e}"));
             // The reply must match the pure resolution of the recorded
             // request, key for key.
             let expect = resolve(a.request, a.stager, a.tier, iterations);

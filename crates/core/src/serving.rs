@@ -95,19 +95,6 @@ pub struct ServeParams {
     /// ramps up over the run instead of arriving as one t=0 burst. Zero
     /// (the default) keeps the original all-at-once start.
     pub client_ramp: f64,
-    /// Deterministic fault injection: the named stager panics mid-reply
-    /// after shipping `after_requests` requests (crash-harness tests).
-    pub fault: Option<ServeFault>,
-}
-
-/// A scripted stager crash: stager `stager` panics while serving its
-/// `after_requests`-th request (0-based), *after* resolving and degrading
-/// the reply but before the bytes reach the client — mirroring
-/// `apc_replay::ReplayFault` for the staged serving executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeFault {
-    pub stager: usize,
-    pub after_requests: usize,
 }
 
 impl ServeParams {
@@ -127,7 +114,6 @@ impl ServeParams {
             service_base: 0.0,
             reply_per_byte: 0.0,
             client_ramp: 0.0,
-            fault: None,
         }
     }
 
@@ -183,13 +169,6 @@ impl ServeParams {
             "client ramp must be finite and non-negative"
         );
         self.client_ramp = seconds;
-        self
-    }
-
-    /// Script a deterministic stager crash (see [`ServeFault`]).
-    // apc-lint: allow(dead-pub): session_stress scripts a stager death with it
-    pub fn with_fault(mut self, fault: ServeFault) -> Self {
-        self.fault = Some(fault);
         self
     }
 }
@@ -357,8 +336,11 @@ impl<'a> StagerServe<'a> {
         for i in 0..self.clients.len() {
             while self.clients[i].taken < quota && self.clients[i].deferred.is_none() {
                 let d = self.clients[i].ep.recv_request::<Vec<u8>>(rank);
+                #[expect(
+                    clippy::panic,
+                    reason = "inside a rank program a corrupt request fails the run loudly (poisons the session)"
+                )]
                 let q = self.core.request(&d.msg).unwrap_or_else(|e| {
-                    // apc-lint: allow(unwrap-in-lib): inside a rank program a corrupt request fails the run loudly (poisons the session)
                     panic!("stager {} received a corrupt request: {e}", self.slot)
                 });
                 self.clients[i].taken += 1;
@@ -379,8 +361,7 @@ impl<'a> StagerServe<'a> {
     /// per-byte ingest cost any other transfer does; then charge the
     /// explicit serve cost (`service_base + reply_per_byte × encoded
     /// bytes`) on the stager's clock, observe the reply's latency into the
-    /// controller window, fire a scripted [`ServeFault`] if one targets
-    /// this request, and ship the encoded bytes (the wire charge is
+    /// controller window, and ship the encoded bytes (the wire charge is
     /// exactly their length).
     fn ship_reply(
         &mut self,
@@ -389,6 +370,10 @@ impl<'a> StagerServe<'a> {
         resolution: &Resolution,
         arrival: f64,
     ) {
+        #[expect(
+            clippy::panic,
+            reason = "inside a rank program a failed store read or re-encode of the run's own frames fails the run loudly (poisons the session)"
+        )]
         let reply = self
             .core
             .reply(resolution, self.fidelity, |bytes| {
@@ -396,7 +381,6 @@ impl<'a> StagerServe<'a> {
                 rank.advance(cost);
             })
             .unwrap_or_else(|e| {
-                // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read or re-encode of the run's own frames fails the run loudly (poisons the session)
                 panic!(
                     "stager {} failed to serve {resolution:?} at {}: {e}",
                     self.slot,
@@ -404,20 +388,6 @@ impl<'a> StagerServe<'a> {
                 )
             });
         let wire = reply.encode();
-        if let Some(f) = self.serve.fault {
-            // `stats.requests` was incremented when the request was
-            // taken, so the fault lands after the reply is fully built
-            // and degraded but before its bytes reach the client.
-            if f.stager == self.slot as usize && self.core.stats.requests == f.after_requests + 1 {
-                // apc-lint: allow(unwrap-in-lib): scripted crash harness — the panic IS the fault under test
-                panic!(
-                    "stager {} injected fault after {} requests (mid-reply, fidelity {})",
-                    self.slot,
-                    f.after_requests,
-                    reply.worst_fidelity().name()
-                );
-            }
-        }
         let cost = self.serve.service_base + self.serve.reply_per_byte * wire.len() as f64;
         rank.advance(cost);
         let latency = rank.clock() - arrival;
@@ -548,8 +518,11 @@ fn client_program(
         ep.send_request(rank, q.encode());
         let wire: Vec<u8> = ep.recv_reply(rank).msg;
         let latency = rank.clock() - t0;
+        #[expect(
+            clippy::panic,
+            reason = "end-to-end check in a rank program — a corrupt reply or frame fails the run loudly"
+        )]
         let reply = check_reply(&wire)
-            // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply or frame fails the run loudly
             .unwrap_or_else(|e| panic!("client {client} received a bad reply: {e}"));
         assert!(
             reply.frames().iter().all(|f| f.stager == server_slot),
@@ -598,10 +571,13 @@ where
     // its check that viz + clients leave a simulation rank) covers the rest.
     let n_clients = serve.clients;
     let (params, spec) = begin_staged(session, decomp, config, iterations, n_clients);
+    #[expect(
+        clippy::expect_used,
+        reason = "misconfiguration caught at entry, before any rank spawns"
+    )]
     let sink = params
         .persist
         .clone()
-        // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
         .expect("serving needs StagedParams::persist — attach a FrameSink");
     let partition = spec.partition;
     let (n_sim, n_stage) = (partition.n_sim(), partition.n_stage());
@@ -904,11 +880,7 @@ mod tests {
             .with_cache_bytes(2048)
             .with_latency_budget(0.5)
             .with_serve_costs(0.01, 1e-5)
-            .with_client_ramp(0.125)
-            .with_fault(ServeFault {
-                stager: 1,
-                after_requests: 3,
-            });
+            .with_client_ramp(0.125);
         assert_eq!(p.clients, 4);
         assert_eq!(p.requests_per_client, 6);
         assert_eq!(p.think_time, 0.25);
@@ -917,13 +889,6 @@ mod tests {
         assert_eq!(p.service_base, 0.01);
         assert_eq!(p.reply_per_byte, 1e-5);
         assert_eq!(p.client_ramp, 0.125);
-        assert_eq!(
-            p.fault,
-            Some(ServeFault {
-                stager: 1,
-                after_requests: 3
-            })
-        );
     }
 
     #[test]

@@ -219,8 +219,11 @@ pub(crate) fn rank_program<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
+    #[expect(
+        clippy::panic,
+        reason = "misconfiguration caught before the pipeline moves any data"
+    )]
     let scorer = apc_metrics::by_name(&config.metric)
-        // apc-lint: allow(unwrap-in-lib): misconfiguration caught before the pipeline moves any data
         .unwrap_or_else(|| panic!("unknown metric {:?}", config.metric));
     let n_sim = spec.partition.n_sim();
     let n_stage = spec.partition.n_stage();
@@ -253,7 +256,10 @@ where
             let mut by_id: BTreeMap<BlockId, Block> = held.into_iter().map(|b| (b.id, b)).collect();
             let mut batches: Vec<Slice> = (0..n_stage).map(|_| Vec::new()).collect();
             for (pos, sb) in order.iter().rev().enumerate() {
-                // apc-lint: allow(unwrap-in-lib): `order` lists exactly the ids of `held`, each once
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`order` lists exactly the ids of `held`, each once"
+                )]
                 let b = by_id.remove(&sb.id).expect("every scored block is held");
                 batches[pos % n_stage].push((WireBlock(b), sb.score));
             }
@@ -356,8 +362,12 @@ pub(crate) fn begin_staged(
     iterations: &[usize],
     clients: usize,
 ) -> (StagedParams, StagedSpec) {
-    let InSituMode::Staged(params) = &config.mode else {
-        // apc-lint: allow(unwrap-in-lib): misconfiguration caught at entry, before any rank spawns
+    #[expect(
+        clippy::panic,
+        reason = "misconfiguration caught at entry, before any rank spawns"
+    )]
+    let InSituMode::Staged(params) = &config.mode
+    else {
         panic!("a staged run needs an InSituMode::Staged config")
     };
     let nranks = session.nranks();
@@ -371,8 +381,11 @@ pub(crate) fn begin_staged(
     let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
     if let Some(sink) = &params.persist {
         let gb = decomp.global_block_grid();
+        #[expect(
+            clippy::expect_used,
+            reason = "driver-level setup — a manifest write failure fails the run before it starts"
+        )]
         sink.begin_run(params.viz_ranks, gb.nx, gb.ny, iterations)
-            // apc-lint: allow(unwrap-in-lib): driver-level setup — a manifest write failure fails the run before it starts
             .expect("write the run manifest");
     }
     (params.clone(), spec)
@@ -383,7 +396,10 @@ pub(crate) fn begin_staged(
 /// the moment the run call returns.
 pub(crate) fn end_staged(params: &StagedParams) {
     if let Some(sink) = &params.persist {
-        // apc-lint: allow(unwrap-in-lib): driver-level teardown — failing to seal the run is unrecoverable and must be loud
+        #[expect(
+            clippy::expect_used,
+            reason = "driver-level teardown — failing to seal the run is unrecoverable and must be loud"
+        )]
         sink.flush().expect("seal the run's tail shards");
     }
 }

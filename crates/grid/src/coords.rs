@@ -63,15 +63,16 @@ impl RectilinearCoords {
     }
 
     /// Physical bounding box `(min, max)` of the whole grid.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "grids span a DomainDecomp's domain, never zero-sized"
+    )]
     pub fn bounds(&self) -> ([f32; 3], [f32; 3]) {
         (
             [self.x[0], self.y[0], self.z[0]],
             [
-                // apc-lint: allow(unwrap-in-lib): grids span a DomainDecomp's domain, never zero-sized
                 *self.x.last().unwrap(),
-                // apc-lint: allow(unwrap-in-lib): grids span a DomainDecomp's domain, never zero-sized
                 *self.y.last().unwrap(),
-                // apc-lint: allow(unwrap-in-lib): grids span a DomainDecomp's domain, never zero-sized
                 *self.z.last().unwrap(),
             ],
         )

@@ -114,7 +114,10 @@ impl Field3 {
         }
         let ed = extent.dims();
         let mut out: Arc<[f32]> = std::iter::repeat_n(0.0, ed.len()).collect();
-        // apc-lint: allow(unwrap-in-lib): the Arc was created on the line above and has not been cloned
+        #[expect(
+            clippy::expect_used,
+            reason = "the Arc was created on the line above and has not been cloned"
+        )]
         let samples = Arc::get_mut(&mut out).expect("a new Arc has one owner");
         for (dst, src) in samples
             .chunks_exact_mut(ed.nx.max(1))

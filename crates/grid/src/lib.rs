@@ -15,6 +15,11 @@
 //! * [`interp`] — trilinear interpolation and the reconstruction used both
 //!   by the TRILIN scoring metric and by rendering of reduced blocks.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod block;
 pub mod coords;
 pub mod decomp;

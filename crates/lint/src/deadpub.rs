@@ -59,7 +59,7 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
             false
         } else {
             match classify(rel) {
-                FileClass::Lib | FileClass::Bin => rel.starts_with("crates/"),
+                FileClass::Src => rel.starts_with("crates/"),
                 FileClass::TestLike | FileClass::Skip => continue,
             }
         };
@@ -119,7 +119,7 @@ pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
                 ),
             })
             .collect();
-        out.extend(suppress.apply("dead-pub", files[*file].0, dead));
+        out.extend(suppress.apply(files[*file].0, dead));
     }
     out
 }
@@ -293,6 +293,14 @@ mod tests {
                    pub fn spin(n: u8) -> u8 { if n == 0 { 0 } else { spin(n - 1) } }\n\
                    pub fn run(x: impl Into<u8>) -> u8 { open(x) }\n";
         assert_eq!(dead(src), ["R", "spin", "run"]);
+    }
+
+    #[test]
+    fn trailing_and_standalone_allows_cover_their_item() {
+        let src = "pub fn a() {} // apc-lint: allow(dead-pub): the oracle test calls it\n\
+                   // apc-lint: allow(dead-pub): the oracle test calls it\n\
+                   pub fn b() {}\n";
+        assert!(dead(src).is_empty(), "{:?}", dead(src));
     }
 
     #[test]

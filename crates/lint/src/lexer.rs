@@ -1,7 +1,7 @@
 //! Hand-rolled Rust surface lexer: masks comments and string/char literal
 //! contents out of a source file (in the same spirit as the strict little
-//! parser in `apc_store::json`) so the rule scanners in [`crate::rules`]
-//! can pattern-match code without tripping over prose, and collects the
+//! parser in `apc_store::json`) so [`crate::deadpub`] can read names in
+//! code without tripping over prose, and collects the
 //! `apc-lint: allow(...)` suppression directives that live in comments.
 //!
 //! The masked text has exactly the same length and line structure as the
@@ -15,8 +15,7 @@
 /// Grammar (inside any `//` or `/* */` comment):
 ///
 /// ```text
-/// // apc-lint: allow(<rule>): <reason>      — suppress on this/next line
-/// // apc-lint: allow-file(<rule>): <reason> — suppress for the whole file
+/// // apc-lint: allow(<rule>): <reason>   — suppress on this/next line
 /// ```
 ///
 /// The reason is mandatory: an allow that cannot say why it exists is
@@ -27,9 +26,6 @@ pub struct Allow {
     pub rule: String,
     /// Free-text justification after the second colon.
     pub reason: String,
-    /// True for `allow-file`, which suppresses the rule everywhere in the
-    /// file instead of on a single line.
-    pub file_level: bool,
     /// 1-based line the comment starts on.
     pub comment_line: usize,
     /// True when the comment shares its line with code (trailing comment),
@@ -330,15 +326,10 @@ fn scan_comment(
     let Some(rest) = body.strip_prefix("apc-lint:") else {
         return;
     };
-    let rest = rest.trim_start();
-    let (file_level, rest) = if let Some(r) = rest.strip_prefix("allow-file(") {
-        (true, r)
-    } else if let Some(r) = rest.strip_prefix("allow(") {
-        (false, r)
-    } else {
+    let Some(rest) = rest.trim_start().strip_prefix("allow(") else {
         bad_allows.push(BadAllow {
             line,
-            what: "expected `allow(<rule>): <reason>` or `allow-file(<rule>): <reason>`".into(),
+            what: "expected `allow(<rule>): <reason>`".into(),
         });
         return;
     };
@@ -369,7 +360,6 @@ fn scan_comment(
     allows.push(Allow {
         rule,
         reason,
-        file_level,
         comment_line: line,
         trailing,
     });
@@ -415,14 +405,15 @@ let y = 'a'; /* HashMap */ let z: u8 = b'\n';"#;
     }
 
     #[test]
-    fn parses_inline_and_file_allows() {
-        let src = "\n// apc-lint: allow(unwrap-in-lib): checked above\nfoo();\nbar(); // apc-lint: allow-file(dead-pub): kept for the oracle\n";
+    fn parses_standalone_and_trailing_allows() {
+        let src = "\n// apc-lint: allow(dead-pub): kept for the oracle\nfoo();\nbar(); // apc-lint: allow(other): why\n";
         let m = mask_source(src);
         assert_eq!(m.allows.len(), 2);
-        assert_eq!(m.allows[0].rule, "unwrap-in-lib");
+        assert_eq!(m.allows[0].rule, "dead-pub");
+        assert_eq!(m.allows[0].reason, "kept for the oracle");
         assert!(!m.allows[0].trailing);
         assert_eq!(m.allows[0].comment_line, 2);
-        assert!(m.allows[1].file_level);
+        assert_eq!(m.allows[1].rule, "other");
         assert!(m.allows[1].trailing);
         assert!(m.bad_allows.is_empty());
     }

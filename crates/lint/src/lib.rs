@@ -1,32 +1,31 @@
-//! `apc-lint` — in-tree safety lint for the apc workspace.
+//! `apc-lint` — in-tree lint for the apc workspace.
 //!
-//! It checks what clippy cannot: unannotated panics in library code and
-//! `pub` items that nothing but tests call. The determinism bans (real
-//! clocks, hash-ordered collections, raw thread spawns, `partial_cmp`) are
-//! the workspace's `clippy.toml`, which resolves paths. This crate is a
-//! zero-dependency, hand-rolled analyzer (lexer in [`lexer`], rules in
+//! It checks the one thing clippy cannot: `dead-pub`, a `pub` item in
+//! `crates/*/src` that nothing but tests, examples or re-exports names
+//! (clippy sees one crate at a time, where `pub` is an API). Clippy holds
+//! the rest of the policy: the determinism bans are the workspace's
+//! `clippy.toml`, and every library crate root denies `unwrap_used`,
+//! `expect_used` and `panic`. This crate is a zero-dependency, hand-rolled
+//! analyzer (lexer in [`lexer`], path classes and suppressions in
 //! [`rules`], the cross-file caller check in [`deadpub`]) run from CI as
 //! `cargo run -p apc-lint`.
 //!
-//! Rules (see [`rules::RULES`] or `cargo run -p apc-lint -- --list`):
-//!
-//! | rule | guards against |
-//! |------|----------------|
-//! | `unwrap-in-lib` | panics on corrupt/adversarial input in libraries |
-//! | `dead-pub` | `pub` items that only tests, examples or re-exports name |
-//!
-//! Violations are suppressed in place, never globally:
+//! A callerless item is kept with a reasoned allow, never globally:
 //!
 //! ```text
-//! // apc-lint: allow(unwrap-in-lib): the length is checked one line up
-//! // apc-lint: allow-file(unwrap-in-lib): bench harness; panic on I/O error is the failure mode we want
+//! // apc-lint: allow(dead-pub): tests/oracle.rs compares the fast path against it
 //! ```
 //!
 //! A directive on its own line applies to the next code line; a trailing
-//! directive applies to its own line; the reason is mandatory and an
-//! unknown rule name or missing reason is itself a violation
-//! (`allow-syntax`), as is an allow that suppresses nothing (the way
-//! clippy fails an unfulfilled `#[expect]`).
+//! directive applies to its own line; the reason is mandatory. A missing
+//! reason, a rule name other than `dead-pub` and an allow that suppresses
+//! nothing are each a violation (`allow-syntax`), the way clippy fails an
+//! unfulfilled `#[expect]`.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod deadpub;
 pub mod lexer;
@@ -35,7 +34,7 @@ pub mod rules;
 use std::path::{Path, PathBuf};
 
 pub use deadpub::check_dead_pub;
-pub use rules::{check_source, classify, FileClass, RuleInfo, Violation, RULES};
+pub use rules::{check_source, classify, FileClass, Violation};
 
 /// Result of scanning a workspace tree.
 #[derive(Debug)]
@@ -53,7 +52,7 @@ impl Report {
 }
 
 /// Scan the workspace rooted at `root`: every `.rs` file under `crates/`,
-/// `src/`, `tests/` and `examples/` goes through the textual rules, and
+/// `src/`, `tests/` and `examples/` has its allows checked, and
 /// `dead-pub` runs over all of them plus `benchmark/src` (a caller only).
 /// Files are visited in sorted order so the report is deterministic.
 pub fn scan_workspace(root: &Path) -> Result<Report, String> {
@@ -132,22 +131,4 @@ fn relative(root: &Path, path: &Path) -> String {
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-/// Minimal JSON string escape for the `--json` output mode (hand-rolled,
-/// like everything else in this crate).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

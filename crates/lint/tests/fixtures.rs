@@ -1,12 +1,12 @@
-//! Fixture-driven checks of every lint rule: each rule has a flagged
-//! snippet, a clean snippet, and a snippet silenced by a reasoned
-//! `// apc-lint: allow(...)` — plus `dead-pub`'s cross-file cases fed as
-//! `(path, source)` pairs, allows that suppress nothing, and the root
-//! `clippy.toml`'s determinism bans.
-//! The fixture directory itself is classified `Skip`, so the workspace
-//! scan never trips over these deliberately-bad files.
+//! Fixture-driven checks of `dead-pub` — a flagged, a clean and an
+//! allowed fixture, cross-file cases fed as `(path, source)` pairs —
+//! and of `allow-syntax`; plus the two halves of the policy clippy
+//! enforces: the root `clippy.toml`'s determinism bans and the library
+//! crate roots' panic denies. The fixture directory itself is classified
+//! `Skip`, so the workspace scan never trips over these deliberately-bad
+//! files.
 
-use apc_lint::{check_dead_pub, check_source, default_root, Violation, RULES};
+use apc_lint::{check_dead_pub, check_source, default_root, lexer::mask_source, Violation};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -28,24 +28,6 @@ fn rules_hit(violations: &[Violation]) -> Vec<&'static str> {
 }
 
 #[test]
-fn unwrap_in_lib_fixtures() {
-    let bad = check_as_lib("unwrap_bad.rs");
-    assert_eq!(rules_hit(&bad), ["unwrap-in-lib"], "{bad:?}");
-    assert_eq!(bad.len(), 3, "unwrap, expect and panic!: {bad:?}");
-    assert!(check_as_lib("unwrap_clean.rs").is_empty());
-    assert!(check_as_lib("unwrap_allowed.rs").is_empty());
-}
-
-#[test]
-fn unwrap_rule_is_scoped_to_library_code() {
-    // The same flagged snippet is legal in a binary, test or bench file.
-    let src = fixture("unwrap_bad.rs");
-    assert!(check_source("crates/demo/src/bin/tool.rs", &src).is_empty());
-    assert!(check_source("crates/demo/tests/it.rs", &src).is_empty());
-    assert!(check_source("crates/demo/benches/b.rs", &src).is_empty());
-}
-
-#[test]
 fn malformed_allows_are_violations() {
     let bad = check_as_lib("allow_syntax_bad.rs");
     assert_eq!(rules_hit(&bad), ["allow-syntax"], "{bad:?}");
@@ -55,22 +37,6 @@ fn malformed_allows_are_violations() {
 /// `(rule, line)` of each violation.
 fn sites(violations: &[Violation]) -> Vec<(&'static str, usize)> {
     violations.iter().map(|v| (v.rule, v.line)).collect()
-}
-
-#[test]
-fn an_unwrap_allow_on_a_line_without_an_unwrap_is_allow_syntax() {
-    let bad = check_as_lib("unused_allow_unwrap_bad.rs");
-    assert_eq!(sites(&bad), [("allow-syntax", 3)], "{bad:?}");
-}
-
-#[test]
-fn a_file_allow_the_rule_finds_nothing_under_is_allow_syntax() {
-    // Clean library code, and a binary the rule does not apply to.
-    let src = fixture("unused_allow_file_bad.rs");
-    for path in ["crates/demo/src/lib.rs", "crates/demo/src/bin/tool.rs"] {
-        let bad = check_source(path, &src);
-        assert_eq!(sites(&bad), [("allow-syntax", 3)], "{path}: {bad:?}");
-    }
 }
 
 #[test]
@@ -175,36 +141,6 @@ fn dead_pub_allow_without_reason_is_allow_syntax() {
 }
 
 #[test]
-fn every_rule_has_bad_and_clean_coverage() {
-    // Guard against adding a rule without fixture coverage: each rule name
-    // must appear in at least one fixture file name.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("fixture dir")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    for rule in RULES {
-        let stem = match rule.name {
-            "unwrap-in-lib" => "unwrap".to_owned(),
-            name => name.replace('-', "_"),
-        };
-        for suffix in ["_bad.rs", "_clean.rs"] {
-            let c = format!("{stem}{suffix}");
-            assert!(
-                names.contains(&c),
-                "missing fixture {c} for rule {}",
-                rule.name
-            );
-        }
-    }
-}
-
-#[test]
 fn clippy_toml_bans_the_determinism_breakers() {
     // Clippy silently bans nothing for a dropped entry, so the list is
     // pinned here: (config key, path), each with a non-empty reason.
@@ -251,6 +187,36 @@ fn clippy_toml_bans_the_determinism_breakers() {
         assert!(
             banned.contains(&("disallowed-types", path)),
             "{path}: {banned:?}"
+        );
+    }
+}
+
+#[test]
+fn library_crate_roots_deny_panics() {
+    // A dropped deny line switches the panic policy off for a whole crate
+    // without one clippy error (the crate's `#[expect]`s enable the lints
+    // where they sit), so every library crate root is pinned here.
+    // Comments are masked, so a commented-out line does not count.
+    const DENY: &str = "#![cfg_attr(not(test), \
+                        deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]";
+    // The one exemption: a bench harness, where panicking on a bad run or
+    // I/O error is the failure mode we want.
+    const EXEMPT: &str = "crates/bench/src/lib.rs";
+    let squeeze = |s: &str| s.split_whitespace().collect::<String>();
+    let root = default_root();
+    let mut libs = vec!["src/lib.rs".to_owned()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let name = entry.expect("dir entry").file_name();
+        let lib = format!("crates/{}/src/lib.rs", name.to_string_lossy());
+        if root.join(&lib).is_file() && lib != EXEMPT {
+            libs.push(lib);
+        }
+    }
+    for lib in libs {
+        let src = std::fs::read_to_string(root.join(&lib)).expect("lib.rs");
+        assert!(
+            squeeze(&mask_source(&src).text).contains(&squeeze(DENY)),
+            "{lib} lacks `{DENY}`"
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Fixture: malformed suppressions are themselves violations.
-// apc-lint: allow(unwrap-in-lib)
+// apc-lint: allow(dead-pub)
 pub fn missing_reason(v: Option<u32>) -> u32 {
     v.unwrap_or(0)
 }

@@ -22,6 +22,11 @@
 //! implementation's relative kernel speeds, scaled to Blue Waters-core
 //! magnitudes so Table I lands in the paper's range.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod analysis;
 pub mod batch;
 pub mod combo;

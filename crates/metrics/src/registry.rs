@@ -31,9 +31,12 @@ pub fn by_name(name: &str) -> Option<Box<dyn BlockScorer>> {
 /// The paper's representative subset, in its reporting order:
 /// RANGE, VAR, ITL, LEA, FPZIP, TRILIN.
 pub fn standard_six() -> Vec<Box<dyn BlockScorer>> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the six names are literals registered in this same module"
+    )]
     ["RANGE", "VAR", "ITL", "LEA", "FPZIP", "TRILIN"]
         .iter()
-        // apc-lint: allow(unwrap-in-lib): the six names are literals registered in this same module
         .map(|n| by_name(n).expect("standard metric registered"))
         .collect()
 }

@@ -35,6 +35,11 @@
 //! assert_eq!(squares, par_map(ExecPolicy::Serial, &[1, 2, 3, 4], |&x| x * x));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod exec;
 pub mod rng;
 

@@ -62,7 +62,10 @@ impl Colormap {
     /// y flipped so north is up).
     pub fn render_slice(&self, field: &Field3, k_plane: usize) -> Image {
         let d = field.dims();
-        // apc-lint: allow(unwrap-in-lib): an out-of-range plane is a caller indexing bug, same contract as slice indexing
+        #[expect(
+            clippy::expect_used,
+            reason = "an out-of-range plane is a caller indexing bug, same contract as slice indexing"
+        )]
         let slice = field.slice_z(k_plane).expect("k_plane in range");
         let mut img = Image::new(d.nx, d.ny);
         for j in 0..d.ny {

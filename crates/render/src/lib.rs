@@ -17,6 +17,11 @@
 //!   cells/triangles in, Blue Waters-scale seconds out, with seeded
 //!   log-normal jitter reproducing the paper's render-time variability.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod camera;
 pub mod colormap;
 pub mod cost;

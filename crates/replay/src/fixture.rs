@@ -37,9 +37,12 @@ pub fn synth_run(
     );
     assert!(n_stagers >= 1, "a run needs at least one stager");
     let sink = FrameSink::with_layout(backend, run_id, codec, shard_chunks);
+    #[expect(
+        clippy::expect_used,
+        reason = "fixture setup — a manifest write failure must fail the suite loudly"
+    )]
     let manifest = sink
         .begin_run(n_stagers, width, height, iterations)
-        // apc-lint: allow(unwrap-in-lib): fixture setup — a manifest write failure must fail the suite loudly
         .expect("write the fixture manifest");
     for &it in iterations {
         for stager in 0..n_stagers {
@@ -61,9 +64,11 @@ pub fn synth_run(
             sink.persist(&frame);
         }
     }
-    sink.flush()
-        // apc-lint: allow(unwrap-in-lib): fixture setup — failing to seal the run must fail the suite loudly
-        .expect("seal the fixture's tail shards");
+    #[expect(
+        clippy::expect_used,
+        reason = "fixture setup — failing to seal the run must fail the suite loudly"
+    )]
+    sink.flush().expect("seal the fixture's tail shards");
     manifest
 }
 

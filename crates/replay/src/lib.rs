@@ -35,6 +35,11 @@
 //! in `apc-core` (`core/src/replay_serving.rs`), mirroring how the live
 //! serving executor sits above `apc-serve`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod fixture;
 pub mod plan;
 pub mod qos;
@@ -42,7 +47,7 @@ pub mod route;
 pub mod trace;
 
 pub use fixture::{small_run, synth_run};
-pub use plan::{Assignment, PoolParams, PoolPlan, ReplayFault, STEAL_OVERHEAD};
+pub use plan::{Assignment, PoolParams, PoolPlan, STEAL_OVERHEAD};
 pub use qos::{resolve, Resolution};
 pub use route::{primary_for, rendezvous_server, route_key, RouteMode};
 pub use trace::{Arrival, ArrivalTrace, QosTier, TraceSpec};

@@ -34,16 +34,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::route::{primary_for, RouteMode};
 use crate::trace::{ArrivalTrace, QosTier};
 
-/// Deliberate mid-run server death, for fault-injection suites: the
-/// executor's server `server` panics after serving `after_requests`
-/// requests. Planning ignores it — the plan is what the failed run *would*
-/// have executed, which is exactly what a fresh session replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayFault {
-    pub server: usize,
-    pub after_requests: usize,
-}
-
 /// Extra virtual seconds a stolen request pays (queue migration): the
 /// planner's completion estimate and the executor's charge.
 pub const STEAL_OVERHEAD: f64 = 5e-5;
@@ -69,8 +59,6 @@ pub struct PoolParams {
     /// Virtual seconds per byte of a cache-missed frame read (a
     /// disk-bandwidth model).
     pub read_per_byte: f64,
-    /// Optional deliberate server death (fault-injection suites).
-    pub fault: Option<ReplayFault>,
 }
 
 impl PoolParams {
@@ -83,21 +71,12 @@ impl PoolParams {
             service_base: 1e-4,
             miss_read: 2e-3,
             read_per_byte: 1e-8,
-            fault: None,
         }
     }
 
     /// Set each server's cache byte budget (0 disables caching).
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
-        self
-    }
-
-    /// Arm a deliberate server death (fault-injection suites).
-    // apc-lint: allow(dead-pub): session_stress scripts a server death with it
-    pub fn with_fault(mut self, fault: ReplayFault) -> Self {
-        assert!(fault.server < self.nservers, "fault names a pool server");
-        self.fault = Some(fault);
         self
     }
 }
@@ -455,20 +434,5 @@ mod tests {
                 assert_eq!(idxs, sorted, "pair ({c}, {s}) out of issue order");
             }
         }
-    }
-
-    #[test]
-    fn fault_knob_validates_and_rides_along() {
-        let params = PoolParams::new(4, RouteMode::Routed).with_fault(ReplayFault {
-            server: 2,
-            after_requests: 5,
-        });
-        assert_eq!(
-            params.fault,
-            Some(ReplayFault {
-                server: 2,
-                after_requests: 5
-            })
-        );
     }
 }

@@ -104,16 +104,25 @@ impl Frame {
             )));
         }
         let (header, chunk) = rest.split_at(HEADER);
-        // apc-lint: allow(unwrap-in-lib): header is exactly HEADER bytes (length-checked above); fixed-width sub-slices cannot fail
+        #[expect(
+            clippy::unwrap_used,
+            reason = "header is exactly HEADER bytes (length-checked above); fixed-width sub-slices cannot fail"
+        )]
         let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().unwrap());
-        // apc-lint: allow(unwrap-in-lib): header is exactly HEADER bytes (length-checked above); fixed-width sub-slices cannot fail
+        #[expect(
+            clippy::unwrap_used,
+            reason = "header is exactly HEADER bytes (length-checked above); fixed-width sub-slices cannot fail"
+        )]
         let u32_at = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().unwrap());
         let iteration = u64_at(0);
         let stager = u32_at(8);
         let width = u32_at(12);
         let height = u32_at(16);
         let triangles = u64_at(20);
-        // apc-lint: allow(unwrap-in-lib): header is exactly HEADER bytes (length-checked above); the 8-byte sub-slice cannot fail
+        #[expect(
+            clippy::unwrap_used,
+            reason = "header is exactly HEADER bytes (length-checked above); the 8-byte sub-slice cannot fail"
+        )]
         let percent = f64::from_le_bytes(header[28..36].try_into().unwrap());
         let npixels = (width as usize).checked_mul(height as usize).filter(|&n| {
             // A bit-flipped dimension must not turn into a huge allocation.

@@ -49,6 +49,11 @@
 //! assert_eq!(back, frame); // lossless codec: bit-exact replay
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod degrade;
 pub mod frame;
 pub mod protocol;

@@ -320,17 +320,17 @@ impl<'a> WireReader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, ServeError> {
-        // apc-lint: allow(unwrap-in-lib): take(4) returned exactly 4 bytes
+        #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn u64(&mut self) -> Result<u64, ServeError> {
-        // apc-lint: allow(unwrap-in-lib): take(8) returned exactly 8 bytes
+        #[expect(clippy::unwrap_used, reason = "take(8) returned exactly 8 bytes")]
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     fn f32(&mut self) -> Result<f32, ServeError> {
-        // apc-lint: allow(unwrap-in-lib): take(4) returned exactly 4 bytes
+        #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 }

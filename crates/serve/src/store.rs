@@ -277,13 +277,16 @@ impl FrameSink {
     /// serving stager can seed its hot cache without encoding twice.
     pub fn persist_stream(&self, frame: &Frame) -> Vec<u8> {
         let stream = frame.encode(self.codec);
+        #[expect(
+            clippy::panic,
+            reason = "documented contract — a failed write fails the run loudly and poisons the session"
+        )]
         self.writer
             .put(
                 &frame_key(&self.run_id, frame.iteration, frame.stager),
                 &stream,
             )
             .unwrap_or_else(|e| {
-                // apc-lint: allow(unwrap-in-lib): documented contract — a failed write fails the run loudly and poisons the session
                 panic!(
                     "failed to persist frame (run {}, iteration {}, stager {}): {e}",
                     self.run_id, frame.iteration, frame.stager

@@ -301,7 +301,10 @@ impl<M: Meter + Send + 'static> LossyQueue<M> {
             if self.pending.len() > depth {
                 // Dropped: the payload is freed here, never ingested; only
                 // the arrival timestamp survives.
-                // apc-lint: allow(unwrap-in-lib): `pending.len() > depth >= 0` on this branch, so the queue is non-empty
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`pending.len() > depth >= 0` on this branch, so the queue is non-empty"
+                )]
                 let (frame, arrival, ..) = self.pending.pop_front().expect("overfull queue");
                 self.evicted.push_back((frame, arrival));
                 evicted += 1;
@@ -332,11 +335,14 @@ impl<M: Meter + Send + 'static> LossyQueue<M> {
         if let Some(&(_, arrival, ..)) = self.pending.iter().find(|(f, ..)| *f == frame) {
             return arrival;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "admission accounting — every admitted frame lands in exactly one of the three queues"
+        )]
         self.evicted
             .iter()
             .find(|&&(f, _)| f == frame)
             .map(|&(_, arrival)| arrival)
-            // apc-lint: allow(unwrap-in-lib): admission accounting — every admitted frame lands in exactly one of the three queues
             .expect("every pulled slice is in lookahead, pending, or evicted")
     }
 }
@@ -385,7 +391,10 @@ where
             q.admit_until(rank, service_at, nframes, depth);
             match q.pending.front() {
                 Some(&(frame, ..)) if frame == k => {
-                    // apc-lint: allow(unwrap-in-lib): the match arm above just saw `pending.front()` return Some
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the match arm above just saw `pending.front()` return Some"
+                    )]
                     let (_, _, msg, bytes) = q.pending.pop_front().expect("front exists");
                     rank.merge_clock_to(service_at);
                     let ingest = rank.net().ingest(bytes);

@@ -32,6 +32,11 @@
 //! controller) into the `produce`/`process` hooks and exposes the result
 //! as `InSituMode::Staged` on its `PipelineConfig`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod engine;
 pub mod partition;
 pub mod policy;

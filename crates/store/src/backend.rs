@@ -341,6 +341,71 @@ mod tests {
         assert_eq!(std::fs::read(base.join("escaped")).unwrap(), b"outside");
     }
 
+    /// A writer killed between `put`'s temp write and its rename leaves a
+    /// torn `.<last>.tmp` beside the key: beside an absent shard (killed
+    /// mid-first-seal) and beside a sealed one (killed mid-rewrite).
+    /// Readers see the key absent or its previous bytes, and the next
+    /// `put` of the key succeeds over the leftover.
+    #[test]
+    fn dir_store_torn_temp_write_is_invisible_and_overwritten() {
+        use crate::{ShardWriter, ShardedStore};
+
+        let root = std::env::temp_dir()
+            .join("apc_store_backend_tests")
+            .join("torn");
+        let _ = std::fs::remove_dir_all(&root);
+        let store = DirStore::create(&root).unwrap();
+        let chunk = |id: u32| format!("c/000100/{id:06}");
+        let v1 = |id: u32| vec![id as u8; 64];
+        let mut sealed = ShardWriter::new();
+        for id in 4..8 {
+            sealed.append(&chunk(id), &v1(id)).unwrap();
+        }
+        sealed.write_to(&store, "c/000100/s000001").unwrap();
+        let before = store.get("c/000100/s000001").unwrap();
+        // The torn temps: half of the sealed container, under both names.
+        for last in ["s000000", "s000001"] {
+            let tmp = root.join(format!("c/000100/.{last}.tmp"));
+            std::fs::write(tmp, &before[..before.len() / 2]).unwrap();
+        }
+
+        let absent = "c/000100/s000000";
+        assert!(!store.contains(absent).unwrap());
+        let not_found = |r: Result<(), StoreError>| matches!(r, Err(StoreError::NotFound(_)));
+        assert!(not_found(store.get(absent).map(drop)));
+        assert!(not_found(store.size(absent).map(drop)));
+        assert!(not_found(store.get_range(absent, 0, 1).map(drop)));
+        assert_eq!(store.get("c/000100/s000001").unwrap(), before);
+
+        let sharded = ShardedStore::new(&store, 4);
+        for id in 0..4 {
+            assert!(!sharded.contains(&chunk(id)).unwrap());
+            assert!(not_found(sharded.get(&chunk(id)).map(drop)));
+            assert!(not_found(sharded.size(&chunk(id)).map(drop)));
+            assert!(not_found(sharded.get_range(&chunk(id), 0, 1).map(drop)));
+        }
+        for id in 4..8 {
+            assert!(sharded.contains(&chunk(id)).unwrap());
+            assert_eq!(sharded.get(&chunk(id)).unwrap(), v1(id));
+            assert_eq!(sharded.size(&chunk(id)).unwrap(), 64);
+            assert_eq!(sharded.get_range(&chunk(id), 8, 4).unwrap(), v1(id)[8..12]);
+        }
+
+        // The next puts seal both groups over the leftovers.
+        let v2 = |id: u32| vec![!(id as u8); 32];
+        for id in 0..8 {
+            sharded.put(&chunk(id), &v2(id)).unwrap();
+        }
+        drop(sharded);
+        let reopened = ShardedStore::new(&store, 4);
+        for id in 0..8 {
+            assert_eq!(reopened.get(&chunk(id)).unwrap(), v2(id));
+        }
+        for last in ["s000000", "s000001"] {
+            assert!(!root.join(format!("c/000100/.{last}.tmp")).exists());
+        }
+    }
+
     #[test]
     fn dir_store_open_missing_root_is_error() {
         let root = std::env::temp_dir()

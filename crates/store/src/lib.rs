@@ -44,6 +44,11 @@
 //! (`Prepared::from_store`); this crate only knows about shaped `f32`
 //! chunks.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod backend;
 pub mod cache;
 pub mod codec;

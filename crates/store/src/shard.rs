@@ -189,7 +189,10 @@ impl ShardIndex {
                 format_args!("unsupported shard version {}", footer[15]),
             ));
         }
-        // apc-lint: allow(unwrap-in-lib): footer is FOOTER_LEN bytes by the read above; the 8-byte sub-slice is infallible
+        #[expect(
+            clippy::expect_used,
+            reason = "footer is FOOTER_LEN bytes by the read above; the 8-byte sub-slice is infallible"
+        )]
         let index_len = u64::from_le_bytes(footer[..8].try_into().expect("8-byte slice"));
         if index_len == 0 {
             return Err(shard_err(shard_key, "zero-entry shard"));
@@ -219,8 +222,11 @@ impl ShardIndex {
             Ok(r)
         };
         while cur < index.len() {
+            #[expect(
+                clippy::expect_used,
+                reason = "`take` returned exactly 2 bytes; the convert is infallible"
+            )]
             let key_len =
-                // apc-lint: allow(unwrap-in-lib): `take` returned exactly 2 bytes; the convert is infallible
                 u16::from_le_bytes(index[take(&mut cur, 2)?].try_into().expect("2 bytes")) as usize;
             if key_len == 0 {
                 return Err(shard_err(shard_key, "index entry with an empty key"));
@@ -228,9 +234,15 @@ impl ShardIndex {
             let key = std::str::from_utf8(&index[take(&mut cur, key_len)?])
                 .map_err(|_| shard_err(shard_key, "index entry key is not UTF-8"))?
                 .to_owned();
-            // apc-lint: allow(unwrap-in-lib): `take` returned exactly 8 bytes; the convert is infallible
+            #[expect(
+                clippy::expect_used,
+                reason = "`take` returned exactly 8 bytes; the convert is infallible"
+            )]
             let offset = u64::from_le_bytes(index[take(&mut cur, 8)?].try_into().expect("8 bytes"));
-            // apc-lint: allow(unwrap-in-lib): `take` returned exactly 8 bytes; the convert is infallible
+            #[expect(
+                clippy::expect_used,
+                reason = "`take` returned exactly 8 bytes; the convert is infallible"
+            )]
             let len = u64::from_le_bytes(index[take(&mut cur, 8)?].try_into().expect("8 bytes"));
             if offset
                 .checked_add(len)

@@ -10,6 +10,11 @@
 //! assert_eq!(d.len(), 64);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub use apc_cm1 as cm1;
 pub use apc_comm as comm;
 pub use apc_compress as compress;
