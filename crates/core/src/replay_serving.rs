@@ -41,7 +41,7 @@ use apc_replay::{
     resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution, STEAL_OVERHEAD,
 };
 use apc_serve::{
-    check_reply, frame_key, open_run, percentile, Fidelity, FrameKey, FrameStore, RequestLog,
+    frame_key, open_run, percentile, Fidelity, FrameKey, FrameStore, ReplyChecker, RequestLog,
     ServeCore, ServeReport, ServerStats,
 };
 use apc_store::StoreBackend;
@@ -148,6 +148,9 @@ pub fn run_replay_serving_in_session(
     // — the wire contract both send and receive loops follow.
     let client_issue = trace.issue_order();
     let pair_slots = plan.pair_slots(&client_issue);
+    // One checker for the run: the first client to receive a persisted
+    // frame decodes it, every later one compares bytes.
+    let checker = ReplyChecker::default();
 
     let outs: Vec<ReplayRankOut> = session.run(|rank| {
         let r = rank.rank();
@@ -174,6 +177,7 @@ pub fn run_replay_serving_in_session(
                 &plan,
                 &client_issue[c],
                 &pair_slots,
+                &checker,
             );
             ReplayRankOut::Client(logs, finish)
         }
@@ -296,7 +300,8 @@ fn server_program(
 }
 
 /// The SPMD program of one client rank: post every recorded arrival
-/// eagerly, then collect replies pair-by-pair and verify them end to end.
+/// eagerly, then collect replies pair-by-pair and verify them end to end
+/// through the run's one [`ReplyChecker`].
 #[expect(
     clippy::too_many_arguments,
     reason = "each argument is one borrow of the pool's shared prelude; a struct would only rename them"
@@ -310,6 +315,7 @@ fn client_program(
     plan: &PoolPlan,
     my_issue: &[usize],
     pair_slots: &[Vec<Vec<usize>>],
+    checker: &ReplyChecker,
 ) -> (Vec<RequestLog<Assignment>>, f64) {
     let mut eps: Vec<Option<ServeClient>> = (0..nservers).map(|_| None).collect();
     // Send phase: entirely eager — the virtual runtime buffers sends, so
@@ -333,7 +339,8 @@ fn client_program(
                 clippy::panic,
                 reason = "end-to-end check in a rank program — a corrupt reply or frame fails the replay loudly"
             )]
-            let reply = check_reply(&d.msg)
+            let reply = checker
+                .check(&d.msg)
                 .unwrap_or_else(|e| panic!("client {c} received a bad reply: {e}"));
             // The reply must match the pure resolution of the recorded
             // request, key for key.

@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use apc_comm::{Rank, ServeClient, ServeServer, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_serve::{
-    check_reply, percentile, Fidelity, FrameRequest, FrameSink, RequestLog, Resolution, ServeCore,
+    percentile, Fidelity, FrameRequest, FrameSink, ReplyChecker, RequestLog, Resolution, ServeCore,
     ServePolicy, ServeReport, ServerStats,
 };
 use apc_stage::RankLog;
@@ -502,6 +502,7 @@ fn client_program(
     server_slot: u32,
     iterations: &[usize],
     serve: &ServeParams,
+    checker: &ReplyChecker,
 ) -> (Vec<RequestLog>, f64) {
     let mut ep = ServeClient::new(server_rank, 0);
     let mut logs = Vec::with_capacity(serve.requests_per_client);
@@ -522,7 +523,8 @@ fn client_program(
             clippy::panic,
             reason = "end-to-end check in a rank program — a corrupt reply or frame fails the run loudly"
         )]
-        let reply = check_reply(&wire)
+        let reply = checker
+            .check(&wire)
             .unwrap_or_else(|e| panic!("client {client} received a bad reply: {e}"));
         assert!(
             reply.frames().iter().all(|f| f.stager == server_slot),
@@ -583,6 +585,7 @@ where
     let (n_sim, n_stage) = (partition.n_sim(), partition.n_stage());
 
     let iters = iterations.to_vec();
+    let checker = ReplyChecker::default();
     let logs: Vec<ServingRankLog> = session.run(|rank| {
         let r = rank.rank();
         if r < n_sim {
@@ -616,6 +619,7 @@ where
                 server_slot as u32,
                 &iters,
                 serve,
+                &checker,
             );
             ServingRankLog::Client(logs, finish)
         }

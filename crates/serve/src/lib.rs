@@ -28,7 +28,7 @@
 //!   decode the request, fetch each resolved frame through a
 //!   byte-bounded LRU ([`apc_store::ChunkCache`] keyed by [`FrameKey`])
 //!   or the store, degrade, assemble the reply — plus its client-side
-//!   twin [`check_reply`] and the shared observables ([`RequestLog`],
+//!   twin [`ReplyChecker`] and the shared observables ([`RequestLog`],
 //!   [`ServerStats`], [`ServeReport`]).
 //!
 //! Payloads, persistence, the serve core and its summaries live here, all
@@ -65,7 +65,7 @@ pub use degrade::degrade_stream;
 pub use frame::Frame;
 pub use protocol::{Fidelity, FrameKey, FrameReply, FrameRequest, ServePolicy, ServedFrame};
 pub use serve_core::{
-    check_reply, FidelityMix, RequestLog, Resolution, ServeCore, ServeReport, ServerStats,
+    FidelityMix, ReplyChecker, RequestLog, Resolution, ServeCore, ServeReport, ServerStats,
 };
 pub use stats::percentile;
 pub use store::{frame_key, open_run, FrameSink, FrameStore, RunManifest};

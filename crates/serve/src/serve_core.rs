@@ -8,6 +8,9 @@
 //! (`apc_core::serving`) and the replay pool server
 //! (`apc_core::replay_serving`) are the two drivers.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock};
+
 use apc_store::{CacheStats, ChunkCache, StoreBackend};
 
 use crate::stats::percentile;
@@ -217,28 +220,68 @@ impl<B: StoreBackend> ServeCore<B> {
     }
 }
 
-/// The client side of [`ServeCore::reply`]: decode a reply off the wire —
-/// the client's trust boundary — and verify it end to end. Every frame
-/// must decode, decode to the `(iteration, stager)` it was served as, and
-/// carry no pixels when header-only.
-pub fn check_reply(wire: &[u8]) -> Result<FrameReply, ServeError> {
-    let reply = FrameReply::decode(wire)?;
-    for served in reply.frames() {
-        let frame = Frame::decode(&served.stream)?;
-        if (frame.iteration, frame.stager) != (served.iteration, served.stager) {
-            return Err(ServeError::Corrupt(format!(
-                "frame ({}, {}) was served as ({}, {})",
-                frame.iteration, frame.stager, served.iteration, served.stager
-            )));
+/// The client side of [`ServeCore::reply`], one per run and shared by
+/// every client rank: decode a reply off the wire — the client's trust
+/// boundary — and verify it end to end. Every frame must decode, decode
+/// to the `(iteration, stager)` it was served as, and carry no pixels when
+/// header-only.
+///
+/// A full-fidelity frame is a persisted stream shipped verbatim, and a run
+/// ships the same few hundred streams thousands of times. So the checker
+/// keeps, per key, the first full stream that passed; a later full frame
+/// of that key with the same bytes is compared instead of decoded. Any
+/// other frame (degraded, or full with bytes not seen before) is decoded.
+/// The verdict on every reply is the one a fresh checker gives.
+#[derive(Default)]
+pub struct ReplyChecker {
+    /// The first full stream that passed, by the key it was served as.
+    passed: RwLock<BTreeMap<FrameKey, Arc<[u8]>>>,
+}
+
+impl ReplyChecker {
+    /// Decode and verify one reply.
+    pub fn check(&self, wire: &[u8]) -> Result<FrameReply, ServeError> {
+        let reply = FrameReply::decode(wire)?;
+        for served in reply.frames() {
+            if served.fidelity != Fidelity::Full {
+                check_frame(served)?;
+                continue;
+            }
+            let key = (served.iteration, served.stager);
+            let passed = self.passed.read().unwrap_or_else(PoisonError::into_inner);
+            if passed.get(&key).is_some_and(|s| **s == *served.stream) {
+                continue;
+            }
+            drop(passed);
+            check_frame(served)?;
+            // Every update is one insert of a stream that passed, so a
+            // poisoned map is still valid.
+            self.passed
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_insert_with(|| served.stream.as_slice().into());
         }
-        if served.fidelity == Fidelity::HeaderOnly && !frame.pixels.is_empty() {
-            return Err(ServeError::Corrupt(format!(
-                "header-only frame carries {} pixels",
-                frame.pixels.len()
-            )));
-        }
+        Ok(reply)
     }
-    Ok(reply)
+}
+
+/// Decode one served frame and check it against how it was served.
+fn check_frame(served: &ServedFrame) -> Result<(), ServeError> {
+    let frame = Frame::decode(&served.stream)?;
+    if (frame.iteration, frame.stager) != (served.iteration, served.stager) {
+        return Err(ServeError::Corrupt(format!(
+            "frame ({}, {}) was served as ({}, {})",
+            frame.iteration, frame.stager, served.iteration, served.stager
+        )));
+    }
+    if served.fidelity == Fidelity::HeaderOnly && !frame.pixels.is_empty() {
+        return Err(ServeError::Corrupt(format!(
+            "header-only frame carries {} pixels",
+            frame.pixels.len()
+        )));
+    }
+    Ok(())
 }
 
 /// One request as the client experienced it. `route` carries what the
@@ -266,7 +309,7 @@ pub struct RequestLog<R = ()> {
 }
 
 impl<R> RequestLog<R> {
-    /// Log a reply that passed [`check_reply`].
+    /// Log a reply that passed [`ReplyChecker::check`].
     pub fn new(
         client: usize,
         request: FrameRequest,
@@ -433,7 +476,7 @@ mod tests {
             let reply = core.reply(&one(100), fidelity, |_| {}).unwrap();
             assert_eq!(reply.frames()[0].fidelity, fidelity);
             assert_ne!(reply.frames()[0].stream, stream, "{fidelity:?} re-encodes");
-            check_reply(&reply.encode()).unwrap();
+            ReplyChecker::default().check(&reply.encode()).unwrap();
             let charge = |_| panic!("the full stream fell out of the cache");
             let full = core.reply(&one(100), Fidelity::Full, charge).unwrap();
             assert_eq!(full.frames()[0].stream, stream, "after {fidelity:?}");
@@ -470,28 +513,55 @@ mod tests {
         assert!(matches!(missing, Err(ServeError::Store(_))));
     }
 
-    #[test]
-    fn check_reply_rejects_mismatched_keys_and_fat_headers() {
-        let served = |iteration, fidelity| FrameReply::Frames {
+    /// One frame's reply on the wire, served as `(iteration, 1)`.
+    fn served(iteration: u64, fidelity: Fidelity, stream: &[u8]) -> Vec<u8> {
+        FrameReply::Frames {
             exact: true,
             frames: vec![ServedFrame {
                 iteration,
                 stager: 1,
                 cache_hit: false,
                 fidelity,
-                stream: frame(100).encode(CodecKind::Fpz),
+                stream: stream.to_vec(),
             }],
-        };
-        let good = served(100, Fidelity::Full);
-        assert_eq!(check_reply(&good.encode()).unwrap(), good);
+        }
+        .encode()
+    }
+
+    #[test]
+    fn checker_rejects_mismatched_keys_and_fat_headers() {
+        let stream = frame(100).encode(CodecKind::Fpz);
+        let checker = ReplyChecker::default();
+        let good = served(100, Fidelity::Full, &stream);
+        let reply = checker.check(&good).unwrap();
+        assert_eq!(reply, FrameReply::decode(&good).unwrap());
+        // Frame 100's bytes have passed; under another key, or as
+        // header-only, they still fail.
         for bad in [
-            served(200, Fidelity::Full),
-            served(100, Fidelity::HeaderOnly),
+            served(200, Fidelity::Full, &stream),
+            served(100, Fidelity::HeaderOnly, &stream),
         ] {
-            let checked = check_reply(&bad.encode());
+            let checked = checker.check(&bad);
             assert!(matches!(checked, Err(ServeError::Corrupt(_))));
         }
-        assert!(check_reply(&[]).is_err());
+        assert!(checker.check(&[]).is_err());
+    }
+
+    #[test]
+    fn checker_keeps_only_the_first_full_stream_that_passed() {
+        let stream = frame(100).encode(CodecKind::Fpz);
+        let checker = ReplyChecker::default();
+        for _ in 0..2 {
+            checker
+                .check(&served(100, Fidelity::Full, &stream))
+                .unwrap();
+        }
+        // Other bytes under the kept key are decoded, and fail.
+        let cut = served(100, Fidelity::Full, &stream[..stream.len() - 1]);
+        assert!(matches!(checker.check(&cut), Err(ServeError::Corrupt(_))));
+        let passed = checker.passed.read().unwrap();
+        assert_eq!(passed.len(), 1);
+        assert_eq!(&passed[&(100, 1)][..], &stream[..]);
     }
 
     #[test]

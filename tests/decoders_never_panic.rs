@@ -1,7 +1,7 @@
 //! One sweep over every decoder that takes bytes from outside the
 //! process: the codec streams, the tagged chunk framing, the shard
-//! trailer + index, the two metadata documents, the frame stream and both
-//! wire messages.
+//! trailer + index, the two metadata documents, the frame stream, both
+//! wire messages and the client's reply check.
 //!
 //! Each row of [`decoders`] names a valid byte image and a decode
 //! closure. The sweep feeds the closure **every truncation prefix** and
@@ -25,7 +25,7 @@ use insitu::grid::Dims3;
 use insitu::grid::ProcGrid;
 use insitu::par::SplitMix64;
 use insitu::serve::{
-    Fidelity, Frame, FrameReply, FrameRequest, RunManifest, ServeError, ServedFrame,
+    Fidelity, Frame, FrameReply, FrameRequest, ReplyChecker, RunManifest, ServeError, ServedFrame,
 };
 use insitu::store::{
     CodecKind, DatasetMeta, MemStore, ShardWriter, ShardedStore, StoreBackend, StoreError,
@@ -223,6 +223,34 @@ fn served(iteration: u64, fidelity: Fidelity, stream: Vec<u8>) -> ServedFrame {
     }
 }
 
+/// The client's reply check, warmed on the valid image (the sweep decodes
+/// it first): on every damaged image it must give a fresh checker's
+/// verdict, so a kept stream never lets damage through.
+fn checker_row() -> Decoder {
+    let pixels: Vec<f32> = (0..48).map(|i| (i as f32 * 0.7).sin() * 30.0).collect();
+    let stream = |iteration| Frame::new(iteration, 0, 8, 6, pixels.clone()).encode(CodecKind::Fpz);
+    let header = Frame::new(4, 0, 0, 0, Vec::new()).encode(CodecKind::Raw);
+    let reply = FrameReply::Frames {
+        exact: true,
+        frames: vec![
+            served(4, Fidelity::Full, stream(4)),
+            served(5, Fidelity::Full, stream(5)),
+            served(4, Fidelity::HeaderOnly, header),
+        ],
+    };
+    let warm = ReplyChecker::default();
+    Decoder {
+        name: "ReplyChecker::check, warm".into(),
+        valid: reply.encode(),
+        decode: Box::new(move |bytes| {
+            let fresh = ReplyChecker::default().check(bytes).is_ok();
+            let verdict = warm.check(bytes).map(|_| ()).map_err(|e| e.to_string());
+            assert_eq!(verdict.is_ok(), fresh, "a warm checker changed the verdict");
+            verdict
+        }),
+    }
+}
+
 fn decoders() -> Vec<Decoder> {
     let zfpx = CodecKind::Zfpx { tolerance: 1e-2 };
     let mut rows = vec![
@@ -279,6 +307,7 @@ fn decoders() -> Vec<Decoder> {
         ]
         .map(reply_row),
     );
+    rows.push(checker_row());
     rows
 }
 
