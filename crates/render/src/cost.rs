@@ -9,8 +9,8 @@
 //!
 //! multiplied by a seeded log-normal jitter that reproduces "the inherent
 //! variability of the visualization task" the paper keeps pointing at
-//! (§V-D, §V-F). The constants are calibrated (EXPERIMENTS.md) so that on
-//! the default 1:5-scale dataset:
+//! (§V-D, §V-F). The constants are calibrated to the paper's anchors so
+//! that on the default 1:5-scale dataset:
 //!
 //! * all blocks reduced → ≈1 s (paper: 1 s at both scales — a fixed
 //!   pipeline overhead);
@@ -21,13 +21,15 @@
 //! paper's full-size grid, the per-triangle constant absorbs that factor;
 //! what the model preserves is the *structure*: cost proportional to real,
 //! content-dependent triangle counts, so load imbalance, crossovers and
-//! speedup ratios emerge from the data rather than from tuning.
+//! speedup ratios emerge from the data rather than from tuning. The anchors
+//! are the paper's Blue Waters timings, not this repository's renderer;
+//! checking the model against the in-tree mesh + raster is ROADMAP item 16.
 
 use crate::isosurface::IsoStats;
 
 // The calibration, with the default `base` of 0.55 s, against the
-// 1:5-scale dataset (see the probe run in EXPERIMENTS.md): NONE ≈ 125–170 s
-// on 64 ranks, ≈ 42–52 s on 400 ranks, all-reduced ≈ 1–1.8 s.
+// 1:5-scale dataset: NONE ≈ 125–170 s on 64 ranks, ≈ 42–52 s on 400 ranks,
+// all-reduced ≈ 1–1.8 s.
 
 /// Per-block dataset handling overhead.
 const PER_BLOCK: f64 = 5.0e-4;

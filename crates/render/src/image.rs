@@ -80,7 +80,7 @@ impl Image {
     }
 
     /// Mean absolute per-channel difference to another image (for tests and
-    /// the visual-fidelity reporting in EXPERIMENTS.md).
+    /// fig01's printed image differences).
     pub fn mean_abs_diff(&self, other: &Image) -> f64 {
         assert_eq!((self.width, self.height), (other.width, other.height));
         let sum: u64 = self

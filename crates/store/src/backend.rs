@@ -6,9 +6,10 @@
 //! happen concurrently from the rank threads of a session run.
 
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::StoreError;
 
@@ -80,22 +81,39 @@ forward_backend!(Box<B>);
 forward_backend!(Arc<B>);
 forward_backend!(&B);
 
+/// Most files a [`DirStore`] and its clones keep open for range reads:
+/// above the ≈ 200 shards one replay cycle reads, below the usual
+/// 1024-descriptor soft limit.
+const MAX_OPEN_FILES: usize = 256;
+
+/// A file held open for range reads, with the length it had when opened.
+#[derive(Debug)]
+struct OpenFile {
+    file: Mutex<File>,
+    len: u64,
+}
+
 /// On-disk backend: one file per key under a root directory.
 ///
-/// Writes create parent directories on demand. Reads open the file per
-/// call, so concurrent rank threads never contend on shared handles.
+/// Writes create parent directories on demand. A range read opens its
+/// file once and keeps it: later reads of the key seek and read through
+/// that handle (each handle has its own lock), so a shard read many
+/// times costs one `open`. The handles are shared by clones, at most
+/// 256 of them; a full set is dropped whole and reopened on demand.
+/// `put` forgets the key's handle, so a store and its clones always read
+/// their own writes; a file another writer replaces is seen by a store
+/// opened after that write.
 #[derive(Debug, Clone)]
 pub struct DirStore {
     root: PathBuf,
+    open: Arc<Mutex<BTreeMap<String, Arc<OpenFile>>>>,
 }
 
 impl DirStore {
     /// Bind to `root` (created, along with parents, if missing).
     pub fn create(root: &Path) -> Result<Self, StoreError> {
         std::fs::create_dir_all(root)?;
-        Ok(Self {
-            root: root.to_path_buf(),
-        })
+        Ok(Self::bind(root))
     }
 
     /// Bind to an existing `root`.
@@ -103,9 +121,14 @@ impl DirStore {
         if !root.is_dir() {
             return Err(StoreError::NotFound(root.display().to_string()));
         }
-        Ok(Self {
+        Ok(Self::bind(root))
+    }
+
+    fn bind(root: &Path) -> Self {
+        Self {
             root: root.to_path_buf(),
-        })
+            open: Arc::default(),
+        }
     }
 
     pub fn root(&self) -> &Path {
@@ -126,6 +149,45 @@ impl DirStore {
         }
         Ok(p)
     }
+
+    /// The handle map, even if a reader panicked holding it: an entry is
+    /// an open file or absent, so a poisoned lock exposes no torn state.
+    fn open_files(&self) -> MutexGuard<'_, BTreeMap<String, Arc<OpenFile>>> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The held handle of `key`, opening the file on a miss. The open
+    /// runs under the map lock, so it cannot race `put`'s forget and
+    /// cache the file a finished `put` replaced.
+    fn open_file(&self, key: &str) -> Result<Arc<OpenFile>, StoreError> {
+        let mut open = self.open_files();
+        if let Some(held) = open.get(key) {
+            return Ok(Arc::clone(held));
+        }
+        let file = match File::open(self.path_of(key)?) {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                return Err(StoreError::NotFound(key.to_owned()))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let len = file.metadata()?.len();
+        if open.len() >= MAX_OPEN_FILES {
+            open.clear();
+        }
+        let held = Arc::new(OpenFile {
+            file: Mutex::new(file),
+            len,
+        });
+        open.insert(key.to_owned(), Arc::clone(&held));
+        Ok(held)
+    }
+
+    /// Handles currently held (at most [`MAX_OPEN_FILES`]).
+    #[cfg(test)]
+    fn held_files(&self) -> usize {
+        self.open_files().len()
+    }
 }
 
 impl StoreBackend for DirStore {
@@ -141,7 +203,12 @@ impl StoreBackend for DirStore {
         let tmp = path.with_file_name(format!(".{last}.tmp"));
         std::fs::write(&tmp, bytes)?;
         match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                // After the rename: a read that opens the key from here
+                // on gets the new file.
+                self.open_files().remove(key);
+                Ok(())
+            }
             Err(e) => {
                 let _ = std::fs::remove_file(&tmp);
                 Err(e.into())
@@ -163,14 +230,8 @@ impl StoreBackend for DirStore {
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
         // Genuine partial I/O: seek + exact read, never the whole file.
-        let mut file = match std::fs::File::open(self.path_of(key)?) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => {
-                return Err(StoreError::NotFound(key.to_owned()))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let size = file.metadata()?.len();
+        let held = self.open_file(key)?;
+        let size = held.len;
         if offset.checked_add(len).filter(|&end| end <= size).is_none() {
             return Err(StoreError::Range {
                 key: key.to_owned(),
@@ -179,8 +240,11 @@ impl StoreBackend for DirStore {
                 size,
             });
         }
-        file.seek(SeekFrom::Start(offset))?;
         let mut buf = vec![0u8; len as usize];
+        // A reader that panicked here left only the file position behind,
+        // and every read seeks first.
+        let mut file = held.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.seek(SeekFrom::Start(offset))?;
         file.read_exact(&mut buf)?;
         Ok(buf)
     }
@@ -303,6 +367,77 @@ mod tests {
         // Reopen sees the same content.
         let again = DirStore::open(&root).unwrap();
         assert_eq!(again.get("a/b").unwrap(), b"rewritten");
+    }
+
+    /// A range read keeps its file open; a `put` of the key, through the
+    /// store or a clone, must not leave either reading the old file.
+    #[test]
+    fn dir_store_range_reads_see_their_own_writes() {
+        let root = std::env::temp_dir()
+            .join("apc_store_backend_tests")
+            .join("held_writes");
+        let _ = std::fs::remove_dir_all(&root);
+        let store = DirStore::create(&root).unwrap();
+        let clone = store.clone();
+        store.put("c/s0", b"first version").unwrap();
+        assert_eq!(store.get_range("c/s0", 6, 7).unwrap(), b"version");
+        assert_eq!(clone.get_range("c/s0", 0, 5).unwrap(), b"first");
+        assert_eq!(store.held_files(), 1, "clones share the held handles");
+
+        clone.put("c/s0", b"second, longer version").unwrap();
+        assert_eq!(store.get_range("c/s0", 0, 6).unwrap(), b"second");
+        assert_eq!(clone.get_range("c/s0", 15, 7).unwrap(), b"version");
+        store.put("c/s0", b"third").unwrap();
+        assert_eq!(clone.get_range("c/s0", 0, 5).unwrap(), b"third");
+        assert_eq!(store.get_range("c/s0", 0, 5).unwrap(), b"third");
+
+        // Bounds come from the length recorded at open: the current one.
+        for (offset, len) in [(0, 6), (5, 1), (4, 2), (u64::MAX, 1)] {
+            match store.get_range("c/s0", offset, len) {
+                Err(StoreError::Range {
+                    key,
+                    offset: o,
+                    len: l,
+                    size,
+                }) => assert_eq!((key.as_str(), o, l, size), ("c/s0", offset, len, 5)),
+                other => panic!("range {offset}+{len}: {other:?}"),
+            }
+        }
+        assert_eq!(store.get_range("c/s0", 5, 0).unwrap(), b"");
+        assert!(matches!(
+            store.get_range("c/absent", 0, 1),
+            Err(StoreError::NotFound(_))
+        ));
+    }
+
+    /// Reading more distinct files than the cap succeeds, and the store
+    /// never holds more than [`MAX_OPEN_FILES`] handles.
+    #[test]
+    fn dir_store_holds_at_most_the_capped_handles() {
+        let root = std::env::temp_dir()
+            .join("apc_store_backend_tests")
+            .join("held_cap");
+        let _ = std::fs::remove_dir_all(&root);
+        let store = DirStore::create(&root).unwrap();
+        let files = MAX_OPEN_FILES + 44;
+        let key = |i: usize| format!("c/s{i:06}");
+        for i in 0..files {
+            store.put(&key(i), &(i as u32).to_le_bytes()).unwrap();
+        }
+        let mut most = 0;
+        for pass in 0..2 {
+            for i in 0..files {
+                let bytes = store.get_range(&key(i), 0, 4).unwrap();
+                assert_eq!(bytes, (i as u32).to_le_bytes(), "pass {pass}, file {i}");
+                most = most.max(store.held_files());
+            }
+        }
+        assert_eq!(most, MAX_OPEN_FILES);
+        // A re-read of a held file opens nothing new.
+        let held = store.held_files();
+        assert!(held > 0);
+        store.get_range(&key(files - 1), 1, 2).unwrap();
+        assert_eq!(store.held_files(), held);
     }
 
     #[test]
