@@ -36,7 +36,7 @@ echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benc
 # this one runs the same suite, format pin included, on the optimised code.
 cargo test -p apc-compress --release -q
 
-echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve (the kernels as the benchmark runs them)"
+echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"
 # VAR's lane sums (the score bits are pinned), the isosurface mask table
 # and the collectives on optimised code; the debug pass above keeps
 # trapping overflow and the debug_assert that ties the mesh builder's
@@ -48,8 +48,10 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-rend
 # and cm1 suites put the shared block payload, the LRU charged at decoded
 # sizes, the dataset's cache mutex and DirStore's held file handles on
 # optimised code too; the serve suite does the same for FrameStore over a
-# DirStore and the shared ReplyChecker, which replay_fanout runs.
-APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve
+# DirStore, the shared ReplyChecker and the typed reply's meter, which
+# replay_fanout runs; the replay suite runs the pool planner's merge of
+# sorted arrivals against its all-arrivals-heap oracle.
+APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
 echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving (the serving executors as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272

@@ -41,8 +41,8 @@ use apc_replay::{
     resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution, STEAL_OVERHEAD,
 };
 use apc_serve::{
-    frame_key, open_run, percentile, Fidelity, FrameKey, FrameStore, ReplyChecker, RequestLog,
-    ServeCore, ServeReport, ServerStats,
+    frame_key, open_run, percentile, Fidelity, FrameKey, FrameReply, FrameStore, ReplyChecker,
+    RequestLog, ServeCore, ServeReport, ServerStats,
 };
 use apc_store::StoreBackend;
 
@@ -286,10 +286,12 @@ fn server_program(
                 rank.advance(params.miss_read + params.read_per_byte * bytes as f64)
             })
             .unwrap_or_else(|e| panic!("replay server {s} failed to serve slot {slot}: {e}"));
-        // Replies ride the wire as their encoded bytes — the same codec
-        // boundary the requests cross, charged at exactly the encoded
-        // length.
-        ep.send_reply(rank, reply.encode());
+        // Replies cross the in-process wire as typed `FrameReply`s,
+        // metered at `wire_len()` — exactly the encoded length — so no
+        // encode or decode runs per reply. Debug builds still put every
+        // reply through the codec.
+        debug_assert!(reply.wire_round_trips(), "reply codec round trip");
+        ep.send_reply(rank, reply);
     }
 
     debug_assert!(
@@ -334,13 +336,13 @@ fn client_program(
         let Some(ep) = ep else { continue };
         for &slot in &pair_slots[s][c] {
             let a = &trace.arrivals[slot];
-            let d = ep.recv_reply::<Vec<u8>>(rank);
+            let d = ep.recv_reply::<FrameReply>(rank);
             #[expect(
                 clippy::panic,
                 reason = "end-to-end check in a rank program — a corrupt reply or frame fails the replay loudly"
             )]
             let reply = checker
-                .check(&d.msg)
+                .check_reply(d.msg)
                 .unwrap_or_else(|e| panic!("client {c} received a bad reply: {e}"));
             // The reply must match the pure resolution of the recorded
             // request, key for key.

@@ -39,11 +39,11 @@
 
 use std::collections::VecDeque;
 
-use apc_comm::{Rank, ServeClient, ServeServer, Session};
+use apc_comm::{Meter, Rank, ServeClient, ServeServer, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_serve::{
-    percentile, Fidelity, FrameRequest, FrameSink, ReplyChecker, RequestLog, Resolution, ServeCore,
-    ServePolicy, ServeReport, ServerStats,
+    percentile, Fidelity, FrameReply, FrameRequest, FrameSink, ReplyChecker, RequestLog,
+    Resolution, ServeCore, ServePolicy, ServeReport, ServerStats,
 };
 use apc_stage::RankLog;
 use apc_store::StoreBackend;
@@ -356,13 +356,13 @@ impl<'a> StagerServe<'a> {
         self.step_controller();
     }
 
-    /// Build, encode and send one reply at the ladder rung in effect: a
-    /// store read on a cache miss is real data movement and pays the same
+    /// Build and send one reply at the ladder rung in effect: a store
+    /// read on a cache miss is real data movement and pays the same
     /// per-byte ingest cost any other transfer does; then charge the
     /// explicit serve cost (`service_base + reply_per_byte × encoded
     /// bytes`) on the stager's clock, observe the reply's latency into the
-    /// controller window, and ship the encoded bytes (the wire charge is
-    /// exactly their length).
+    /// controller window, and ship the typed reply (its wire charge, too,
+    /// is exactly its encoded length).
     fn ship_reply(
         &mut self,
         rank: &mut Rank,
@@ -387,8 +387,7 @@ impl<'a> StagerServe<'a> {
                     self.fidelity.name()
                 )
             });
-        let wire = reply.encode();
-        let cost = self.serve.service_base + self.serve.reply_per_byte * wire.len() as f64;
+        let cost = self.serve.service_base + self.serve.reply_per_byte * reply.nbytes() as f64;
         rank.advance(cost);
         let latency = rank.clock() - arrival;
         if self.window.len() == BUDGET_WINDOW {
@@ -396,7 +395,8 @@ impl<'a> StagerServe<'a> {
         }
         self.window.push_back(latency);
         self.served_since_observe += 1;
-        self.clients[client].ep.send_reply(rank, wire);
+        debug_assert!(reply.wire_round_trips(), "reply codec round trip");
+        self.clients[client].ep.send_reply(rank, reply);
         // Long serving batches (deep fan-in, the final-frame drain) would
         // otherwise run hundreds of replies at a stale fidelity: re-step
         // the controller every window's worth of replies so it reacts
@@ -512,19 +512,20 @@ fn client_program(
     for j in 0..serve.requests_per_client {
         let q = gen_request(client, j, iterations, serve.requests_per_client);
         let t0 = rank.clock();
-        // Requests and replies ride the wire as their encoded bytes
-        // (`Vec<u8>` meters as its length, so the virtual charge is
-        // exactly the encoded size — which is what the fidelity ladder
-        // shrinks).
+        // Requests ride the wire as their encoded bytes (the stager's
+        // trust boundary); replies come back as typed `FrameReply`s
+        // metered at their encoded length. Either way the virtual charge
+        // is exactly the encoded size — which is what the fidelity ladder
+        // shrinks.
         ep.send_request(rank, q.encode());
-        let wire: Vec<u8> = ep.recv_reply(rank).msg;
+        let reply: FrameReply = ep.recv_reply(rank).msg;
         let latency = rank.clock() - t0;
         #[expect(
             clippy::panic,
             reason = "end-to-end check in a rank program — a corrupt reply or frame fails the run loudly"
         )]
         let reply = checker
-            .check(&wire)
+            .check_reply(reply)
             .unwrap_or_else(|e| panic!("client {client} received a bad reply: {e}"));
         assert!(
             reply.frames().iter().all(|f| f.stager == server_slot),

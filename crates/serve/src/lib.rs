@@ -16,10 +16,12 @@
 //! * [`FrameSink`] — the cloneable write handle `apc-core` threads through
 //!   `StagedParams::persist` so stagers persist frames as they render;
 //! * [`FrameRequest`] / [`FrameReply`] — the deterministic request/reply
-//!   protocol served over `apc_comm::bounded`'s request/reply lanes, with
-//!   a [`ServePolicy`] deciding what happens when a request races frame
-//!   production (wait for the frame, or answer best-effort with the
-//!   newest one available);
+//!   protocol served over `apc_comm::bounded`'s request/reply lanes
+//!   (requests cross as their encoded bytes, replies as typed values
+//!   metered at [`FrameReply::wire_len`]), with a [`ServePolicy`]
+//!   deciding what happens when a request races frame production (wait
+//!   for the frame, or answer best-effort with the newest one
+//!   available);
 //! * [`Fidelity`] / [`degrade_stream`] — the reply-fidelity ladder the
 //!   adaptive serving executor walks under latency pressure (full →
 //!   lossy zfpx re-encode → score-ranked dropping → header-only), plus

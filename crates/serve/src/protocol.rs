@@ -1,13 +1,19 @@
 //! The frame-serving wire protocol.
 //!
 //! Clients send a [`FrameRequest`] and block for the matching
-//! [`FrameReply`]; both ride the `apc_comm::bounded` serve endpoints
-//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]) as their
-//! **encoded bytes**, so their virtual wire cost is exactly the encoded
-//! length under the ordinary `NetModel` accounting, and `decode` is the
-//! one trust boundary on each side. Replies ship frames as their
-//! *encoded* streams: the server never decodes (a cache or store read is
-//! a byte copy), the client decodes and verifies.
+//! [`FrameReply`] over the `apc_comm::bounded` serve endpoints
+//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]). Requests
+//! cross as their **encoded bytes**: [`FrameRequest::decode`] is the
+//! server's trust boundary. Replies cross in process as typed
+//! [`FrameReply`]s, metered at [`FrameReply::wire_len`] — exactly the
+//! length [`FrameReply::encode`] would produce — so either way the
+//! virtual wire cost is the encoded length under the ordinary `NetModel`
+//! accounting. Replies ship frames as their *encoded* streams: the server
+//! never decodes (a cache or store read is a byte copy), the client
+//! verifies each frame ([`crate::ReplyChecker`]). [`FrameReply::decode`]
+//! stays the total parser of the reply wire form; the serving executors
+//! `debug_assert!` that every reply they send survives it
+//! ([`FrameReply::wire_round_trips`]).
 //!
 //! What happens when a request races frame production is the
 //! [`ServePolicy`]'s call:
@@ -219,6 +225,15 @@ impl Fidelity {
         }
     }
 
+    /// Bytes `encode_into` writes: the tag plus its f32 operands.
+    fn wire_len(&self) -> usize {
+        match self {
+            Fidelity::Full | Fidelity::HeaderOnly => 1,
+            Fidelity::Lossy { .. } => 1 + 4,
+            Fidelity::Dropped { .. } => 1 + 4 + 4,
+        }
+    }
+
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
             Fidelity::Full => out.push(FID_FULL),
@@ -277,10 +292,14 @@ const REPLY_FRAMES: u8 = 1;
 const REPLY_NOT_YET: u8 = 2;
 const REPLY_NO_SUCH: u8 = 3;
 
+/// Wire bytes of a served frame around its fidelity and stream:
+/// iteration, stager, cache_hit and the stream length.
+const FRAME_HEADER_WIRE: usize = 8 + 4 + 1 + 4;
+
 /// Smallest possible wire image of one served frame (empty stream, Full
 /// fidelity): bounds the frame count a corrupt header can make the
 /// decoder allocate for.
-const MIN_FRAME_WIRE: usize = 8 + 4 + 1 + 1 + 4;
+const MIN_FRAME_WIRE: usize = FRAME_HEADER_WIRE + 1;
 
 /// A forward-only cursor over reply wire bytes: every read is
 /// bounds-checked and yields a typed [`ServeError::Corrupt`] on
@@ -396,12 +415,34 @@ impl FrameReply {
             .fold(Fidelity::Full, |acc, f| acc.worst(f.fidelity))
     }
 
+    /// The exact length of [`FrameReply::encode`]'s output, computed
+    /// without encoding: what the reply is metered at on the wire.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            FrameReply::Frames { frames, .. } => {
+                let frames: usize = frames
+                    .iter()
+                    .map(|f| FRAME_HEADER_WIRE + f.fidelity.wire_len() + f.stream.len())
+                    .sum();
+                1 + 1 + 4 + frames
+            }
+            FrameReply::NotYet => 1,
+            FrameReply::NoSuchIteration(_) => 1 + 8,
+        }
+    }
+
+    /// Whether the reply survives its wire codec: [`FrameReply::encode`]
+    /// writes [`FrameReply::wire_len`] bytes and [`FrameReply::decode`]
+    /// gives the reply back. Replies cross the in-process wire typed, so
+    /// the serving executors `debug_assert!` this at every send.
+    pub fn wire_round_trips(&self) -> bool {
+        let wire = self.encode();
+        wire.len() == self.wire_len() && FrameReply::decode(&wire).is_ok_and(|back| back == *self)
+    }
+
     /// Serialize to the tagged wire form.
     pub fn encode(&self) -> Vec<u8> {
-        // Streams dominate; 8 more bytes per frame cover the widest
-        // fidelity operands.
-        let streams: usize = self.frames().iter().map(|f| f.stream.len()).sum();
-        let mut out = Vec::with_capacity(9 + self.frames().len() * (MIN_FRAME_WIRE + 8) + streams);
+        let mut out = Vec::with_capacity(self.wire_len());
         match self {
             FrameReply::Frames { exact, frames } => {
                 out.push(REPLY_FRAMES);
@@ -481,6 +522,14 @@ impl FrameReply {
     }
 }
 
+/// A reply on the in-process wire is charged exactly what its encoded
+/// form would be.
+impl apc_comm::Meter for FrameReply {
+    fn nbytes(&self) -> usize {
+        self.wire_len()
+    }
+}
+
 /// What a serving stager does with a request whose frame has not been
 /// rendered yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -525,26 +574,66 @@ mod tests {
     }
 
     /// The wire image is what the virtual network charges for: pin its
-    /// size field by field.
+    /// size field by field, and pin the typed reply's meter to it — a
+    /// reply crosses the in-process wire typed, charged at `nbytes()`, so
+    /// this equality is what keeps every virtual second unchanged.
     #[test]
     fn reply_wire_size_is_headers_plus_streams() {
-        let wire_len = |frames: Vec<ServedFrame>| {
-            let exact = true;
-            FrameReply::Frames { exact, frames }.encode().len()
+        use apc_comm::Meter;
+
+        // Every length the reply reports must be its encoded length.
+        let wire_len = |reply: FrameReply| {
+            let encoded = reply.encode().len();
+            assert_eq!(reply.wire_len(), encoded, "{reply:?}");
+            assert_eq!(Meter::nbytes(&reply), encoded, "{reply:?}");
+            assert!(reply.wire_round_trips(), "{reply:?}");
+            encoded
+        };
+        let frames = |frames: Vec<ServedFrame>| FrameReply::Frames {
+            exact: true,
+            frames,
         };
         // tag + exact + count, then per frame 8 iteration + 4 stager +
         // 1 cache_hit + fidelity tag and operands + 4 stream_len + stream.
         let full = served(3, Fidelity::Full, vec![0; 100]);
-        assert_eq!(wire_len(vec![full.clone(), full]), 6 + 2 * 118);
-        assert_eq!(FrameReply::NotYet.encode().len(), 1);
-        assert_eq!(FrameReply::NoSuchIteration(9).encode().len(), 9);
+        assert_eq!(wire_len(frames(vec![full.clone(), full])), 6 + 2 * 118);
+        assert_eq!(wire_len(FrameReply::NotYet), 1);
+        assert_eq!(wire_len(FrameReply::NoSuchIteration(9)), 9);
+        assert_eq!(wire_len(frames(vec![])), 6);
         let lossy = Fidelity::Lossy { tolerance: 0.5 };
-        assert_eq!(wire_len(vec![served(0, lossy, vec![0; 10])]), 6 + 22 + 10);
+        assert_eq!(
+            wire_len(frames(vec![served(0, lossy, vec![0; 10])])),
+            6 + 22 + 10
+        );
         let dropped = Fidelity::Dropped {
             keep_percent: 25.0,
             tolerance: 0.1,
         };
-        assert_eq!(wire_len(vec![served(0, dropped, vec![])]), 6 + 26);
+        assert_eq!(wire_len(frames(vec![served(0, dropped, vec![])])), 6 + 26);
+        let header_only = served(5, Fidelity::HeaderOnly, vec![7; 3]);
+        assert_eq!(wire_len(frames(vec![header_only])), 6 + 18 + 3);
+
+        // Every fidelity, alone and mixed with every other, with empty
+        // and non-empty streams, exact or not.
+        let ladder = [Fidelity::Full, lossy, dropped, Fidelity::HeaderOnly];
+        for (i, &a) in ladder.iter().enumerate() {
+            for (j, &b) in ladder.iter().enumerate() {
+                for exact in [true, false] {
+                    let reply = FrameReply::Frames {
+                        exact,
+                        frames: vec![
+                            served(i as u64, a, vec![1; 17 * i]),
+                            served(j as u64 + 8, b, vec![]),
+                            served(u64::MAX, a.worst(b), vec![2; 40]),
+                        ],
+                    };
+                    wire_len(reply);
+                }
+            }
+        }
+        for reply in reply_cases() {
+            wire_len(reply);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! A driver owns scheduling (when a request is taken, on which clock) and
 //! resolution (which frames answer it); everything between a
-//! [`Resolution`] and the reply bytes is here, once. The live stager
+//! [`Resolution`] and the reply is here, once. The live stager
 //! (`apc_core::serving`) and the replay pool server
 //! (`apc_core::replay_serving`) are the two drivers.
 
@@ -221,10 +221,12 @@ impl<B: StoreBackend> ServeCore<B> {
 }
 
 /// The client side of [`ServeCore::reply`], one per run and shared by
-/// every client rank: decode a reply off the wire — the client's trust
-/// boundary — and verify it end to end. Every frame must decode, decode
-/// to the `(iteration, stager)` it was served as, and carry no pixels when
-/// header-only.
+/// every client rank: verify a reply end to end. Every frame must decode,
+/// decode to the `(iteration, stager)` it was served as, and carry no
+/// pixels when header-only. The serving executors hand it the typed
+/// [`FrameReply`] that crossed the in-process wire
+/// ([`ReplyChecker::check_reply`]); [`ReplyChecker::check`] takes the
+/// reply's wire bytes and decodes them first.
 ///
 /// A full-fidelity frame is a persisted stream shipped verbatim, and a run
 /// ships the same few hundred streams thousands of times. So the checker
@@ -239,9 +241,14 @@ pub struct ReplyChecker {
 }
 
 impl ReplyChecker {
-    /// Decode and verify one reply.
+    /// Decode one reply off the wire — the reply codec's trust boundary
+    /// — then verify it ([`ReplyChecker::check_reply`]).
     pub fn check(&self, wire: &[u8]) -> Result<FrameReply, ServeError> {
-        let reply = FrameReply::decode(wire)?;
+        self.check_reply(FrameReply::decode(wire)?)
+    }
+
+    /// Verify one typed reply, handing it back when every frame passed.
+    pub fn check_reply(&self, reply: FrameReply) -> Result<FrameReply, ServeError> {
         for served in reply.frames() {
             if served.fidelity != Fidelity::Full {
                 check_frame(served)?;
@@ -309,7 +316,7 @@ pub struct RequestLog<R = ()> {
 }
 
 impl<R> RequestLog<R> {
-    /// Log a reply that passed [`ReplyChecker::check`].
+    /// Log a reply that passed [`ReplyChecker::check_reply`].
     pub fn new(
         client: usize,
         request: FrameRequest,
@@ -543,7 +550,12 @@ mod tests {
         ] {
             let checked = checker.check(&bad);
             assert!(matches!(checked, Err(ServeError::Corrupt(_))));
+            // The typed path the executors take gives the same verdict.
+            let typed = checker.check_reply(FrameReply::decode(&bad).unwrap());
+            assert!(matches!(typed, Err(ServeError::Corrupt(_))));
         }
+        let typed = checker.check_reply(FrameReply::decode(&good).unwrap());
+        assert_eq!(typed.unwrap(), reply);
         assert!(checker.check(&[]).is_err());
     }
 
