@@ -125,7 +125,9 @@ for a in network sort downsample controller; do
 done
 
 echo "==> benchmark package compiles (outside the workspace; nothing else checks it)"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# --locked: benchmark/Cargo.lock is frozen with the benchmark, so a change
+# to any crate's [dependencies] fails here instead of rewriting it.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q

@@ -11,9 +11,9 @@
 //!   reply path the live stager drives too — so the pool's cache
 //!   behavior is per-rank and attributable;
 //! * clients post their recorded [`ArrivalTrace`] arrivals eagerly (the
-//!   runtime's sends never block), each encoded through the
-//!   [`apc_serve::FrameRequest`] wire codec, to the server the plan
-//!   assigned;
+//!   runtime's sends never block), each a typed
+//!   [`apc_serve::FrameRequest`] metered at its encoded length, to the
+//!   server the plan assigned;
 //! * each server walks its planned service order, *attributing* every
 //!   step to the next unconsumed request of that step's (client, server)
 //!   pair — per-pair issue order is the wire contract, the plan's
@@ -41,8 +41,8 @@ use apc_replay::{
     resolve, ArrivalTrace, Assignment, PoolParams, PoolPlan, QosTier, Resolution, STEAL_OVERHEAD,
 };
 use apc_serve::{
-    frame_key, open_run, percentile, Fidelity, FrameKey, FrameReply, FrameStore, ReplyChecker,
-    RequestLog, ServeCore, ServeReport, ServerStats,
+    frame_key, open_run, percentile, Fidelity, FrameKey, FrameReply, FrameRequest, FrameStore,
+    ReplyChecker, RequestLog, ServeCore, ServeReport, ServerStats,
 };
 use apc_store::StoreBackend;
 
@@ -253,16 +253,7 @@ fn server_program(
         debug_assert_eq!(asg.executor, s);
 
         let ep = eps[c].get_or_insert_with(|| ServeServer::new(params.nservers + c, 0));
-        let wire: Vec<u8> = ep.recv_request(rank).msg;
-        // The wire codec is the trust boundary: decode totally, then pin
-        // the decoded request to the recorded trace.
-        #[expect(
-            clippy::panic,
-            reason = "inside a rank program a corrupt request fails the replay loudly (poisons the session)"
-        )]
-        let request = core
-            .request(&wire)
-            .unwrap_or_else(|e| panic!("replay server {s} received a corrupt request: {e}"));
+        let request: FrameRequest = ep.recv_request(rank).msg;
         assert_eq!(request, a.request, "wire request diverged from the trace");
 
         if asg.stolen {
@@ -327,7 +318,7 @@ fn client_program(
         rank.merge_clock_to(a.time);
         let s = plan.assignments[slot].executor;
         let ep = eps[s].get_or_insert_with(|| ServeClient::new(s, 0));
-        ep.send_request(rank, a.request.encode());
+        ep.send_request(rank, a.request);
     }
     // Receive phase: per pair, replies come back in issue order (the
     // endpoint is FIFO); across pairs, server-rank order is fixed.

@@ -11,10 +11,11 @@
 //! * after rendering frame `k`, the stager **serves its clients** up to
 //!   frame `k`'s request quota over `apc_comm`'s request/reply endpoints.
 //!   The stager is a driver over `apc-serve`'s [`ServeCore`]: it owns the
-//!   quota schedule, deferral, the frontier-aware resolver, the serve
-//!   costs and the budget controller; the fetch → degrade → reply path
-//!   (cache hit free, miss charged as the ingest of the stream's bytes)
-//!   is the core's.
+//!   quota schedule, deferral, the serve costs and the budget controller;
+//!   which frames answer a request is [`Resolution::of`] over the frames
+//!   rendered so far, and the fetch → degrade → reply path (cache hit
+//!   free, miss charged as the ingest of the stream's bytes) is the
+//!   core's.
 //!
 //! Client ranks issue a deterministic request mix ([`FrameRequest`]:
 //! `Latest` / `AtIteration` / `Range`, some deliberately targeting frames
@@ -237,12 +238,12 @@ struct ClientConn {
     ep: ServeServer,
     /// Requests received from this client so far.
     taken: usize,
-    /// A request whose reply is held until production catches up with
-    /// it, plus its virtual arrival time (the latency the stager will
+    /// A resolved request whose reply is held until its last key is
+    /// rendered, plus its virtual arrival time (the latency the stager will
     /// observe includes the production wait). While present the client is
     /// blocked on it, so the stager must not expect further requests from
     /// this client.
-    deferred: Option<(FrameRequest, f64)>,
+    deferred: Option<(Resolution, f64)>,
 }
 
 /// Per-stager serving state, driven from the staged executor's per-frame
@@ -320,12 +321,13 @@ impl<'a> StagerServe<'a> {
     /// drains completely on the last frame.
     pub(crate) fn after_frame(&mut self, rank: &mut Rank, k: usize, nframes: usize) {
         debug_assert!(k < nframes);
+        // A resolution's keys are in iteration order, and frames render in
+        // iteration order: it is due once its last key is frame `k` or older.
+        let newest = self.iterations[k] as u64;
+        let due = |r: &Resolution| r.keys().last().is_none_or(|&(it, _)| it <= newest);
         for i in 0..self.clients.len() {
-            if let Some((q, arrival)) = self.clients[i].deferred {
-                if let Some(resolution) = self.resolve(q, k) {
-                    self.clients[i].deferred = None;
-                    self.ship_reply(rank, i, &resolution, arrival);
-                }
+            if let Some((resolution, arrival)) = self.clients[i].deferred.take_if(|(r, _)| due(r)) {
+                self.ship_reply(rank, i, &resolution, arrival);
             }
         }
         let quota = if k + 1 == nframes {
@@ -335,21 +337,15 @@ impl<'a> StagerServe<'a> {
         };
         for i in 0..self.clients.len() {
             while self.clients[i].taken < quota && self.clients[i].deferred.is_none() {
-                let d = self.clients[i].ep.recv_request::<Vec<u8>>(rank);
-                #[expect(
-                    clippy::panic,
-                    reason = "inside a rank program a corrupt request fails the run loudly (poisons the session)"
-                )]
-                let q = self.core.request(&d.msg).unwrap_or_else(|e| {
-                    panic!("stager {} received a corrupt request: {e}", self.slot)
-                });
+                let d = self.clients[i].ep.recv_request::<FrameRequest>(rank);
                 self.clients[i].taken += 1;
-                match self.resolve(q, k) {
-                    Some(resolution) => self.ship_reply(rank, i, &resolution, d.arrival),
-                    None => {
-                        self.clients[i].deferred = Some((q, d.arrival));
-                        self.core.stats.deferred += 1;
-                    }
+                let resolution =
+                    Resolution::of(d.msg, self.slot, self.iterations, k + 1, self.serve.policy);
+                if due(&resolution) {
+                    self.ship_reply(rank, i, &resolution, d.arrival);
+                } else {
+                    self.clients[i].deferred = Some((resolution, d.arrival));
+                    self.core.stats.deferred += 1;
                 }
             }
         }
@@ -441,55 +437,6 @@ impl<'a> StagerServe<'a> {
             ..self.core.finish(clock)
         }
     }
-
-    /// Resolve `q` given that frames `0..=k` exist. `None` holds the reply
-    /// (`WaitForFrame`) until production reaches the newest frame the
-    /// request names; `BestEffort` answers now with what exists.
-    fn resolve(&self, q: FrameRequest, k: usize) -> Option<Resolution> {
-        let frames = |exact: bool, idxs: &[usize]| Resolution::Frames {
-            exact,
-            keys: idxs
-                .iter()
-                .map(|&i| (self.iterations[i] as u64, self.slot))
-                .collect(),
-        };
-        // Frame indices the request names, oldest first.
-        let named: Vec<usize> = match q {
-            FrameRequest::Latest => vec![k],
-            FrameRequest::AtIteration(it) => {
-                match self.iterations.iter().position(|&x| x as u64 == it) {
-                    Some(idx) => vec![idx],
-                    None => return Some(Resolution::NoSuchIteration(it)),
-                }
-            }
-            FrameRequest::Range { start, end } => {
-                let idxs: Vec<usize> = (0..self.iterations.len())
-                    .filter(|&i| (start..=end).contains(&(self.iterations[i] as u64)))
-                    .collect();
-                if idxs.is_empty() {
-                    return Some(Resolution::NoSuchIteration(start));
-                }
-                idxs
-            }
-        };
-        let last = named[named.len() - 1];
-        if last <= k {
-            return Some(frames(true, &named));
-        }
-        match (self.serve.policy, q) {
-            (ServePolicy::WaitForFrame, _) => None,
-            // Substitute the newest frame rendered.
-            (ServePolicy::BestEffort, FrameRequest::AtIteration(_)) => Some(frames(false, &[k])),
-            (ServePolicy::BestEffort, _) => {
-                let avail: Vec<usize> = named.into_iter().filter(|&i| i <= k).collect();
-                Some(if avail.is_empty() {
-                    Resolution::NotYet
-                } else {
-                    frames(false, &avail)
-                })
-            }
-        }
-    }
 }
 
 /// The SPMD program of one client rank: issue the deterministic request
@@ -512,12 +459,10 @@ fn client_program(
     for j in 0..serve.requests_per_client {
         let q = gen_request(client, j, iterations, serve.requests_per_client);
         let t0 = rank.clock();
-        // Requests ride the wire as their encoded bytes (the stager's
-        // trust boundary); replies come back as typed `FrameReply`s
-        // metered at their encoded length. Either way the virtual charge
-        // is exactly the encoded size — which is what the fidelity ladder
+        // Requests and replies ride the wire typed, each metered at its
+        // encoded length — the reply's is what the fidelity ladder
         // shrinks.
-        ep.send_request(rank, q.encode());
+        ep.send_request(rank, q);
         let reply: FrameReply = ep.recv_reply(rank).msg;
         let latency = rank.clock() - t0;
         #[expect(

@@ -12,12 +12,14 @@
 //!   requested iteration (flagged inexact), or [`Resolution::NotYet`]
 //!   when the request predates the whole run.
 //!
-//! Resolution is pure arithmetic over the manifest's iteration list — no
-//! store reads, no clocks — so the planner and the executor can both call
-//! it and agree byte-for-byte.
+//! This is [`Resolution::of`] — the rule the live stager runs too — over
+//! a run whose every frame is rendered, under the tier's
+//! [`QosTier::policy`]. It is pure arithmetic over the manifest's
+//! iteration list — no store reads, no clocks — so the planner and the
+//! executor can both call it and agree byte-for-byte.
 
+use apc_serve::FrameRequest;
 pub use apc_serve::Resolution;
-use apc_serve::{FrameKey, FrameRequest};
 
 use crate::trace::QosTier;
 
@@ -29,54 +31,7 @@ pub fn resolve(
     tier: QosTier,
     iterations: &[usize],
 ) -> Resolution {
-    assert!(
-        !iterations.is_empty(),
-        "cannot resolve against an empty run"
-    );
-    let last = iterations[iterations.len() - 1] as u64;
-    match request {
-        FrameRequest::Latest => Resolution::Frames {
-            exact: true,
-            keys: vec![(last, stager)],
-        },
-        FrameRequest::AtIteration(it) => {
-            if iterations.binary_search(&(it as usize)).is_ok() {
-                return Resolution::Frames {
-                    exact: true,
-                    keys: vec![(it, stager)],
-                };
-            }
-            match tier {
-                QosTier::Premium => Resolution::NoSuchIteration(it),
-                QosTier::Free => {
-                    // Substitute the newest rendered frame at or before
-                    // the requested iteration.
-                    match iterations.iter().rev().find(|&&x| (x as u64) <= it) {
-                        Some(&x) => Resolution::Frames {
-                            exact: false,
-                            keys: vec![(x as u64, stager)],
-                        },
-                        None => Resolution::NotYet,
-                    }
-                }
-            }
-        }
-        FrameRequest::Range { start, end } => {
-            debug_assert!(start <= end, "protocol decode rejects inverted ranges");
-            let keys: Vec<FrameKey> = iterations
-                .iter()
-                .filter(|&&x| (x as u64) >= start && (x as u64) <= end)
-                .map(|&x| (x as u64, stager))
-                .collect();
-            if keys.is_empty() {
-                return match tier {
-                    QosTier::Premium => Resolution::NoSuchIteration(start),
-                    QosTier::Free => Resolution::NotYet,
-                };
-            }
-            Resolution::Frames { exact: true, keys }
-        }
-    }
+    Resolution::of(request, stager, iterations, iterations.len(), tier.policy())
 }
 
 #[cfg(test)]
@@ -90,7 +45,7 @@ mod tests {
         for tier in [QosTier::Premium, QosTier::Free] {
             let r = resolve(FrameRequest::Latest, 2, tier, ITERS);
             assert_eq!(r.keys(), &[(400, 2)]);
-            assert!(r.exact());
+            assert!(matches!(r, Resolution::Frames { exact: true, .. }));
         }
     }
 
@@ -99,7 +54,7 @@ mod tests {
         for tier in [QosTier::Premium, QosTier::Free] {
             let r = resolve(FrameRequest::AtIteration(200), 0, tier, ITERS);
             assert_eq!(r.keys(), &[(200, 0)]);
-            assert!(r.exact());
+            assert!(matches!(r, Resolution::Frames { exact: true, .. }));
         }
     }
 
@@ -113,11 +68,11 @@ mod tests {
         );
         let r = resolve(FrameRequest::AtIteration(250), 0, QosTier::Free, ITERS);
         assert_eq!(r.keys(), &[(200, 0)]);
-        assert!(!r.exact());
+        assert!(matches!(r, Resolution::Frames { exact: false, .. }));
         // Past the end of the run, free substitutes the last frame.
         let r = resolve(FrameRequest::AtIteration(999), 1, QosTier::Free, ITERS);
         assert_eq!(r.keys(), &[(400, 1)]);
-        assert!(!r.exact());
+        assert!(matches!(r, Resolution::Frames { exact: false, .. }));
     }
 
     #[test]
@@ -144,7 +99,7 @@ mod tests {
             ITERS,
         );
         assert_eq!(r.keys(), &[(200, 0), (300, 0)]);
-        assert!(r.exact());
+        assert!(matches!(r, Resolution::Frames { exact: true, .. }));
         // Empty intersection follows the tier split.
         assert_eq!(
             resolve(

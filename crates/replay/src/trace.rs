@@ -45,7 +45,8 @@ pub enum QosTier {
 }
 
 impl QosTier {
-    /// The serve policy this tier layers over.
+    /// The serve policy this tier layers over: [`crate::resolve`] runs
+    /// [`apc_serve::Resolution::of`] under it.
     pub fn policy(&self) -> ServePolicy {
         match self {
             QosTier::Premium => ServePolicy::WaitForFrame,
@@ -351,7 +352,7 @@ mod tests {
                 FrameRequest::AtIteration(_) | FrameRequest::Latest => {}
             }
             // Round-trip through the wire codec: what the trace records
-            // is exactly what the client will put on the wire.
+            // is a request the wire form carries exactly.
             let wire = a.request.encode();
             assert_eq!(FrameRequest::decode(&wire).unwrap(), a.request);
         }

@@ -16,27 +16,28 @@
 //! * [`FrameSink`] — the cloneable write handle `apc-core` threads through
 //!   `StagedParams::persist` so stagers persist frames as they render;
 //! * [`FrameRequest`] / [`FrameReply`] — the deterministic request/reply
-//!   protocol served over `apc_comm::bounded`'s request/reply lanes
-//!   (requests cross as their encoded bytes, replies as typed values
-//!   metered at [`FrameReply::wire_len`]), with a [`ServePolicy`]
-//!   deciding what happens when a request races frame production (wait
-//!   for the frame, or answer best-effort with the newest one
-//!   available);
+//!   protocol served over `apc_comm::bounded`'s request/reply lanes (both
+//!   cross as typed values metered at their encoded length), with a
+//!   [`ServePolicy`] deciding what happens when a request races frame
+//!   production (wait for the frame, or answer best-effort with the
+//!   newest one available);
 //! * [`Fidelity`] / [`degrade_stream`] — the reply-fidelity ladder the
 //!   adaptive serving executor walks under latency pressure (full →
 //!   lossy zfpx re-encode → score-ranked dropping → header-only), plus
 //!   the deterministic re-encode that implements each rung;
+//! * [`Resolution::of`] — the one rule for which frames answer a request,
+//!   given the policy and how many of the run's frames are rendered;
 //! * [`ServeCore`] — the per-request serve path both executors drive:
-//!   decode the request, fetch each resolved frame through a
-//!   byte-bounded LRU ([`apc_store::ChunkCache`] keyed by [`FrameKey`])
-//!   or the store, degrade, assemble the reply — plus its client-side
-//!   twin [`ReplyChecker`] and the shared observables ([`RequestLog`],
+//!   fetch each resolved frame through a byte-bounded LRU
+//!   ([`apc_store::ChunkCache`] keyed by [`FrameKey`]) or the store,
+//!   degrade, assemble the reply — plus its client-side twin
+//!   [`ReplyChecker`] and the shared observables ([`RequestLog`],
 //!   [`ServerStats`], [`ServeReport`]).
 //!
-//! Payloads, persistence, the serve core and its summaries live here, all
-//! deterministic; what stays in `apc-core` is scheduling — the SPMD rank
-//! programs that decide when a request is taken and on which virtual
-//! clock (`core/src/serving.rs` for the live stager pool,
+//! Payloads, persistence, resolution, the serve core and its summaries
+//! live here, all deterministic; what stays in `apc-core` is scheduling —
+//! the SPMD rank programs that decide when a request is taken and on which
+//! virtual clock (`core/src/serving.rs` for the live stager pool,
 //! `core/src/replay_serving.rs` for the replay pool).
 //!
 //! ```

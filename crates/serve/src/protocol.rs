@@ -2,21 +2,20 @@
 //!
 //! Clients send a [`FrameRequest`] and block for the matching
 //! [`FrameReply`] over the `apc_comm::bounded` serve endpoints
-//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]). Requests
-//! cross as their **encoded bytes**: [`FrameRequest::decode`] is the
-//! server's trust boundary. Replies cross in process as typed
-//! [`FrameReply`]s, metered at [`FrameReply::wire_len`] — exactly the
-//! length [`FrameReply::encode`] would produce — so either way the
-//! virtual wire cost is the encoded length under the ordinary `NetModel`
-//! accounting. Replies ship frames as their *encoded* streams: the server
-//! never decodes (a cache or store read is a byte copy), the client
-//! verifies each frame ([`crate::ReplyChecker`]). [`FrameReply::decode`]
-//! stays the total parser of the reply wire form; the serving executors
-//! `debug_assert!` that every reply they send survives it
-//! ([`FrameReply::wire_round_trips`]).
+//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]). Both cross
+//! the in-process wire as typed values, metered at exactly the length
+//! their `encode` produces (1, 9 or 17 bytes for a request;
+//! [`FrameReply::wire_len`] for a reply), so the virtual wire cost is the
+//! encoded length under the ordinary `NetModel` accounting. Replies ship
+//! frames as their *encoded* streams: the server never decodes (a cache
+//! or store read is a byte copy), the client verifies each frame
+//! ([`crate::ReplyChecker`]). [`FrameRequest::decode`] and
+//! [`FrameReply::decode`] stay the total parsers of the wire forms; the
+//! serving executors `debug_assert!` that every reply they send survives
+//! its codec ([`FrameReply::wire_round_trips`]).
 //!
 //! What happens when a request races frame production is the
-//! [`ServePolicy`]'s call:
+//! [`ServePolicy`]'s call ([`crate::Resolution::of`] applies it):
 //!
 //! * [`ServePolicy::WaitForFrame`] — the reply is deferred, in virtual
 //!   time, until the requested frame has been rendered; the wait shows up
@@ -522,6 +521,18 @@ impl FrameReply {
     }
 }
 
+/// A request on the in-process wire is charged exactly what its encoded
+/// form would be.
+impl apc_comm::Meter for FrameRequest {
+    fn nbytes(&self) -> usize {
+        match self {
+            FrameRequest::Latest => 1,
+            FrameRequest::AtIteration(_) => 1 + 8,
+            FrameRequest::Range { .. } => 1 + 8 + 8,
+        }
+    }
+}
+
 /// A reply on the in-process wire is charged exactly what its encoded
 /// form would be.
 impl apc_comm::Meter for FrameReply {
@@ -558,9 +569,17 @@ mod tests {
 
     #[test]
     fn request_sizes_scale_with_operands() {
-        assert_eq!(FrameRequest::Latest.encode().len(), 1);
-        assert_eq!(FrameRequest::AtIteration(5).encode().len(), 9);
-        assert_eq!(FrameRequest::Range { start: 1, end: 4 }.encode().len(), 17);
+        use apc_comm::Meter;
+        let at = FrameRequest::AtIteration(5);
+        let range = FrameRequest::Range { start: 1, end: 4 };
+        for (q, len) in [(FrameRequest::Latest, 1), (at, 9), (range, 17)] {
+            assert_eq!(q.encode().len(), len, "{q:?}");
+            assert_eq!(
+                Meter::nbytes(&q),
+                len,
+                "{q:?} is charged its encoded length"
+            );
+        }
     }
 
     fn served(iteration: u64, fidelity: Fidelity, stream: Vec<u8>) -> ServedFrame {

@@ -2,13 +2,15 @@
 //! server-stats type and run summary both serving executors share (the
 //! README's "Serving" section draws it).
 //!
-//! A driver owns scheduling (when a request is taken, on which clock) and
-//! resolution (which frames answer it); everything between a
+//! A driver owns scheduling: when a request is taken, on which clock, and
+//! how many of the run's frames are rendered by then. Which frames answer
+//! a request is [`Resolution::of`], and everything between a
 //! [`Resolution`] and the reply is here, once. The live stager
 //! (`apc_core::serving`) and the replay pool server
 //! (`apc_core::replay_serving`) are the two drivers.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use apc_store::{CacheStats, ChunkCache, StoreBackend};
@@ -16,7 +18,7 @@ use apc_store::{CacheStats, ChunkCache, StoreBackend};
 use crate::stats::percentile;
 use crate::{
     degrade_stream, Fidelity, Frame, FrameKey, FrameReply, FrameRequest, FrameStore, ServeError,
-    ServedFrame,
+    ServePolicy, ServedFrame,
 };
 
 /// What a request resolves to: the frames that answer it, or why none do.
@@ -40,9 +42,68 @@ impl Resolution {
         }
     }
 
-    /// Whether the answer is exactly what was asked.
-    pub fn exact(&self) -> bool {
-        matches!(self, Resolution::Frames { exact: true, .. })
+    /// Resolve `request` for `stager`'s frames under `policy`, where the
+    /// run renders `iterations` (strictly increasing) and the first
+    /// `rendered` of them exist (all of them once the run completed).
+    ///
+    /// * `Latest` is the newest rendered frame.
+    /// * [`ServePolicy::WaitForFrame`] answers exactly the run's frames the
+    ///   request names, rendered or not (the caller holds the reply until
+    ///   its last key is rendered), or [`Resolution::NoSuchIteration`] when
+    ///   it names none.
+    /// * [`ServePolicy::BestEffort`] answers the rendered frames the
+    ///   request names, exact only if that is all of them; failing that, an
+    ///   `AtIteration` gets the newest rendered frame at or before it, and
+    ///   anything else gets [`Resolution::NotYet`].
+    pub fn of(
+        request: FrameRequest,
+        stager: u32,
+        iterations: &[usize],
+        rendered: usize,
+        policy: ServePolicy,
+    ) -> Resolution {
+        assert!(
+            (1..=iterations.len()).contains(&rendered),
+            "cannot resolve before the run's first frame ({rendered} of {} rendered)",
+            iterations.len()
+        );
+        debug_assert!(
+            iterations.windows(2).all(|w| w[0] < w[1]),
+            "a run's iterations are strictly increasing"
+        );
+        let frames = |exact: bool, idxs: Range<usize>| Resolution::Frames {
+            exact,
+            keys: idxs.map(|i| (iterations[i] as u64, stager)).collect(),
+        };
+        // Indices of the run's frames in `start..=end` (empty when none
+        // are, or when `start > end`).
+        let span = |start: u64, end: u64| {
+            iterations.partition_point(|&x| (x as u64) < start)
+                ..iterations.partition_point(|&x| (x as u64) <= end)
+        };
+        let (named, asked) = match request {
+            FrameRequest::Latest => return frames(true, rendered - 1..rendered),
+            FrameRequest::AtIteration(it) => (span(it, it), it),
+            FrameRequest::Range { start, end } => (span(start, end), start),
+        };
+        match policy {
+            ServePolicy::WaitForFrame if named.is_empty() => Resolution::NoSuchIteration(asked),
+            ServePolicy::WaitForFrame => frames(true, named),
+            ServePolicy::BestEffort => {
+                let ready = named.start..named.end.min(rendered);
+                if !ready.is_empty() {
+                    return frames(ready == named, ready);
+                }
+                let FrameRequest::AtIteration(it) = request else {
+                    return Resolution::NotYet;
+                };
+                // The newest rendered frame at or before the request.
+                match iterations[..rendered].partition_point(|&x| (x as u64) <= it) {
+                    0 => Resolution::NotYet,
+                    n => frames(false, n - 1..n),
+                }
+            }
+        }
     }
 }
 
@@ -99,7 +160,7 @@ impl FidelityMix {
 /// stager never steals, a replay server never defers or degrades).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerStats {
-    /// Requests this server decoded off the wire.
+    /// Requests this server answered.
     pub requests: usize,
     /// Frame payloads it shipped.
     pub frames_served: usize,
@@ -153,16 +214,9 @@ impl<B: StoreBackend> ServeCore<B> {
         self.cache.put(key, stream);
     }
 
-    /// Decode one request off the wire — the server's trust boundary —
-    /// and count it.
-    pub fn request(&mut self, wire: &[u8]) -> Result<FrameRequest, ServeError> {
-        let request = FrameRequest::decode(wire)?;
-        self.stats.requests += 1;
-        Ok(request)
-    }
-
     /// Assemble the reply to a resolved request at the `fidelity` in
-    /// effect. A cache hit moves no bytes and charges nothing; a miss
+    /// effect, and count the request answered. A cache hit moves no bytes
+    /// and charges nothing; a miss
     /// reads exactly the encoded stream ([`FrameStore::encoded`], flat or
     /// sharded) and reports its length to `charge_miss`, which charges the
     /// driver's read cost on the driver's clock. The cache always holds
@@ -175,6 +229,7 @@ impl<B: StoreBackend> ServeCore<B> {
         fidelity: Fidelity,
         mut charge_miss: impl FnMut(usize),
     ) -> Result<FrameReply, ServeError> {
+        self.stats.requests += 1;
         let (exact, keys) = match resolution {
             Resolution::Frames { exact, keys } => (*exact, keys),
             Resolution::NotYet => return Ok(FrameReply::NotYet),
@@ -225,8 +280,7 @@ impl<B: StoreBackend> ServeCore<B> {
 /// decode to the `(iteration, stager)` it was served as, and carry no
 /// pixels when header-only. The serving executors hand it the typed
 /// [`FrameReply`] that crossed the in-process wire
-/// ([`ReplyChecker::check_reply`]); [`ReplyChecker::check`] takes the
-/// reply's wire bytes and decodes them first.
+/// ([`ReplyChecker::check_reply`]).
 ///
 /// A full-fidelity frame is a persisted stream shipped verbatim, and a run
 /// ships the same few hundred streams thousands of times. So the checker
@@ -241,12 +295,6 @@ pub struct ReplyChecker {
 }
 
 impl ReplyChecker {
-    /// Decode one reply off the wire — the reply codec's trust boundary
-    /// — then verify it ([`ReplyChecker::check_reply`]).
-    pub fn check(&self, wire: &[u8]) -> Result<FrameReply, ServeError> {
-        self.check_reply(FrameReply::decode(wire)?)
-    }
-
     /// Verify one typed reply, handing it back when every frame passed.
     pub fn check_reply(&self, reply: FrameReply) -> Result<FrameReply, ServeError> {
         for served in reply.frames() {
@@ -435,6 +483,46 @@ mod tests {
         (ServeCore::new(store, cache_bytes), stream)
     }
 
+    /// The resolver mid-run: frames 100 and 200 of `ITERS` are rendered,
+    /// 300 and 400 are not. (`apc_replay::qos`'s tier tests are the
+    /// completed-run rows.)
+    #[test]
+    fn resolution_of_a_run_still_rendering() {
+        use FrameRequest::{AtIteration, Latest, Range};
+        use Resolution::{NoSuchIteration, NotYet};
+        use ServePolicy::{BestEffort, WaitForFrame};
+        const ITERS: &[usize] = &[100, 200, 300, 400];
+        let frames = |exact, its: &[u64]| Resolution::Frames {
+            exact,
+            keys: its.iter().map(|&it| (it, 3)).collect(),
+        };
+        let range = |start, end| Range { start, end };
+        let rows = [
+            (Latest, WaitForFrame, frames(true, &[200])),
+            (Latest, BestEffort, frames(true, &[200])),
+            // Waiting names the frames past the last rendered one; the
+            // caller holds the reply until they exist.
+            (AtIteration(300), WaitForFrame, frames(true, &[300])),
+            (range(250, 999), WaitForFrame, frames(true, &[300, 400])),
+            (AtIteration(250), WaitForFrame, NoSuchIteration(250)),
+            (range(401, 999), WaitForFrame, NoSuchIteration(401)),
+            (range(300, 200), WaitForFrame, NoSuchIteration(300)),
+            // Best effort answers with what is rendered now.
+            (AtIteration(200), BestEffort, frames(true, &[200])),
+            (AtIteration(400), BestEffort, frames(false, &[200])),
+            (AtIteration(150), BestEffort, frames(false, &[100])),
+            (AtIteration(50), BestEffort, NotYet),
+            (range(100, 200), BestEffort, frames(true, &[100, 200])),
+            (range(150, 350), BestEffort, frames(false, &[200])),
+            (range(250, 400), BestEffort, NotYet),
+            (range(300, 200), BestEffort, NotYet),
+        ];
+        for (request, policy, want) in rows {
+            let got = Resolution::of(request, 3, ITERS, 2, policy);
+            assert_eq!(got, want, "{request:?} under {}", policy.name());
+        }
+    }
+
     #[test]
     fn hit_charges_nothing_and_reads_no_store_bytes() {
         // The seeded key was never persisted: only the cache can answer.
@@ -483,7 +571,8 @@ mod tests {
             let reply = core.reply(&one(100), fidelity, |_| {}).unwrap();
             assert_eq!(reply.frames()[0].fidelity, fidelity);
             assert_ne!(reply.frames()[0].stream, stream, "{fidelity:?} re-encodes");
-            ReplyChecker::default().check(&reply.encode()).unwrap();
+            let wire = FrameReply::decode(&reply.encode()).unwrap();
+            ReplyChecker::default().check_reply(wire).unwrap();
             let charge = |_| panic!("the full stream fell out of the cache");
             let full = core.reply(&one(100), Fidelity::Full, charge).unwrap();
             assert_eq!(full.frames()[0].stream, stream, "after {fidelity:?}");
@@ -500,11 +589,8 @@ mod tests {
         assert_eq!(reply.unwrap(), FrameReply::NotYet);
         let reply = core.reply(&Resolution::NoSuchIteration(7), Fidelity::Full, never);
         assert_eq!(reply.unwrap(), FrameReply::NoSuchIteration(7));
-        let q = FrameRequest::Range { start: 1, end: 9 };
-        assert_eq!(core.request(&q.encode()).unwrap(), q);
-        assert!(matches!(core.request(&[0xff]), Err(ServeError::Corrupt(_))));
         let stats = core.finish(0.0);
-        assert_eq!(stats.requests, 1, "a corrupt request is not counted");
+        assert_eq!(stats.requests, 2, "every reply answers one request");
         assert_eq!((stats.frames_served, stats.fidelity.total()), (0, 0));
     }
 
@@ -535,12 +621,17 @@ mod tests {
         .encode()
     }
 
+    /// Decode one reply off the wire, then check it.
+    fn check(checker: &ReplyChecker, wire: &[u8]) -> Result<FrameReply, ServeError> {
+        checker.check_reply(FrameReply::decode(wire)?)
+    }
+
     #[test]
     fn checker_rejects_mismatched_keys_and_fat_headers() {
         let stream = frame(100).encode(CodecKind::Fpz);
         let checker = ReplyChecker::default();
         let good = served(100, Fidelity::Full, &stream);
-        let reply = checker.check(&good).unwrap();
+        let reply = check(&checker, &good).unwrap();
         assert_eq!(reply, FrameReply::decode(&good).unwrap());
         // Frame 100's bytes have passed; under another key, or as
         // header-only, they still fail.
@@ -548,15 +639,11 @@ mod tests {
             served(200, Fidelity::Full, &stream),
             served(100, Fidelity::HeaderOnly, &stream),
         ] {
-            let checked = checker.check(&bad);
+            let checked = check(&checker, &bad);
             assert!(matches!(checked, Err(ServeError::Corrupt(_))));
-            // The typed path the executors take gives the same verdict.
-            let typed = checker.check_reply(FrameReply::decode(&bad).unwrap());
-            assert!(matches!(typed, Err(ServeError::Corrupt(_))));
         }
-        let typed = checker.check_reply(FrameReply::decode(&good).unwrap());
-        assert_eq!(typed.unwrap(), reply);
-        assert!(checker.check(&[]).is_err());
+        assert_eq!(check(&checker, &good).unwrap(), reply);
+        assert!(check(&checker, &[]).is_err());
     }
 
     #[test]
@@ -564,13 +651,11 @@ mod tests {
         let stream = frame(100).encode(CodecKind::Fpz);
         let checker = ReplyChecker::default();
         for _ in 0..2 {
-            checker
-                .check(&served(100, Fidelity::Full, &stream))
-                .unwrap();
+            check(&checker, &served(100, Fidelity::Full, &stream)).unwrap();
         }
         // Other bytes under the kept key are decoded, and fail.
         let cut = served(100, Fidelity::Full, &stream[..stream.len() - 1]);
-        assert!(matches!(checker.check(&cut), Err(ServeError::Corrupt(_))));
+        assert!(matches!(check(&checker, &cut), Err(ServeError::Corrupt(_))));
         let passed = checker.passed.read().unwrap();
         assert_eq!(passed.len(), 1);
         assert_eq!(&passed[&(100, 1)][..], &stream[..]);

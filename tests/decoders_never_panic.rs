@@ -239,12 +239,15 @@ fn checker_row() -> Decoder {
         ],
     };
     let warm = ReplyChecker::default();
+    let check = |checker: &ReplyChecker, bytes: &[u8]| {
+        FrameReply::decode(bytes).and_then(|reply| checker.check_reply(reply))
+    };
     Decoder {
-        name: "ReplyChecker::check, warm".into(),
+        name: "ReplyChecker::check_reply, warm".into(),
         valid: reply.encode(),
         decode: Box::new(move |bytes| {
-            let fresh = ReplyChecker::default().check(bytes).is_ok();
-            let verdict = warm.check(bytes).map(|_| ()).map_err(|e| e.to_string());
+            let fresh = check(&ReplyChecker::default(), bytes).is_ok();
+            let verdict = check(&warm, bytes).map(|_| ()).map_err(|e| e.to_string());
             assert_eq!(verdict.is_ok(), fresh, "a warm checker changed the verdict");
             verdict
         }),
