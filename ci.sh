@@ -46,7 +46,8 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-rend
 # fails here in 30 s with the arrival count or the stranded `(src, lane)`
 # instead of after two minutes per stranded test. The grid, store
 # and cm1 suites put the shared block payload, the LRU charged at decoded
-# sizes, the dataset's cache mutex and DirStore's held file handles on
+# sizes, a rank read's one cache transaction (every key looked up under one
+# lock, misses inserted under one more) and DirStore's held file handles on
 # optimised code too; the serve suite does the same for FrameStore over a
 # DirStore, the shared ReplyChecker and the typed reply's meter, which
 # replay_fanout runs; the replay suite runs the pool planner's merge of
@@ -132,16 +133,16 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 echo "==> benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
-# bench_digest <workload> <seconds> <trace> <digest>: one seed-42 benchmark
+# bench_digest <workload> <seed> <seconds> <trace> <digest>: one benchmark
 # run; prints its result line (and, traced, the workload's discrimination
 # line) and fails unless no op failed and the report digest is <digest>. A
 # discrimination under its floor is a failed op.
 bench_digest() {
   local out
-  out="$(bash benchmark/run.sh --workload "$1" --seed 42 --seconds "$2" --trace "$3")"
+  out="$(bash benchmark/run.sh --workload "$1" --seed "$2" --seconds "$3" --trace "$4")"
   grep -E '^(result|info discrimination)' <<<"$out"
-  if ! grep -q "^result .* failed 0 digest $4\$" <<<"$out"; then
-    echo "$1 seed-42 run (trace $3): digest is not $4, or an op failed (traced: a share under its floor?)" >&2
+  if ! grep -q "^result .* failed 0 digest $5\$" <<<"$out"; then
+    echo "$1 seed-$2 run (trace $4): digest is not $5, or an op failed (traced: a share under its floor?)" >&2
     exit 1
   fi
 }
@@ -154,7 +155,7 @@ echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper 
 # `crates/cm1/tests/field_pin.rs` pins sampled fields bit by bit; this is
 # the paper-scale fence. (The three stages below compare the other three
 # seed-42 digests.)
-bench_digest sync_adaptive 1 0 eef30fa47b6271d8
+bench_digest sync_adaptive 42 1 0 eef30fa47b6271d8
 
 echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discrimination runs only here)"
 # The workload's own check — degrading must use more than
@@ -163,7 +164,7 @@ echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discriminati
 # the degrade path cheap enough to sink under the floor (a faster zfpx
 # decoder, a reply cache: ROADMAP items 4 and 5) fails here, before the
 # PR driver's traced run does; so does one that moves the served bytes.
-bench_digest serve_adaptive 4 1 b87ec648e373c0dd
+bench_digest serve_adaptive 42 4 1 b87ec648e373c0dd
 
 echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination runs only here)"
 # The store workload's own check — store and codec spans must hold more
@@ -171,7 +172,7 @@ echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination r
 # fpz lowers that share (0.87 -> 0.81 with the fused coder), so a codec change
 # meets the floor here first; the digest folds every replayed report, so
 # one that moves a stored or decoded byte fails here too.
-bench_digest store_replay 4 1 497235393972ad56
+bench_digest store_replay 42 4 1 497235393972ad56
 
 echo "==> benchmark digest: replay_fanout, seed 42 (the replay pool's plan, routes and replies, end to end)"
 # 8192 arrivals from 256 clients planned onto 16 servers and served over
@@ -179,7 +180,16 @@ echo "==> benchmark digest: replay_fanout, seed 42 (the replay pool's plan, rout
 # request's log — so a change to the pool's serial prelude (resolution, the
 # cost estimates the plan balances by), to routing, stealing or the wire
 # shows here. It was the one seed-42 digest no stage compared.
-bench_digest replay_fanout 2 0 7621ebad6bb3edb2
+bench_digest replay_fanout 42 2 0 7621ebad6bb3edb2
+
+echo "==> benchmark digests at a second seed: sync_adaptive and store_replay, seed 7"
+# The same folds over another storm. Seed 42 alone could miss a change that
+# only moves ties, NaN ordering or a block's rank at other scores: the
+# reduce cut and round-robin dealing are decided per rank from the shared
+# sorted list, and a rank read looks its chunks up before inserting them.
+# Both were measured on the whole-domain tables those decisions replaced.
+bench_digest sync_adaptive 7 1 0 0d01154ad7a83b83
+bench_digest store_replay 7 4 0 7cc0586dd857156c
 
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -7,6 +7,7 @@
 //! everyone-has-everything result.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::meter::Meter;
 use crate::runtime::Rank;
@@ -24,18 +25,20 @@ fn sort_compute_cost(n: usize) -> f64 {
 }
 
 /// The paper's strategy: gather all pairs, sort at the root, broadcast the
-/// sorted array back. Every rank returns the full sorted vector.
+/// sorted array back. Every rank returns the full sorted array — the same
+/// `Arc<[K]>`: the root sorts once and sums the broadcast's metered bytes
+/// once, and every other rank takes a reference count instead of a copy.
 ///
-/// The sort really runs once, on rank 0; the sorted vector reaches the
-/// other ranks through a second shared-memory rendezvous that moves data
-/// only. Virtual time is the same three charges on every rank: the
-/// gather's clock synchronization and transfer, the root's sort (it gates
-/// everyone waiting on the broadcast, so charging it uniformly is
-/// equivalent under max-sync), and the broadcast of the sorted array.
+/// The sorted array reaches the other ranks through a second
+/// shared-memory rendezvous that moves data only. Virtual time is the
+/// same three charges on every rank: the gather's clock synchronization
+/// and transfer, the root's sort (it gates everyone waiting on the
+/// broadcast, so charging it uniformly is equivalent under max-sync), and
+/// the broadcast of the sorted array.
 ///
 /// `cmp` must be a total order (ties broken deterministically by the
 /// caller, e.g. by block id — §IV-C).
-pub fn gather_sort_broadcast<K, F>(rank: &mut Rank, local: Vec<K>, cmp: F) -> Vec<K>
+pub fn gather_sort_broadcast<K, F>(rank: &mut Rank, local: Vec<K>, cmp: F) -> Arc<[K]>
 where
     K: Meter + Clone + Send + Sync + 'static,
     F: Fn(&K, &K) -> Ordering,
@@ -45,13 +48,16 @@ where
     let sorted = rank.gather(ROOT, local).map(|gathered| {
         let mut all: Vec<K> = gathered.into_iter().flatten().collect();
         all.sort_by(&cmp);
-        all
+        let bytes: usize = all.iter().map(Meter::nbytes).sum();
+        (Arc::<[K]>::from(all), bytes)
     });
     // Had the root panicked in its sort instead of depositing, the
     // rendezvous timeout fails this rank first.
-    let (all, _) = rank.rendezvous(sorted, |shared| shared.of_root(ROOT).clone());
+    let ((all, bytes), _) = rank.rendezvous(sorted, |shared| {
+        let (all, bytes) = shared.of_root(ROOT);
+        (Arc::clone(all), *bytes)
+    });
     rank.advance(sort_compute_cost(all.len()));
-    let bytes: usize = all.iter().map(Meter::nbytes).sum();
     let t = rank.net().broadcast(n, bytes);
     rank.advance(t);
     all
@@ -59,8 +65,8 @@ where
 
 /// Parallel sample sort (ablation): local sort, regular sampling, splitter
 /// selection, bucket exchange via [`Rank::alltoallv`], local merge, and a
-/// final allgather so every rank holds the full sorted vector — same
-/// contract as [`gather_sort_broadcast`].
+/// final allgather so every rank holds the full sorted vector — the same
+/// contents as [`gather_sort_broadcast`], in a vector of its own per rank.
 pub fn sample_sort<K, F>(rank: &mut Rank, mut local: Vec<K>, cmp: F) -> Vec<K>
 where
     K: Meter + Clone + Send + Sync + 'static,
@@ -160,6 +166,12 @@ mod tests {
             assert_sorted(v);
         }
         assert_eq!(out[0], out[3], "all ranks must agree on the sorted list");
+        for v in &out[1..] {
+            assert!(
+                Arc::ptr_eq(v, &out[0]),
+                "every rank shares the root's array"
+            );
+        }
     }
 
     #[test]
@@ -223,7 +235,7 @@ mod tests {
                 .run(|rank| sample_sort(rank, scored_pairs(rank.rank(), 40), cmp_pairs));
             (gsb, ss)
         };
-        assert_eq!(a[0], b[0]);
+        assert_eq!(a[0][..], b[0][..]);
         assert_eq!(b[0], b[2]);
         assert_sorted(&b[1]);
     }
@@ -263,7 +275,11 @@ mod tests {
         for _ in 0..2 {
             let ss =
                 session.run(|rank| sample_sort(rank, scored_pairs(rank.rank(), 40), cmp_pairs));
-            assert_eq!(gsb[0], ss[0], "session reuse must not perturb the sort");
+            assert_eq!(
+                gsb[0][..],
+                ss[0][..],
+                "session reuse must not perturb the sort"
+            );
             assert_sorted(&ss[2]);
         }
     }

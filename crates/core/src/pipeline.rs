@@ -1,16 +1,18 @@
 //! The six-step pipeline executed inside each rank (paper Fig 2).
 
+use std::sync::Arc;
+
 use apc_comm::{sort, Rank};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_metrics::BlockScorer;
 use apc_par::{par_map, ExecPolicy};
 use apc_render::{block_iso_stats, IsoStats, RenderCostModel};
 
-use crate::config::{PipelineConfig, Redistribution, SortStrategy};
+use crate::config::{PipelineConfig, SortStrategy};
 use crate::controller::BudgetController;
-use crate::redistribute::{assignment, exchange};
+use crate::redistribute::{destinations, exchange};
 use crate::report::IterationReport;
-use crate::selection::{reduction_count, reduction_mask, score_order, ScoredBlock};
+use crate::selection::{reduction_count, reduction_cut, score_order, ScoredBlock};
 
 /// Virtual cost of reducing one block (a corner copy — negligible, but the
 /// step is measured like every other).
@@ -46,19 +48,23 @@ pub(crate) fn score_held(
 /// `held` that are among the `percent`% lowest-scored of the ascending
 /// `sorted` list — to 8 corners by default, to a k³ lattice with the
 /// downsampling extension — and charge [`REDUCE_COST_PER_BLOCK`] for each.
+/// `own[i]` is the scored entry of `held[i]`; each is compared with the
+/// list's cut ([`reduction_cut`]), so the step costs what the rank holds.
 /// A block that arrives already reduced is neither touched nor charged.
 /// Returns the blocks reduced here.
 pub(crate) fn reduce_lowest(
     rank: &mut Rank,
     config: &PipelineConfig,
     held: &mut [Block],
+    own: &[ScoredBlock],
     sorted: &[ScoredBlock],
     percent: f64,
 ) -> usize {
-    let to_reduce = reduction_mask(sorted, percent);
+    debug_assert!(held.len() == own.len() && held.iter().zip(own).all(|(b, s)| b.id == s.id));
+    let reduces = reduction_cut(sorted, percent);
     let mut reduced_here = 0usize;
-    for b in held {
-        if to_reduce.get(b.id as usize) == Some(&true) && !b.is_reduced() {
+    for (b, s) in held.iter_mut().zip(own) {
+        if reduces(s) && !b.is_reduced() {
             b.downsample(config.reduce_keep);
             reduced_here += 1;
         }
@@ -129,14 +135,15 @@ pub struct Pipeline {
     config: PipelineConfig,
     scorer: Box<dyn BlockScorer>,
     controller: Option<BudgetController>,
-    decomp: DomainDecomp,
 }
 
 impl Pipeline {
-    /// `_coords` is the grid the blocks sit in. The pipeline itself never
-    /// needs it — the render step counts, positions play no part — but
-    /// callers construct a pipeline next to the dataset they render from.
-    pub fn new(config: PipelineConfig, decomp: DomainDecomp, _coords: RectilinearCoords) -> Self {
+    /// `_decomp` and `_coords` are the decomposition and grid the blocks
+    /// sit in. The pipeline itself needs neither — blocks carry their ids,
+    /// the shared sorted list decides where they go, and the render step
+    /// counts, positions play no part — but callers construct a pipeline
+    /// next to the dataset they render from.
+    pub fn new(config: PipelineConfig, _decomp: DomainDecomp, _coords: RectilinearCoords) -> Self {
         assert!(
             matches!(config.mode, crate::config::InSituMode::Synchronous),
             "Pipeline is the synchronous executor; staged configs run through \
@@ -153,7 +160,6 @@ impl Pipeline {
             config,
             scorer,
             controller,
-            decomp,
         }
     }
 
@@ -181,36 +187,31 @@ impl Pipeline {
         rank.barrier(); // align clocks so step times are max-over-ranks
         let c0 = rank.clock();
 
-        // Step 1 — score blocks.
-        let scored = score_held(rank, self.scorer.as_ref(), &blocks, self.config.exec);
+        // Step 1 — score blocks (in block order: `own[i]` is `blocks[i]`'s).
+        let own = score_held(rank, self.scorer.as_ref(), &blocks, self.config.exec);
         rank.barrier();
         let c1 = rank.clock();
 
-        // Step 2 — global sort of <id, score> pairs.
-        let sorted = match self.config.sort {
+        // Step 2 — global sort of <id, score> pairs; every rank holds the
+        // whole sorted list.
+        let sorted: Arc<[ScoredBlock]> = match self.config.sort {
             SortStrategy::GatherSortBroadcast => {
-                sort::gather_sort_broadcast(rank, scored, score_order)
+                sort::gather_sort_broadcast(rank, own.clone(), score_order)
             }
-            SortStrategy::SampleSort => sort::sample_sort(rank, scored, score_order),
+            SortStrategy::SampleSort => sort::sample_sort(rank, own.clone(), score_order).into(),
         };
         rank.barrier();
         let c2 = rank.clock();
 
-        // Step 3 — reduce the p% lowest-scored blocks.
-        reduce_lowest(rank, &self.config, &mut blocks, &sorted, percent);
+        // Step 3 — reduce the held blocks among the p% lowest-scored.
+        reduce_lowest(rank, &self.config, &mut blocks, &own, &sorted, percent);
         rank.barrier();
         let c3 = rank.clock();
 
         // Step 4 — redistribute blocks for load balance.
-        let held = match self.config.redistribution {
-            Redistribution::None => blocks,
-            strategy => {
-                let decomp = self.decomp;
-                let assign = assignment(strategy, &sorted, rank.nranks(), |id| {
-                    decomp.owner_of_block(id)
-                });
-                exchange(rank, blocks, &assign)
-            }
+        let held = match destinations(self.config.redistribution, &sorted, rank.nranks(), &own) {
+            None => blocks,
+            Some(dests) => exchange(rank, blocks, &dests),
         };
         rank.barrier();
         let c4 = rank.clock();
@@ -253,6 +254,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Redistribution;
     use apc_cm1::ReflectivityDataset;
     use apc_comm::{NetModel, Runtime};
 

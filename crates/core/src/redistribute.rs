@@ -1,16 +1,21 @@
 //! Block redistribution (shuffling) across ranks — paper §IV-D.
 //!
-//! All ranks hold the same globally-sorted score list, so each can compute
-//! the full assignment independently (same seed ⇒ same shuffle) and then
-//! exchange blocks with non-blocking sends/receives — realized here over
-//! [`apc_comm`]'s `alltoallv`.
+//! All ranks hold the same globally-sorted score list, so each decides
+//! locally where its own blocks go — round robin from a block's position in
+//! that list, random shuffling from a permutation every rank draws with the
+//! same seed — and then exchanges blocks with non-blocking sends/receives,
+//! realized here over [`apc_comm`]'s `alltoallv`. No rank builds a table
+//! over every block for round robin; the whole-domain `assignment` it
+//! replaced is the tests' oracle.
+
+use std::cmp::Ordering;
 
 use apc_comm::{Meter, Rank};
 use apc_grid::{Block, BlockData, BlockId};
 use apc_par::SplitMix64;
 
 use crate::config::Redistribution;
-use crate::selection::ScoredBlock;
+use crate::selection::{score_order, ScoredBlock};
 
 /// A block as it crosses ranks — in the synchronous exchange and in the
 /// staged sim → stager hand-off. The ranks are threads, so the block is
@@ -30,61 +35,73 @@ impl Meter for WireBlock {
     }
 }
 
-/// Compute the destination rank of every block. `sorted` is the global
-/// score list in ascending order; returns `assignment[block_id] = rank`.
+/// The destination rank of each block this rank holds, in `own`'s order
+/// (`own[i]` is the scored entry of the i-th held block), or `None` when
+/// `strategy` keeps every block where it is. `sorted` is the global score
+/// list in ascending order, the same on every rank.
 ///
-/// Both strategies keep the per-rank block count constant (`n / nranks`),
-/// as the paper specifies for random shuffling and as round-robin dealing
-/// guarantees by construction.
-pub fn assignment(
+/// Both shuffling strategies keep the per-rank block count constant
+/// (`n / nranks`, the first `n % nranks` ranks one more), as the paper
+/// specifies for random shuffling and as round-robin dealing guarantees by
+/// construction. Round robin costs what the rank holds: a block's position
+/// in the shared order is one binary search.
+pub fn destinations(
     strategy: Redistribution,
     sorted: &[ScoredBlock],
     nranks: usize,
-    producer: impl Fn(BlockId) -> usize,
-) -> Vec<usize> {
+    own: &[ScoredBlock],
+) -> Option<Vec<usize>> {
     let n = sorted.len();
-    let mut assign = vec![0usize; n];
     match strategy {
-        Redistribution::None => {
-            for s in sorted {
-                assign[s.id as usize] = producer(s.id);
-            }
-        }
+        Redistribution::None => None,
         Redistribution::RandomShuffle { seed } => {
             // Deterministic shuffle computed identically on every rank
-            // (paper: "making sure all processes use the same seed").
+            // (paper: "making sure all processes use the same seed"),
+            // dealt out in consecutive shares; a held block goes to the
+            // rank whose share holds its id.
             let mut ids: Vec<BlockId> = (0..n as BlockId).collect();
             SplitMix64::new(seed).shuffle(&mut ids);
+            let mut held: Vec<(BlockId, usize)> =
+                own.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+            held.sort_unstable();
+            let mut dests = vec![0; own.len()];
             let per_rank = n / nranks;
             let remainder = n % nranks;
             let mut cursor = 0;
             for rank in 0..nranks {
                 let take = per_rank + usize::from(rank < remainder);
-                for &id in &ids[cursor..cursor + take] {
-                    assign[id as usize] = rank;
+                for id in &ids[cursor..cursor + take] {
+                    if let Ok(j) = held.binary_search_by_key(id, |&(id, _)| id) {
+                        dests[held[j].1] = rank;
+                    }
                 }
                 cursor += take;
             }
+            Some(dests)
         }
         Redistribution::RoundRobin => {
             // "Process 0 takes the block with the highest score; process 1
             // the block with the second highest score, and so on."
-            for (pos, s) in sorted.iter().rev().enumerate() {
-                assign[s.id as usize] = pos % nranks;
-            }
+            Some(
+                own.iter()
+                    .map(|s| {
+                        let pos = sorted.partition_point(|t| score_order(t, s) == Ordering::Less);
+                        (n - 1 - pos) % nranks
+                    })
+                    .collect(),
+            )
         }
     }
-    assign
 }
 
-/// Exchange blocks according to `assign`; returns the blocks this rank now
-/// holds (its own kept blocks plus received ones), ordered by block id for
-/// determinism.
-pub fn exchange(rank: &mut Rank, held: Vec<Block>, assign: &[usize]) -> Vec<Block> {
+/// Exchange blocks, `held[i]` to rank `dests[i]`; returns the blocks this
+/// rank now holds (its own kept blocks plus received ones), ordered by
+/// block id for determinism.
+pub fn exchange(rank: &mut Rank, held: Vec<Block>, dests: &[usize]) -> Vec<Block> {
+    debug_assert_eq!(held.len(), dests.len(), "one destination per held block");
     let n = rank.nranks();
     let mut outgoing: Vec<Vec<WireBlock>> = (0..n).map(|_| Vec::new()).collect();
-    for block in held {
-        let dst = assign[block.id as usize];
+    for (block, &dst) in held.into_iter().zip(dests) {
         outgoing[dst].push(WireBlock(block));
     }
     let incoming = rank.alltoallv(outgoing);
@@ -96,8 +113,127 @@ pub fn exchange(rank: &mut Rank, held: Vec<Block>, assign: &[usize]) -> Vec<Bloc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::{reduction_cut, reduction_mask};
     use apc_comm::{NetModel, Runtime, Tag};
     use apc_grid::{Dims3, Extent3};
+
+    /// The whole-domain table [`destinations`] replaced, kept as its
+    /// oracle: `assignment[block_id] = rank` for every block of the
+    /// ascending `sorted` list.
+    fn assignment(
+        strategy: Redistribution,
+        sorted: &[ScoredBlock],
+        nranks: usize,
+        producer: impl Fn(BlockId) -> usize,
+    ) -> Vec<usize> {
+        let n = sorted.len();
+        let mut assign = vec![0usize; n];
+        match strategy {
+            Redistribution::None => {
+                for s in sorted {
+                    assign[s.id as usize] = producer(s.id);
+                }
+            }
+            Redistribution::RandomShuffle { seed } => {
+                let mut ids: Vec<BlockId> = (0..n as BlockId).collect();
+                SplitMix64::new(seed).shuffle(&mut ids);
+                let per_rank = n / nranks;
+                let remainder = n % nranks;
+                let mut cursor = 0;
+                for rank in 0..nranks {
+                    let take = per_rank + usize::from(rank < remainder);
+                    for &id in &ids[cursor..cursor + take] {
+                        assign[id as usize] = rank;
+                    }
+                    cursor += take;
+                }
+            }
+            Redistribution::RoundRobin => {
+                for (pos, s) in sorted.iter().rev().enumerate() {
+                    assign[s.id as usize] = pos % nranks;
+                }
+            }
+        }
+        assign
+    }
+
+    /// `n` scored blocks from SplitMix64 `seed`: every third score forced
+    /// equal to another (ties broken by id), and one NaN — positive or
+    /// negative by the seed's parity — which `total_cmp` orders past
+    /// every finite score.
+    fn split_mix_scores(n: usize, seed: u64) -> Vec<ScoredBlock> {
+        let mut rng = SplitMix64::new(seed);
+        let mut scored: Vec<ScoredBlock> = (0..n)
+            .map(|i| ScoredBlock {
+                id: i as BlockId,
+                score: if i % 3 == 1 {
+                    [0.25, 0.5][rng.below(2)]
+                } else {
+                    rng.range_f64(0.0, 1.0)
+                },
+            })
+            .collect();
+        let nan = if seed.is_multiple_of(2) {
+            f64::NAN
+        } else {
+            -f64::NAN
+        };
+        scored[rng.below(n)].score = nan;
+        scored
+    }
+
+    /// The local decisions against the whole-domain oracles for every
+    /// block: the reduction cut against `reduction_mask`, round robin and
+    /// the seeded shuffle against `assignment`. The blocks are dealt to
+    /// ranks in a scrambled order, so `own` is neither sorted nor
+    /// contiguous.
+    #[test]
+    fn local_decisions_match_the_whole_domain_oracles() {
+        for (case, n) in [1usize, 7, 64, 6400].into_iter().enumerate() {
+            let scored = split_mix_scores(n, 11 + case as u64);
+            let mut sorted = scored.clone();
+            sorted.sort_by(score_order);
+            for percent in [0.0, 0.1, 50.0, 99.9, 100.0] {
+                let mask = reduction_mask(&sorted, percent);
+                let reduces = reduction_cut(&sorted, percent);
+                for s in &scored {
+                    assert_eq!(
+                        reduces(s),
+                        mask.get(s.id as usize) == Some(&true),
+                        "n {n} p {percent} block {}",
+                        s.id
+                    );
+                }
+            }
+            for nranks in [3usize, 5, 64] {
+                let mut dealt: Vec<BlockId> = (0..n as BlockId).collect();
+                SplitMix64::new(case as u64).shuffle(&mut dealt);
+                for strategy in [
+                    Redistribution::RoundRobin,
+                    Redistribution::RandomShuffle { seed: 9 },
+                ] {
+                    let oracle = assignment(strategy, &sorted, nranks, |_| 0);
+                    for rank in 0..nranks {
+                        let own: Vec<ScoredBlock> = dealt
+                            .iter()
+                            .skip(rank)
+                            .step_by(nranks)
+                            .map(|&id| scored[id as usize])
+                            .collect();
+                        let dests = destinations(strategy, &sorted, nranks, &own).unwrap();
+                        assert_eq!(dests.len(), own.len());
+                        for (s, &dst) in own.iter().zip(&dests) {
+                            assert_eq!(
+                                dst, oracle[s.id as usize],
+                                "{strategy:?} n {n} nranks {nranks} block {}",
+                                s.id
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn sorted_fixture(n: usize) -> Vec<ScoredBlock> {
         // Ascending scores; block id i has score i.
@@ -114,6 +250,10 @@ mod tests {
         let sorted = sorted_fixture(8);
         let assign = assignment(Redistribution::None, &sorted, 4, |id| (id as usize) / 2);
         assert_eq!(assign, vec![0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(
+            destinations(Redistribution::None, &sorted, 4, &sorted[..2]),
+            None
+        );
     }
 
     #[test]
@@ -130,6 +270,12 @@ mod tests {
         for r in 0..4 {
             assert_eq!(assign.iter().filter(|&&a| a == r).count(), 2);
         }
+        // A rank holding ids 6 and 3 deals them from their positions.
+        let own = [sorted[6], sorted[3]];
+        assert_eq!(
+            destinations(Redistribution::RoundRobin, &sorted, 4, &own),
+            Some(vec![1, 0])
+        );
     }
 
     #[test]
@@ -219,9 +365,8 @@ mod tests {
                 tiny_block(2 * r as BlockId, r as f32),
                 tiny_block(2 * r as BlockId + 1, r as f32),
             ];
-            // Reverse assignment: block b goes to rank 3 - b/2.
-            let assign: Vec<usize> = (0..8).map(|b| 3 - b / 2).collect();
-            exchange(rank, held, &assign)
+            // Reverse assignment: both blocks go to rank 3 - r.
+            exchange(rank, held, &[3 - r, 3 - r])
         });
         for (r, blocks) in out.iter().enumerate() {
             let expect: Vec<BlockId> = vec![2 * (3 - r) as BlockId, 2 * (3 - r) as BlockId + 1];
@@ -235,9 +380,8 @@ mod tests {
         let out = Runtime::new(2, NetModel::blue_waters()).run(|rank| {
             let r = rank.rank();
             let held = vec![tiny_block(r as BlockId, 1.0)];
-            let assign = vec![0usize, 1];
             let t0 = rank.clock();
-            let blocks = exchange(rank, held, &assign);
+            let blocks = exchange(rank, held, &[r]);
             (blocks, rank.clock() - t0)
         });
         assert_eq!(out[0].0[0].id, 0);

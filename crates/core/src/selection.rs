@@ -40,9 +40,25 @@ pub fn reduction_count(n: usize, percent: f64) -> usize {
     ((n as f64 * percent / 100.0).floor() as usize).min(n)
 }
 
-/// Which blocks are among the `percent%` lowest-scored of a globally-sorted
-/// list (ascending — the head of the list is reduced), indexed by block id:
-/// `mask[id]` is set for a reduced block, and ids past the end are kept.
+/// The reduction rule as one comparison per block: `block` is among the
+/// `percent%` lowest-scored of the globally sorted (ascending) list when it
+/// orders before the cut `sorted[reduction_count(n, percent)]`, or when the
+/// cut is past the end (every block is reduced). `block` is an entry of
+/// `sorted` — a rank's own scored block — so each rank decides for the
+/// blocks it holds without a table over the whole list (paper §IV-C).
+pub(crate) fn reduction_cut(
+    sorted: &[ScoredBlock],
+    percent: f64,
+) -> impl Fn(&ScoredBlock) -> bool + '_ {
+    let cut = sorted.get(reduction_count(sorted.len(), percent));
+    move |block| cut.is_none_or(|cut| score_order(block, cut) == Ordering::Less)
+}
+
+/// The table [`reduction_cut`] replaced, kept as its oracle: which blocks
+/// are among the `percent%` lowest-scored of a globally sorted list,
+/// indexed by block id — `mask[id]` is set for a reduced block, and ids
+/// past the end are kept.
+#[cfg(test)]
 pub(crate) fn reduction_mask(sorted: &[ScoredBlock], percent: f64) -> Vec<bool> {
     let head = &sorted[..reduction_count(sorted.len(), percent)];
     let len = head.iter().map(|s| s.id as usize + 1).max().unwrap_or(0);

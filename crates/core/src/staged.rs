@@ -268,16 +268,17 @@ where
         // ---- staging side ----------------------------------------------
         |rank, k, parts, ctx| {
             let it = iterations[k];
-            let mut held: Vec<Block> = Vec::new();
-            let mut entries: Vec<ScoredBlock> = Vec::new();
+            let mut arrived: Vec<(Block, ScoredBlock)> = Vec::new();
             for (_slot, slice) in parts {
                 for (WireBlock(b), score) in slice {
-                    entries.push(ScoredBlock { id: b.id, score });
-                    held.push(b);
+                    let entry = ScoredBlock { id: b.id, score };
+                    arrived.push((b, entry));
                 }
             }
+            arrived.sort_by_key(|(b, _)| b.id);
+            let (mut held, own): (Vec<Block>, Vec<ScoredBlock>) = arrived.into_iter().unzip();
+            let mut entries = own.clone();
             entries.sort_by(score_order);
-            held.sort_by_key(|b| b.id);
 
             let base = controller
                 .as_ref()
@@ -290,7 +291,7 @@ where
             let degraded = percent > base;
 
             let t0 = rank.clock();
-            let blocks_reduced = reduce_lowest(rank, config, &mut held, &entries, percent);
+            let blocks_reduced = reduce_lowest(rank, config, &mut held, &own, &entries, percent);
             let t_reduce = rank.clock() - t0;
 
             let t1 = rank.clock();

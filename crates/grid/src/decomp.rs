@@ -46,12 +46,6 @@ impl ProcGrid {
     }
 
     #[inline]
-    pub fn rank_of(&self, c: (usize, usize, usize)) -> usize {
-        debug_assert!(c.0 < self.px && c.1 < self.py && c.2 < self.pz);
-        c.0 + self.px * (c.1 + self.py * c.2)
-    }
-
-    #[inline]
     pub fn coords_of(&self, rank: usize) -> (usize, usize, usize) {
         debug_assert!(rank < self.nranks());
         (
@@ -170,17 +164,6 @@ impl DomainDecomp {
         )
     }
 
-    /// The rank whose subdomain originally contains block `id` (the
-    /// *producer*; redistribution may move it elsewhere).
-    pub fn owner_of_block(&self, id: BlockId) -> usize {
-        let (bi, bj, bk) = self.block_coords(id);
-        self.procs.rank_of((
-            bi / self.blocks_per_sub.nx,
-            bj / self.blocks_per_sub.ny,
-            bk / self.blocks_per_sub.nz,
-        ))
-    }
-
     /// Ids of the blocks originally produced by `rank`, in layout order.
     pub fn blocks_of_rank(&self, rank: usize) -> Vec<BlockId> {
         let (cx, cy, cz) = self.procs.coords_of(rank);
@@ -229,7 +212,10 @@ mod tests {
     fn rank_coords_roundtrip() {
         let p = ProcGrid::new(4, 3, 2);
         for r in 0..p.nranks() {
-            assert_eq!(p.rank_of(p.coords_of(r)), r);
+            // Ranks are laid out x-fastest.
+            let (x, y, z) = p.coords_of(r);
+            assert!(x < 4 && y < 3 && z < 2);
+            assert_eq!(x + 4 * (y + 3 * z), r);
         }
     }
 
@@ -267,7 +253,6 @@ mod tests {
             let blocks = d.blocks_of_rank(rank);
             assert_eq!(blocks.len(), d.n_blocks() / d.nranks());
             for id in blocks {
-                assert_eq!(d.owner_of_block(id), rank, "block {id}");
                 assert!(!seen[id as usize], "block {id} owned twice");
                 seen[id as usize] = true;
             }

@@ -15,6 +15,12 @@
 //! would only add memory. A miss reads and decodes outside the lock, so
 //! rank threads decode concurrently.
 //!
+//! A rank's read ([`ChunkedDataset::read_rank_blocks`]) is one cache
+//! transaction: every key of the rank looked up under one lock, the
+//! misses read and decoded outside it, and inserted under one more. With
+//! 64 rank threads on a few cores the mutex is contended, so a rank takes
+//! it twice per read rather than once per chunk.
+//!
 //! **Transparency.** A cached open returns exactly the samples an
 //! uncached one does (the workspace `properties` suite pins the reports
 //! at budgets that bypass, evict and hold everything); only wall-clock
@@ -22,7 +28,10 @@
 //! dataset drops its entry; writes that reach the backend some other way
 //! are outside the contract. Under concurrency the *stats* (and eviction
 //! victims, when the budget is tight) can depend on thread timing, so
-//! they are diagnostics, not replay state.
+//! they are diagnostics, not replay state. A rank read's counters are
+//! diagnostics in the same way: its lookups all come before its inserts,
+//! so under a budget that evicts it can hit a chunk that chunk-by-chunk
+//! reads would have evicted first. The samples are the same either way.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -209,16 +218,21 @@ impl<B: StoreBackend> ChunkedDataset<B> {
                 return Ok(Arc::clone(hit));
             }
         }
-        let bytes = self.backend.get(&Self::chunk_key(iteration, id))?;
-        let samples: Arc<[f32]> = self
-            .meta
-            .codec
-            .decode_chunk(&bytes, self.meta.chunk)?
-            .into();
+        let samples = self.fetch_chunk(iteration, id)?;
         if let Some(cache) = &self.cache {
             lock(cache).put((iteration, id), Arc::clone(&samples));
         }
         Ok(samples)
+    }
+
+    /// Read and decode one chunk from the backend, bypassing the cache.
+    fn fetch_chunk(&self, iteration: usize, id: BlockId) -> Result<Arc<[f32]>, StoreError> {
+        let bytes = self.backend.get(&Self::chunk_key(iteration, id))?;
+        Ok(self
+            .meta
+            .codec
+            .decode_chunk(&bytes, self.meta.chunk)?
+            .into())
     }
 
     /// Read one chunk as a pipeline [`Block`] (full payload — the buffer
@@ -236,16 +250,52 @@ impl<B: StoreBackend> ChunkedDataset<B> {
     /// block order — the per-iteration input of a pipeline rank. This is
     /// the lazy path `Prepared::from_store` drives from inside the rank
     /// threads: nothing outside the rank's own chunks is touched.
+    ///
+    /// The same blocks as one [`ChunkedDataset::read_block`] per chunk, in
+    /// one cache transaction: the iteration is checked once, every key is
+    /// looked up under one lock, the misses are read and decoded outside
+    /// it, and they are inserted under one more — so the rank threads of a
+    /// session take the cache mutex twice per read, not once per chunk.
     pub fn read_rank_blocks(
         &self,
         iteration: usize,
         rank: usize,
     ) -> Result<Vec<Block>, StoreError> {
-        self.decomp
-            .blocks_of_rank(rank)
-            .into_iter()
-            .map(|id| self.read_block(iteration, id))
-            .collect()
+        self.check_iteration(iteration)?;
+        let ids = self.decomp.blocks_of_rank(rank);
+        let hits: Vec<Option<Arc<[f32]>>> = match &self.cache {
+            Some(cache) => {
+                let mut cache = lock(cache);
+                ids.iter()
+                    .map(|&id| cache.get(&(iteration, id)).cloned())
+                    .collect()
+            }
+            None => vec![None; ids.len()],
+        };
+        let mut fetched = Vec::new();
+        let mut blocks = Vec::with_capacity(ids.len());
+        for (id, hit) in ids.into_iter().zip(hits) {
+            let samples = match hit {
+                Some(samples) => samples,
+                None => {
+                    let samples = self.fetch_chunk(iteration, id)?;
+                    fetched.push(((iteration, id), Arc::clone(&samples)));
+                    samples
+                }
+            };
+            blocks.push(Block {
+                id,
+                extent: self.decomp.block_extent(id),
+                data: BlockData::Full(samples),
+            });
+        }
+        if let Some(cache) = self.cache.as_ref().filter(|_| !fetched.is_empty()) {
+            let mut cache = lock(cache);
+            for (key, samples) in fetched {
+                cache.put(key, samples);
+            }
+        }
+        Ok(blocks)
     }
 
     /// Whether every chunk of `iteration` is present (a completeness probe
@@ -463,7 +513,13 @@ mod tests {
     /// A flat raw dataset of 16 chunks (8 blocks × 2 iterations, 128
     /// decoded bytes each) reopened with `cache_bytes`.
     fn cached_dataset(cache_bytes: usize) -> DynChunkedDataset {
-        let store = ChunkedDataset::create(MemStore::new(), tiny_meta(CodecKind::Raw)).unwrap();
+        written_dataset(CodecKind::Raw, Some(cache_bytes))
+    }
+
+    /// The 16 chunks of [`cached_dataset`] written with `codec`, reopened
+    /// with `cache_bytes` (`None`: uncached).
+    fn written_dataset(codec: CodecKind, cache_bytes: Option<usize>) -> DynChunkedDataset {
+        let store = ChunkedDataset::create(MemStore::new(), tiny_meta(codec)).unwrap();
         let dims = store.decomp().block_dims();
         for &it in &[10usize, 20] {
             for id in store.decomp().all_blocks() {
@@ -472,7 +528,7 @@ mod tests {
                     .unwrap();
             }
         }
-        ChunkedDataset::open_auto(store.backend, Some(cache_bytes)).unwrap()
+        ChunkedDataset::open_auto(store.backend, cache_bytes).unwrap()
     }
 
     /// The budget is decoded bytes: `k` chunks' worth (and any remainder
@@ -519,6 +575,95 @@ mod tests {
         // The buffer handed out earlier is untouched.
         assert_eq!(before[..], chunk_data(dims, 13.0));
         assert_eq!(cached.cache_stats().unwrap().misses, 2);
+    }
+
+    /// A rank read is one `read_block` per chunk in one cache transaction:
+    /// the same bits uncached and at every budget, the same counters where
+    /// no insert can evict a later lookup of the same read (budget 0, hold
+    /// all), and one counted lookup per chunk under eviction — where a
+    /// rank read's lookups all precede its inserts, so it may hit where
+    /// the per-chunk reads missed.
+    #[test]
+    fn rank_read_equals_per_chunk_reads() {
+        let chunk_bytes = tiny_meta(CodecKind::Fpz).chunk.len() * 4;
+        let bits = |blocks: &[Block]| -> Vec<(BlockId, Vec<u32>)> {
+            blocks
+                .iter()
+                .map(|b| match &b.data {
+                    BlockData::Full(samples) => {
+                        (b.id, samples.iter().map(|x| x.to_bits()).collect())
+                    }
+                    other => panic!("block {} read as {other:?}", b.id),
+                })
+                .collect()
+        };
+        for budget in [None, Some(0), Some(3 * chunk_bytes), Some(1 << 20)] {
+            let (batched, per_chunk) = (
+                written_dataset(CodecKind::Fpz, budget),
+                written_dataset(CodecKind::Fpz, budget),
+            );
+            let mut lookups = 0;
+            for _pass in 0..3 {
+                for &it in &[10usize, 20] {
+                    for rank in 0..batched.decomp().nranks() {
+                        let ids = per_chunk.decomp().blocks_of_rank(rank);
+                        let one_by_one: Vec<Block> = ids
+                            .iter()
+                            .map(|&id| per_chunk.read_block(it, id).unwrap())
+                            .collect();
+                        let read = batched.read_rank_blocks(it, rank).unwrap();
+                        assert_eq!(
+                            bits(&read),
+                            bits(&one_by_one),
+                            "{budget:?} it {it} rank {rank}"
+                        );
+                        lookups += ids.len();
+                    }
+                }
+            }
+            let (got, want) = (batched.cache_stats(), per_chunk.cache_stats());
+            match budget {
+                Some(bytes) if bytes == 3 * chunk_bytes => {
+                    let (got, want) = (got.unwrap(), want.unwrap());
+                    assert_eq!(got.hits + got.misses, lookups);
+                    assert_eq!(want.hits + want.misses, lookups);
+                    assert_eq!(got.insertions, got.misses);
+                    assert!(got.evictions > 0 && want.evictions > 0, "{got:?} {want:?}");
+                }
+                _ => assert_eq!(got, want, "budget {budget:?}"),
+            }
+        }
+    }
+
+    /// A chunk that fails to decode in the middle of a rank fails the rank
+    /// read with the error the per-chunk reads stop at.
+    #[test]
+    fn corrupt_chunk_mid_rank_fails_the_rank_read_like_the_per_chunk_path() {
+        for budget in [None, Some(0), Some(1 << 20)] {
+            let dataset = written_dataset(CodecKind::Fpz, budget);
+            let key = ChunkedDataset::<MemStore>::chunk_key(10, 2);
+            dataset.backend().put(&key, &[1, 0xFF]).unwrap();
+            let ids = dataset.decomp().blocks_of_rank(0);
+            assert_eq!(
+                ids.iter().position(|&id| id == 2),
+                Some(1),
+                "chunk 2 is mid-rank"
+            );
+            let per_chunk = ids
+                .iter()
+                .map(|&id| dataset.read_block(10, id))
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_err();
+            let batched = dataset.read_rank_blocks(10, 0).unwrap_err();
+            assert!(matches!(per_chunk, StoreError::Codec(_)), "{per_chunk:?}");
+            assert_eq!(
+                std::mem::discriminant(&batched),
+                std::mem::discriminant(&per_chunk),
+                "{batched:?} vs {per_chunk:?}"
+            );
+            // The other rank is untouched.
+            assert_eq!(dataset.read_rank_blocks(10, 1).unwrap().len(), ids.len());
+        }
     }
 
     /// Eight readers released together over a two-chunk budget: whatever

@@ -60,14 +60,11 @@ fn clones_and_redistributed_blocks_keep_their_buffer() {
     assert!(Arc::ptr_eq(payload(block), payload(&block.clone())));
 
     // Every block moves one rank over through the real exchange.
-    let mut assign = vec![0; dataset.decomp().n_blocks()];
-    for (rank, blocks) in held.iter().enumerate() {
-        for b in blocks {
-            assign[b.id as usize] = (rank + 1) % nranks;
-        }
-    }
-    let received = Runtime::new(nranks, NetModel::blue_waters())
-        .run(|rank| exchange(rank, held[rank.rank()].clone(), &assign));
+    let received = Runtime::new(nranks, NetModel::blue_waters()).run(|rank| {
+        let mine = &held[rank.rank()];
+        let dests = vec![(rank.rank() + 1) % nranks; mine.len()];
+        exchange(rank, mine.clone(), &dests)
+    });
     for (rank, sent) in held.iter().enumerate() {
         let got = &received[(rank + 1) % nranks];
         assert_eq!(got.len(), sent.len());
