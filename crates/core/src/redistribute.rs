@@ -5,8 +5,8 @@
 //! that list, random shuffling from a permutation every rank draws with the
 //! same seed — and then exchanges blocks with non-blocking sends/receives,
 //! realized here over [`apc_comm`]'s `alltoallv`. No rank builds a table
-//! over every block for round robin; the whole-domain `assignment` it
-//! replaced is the tests' oracle.
+//! over every block for round robin; the whole-domain table it replaced
+//! is the tests' oracle.
 
 use std::cmp::Ordering;
 
@@ -57,27 +57,21 @@ pub fn destinations(
         Redistribution::RandomShuffle { seed } => {
             // Deterministic shuffle computed identically on every rank
             // (paper: "making sure all processes use the same seed"),
-            // dealt out in consecutive shares; a held block goes to the
-            // rank whose share holds its id.
+            // dealt out in consecutive shares.
             let mut ids: Vec<BlockId> = (0..n as BlockId).collect();
             SplitMix64::new(seed).shuffle(&mut ids);
-            let mut held: Vec<(BlockId, usize)> =
-                own.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-            held.sort_unstable();
-            let mut dests = vec![0; own.len()];
+            let mut share = vec![0usize; n];
             let per_rank = n / nranks;
             let remainder = n % nranks;
             let mut cursor = 0;
             for rank in 0..nranks {
                 let take = per_rank + usize::from(rank < remainder);
-                for id in &ids[cursor..cursor + take] {
-                    if let Ok(j) = held.binary_search_by_key(id, |&(id, _)| id) {
-                        dests[held[j].1] = rank;
-                    }
+                for &id in &ids[cursor..cursor + take] {
+                    share[id as usize] = rank;
                 }
                 cursor += take;
             }
-            Some(dests)
+            Some(own.iter().map(|s| share[s.id as usize]).collect())
         }
         Redistribution::RoundRobin => {
             // "Process 0 takes the block with the highest score; process 1
@@ -117,44 +111,29 @@ mod tests {
     use apc_comm::{NetModel, Runtime, Tag};
     use apc_grid::{Dims3, Extent3};
 
-    /// The whole-domain table [`destinations`] replaced, kept as its
-    /// oracle: `assignment[block_id] = rank` for every block of the
-    /// ascending `sorted` list.
-    fn assignment(
-        strategy: Redistribution,
-        sorted: &[ScoredBlock],
-        nranks: usize,
-        producer: impl Fn(BlockId) -> usize,
-    ) -> Vec<usize> {
-        let n = sorted.len();
-        let mut assign = vec![0usize; n];
-        match strategy {
-            Redistribution::None => {
-                for s in sorted {
-                    assign[s.id as usize] = producer(s.id);
-                }
-            }
-            Redistribution::RandomShuffle { seed } => {
-                let mut ids: Vec<BlockId> = (0..n as BlockId).collect();
-                SplitMix64::new(seed).shuffle(&mut ids);
-                let per_rank = n / nranks;
-                let remainder = n % nranks;
-                let mut cursor = 0;
-                for rank in 0..nranks {
-                    let take = per_rank + usize::from(rank < remainder);
-                    for &id in &ids[cursor..cursor + take] {
-                        assign[id as usize] = rank;
-                    }
-                    cursor += take;
-                }
-            }
-            Redistribution::RoundRobin => {
-                for (pos, s) in sorted.iter().rev().enumerate() {
-                    assign[s.id as usize] = pos % nranks;
-                }
-            }
+    /// The whole-domain round-robin table [`destinations`] replaced,
+    /// kept as its oracle: `assignment[block_id] = rank` for every block
+    /// of the ascending `sorted` list.
+    fn round_robin_assignment(sorted: &[ScoredBlock], nranks: usize) -> Vec<usize> {
+        let mut assign = vec![0usize; sorted.len()];
+        for (pos, s) in sorted.iter().rev().enumerate() {
+            assign[s.id as usize] = pos % nranks;
         }
         assign
+    }
+
+    /// Every block's destination under `strategy`, indexed by id, as the
+    /// ranks decide it: rank r holds the r-th contiguous share of `sorted`
+    /// and calls [`destinations`] for its own blocks only.
+    fn dealt(strategy: Redistribution, sorted: &[ScoredBlock], nranks: usize) -> Vec<usize> {
+        let mut dest = vec![usize::MAX; sorted.len()];
+        for own in sorted.chunks(sorted.len().div_ceil(nranks)) {
+            let dests = destinations(strategy, sorted, nranks, own).unwrap();
+            for (s, d) in own.iter().zip(dests) {
+                dest[s.id as usize] = d;
+            }
+        }
+        dest
     }
 
     /// `n` scored blocks from SplitMix64 `seed`: every third score forced
@@ -183,10 +162,10 @@ mod tests {
     }
 
     /// The local decisions against the whole-domain oracles for every
-    /// block: the reduction cut against `reduction_mask`, round robin and
-    /// the seeded shuffle against `assignment`. The blocks are dealt to
-    /// ranks in a scrambled order, so `own` is neither sorted nor
-    /// contiguous.
+    /// block: the reduction cut against `reduction_mask`, round robin
+    /// against its whole-domain table. The blocks are dealt to ranks in a
+    /// scrambled order, so `own` is neither sorted nor contiguous; the
+    /// seeded shuffle must not depend on that order either.
     #[test]
     fn local_decisions_match_the_whole_domain_oracles() {
         for (case, n) in [1usize, 7, 64, 6400].into_iter().enumerate() {
@@ -206,15 +185,20 @@ mod tests {
                 }
             }
             for nranks in [3usize, 5, 64] {
-                let mut dealt: Vec<BlockId> = (0..n as BlockId).collect();
-                SplitMix64::new(case as u64).shuffle(&mut dealt);
-                for strategy in [
-                    Redistribution::RoundRobin,
-                    Redistribution::RandomShuffle { seed: 9 },
+                let mut scrambled: Vec<BlockId> = (0..n as BlockId).collect();
+                SplitMix64::new(case as u64).shuffle(&mut scrambled);
+                for (strategy, oracle) in [
+                    (
+                        Redistribution::RoundRobin,
+                        round_robin_assignment(&sorted, nranks),
+                    ),
+                    (
+                        Redistribution::RandomShuffle { seed: 9 },
+                        dealt(Redistribution::RandomShuffle { seed: 9 }, &sorted, nranks),
+                    ),
                 ] {
-                    let oracle = assignment(strategy, &sorted, nranks, |_| 0);
                     for rank in 0..nranks {
-                        let own: Vec<ScoredBlock> = dealt
+                        let own: Vec<ScoredBlock> = scrambled
                             .iter()
                             .skip(rank)
                             .step_by(nranks)
@@ -248,24 +232,18 @@ mod tests {
     #[test]
     fn none_keeps_producers() {
         let sorted = sorted_fixture(8);
-        let assign = assignment(Redistribution::None, &sorted, 4, |id| (id as usize) / 2);
-        assert_eq!(assign, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        assert_eq!(
-            destinations(Redistribution::None, &sorted, 4, &sorted[..2]),
-            None
-        );
+        for own in sorted.chunks(2) {
+            assert_eq!(destinations(Redistribution::None, &sorted, 4, own), None);
+        }
     }
 
     #[test]
     fn round_robin_deals_from_the_top() {
         let sorted = sorted_fixture(8);
-        let assign = assignment(Redistribution::RoundRobin, &sorted, 4, |_| 0);
+        let assign = dealt(Redistribution::RoundRobin, &sorted, 4);
         // Highest score = id 7 → rank 0; id 6 → rank 1; ...
-        assert_eq!(assign[7], 0);
-        assert_eq!(assign[6], 1);
-        assert_eq!(assign[5], 2);
-        assert_eq!(assign[4], 3);
-        assert_eq!(assign[3], 0);
+        assert_eq!(assign, vec![3, 2, 1, 0, 3, 2, 1, 0]);
+        assert_eq!(assign, round_robin_assignment(&sorted, 4));
         // Equal counts.
         for r in 0..4 {
             assert_eq!(assign.iter().filter(|&&a| a == r).count(), 2);
@@ -281,15 +259,10 @@ mod tests {
     #[test]
     fn random_shuffle_is_deterministic_and_balanced() {
         let sorted = sorted_fixture(100);
-        let a = assignment(Redistribution::RandomShuffle { seed: 9 }, &sorted, 4, |_| 0);
-        let b = assignment(Redistribution::RandomShuffle { seed: 9 }, &sorted, 4, |_| 0);
+        let a = dealt(Redistribution::RandomShuffle { seed: 9 }, &sorted, 4);
+        let b = dealt(Redistribution::RandomShuffle { seed: 9 }, &sorted, 4);
         assert_eq!(a, b, "same seed must agree across ranks");
-        let c = assignment(
-            Redistribution::RandomShuffle { seed: 10 },
-            &sorted,
-            4,
-            |_| 0,
-        );
+        let c = dealt(Redistribution::RandomShuffle { seed: 10 }, &sorted, 4);
         assert_ne!(a, c, "different seeds should differ");
         for r in 0..4 {
             assert_eq!(a.iter().filter(|&&x| x == r).count(), 25);
@@ -299,7 +272,7 @@ mod tests {
     #[test]
     fn random_shuffle_handles_non_divisible_counts() {
         let sorted = sorted_fixture(10);
-        let a = assignment(Redistribution::RandomShuffle { seed: 1 }, &sorted, 4, |_| 0);
+        let a = dealt(Redistribution::RandomShuffle { seed: 1 }, &sorted, 4);
         let mut counts = [0usize; 4];
         for &r in &a {
             counts[r] += 1;

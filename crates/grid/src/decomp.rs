@@ -253,6 +253,17 @@ mod tests {
             let blocks = d.blocks_of_rank(rank);
             assert_eq!(blocks.len(), d.n_blocks() / d.nranks());
             for id in blocks {
+                // The block lies in the rank's own subdomain.
+                let (bi, bj, bk) = d.block_coords(id);
+                assert_eq!(
+                    (
+                        bi / d.blocks_per_sub.nx,
+                        bj / d.blocks_per_sub.ny,
+                        bk / d.blocks_per_sub.nz
+                    ),
+                    d.procs.coords_of(rank),
+                    "block {id}"
+                );
                 assert!(!seen[id as usize], "block {id} owned twice");
                 seen[id as usize] = true;
             }

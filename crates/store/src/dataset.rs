@@ -212,17 +212,50 @@ impl<B: StoreBackend> ChunkedDataset<B> {
     /// dataset has one and holds the chunk, otherwise read, decompressed
     /// and (with a cache) kept for the next reader.
     pub fn read_chunk(&self, iteration: usize, id: BlockId) -> Result<Arc<[f32]>, StoreError> {
+        // One id in, one chunk out: `read_chunks` returns a chunk per id.
+        self.read_chunks(iteration, &[id])?
+            .pop()
+            .ok_or_else(|| StoreError::NotFound(Self::chunk_key(iteration, id)))
+    }
+
+    /// The decoded samples of `ids`, in order, in one cache transaction:
+    /// the iteration is checked once, every key is looked up under one
+    /// lock, the misses are read and decoded outside it, and they are
+    /// inserted under one more.
+    fn read_chunks(
+        &self,
+        iteration: usize,
+        ids: &[BlockId],
+    ) -> Result<Vec<Arc<[f32]>>, StoreError> {
         self.check_iteration(iteration)?;
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = lock(cache).get(&(iteration, id)) {
-                return Ok(Arc::clone(hit));
+        let hits: Vec<Option<Arc<[f32]>>> = match &self.cache {
+            Some(cache) => {
+                let mut cache = lock(cache);
+                ids.iter()
+                    .map(|&id| cache.get(&(iteration, id)).cloned())
+                    .collect()
+            }
+            None => vec![None; ids.len()],
+        };
+        let mut fetched = Vec::new();
+        let mut chunks = Vec::with_capacity(ids.len());
+        for (&id, hit) in ids.iter().zip(hits) {
+            chunks.push(match hit {
+                Some(samples) => samples,
+                None => {
+                    let samples = self.fetch_chunk(iteration, id)?;
+                    fetched.push((id, Arc::clone(&samples)));
+                    samples
+                }
+            });
+        }
+        if let Some(cache) = self.cache.as_ref().filter(|_| !fetched.is_empty()) {
+            let mut cache = lock(cache);
+            for (id, samples) in fetched {
+                cache.put((iteration, id), samples);
             }
         }
-        let samples = self.fetch_chunk(iteration, id)?;
-        if let Some(cache) = &self.cache {
-            lock(cache).put((iteration, id), Arc::clone(&samples));
-        }
-        Ok(samples)
+        Ok(chunks)
     }
 
     /// Read and decode one chunk from the backend, bypassing the cache.
@@ -235,15 +268,22 @@ impl<B: StoreBackend> ChunkedDataset<B> {
             .into())
     }
 
+    /// Chunk `id`'s decoded samples as a pipeline [`Block`]: the full
+    /// payload is the buffer itself, not a copy, and the global extent
+    /// comes from the decomposition.
+    fn full_block(&self, id: BlockId, samples: Arc<[f32]>) -> Block {
+        Block {
+            id,
+            extent: self.decomp.block_extent(id),
+            data: BlockData::Full(samples),
+        }
+    }
+
     /// Read one chunk as a pipeline [`Block`] (full payload — the buffer
     /// [`ChunkedDataset::read_chunk`] returned, not a copy — and global
     /// extent from the decomposition).
     pub fn read_block(&self, iteration: usize, id: BlockId) -> Result<Block, StoreError> {
-        Ok(Block {
-            id,
-            extent: self.decomp.block_extent(id),
-            data: BlockData::Full(self.read_chunk(iteration, id)?),
-        })
+        Ok(self.full_block(id, self.read_chunk(iteration, id)?))
     }
 
     /// Read all blocks of one rank at `iteration`, in the decomposition's
@@ -251,51 +291,21 @@ impl<B: StoreBackend> ChunkedDataset<B> {
     /// the lazy path `Prepared::from_store` drives from inside the rank
     /// threads: nothing outside the rank's own chunks is touched.
     ///
-    /// The same blocks as one [`ChunkedDataset::read_block`] per chunk, in
-    /// one cache transaction: the iteration is checked once, every key is
-    /// looked up under one lock, the misses are read and decoded outside
-    /// it, and they are inserted under one more — so the rank threads of a
-    /// session take the cache mutex twice per read, not once per chunk.
+    /// The same blocks as one [`ChunkedDataset::read_block`] per chunk,
+    /// read in one cache transaction, so the rank threads of a session
+    /// take the cache mutex twice per read, not once per chunk.
     pub fn read_rank_blocks(
         &self,
         iteration: usize,
         rank: usize,
     ) -> Result<Vec<Block>, StoreError> {
-        self.check_iteration(iteration)?;
         let ids = self.decomp.blocks_of_rank(rank);
-        let hits: Vec<Option<Arc<[f32]>>> = match &self.cache {
-            Some(cache) => {
-                let mut cache = lock(cache);
-                ids.iter()
-                    .map(|&id| cache.get(&(iteration, id)).cloned())
-                    .collect()
-            }
-            None => vec![None; ids.len()],
-        };
-        let mut fetched = Vec::new();
-        let mut blocks = Vec::with_capacity(ids.len());
-        for (id, hit) in ids.into_iter().zip(hits) {
-            let samples = match hit {
-                Some(samples) => samples,
-                None => {
-                    let samples = self.fetch_chunk(iteration, id)?;
-                    fetched.push(((iteration, id), Arc::clone(&samples)));
-                    samples
-                }
-            };
-            blocks.push(Block {
-                id,
-                extent: self.decomp.block_extent(id),
-                data: BlockData::Full(samples),
-            });
-        }
-        if let Some(cache) = self.cache.as_ref().filter(|_| !fetched.is_empty()) {
-            let mut cache = lock(cache);
-            for (key, samples) in fetched {
-                cache.put(key, samples);
-            }
-        }
-        Ok(blocks)
+        let chunks = self.read_chunks(iteration, &ids)?;
+        Ok(ids
+            .into_iter()
+            .zip(chunks)
+            .map(|(id, samples)| self.full_block(id, samples))
+            .collect())
     }
 
     /// Whether every chunk of `iteration` is present (a completeness probe
