@@ -182,14 +182,18 @@ echo "==> benchmark digest: replay_fanout, seed 42 (the replay pool's plan, rout
 # shows here. It was the one seed-42 digest no stage compared.
 bench_digest replay_fanout 42 2 0 7621ebad6bb3edb2
 
-echo "==> benchmark digests at a second seed: sync_adaptive and store_replay, seed 7"
+echo "==> benchmark digests at a second seed: sync_adaptive, store_replay and serve_adaptive, seed 7"
 # The same folds over another storm. Seed 42 alone could miss a change that
 # only moves ties, NaN ordering or a block's rank at other scores: the
 # reduce cut and round-robin dealing are decided per rank from the shared
 # sorted list, and a rank read looks its chunks up before inserting them.
 # Both were measured on the whole-domain tables those decisions replaced.
+# serve_adaptive runs the staged engine and the live stager: its seed-7
+# digest folds every served reply and the controller's percent, and was
+# measured on the engine's three-container DropOldest queue.
 bench_digest sync_adaptive 7 1 0 0d01154ad7a83b83
 bench_digest store_replay 7 4 0 7cc0586dd857156c
+bench_digest serve_adaptive 7 2 0 3414685cb6429b29
 
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

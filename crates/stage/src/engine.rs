@@ -624,6 +624,59 @@ mod tests {
         }
     }
 
+    /// The DropOldest contract, checked against the logs: slice k of a
+    /// producer is dropped iff its slice k + depth arrived by frame k's
+    /// service start. On a free network a slice arrives the moment its
+    /// producer's `produce` returns, and the service start is the frame's
+    /// `start`.
+    #[test]
+    fn drop_oldest_drops_exactly_the_overtaken_slices() {
+        let nframes = 24;
+        for depth in 1..=3 {
+            for n_sim in [1, 3] {
+                let spec = spec(n_sim + 1, 1, depth, BackpressurePolicy::DropOldest);
+                let logs = Runtime::new(n_sim + 1, NetModel::free()).run(|rank| {
+                    run_staged(
+                        rank,
+                        &spec,
+                        nframes,
+                        |rank, k| {
+                            let i = rank.rank();
+                            rank.advance(0.1 + 0.3 * ((7 * k + 3 * i) % 5) as f64);
+                            (vec![k as u64], ())
+                        },
+                        |rank, k, parts, _ctx| {
+                            rank.advance(0.4 + 0.5 * ((5 * k) % 4) as f64);
+                            (parts.len(), rank.clock())
+                        },
+                    )
+                });
+                let stage = stage_log(&logs, n_sim);
+                for (k, ((nparts, _), f)) in stage.iter().enumerate() {
+                    let expected = (0..n_sim)
+                        .filter(|&i| {
+                            k + depth < nframes
+                                && sim_log(&logs, i)[k + depth].1.produced <= f.start
+                        })
+                        .count();
+                    assert_eq!(
+                        f.slices_dropped, expected,
+                        "depth {depth}, {n_sim} producers, frame {k}"
+                    );
+                    assert_eq!(
+                        *nparts,
+                        n_sim - expected,
+                        "frame {k}: parts are the survivors"
+                    );
+                }
+                assert!(
+                    stage.iter().any(|(_, f)| f.slices_dropped > 0),
+                    "depth {depth}, {n_sim} producers: the case must exercise drops"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "queue depth must be at least one")]
     fn zero_depth_rejected() {
