@@ -387,10 +387,6 @@ impl FloatCodec for Fpz {
         }
         Ok(out)
     }
-
-    fn is_lossless(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -79,9 +79,6 @@ pub trait FloatCodec {
     /// shape.
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError>;
 
-    /// Whether decode returns bit-exact data.
-    fn is_lossless(&self) -> bool;
-
     /// Compressed size over original size — the quantity the scoring metric
     /// uses (higher ⇒ less compressible ⇒ more information).
     fn compressed_ratio(&self, data: &[f32], shape: Shape) -> f64 {

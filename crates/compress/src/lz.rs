@@ -162,10 +162,6 @@ impl FloatCodec for Lz77 {
         }
         Ok(out.into_iter().map(f32::from_le_bytes).collect())
     }
-
-    fn is_lossless(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -410,10 +410,6 @@ impl FloatCodec for Zfpx {
         }
         Ok(out)
     }
-
-    fn is_lossless(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,6 @@ pub struct BudgetController {
     prev: (f64, f64),
     /// `p` of the iteration currently in flight (time not yet observed).
     current_percent: f64,
-    iterations_seen: usize,
 }
 
 impl BudgetController {
@@ -61,12 +60,7 @@ impl BudgetController {
             target,
             prev: (0.0, 100.0),   // t0 = 0 when everything is reduced
             current_percent: 0.0, // p1 = 0: first output is not reduced
-            iterations_seen: 0,
         }
-    }
-
-    pub fn target(&self) -> f64 {
-        self.target
     }
 
     /// Percentage to use for the next iteration.
@@ -105,7 +99,6 @@ impl BudgetController {
         let next = adapt_percent(self.target, t_prev, p_prev, t, p_used).min(100.0);
         self.prev = (t, p_used);
         self.current_percent = next;
-        self.iterations_seen += 1;
         next
     }
 }

@@ -262,10 +262,6 @@ pub struct StagerServe<'a> {
     /// Replies shipped since the controller last observed the window —
     /// the controller only steps on fresh evidence.
     served_since_observe: usize,
-    /// Reduction percent currently in effect (what produced `fidelity`).
-    percent_in_effect: f64,
-    /// Ladder rung the next replies ship at.
-    fidelity: Fidelity,
 }
 
 impl<'a> StagerServe<'a> {
@@ -298,14 +294,17 @@ impl<'a> StagerServe<'a> {
                     deferred: None,
                 })
                 .collect(),
-            // The controller's first output is 0 (serve unreduced), so
-            // the opening fidelity is Full with or without a budget.
-            percent_in_effect: budget.as_ref().map(|c| c.percent()).unwrap_or(0.0),
             budget,
             window: VecDeque::with_capacity(BUDGET_WINDOW),
             served_since_observe: 0,
-            fidelity: Fidelity::Full,
         }
+    }
+
+    /// Reduction percent in effect: the controller's output, or 0 (serve
+    /// unreduced) without a budget. The controller's first output is 0
+    /// too, so the opening fidelity is `Full` either way.
+    fn percent(&self) -> f64 {
+        self.budget.as_ref().map_or(0.0, BudgetController::percent)
     }
 
     /// Called by the stager right after persisting a frame: seed the hot
@@ -366,13 +365,14 @@ impl<'a> StagerServe<'a> {
         resolution: &Resolution,
         arrival: f64,
     ) {
+        let fidelity = Fidelity::for_percent(self.percent());
         #[expect(
             clippy::panic,
             reason = "inside a rank program a failed store read or re-encode of the run's own frames fails the run loudly (poisons the session)"
         )]
         let reply = self
             .core
-            .reply(resolution, self.fidelity, |bytes| {
+            .reply(resolution, fidelity, |bytes| {
                 let cost = rank.net().ingest(bytes);
                 rank.advance(cost);
             })
@@ -380,7 +380,7 @@ impl<'a> StagerServe<'a> {
                 panic!(
                     "stager {} failed to serve {resolution:?} at {}: {e}",
                     self.slot,
-                    self.fidelity.name()
+                    fidelity.name()
                 )
             });
         let cost = self.serve.service_base + self.serve.reply_per_byte * reply.nbytes() as f64;
@@ -417,9 +417,7 @@ impl<'a> StagerServe<'a> {
             return;
         }
         let observed = percentile(self.window.iter().copied(), 100.0);
-        let next = ctrl.observe_at(observed, self.percent_in_effect);
-        self.percent_in_effect = next;
-        self.fidelity = Fidelity::for_percent(next);
+        ctrl.observe(observed);
         self.served_since_observe = 0;
     }
 
@@ -433,7 +431,7 @@ impl<'a> StagerServe<'a> {
             "every client fully served at end of run"
         );
         ServerStats {
-            final_percent: self.percent_in_effect,
+            final_percent: self.percent(),
             ..self.core.finish(clock)
         }
     }

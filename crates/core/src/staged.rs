@@ -33,10 +33,8 @@
 //! repeated runs and execution policies exactly like synchronous ones
 //! (`tests/staged_determinism.rs` pins this).
 
-use std::collections::BTreeMap;
-
 use apc_comm::{Rank, Session};
-use apc_grid::{Block, BlockId, DomainDecomp, RectilinearCoords};
+use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_stage::{run_staged, Partition, RankLog, SimFrameLog, StageFrameLog, StagedSpec};
 
 use crate::config::{InSituMode, PipelineConfig, StagedParams};
@@ -246,28 +244,26 @@ where
                 .flat_map(|r| blocks(it, r))
                 .collect();
             let t0 = rank.clock();
-            let mut order = score_held(rank, scorer.as_ref(), &held, config.exec);
+            let scores = score_held(rank, scorer.as_ref(), &held, config.exec);
             let t_score = rank.clock() - t0;
-            order.sort_by(score_order);
+            let mut scored: Vec<(Block, ScoredBlock)> = held.into_iter().zip(scores).collect();
+            scored.sort_by(|(_, a), (_, b)| score_order(a, b));
 
             // Score-aware dealing: highest-scored block to stager 0, next
             // to stager 1, ... — every stager gets a balanced share of the
             // expensive blocks.
-            let mut by_id: BTreeMap<BlockId, Block> = held.into_iter().map(|b| (b.id, b)).collect();
             let mut batches: Vec<Slice> = (0..n_stage).map(|_| Vec::new()).collect();
-            for (pos, sb) in order.iter().rev().enumerate() {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`order` lists exactly the ids of `held`, each once"
-                )]
-                let b = by_id.remove(&sb.id).expect("every scored block is held");
+            for (pos, (b, sb)) in scored.into_iter().rev().enumerate() {
                 batches[pos % n_stage].push((WireBlock(b), sb.score));
             }
             (batches, SimAux { t_score })
         },
         // ---- staging side ----------------------------------------------
-        |rank, k, parts, ctx| {
+        |rank, k, parts, boost| {
             let it = iterations[k];
+            // Held in score order: the reduce step compares each block
+            // with the cut of this very list, and render counting sums
+            // integers, so no other order is observable.
             let mut arrived: Vec<(Block, ScoredBlock)> = Vec::new();
             for (_slot, slice) in parts {
                 for (WireBlock(b), score) in slice {
@@ -275,23 +271,22 @@ where
                     arrived.push((b, entry));
                 }
             }
-            arrived.sort_by_key(|(b, _)| b.id);
-            let (mut held, own): (Vec<Block>, Vec<ScoredBlock>) = arrived.into_iter().unzip();
-            let mut entries = own.clone();
-            entries.sort_by(score_order);
+            arrived.sort_by(|(_, a), (_, b)| score_order(a, b));
+            let (mut held, entries): (Vec<Block>, Vec<ScoredBlock>) = arrived.into_iter().unzip();
 
             let base = controller
                 .as_ref()
                 .map_or(config.fixed_percent, BudgetController::percent);
-            let percent = if ctx.degrade_boost > 0.0 {
-                (base + ctx.degrade_boost).min(100.0)
+            let percent = if boost > 0.0 {
+                (base + boost).min(100.0)
             } else {
                 base
             };
             let degraded = percent > base;
 
             let t0 = rank.clock();
-            let blocks_reduced = reduce_lowest(rank, config, &mut held, &own, &entries, percent);
+            let blocks_reduced =
+                reduce_lowest(rank, config, &mut held, &entries, &entries, percent);
             let t_reduce = rank.clock() - t0;
 
             let t1 = rank.clock();

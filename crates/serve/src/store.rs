@@ -118,10 +118,6 @@ impl<B: StoreBackend> FrameStore<B> {
         }
     }
 
-    pub fn run_id(&self) -> &str {
-        &self.run_id
-    }
-
     pub fn backend(&self) -> &B {
         &self.backend
     }

@@ -10,20 +10,20 @@
 //!   in virtual time — exactly when the queue is full, which is the
 //!   paper-style overlap model: visualization cost only reaches the
 //!   simulation's critical path as queue backpressure.
-//! * a **staging rank** loops: dequeue frame `k`'s slices from every
+//! * a **staging rank** loops: take frame `k`'s slice from every
 //!   simulation rank (in rank order — the receive pattern is fixed, so OS
-//!   scheduling cannot reorder anything observable), then `process` them
-//!   (the caller charges the virtual visualization cost inside the
-//!   closure).
+//!   scheduling cannot reorder anything observable), then `process` the
+//!   surviving slices (the caller charges the virtual visualization cost
+//!   inside the closure).
 //!
-//! Under [`BackpressurePolicy::DropOldest`] the staging side instead
-//! pulls slices with deferred clock accounting — only as far as the
-//! current frame's service time requires — and replays the bounded queue
-//! in virtual time: a slice is dropped exactly when, at some arrival
-//! instant, its per-producer queue held more than `queue_depth` waiting
-//! slices and it was the oldest (so the stager holds at most
-//! `queue_depth + 1` payloads per producer, like the queue it models).
-//! All of that is pure arithmetic over recorded virtual arrival
+//! Under [`BackpressurePolicy::DropOldest`] the staging side pulls slices
+//! with deferred clock accounting, only as far as the current frame's
+//! service start requires, and replays the bounded queue in virtual time.
+//! The rule: *slice `k` of a producer is dropped iff its slice
+//! `k + queue_depth` arrived by frame `k`'s service start.* A dropped
+//! payload is freed as soon as that arrival is seen, so the stager holds
+//! at most `queue_depth + 1` payloads per producer, like the queue it
+//! models. All of that is pure arithmetic over recorded virtual arrival
 //! timestamps, so the outcome is deterministic no matter how the OS
 //! schedules the threads.
 //!
@@ -97,18 +97,6 @@ pub struct StageFrameLog {
     pub slices_dropped: usize,
 }
 
-/// Context handed to the staging-side `process` closure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameCtx {
-    /// Frame index in `0..nframes`.
-    pub frame: usize,
-    /// How long the completed frame waited in the queue (backlog signal).
-    pub queued_for: f64,
-    /// Percentage-point reduction boost the policy asks for on this frame
-    /// (non-zero only under `DegradeHarder` while backlogged).
-    pub degrade_boost: f64,
-}
-
 /// What one rank contributes to a staged run: its role-specific per-frame
 /// log, carrying the caller's own per-frame payloads (`S` from `produce`,
 /// `R` from `process`).
@@ -119,13 +107,16 @@ pub enum RankLog<S, R> {
 }
 
 /// Run `nframes` staged frames on this rank. See the module docs; both
-/// closures are invoked only for the rank's own role.
+/// closures are invoked only for the rank's own role. `process` receives
+/// the frame index, the surviving `(producer slot, payload)` slices and
+/// the percentage-point reduction boost the policy asks for on this frame
+/// (non-zero only under `DegradeHarder` while the frame sat in the queue).
 pub fn run_staged<M, S, R>(
     rank: &mut Rank,
     spec: &StagedSpec,
     nframes: usize,
     mut produce: impl FnMut(&mut Rank, usize) -> (Vec<M>, S),
-    mut process: impl FnMut(&mut Rank, usize, Vec<(usize, M)>, &FrameCtx) -> R,
+    mut process: impl FnMut(&mut Rank, usize, Vec<(usize, M)>, f64) -> R,
 ) -> RankLog<S, R>
 where
     M: Meter + Send + 'static,
@@ -140,14 +131,7 @@ where
     );
     match spec.partition.role(rank.rank()) {
         Role::Sim { .. } => RankLog::Sim(run_sim(rank, spec, nframes, &mut produce)),
-        Role::Stage { .. } => match spec.policy.flow() {
-            FlowControl::Credit => {
-                RankLog::Stage(run_stage_credit(rank, spec, nframes, &mut process))
-            }
-            FlowControl::Lossy => {
-                RankLog::Stage(run_stage_lossy(rank, spec, nframes, &mut process))
-            }
-        },
+        Role::Stage { .. } => RankLog::Stage(run_stage(rank, spec, nframes, &mut process)),
     }
 }
 
@@ -191,28 +175,121 @@ where
     log
 }
 
-fn run_stage_credit<M, R>(
+/// One producer's queue as the stager sees it. Credit flow only dequeues
+/// from `rx`; lossy flow replays the bounded queue in `slices`.
+struct Window<M> {
+    rx: QueueReceiver,
+    /// The producer's pulled slices from the frame in service on: each
+    /// slice's arrival and, until it is evicted, its payload and metered
+    /// size.
+    slices: VecDeque<(f64, Option<(M, usize)>)>,
+    /// Monotone-arrival clamp: the envelope layer is FIFO per `(src,
+    /// lane)`, so a slice cannot become *available* before its predecessor
+    /// even if the wire model would land it earlier.
+    last_arrival: f64,
+}
+
+impl<M: Send + 'static> Window<M> {
+    /// Receive the producer's next slice without touching the clock.
+    fn pull(&mut self, rank: &mut Rank) {
+        let d: Dequeued<M> = self.rx.dequeue_deferred(rank);
+        self.last_arrival = d.arrival.max(self.last_arrival);
+        self.slices
+            .push_back((self.last_arrival, Some((d.msg, d.bytes))));
+    }
+
+    /// The arrival of the slice in service, received first if need be.
+    fn front_arrival(&mut self, rank: &mut Rank) -> f64 {
+        if self.slices.is_empty() {
+            self.pull(rank);
+        }
+        self.slices[0].0
+    }
+
+    /// Take the slice in service at `service_at`: its payload and metered
+    /// size, or `None` when it was dropped. Pulls until one slice past
+    /// `service_at` is held, or the last of the `left` slices from the
+    /// front to the end of the run; each slice that arrived by then evicts
+    /// the one `depth` places ahead of it.
+    fn take(
+        &mut self,
+        rank: &mut Rank,
+        service_at: f64,
+        depth: usize,
+        left: usize,
+    ) -> Option<(M, usize)> {
+        let mut i = 0;
+        while i < left {
+            if i == self.slices.len() {
+                self.pull(rank);
+            }
+            if self.slices[i].0 > service_at {
+                break;
+            }
+            if i >= depth {
+                self.slices[i - depth].1 = None;
+            }
+            i += 1;
+        }
+        self.slices.pop_front().and_then(|(_, slice)| slice)
+    }
+}
+
+fn run_stage<M, R>(
     rank: &mut Rank,
     spec: &StagedSpec,
     nframes: usize,
-    process: &mut impl FnMut(&mut Rank, usize, Vec<(usize, M)>, &FrameCtx) -> R,
+    process: &mut impl FnMut(&mut Rank, usize, Vec<(usize, M)>, f64) -> R,
 ) -> Vec<(R, StageFrameLog)>
 where
     M: Meter + Send + 'static,
 {
     let n_sim = spec.partition.n_sim();
-    let mut rxs: Vec<QueueReceiver> = (0..n_sim)
-        .map(|i| QueueReceiver::new(spec.partition.sim_rank(i), 0, FlowControl::Credit))
+    let flow = spec.policy.flow();
+    let mut windows: Vec<Window<M>> = (0..n_sim)
+        .map(|i| Window {
+            rx: QueueReceiver::new(spec.partition.sim_rank(i), 0, flow),
+            slices: VecDeque::new(),
+            last_arrival: f64::NEG_INFINITY,
+        })
         .collect();
     let mut log = Vec::with_capacity(nframes);
     for k in 0..nframes {
         let before = rank.clock();
         let mut arrival = f64::NEG_INFINITY;
         let mut parts = Vec::with_capacity(n_sim);
-        for (slot, rx) in rxs.iter_mut().enumerate() {
-            let d: Dequeued<M> = rx.dequeue(rank);
-            arrival = arrival.max(d.arrival);
-            parts.push((slot, d.msg));
+        let mut slices_dropped = 0;
+        match flow {
+            FlowControl::Credit => {
+                for (slot, w) in windows.iter_mut().enumerate() {
+                    let d: Dequeued<M> = w.rx.dequeue(rank);
+                    arrival = arrival.max(d.arrival);
+                    parts.push((slot, d.msg));
+                }
+            }
+            // Receiving blocks only until the producer sends (lossy
+            // producers never wait on us, so this cannot deadlock), and the
+            // merge and ingest charges land when a slice enters service.
+            // The service start never depends on the drops: a dropped
+            // slice arrived before the one that evicted it.
+            FlowControl::Lossy => {
+                for w in &mut windows {
+                    arrival = arrival.max(w.front_arrival(rank));
+                }
+                let service_at = before.max(arrival);
+                for (slot, w) in windows.iter_mut().enumerate() {
+                    match w.take(rank, service_at, spec.queue_depth, nframes - k) {
+                        Some((msg, bytes)) => {
+                            rank.merge_clock_to(service_at);
+                            let ingest = rank.net().ingest(bytes);
+                            rank.advance(ingest);
+                            parts.push((slot, msg));
+                        }
+                        None => slices_dropped += 1,
+                    }
+                }
+                rank.merge_clock_to(service_at); // all slices dropped: still wait
+            }
         }
         let queued_for = (before - arrival).max(0.0);
         let start = rank.clock();
@@ -221,204 +298,7 @@ where
         } else {
             0.0
         };
-        let ctx = FrameCtx {
-            frame: k,
-            queued_for,
-            degrade_boost: boost,
-        };
-        let out = process(rank, k, parts, &ctx);
-        log.push((
-            out,
-            StageFrameLog {
-                arrival,
-                start,
-                queued_for,
-                finish: rank.clock(),
-                slices_dropped: 0,
-            },
-        ));
-    }
-    log
-}
-
-/// Per-producer state of the lossy (DropOldest) replay. Slices are pulled
-/// from the wire **incrementally** — only as far as the current service
-/// time requires — so the stager buffers at most `queue_depth` waiting
-/// payloads plus one lookahead per producer, matching the bounded queue it
-/// models (evicted payloads are freed at eviction, not at end of run).
-struct LossyQueue<M> {
-    rx: QueueReceiver,
-    /// Next frame index not yet received from the wire.
-    next_pull: usize,
-    /// Monotone-arrival clamp: the envelope layer is FIFO per `(src,
-    /// tag)`, so a slice cannot become *available* before its predecessor
-    /// even if the wire model would land it earlier.
-    last_arrival: f64,
-    /// Received but not yet admitted (its arrival postdates the horizon
-    /// admitted so far): `(frame, arrival, payload, bytes)`.
-    lookahead: Option<(usize, f64, M, usize)>,
-    /// Admitted, waiting slices in frame order; never longer than the
-    /// queue depth (admitting past it evicts the front).
-    pending: VecDeque<(usize, f64, M, usize)>,
-    /// Arrival times of evicted, not-yet-serviced slices (payloads are
-    /// freed at eviction; the timestamps stay so the frame's completeness
-    /// time is computed exactly as if nothing had been dropped).
-    evicted: VecDeque<(usize, f64)>,
-}
-
-impl<M: Meter + Send + 'static> LossyQueue<M> {
-    fn pull(&mut self, rank: &mut Rank) -> (usize, f64, M, usize) {
-        let d: Dequeued<M> = self.rx.dequeue_deferred(rank);
-        let arrival = d.arrival.max(self.last_arrival);
-        self.last_arrival = arrival;
-        let frame = self.next_pull;
-        self.next_pull += 1;
-        (frame, arrival, d.msg, d.bytes)
-    }
-
-    /// Admit every slice that has arrived by `horizon`, evicting the
-    /// oldest waiting slice whenever the queue overflows (the DropOldest
-    /// contract). Returns how many slices were evicted.
-    fn admit_until(
-        &mut self,
-        rank: &mut Rank,
-        horizon: f64,
-        nframes: usize,
-        depth: usize,
-    ) -> usize {
-        let mut evicted = 0;
-        loop {
-            let slice = match self.lookahead.take() {
-                Some(s) => s,
-                None if self.next_pull < nframes => self.pull(rank),
-                None => break,
-            };
-            if slice.1 > horizon {
-                self.lookahead = Some(slice);
-                break;
-            }
-            self.pending.push_back(slice);
-            if self.pending.len() > depth {
-                // Dropped: the payload is freed here, never ingested; only
-                // the arrival timestamp survives.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`pending.len() > depth >= 0` on this branch, so the queue is non-empty"
-                )]
-                let (frame, arrival, ..) = self.pending.pop_front().expect("overfull queue");
-                self.evicted.push_back((frame, arrival));
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
-    /// The arrival time of `frame`'s slice; pulls the wire forward to it
-    /// if needed (admission of the pulled slices happens via
-    /// [`LossyQueue::admit_until`], which is always called with a horizon
-    /// at or past this arrival).
-    fn arrival_of(&mut self, rank: &mut Rank, frame: usize) -> f64 {
-        // Timestamps of frames already serviced are dead — prune.
-        while self.evicted.front().is_some_and(|&(f, _)| f < frame) {
-            self.evicted.pop_front();
-        }
-        while self.next_pull <= frame && self.lookahead.is_none() {
-            self.lookahead = Some(self.pull(rank));
-        }
-        if let Some((f, arrival, ..)) = &self.lookahead {
-            if *f == frame {
-                return *arrival;
-            }
-        }
-        // Already pulled past it: admitted slices keep their arrival in
-        // `pending`, evicted ones in `evicted`.
-        if let Some(&(_, arrival, ..)) = self.pending.iter().find(|(f, ..)| *f == frame) {
-            return arrival;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "admission accounting — every admitted frame lands in exactly one of the three queues"
-        )]
-        self.evicted
-            .iter()
-            .find(|&&(f, _)| f == frame)
-            .map(|&(_, arrival)| arrival)
-            .expect("every pulled slice is in lookahead, pending, or evicted")
-    }
-}
-
-fn run_stage_lossy<M, R>(
-    rank: &mut Rank,
-    spec: &StagedSpec,
-    nframes: usize,
-    process: &mut impl FnMut(&mut Rank, usize, Vec<(usize, M)>, &FrameCtx) -> R,
-) -> Vec<(R, StageFrameLog)>
-where
-    M: Meter + Send + 'static,
-{
-    let n_sim = spec.partition.n_sim();
-    let depth = spec.queue_depth;
-    let mut queues: Vec<LossyQueue<M>> = (0..n_sim)
-        .map(|i| LossyQueue {
-            rx: QueueReceiver::new(spec.partition.sim_rank(i), 0, FlowControl::Lossy),
-            next_pull: 0,
-            last_arrival: f64::NEG_INFINITY,
-            lookahead: None,
-            pending: VecDeque::new(),
-            evicted: VecDeque::new(),
-        })
-        .collect();
-
-    // The bounded queues are replayed in virtual time, one serviced frame
-    // at a time. Receiving a slice blocks only until its producer sends it
-    // (producers never wait on us — lossy flow has no credits — so this
-    // cannot deadlock), and clock accounting is deferred: the merge and
-    // the ingest charges land when a slice enters service. A frame's
-    // service time never depends on the drop decisions: an evicted slice
-    // had, by construction, already arrived before the arrivals that
-    // evicted it, so it cannot be the one the service start waits for.
-    let mut log = Vec::with_capacity(nframes);
-    for k in 0..nframes {
-        let mut arrival = f64::NEG_INFINITY;
-        for q in queues.iter_mut() {
-            arrival = arrival.max(q.arrival_of(rank, k));
-        }
-        let before = rank.clock();
-        let service_at = before.max(arrival);
-        let mut slices_dropped = 0;
-        let mut parts = Vec::with_capacity(n_sim);
-        for (i, q) in queues.iter_mut().enumerate() {
-            q.admit_until(rank, service_at, nframes, depth);
-            match q.pending.front() {
-                Some(&(frame, ..)) if frame == k => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the match arm above just saw `pending.front()` return Some"
-                    )]
-                    let (_, _, msg, bytes) = q.pending.pop_front().expect("front exists");
-                    rank.merge_clock_to(service_at);
-                    let ingest = rank.net().ingest(bytes);
-                    rank.advance(ingest);
-                    parts.push((i, msg));
-                }
-                front => {
-                    debug_assert!(
-                        front.is_none_or(|&(frame, ..)| frame > k),
-                        "service order broke"
-                    );
-                    slices_dropped += 1;
-                }
-            }
-        }
-        rank.merge_clock_to(service_at); // all slices dropped: still wait
-        let queued_for = (before - arrival).max(0.0);
-        let start = rank.clock();
-        let ctx = FrameCtx {
-            frame: k,
-            queued_for,
-            degrade_boost: 0.0,
-        };
-        let out = process(rank, k, parts, &ctx);
+        let out = process(rank, k, parts, boost);
         log.push((
             out,
             StageFrameLog {
@@ -466,7 +346,7 @@ mod tests {
                         (),
                     )
                 },
-                |rank, _k, parts, _ctx| {
+                |rank, _k, parts, _boost| {
                     rank.advance(stage_cost);
                     (parts.len(), rank.clock())
                 },
@@ -592,9 +472,9 @@ mod tests {
                     rank.advance(0.5);
                     (vec![0u64], ())
                 },
-                |rank, _, _parts, ctx| {
+                |rank, _, _parts, boost| {
                     rank.advance(2.0);
-                    ctx.degrade_boost
+                    boost
                 },
             )
         });
@@ -645,7 +525,7 @@ mod tests {
                             rank.advance(0.1 + 0.3 * ((7 * k + 3 * i) % 5) as f64);
                             (vec![k as u64], ())
                         },
-                        |rank, k, parts, _ctx| {
+                        |rank, k, parts, _boost| {
                             rank.advance(0.4 + 0.5 * ((5 * k) % 4) as f64);
                             (parts.len(), rank.clock())
                         },

@@ -41,6 +41,6 @@ pub mod engine;
 pub mod partition;
 pub mod policy;
 
-pub use engine::{run_staged, FrameCtx, RankLog, SimFrameLog, StageFrameLog, StagedSpec};
+pub use engine::{run_staged, RankLog, SimFrameLog, StageFrameLog, StagedSpec};
 pub use partition::{Partition, Role};
 pub use policy::BackpressurePolicy;

@@ -131,10 +131,6 @@ impl DirStore {
         }
     }
 
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The file a key names. Keys are relative paths of plain segments:
     /// an empty, `.` or `..` segment (so also an absolute key) would alias
     /// another key or leave the root, and is a [`StoreError::BadKey`] for

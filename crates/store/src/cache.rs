@@ -131,11 +131,6 @@ impl<K: Ord + Clone, V: Deref> ChunkCache<K, V> {
         self.used
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget
-    }
-
     /// Lifetime counters (monotonic).
     pub fn stats(&self) -> CacheStats {
         self.stats

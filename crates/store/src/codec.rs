@@ -68,11 +68,6 @@ impl CodecKind {
         }
     }
 
-    /// Whether chunks decode bit-exactly.
-    pub fn is_lossless(&self) -> bool {
-        !matches!(self, CodecKind::Zfpx { .. })
-    }
-
     /// Compress one chunk (`samples` shaped `dims`, x-fastest) into a
     /// tagged stream.
     pub fn encode_chunk(&self, samples: &[f32], dims: Dims3) -> Vec<u8> {
