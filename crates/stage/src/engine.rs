@@ -83,7 +83,8 @@ impl SimFrameLog {
 /// Per-frame virtual-time record of a staging rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageFrameLog {
-    /// Virtual time at which the frame's last surviving slice arrived.
+    /// Virtual time at which the frame's last slice arrived, dropped ones
+    /// included.
     pub arrival: f64,
     /// Clock when `process` was entered (arrivals merged, ingest charged).
     pub start: f64,
@@ -208,9 +209,9 @@ impl<M: Send + 'static> Window<M> {
 
     /// Take the slice in service at `service_at`: its payload and metered
     /// size, or `None` when it was dropped. Pulls until one slice past
-    /// `service_at` is held, or the last of the `left` slices from the
-    /// front to the end of the run; each slice that arrived by then evicts
-    /// the one `depth` places ahead of it.
+    /// `service_at` is held, or the run's last one (`left` counts the
+    /// slices from the front to the end of the run); each slice that
+    /// arrived by `service_at` evicts the slice `depth` places before it.
     fn take(
         &mut self,
         rank: &mut Rank,
