@@ -36,15 +36,15 @@ echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benc
 # this one runs the same suite, format pin included, on the optimised code.
 cargo test -p apc-compress --release -q
 
-echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"
+echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"
 # VAR's lane sums (the score bits are pinned), the isosurface mask table
 # and the collectives on optimised code; the debug pass above keeps
 # trapping overflow and the debug_assert that ties the mesh builder's
-# emitted triangles to the count table. The environment wins over
-# .cargo/config.toml's 120 s: a lost wake-up in the rendezvous' wait loop
-# (the lapping stress hunts for one) or under a mailbox (`mailbox_stress`)
-# fails here in 30 s with the arrival count or the stranded `(src, lane)`
-# instead of after two minutes per stranded test. The grid, store
+# emitted triangles to the count table. A lost wake-up in the rendezvous'
+# wait loop (the lapping stress hunts for one) or under a mailbox
+# (`mailbox_stress`) fails here the moment the run stalls, with the arrival
+# count or the stranded `(src, lane)`: the waker that forgets a rank also
+# forgets to uncount it, so the rank stays counted parked. The grid, store
 # and cm1 suites put the shared block payload, the LRU charged at decoded
 # sizes, a rank read's one cache transaction (every key looked up under one
 # lock, misses inserted under one more) and DirStore's held file handles on
@@ -52,22 +52,23 @@ echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-rend
 # DirStore, the shared ReplyChecker and the typed reply's meter, which
 # replay_fanout runs; the replay suite runs the pool planner's merge of
 # sorted arrivals against its all-arrivals-heap oracle.
-APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
+cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
-echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving (the serving executors as the benchmark runs them)"
+echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving (the serving executors as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
-# lost wake-up or a missed notify fails in 30 s with the stranded rank's
-# (src, lane) instead of after two minutes per stranded test.
-APC_RECV_TIMEOUT=30 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
+# lost wake-up fails the moment the run stalls, with the stranded rank's
+# (src, lane): a delivery that does not take the receiver's wait neither
+# wakes nor uncounts it.
+cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
 
-echo "==> APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
+echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above
 # is the only other place the fig06-fig11 and serving goldens are compared.
 # Two invocations: given `--test` names, cargo skips apc-core's own tests.
-APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-core
-APC_RECV_TIMEOUT=30 cargo test --release -q -p apc-bench --test golden_reports --test sweep_engine
+cargo test --release -q -p apc-core
+cargo test --release -q -p apc-bench --test golden_reports --test sweep_engine
 
 echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
 # The one end-to-end run of the path no unit test reaches: the same tiny

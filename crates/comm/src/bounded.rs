@@ -28,7 +28,7 @@
 //! Every blocking wait here goes through the runtime's receive path, so
 //! its failure story applies unchanged: a producer stranded on a credit
 //! because its consumer panicked fails loudly — at once, naming the dead
-//! consumer, or within `APC_RECV_TIMEOUT` when the peer is alive but never
+//! consumer, or the moment the run stalls when the peer is alive but never
 //! answers — and poisons the session, exactly like any other stranded
 //! receive (guarded by the stager-panic case in `tests/session_stress.rs`).
 //!

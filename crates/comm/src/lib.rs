@@ -32,8 +32,8 @@
 //! * **One mailbox per rank under every point-to-point message**
 //!   ([`p2p`]): a sender locks only the destination's mailbox and wakes its
 //!   owner only for the `(source, lane)` it is blocked on; a receiver locks
-//!   only its own, waits until a deadline fixed when the receive started,
-//!   and fails at once when the rank it waits for has died.
+//!   only its own, and fails at once when the rank it waits for has died
+//!   or the whole run has stalled (every rank parked or finished).
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
 //!   (§IV-C) plus a real parallel sample sort used as an ablation.
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):
@@ -71,4 +71,4 @@ pub use bounded::{Dequeued, FlowControl, QueueReceiver, QueueSender, ServeClient
 pub use meter::Meter;
 pub use netmodel::NetModel;
 pub use p2p::Tag;
-pub use runtime::{parse_recv_timeout, Rank, Runtime, Session};
+pub use runtime::{Rank, Runtime, Session};

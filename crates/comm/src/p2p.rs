@@ -10,10 +10,10 @@
 //! whom"): [`Rank::send`] puts the envelope into the destination's, in the
 //! FIFO of its own rank, and wakes the destination only if it is parked on
 //! exactly that `(source, lane)`; a receive looks in its own mailbox and
-//! parks — until a deadline fixed when it started — only if the message is
-//! not there yet. A receive from a rank whose thread has died fails at
-//! once, naming it, unless the message was delivered first; a send to one
-//! panics "destination rank hung up".
+//! parks only if the message is not there yet. A receive from a rank whose
+//! thread has died fails at once, naming it, unless the message was
+//! delivered first; one that can never be matched fails the moment the
+//! run stalls; a send to a dead rank panics "destination rank hung up".
 
 use std::any::Any;
 
@@ -72,7 +72,7 @@ impl Rank {
             bytes,
             payload: Box::new(msg),
         };
-        self.shared.mailboxes[dst].deliver(env);
+        self.shared.deliver(dst, env);
     }
 
     /// Blocking receive of a message from `src` with `tag`. Merges the

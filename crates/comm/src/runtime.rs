@@ -22,71 +22,41 @@
 //!
 //! # Who wakes whom
 //!
-//! A rank blocks in exactly two places, both bounded by the deadlock
-//! timeout: `Rendezvous::meet` (collectives) and `Rank::pop_matching`
-//! (receives). A mailbox is a mutex over one FIFO per source rank plus the
-//! `(source, lane)` its owner is parked on, and a condvar only the owner
-//! ever waits on. A sender locks the *destination's* mailbox, appends to
-//! its own FIFO there and wakes the owner only if that is the very message
-//! it is parked on — after unlocking, so the owner does not wake into a
-//! held lock; a receiver locks *its own* mailbox once, and a message that
-//! is already there costs it no system call at all. A message a rank
-//! cannot use yet therefore costs its sender no wake-up and its receiver
-//! no context switch — with 272 ranks on two cores, wake-ups that end in
-//! "not mine, back to sleep" were most of what a replay client did. No
-//! thread ever holds two mailbox locks, so there is no lock order, and
-//! nothing panics while holding one.
+//! A rank blocks in exactly two places: `Shared::meet` (collectives) and
+//! `Rank::pop_matching` (receives). A mailbox is a mutex over one FIFO per
+//! source rank plus the `(source, lane)` its owner is parked on, and a
+//! condvar only the owner ever waits on. A sender locks the
+//! *destination's* mailbox, appends to its own FIFO there and wakes the
+//! owner only if that is the very message it is parked on — after
+//! unlocking, so the owner does not wake into a held lock; a receiver
+//! locks *its own* mailbox once, and a message that is already there costs
+//! it no system call at all. A message a rank cannot use yet therefore
+//! costs its sender no wake-up and its receiver no context switch — with
+//! 272 ranks on two cores, wake-ups that end in "not mine, back to sleep"
+//! were most of what a replay client did. No thread ever holds two
+//! mailbox locks, so there is no lock order, and nothing panics while
+//! holding one.
+//!
+//! # When a run is stuck
+//!
+//! Sends never block, so a run is stuck exactly when every rank is parked
+//! in one of the two waits or has finished this run's closure (returned or
+//! died). `Shared::progress` counts both; a waker uncounts the rank it
+//! wakes before unlocking its wait, and is itself running, so the count
+//! reaches n only when no rank can run. Whoever makes it reach n — by
+//! parking or finishing — raises the stuck flag and wakes every parked
+//! rank, and each panics naming its own wait: stderr holds the wait-for
+//! graph the moment the run stops, with no timeout and no real clock.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::netmodel::NetModel;
 use crate::p2p::{Envelope, Lane};
-
-/// Default for how long a blocking receive — or a wait in a collective's
-/// rendezvous — lasts before declaring the program deadlocked. Generous enough
-/// for oversubscribed CI machines, small enough that a buggy pipeline
-/// fails a test instead of hanging it forever. Override with
-/// `APC_RECV_TIMEOUT` (seconds, float) — the workspace-level
-/// `.cargo/config.toml` sets 120 s for everything cargo runs here, so a
-/// deadlock regression fails CI in two minutes; full-scale runs on
-/// heavily oversubscribed machines can raise it per invocation
-/// (`APC_RECV_TIMEOUT=300 APC_SCALE=full cargo run ...`).
-const RECV_TIMEOUT_DEFAULT: Duration = Duration::from_secs(300);
-
-/// Parse an `APC_RECV_TIMEOUT` value (seconds, float). Garbage is rejected
-/// loudly: a typo that silently restored the 5-minute default would defeat
-/// the point of setting the variable.
-pub fn parse_recv_timeout(var: Option<&str>) -> Duration {
-    match var {
-        None => RECV_TIMEOUT_DEFAULT,
-        Some(s) => {
-            #[expect(
-                clippy::panic,
-                reason = "documented contract — a garbage timeout value must fail loudly, not default"
-            )]
-            let secs: f64 = s.trim().parse().unwrap_or_else(|_| {
-                panic!("APC_RECV_TIMEOUT must be a number of seconds, got {s:?}")
-            });
-            assert!(
-                secs.is_finite() && secs > 0.0,
-                "APC_RECV_TIMEOUT must be a positive number of seconds, got {s:?}"
-            );
-            Duration::from_secs_f64(secs)
-        }
-    }
-}
-
-/// The effective receive timeout (read from the environment once).
-fn recv_timeout() -> Duration {
-    static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| parse_recv_timeout(std::env::var("APC_RECV_TIMEOUT").ok().as_deref()))
-}
 
 /// A deposited collective contribution: `(epoch, virtual clock, payload)`.
 /// The epoch pins the contribution to the session run that deposited it.
@@ -125,16 +95,15 @@ struct Meeting {
 /// deposits of *g + 1* never mix with the released ones of *g*. Spurious
 /// wake-ups loop on the generation.
 ///
-/// A wait gives up after `timeout`, the configured receive timeout.
+/// A wait ends when its generation completes or the run is stuck.
 /// `std::sync::Barrier` waits forever, which turns "one rank panicked
 /// before its collective" into every *other* rank blocking eternally — and
 /// with it the whole run. Here the stranded ranks panic with a diagnostic
-/// instead, so the run fails loudly within the timeout and the original
-/// panic still propagates. Nothing panics while the lock is held: epoch
-/// and type checks run on every rank after the release, so a mismatch is
-/// a diagnostic on every rank rather than a poisoned mutex.
+/// the moment the run stalls, and the original panic still propagates.
+/// Nothing panics while the lock is held: epoch and type checks run on
+/// every rank after the release, so a mismatch is a diagnostic on every
+/// rank rather than a poisoned mutex.
 pub(crate) struct Rendezvous {
-    n: usize,
     state: Mutex<Meeting>,
     cvar: Condvar,
 }
@@ -142,7 +111,6 @@ pub(crate) struct Rendezvous {
 impl Rendezvous {
     fn new(n: usize) -> Self {
         Self {
-            n,
             state: Mutex::new(Meeting {
                 pending: (0..n).map(|_| None).collect(),
                 arrived: 0,
@@ -153,69 +121,10 @@ impl Rendezvous {
         }
     }
 
-    /// Deposit rank `id`'s contribution and wait, at most `timeout`, for
-    /// everyone else's.
-    pub(crate) fn meet(&self, id: usize, mine: Contribution, timeout: Duration) -> Arc<Released> {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "nothing panics under this mutex; poisoning means a rank thread was killed mid-update, propagate the abort"
-        )]
-        let mut state = self.state.lock().unwrap();
-        state.pending[id] = Some(mine);
-        state.arrived += 1;
-        if state.arrived == self.n {
-            let deposits: Vec<Contribution> =
-                state.pending.iter_mut().filter_map(Option::take).collect();
-            let max_clock = deposits.iter().fold(f64::MIN, |max, d| max.max(d.1));
-            let released = Arc::new(Released {
-                deposits,
-                max_clock,
-            });
-            // The previous generation's payloads are freed below, after
-            // the unlock and the wake-up.
-            let _previous = std::mem::replace(&mut state.released, Arc::clone(&released));
-            state.arrived = 0;
-            state.generation += 1;
-            drop(state);
-            self.cvar.notify_all();
-            return released;
-        }
-        let generation = state.generation;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "deadlock-timeout machinery only: the real clock bounds how long we wait for dead peers and never reaches virtual time or results"
-        )]
-        let deadline = Instant::now() + timeout;
-        while state.generation == generation {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "deadlock-timeout machinery (see above)"
-            )]
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            #[expect(
-                clippy::unwrap_used,
-                reason = "nothing panics under this mutex (see above); propagate the abort"
-            )]
-            let (guard, result) = self.cvar.wait_timeout(state, remaining).unwrap();
-            state = guard;
-            #[expect(
-                clippy::panic,
-                reason = "a collective deadlock is unrecoverable; the panic is the diagnostic"
-            )]
-            if result.timed_out() && state.generation == generation {
-                let arrived = state.arrived;
-                // Release the lock before unwinding so fellow waiters see
-                // their own timeout diagnostic, not a poisoned mutex.
-                drop(state);
-                panic!(
-                    "deadlocked in a collective barrier after {:.1} s: only {arrived} \
-                     of {} ranks arrived (a peer died or diverged)",
-                    timeout.as_secs_f64(),
-                    self.n
-                );
-            }
-        }
-        Arc::clone(&state.released)
+    /// Nothing panics under this lock, so even a poisoned one guards a
+    /// valid meeting.
+    fn lock(&self) -> MutexGuard<'_, Meeting> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -226,11 +135,12 @@ struct Inbox {
     /// index on its first delivery (a rank that only ever hears from a few
     /// low ranks never holds n of them).
     from: Vec<VecDeque<Envelope>>,
-    /// The `(source, lane)` the owner is parked on, if it is parked. A
-    /// delivery of exactly that clears it and wakes the owner.
+    /// The `(source, lane)` the owner is parked on; set exactly while the
+    /// owner is counted parked. Whoever clears it — a delivery of exactly
+    /// that, or that source dying — uncounts the owner and wakes it.
     waiting: Option<(usize, Lane)>,
-    /// How often the owner parked and was woken (by a delivery, a dying
-    /// peer or spuriously — not by its own timeout).
+    /// How often the owner woke from parking: by a delivery, a dying peer,
+    /// the stuck flag or spuriously.
     wakeups: u64,
 }
 
@@ -271,31 +181,6 @@ impl Mailbox {
     fn lock(&self) -> MutexGuard<'_, Inbox> {
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Append `env` to its source's FIFO and wake the owner if it is parked
-    /// on exactly this `(source, lane)`. The one place a message is
-    /// delivered. Panics if the owner's thread is gone.
-    pub(crate) fn deliver(&self, env: Envelope) {
-        assert!(
-            !self.dead.load(Ordering::SeqCst),
-            "destination rank hung up"
-        );
-        let mut inbox = self.lock();
-        let wake = inbox
-            .waiting
-            .take_if(|w| *w == (env.src, env.lane))
-            .is_some();
-        if inbox.from.len() <= env.src {
-            inbox.from.resize_with(env.src + 1, VecDeque::new);
-        }
-        inbox.from[env.src].push_back(env);
-        drop(inbox);
-        if wake {
-            // After the unlock, or the owner would wake into a held lock;
-            // `notify_one` because only the owner ever waits here.
-            self.arrived.notify_one();
-        }
-    }
 }
 
 pub(crate) struct Shared {
@@ -306,15 +191,146 @@ pub(crate) struct Shared {
     /// Where every point-to-point message waits for its receiver, by
     /// destination rank.
     pub mailboxes: Vec<Mailbox>,
-    /// How long receives and rendezvous waits block before declaring
-    /// deadlock (from `APC_RECV_TIMEOUT`, overridable per runtime).
-    pub timeout: Duration,
+    /// This run's ranks parked in a wait (`PARKED`, the low 32 bits) and
+    /// done with its closure (`FINISHED`, the next 31), and the `STUCK`
+    /// flag (bit 63). See "When a run is stuck" in the module docs.
+    progress: AtomicU64,
+}
+
+/// One rank in either field of `Shared::progress`, and its stuck flag.
+const PARKED: u64 = 1;
+const FINISHED: u64 = 1 << 32;
+const STUCK: u64 = 1 << 63;
+
+impl Shared {
+    /// Count one rank into `progress` as `PARKED` or `FINISHED`. True iff
+    /// that left every rank parked or finished, at least one parked: this
+    /// call then raised the stuck flag, and the caller must
+    /// `Shared::wake_all` once it holds no lock.
+    fn count(&self, one: u64) -> bool {
+        let word = self.progress.fetch_add(one, Ordering::SeqCst) + one;
+        let (parked, finished) = (word % FINISHED, (word & !STUCK) / FINISHED);
+        parked > 0
+            && parked + finished == self.nranks as u64
+            && self.progress.fetch_or(STUCK, Ordering::SeqCst) & STUCK == 0
+    }
+
+    /// Clear `inbox.waiting` if `wakes` picks it, and uncount its owner —
+    /// under the mailbox lock, so the owner never runs counted parked.
+    fn unpark(&self, inbox: &mut Inbox, wakes: impl FnOnce(&mut (usize, Lane)) -> bool) -> bool {
+        let woke = inbox.waiting.take_if(wakes).is_some();
+        if woke {
+            self.progress.fetch_sub(PARKED, Ordering::SeqCst);
+        }
+        woke
+    }
+
+    fn stuck(&self) -> bool {
+        self.progress.load(Ordering::SeqCst) & STUCK != 0
+    }
+
+    /// Count a rank that returned from, or died in, this run's closure.
+    fn finish(&self) {
+        if self.count(FINISHED) {
+            self.wake_all();
+        }
+    }
+
+    /// Wake every parked rank to find the stuck flag: one mailbox lock at
+    /// a time, then the rendezvous. Each lock is taken after the flag was
+    /// raised, so a rank between reading the flag and parking is woken.
+    fn wake_all(&self) {
+        for mailbox in &self.mailboxes {
+            drop(mailbox.lock());
+            mailbox.arrived.notify_one();
+        }
+        drop(self.rendezvous.lock());
+        self.rendezvous.cvar.notify_all();
+    }
+
+    /// Deposit rank `id`'s contribution and wait for everyone else's.
+    pub(crate) fn meet(&self, id: usize, mine: Contribution) -> Arc<Released> {
+        let rendezvous = &self.rendezvous;
+        let mut state = rendezvous.lock();
+        state.pending[id] = Some(mine);
+        state.arrived += 1;
+        if state.arrived == self.nranks {
+            let deposits: Vec<Contribution> =
+                state.pending.iter_mut().filter_map(Option::take).collect();
+            let max_clock = deposits.iter().fold(f64::MIN, |max, d| max.max(d.1));
+            let released = Arc::new(Released {
+                deposits,
+                max_clock,
+            });
+            // The previous generation's payloads are freed below, after
+            // the unlock and the wake-up.
+            let _previous = std::mem::replace(&mut state.released, Arc::clone(&released));
+            state.arrived = 0;
+            state.generation += 1;
+            // Its n − 1 waiters can run again, uncounted under the lock.
+            let waiters = self.nranks as u64 - 1;
+            self.progress.fetch_sub(waiters * PARKED, Ordering::SeqCst);
+            drop(state);
+            rendezvous.cvar.notify_all();
+            return released;
+        }
+        let generation = state.generation;
+        let flagged = self.count(PARKED);
+        while state.generation == generation {
+            #[expect(
+                clippy::panic,
+                reason = "a stuck run is unrecoverable; the panic is the diagnostic"
+            )]
+            if self.stuck() {
+                let arrived = state.arrived;
+                // Unlocked before waking or unwinding, so fellow waiters
+                // see the flag, not a held lock.
+                drop(state);
+                if flagged {
+                    self.wake_all();
+                }
+                panic!(
+                    "deadlocked in a collective barrier: only {arrived} of {} ranks \
+                     arrived (a peer died, returned or diverged)",
+                    self.nranks
+                );
+            }
+            state = rendezvous
+                .cvar
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        Arc::clone(&state.released)
+    }
+
+    /// Append `env` to its source's FIFO in `dst`'s mailbox and wake `dst`
+    /// if it is parked on exactly this `(source, lane)`. The one place a
+    /// message is delivered. Panics if `dst`'s thread is gone.
+    pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
+        let mailbox = &self.mailboxes[dst];
+        assert!(
+            !mailbox.dead.load(Ordering::SeqCst),
+            "destination rank hung up"
+        );
+        let mut inbox = mailbox.lock();
+        let wake = self.unpark(&mut inbox, |w| *w == (env.src, env.lane));
+        if inbox.from.len() <= env.src {
+            inbox.from.resize_with(env.src + 1, VecDeque::new);
+        }
+        inbox.from[env.src].push_back(env);
+        drop(inbox);
+        if wake {
+            // After the unlock, or the owner would wake into a held lock;
+            // `notify_one` because only the owner ever waits here.
+            mailbox.arrived.notify_one();
+        }
+    }
 }
 
 /// Lives on a rank thread's stack: when the thread exits — its job loop
-/// ended, or something unwound past it — the rank's mailbox is closed and
+/// ended, or something unwound past it — the rank's mailbox is closed,
 /// every rank parked on a message from it is woken to fail at once,
-/// naming it, instead of after the deadlock timeout.
+/// naming it, and only then is the rank counted finished.
 struct HangUp {
     shared: Arc<Shared>,
     id: usize,
@@ -322,15 +338,16 @@ struct HangUp {
 
 impl Drop for HangUp {
     fn drop(&mut self) {
-        let mailboxes = &self.shared.mailboxes;
+        let shared = &*self.shared;
         // Flag first, then one mailbox lock at a time (see `Rank::pop_matching`).
-        mailboxes[self.id].dead.store(true, Ordering::SeqCst);
-        for mailbox in mailboxes {
-            let waits_for_me = matches!(mailbox.lock().waiting, Some((src, _)) if src == self.id);
-            if waits_for_me {
+        shared.mailboxes[self.id].dead.store(true, Ordering::SeqCst);
+        for mailbox in &shared.mailboxes {
+            if shared.unpark(&mut mailbox.lock(), |w| w.0 == self.id) {
                 mailbox.arrived.notify_one();
             }
         }
+        // Last, so the ranks woken above report the death, not a stall.
+        shared.finish();
     }
 }
 
@@ -340,7 +357,6 @@ pub struct Runtime {
     nranks: usize,
     net: NetModel,
     stack_size: usize,
-    timeout: Option<Duration>,
 }
 
 impl Runtime {
@@ -350,22 +366,12 @@ impl Runtime {
             nranks,
             net,
             stack_size: 4 << 20,
-            timeout: None,
         }
     }
 
     /// Per-rank thread stack size (default 4 MiB).
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
-        self
-    }
-
-    /// Override the deadlock timeout (receives and rendezvous waits) for
-    /// runtimes built from this configuration; defaults to
-    /// `APC_RECV_TIMEOUT` / 300 s.
-    // apc-lint: allow(dead-pub): deadlock tests (runtime, sort, session_stress) shorten the watchdog
-    pub fn deadlock_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
         self
     }
 
@@ -379,13 +385,12 @@ impl Runtime {
     /// session's lifetime.
     pub fn session(&self) -> Session {
         let n = self.nranks;
-        let timeout = self.timeout.unwrap_or_else(recv_timeout);
         let shared = Arc::new(Shared {
             nranks: n,
             net: self.net,
             rendezvous: Rendezvous::new(n),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
-            timeout,
+            progress: AtomicU64::new(0),
         });
 
         let mut job_txs = Vec::with_capacity(n);
@@ -432,6 +437,11 @@ impl Runtime {
                             unsafe { (job.call)(job.data.0, &mut rank) }
                         }));
                         let failed = result.is_err();
+                        if !failed {
+                            // Before the status: once every status is in,
+                            // `Session::run` may zero the count.
+                            rank.shared.finish();
+                        }
                         if status_tx.send(result).is_err() || failed {
                             break;
                         }
@@ -443,7 +453,7 @@ impl Runtime {
             handles.push(handle);
         }
         Session {
-            nranks: n,
+            shared,
             epoch: 0,
             poisoned: false,
             job_txs,
@@ -529,7 +539,7 @@ where
 /// assert_eq!(b, vec![0, 2, 4, 6]);
 /// ```
 pub struct Session {
-    nranks: usize,
+    shared: Arc<Shared>,
     epoch: u64,
     poisoned: bool,
     job_txs: Vec<Sender<RawJob>>,
@@ -539,7 +549,7 @@ pub struct Session {
 
 impl Session {
     pub fn nranks(&self) -> usize {
-        self.nranks
+        self.shared.nranks
     }
 
     /// Whether an earlier run panicked, making the session unusable.
@@ -562,7 +572,10 @@ impl Session {
             "session poisoned by a panic in an earlier run"
         );
         self.epoch += 1;
-        let n = self.nranks;
+        // No rank is in a run: each counted itself finished before its
+        // status came in, and a run that panicked poisoned the session.
+        self.shared.progress.store(0, Ordering::SeqCst);
+        let n = self.shared.nranks;
         let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let ctx = RunCtx::<T, F> {
             f: &f,
@@ -707,67 +720,65 @@ impl Rank {
 
     /// Block until the first message of this run that `src` sent on
     /// `lane` is in this rank's mailbox, and remove it. The one place a
-    /// receive blocks. Gives up — with the lock released — when `src` has
-    /// died without delivering it, or the deadlock timeout after the call
-    /// started: the deadline is per receive, so traffic the rank is not
-    /// waiting for cannot postpone the diagnostic.
+    /// receive blocks. Gives up — with the lock released — when the run is
+    /// stuck, or when `src` has died without delivering it.
     pub(crate) fn pop_matching(&mut self, src: usize, lane: Lane) -> Envelope {
         let shared = &*self.shared;
         let mailbox = &shared.mailboxes[self.id];
         let mut inbox = mailbox.lock();
-        let mut deadline = None;
-        let died = loop {
+        let mut flagged = false;
+        let stuck = loop {
             if let Some(env) = inbox.pop(src, lane, self.epoch) {
                 return env;
             }
             // After the FIFO: what a peer delivered before dying still
-            // wins. Before parking and after every wake: the dying peer
-            // sets its flag and then takes this lock to look at `waiting`,
-            // so either this load sees the flag or that look sees us.
-            if shared.mailboxes[src].dead.load(Ordering::SeqCst) {
+            // wins. Before parking and after every wake: whoever raises
+            // the stuck flag or a dead flag then takes this lock, so either
+            // this load sees the flag or that lock sees us parked. Stuck
+            // first: in a cycle the flagging rank's own panic kills it, and
+            // its peer must still report the stall, not the death.
+            if shared.stuck() {
                 break true;
             }
-            // The clock is read only on the way to parking, never on the
-            // path that finds its message.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "deadlock-timeout machinery only: the real clock bounds how long we wait for dead peers and never reaches virtual time or results"
-            )]
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + shared.timeout);
-            if now >= deadline {
+            if shared.mailboxes[src].dead.load(Ordering::SeqCst) {
                 break false;
             }
-            inbox.waiting = Some((src, lane));
-            let (guard, result) = mailbox
+            // Set `waiting` means counted parked: a spurious wake-up parks
+            // again without counting twice.
+            if inbox.waiting.is_none() {
+                inbox.waiting = Some((src, lane));
+                flagged = shared.count(PARKED);
+                if flagged {
+                    break true;
+                }
+            }
+            inbox = mailbox
                 .arrived
-                .wait_timeout(inbox, deadline - now)
+                .wait(inbox)
                 .unwrap_or_else(PoisonError::into_inner);
-            inbox = guard;
-            inbox.waiting = None;
-            inbox.wakeups += u64::from(!result.timed_out());
+            inbox.wakeups += 1;
         };
+        // Still counted parked if no waker cleared `waiting`.
+        shared.unpark(&mut inbox, |_| true);
         let stashed: usize = inbox.from.iter().map(VecDeque::len).sum();
         drop(inbox);
-        let me = self.id;
-        #[expect(
-            clippy::panic,
-            reason = "the peer is gone and the message will never come; the panic is the diagnostic"
-        )]
-        if died {
-            panic!(
-                "rank {me} waiting for message (src={src}, lane={lane:?}) from rank {src}, \
-                 which died; {stashed} stashed envelopes"
-            );
+        if flagged {
+            shared.wake_all();
         }
+        let (stalled, died) = if stuck {
+            ("deadlocked ", String::new())
+        } else {
+            ("", format!(" from rank {src}, which died"))
+        };
         #[expect(
             clippy::panic,
-            reason = "a recv deadlock is unrecoverable; the panic is the diagnostic"
+            reason = "the message will never come; the panic is the diagnostic"
         )]
         {
             panic!(
-                "rank {me} deadlocked waiting for message (src={src}, lane={lane:?}); \
-                 {stashed} stashed envelopes"
+                "rank {} {stalled}waiting for message (src={src}, lane={lane:?}){died}; \
+                 {stashed} stashed envelopes",
+                self.id
             )
         }
     }
@@ -775,6 +786,8 @@ impl Rank {
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
     use crate::p2p::Tag;
 
@@ -964,19 +977,17 @@ mod tests {
     fn what_a_rank_delivered_before_dying_is_still_received() {
         let first = AtomicBool::new(false);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Runtime::new(2, NetModel::free())
-                .deadlock_timeout(Duration::from_secs(30))
-                .run(|rank| {
-                    if rank.rank() == 1 {
-                        rank.send(0, Tag(0), 5u8);
-                        panic!("rank 1 exits");
-                    }
-                    while !rank.shared.mailboxes[1].dead.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    first.store(rank.recv::<u8>(1, Tag(0)) == 5, Ordering::SeqCst);
-                    rank.recv::<u8>(1, Tag(0)) // never sent
-                });
+            Runtime::new(2, NetModel::free()).run(|rank| {
+                if rank.rank() == 1 {
+                    rank.send(0, Tag(0), 5u8);
+                    panic!("rank 1 exits");
+                }
+                while !rank.shared.mailboxes[1].dead.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                first.store(rank.recv::<u8>(1, Tag(0)) == 5, Ordering::SeqCst);
+                rank.recv::<u8>(1, Tag(0)) // never sent
+            });
         }));
         let payload = caught.expect_err("the second receive must fail");
         let msg = payload
@@ -1012,41 +1023,37 @@ mod tests {
     fn panic_next_to_a_collective_fails_the_run_instead_of_hanging() {
         // Rank 2 panics before its allreduce contribution; ranks 0 and 1
         // are stranded in the collective's rendezvous. With std's Barrier
-        // they would block forever and the run would hang; the timed wait
-        // fails them loudly and the run terminates with a panic within
-        // the deadlock timeout.
+        // they would block forever and the run would hang; here the dying
+        // rank's count stalls the run and fails them at once.
         #[expect(
             clippy::disallowed_methods,
-            reason = "times the deadlock timeout, which is wall-clock by design"
+            reason = "test-only wall clock: bounds how long the stall takes to surface"
         )]
         let t0 = Instant::now();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Runtime::new(3, NetModel::free())
-                .deadlock_timeout(Duration::from_millis(300))
-                .run(|rank| {
-                    if rank.rank() == 2 {
-                        panic!("scorer blew up");
-                    }
-                    rank.allreduce(1u64, |a, b| a + b)
-                });
+            Runtime::new(3, NetModel::free()).run(|rank| {
+                if rank.rank() == 2 {
+                    panic!("scorer blew up");
+                }
+                rank.allreduce(1u64, |a, b| a + b)
+            });
         }));
         assert!(caught.is_err(), "the run must fail, not hang");
         assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "the failure must arrive within the deadlock timeout, not hang CI"
+            t0.elapsed() < Duration::from_secs(5),
+            "the failure must arrive when the run stalls, took {:?}",
+            t0.elapsed()
         );
     }
 
     #[test]
-    fn barrier_timeout_panic_is_diagnostic() {
+    fn stranded_barrier_panic_is_diagnostic() {
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Runtime::new(2, NetModel::free())
-                .deadlock_timeout(Duration::from_millis(200))
-                .run(|rank| {
-                    if rank.rank() == 0 {
-                        rank.barrier(); // rank 1 never joins
-                    }
-                });
+            Runtime::new(2, NetModel::free()).run(|rank| {
+                if rank.rank() == 0 {
+                    rank.barrier(); // rank 1 never joins
+                }
+            });
         }));
         let payload = caught.expect_err("stranded barrier must panic");
         let msg = payload
@@ -1078,27 +1085,5 @@ mod tests {
                 "session runs mirror one-shot runs"
             );
         }
-    }
-
-    #[test]
-    fn recv_timeout_parsing() {
-        assert_eq!(parse_recv_timeout(None), RECV_TIMEOUT_DEFAULT);
-        assert_eq!(
-            parse_recv_timeout(Some("2.5")),
-            Duration::from_secs_f64(2.5)
-        );
-        assert_eq!(parse_recv_timeout(Some(" 30 ")), Duration::from_secs(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "APC_RECV_TIMEOUT must be a number")]
-    fn recv_timeout_rejects_garbage() {
-        let _ = parse_recv_timeout(Some("five minutes"));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive number")]
-    fn recv_timeout_rejects_nonpositive() {
-        let _ = parse_recv_timeout(Some("0"));
     }
 }

@@ -51,8 +51,8 @@ where
         let bytes: usize = all.iter().map(Meter::nbytes).sum();
         (Arc::<[K]>::from(all), bytes)
     });
-    // Had the root panicked in its sort instead of depositing, the
-    // rendezvous timeout fails this rank first.
+    // Had the root panicked in its sort instead of depositing, this rank
+    // fails here the moment the run stalls.
     let ((all, bytes), _) = rank.rendezvous(sorted, |shared| {
         let (all, bytes) = shared.of_root(ROOT);
         (Arc::clone(all), *bytes)
@@ -203,26 +203,25 @@ mod tests {
     #[test]
     fn a_panicking_root_comparator_fails_the_run_instead_of_hanging() {
         // Only the root sorts, so only the root panics; the peers are
-        // parked in the share rendezvous and must time out of it.
+        // parked in the share rendezvous and fail when the run stalls.
         use std::time::{Duration, Instant};
         #[expect(
             clippy::disallowed_methods,
-            reason = "times the deadlock timeout, which is wall-clock by design"
+            reason = "test-only wall clock: bounds how long the stall takes to surface"
         )]
         let t0 = Instant::now();
         let caught = std::panic::catch_unwind(|| {
-            Runtime::new(3, NetModel::free())
-                .deadlock_timeout(Duration::from_millis(300))
-                .run(|rank| {
-                    gather_sort_broadcast(rank, scored_pairs(rank.rank(), 10), |_, _| {
-                        panic!("comparator blew up")
-                    })
-                });
+            Runtime::new(3, NetModel::free()).run(|rank| {
+                gather_sort_broadcast(rank, scored_pairs(rank.rank(), 10), |_, _| {
+                    panic!("comparator blew up")
+                })
+            });
         });
         assert!(caught.is_err(), "the run must fail, not hang");
         assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "the failure must arrive within the deadlock timeout, not hang CI"
+            t0.elapsed() < Duration::from_secs(5),
+            "the failure must arrive when the run stalls, took {:?}",
+            t0.elapsed()
         );
     }
 

@@ -5,7 +5,8 @@
 //! the owner publishes what it waits for must still be seen by it (the
 //! owner looks in the FIFO under the same lock it publishes under), and a
 //! wake-up must never be dropped or spent on the wrong message — either
-//! strands a rank until the timeout diagnostic names its `(src, tag)`.
+//! strands a rank until the run stalls and the diagnostic names its
+//! `(src, tag)`.
 //! And with one FIFO per source holding several tags, a selective receive
 //! must never reorder a `(src, tag)` stream. Every payload here carries
 //! its position in its stream, so one overtaking shows as a wrong number.

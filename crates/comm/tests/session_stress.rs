@@ -1,16 +1,18 @@
 //! Session stress test: many sequential runs with randomized rank panic
 //! injection. The contract under test is the session's failure story —
 //! every run either **completes** or **panics and poisons the session**;
-//! nothing is allowed to deadlock past the configured receive timeout,
-//! no matter where in the SPMD workload the panic lands (before a
-//! collective, between a collective and the p2p ring, after a receive
-//! in front of the all-to-all, or before the closing barrier).
+//! nothing is allowed to hang, no matter where in the SPMD workload the
+//! panic lands (before a collective, between a collective and the p2p
+//! ring, after a receive in front of the all-to-all, or before the closing
+//! barrier). A run that cannot progress fails the moment it stalls, and
+//! [`every_stuck_shape_fails_at_once_with_its_own_message`] holds each
+//! shape of stall to its own diagnostic.
 //!
 //! All randomness comes from the in-tree seeded PRNG, so a failure here
 //! replays deterministically.
 #![expect(
     clippy::disallowed_methods,
-    reason = "the deadline timers bound each round against the real receive timeout"
+    reason = "test-only wall clock and helper thread: they bound how long a failure takes to surface"
 )]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,16 +20,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use apc_comm::sort::sample_sort;
 use apc_comm::{
-    FlowControl, NetModel, QueueReceiver, QueueSender, Runtime, ServeClient, ServeServer, Tag,
+    FlowControl, NetModel, QueueReceiver, QueueSender, Rank, Runtime, ServeClient, ServeServer, Tag,
 };
 use apc_par::SplitMix64;
 use apc_store::{MemStore, StoreBackend, StoreError};
 
 const ROUNDS: usize = 10;
-/// Short so stranded-peer rounds resolve quickly; the workload itself
-/// needs microseconds.
-const TIMEOUT: Duration = Duration::from_millis(400);
 
 /// The message of a formatted `panic!` caught from a run.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -43,7 +43,7 @@ const SITES: usize = 4;
 /// One SPMD job: an allreduce, a ring exchange, an all-to-all, a barrier —
 /// with an optional panic injected at one of [`SITES`] sites on one victim
 /// rank.
-fn job(rank: &mut apc_comm::Rank, inject_site: Option<(usize, usize)>) -> (u64, u64) {
+fn job(rank: &mut Rank, inject_site: Option<(usize, usize)>) -> (u64, u64) {
     let r = rank.rank();
     let n = rank.nranks();
     let boom = |site: usize| {
@@ -79,9 +79,7 @@ fn randomized_rank_panics_complete_or_poison_never_deadlock() {
 
     for round in 0..ROUNDS {
         let nranks = 2 + rng.below(4); // 2..=5 ranks
-        let mut session = Runtime::new(nranks, NetModel::free())
-            .deadlock_timeout(TIMEOUT)
-            .session();
+        let mut session = Runtime::new(nranks, NetModel::free()).session();
         let runs = 1 + rng.below(8);
         for run_idx in 0..runs {
             // ~1/3 of runs sabotage one rank at a random site.
@@ -91,12 +89,11 @@ fn randomized_rank_panics_complete_or_poison_never_deadlock() {
                 session.run(|rank| job(rank, inject_site))
             }));
             let elapsed = t0.elapsed();
-            // The hard bound: no run may block past the deadlock timeout
-            // (plus generous slack for an oversubscribed CI box). A hang
-            // here would previously have been "wait for APC_RECV_TIMEOUT
-            // or forever"; the timeout barrier turns it into a panic.
+            // The hard bound: a run stranded by the injected panic fails
+            // when it stalls — milliseconds, with generous slack for an
+            // oversubscribed CI box.
             assert!(
-                elapsed < Duration::from_secs(30),
+                elapsed < Duration::from_secs(5),
                 "round {round} run {run_idx} blocked for {elapsed:?}"
             );
             match inject_site {
@@ -157,12 +154,12 @@ fn randomized_rank_panics_complete_or_poison_never_deadlock() {
 /// The all-to-all's failure story, where it moved: its batches cross in a
 /// rendezvous now, not as per-peer messages, so a rank that dies in front
 /// of it strands its peers *there* — they must fail with the rendezvous'
-/// arrival-count diagnostic inside the timeout (it used to be a receive
+/// arrival-count diagnostic when the run stalls (it used to be a receive
 /// timeout per missing message), the session poisoned, a fresh one sound.
 #[test]
 fn a_rank_dying_before_the_all_to_all_strands_peers_in_its_rendezvous() {
     const NRANKS: usize = 4;
-    let runtime = Runtime::new(NRANKS, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(NRANKS, NetModel::free());
     let mut session = runtime.session();
     assert_eq!(session.run(|rank| job(rank, None))[0].0, 10);
 
@@ -179,8 +176,8 @@ fn a_rank_dying_before_the_all_to_all_strands_peers_in_its_rendezvous() {
         "stranded peers must report the rendezvous' arrival count, got: {msg}"
     );
     assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "stranded peers must fail within the deadlock timeout"
+        t0.elapsed() < Duration::from_secs(5),
+        "stranded peers must fail when the run stalls"
     );
     assert!(session.is_poisoned(), "the panic poisons the session");
 
@@ -193,15 +190,14 @@ fn a_rank_dying_before_the_all_to_all_strands_peers_in_its_rendezvous() {
 /// The staged-queue failure story: simulation ranks feed a stager through
 /// credit-flow bounded queues; the stager panics after consuming one
 /// frame. The producers are then stranded waiting for credits that will
-/// never come — exactly the shape of a dead helper core. The
-/// `APC_RECV_TIMEOUT` deadlock machinery must turn that into a loud panic
-/// within the timeout (never a hang), the panic must poison the session,
+/// never come — exactly the shape of a dead helper core. That must be a
+/// loud panic at once (never a hang), the panic must poison the session,
 /// and a fresh session must recover.
 #[test]
 fn stager_panic_fails_blocked_producers_instead_of_stranding_them() {
     const NRANKS: usize = 4; // ranks 0..3 produce, rank 3 stages
     const FRAMES: usize = 5;
-    let runtime = Runtime::new(NRANKS, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(NRANKS, NetModel::free());
     let mut session = runtime.session();
 
     let t0 = Instant::now();
@@ -211,7 +207,7 @@ fn stager_panic_fails_blocked_producers_instead_of_stranding_them() {
             if r < NRANKS - 1 {
                 // Producer: depth-1 credited queue to the stager. Frame 2
                 // needs the credit for frame 1, which the dead stager
-                // never sends — the recv must time out, not hang.
+                // never sends — the recv must fail, not hang.
                 let mut tx = QueueSender::new(NRANKS - 1, 0, 1, FlowControl::Credit);
                 for k in 0..FRAMES as u64 {
                     tx.enqueue(rank, vec![k as f32; 64]);
@@ -230,8 +226,8 @@ fn stager_panic_fails_blocked_producers_instead_of_stranding_them() {
     let elapsed = t0.elapsed();
     assert!(result.is_err(), "the run must fail, not complete");
     assert!(
-        elapsed < Duration::from_secs(30),
-        "blocked producers must fail within the deadlock timeout, took {elapsed:?}"
+        elapsed < Duration::from_secs(5),
+        "blocked producers must fail at once, took {elapsed:?}"
     );
     assert!(session.is_poisoned(), "a dead stager poisons the session");
 
@@ -244,12 +240,11 @@ fn stager_panic_fails_blocked_producers_instead_of_stranding_them() {
 
 /// The frame-serving failure story, server side: a serving stager dies
 /// between taking a request and answering it. The client is stranded in
-/// `recv_reply` — the deadlock machinery must fail it loudly within the
-/// timeout, the panic must poison the session, and a fresh session must
-/// recover.
+/// `recv_reply` — it must fail loudly at once, the panic must poison the
+/// session, and a fresh session must recover.
 #[test]
 fn server_panic_mid_request_fails_waiting_clients_not_strands_them() {
-    let runtime = Runtime::new(3, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(3, NetModel::free());
     let mut session = runtime.session();
 
     let t0 = Instant::now();
@@ -283,8 +278,8 @@ fn server_panic_mid_request_fails_waiting_clients_not_strands_them() {
     }));
     assert!(result.is_err(), "the run must fail, not complete");
     assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "stranded clients must fail within the deadlock timeout"
+        t0.elapsed() < Duration::from_secs(5),
+        "stranded clients must fail at once"
     );
     assert!(session.is_poisoned(), "a dead server poisons the session");
 
@@ -296,11 +291,11 @@ fn server_panic_mid_request_fails_waiting_clients_not_strands_them() {
 
 /// The frame-serving failure story, client side: a client dies after one
 /// round trip while its server still expects another request. The server
-/// is stranded in `recv_request` — loud failure within the timeout,
-/// poisoned session, fresh-session recovery.
+/// is stranded in `recv_request` — loud failure at once, poisoned session,
+/// fresh-session recovery.
 #[test]
 fn client_panic_mid_request_fails_the_server_not_strands_it() {
-    let runtime = Runtime::new(2, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(2, NetModel::free());
     let mut session = runtime.session();
 
     let t0 = Instant::now();
@@ -322,8 +317,8 @@ fn client_panic_mid_request_fails_the_server_not_strands_it() {
     }));
     assert!(result.is_err(), "the run must fail, not complete");
     assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "a stranded server must fail within the deadlock timeout"
+        t0.elapsed() < Duration::from_secs(5),
+        "a stranded server must fail at once"
     );
     assert!(session.is_poisoned(), "a dead client poisons the session");
 
@@ -333,15 +328,15 @@ fn client_panic_mid_request_fails_the_server_not_strands_it() {
     assert_eq!(out, vec![0, 1]);
 }
 
-/// A receive blocked on a rank that has *died* does not sit out the
-/// deadlock timeout: the dying rank's thread wakes whoever is parked on a
-/// message from it, and the receive fails at once, naming the peer. Both
-/// serving shapes above under a 30 s timeout, with the stranded rank the
-/// lowest one so its diagnostic is what `run` re-raises.
+/// A receive blocked on a rank that has *died* reports the death, not a
+/// stall: the dying rank's thread wakes whoever is parked on a message
+/// from it before it counts itself finished, and the receive fails at
+/// once, naming the peer. Both serving shapes above, with the stranded
+/// rank the lowest one so its diagnostic is what `run` re-raises.
 #[test]
 fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
-    let runtime = Runtime::new(3, NetModel::free()).deadlock_timeout(Duration::from_secs(30));
-    let fails_fast_naming = |dead: &str, lane: &str, job: &(dyn Fn(&mut apc_comm::Rank) + Sync)| {
+    let runtime = Runtime::new(3, NetModel::free());
+    let fails_fast_naming = |dead: &str, lane: &str, job: &(dyn Fn(&mut Rank) + Sync)| {
         let mut session = runtime.session();
         let t0 = Instant::now();
         let payload = catch_unwind(AssertUnwindSafe(|| session.run(job)))
@@ -354,7 +349,7 @@ fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
         );
         assert!(
             elapsed < Duration::from_secs(5),
-            "a receive from a dead rank waited {elapsed:?} of a 30 s timeout"
+            "a receive from a dead rank waited {elapsed:?}"
         );
         assert!(session.is_poisoned(), "a dead rank poisons the session");
     };
@@ -401,53 +396,214 @@ fn a_receive_from_a_dead_rank_fails_at_once_naming_it() {
     });
 }
 
-/// A receive's deadline is fixed when it starts. Rank 0 blocks on rank 1,
-/// which is alive and silent, while rank 2 keeps sending it something
-/// else: every such arrival used to restart the full timeout, so a
-/// talkative third rank postponed the diagnostic for as long as it talked.
+/// One way for a run to stop making progress: every rank parked in a
+/// receive or a collective, or finished (returned or died).
+struct Stall {
+    shape: &'static str,
+    nranks: usize,
+    job: fn(&mut Rank),
+    /// What the re-raised panic — rank 0's unless rank 0 returned — says.
+    says: &'static str,
+}
+
+/// The head of a 272-rank chain sends, every rank forwards what its upper
+/// neighbour sent to its lower one, and rank 136 swallows it.
+fn silent_link(rank: &mut Rank) {
+    const SILENT: usize = 136;
+    let (r, n) = (rank.rank(), rank.nranks());
+    let v = if r + 1 < n {
+        rank.recv::<u64>(r + 1, Tag(0))
+    } else {
+        0
+    };
+    if r > 0 && r != SILENT {
+        rank.send(r - 1, Tag(0), v + 1);
+    }
+}
+
+const STALLS: &[Stall] = &[
+    Stall {
+        shape: "a receive from a peer that returned",
+        nranks: 2,
+        job: |rank| {
+            if rank.rank() == 0 {
+                rank.recv::<u8>(1, Tag(0));
+            }
+        },
+        says: "rank 0 deadlocked waiting for message (src=1",
+    },
+    Stall {
+        shape: "a two-rank receive cycle",
+        nranks: 2,
+        job: |rank| {
+            let peer = 1 - rank.rank();
+            rank.recv::<u8>(peer, Tag(0));
+        },
+        says: "rank 0 deadlocked waiting for message (src=1",
+    },
+    Stall {
+        shape: "a death before a collective",
+        nranks: 3,
+        job: |rank| {
+            if rank.rank() == 1 {
+                panic!("rank 1 died before the allreduce");
+            }
+            rank.allreduce(1u64, |a, b| a + b);
+        },
+        says: "deadlocked in a collective barrier: only 2 of 3 ranks arrived",
+    },
+    Stall {
+        // Rank 1's comparator dies on its first foreign key: after the
+        // samples' allgather, before the bucket exchange.
+        shape: "a death during a collective (sample sort)",
+        nranks: 3,
+        job: |rank| {
+            let r = rank.rank() as u32;
+            let mine = move |k: &u32| k / 10 == r;
+            let keys: Vec<u32> = (r * 10..r * 10 + 10).rev().collect();
+            sample_sort(rank, keys, move |a, b| {
+                assert!(r != 1 || (mine(a) && mine(b)), "rank 1 died mid-sort");
+                a.cmp(b)
+            });
+        },
+        says: "deadlocked in a collective barrier: only 2 of 3 ranks arrived",
+    },
+    Stall {
+        shape: "a death between collectives",
+        nranks: 3,
+        job: |rank| {
+            rank.allreduce(1u64, |a, b| a + b);
+            if rank.rank() == 1 {
+                panic!("rank 1 died between collectives");
+            }
+            rank.barrier();
+        },
+        says: "deadlocked in a collective barrier: only 2 of 3 ranks arrived",
+    },
+    Stall {
+        shape: "a return before a collective",
+        nranks: 3,
+        job: |rank| {
+            if rank.rank() != 2 {
+                rank.barrier();
+            }
+        },
+        says: "deadlocked in a collective barrier: only 2 of 3 ranks arrived",
+    },
+    Stall {
+        shape: "a receive against a collective",
+        nranks: 2,
+        job: |rank| {
+            if rank.rank() == 0 {
+                rank.recv::<u8>(1, Tag(0));
+            } else {
+                rank.barrier();
+            }
+        },
+        says: "rank 0 deadlocked waiting for message (src=1",
+    },
+    Stall {
+        shape: "a 272-rank chain with one silent link",
+        nranks: 272,
+        job: silent_link,
+        says: "rank 0 deadlocked waiting for message (src=1",
+    },
+];
+
+/// Every shape of stall fails with its own diagnostic the moment the run
+/// stops — a few milliseconds, thread spawn included; 1 s is the bound a
+/// loaded two-core box must still meet.
 #[test]
-fn traffic_a_receive_is_not_waiting_for_does_not_postpone_its_deadline() {
-    // Wide enough that a loaded CI box cannot blur "after one timeout"
-    // into "after the traffic stopped" (four timeouts).
-    let timeout = Duration::from_secs(1);
+fn every_stuck_shape_fails_at_once_with_its_own_message() {
+    for stall in STALLS {
+        let t0 = Instant::now();
+        let payload = catch_unwind(|| Runtime::new(stall.nranks, NetModel::free()).run(stall.job))
+            .expect_err(stall.shape);
+        let elapsed = t0.elapsed();
+        let msg = panic_text(&*payload);
+        eprintln!("stall shape {:?}: failed in {elapsed:?}", stall.shape);
+        assert!(
+            msg.contains(stall.says),
+            "{}: expected {:?}, got: {msg}",
+            stall.shape,
+            stall.says
+        );
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{}: the stall took {elapsed:?} to surface",
+            stall.shape
+        );
+    }
+}
+
+/// Run `f` on a helper thread; fail — instead of hanging the suite — if it
+/// is still running after `limit`.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
     let t0 = Instant::now();
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        Runtime::new(3, NetModel::free())
-            .deadlock_timeout(timeout)
-            .run(|rank| match rank.rank() {
-                0 => rank.recv::<u32>(1, Tag(1)),
-                1 => 0,
-                _ => {
-                    // Once rank 0 has given up, the next send finds it
-                    // gone and ends this loop (and with it the run) early.
-                    for k in 0..12 {
-                        rank.send(0, Tag(2), k);
-                        std::thread::sleep(timeout / 4);
-                    }
-                    0
+    let worker = std::thread::spawn(f);
+    while !worker.is_finished() {
+        assert!(t0.elapsed() < limit, "still running after {limit:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    worker.join().expect("the helper thread must not panic")
+}
+
+/// Detection survives session reuse: each run starts its progress count
+/// from zero. Were the ranks that finished earlier runs still counted,
+/// the count would never equal the rank count again and the stuck fourth
+/// run below would hang — hence the helper thread.
+#[test]
+fn a_stall_on_a_reused_session_is_detected() {
+    let (msg, elapsed) = within(Duration::from_secs(10), || {
+        let mut session = Runtime::new(4, NetModel::free()).session();
+        for _ in 0..3 {
+            assert_eq!(session.run(|rank| job(rank, None))[0].0, 10);
+        }
+        let t0 = Instant::now();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            session.run(|rank| {
+                if rank.rank() == 0 {
+                    rank.recv::<u8>(3, Tag(0));
                 }
             })
-    }))
-    .expect_err("rank 0 must fail, rank 1 never sends");
-    let elapsed = t0.elapsed();
-    let msg = panic_text(&*payload);
+        }))
+        .expect_err("rank 3 never sends");
+        (panic_text(&*payload), t0.elapsed())
+    });
     assert!(
-        msg.contains("rank 0 deadlocked waiting for message (src=1"),
-        "rank 0's timeout diagnostic expected, got: {msg}"
+        msg.contains("rank 0 deadlocked waiting for message (src=3"),
+        "got: {msg}"
     );
-    assert!(
-        elapsed < 2 * timeout,
-        "the diagnostic took {elapsed:?}: arrivals from rank 2 restarted a {timeout:?} deadline"
-    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+/// No false stall at run start: the count is zeroed before a run is
+/// dispatched, never by a rank as its run begins. Had each rank uncounted
+/// itself then, the ranks not yet started would still count as finished
+/// while rank 0, already parked on rank 271, looked at the count.
+#[test]
+fn a_receive_at_run_start_is_never_a_false_stall() {
+    let mut session = Runtime::new(272, NetModel::free()).session();
+    for run in 0..300 {
+        let got = session.run(|rank| match rank.rank() {
+            0 => rank.recv::<u64>(271, Tag(0)),
+            271 => {
+                rank.send(0, Tag(0), 271u64);
+                0
+            }
+            _ => 0,
+        });
+        assert_eq!(got[0], 271, "run {run}");
+    }
 }
 
 /// The sharded-store failure story: ranks read their chunks out of one
 /// shared shard container via byte-range partial reads, then meet in a
 /// barrier. One rank panics mid-read — after fetching its bytes but
 /// before the rendezvous — so its peers are stranded in the barrier.
-/// The `APC_RECV_TIMEOUT` deadlock machinery must fail them within the
-/// timeout, the panic must poison the session, and a fresh session must
-/// replay the **same shard files** successfully: shard state lives in
+/// They must fail when the run stalls, the panic must poison the
+/// session, and a fresh session must replay the **same shard files**
+/// successfully: shard state lives in
 /// the store, not the session, so rank death never corrupts it.
 #[test]
 fn rank_panic_mid_shard_read_poisons_and_recovers() {
@@ -468,7 +624,7 @@ fn rank_panic_mid_shard_read_poisons_and_recovers() {
     }
     writer.write_to(&store, "c/000100/s000000").unwrap();
 
-    let runtime = Runtime::new(NRANKS, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(NRANKS, NetModel::free());
     let mut session = runtime.session();
 
     let read_own_chunk = |r: usize| {
@@ -493,8 +649,8 @@ fn rank_panic_mid_shard_read_poisons_and_recovers() {
     }));
     assert!(result.is_err(), "the run must fail, not complete");
     assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "stranded peers must fail within the deadlock timeout"
+        t0.elapsed() < Duration::from_secs(5),
+        "stranded peers must fail when the run stalls"
     );
     assert!(
         session.is_poisoned(),
@@ -520,7 +676,7 @@ fn fresh_session_recovers_after_a_poisoned_one() {
     // The recovery story: a poisoned session is dropped (joining its
     // threads despite the dead rank) and a fresh session over the same
     // runtime configuration works normally.
-    let runtime = Runtime::new(3, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(3, NetModel::free());
     let mut session = runtime.session();
     let poisoned = catch_unwind(AssertUnwindSafe(|| {
         session.run(|rank| {
@@ -589,9 +745,8 @@ impl StoreBackend for DiesOnFrameRead {
 
 /// The replay-pool failure story: a replay server dies mid-request (on a
 /// cold frame read, after receiving a request, before replying),
-/// stranding every client waiting on its replies. The `APC_RECV_TIMEOUT`
-/// machinery must fail the stranded ranks within the timeout, the panic
-/// must poison the session — and because the run lives in the store, not
+/// stranding every client waiting on its replies. The stranded ranks must
+/// fail at once, the panic must poison the session — and because the run lives in the store, not
 /// the session, a fresh session must replay the same trace
 /// byte-identically, twice.
 #[test]
@@ -603,7 +758,7 @@ fn replay_server_death_mid_request_poisons_and_fresh_session_replays() {
     let manifest = small_run(Arc::clone(&backend), "stress-replay");
     let trace = ArrivalTrace::generate(&TraceSpec::new(6, 6, 17), &manifest);
     let nranks = 4 + trace.clients;
-    let runtime = Runtime::new(nranks, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(nranks, NetModel::free());
 
     let sound = PoolParams::new(4, RouteMode::RoutedStealing);
     let mut session = runtime.session();
@@ -623,8 +778,8 @@ fn replay_server_death_mid_request_poisons_and_fresh_session_replays() {
         "the faulted replay must fail, not complete"
     );
     assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "stranded replay clients must fail within the deadlock timeout"
+        t0.elapsed() < Duration::from_secs(5),
+        "stranded replay clients must fail at once"
     );
     assert!(
         session.is_poisoned(),
@@ -670,7 +825,7 @@ fn stealing_under_churn_is_byte_identical_across_exec_policies() {
     let spec = TraceSpec::new(16, 8, 29).with_intervals(1e-2, 5e-4);
     let trace = ArrivalTrace::generate(&spec, &manifest);
     let params = PoolParams::new(4, RouteMode::RoutedStealing);
-    let runtime = Runtime::new(4 + trace.clients, NetModel::free()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(4 + trace.clients, NetModel::free());
     let mut session = runtime.session();
 
     let mut runs = Vec::new();
@@ -698,12 +853,11 @@ fn stealing_under_churn_is_byte_identical_across_exec_policies() {
 /// Adaptive-serving death: a stager running a tight latency budget dies
 /// **mid-reply** — on a frame read, after taking the request and before
 /// the bytes go out — stranding its clients waiting on replies. The
-/// `APC_RECV_TIMEOUT` machinery must fail the stranded ranks within the
-/// timeout and the panic must poison the session; sound fresh sessions
+/// stranded ranks must fail at once and the panic must poison the session; sound fresh sessions
 /// over the same configuration then run byte-identically, proving the
 /// fault touched session state only.
 #[test]
-fn stager_death_mid_degraded_reply_poisons_within_recv_timeout() {
+fn stager_death_mid_degraded_reply_fails_at_once_and_poisons() {
     use apc_cm1::ReflectivityDataset;
     use apc_core::{
         run_staged_serving_in_session, BackpressurePolicy, FrameSink, PipelineConfig, ServeParams,
@@ -734,8 +888,7 @@ fn stager_death_mid_degraded_reply_poisons_within_recv_timeout() {
             .with_fixed_percent(40.0)
             .with_staged(params)
     };
-    let runtime =
-        Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).deadlock_timeout(TIMEOUT);
+    let runtime = Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters());
 
     let faulty = serve_base.with_cache_bytes(0);
     let config = config_for(&DiesOnFrameRead::wrap(Arc::new(MemStore::new()), 10));
@@ -757,8 +910,8 @@ fn stager_death_mid_degraded_reply_poisons_within_recv_timeout() {
         "the faulted serving run must fail, not complete"
     );
     assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "stranded serving clients must fail within the deadlock timeout"
+        t0.elapsed() < Duration::from_secs(5),
+        "stranded serving clients must fail at once"
     );
     assert!(session.is_poisoned(), "a dead stager poisons the session");
     drop(session); // must join cleanly, not hang
