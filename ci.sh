@@ -58,9 +58,8 @@ echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_d
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
-# lost wake-up fails the moment the run stalls, with the stranded rank's
-# (src, lane): a delivery that does not take the receiver's wait neither
-# wakes nor uncounts it.
+# lost wake-up fails the moment the run stalls (see above), naming the
+# stranded rank's (src, lane).
 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
 
 echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
