@@ -37,10 +37,11 @@ echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benc
 cargo test -p apc-compress --release -q
 
 echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"
-# VAR's lane sums (the score bits are pinned), the isosurface mask table
-# and the collectives on optimised code; the debug pass above keeps
-# trapping overflow and the debug_assert that ties the mesh builder's
-# emitted triangles to the count table. A lost wake-up in the rendezvous'
+# VAR's lane sums (the score bits are pinned; on an AVX2 host that is the
+# kernel picked at run time, which the parity test also checks against the
+# portable one), the isosurface mask table and the collectives on optimised
+# code; the debug pass above keeps trapping overflow and the debug_assert
+# that ties the mesh builder's emitted triangles to the count table. A lost wake-up in the rendezvous'
 # wait loop (the lapping stress hunts for one) or under a mailbox
 # (`mailbox_stress`) fails here the moment the run stalls, with the arrival
 # count or the stranded `(src, lane)`: the waker that forgets a rank also

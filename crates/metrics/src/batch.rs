@@ -24,8 +24,9 @@ pub struct BlockScore {
 }
 
 /// How much parallelism block scoring can use: one worker per handful of
-/// blocks (a paper-scale rank holds 128 blocks; a worker per ~8 keeps
-/// fan-out overhead below the cheapest metric's kernel time).
+/// blocks (a paper-scale rank holds 100 blocks at 64 ranks and 16 at 400; a
+/// worker per ~8 keeps fan-out overhead below the cheapest metric's kernel
+/// time).
 pub fn recommended_concurrency(nblocks: usize) -> RecommendedConcurrency {
     RecommendedConcurrency::per_items(nblocks, 8)
 }

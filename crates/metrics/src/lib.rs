@@ -26,6 +26,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// VAR's AVX2 dispatch is an `unsafe` call; its `// SAFETY:` line is required.
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;
 pub mod batch;

@@ -232,8 +232,14 @@ pub fn iso_stats(data: &[f32], dims: Dims3, iso: f32) -> IsoStats {
     }
     let cells = (dims.nx - 1) * (dims.ny - 1) * (dims.nz - 1);
     // Clear air is the majority of a storm domain: with no sample (or
-    // every sample) inside, no cell crosses the isovalue.
-    let inside = data.iter().filter(|&&v| v > iso).count();
+    // every sample) inside, no cell crosses the isovalue. The count runs in
+    // `u32` over chunks short enough that it cannot overflow, which the
+    // compiler turns into packed compares; each chunk's count is then
+    // widened and summed.
+    let inside: usize = data
+        .chunks(1 << 16)
+        .map(|chunk| chunk.iter().map(|&v| u32::from(v > iso)).sum::<u32>() as usize)
+        .sum();
     if inside == 0 || inside == data.len() {
         return IsoStats {
             cells,
