@@ -41,10 +41,11 @@ echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p ap
 # kernel picked at run time, which the parity test also checks against the
 # portable one), the isosurface mask table and the collectives on optimised
 # code; the debug pass above keeps trapping overflow and the debug_assert
-# that ties the mesh builder's emitted triangles to the count table. A lost wake-up in the rendezvous'
-# wait loop (the lapping stress hunts for one) or under a mailbox
-# (`mailbox_stress`) fails here the moment the run stalls, with the arrival
-# count or the stranded `(src, lane)`: the waker that forgets a rank also
+# that ties the mesh builder's emitted triangles to the count table. A
+# lost wake-up in the one wait loop, for a collective's release (the
+# lapping stress hunts for one) or for a message (`mailbox_stress`), fails
+# here the moment the run stalls, with the arrival count or the stranded
+# `(src, lane)`: the waker that forgets a rank also
 # forgets to uncount it, so the rank stays counted parked. The grid, store
 # and cm1 suites put the shared block payload, the LRU charged at decoded
 # sizes, a rank read's one cache transaction (every key looked up under one
@@ -55,13 +56,14 @@ echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p ap
 # sorted arrivals against its all-arrivals-heap oracle.
 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
-echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving (the serving executors as the benchmark runs them)"
+echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults (the serving executors as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
 # lost wake-up fails the moment the run stalls (see above), naming the
-# stranded rank's (src, lane).
-cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving
+# stranded rank's (src, lane). `session_faults` kills a rank, a replay
+# server or a serving stager mid-run and holds each to failing at once.
+cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults
 
 echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above

@@ -4,7 +4,7 @@
 //! A queue connects one producer rank (a simulation rank) to one consumer
 //! rank (a staging rank). Data rides the ordinary epoch-stamped envelope
 //! layer — non-overtaking per `(src, lane)`, isolated per session run — on
-//! the channel's data and credit lanes, which no user tag can reach, so
+//! the data and credit lanes, which no user tag can reach, so
 //! *what* moves is exactly a normal message; what the queue adds is
 //! **capacity semantics in virtual time**:
 //!
@@ -64,21 +64,18 @@ pub enum FlowControl {
 #[derive(Debug)]
 pub struct QueueSender {
     dst: usize,
-    channel: u32,
     depth: usize,
     flow: FlowControl,
     seq: u64,
 }
 
 impl QueueSender {
-    /// A queue of `depth` waiting slots toward `dst` on `channel` (both
-    /// halves must agree on the channel; one logical queue per
-    /// `(producer, consumer, channel)` triple).
-    pub fn new(dst: usize, channel: u32, depth: usize, flow: FlowControl) -> Self {
+    /// A queue of `depth` waiting slots toward `dst` (one logical queue
+    /// per `(producer, consumer)` pair).
+    pub fn new(dst: usize, depth: usize, flow: FlowControl) -> Self {
         assert!(depth >= 1, "queue depth must be at least one");
         Self {
             dst,
-            channel,
             depth,
             flow,
             seq: 0,
@@ -97,13 +94,12 @@ impl QueueSender {
         if self.flow == FlowControl::Credit && self.seq >= self.depth as u64 {
             let expect = self.seq - self.depth as u64;
             let before = rank.clock();
-            let (ack, arrival, bytes) =
-                rank.recv_with_arrival::<u64>(self.dst, Lane::StageCredit(self.channel));
+            let (ack, arrival, bytes) = rank.recv_with_arrival::<u64>(self.dst, Lane::StageCredit);
             debug_assert_eq!(ack, expect, "stage credit out of sequence");
             stall = (arrival - before).max(0.0);
             rank.charge_receive(arrival, bytes);
         }
-        rank.send_on(self.dst, Lane::StageData(self.channel), msg);
+        rank.send_on(self.dst, Lane::StageData, msg);
         self.seq += 1;
         stall
     }
@@ -124,19 +120,13 @@ pub struct Dequeued<M> {
 #[derive(Debug)]
 pub struct QueueReceiver {
     src: usize,
-    channel: u32,
     flow: FlowControl,
     seq: u64,
 }
 
 impl QueueReceiver {
-    pub fn new(src: usize, channel: u32, flow: FlowControl) -> Self {
-        Self {
-            src,
-            channel,
-            flow,
-            seq: 0,
-        }
+    pub fn new(src: usize, flow: FlowControl) -> Self {
+        Self { src, flow, seq: 0 }
     }
 
     /// Blocking dequeue: merges the arrival into the consumer's clock,
@@ -148,7 +138,7 @@ impl QueueReceiver {
         let d = self.dequeue_deferred(rank);
         rank.charge_receive(d.arrival, d.bytes);
         if self.flow == FlowControl::Credit {
-            rank.send_on(self.src, Lane::StageCredit(self.channel), self.seq - 1);
+            rank.send_on(self.src, Lane::StageCredit, self.seq - 1);
         }
         d
     }
@@ -159,7 +149,7 @@ impl QueueReceiver {
     /// [`Rank::advance`] by `rank.net().ingest(bytes)` for the messages it
     /// actually consumes).
     pub fn dequeue_deferred<M: Send + 'static>(&mut self, rank: &mut Rank) -> Dequeued<M> {
-        let (msg, arrival, bytes) = rank.recv_with_arrival(self.src, Lane::StageData(self.channel));
+        let (msg, arrival, bytes) = rank.recv_with_arrival(self.src, Lane::StageData);
         self.seq += 1;
         Dequeued {
             msg,
@@ -276,7 +266,7 @@ mod tests {
         let frames = 12;
         let out = Runtime::new(2, NetModel::free()).run(|rank| {
             if rank.rank() == 0 {
-                let mut tx = QueueSender::new(1, 0, depth, FlowControl::Credit);
+                let mut tx = QueueSender::new(1, depth, FlowControl::Credit);
                 let mut stalls = Vec::new();
                 for k in 0..frames {
                     rank.advance(1.0); // produce: 1 s/frame
@@ -284,7 +274,7 @@ mod tests {
                 }
                 (stalls, rank.clock())
             } else {
-                let mut rx = QueueReceiver::new(0, 0, FlowControl::Credit);
+                let mut rx = QueueReceiver::new(0, FlowControl::Credit);
                 for _ in 0..frames {
                     let _ = rx.dequeue::<u64>(rank);
                     rank.advance(3.0); // service: 3 s/frame
@@ -309,7 +299,7 @@ mod tests {
     fn credit_flow_free_when_consumer_keeps_up() {
         let out = Runtime::new(2, NetModel::free()).run(|rank| {
             if rank.rank() == 0 {
-                let mut tx = QueueSender::new(1, 0, 1, FlowControl::Credit);
+                let mut tx = QueueSender::new(1, 1, FlowControl::Credit);
                 let mut total = 0.0;
                 for k in 0..10u64 {
                     rank.advance(1.0);
@@ -317,7 +307,7 @@ mod tests {
                 }
                 total
             } else {
-                let mut rx = QueueReceiver::new(0, 0, FlowControl::Credit);
+                let mut rx = QueueReceiver::new(0, FlowControl::Credit);
                 for _ in 0..10 {
                     let _ = rx.dequeue::<u64>(rank);
                     rank.advance(0.25);
@@ -334,7 +324,7 @@ mod tests {
     fn lossy_flow_never_stalls_and_defers_clock() {
         let out = Runtime::new(2, NetModel::free()).run(|rank| {
             if rank.rank() == 0 {
-                let mut tx = QueueSender::new(1, 0, 1, FlowControl::Lossy);
+                let mut tx = QueueSender::new(1, 1, FlowControl::Lossy);
                 let mut total = 0.0;
                 for k in 0..20u64 {
                     rank.advance(0.01);
@@ -342,7 +332,7 @@ mod tests {
                 }
                 total
             } else {
-                let mut rx = QueueReceiver::new(0, 0, FlowControl::Lossy);
+                let mut rx = QueueReceiver::new(0, FlowControl::Lossy);
                 let mut arrivals = Vec::new();
                 for _ in 0..20 {
                     let d = rx.dequeue_deferred::<u64>(rank);
@@ -375,13 +365,13 @@ mod tests {
         };
         let out = Runtime::new(2, net).run(|rank| {
             if rank.rank() == 0 {
-                let mut tx = QueueSender::new(1, 0, 4, FlowControl::Credit);
+                let mut tx = QueueSender::new(1, 4, FlowControl::Credit);
                 for k in 0..3 {
                     tx.enqueue(rank, vec![k as f32; 1000]); // 4000 B each
                 }
                 Vec::new()
             } else {
-                let mut rx = QueueReceiver::new(0, 0, FlowControl::Credit);
+                let mut rx = QueueReceiver::new(0, FlowControl::Credit);
                 (0..3)
                     .map(|_| rx.dequeue::<Vec<f32>>(rank).msg[0])
                     .collect::<Vec<f32>>()
@@ -393,7 +383,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue depth must be at least one")]
     fn zero_depth_rejected() {
-        let _ = QueueSender::new(0, 0, 0, FlowControl::Credit);
+        let _ = QueueSender::new(0, 0, FlowControl::Credit);
     }
 
     /// A request/reply round trip prices the full virtual path: the
@@ -498,7 +488,7 @@ mod tests {
                 // Sent first, so each sits ahead of the lane traffic.
                 rank.send(1, top, 1000u64);
                 rank.send(1, below, 2000u64);
-                let mut tx = QueueSender::new(1, 0, 1, FlowControl::Credit);
+                let mut tx = QueueSender::new(1, 1, FlowControl::Credit);
                 let mut ep = ServeClient::new(1, 0);
                 let mut wide = ServeClient::new(1, u32::MAX);
                 wide.send_request(rank, 6u64);
@@ -514,7 +504,7 @@ mod tests {
             } else {
                 rank.send(0, below, 3000u64);
                 rank.send(0, top, 4000u64);
-                let mut rx = QueueReceiver::new(0, 0, FlowControl::Credit);
+                let mut rx = QueueReceiver::new(0, FlowControl::Credit);
                 let mut ep = ServeServer::new(0, 0);
                 let mut wide = ServeServer::new(0, u32::MAX);
                 let d0 = rx.dequeue::<u64>(rank).msg;
@@ -535,29 +525,5 @@ mod tests {
         });
         assert_eq!(out[0], vec![82, 84, 3000, 4000]);
         assert_eq!(out[1], vec![77, 78, 5, 6, 1000, 2000]);
-    }
-
-    /// Two channels between the same pair of ranks stay independent.
-    #[test]
-    fn channels_are_independent() {
-        let out = Runtime::new(2, NetModel::free()).run(|rank| {
-            if rank.rank() == 0 {
-                let mut a = QueueSender::new(1, 0, 2, FlowControl::Credit);
-                let mut b = QueueSender::new(1, 1, 2, FlowControl::Credit);
-                a.enqueue(rank, 10u64);
-                b.enqueue(rank, 20u64);
-                a.enqueue(rank, 11u64);
-                0
-            } else {
-                let mut a = QueueReceiver::new(0, 0, FlowControl::Credit);
-                let mut b = QueueReceiver::new(0, 1, FlowControl::Credit);
-                let b0 = b.dequeue::<u64>(rank).msg;
-                let a0 = a.dequeue::<u64>(rank).msg;
-                let a1 = a.dequeue::<u64>(rank).msg;
-                assert_eq!((a0, a1, b0), (10, 11, 20));
-                1
-            }
-        });
-        assert_eq!(out, vec![0, 1]);
     }
 }

@@ -3,8 +3,9 @@
 //! All collectives must be called by every rank in the same order (the usual
 //! MPI contract). Data moves through one shared-memory rendezvous per
 //! collective — a single phase: every rank deposits its contribution, the
-//! last arriver releases all of them, and each rank then reads what it
-//! needs concurrently, with no lock held. *Time* moves through the
+//! last arriver hands the release of all of them to every other rank's
+//! mailbox, where each waits for it as for a message, and each rank then
+//! reads what it needs concurrently, with no lock held. *Time* moves through the
 //! [`crate::NetModel`] collective cost formulas, and every collective
 //! max-synchronizes the participating virtual clocks first — which is what
 //! makes "the pipeline is as slow as its slowest rank" (paper §IV-D) hold

@@ -24,16 +24,17 @@
 //!   execution stays laptop-scale and deterministic.
 //! * **One rendezvous under every collective** ([`collectives`]): a single
 //!   phase — each rank deposits its contribution and is counted under one
-//!   lock, the last arriver releases all of them and wakes the rest, and
-//!   every rank reads what it needs with no lock held. `alltoallv` is a
+//!   lock, the last arriver releases all of them into every other rank's
+//!   mailbox, where each waits for the release as for a message, and every
+//!   rank reads what it needs with no lock held. `alltoallv` is a
 //!   metered shared-memory exchange through it: the batches cross in one
 //!   meeting, and the paper's §IV-D sends and receives are what its
 //!   *clock* replays.
-//! * **One mailbox per rank under every point-to-point message**
-//!   ([`p2p`]): a sender locks only the destination's mailbox and wakes its
-//!   owner only for the `(source, lane)` it is blocked on; a receiver locks
-//!   only its own, and fails at once when the rank it waits for has died
-//!   or the whole run has stalled (every rank parked or finished).
+//! * **One mailbox per rank under every wait** ([`p2p`]): a sender locks
+//!   only the destination's mailbox and wakes its owner only for the
+//!   `(source, lane)` it is blocked on; a receiver locks only its own, and
+//!   fails at once when the rank it waits for has died or the whole run
+//!   has stalled (every rank parked or finished).
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
 //!   (§IV-C) plus a real parallel sample sort used as an ablation.
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):
@@ -54,6 +55,7 @@
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

@@ -27,15 +27,15 @@ use crate::runtime::Rank;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tag(pub u32);
 
-/// What a receive matches on besides its source: a user tag, or one
-/// direction of a [`crate::bounded`] endpoint on its channel. Distinct
-/// variants never match, so the kinds of traffic cannot collide whatever
-/// the tag or channel values.
+/// What a receive matches on besides its source: a user tag, a
+/// [`crate::bounded`] stage queue's data or credits, or one direction of a
+/// serve endpoint on its channel. Distinct variants never match, so the
+/// kinds of traffic cannot collide whatever the tag or channel values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lane {
     User(Tag),
-    StageData(u32),
-    StageCredit(u32),
+    StageData,
+    StageCredit,
     Request(u32),
     Reply(u32),
 }

@@ -1,6 +1,5 @@
-//! The rank runtime: one OS thread per rank, one shared `Rendezvous` under
-//! every collective, one `Mailbox` per rank under every point-to-point
-//! message.
+//! The rank runtime: one OS thread per rank, one `Mailbox` per rank under
+//! every wait, point-to-point message and collective alike.
 //!
 //! Two entry points share the same machinery:
 //!
@@ -22,27 +21,27 @@
 //!
 //! # Who wakes whom
 //!
-//! A rank blocks in exactly two places: `Shared::meet` (collectives) and
-//! `Rank::pop_matching` (receives). A mailbox is a mutex over one FIFO per
-//! source rank plus the `(source, lane)` its owner is parked on, and a
-//! condvar only the owner ever waits on. A sender locks the
-//! *destination's* mailbox, appends to its own FIFO there and wakes the
-//! owner only if that is the very message it is parked on — after
-//! unlocking, so the owner does not wake into a held lock; a receiver
-//! locks *its own* mailbox once, and a message that is already there costs
-//! it no system call at all. A message a rank cannot use yet therefore
-//! costs its sender no wake-up and its receiver no context switch — with
-//! 272 ranks on two cores, wake-ups that end in "not mine, back to sleep"
-//! were most of what a replay client did. No thread ever holds two
-//! mailbox locks, so there is no lock order, and nothing panics while
-//! holding one.
+//! A rank blocks in exactly one place, `Shared::park`: on its own mailbox,
+//! for a message or for the release of the collective it arrived at. A
+//! mailbox is a mutex over one FIFO per source rank, the owner's release
+//! slot and the `Wait` it is parked on, plus a condvar only the owner
+//! waits on. A sender — or a collective's last arriver, handing out the
+//! release — locks the *destination's* mailbox, puts its item there and
+//! wakes the owner only if that is the very thing it is parked on, after
+//! unlocking, so the owner does not wake into a held lock. What is already
+//! there costs the owner no system call at all, so a message a rank
+//! cannot use yet costs its sender no wake-up and its receiver no context
+//! switch — with 272 ranks on two cores, wake-ups that end in "not mine,
+//! back to sleep" were most of what a replay client did. No thread ever
+//! holds two of the runtime's locks, so there is no lock order, and
+//! nothing panics while holding one.
 //!
 //! # When a run is stuck
 //!
 //! Sends never block, so a run is stuck exactly when every rank is parked
-//! in one of the two waits or has finished this run's closure (returned or
-//! died). `Shared::progress` counts both; a waker uncounts the rank it
-//! wakes before unlocking its wait, and is itself running, so the count
+//! or has finished this run's closure (returned or died).
+//! `Shared::progress` counts both; a waker uncounts the rank it wakes
+//! before unlocking its mailbox, and is itself running, so the count
 //! reaches n only when no rank can run. Whoever makes it reach n — by
 //! parking or finishing — raises the stuck flag and wakes every parked
 //! rank, and each panics naming its own wait: stderr holds the wait-for
@@ -62,70 +61,42 @@ use crate::p2p::{Envelope, Lane};
 /// The epoch pins the contribution to the session run that deposited it.
 pub(crate) type Contribution = (u64, f64, Box<dyn Any + Send + Sync>);
 
-/// What one completed rendezvous hands every participant: the
+/// What one completed collective hands every participant: the
 /// contributions by rank and the latest of their clocks. Shared, so ranks
-/// read it concurrently with no lock held; the payloads are freed once
-/// the last reader is done and the next rendezvous has completed.
-#[derive(Default)]
+/// read it concurrently with no lock held; the payloads are freed by the
+/// last rank to drop it.
 pub(crate) struct Released {
     pub deposits: Vec<Contribution>,
     pub max_clock: f64,
 }
 
+/// The meeting point under every collective: each rank takes its mutex
+/// once, to deposit its contribution *and* be counted; the last arriver
+/// moves the deposits into a fresh [`Released`], drops the lock and only
+/// then hands it to every other rank's mailbox ([`Wait::Collective`]).
+///
+/// No round counter is needed: collective *k + 1* completes only after
+/// every rank arrived at it, and a rank arrives there only after it took
+/// *k*'s release, so a release slot is never refilled while full and
+/// `pending` never mixes two collectives' deposits.
+///
+/// Unlike `std::sync::Barrier`, a rank stranded here — a peer died before
+/// the collective — panics with a diagnostic the moment the run stalls.
+/// Nothing panics under the lock: epoch and type checks run on every rank
+/// after the release, so a mismatch fails every rank, not the mutex.
 struct Meeting {
-    /// Contributions to the generation still assembling, by rank.
+    /// Contributions to the collective still assembling, by rank.
     pending: Vec<Option<Contribution>>,
     arrived: usize,
-    generation: u64,
-    /// What the last completed generation released.
-    released: Arc<Released>,
 }
 
-/// The single-phase meeting point under every collective: each rank takes
-/// the one mutex once, to deposit its contribution *and* be counted; the
-/// last arriver moves the deposits into a fresh [`Released`], bumps the
-/// generation, drops the lock and only then wakes the others (waking them
-/// under the lock would park all of them on it again, to be handed it one
-/// context switch at a time).
-///
-/// One phase is enough. Generation *g + 1* can complete only after every
-/// rank arrived at it, and a rank arrives at *g + 1* only after it woke
-/// from *g* and cloned `released` under the lock — so `released` is never
-/// replaced while a rank of *g* still has to pick it up, and the `pending`
-/// deposits of *g + 1* never mix with the released ones of *g*. Spurious
-/// wake-ups loop on the generation.
-///
-/// A wait ends when its generation completes or the run is stuck.
-/// `std::sync::Barrier` waits forever, which turns "one rank panicked
-/// before its collective" into every *other* rank blocking eternally — and
-/// with it the whole run. Here the stranded ranks panic with a diagnostic
-/// the moment the run stalls, and the original panic still propagates.
-/// Nothing panics while the lock is held: epoch and type checks run on
-/// every rank after the release, so a mismatch is a diagnostic on every
-/// rank rather than a poisoned mutex.
-pub(crate) struct Rendezvous {
-    state: Mutex<Meeting>,
-    cvar: Condvar,
-}
-
-impl Rendezvous {
-    fn new(n: usize) -> Self {
-        Self {
-            state: Mutex::new(Meeting {
-                pending: (0..n).map(|_| None).collect(),
-                arrived: 0,
-                generation: 0,
-                released: Arc::default(),
-            }),
-            cvar: Condvar::new(),
-        }
-    }
-
-    /// Nothing panics under this lock, so even a poisoned one guards a
-    /// valid meeting.
-    fn lock(&self) -> MutexGuard<'_, Meeting> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// What a parked rank waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// The first message of this run that this source sent on this lane.
+    Message(usize, Lane),
+    /// The release of the collective the rank arrived at.
+    Collective,
 }
 
 /// What a mailbox's mutex guards.
@@ -135,10 +106,12 @@ struct Inbox {
     /// index on its first delivery (a rank that only ever hears from a few
     /// low ranks never holds n of them).
     from: Vec<VecDeque<Envelope>>,
-    /// The `(source, lane)` the owner is parked on; set exactly while the
-    /// owner is counted parked. Whoever clears it — a delivery of exactly
-    /// that, or that source dying — uncounts the owner and wakes it.
-    waiting: Option<(usize, Lane)>,
+    /// The release of the collective the owner arrived at, until taken.
+    released: Option<Arc<Released>>,
+    /// What the owner is parked on; set exactly while the owner is counted
+    /// parked. Whoever clears it — a delivery of exactly that, or the
+    /// awaited source dying — uncounts the owner and wakes it.
+    waiting: Option<Wait>,
     /// How often the owner woke from parking: by a delivery, a dying peer,
     /// the stuck flag or spuriously.
     wakeups: u64,
@@ -159,13 +132,13 @@ impl Inbox {
     }
 }
 
-/// One rank's incoming point-to-point messages. See "Who wakes whom" in
-/// the module docs for the protocol.
+/// One rank's incoming messages and collective releases. See "Who wakes
+/// whom" in the module docs for the protocol.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     inbox: Mutex<Inbox>,
-    /// Signalled when the envelope the owner is parked on arrives, or when
-    /// the rank it is parked on dies. Only the owner waits on it.
+    /// Signalled when what the owner is parked on arrives, or when the rank
+    /// it awaits a message from dies. Only the owner waits on it.
     arrived: Condvar,
     /// Set once, when the owner's thread exits: nothing will ever be taken
     /// from this mailbox or sent by its owner again. Outside the mutex so a
@@ -187,9 +160,8 @@ pub(crate) struct Shared {
     pub nranks: usize,
     pub net: NetModel,
     /// Where every collective meets.
-    pub rendezvous: Rendezvous,
-    /// Where every point-to-point message waits for its receiver, by
-    /// destination rank.
+    meeting: Mutex<Meeting>,
+    /// Where every rank waits, by rank.
     pub mailboxes: Vec<Mailbox>,
     /// This run's ranks parked in a wait (`PARKED`, the low 32 bits) and
     /// done with its closure (`FINISHED`, the next 31), and the `STUCK`
@@ -217,7 +189,7 @@ impl Shared {
 
     /// Clear `inbox.waiting` if `wakes` picks it, and uncount its owner —
     /// under the mailbox lock, so the owner never runs counted parked.
-    fn unpark(&self, inbox: &mut Inbox, wakes: impl FnOnce(&mut (usize, Lane)) -> bool) -> bool {
+    fn unpark(&self, inbox: &mut Inbox, wakes: impl FnOnce(&mut Wait) -> bool) -> bool {
         let woke = inbox.waiting.take_if(wakes).is_some();
         if woke {
             self.progress.fetch_sub(PARKED, Ordering::SeqCst);
@@ -236,93 +208,154 @@ impl Shared {
         }
     }
 
-    /// Wake every parked rank to find the stuck flag: one mailbox lock at
-    /// a time, then the rendezvous. Each lock is taken after the flag was
-    /// raised, so a rank between reading the flag and parking is woken.
+    /// Wake every parked rank to find the stuck flag, one mailbox lock at
+    /// a time. Each lock is taken after the flag was raised, so a rank
+    /// between reading the flag and parking is woken.
     fn wake_all(&self) {
         for mailbox in &self.mailboxes {
             drop(mailbox.lock());
             mailbox.arrived.notify_one();
         }
-        drop(self.rendezvous.lock());
-        self.rendezvous.cvar.notify_all();
+    }
+
+    /// Let `put` fill `dst`'s inbox, and wake `dst` if it is parked on
+    /// exactly `wait`. The one place a rank is handed what it waits for.
+    fn hand(&self, dst: usize, wait: Wait, put: impl FnOnce(&mut Inbox)) {
+        let mailbox = &self.mailboxes[dst];
+        let mut inbox = mailbox.lock();
+        put(&mut inbox);
+        let wake = self.unpark(&mut inbox, |w| *w == wait);
+        drop(inbox);
+        if wake {
+            // After the unlock, or the owner would wake into a held lock;
+            // `notify_one` because only the owner ever waits here.
+            mailbox.arrived.notify_one();
+        }
     }
 
     /// Deposit rank `id`'s contribution and wait for everyone else's.
     pub(crate) fn meet(&self, id: usize, mine: Contribution) -> Arc<Released> {
-        let rendezvous = &self.rendezvous;
-        let mut state = rendezvous.lock();
-        state.pending[id] = Some(mine);
-        state.arrived += 1;
-        if state.arrived == self.nranks {
-            let deposits: Vec<Contribution> =
-                state.pending.iter_mut().filter_map(Option::take).collect();
-            let max_clock = deposits.iter().fold(f64::MIN, |max, d| max.max(d.1));
-            let released = Arc::new(Released {
-                deposits,
-                max_clock,
+        // Nothing panics under this lock, so even a poisoned one guards a
+        // valid meeting.
+        let mut meeting = self.meeting.lock().unwrap_or_else(PoisonError::into_inner);
+        meeting.pending[id] = Some(mine);
+        meeting.arrived += 1;
+        if meeting.arrived < self.nranks {
+            drop(meeting);
+            return self.park(id, Wait::Collective, |inbox| inbox.released.take());
+        }
+        let deposits: Vec<Contribution> = meeting
+            .pending
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
+        meeting.arrived = 0;
+        drop(meeting);
+        let max_clock = deposits.iter().fold(f64::MIN, |max, d| max.max(d.1));
+        let released = Arc::new(Released {
+            deposits,
+            max_clock,
+        });
+        for dst in (0..self.nranks).filter(|&dst| dst != id) {
+            self.hand(dst, Wait::Collective, |inbox| {
+                inbox.released = Some(Arc::clone(&released));
             });
-            // The previous generation's payloads are freed below, after
-            // the unlock and the wake-up.
-            let _previous = std::mem::replace(&mut state.released, Arc::clone(&released));
-            state.arrived = 0;
-            state.generation += 1;
-            // Its n − 1 waiters can run again, uncounted under the lock.
-            let waiters = self.nranks as u64 - 1;
-            self.progress.fetch_sub(waiters * PARKED, Ordering::SeqCst);
-            drop(state);
-            rendezvous.cvar.notify_all();
-            return released;
         }
-        let generation = state.generation;
-        let flagged = self.count(PARKED);
-        while state.generation == generation {
-            #[expect(
-                clippy::panic,
-                reason = "a stuck run is unrecoverable; the panic is the diagnostic"
-            )]
-            if self.stuck() {
-                let arrived = state.arrived;
-                // Unlocked before waking or unwinding, so fellow waiters
-                // see the flag, not a held lock.
-                drop(state);
-                if flagged {
-                    self.wake_all();
-                }
-                panic!(
-                    "deadlocked in a collective barrier: only {arrived} of {} ranks \
-                     arrived (a peer died, returned or diverged)",
-                    self.nranks
-                );
-            }
-            state = rendezvous
-                .cvar
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        Arc::clone(&state.released)
+        released
     }
 
     /// Append `env` to its source's FIFO in `dst`'s mailbox and wake `dst`
     /// if it is parked on exactly this `(source, lane)`. The one place a
     /// message is delivered. Panics if `dst`'s thread is gone.
     pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
-        let mailbox = &self.mailboxes[dst];
         assert!(
-            !mailbox.dead.load(Ordering::SeqCst),
+            !self.mailboxes[dst].dead.load(Ordering::SeqCst),
             "destination rank hung up"
         );
+        self.hand(dst, Wait::Message(env.src, env.lane), |inbox| {
+            if inbox.from.len() <= env.src {
+                inbox.from.resize_with(env.src + 1, VecDeque::new);
+            }
+            inbox.from[env.src].push_back(env);
+        });
+    }
+
+    /// Block rank `id` until `take` finds what it `wait`s for in its own
+    /// mailbox, and return that. The one place a rank blocks. Gives up —
+    /// with the lock released — when the run is stuck, or when the source
+    /// of an awaited message has died without delivering it.
+    fn park<T>(&self, id: usize, wait: Wait, mut take: impl FnMut(&mut Inbox) -> Option<T>) -> T {
+        let mailbox = &self.mailboxes[id];
         let mut inbox = mailbox.lock();
-        let wake = self.unpark(&mut inbox, |w| *w == (env.src, env.lane));
-        if inbox.from.len() <= env.src {
-            inbox.from.resize_with(env.src + 1, VecDeque::new);
-        }
-        inbox.from[env.src].push_back(env);
+        let mut flagged = false;
+        let stuck = loop {
+            if let Some(found) = take(&mut inbox) {
+                return found;
+            }
+            // After the inbox: what a peer delivered before dying still
+            // wins. Before parking and after every wake: whoever raises
+            // the stuck flag or a dead flag then takes this lock, so either
+            // this load sees the flag or that lock sees us parked. Stuck
+            // first: in a cycle the flagging rank's own panic kills it, and
+            // its peer must still report the stall, not the death.
+            if self.stuck() {
+                break true;
+            }
+            if let Wait::Message(src, _) = wait {
+                if self.mailboxes[src].dead.load(Ordering::SeqCst) {
+                    break false;
+                }
+            }
+            // Set `waiting` means counted parked: a spurious wake-up parks
+            // again without counting twice.
+            if inbox.waiting.is_none() {
+                inbox.waiting = Some(wait);
+                flagged = self.count(PARKED);
+                if flagged {
+                    break true;
+                }
+            }
+            inbox = mailbox
+                .arrived
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+            inbox.wakeups += 1;
+        };
+        // Still counted parked if no waker cleared `waiting`.
+        self.unpark(&mut inbox, |_| true);
+        let stashed: usize = inbox.from.iter().map(VecDeque::len).sum();
         drop(inbox);
-        if wake {
-            // After the unlock, or the owner would wake into a held lock;
-            // `notify_one` because only the owner ever waits here.
-            mailbox.arrived.notify_one();
+        if flagged {
+            self.wake_all();
+        }
+        #[expect(
+            clippy::panic,
+            reason = "what the rank waits for will never come; the panic is the diagnostic"
+        )]
+        match wait {
+            Wait::Collective => {
+                let arrived = self
+                    .meeting
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .arrived;
+                panic!(
+                    "deadlocked in a collective barrier: only {arrived} of {} ranks \
+                     arrived (a peer died, returned or diverged)",
+                    self.nranks
+                )
+            }
+            Wait::Message(src, lane) => {
+                let (stalled, died) = if stuck {
+                    ("deadlocked ", String::new())
+                } else {
+                    ("", format!(" from rank {src}, which died"))
+                };
+                panic!(
+                    "rank {id} {stalled}waiting for message (src={src}, lane={lane:?}){died}; \
+                     {stashed} stashed envelopes"
+                )
+            }
         }
     }
 }
@@ -339,10 +372,11 @@ struct HangUp {
 impl Drop for HangUp {
     fn drop(&mut self) {
         let shared = &*self.shared;
-        // Flag first, then one mailbox lock at a time (see `Rank::pop_matching`).
+        // Flag first, then one mailbox lock at a time (see `Shared::park`).
         shared.mailboxes[self.id].dead.store(true, Ordering::SeqCst);
         for mailbox in &shared.mailboxes {
-            if shared.unpark(&mut mailbox.lock(), |w| w.0 == self.id) {
+            let awaits_me = |w: &mut Wait| matches!(*w, Wait::Message(src, _) if src == self.id);
+            if shared.unpark(&mut mailbox.lock(), awaits_me) {
                 mailbox.arrived.notify_one();
             }
         }
@@ -388,7 +422,10 @@ impl Runtime {
         let shared = Arc::new(Shared {
             nranks: n,
             net: self.net,
-            rendezvous: Rendezvous::new(n),
+            meeting: Mutex::new(Meeting {
+                pending: (0..n).map(|_| None).collect(),
+                arrived: 0,
+            }),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             progress: AtomicU64::new(0),
         });
@@ -426,8 +463,8 @@ impl Runtime {
                     };
                     // The job loop: run each dispatched closure, report its
                     // outcome, and stop on the first panic (the session is
-                    // poisoned then — the shared rendezvous may be out of
-                    // step) or when the session is dropped.
+                    // poisoned then — the collectives' meeting may be out
+                    // of step) or when the session is dropped.
                     while let Ok(job) = job_rx.recv() {
                         rank.begin_run(job.epoch);
                         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -503,15 +540,24 @@ struct RunCtx<T, F> {
     results: *mut Option<T>,
 }
 
+/// # Safety
+///
+/// `data` must point at a live `RunCtx<T, F>` whose `results` holds a slot
+/// for `rank.id` that no other thread touches meanwhile.
 unsafe fn call_spmd<T, F>(data: *const (), rank: &mut Rank)
 where
     T: Send,
     F: Fn(&mut Rank) -> T + Sync,
 {
-    let ctx = &*(data as *const RunCtx<T, F>);
-    let out = (&*ctx.f)(rank);
-    // Disjoint per-rank slot; `None` in place, so plain assignment is fine.
-    *ctx.results.add(rank.id) = Some(out);
+    // SAFETY: by the contract above, `data` is a live `RunCtx<T, F>` (the
+    // dispatching `Session::run`'s, whose closure and result buffer outlive
+    // every rank's report) and `rank.id`'s slot is in bounds and this
+    // rank's alone; it holds `None`, so plain assignment drops nothing.
+    unsafe {
+        let ctx = &*(data as *const RunCtx<T, F>);
+        let out = (&*ctx.f)(rank);
+        *ctx.results.add(rank.id) = Some(out);
+    }
 }
 
 /// A persistent group of rank threads created by [`Runtime::session`].
@@ -525,8 +571,8 @@ where
 /// [`Runtime::run`].
 ///
 /// A panic in any rank propagates out of [`Session::run`] with the original
-/// payload and **poisons** the session (the shared rendezvous may be out
-/// of step); later runs panic immediately. Dropping the session joins the
+/// payload and **poisons** the session (the collectives' meeting may be
+/// out of step); later runs panic immediately. Dropping the session joins the
 /// threads.
 ///
 /// ```
@@ -661,9 +707,9 @@ pub struct Rank {
     /// envelope and collective contribution so runs cannot interfere.
     pub(crate) epoch: u64,
     pub(crate) clock: f64,
-    /// The session's meeting points: the rendezvous, and every rank's
-    /// mailbox — this rank takes from `mailboxes[id]` and delivers into its
-    /// destinations'.
+    /// The session's meeting points: the collectives' meeting, and every
+    /// rank's mailbox — this rank takes from `mailboxes[id]` and delivers
+    /// into its destinations'.
     pub(crate) shared: Arc<Shared>,
 }
 
@@ -681,6 +727,12 @@ impl Rank {
         for fifo in &mut inbox.from {
             fifo.retain(|env| env.epoch == epoch);
         }
+        // Every rank that arrived at an earlier run's collective took its
+        // release before that run ended, and no collective of this run can
+        // complete before this rank arrives at it.
+        let stale = inbox.released.is_some();
+        drop(inbox);
+        debug_assert!(!stale, "a release outlived its run");
     }
 
     /// This rank's id in `0..nranks`.
@@ -719,68 +771,13 @@ impl Rank {
     }
 
     /// Block until the first message of this run that `src` sent on
-    /// `lane` is in this rank's mailbox, and remove it. The one place a
-    /// receive blocks. Gives up — with the lock released — when the run is
-    /// stuck, or when `src` has died without delivering it.
+    /// `lane` is in this rank's mailbox, and remove it (see `Shared::park`).
     pub(crate) fn pop_matching(&mut self, src: usize, lane: Lane) -> Envelope {
-        let shared = &*self.shared;
-        let mailbox = &shared.mailboxes[self.id];
-        let mut inbox = mailbox.lock();
-        let mut flagged = false;
-        let stuck = loop {
-            if let Some(env) = inbox.pop(src, lane, self.epoch) {
-                return env;
-            }
-            // After the FIFO: what a peer delivered before dying still
-            // wins. Before parking and after every wake: whoever raises
-            // the stuck flag or a dead flag then takes this lock, so either
-            // this load sees the flag or that lock sees us parked. Stuck
-            // first: in a cycle the flagging rank's own panic kills it, and
-            // its peer must still report the stall, not the death.
-            if shared.stuck() {
-                break true;
-            }
-            if shared.mailboxes[src].dead.load(Ordering::SeqCst) {
-                break false;
-            }
-            // Set `waiting` means counted parked: a spurious wake-up parks
-            // again without counting twice.
-            if inbox.waiting.is_none() {
-                inbox.waiting = Some((src, lane));
-                flagged = shared.count(PARKED);
-                if flagged {
-                    break true;
-                }
-            }
-            inbox = mailbox
-                .arrived
-                .wait(inbox)
-                .unwrap_or_else(PoisonError::into_inner);
-            inbox.wakeups += 1;
-        };
-        // Still counted parked if no waker cleared `waiting`.
-        shared.unpark(&mut inbox, |_| true);
-        let stashed: usize = inbox.from.iter().map(VecDeque::len).sum();
-        drop(inbox);
-        if flagged {
-            shared.wake_all();
-        }
-        let (stalled, died) = if stuck {
-            ("deadlocked ", String::new())
-        } else {
-            ("", format!(" from rank {src}, which died"))
-        };
-        #[expect(
-            clippy::panic,
-            reason = "the message will never come; the panic is the diagnostic"
-        )]
-        {
-            panic!(
-                "rank {} {stalled}waiting for message (src={src}, lane={lane:?}){died}; \
-                 {stashed} stashed envelopes",
-                self.id
-            )
-        }
+        let epoch = self.epoch;
+        self.shared
+            .park(self.id, Wait::Message(src, lane), |inbox| {
+                inbox.pop(src, lane, epoch)
+            })
     }
 }
 
@@ -907,7 +904,9 @@ mod tests {
             1 => {
                 // Not before rank 0 is parked on rank 2's message:
                 // `waiting` is published under the lock the wait releases.
-                while rank.shared.mailboxes[0].lock().waiting != Some((2, Lane::User(awaited))) {
+                while rank.shared.mailboxes[0].lock().waiting
+                    != Some(Wait::Message(2, Lane::User(awaited)))
+                {
                     std::thread::yield_now();
                 }
                 (0..NOISE).for_each(|i| rank.send(0, noise, i));

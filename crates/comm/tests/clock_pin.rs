@@ -265,7 +265,7 @@ fn p2p_script(rank: &mut Rank) -> u64 {
     skew(rank);
     const FRAMES: usize = 7;
     if r.is_multiple_of(2) {
-        let mut tx = QueueSender::new(r + 1, 3, 2, FlowControl::Credit);
+        let mut tx = QueueSender::new(r + 1, 2, FlowControl::Credit);
         for k in 0..FRAMES {
             rank.advance(1e-5 * ((r + k) % 3) as f64);
             h.u64(
@@ -275,7 +275,7 @@ fn p2p_script(rank: &mut Rank) -> u64 {
             h.clock(rank);
         }
     } else {
-        let mut rx = QueueReceiver::new(r - 1, 3, FlowControl::Credit);
+        let mut rx = QueueReceiver::new(r - 1, FlowControl::Credit);
         for _ in 0..FRAMES {
             let d = rx.dequeue::<Blob>(rank);
             h.blob(&d.msg);
@@ -290,7 +290,7 @@ fn p2p_script(rank: &mut Rank) -> u64 {
     // of its clock and settles only the ones it keeps.
     skew(rank);
     if r % 2 == 1 {
-        let mut tx = QueueSender::new(r - 1, 5, 1, FlowControl::Lossy);
+        let mut tx = QueueSender::new(r - 1, 1, FlowControl::Lossy);
         for k in 0..FRAMES {
             rank.advance(3e-5);
             h.u64(
@@ -299,7 +299,7 @@ fn p2p_script(rank: &mut Rank) -> u64 {
             );
         }
     } else {
-        let mut rx = QueueReceiver::new(r + 1, 5, FlowControl::Lossy);
+        let mut rx = QueueReceiver::new(r + 1, FlowControl::Lossy);
         let before = rank.clock();
         let pulled: Vec<_> = (0..FRAMES)
             .map(|_| rx.dequeue_deferred::<Blob>(rank))

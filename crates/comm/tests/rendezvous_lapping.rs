@@ -2,16 +2,19 @@
 //!
 //! With no second phase holding everyone back, a fast rank leaves
 //! collective *k*, runs its compute and arrives at collective *k + 1*
-//! while a slow peer has not yet woken from *k*. The rendezvous must keep
-//! the two generations apart: what the slow rank picks up is still round
-//! *k*'s release, and the fast rank's new deposit is never part of it.
-//! Every payload here carries its round number, so one mixed generation
-//! shows as a `k ± 1` in somebody's result.
+//! while a slow peer has not yet taken *k*'s release from its mailbox. The
+//! two collectives must stay apart: what the slow rank takes is still
+//! round *k*'s release, and the fast rank's new deposit is never part of
+//! it. And a release shares its rank's mailbox with point-to-point
+//! envelopes, so one round kind crosses a collective with ring messages.
+//! Every payload here carries its round number, so one mixed collective, a
+//! release taken as a message or a message consumed by a collective shows
+//! as a `k ± 1` in somebody's result.
 
 use std::hint::spin_loop;
 use std::thread::yield_now;
 
-use apc_comm::{NetModel, Rank, Runtime};
+use apc_comm::{NetModel, Rank, Runtime, Tag};
 
 /// Rank- and round-dependent wall-clock skew in front of a collective:
 /// some ranks give up their time slice, some burn a little of it, most
@@ -27,11 +30,12 @@ fn skew(r: usize, k: usize) {
 }
 
 /// Round `k`: one collective of rotating kind whose every delivered value
-/// names the round and the rank it came from.
+/// names the round and the rank it came from; the last kind sends the ring
+/// neighbour a message before its collective and receives one after.
 fn round(rank: &mut Rank, k: u64) {
     let (r, n) = (rank.rank() as u64, rank.nranks() as u64);
     skew(r as usize, k as usize);
-    match k % 5 {
+    match k % 6 {
         0 => {
             let all = rank.allgather((k, r));
             let expect: Vec<(u64, u64)> = (0..n).map(|src| (k, src)).collect();
@@ -48,11 +52,20 @@ fn round(rank: &mut Rank, k: u64) {
             let expect = (r == root).then(|| (0..n).map(|src| (k, src)).collect());
             assert_eq!(got, expect, "gather of round {k} on rank {r}");
         }
-        _ => {
+        4 => {
             let outgoing = (0..n).map(|dst| vec![(k, r, dst)]).collect();
             for (src, batch) in rank.alltoallv(outgoing).into_iter().enumerate() {
                 assert_eq!(batch, [(k, src as u64, r)], "alltoallv of round {k}");
             }
+        }
+        _ => {
+            let (next, prev) = ((r + 1) % n, (r + n - 1) % n);
+            rank.send(next as usize, Tag(0), (k, r));
+            let all = rank.allgather((k, r));
+            let expect: Vec<(u64, u64)> = (0..n).map(|src| (k, src)).collect();
+            assert_eq!(all, expect, "allgather between ring messages of round {k}");
+            let got: (u64, u64) = rank.recv(prev as usize, Tag(0));
+            assert_eq!(got, (k, prev), "ring message of round {k} on rank {r}");
         }
     }
 }

@@ -147,7 +147,7 @@ where
 {
     let flow = spec.policy.flow();
     let mut txs: Vec<QueueSender> = (0..spec.partition.n_stage())
-        .map(|g| QueueSender::new(spec.partition.stage_rank(g), 0, spec.queue_depth, flow))
+        .map(|g| QueueSender::new(spec.partition.stage_rank(g), spec.queue_depth, flow))
         .collect();
     let mut log = Vec::with_capacity(nframes);
     for k in 0..nframes {
@@ -249,7 +249,7 @@ where
     let flow = spec.policy.flow();
     let mut windows: Vec<Window<M>> = (0..n_sim)
         .map(|i| Window {
-            rx: QueueReceiver::new(spec.partition.sim_rank(i), 0, flow),
+            rx: QueueReceiver::new(spec.partition.sim_rank(i), flow),
             slices: VecDeque::new(),
             last_arrival: f64::NEG_INFINITY,
         })
