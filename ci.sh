@@ -34,6 +34,9 @@ cargo test --workspace -q
 echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benchmark runs them)"
 # The debug pass above traps shift widths of 0 and 64 with overflow checks;
 # this one runs the same suite, format pin included, on the optimised code.
+# On an AVX2/BMI2/LZCNT host that is fpz's dispatched encoder, which
+# dispatched_encoder_is_the_portable_encoder also compares byte for byte
+# with the portable body.
 cargo test -p apc-compress --release -q
 
 echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"

@@ -38,14 +38,6 @@ impl BitWriter {
         Self::default()
     }
 
-    /// A writer whose buffer already has room for `bytes` bytes.
-    pub(crate) fn with_capacity(bytes: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bytes),
-            ..Self::default()
-        }
-    }
-
     /// Number of bits written so far.
     // apc-lint: allow(dead-pub): mask_coder_emits_the_oracle_bits checks the decoder reads exactly these
     pub fn bit_len(&self) -> usize {

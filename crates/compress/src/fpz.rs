@@ -30,12 +30,26 @@
 //! A sample is a unary run of `u = zigzag(width − previous width)` zeros,
 //! the one that closes it, and `pay = width − 1` payload bits (none for a
 //! width of 0 or 1). Stream bits are LSB first, so that is the integer
-//! `(payload << 1 | 1) << u`, `u + 1 + pay` bits wide, and the encoder
-//! writes it with **one** [`BitWriter::write_bits`]. It splits into the
-//! run and the payload only when the code is wider than 64 bits, which
-//! takes a width jump of 17 or more upwards: mid-stream that is rare, but
-//! the first sample of practically every stream is one (`0.0` maps to
-//! `0x8000_0000`, so the width goes 0 → 32: `u = 64`, 65 + 31 bits).
+//! `(payload << 1 | 1) << u`, `u + 1 + pay` bits wide.
+//!
+//! The encoder works on the whole array in three steps: it fills the
+//! padded field, computes every residual in one flat pass over it, then
+//! packs the rows. The codec is lossless, so no prediction waits on a
+//! coded sample: the pass reads the seven corners at fixed offsets (`1`,
+//! `sy`, `sz` and their sums) behind each slot, pad slots included (their
+//! residuals are never read). The packer ORs each code into a `u64`
+//! register above the fewer than 8 bits it holds, stores the register
+//! unaligned at its byte cursor and moves the cursor past the bytes that
+//! are now whole. A code wider than 56 bits goes in 56-bit pieces: that
+//! takes a width jump of 13 or more up or 26 or more down, rare
+//! mid-stream, but the first sample of practically every stream is one
+//! (`0.0` maps to `0x8000_0000`, so the width goes 0 → 32: `u = 64`,
+//! 65 + 31 bits). The buffer grows once per row, by the row's worst case
+//! (96 bits a sample) and the 8 bytes the last store touches. The
+//! encoder's body is compiled twice, as it is and with AVX2, BMI1/2 and
+//! LZCNT enabled; the second is picked at run time on a CPU that has
+//! them. Both are the same integer code, so they emit the same bytes
+//! (`tests::dispatched_encoder_is_the_portable_encoder` checks it).
 //!
 //! The decoder keeps the stream in a register window (`BitWindow`):
 //! `have` valid bits at the bottom of a `u64`. Before each sample it ORs
@@ -50,18 +64,19 @@
 //! from that one window (`24 + 1 + 31 = 56`); a longer run is counted
 //! window by window and its payload read from a fresh one.
 //!
-//! The prediction is summed in a different order than it is written
-//! above: the six terms that lie in other rows first, a whole row at a
-//! time (`corner_sums` — none of them waits for a sample of the row
-//! being coded), the left neighbor last. Wrapping adds are associative
-//! and commutative, so the prediction is the same bits, and the decoder's
-//! chain from one sample to the next is two adds. `mod tests` keeps the
-//! coder this replaced — seven terms in source order, a `write_unary` and
-//! a `write_bits` per sample, `read_unary` and `read_bits` back — as the
-//! oracle: equal bytes on 5 000 arrays, and on damaged streams the same
-//! samples or the same error.
+//! The decoder cannot take the flat pass, as each prediction needs the
+//! samples before it, so it sums the prediction in a different order than
+//! it is written above: the six terms that lie in other rows first, a
+//! whole row at a time (`corner_sums` — none of them waits for a sample of
+//! the row being decoded), the left neighbor last. Wrapping adds are
+//! associative and commutative, so the prediction is the same bits, and
+//! the chain from one sample to the next is two adds. `mod tests` keeps the
+//! coder both directions replaced — seven terms in source order, a
+//! `write_unary` and a `write_bits` per sample, `read_unary` and
+//! `read_bits` back — as the oracle: equal bytes on 5 000 arrays, and on
+//! damaged streams the same samples or the same error.
 
-use crate::bitio::{BitReader, BitWriter, UNDERRUN};
+use crate::bitio::{BitReader, UNDERRUN};
 use crate::{CodecError, FloatCodec, Shape};
 
 /// Order-preserving map from IEEE-754 `f32` bits to `u32`.
@@ -169,6 +184,55 @@ impl Lorenzo {
             pz: &before[start - sz..][..sy],
             pyz: &before[start - sz - sy..][..sy],
         }
+    }
+
+    /// The padded field of `data` (non-empty, shaped `shape`).
+    #[inline(always)]
+    fn filled(data: &[f32], shape: Shape) -> Self {
+        let mut ctx = Self::zeroed(shape);
+        let nx = shape.0;
+        for (start, samples) in ctx.row_starts().zip(data.chunks_exact(nx)) {
+            for (ordered, &v) in ctx.field[start + 1..][..nx].iter_mut().zip(samples) {
+                *ordered = float_to_ordered(v);
+            }
+        }
+        ctx
+    }
+
+    /// The padded index of the first sample, `(0, 0, 0)`.
+    fn first(&self) -> usize {
+        self.sz + self.sy + 1
+    }
+
+    /// The zig-zagged residual of every padded slot from [`Self::first`] on,
+    /// `[p - first]` for slot `p`. The codec is lossless, so no prediction
+    /// waits on a coded sample: each is the seven corners at fixed offsets
+    /// behind its slot, and the whole field is one flat pass. A pad slot's
+    /// entry is computed like the rest and never read.
+    #[inline(always)]
+    fn residuals(&self) -> Vec<u32> {
+        let (field, sy, sz, first) = (&self.field[..], self.sy, self.sz, self.first());
+        let n = field.len() - first;
+        let behind = |offset: usize| &field[first - offset..][..n];
+        let (cur, x, y, z) = (behind(0), behind(1), behind(sy), behind(sz));
+        let (xy, xz, yz, xyz) = (
+            behind(1 + sy),
+            behind(1 + sz),
+            behind(sy + sz),
+            behind(first),
+        );
+        (0..n)
+            .map(|p| {
+                let prediction = x[p]
+                    .wrapping_add(y[p])
+                    .wrapping_add(z[p])
+                    .wrapping_sub(xy[p])
+                    .wrapping_sub(xz[p])
+                    .wrapping_sub(yz[p])
+                    .wrapping_add(xyz[p]);
+                zigzag(cur[p].wrapping_sub(prediction) as i32)
+            })
+            .collect()
     }
 }
 
@@ -305,6 +369,146 @@ fn width_after(prev_nbits: u32, run: usize) -> Result<u32, CodecError> {
     Ok(nbits as u32)
 }
 
+/// The encoder's output: stream bits LSB first. Every byte before `pos` is
+/// final; the `pending < 8` bits after them are the bottom of `acc`, every
+/// bit above them zero, and sit at `out[pos]` too.
+struct Packer {
+    out: Vec<u8>,
+    pos: usize,
+    acc: u64,
+    pending: u32,
+}
+
+/// The widest code a sample takes: a unary run of 64 (a width jump
+/// 0 → 32), its closing one and 31 payload bits.
+const WIDEST_CODE_BYTES: usize = 96 / 8;
+
+impl Packer {
+    fn with_capacity(bytes: usize) -> Self {
+        Self {
+            out: Vec::with_capacity(bytes),
+            pos: 0,
+            acc: 0,
+            pending: 0,
+        }
+    }
+
+    /// Room for `samples` codes of the widest kind, and for the 8-byte
+    /// store after the last of them.
+    #[inline(always)]
+    fn reserve(&mut self, samples: usize) {
+        let end = self.pos + samples * WIDEST_CODE_BYTES + 8;
+        if self.out.len() < end {
+            self.out.resize(end, 0);
+        }
+    }
+
+    /// Append `code`, `width ≤ 56` bits wide (nothing set above them). The
+    /// register is stored whole at the byte cursor, which then moves past
+    /// the bytes it completed: at most 63 bits are held, so neither shift
+    /// reaches 64.
+    #[inline(always)]
+    fn put(&mut self, code: u64, width: u32) {
+        debug_assert!(width <= 56 && code >> width == 0);
+        self.acc |= code << self.pending;
+        self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
+        let total = self.pending + width;
+        self.pos += (total / 8) as usize;
+        self.acc >>= total & !7;
+        self.pending = total % 8;
+    }
+
+    /// [`Self::put`] for a code wider than 56 bits (at most 96), in 56-bit
+    /// pieces. (The first sample of practically every stream takes this.)
+    /// Inlined too: a call would take the packer's address and keep its
+    /// fields out of registers for the whole loop.
+    #[inline(always)]
+    fn put_wide(&mut self, mut code: u128, mut width: u32) {
+        while width > 0 {
+            let piece = width.min(56);
+            self.put(code as u64 & ((1 << piece) - 1), piece);
+            code >>= piece;
+            width -= piece;
+        }
+    }
+
+    /// The stream, its last byte zero-padded.
+    fn finish(mut self) -> Vec<u8> {
+        self.out
+            .truncate(self.pos + self.pending.div_ceil(8) as usize);
+        self.out
+    }
+}
+
+/// [`Fpz`]'s encoder, in three steps over the whole array: the padded field
+/// ([`Lorenzo::filled`]), every residual in one flat pass
+/// ([`Lorenzo::residuals`]), then the packer over the rows. Compiled here
+/// as it is and again, for CPUs that have them, with AVX2, BMI1/2 and LZCNT
+/// enabled (`x86::encode`); the source is the same integer code, so the
+/// bytes are. It, the two steps and the packer's writes are
+/// `#[inline(always)]`, so the second copy's loops are compiled with
+/// those features.
+#[inline(always)]
+fn encode_body(data: &[f32], shape: Shape) -> Vec<u8> {
+    if data.is_empty() {
+        return Vec::new();
+    }
+    let nx = shape.0;
+    let ctx = Lorenzo::filled(data, shape);
+    let magnitudes = ctx.residuals();
+    // Smooth data lands well under its raw size and noise an eighth above
+    // it (≈ 36 bits a sample): room for either, and for the last row's
+    // worst case, without regrowth. What is left over is where a store
+    // chunk's tag byte goes.
+    let raw = std::mem::size_of_val(data);
+    let mut packer = Packer::with_capacity(raw + raw / 8 + nx * WIDEST_CODE_BYTES + 16);
+    let mut prev_nbits = 0u32;
+    for start in ctx.row_starts() {
+        packer.reserve(nx);
+        for &m in &magnitudes[start + 1 - ctx.first()..][..nx] {
+            let nbits = 32 - m.leading_zeros();
+            // Counts are locally stable: delta-code them in unary.
+            let unary = zigzag(nbits as i32 - prev_nbits as i32);
+            prev_nbits = nbits;
+            // The MSB of an nbits-wide value is always 1; skip it.
+            let pay = nbits.saturating_sub(1);
+            let payload = m & ((1 << pay) - 1);
+            // The run's closing one under the payload, one code.
+            let width = unary + 1 + pay;
+            if width <= 56 {
+                packer.put((u64::from(payload) << 1 | 1) << unary, width);
+            } else {
+                packer.put_wide((u128::from(payload) << 1 | 1) << unary, width);
+            }
+        }
+    }
+    packer.finish()
+}
+
+/// [`encode_body`] compiled for AVX2, BMI1/2 and LZCNT, picked at run time.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::Shape;
+
+    /// The stream of `data` if this CPU has the features, else `None`.
+    pub(super) fn encode(data: &[f32], shape: Shape) -> Option<Vec<u8>> {
+        let supported = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("bmi1")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("lzcnt");
+        supported.then(|| {
+            // SAFETY: the CPU was just found to support every feature
+            // `kernel` enables.
+            unsafe { kernel(data, shape) }
+        })
+    }
+
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
+    fn kernel(data: &[f32], shape: Shape) -> Vec<u8> {
+        super::encode_body(data, shape)
+    }
+}
+
 /// The fpzip-like codec. Stateless; the default instance is what the FPZIP
 /// scoring metric uses.
 #[derive(Debug, Clone, Copy, Default)]
@@ -318,45 +522,11 @@ impl FloatCodec for Fpz {
     fn encode(&self, data: &[f32], shape: Shape) -> Vec<u8> {
         let (nx, ny, nz) = shape;
         assert_eq!(data.len(), nx * ny * nz, "shape/data mismatch");
-        if data.is_empty() {
-            return Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        if let Some(stream) = x86::encode(data, shape) {
+            return stream;
         }
-        let mut ctx = Lorenzo::zeroed(shape);
-        // Smooth data lands well under its raw size and noise an eighth
-        // above it (≈ 36 bits a sample): room for either without regrowth.
-        let raw = std::mem::size_of_val(data);
-        let mut w = BitWriter::with_capacity(raw + raw / 8 + 16);
-        let mut prev_nbits = 0u32;
-        // The row's zig-zagged residuals; no residual waits for another.
-        let mut magnitudes = vec![0u32; nx];
-        for (start, samples) in ctx.row_starts().zip(data.chunks_exact(nx)) {
-            let Rows { cur, py, pz, pyz } = ctx.rows_mut(start);
-            for (ordered, &v) in cur[1..].iter_mut().zip(samples) {
-                *ordered = float_to_ordered(v);
-            }
-            corner_sums(py, pz, pyz, &mut magnitudes);
-            for (m, pair) in magnitudes.iter_mut().zip(cur.windows(2)) {
-                let prediction = m.wrapping_add(pair[0]);
-                *m = zigzag(pair[1].wrapping_sub(prediction) as i32);
-            }
-            for &m in &magnitudes {
-                let nbits = 32 - m.leading_zeros();
-                // Counts are locally stable: delta-code them in unary.
-                let unary = zigzag(nbits as i32 - prev_nbits as i32);
-                prev_nbits = nbits;
-                // The MSB of an nbits-wide value is always 1; skip it.
-                let pay = nbits.saturating_sub(1);
-                let payload = (m & ((1 << pay) - 1)) as u64;
-                if unary + 1 + pay <= 64 {
-                    // The run's closing one under the payload, one write.
-                    w.write_bits((payload << 1 | 1) << unary, unary + 1 + pay);
-                } else {
-                    w.write_unary(unary);
-                    w.write_bits(payload, pay);
-                }
-            }
-        }
-        w.into_bytes()
+        encode_body(data, shape)
     }
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
@@ -392,6 +562,7 @@ impl FloatCodec for Fpz {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitWriter;
     use apc_par::SplitMix64;
 
     /// The per-sample coder the fused one replaced, kept as the reference:
@@ -535,6 +706,63 @@ mod tests {
                 "case {case} {shape:?}"
             );
         }
+    }
+
+    /// Arrays whose residual widths alternate 32 ↔ 0 along a row: ordered
+    /// values `0x8000_0000` (0.0) and `0xE000_0000`, each twice, so every
+    /// jump up is a 96-bit code and every drop a 64-bit one.
+    fn widest_codes(n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| ordered_to_float([0x8000_0000, 0xE000_0000][i / 2 % 2]))
+            .collect()
+    }
+
+    #[test]
+    fn dispatched_encoder_is_the_portable_encoder() {
+        #[cfg(target_arch = "x86_64")]
+        if x86::encode(&[], (0, 0, 0)).is_some() {
+            let mut rng = SplitMix64::new(0xD15_9A7C4);
+            let mut cases: Vec<(Shape, Vec<f32>)> = oracle_cases(5_000)
+                .map(|(_, shape, data)| (shape, data))
+                .collect();
+            for n in 0..=17 {
+                for shape in [(n, 1, 1), (1, n, 1), (1, 1, n)] {
+                    cases.push((shape, oracle_array(&mut rng, n)));
+                }
+            }
+            // Rows of 200+ samples; with the widest codes they outgrow the
+            // buffer's first capacity mid-stream.
+            for shape in [(203, 3, 2), (257, 1, 1), (512, 2, 1)] {
+                for _ in 0..6 {
+                    let n = shape.0 * shape.1 * shape.2;
+                    cases.push((shape, oracle_array(&mut rng, n)));
+                }
+                cases.push((shape, widest_codes(shape.0 * shape.1 * shape.2)));
+            }
+            // NaN and ±inf planted at the front, the middle and the back.
+            let specials = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for shape in [(11, 11, 19), (40, 40, 1), (17, 1, 1)] {
+                for special in specials {
+                    let n = shape.0 * shape.1 * shape.2;
+                    let mut data = oracle_array(&mut rng, n);
+                    for at in [0, n / 2, n - 1] {
+                        data[at] = special;
+                    }
+                    cases.push((shape, data));
+                }
+            }
+            for (shape, data) in &cases {
+                let portable = encode_body(data, *shape);
+                assert_eq!(
+                    x86::encode(data, *shape),
+                    Some(portable),
+                    "{shape:?} on {:?}",
+                    &data[..data.len().min(17)]
+                );
+            }
+            return;
+        }
+        eprintln!("skipped: this CPU has no AVX2/BMI2/LZCNT encoder to compare");
     }
 
     /// The error contract no byte pin covers: on a damaged stream the window

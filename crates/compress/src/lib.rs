@@ -21,6 +21,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// fpz's AVX2/BMI2 dispatch is an `unsafe` call; its `// SAFETY:` line is required.
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 pub mod bitio;
 pub mod fpz;

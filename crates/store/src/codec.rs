@@ -169,11 +169,11 @@ fn valid_tolerance(tolerance: f32) -> bool {
     tolerance.is_finite() && tolerance >= 0.0
 }
 
+/// `payload` behind its tag byte, in the payload's own buffer (the
+/// encoders leave room for it).
 fn tagged(tag: u8, mut payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + payload.len());
-    out.push(tag);
-    out.append(&mut payload);
-    out
+    payload.insert(0, tag);
+    payload
 }
 
 #[cfg(test)]
