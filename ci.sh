@@ -59,14 +59,16 @@ echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p ap
 # sorted arrivals against its all-arrivals-heap oracle.
 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
-echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults (the serving executors as the benchmark runs them)"
+echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload (the serving executors and the block exchange as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
 # lost wake-up fails the moment the run stalls (see above), naming the
 # stranded rank's (src, lane). `session_faults` kills a rank, a replay
 # server or a serving stager mid-run and holds each to failing at once.
-cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults
+# `shared_payload` pins a full block's samples as one buffer from
+# `read_chunk` through the `alltoallv` exchange, on the optimised build.
+cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload
 
 echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above

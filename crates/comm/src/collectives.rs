@@ -11,8 +11,13 @@
 //! makes "the pipeline is as slow as its slowest rank" (paper §IV-D) hold
 //! in the simulation.
 //!
+//! [`Rank::alltoallv`] is the one collective that charges per message: each
+//! sender deposits its items once, in destination order, and each receiver
+//! takes its share of every deposit into one `Vec` of its own, while its
+//! clock replays the per-peer sends and receives bit for bit.
+//!
 //! A caller argument only some ranks can judge (who supplied the root's
-//! value, how many batches a sender brought) is validated *after* the
+//! value, where a sender's items go) is validated *after* the
 //! rendezvous, from the deposits every rank sees — so a bad argument fails
 //! every rank at once with its own message instead of stranding the
 //! others until the run stalls.
@@ -74,7 +79,8 @@ fn collect<I: Clone + 'static>(all: &Deposits<'_, I>) -> Vec<I> {
 impl Rank {
     /// Shared-memory rendezvous: deposit `x`, wait for everyone, let `read`
     /// take what this rank needs from the contributions (by reference, in
-    /// rank order), and return that with the maximum participating clock.
+    /// rank order) and charge this rank's clock for it, and return that
+    /// with the maximum participating clock.
     /// Contributions carry the session-run epoch so a deposit left over
     /// from another run can never be mistaken for this run's data.
     ///
@@ -85,7 +91,7 @@ impl Rank {
     pub(crate) fn rendezvous<I, R>(
         &mut self,
         x: I,
-        read: impl FnOnce(&Deposits<'_, I>) -> R,
+        read: impl FnOnce(&mut Rank, &Deposits<'_, I>) -> R,
     ) -> (R, f64)
     where
         I: Send + Sync + 'static,
@@ -102,13 +108,13 @@ impl Rank {
             slots: &released.deposits,
             _payload: PhantomData,
         };
-        (read(&deposits), released.max_clock)
+        (read(self, &deposits), released.max_clock)
     }
 
     /// Synchronize all ranks (and their clocks).
     pub fn barrier(&mut self) {
         let n = self.nranks();
-        let ((), max_clock) = self.rendezvous((), |_| ());
+        let ((), max_clock) = self.rendezvous((), |_, _| ());
         self.clock = max_clock + self.net().barrier(n);
     }
 
@@ -116,7 +122,7 @@ impl Rank {
     /// order.
     pub fn allgather<M: Meter + Clone + Send + Sync + 'static>(&mut self, value: M) -> Vec<M> {
         let n = self.nranks();
-        let (vals, max_clock) = self.rendezvous(value, collect);
+        let (vals, max_clock) = self.rendezvous(value, |_, all| collect(all));
         let total: usize = vals.iter().map(Meter::nbytes).sum();
         self.clock = max_clock + self.net().allgather(n, total);
         vals
@@ -133,7 +139,7 @@ impl Rank {
         assert!(root < self.nranks(), "invalid root rank {root}");
         let n = self.nranks();
         let is_root = self.id == root;
-        let ((vals, total), max_clock) = self.rendezvous(value, |all| {
+        let ((vals, total), max_clock) = self.rendezvous(value, |_, all| {
             let total: usize = all.iter().map(Meter::nbytes).sum();
             (is_root.then(|| collect(all)), total)
         });
@@ -150,7 +156,7 @@ impl Rank {
     {
         let n = self.nranks();
         let bytes = value.nbytes();
-        let (vals, max_clock) = self.rendezvous(value, collect);
+        let (vals, max_clock) = self.rendezvous(value, |_, all| collect(all));
         self.clock = max_clock + self.net().allreduce(n, bytes);
         let mut it = vals.into_iter();
         #[expect(clippy::expect_used, reason = "a runtime always has at least one rank")]
@@ -161,9 +167,18 @@ impl Rank {
         })
     }
 
-    /// Personalized all-to-all with variable counts: `outgoing[d]` is the
-    /// batch of items for rank `d` (including `d == self`, moved locally).
-    /// Returns the incoming batches indexed by source rank.
+    /// Personalized all-to-all with variable counts: `items[i]` goes to
+    /// rank `dests[i]` (`dests[i] == self` is moved locally). Returns what
+    /// this rank received, in source order and each source's items in the
+    /// order it passed them, with the `n + 1` source bounds: source `s`'s
+    /// items are `received[bounds[s]..bounds[s + 1]]`.
+    ///
+    /// Each sender makes one deposit: one stable counting pass lays its
+    /// items out in destination order as take-once cells, in one
+    /// allocation with the per-destination send stamps. Each receiver
+    /// takes its cells out of every deposit into one `Vec` of its own —
+    /// the buffer `items` came in, so a balanced exchange allocates no
+    /// receive buffer. No per-peer `Vec` is built on either side.
     ///
     /// Unlike the other collectives this one charges every batch
     /// individually, as the message it is in the paper's block
@@ -172,54 +187,105 @@ impl Rank {
     /// rendezvous — a metered shared-memory exchange; what replays the
     /// sends and receives is the *clock*: each batch is stamped with the
     /// time its send would have left (one `send_overhead` per peer, in
-    /// destination order) and each receiver then charges the receipts in
-    /// source order, through the same `charge_receive` a point-to-point
-    /// `recv` of those messages goes through.
-    pub fn alltoallv<M: Meter + Send + 'static>(&mut self, outgoing: Vec<Vec<M>>) -> Vec<Vec<M>> {
+    /// destination order, empty batches included) and each receiver then
+    /// charges the receipts in source order, through the same
+    /// `charge_receive` a point-to-point `recv` of those messages goes
+    /// through.
+    ///
+    /// A destination `>= n`, or a `dests` not as long as `items`, fails
+    /// every rank right after the rendezvous.
+    pub fn alltoallv<M: Meter + Send + 'static>(
+        &mut self,
+        mut items: Vec<M>,
+        dests: &[usize],
+    ) -> (Vec<M>, Vec<usize>) {
         let n = self.nranks();
         let me = self.id;
         let net = self.net();
-        // One cell per destination: (send clock, metered bytes, batch).
-        // A cell is taken once, by its destination, so the mutex is never
-        // contended; it is what lets a batch move out of a shared deposit.
-        let cells: Vec<_> = outgoing
-            .into_iter()
-            .enumerate()
-            .map(|(dst, batch)| {
+        let fault = if dests.len() != items.len() {
+            Some(format!(
+                "alltoallv needs one destination per item ({} items, {} destinations)",
+                items.len(),
+                dests.len()
+            ))
+        } else {
+            (dests.iter().find(|&&dst| dst >= n))
+                .map(|dst| format!("invalid destination rank {dst}"))
+        };
+        // The counting pass: `at[dst]` becomes where destination dst's
+        // items start, then where its next one goes; after the exchange it
+        // holds the source bounds.
+        let mut at = vec![0; n + 1];
+        let mut slots = Vec::new();
+        if fault.is_none() {
+            for &dst in dests {
+                at[dst + 1] += 1;
+            }
+            for dst in 0..n {
+                at[dst + 1] += at[dst];
+            }
+            slots.reserve_exact(n + items.len());
+            for dst in 0..n {
                 if dst != me {
                     self.clock += net.send_overhead;
                 }
-                Mutex::new(Some((self.clock, batch.nbytes(), batch)))
-            })
-            .collect();
+                let (start, end) = (at[dst], at[dst + 1]);
+                let sent = self.clock;
+                slots.push(Slot::Batch { start, end, sent });
+            }
+            slots.extend(items.iter().map(|_| Slot::Item(Mutex::new(None))));
+            for (item, &dst) in items.drain(..).zip(dests) {
+                slots[n + at[dst]] = Slot::Item(Mutex::new(Some(item)));
+                at[dst] += 1;
+            }
+        }
         // The rendezvous' own max clock is not charged: peers synchronize
         // through the per-message arrivals below, as real p2p traffic does.
-        let (column, _) = self.rendezvous(cells, |all| {
-            all.iter()
-                .map(|cells| {
-                    assert_eq!(
-                        cells.len(),
-                        n,
-                        "alltoallv needs one outgoing batch per rank"
-                    );
-                    let mut cell = cells[me].lock().unwrap_or_else(PoisonError::into_inner);
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "each cell is taken exactly once, by its destination"
-                    )]
-                    cell.take().expect("alltoallv cell already taken")
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut incoming = Vec::with_capacity(n);
-        for (src, (ts, bytes, batch)) in column.into_iter().enumerate() {
-            if src != me {
-                self.charge_receive(ts + net.p2p(bytes), bytes);
+        let outbox = Outbox { slots, fault };
+        let (received, _) = self.rendezvous(outbox, |rank, all| {
+            let fault = all.iter().find_map(|outbox| outbox.fault.as_deref());
+            assert!(fault.is_none(), "{}", fault.unwrap_or_default());
+            let mut bounds = at;
+            bounds.clear();
+            bounds.push(0);
+            for (src, Outbox { slots, .. }) in all.iter().enumerate() {
+                let Slot::Batch { start, end, sent } = slots[me] else {
+                    unreachable!("an outbox opens with its n batches")
+                };
+                let mut bytes = 0;
+                for slot in &slots[n + start..n + end] {
+                    let Slot::Item(cell) = slot else {
+                        unreachable!("an outbox's batches are followed by its items")
+                    };
+                    if let Some(item) = cell.lock().unwrap_or_else(PoisonError::into_inner).take() {
+                        bytes += item.nbytes();
+                        items.push(item);
+                    }
+                }
+                if src != me {
+                    rank.charge_receive(sent + net.p2p(bytes), bytes);
+                }
+                bounds.push(items.len());
             }
-            incoming.push(batch);
-        }
-        incoming
+            (items, bounds)
+        });
+        received
     }
+}
+
+/// One sender's `alltoallv` deposit, in one allocation: a batch slot per
+/// destination, then its items in destination order. Empty if `fault`.
+struct Outbox<M> {
+    slots: Vec<Slot<M>>,
+    fault: Option<String>,
+}
+
+enum Slot<M> {
+    /// Destination d's batch, in slot d: its items' range among the item
+    /// slots and when its send left (virtual time).
+    Batch { start: usize, end: usize, sent: f64 },
+    /// An item, taken once, by its destination.
+    Item(Mutex<Option<M>>),
 }
 
 #[cfg(test)]
@@ -318,16 +384,35 @@ mod tests {
     fn alltoallv_exchanges_batches() {
         let out = Runtime::new(3, NetModel::blue_waters()).run(|rank| {
             let me = rank.rank() as u32;
-            // Send `d` copies of my id to rank d.
-            let outgoing: Vec<Vec<u32>> = (0..3).map(|d| vec![me; d]).collect();
-            rank.alltoallv(outgoing)
+            // Send `d` copies of my id to rank d, highest rank first.
+            let dests: Vec<usize> = (0..3).rev().flat_map(|d| vec![d; d]).collect();
+            rank.alltoallv(vec![me; dests.len()], &dests)
         });
-        for (r, incoming) in out.iter().enumerate() {
-            for (src, batch) in incoming.iter().enumerate() {
-                assert_eq!(batch.len(), r, "rank {r} from {src}");
-                assert!(batch.iter().all(|&v| v == src as u32));
+        for (r, (incoming, bounds)) in out.iter().enumerate() {
+            assert_eq!(bounds, &[0, r, 2 * r, 3 * r], "rank {r}");
+            for (src, batch) in bounds.windows(2).map(|w| &incoming[w[0]..w[1]]).enumerate() {
+                assert!(
+                    batch.iter().all(|&v| v == src as u32),
+                    "rank {r} from {src}"
+                );
             }
         }
+    }
+
+    /// The nested exchange over the flat `alltoallv`: `outgoing[d]` goes
+    /// to rank d, and the result is indexed by source rank.
+    fn alltoallv_nested<M: Meter + Send + 'static>(
+        rank: &mut Rank,
+        outgoing: Vec<Vec<M>>,
+    ) -> Vec<Vec<M>> {
+        let dests: Vec<usize> = (outgoing.iter().enumerate())
+            .flat_map(|(dst, batch)| vec![dst; batch.len()])
+            .collect();
+        let (items, bounds) = rank.alltoallv(outgoing.into_iter().flatten().collect(), &dests);
+        let mut items = items.into_iter();
+        (bounds.windows(2))
+            .map(|w| items.by_ref().take(w[1] - w[0]).collect())
+            .collect()
     }
 
     /// The send/recv exchange `alltoallv` was before its batches moved
@@ -398,7 +483,7 @@ mod tests {
     fn alltoallv_replays_the_p2p_exchange_bit_for_bit() {
         for (n, seed) in [(1, 11), (2, 12), (3, 13), (7, 14), (16, 15)] {
             assert_eq!(
-                exchanges(n, seed, |rank, outgoing| rank.alltoallv(outgoing)),
+                exchanges(n, seed, alltoallv_nested),
                 exchanges(n, seed, alltoallv_by_p2p),
                 "{n} ranks: payload order or clock bits differ from the p2p exchange"
             );
@@ -438,7 +523,7 @@ mod tests {
         // A root-only deposit, read the way `gather_sort_broadcast` reads
         // the root's sorted array.
         fn of_root(rank: &mut Rank, value: Option<u32>) -> u32 {
-            rank.rendezvous(value, |all| *all.of_root(3)).0
+            rank.rendezvous(value, |_, all| *all.of_root(3)).0
         }
         assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
             of_root(rank, (rank.rank() >= 2).then_some(7));
@@ -446,9 +531,13 @@ mod tests {
         assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
             of_root(rank, None);
         });
-        assert_fails_every_rank_at_once("one outgoing batch per rank", |rank| {
-            let batches = if rank.rank() == 2 { 3 } else { 4 };
-            rank.alltoallv(vec![vec![0u8]; batches]);
+        assert_fails_every_rank_at_once("invalid destination rank 4", |rank| {
+            let dst = if rank.rank() == 2 { 4 } else { 0 };
+            rank.alltoallv(vec![0u8], &[dst]);
+        });
+        assert_fails_every_rank_at_once("one destination per item", |rank| {
+            let dests: &[usize] = if rank.rank() == 2 { &[0] } else { &[0, 1] };
+            rank.alltoallv(vec![0u8; 2], dests);
         });
     }
 

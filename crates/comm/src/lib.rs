@@ -27,9 +27,10 @@
 //!   lock, the last arriver releases all of them into every other rank's
 //!   mailbox, where each waits for the release as for a message, and every
 //!   rank reads what it needs with no lock held. `alltoallv` is a
-//!   metered shared-memory exchange through it: the batches cross in one
-//!   meeting, and the paper's §IV-D sends and receives are what its
-//!   *clock* replays.
+//!   metered shared-memory exchange through it: one deposit per sender
+//!   (its items in destination order), one `Vec` per receiver, and the
+//!   paper's §IV-D sends and receives are what its *clock* replays,
+//!   unchanged.
 //! * **One mailbox per rank under every wait** ([`p2p`]): a sender locks
 //!   only the destination's mailbox and wakes its owner only for the
 //!   `(source, lane)` it is blocked on; a receiver locks only its own, and

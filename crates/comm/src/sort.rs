@@ -53,7 +53,7 @@ where
     });
     // Had the root panicked in its sort instead of depositing, this rank
     // fails here the moment the run stalls.
-    let ((all, bytes), _) = rank.rendezvous(sorted, |shared| {
+    let ((all, bytes), _) = rank.rendezvous(sorted, |_, shared| {
         let (all, bytes) = shared.of_root(ROOT);
         (Arc::clone(all), *bytes)
     });
@@ -100,31 +100,28 @@ where
             .collect()
     };
 
-    // Partition the sorted local run into n buckets.
-    let mut buckets: Vec<Vec<K>> = (0..n).map(|_| Vec::new()).collect();
+    // Each item of the sorted local run goes to its bucket's rank.
     let mut b = 0;
-    for item in local {
-        while b < splitters.len() && cmp(&item, &splitters[b]) != Ordering::Less {
-            b += 1;
-        }
-        buckets[b].push(item);
-    }
+    let buckets: Vec<usize> = local
+        .iter()
+        .map(|item| {
+            while b < splitters.len() && cmp(item, &splitters[b]) != Ordering::Less {
+                b += 1;
+            }
+            b
+        })
+        .collect();
 
     // Exchange buckets (charged per message).
-    let mine = rank.alltoallv(buckets);
+    let (mut mine, _) = rank.alltoallv(local, &buckets);
 
     // Merge the sorted runs (charged as one comparison sort of the total).
-    let total: usize = mine.iter().map(Vec::len).sum();
-    rank.advance(sort_compute_cost(total));
-    let mut merged: Vec<K> = Vec::with_capacity(total);
-    for run in mine {
-        merged.extend(run);
-    }
-    merged.sort_by(&cmp);
+    rank.advance(sort_compute_cost(mine.len()));
+    mine.sort_by(&cmp);
 
     // Everyone needs the whole sorted list (paper contract): allgather and
     // concatenate — partitions are globally ordered by construction.
-    rank.allgather(merged).into_iter().flatten().collect()
+    rank.allgather(mine).into_iter().flatten().collect()
 }
 
 #[cfg(test)]

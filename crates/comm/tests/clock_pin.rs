@@ -168,19 +168,21 @@ fn script(rank: &mut Rank) -> u64 {
     h.u64(rank.clock().to_bits());
 
     skew(rank);
-    let outgoing: Vec<Vec<Blob>> = (0..n)
-        .map(|d| {
-            // 0..=3 blobs per pair: some batches are empty, and the self
-            // batch (d == r) holds (r + 1) % 4 blobs.
-            (0..(r * 3 + d * 6 + 1) % 4)
-                .map(|i| Blob {
-                    id: (r * n + d) as u32 * 4 + i as u32,
-                    body: vec![r as f32 - d as f32; (r + 2 * d + i) % 7 * 16],
-                })
-                .collect()
-        })
-        .collect();
-    for (src, batch) in rank.alltoallv(outgoing).iter().enumerate() {
+    let (mut blobs, mut dests) = (Vec::new(), Vec::new());
+    for d in 0..n {
+        // 0..=3 blobs per pair: some batches are empty, and the self
+        // batch (d == r) holds (r + 1) % 4 blobs.
+        for i in 0..(r * 3 + d * 6 + 1) % 4 {
+            blobs.push(Blob {
+                id: (r * n + d) as u32 * 4 + i as u32,
+                body: vec![r as f32 - d as f32; (r + 2 * d + i) % 7 * 16],
+            });
+            dests.push(d);
+        }
+    }
+    let (incoming, bounds) = rank.alltoallv(blobs, &dests);
+    for (src, w) in bounds.windows(2).enumerate() {
+        let batch = &incoming[w[0]..w[1]];
         h.u64(src as u64);
         h.u64(batch.len() as u64);
         for blob in batch {

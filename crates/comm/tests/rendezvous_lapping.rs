@@ -53,9 +53,14 @@ fn round(rank: &mut Rank, k: u64) {
             assert_eq!(got, expect, "gather of round {k} on rank {r}");
         }
         4 => {
-            let outgoing = (0..n).map(|dst| vec![(k, r, dst)]).collect();
-            for (src, batch) in rank.alltoallv(outgoing).into_iter().enumerate() {
-                assert_eq!(batch, [(k, src as u64, r)], "alltoallv of round {k}");
+            let dests: Vec<usize> = (0..n as usize).collect();
+            let (incoming, bounds) = rank.alltoallv(
+                dests.iter().map(|&dst| (k, r, dst as u64)).collect(),
+                &dests,
+            );
+            assert_eq!(bounds, (0..=n as usize).collect::<Vec<_>>());
+            for (src, item) in incoming.into_iter().enumerate() {
+                assert_eq!(item, (k, src as u64, r), "alltoallv of round {k}");
             }
         }
         _ => {

@@ -54,13 +54,13 @@ fn job(rank: &mut Rank, inject_site: Option<(usize, usize)>) -> (u64, u64) {
     rank.send((r + 1) % n, Tag(7), r as u64);
     let left = rank.recv::<u64>((r + n - 1) % n, Tag(7));
     boom(2); // after the ring: peers strand in the all-to-all's rendezvous
-    let incoming = rank.alltoallv((0..n).map(|dst| vec![(r * n + dst) as u64]).collect());
-    for (src, batch) in incoming.into_iter().enumerate() {
-        assert_eq!(
-            batch,
-            [(src * n + r) as u64],
-            "all-to-all wrong on rank {r}"
-        );
+    let dests: Vec<usize> = (0..n).collect();
+    let (incoming, _) = rank.alltoallv(
+        dests.iter().map(|dst| (r * n + dst) as u64).collect(),
+        &dests,
+    );
+    for (src, item) in incoming.into_iter().enumerate() {
+        assert_eq!(item, (src * n + r) as u64, "all-to-all wrong on rank {r}");
     }
     boom(3); // after the exchanges: peers strand in the closing barrier
     rank.barrier();

@@ -92,15 +92,10 @@ pub fn destinations(
 /// rank now holds (its own kept blocks plus received ones), ordered by
 /// block id for determinism.
 pub fn exchange(rank: &mut Rank, held: Vec<Block>, dests: &[usize]) -> Vec<Block> {
-    debug_assert_eq!(held.len(), dests.len(), "one destination per held block");
-    let n = rank.nranks();
-    let mut outgoing: Vec<Vec<WireBlock>> = (0..n).map(|_| Vec::new()).collect();
-    for (block, &dst) in held.into_iter().zip(dests) {
-        outgoing[dst].push(WireBlock(block));
-    }
-    let incoming = rank.alltoallv(outgoing);
-    let mut blocks: Vec<Block> = incoming.into_iter().flatten().map(|w| w.0).collect();
-    blocks.sort_by_key(|b| b.id);
+    let (incoming, _) = rank.alltoallv(held.into_iter().map(WireBlock).collect(), dests);
+    let mut blocks: Vec<Block> = incoming.into_iter().map(|w| w.0).collect();
+    // Block ids are unique, so the unstable sort gives the one order.
+    blocks.sort_unstable_by_key(|b| b.id);
     blocks
 }
 
@@ -110,6 +105,7 @@ mod tests {
     use crate::selection::{reduction_cut, reduction_mask};
     use apc_comm::{NetModel, Runtime, Tag};
     use apc_grid::{Dims3, Extent3};
+    use std::sync::Arc;
 
     /// The whole-domain round-robin table [`destinations`] replaced,
     /// kept as its oracle: `assignment[block_id] = rank` for every block
@@ -346,6 +342,92 @@ mod tests {
             let got: Vec<BlockId> = blocks.iter().map(|b| b.id).collect();
             assert_eq!(got, expect, "rank {r}");
         }
+    }
+
+    /// The per-peer exchange [`exchange`] replays: one `Vec<WireBlock>`
+    /// per destination, sent with `send` in destination order and received
+    /// with `recv` in source order.
+    fn exchange_by_p2p(rank: &mut Rank, held: Vec<Block>, dests: &[usize]) -> Vec<Block> {
+        const TAG: Tag = Tag(45);
+        let (n, me) = (rank.nranks(), rank.rank());
+        let mut outgoing: Vec<Vec<WireBlock>> = (0..n).map(|_| Vec::new()).collect();
+        for (block, &dst) in held.into_iter().zip(dests) {
+            outgoing[dst].push(WireBlock(block));
+        }
+        let mut blocks = std::mem::take(&mut outgoing[me]);
+        for (dst, batch) in outgoing.into_iter().enumerate() {
+            if dst != me {
+                rank.send(dst, TAG, batch);
+            }
+        }
+        for src in (0..n).filter(|&src| src != me) {
+            blocks.extend(rank.recv::<Vec<WireBlock>>(src, TAG));
+        }
+        let mut blocks: Vec<Block> = blocks.into_iter().map(|w| w.0).collect();
+        blocks.sort_by_key(|b| b.id);
+        blocks
+    }
+
+    #[test]
+    fn exchange_replays_the_per_peer_p2p_exchange() {
+        let mut moved = 0;
+        for (n, seed) in [(1, 31), (2, 32), (3, 33), (7, 34), (16, 35), (64, 36)] {
+            // Per rank: its held blocks (all three payload kinds), their
+            // SplitMix64 destinations and a clock skew. From 2 ranks on,
+            // rank 0 sends nothing; from 3 on, nothing goes to the last.
+            let mut rng = SplitMix64::new(seed);
+            let extent = Extent3::new((0, 0, 0), (5, 4, 3));
+            let fixture: Vec<(Vec<Block>, Vec<usize>, f64)> = (0..n)
+                .map(|r| {
+                    let count = if n > 1 && r == 0 { 0 } else { rng.below(3 * n) };
+                    let held: Vec<Block> = (0..count)
+                        .map(|i| {
+                            let full = Block {
+                                id: (r * 1000 + i) as BlockId,
+                                extent,
+                                data: BlockData::Full(
+                                    (0..60).map(|_| rng.range_f32(-1.0, 1.0)).collect(),
+                                ),
+                            };
+                            match i % 3 {
+                                0 => full,
+                                1 => full.reduced(),
+                                _ => full.downsampled(3),
+                            }
+                        })
+                        .collect();
+                    let reach = if n > 2 { n - 1 } else { n };
+                    let dests = (0..count).map(|_| rng.below(reach)).collect();
+                    (held, dests, rng.next_f64() * 1e-3)
+                })
+                .collect();
+            let run = |by: fn(&mut Rank, Vec<Block>, &[usize]) -> Vec<Block>| {
+                Runtime::new(n, NetModel::blue_waters().for_paper_scale()).run(|rank| {
+                    let (held, dests, skew) = &fixture[rank.rank()];
+                    rank.advance(*skew);
+                    let blocks = by(rank, held.clone(), dests);
+                    (blocks, rank.clock().to_bits())
+                })
+            };
+            let flat = run(exchange);
+            assert_eq!(flat, run(exchange_by_p2p), "{n} ranks");
+            if n > 2 {
+                assert!(
+                    flat[n - 1].0.is_empty(),
+                    "{n} ranks: the last receives nothing"
+                );
+            }
+            // Full payloads moved, not copied: the fixture's own `Arc`s.
+            for block in flat.iter().flat_map(|(blocks, _)| blocks) {
+                let (held, _, _) = &fixture[block.id as usize / 1000];
+                let sent = &held[block.id as usize % 1000];
+                if let (BlockData::Full(got), BlockData::Full(sent)) = (&block.data, &sent.data) {
+                    assert!(Arc::ptr_eq(got, sent), "{n} ranks: block {}", block.id);
+                    moved += 1;
+                }
+            }
+        }
+        assert!(moved > 100, "only {moved} full blocks crossed");
     }
 
     #[test]
