@@ -59,7 +59,7 @@ echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p ap
 # sorted arrivals against its all-arrivals-heap oracle.
 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
-echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload (the serving executors and the block exchange as the benchmark runs them)"
+echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism (the serving executors, the block exchange and the synchronous loop as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
@@ -68,7 +68,11 @@ echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_d
 # server or a serving stager mid-run and holds each to failing at once.
 # `shared_payload` pins a full block's samples as one buffer from
 # `read_chunk` through the `alltoallv` exchange, on the optimised build.
-cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload
+# `pipeline_e2e` and `exec_policy_determinism` pin the synchronous loop's
+# reports, whose step boundaries after the sort (and after a step 4 that
+# moves nothing) are clock arithmetic, not meetings: optimised code must
+# leave every rank at the same clock bits as the debug pass.
+cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism
 
 echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above

@@ -16,11 +16,10 @@
 //! takes its share of every deposit into one `Vec` of its own, while its
 //! clock replays the per-peer sends and receives bit for bit.
 //!
-//! A caller argument only some ranks can judge (who supplied the root's
-//! value, where a sender's items go) is validated *after* the
-//! rendezvous, from the deposits every rank sees — so a bad argument fails
-//! every rank at once with its own message instead of stranding the
-//! others until the run stalls.
+//! A caller argument only its own rank can judge (where a sender's items
+//! go) is validated *after* the rendezvous, from the deposits every rank
+//! sees — so a bad argument fails every rank at once with its own message
+//! instead of stranding the others until the run stalls.
 
 use std::marker::PhantomData;
 use std::sync::{Mutex, PoisonError};
@@ -50,24 +49,6 @@ impl<'a, I: 'static> Deposits<'a, I> {
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &'a I> + '_ {
         (0..self.slots.len()).map(|r| self.get(r))
-    }
-}
-
-impl<'a, T: 'static> Deposits<'a, Option<T>> {
-    /// The value of a root-only argument, once every rank agrees that the
-    /// root and nobody else supplied one.
-    pub(crate) fn of_root(&self, root: usize) -> &'a T {
-        assert!(
-            self.iter()
-                .enumerate()
-                .all(|(r, v)| v.is_some() == (r == root)),
-            "exactly the root must supply a value"
-        );
-        #[expect(
-            clippy::expect_used,
-            reason = "asserted just above — the root's deposit is `Some`"
-        )]
-        self.get(root).as_ref().expect("root supplied no value")
     }
 }
 
@@ -111,11 +92,13 @@ impl Rank {
         (read(self, &deposits), released.max_clock)
     }
 
-    /// Synchronize all ranks (and their clocks).
-    pub fn barrier(&mut self) {
+    /// Synchronize all ranks (and their clocks); returns the clock every
+    /// rank leaves with.
+    pub fn barrier(&mut self) -> f64 {
         let n = self.nranks();
         let ((), max_clock) = self.rendezvous((), |_, _| ());
         self.clock = max_clock + self.net().barrier(n);
+        self.clock
     }
 
     /// Gather every rank's value; all ranks receive the full vector in rank
@@ -124,25 +107,6 @@ impl Rank {
         let n = self.nranks();
         let (vals, max_clock) = self.rendezvous(value, |_, all| collect(all));
         let total: usize = vals.iter().map(Meter::nbytes).sum();
-        self.clock = max_clock + self.net().allgather(n, total);
-        vals
-    }
-
-    /// Gather to `root` only; other ranks get `None`. (The data motion in the
-    /// simulation is shared-memory either way; the *charged* time follows the
-    /// gather model, which we approximate with the allgather formula.)
-    pub fn gather<M: Meter + Clone + Send + Sync + 'static>(
-        &mut self,
-        root: usize,
-        value: M,
-    ) -> Option<Vec<M>> {
-        assert!(root < self.nranks(), "invalid root rank {root}");
-        let n = self.nranks();
-        let is_root = self.id == root;
-        let ((vals, total), max_clock) = self.rendezvous(value, |_, all| {
-            let total: usize = all.iter().map(Meter::nbytes).sum();
-            (is_root.then(|| collect(all)), total)
-        });
         self.clock = max_clock + self.net().allgather(n, total);
         vals
     }
@@ -315,6 +279,21 @@ mod tests {
     }
 
     #[test]
+    fn every_collective_is_one_meeting() {
+        let mut session = Runtime::new(4, NetModel::blue_waters()).session();
+        let mut meetings_of = |collective: &(dyn Fn(&mut Rank) + Sync)| {
+            let before = session.meetings();
+            session.run(collective);
+            session.meetings() - before
+        };
+        assert_eq!(meetings_of(&|rank| _ = rank.barrier()), 1);
+        assert_eq!(meetings_of(&|rank| _ = rank.allgather(1u8)), 1);
+        assert_eq!(meetings_of(&|rank| _ = rank.allreduce(1u8, u8::max)), 1);
+        let all_to_zero = |rank: &mut Rank| _ = rank.alltoallv(vec![1u8; 3], &[0; 3]);
+        assert_eq!(meetings_of(&all_to_zero), 1);
+    }
+
+    #[test]
     fn allgather_rank_order() {
         let out = Runtime::new(4, NetModel::free()).run(|rank| rank.allgather(rank.rank() as u32));
         for v in out {
@@ -323,16 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn gather_only_root_receives() {
-        let out = Runtime::new(3, NetModel::free()).run(|rank| rank.gather(1, rank.rank() as u64));
-        assert_eq!(out[0], None);
-        assert_eq!(out[1], Some(vec![0, 1, 2]));
-        assert_eq!(out[2], None);
-    }
-
-    #[test]
     fn collectives_clone_only_what_they_return() {
         use crate::meter::Meter;
+        use crate::sort::gather_sort_broadcast;
+        use std::cmp::Ordering::Equal;
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
         static CLONES: AtomicUsize = AtomicUsize::new(0);
@@ -355,9 +328,12 @@ mod tests {
             session.run(collective);
             CLONES.load(Relaxed)
         };
-        // A root-only result is cloned by the root only (was 8 × 8).
+        // One sort of every pair, shared by every rank: one clone each.
         assert_eq!(
-            clones_of(&|rank| assert_eq!(rank.gather(3, Counted).is_some(), rank.rank() == 3)),
+            clones_of(&|rank| {
+                let sorted = gather_sort_broadcast(rank, vec![Counted], |_, _| Equal);
+                assert_eq!(sorted.len(), 8);
+            }),
             8
         );
         // Everyone gets everything: N² by contract.
@@ -520,17 +496,6 @@ mod tests {
     fn a_bad_argument_on_one_rank_fails_every_rank_at_once() {
         // Rank 0's panic is the one `run` re-raises, so the offender is
         // always another rank: rank 0 must have seen the mistake itself.
-        // A root-only deposit, read the way `gather_sort_broadcast` reads
-        // the root's sorted array.
-        fn of_root(rank: &mut Rank, value: Option<u32>) -> u32 {
-            rank.rendezvous(value, |_, all| *all.of_root(3)).0
-        }
-        assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
-            of_root(rank, (rank.rank() >= 2).then_some(7));
-        });
-        assert_fails_every_rank_at_once("exactly the root must supply a value", |rank| {
-            of_root(rank, None);
-        });
         assert_fails_every_rank_at_once("invalid destination rank 4", |rank| {
             let dst = if rank.rank() == 2 { 4 } else { 0 };
             rank.alltoallv(vec![0u8], &[dst]);

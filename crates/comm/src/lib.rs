@@ -6,8 +6,8 @@
 //!
 //! * **Ranks are OS threads.** [`Runtime::run`] spawns one thread per rank;
 //!   each receives a [`Rank`] handle exposing point-to-point messaging
-//!   (`send`/`recv` with tags) and the five collectives the
-//!   pipeline needs (barrier, gather, allgather, allreduce, alltoallv).
+//!   (`send`/`recv` with tags) and the four collectives the
+//!   pipeline needs (barrier, allgather, allreduce, alltoallv).
 //! * **Reusable rank sessions.** [`Runtime::session`] spawns the rank
 //!   threads once and executes a series of closures over them
 //!   ([`Session::run`]) — the substrate of parameter sweeps, which replay
@@ -37,7 +37,9 @@
 //!   fails at once when the rank it waits for has died or the whole run
 //!   has stalled (every rank parked or finished).
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
-//!   (§IV-C) plus a real parallel sample sort used as an ablation.
+//!   (§IV-C) — one rendezvous, one sort shared by every rank — plus a real
+//!   parallel sample sort used as an ablation. Both leave every rank at
+//!   the same clock.
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):
 //!   flow-controlled producer → consumer channels (credit-based or lossy)
 //!   whose capacity semantics live in virtual time — the substrate of

@@ -88,6 +88,8 @@ struct Meeting {
     /// Contributions to the collective still assembling, by rank.
     pending: Vec<Option<Contribution>>,
     arrived: usize,
+    /// How many collectives completed here over the session's life.
+    held: u64,
 }
 
 /// What a parked rank waits for.
@@ -233,11 +235,15 @@ impl Shared {
         }
     }
 
+    /// Nothing panics under this lock, so even a poisoned one guards a
+    /// valid meeting.
+    fn lock_meeting(&self) -> MutexGuard<'_, Meeting> {
+        self.meeting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Deposit rank `id`'s contribution and wait for everyone else's.
     pub(crate) fn meet(&self, id: usize, mine: Contribution) -> Arc<Released> {
-        // Nothing panics under this lock, so even a poisoned one guards a
-        // valid meeting.
-        let mut meeting = self.meeting.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut meeting = self.lock_meeting();
         meeting.pending[id] = Some(mine);
         meeting.arrived += 1;
         if meeting.arrived < self.nranks {
@@ -250,6 +256,7 @@ impl Shared {
             .filter_map(Option::take)
             .collect();
         meeting.arrived = 0;
+        meeting.held += 1;
         drop(meeting);
         let max_clock = deposits.iter().fold(f64::MIN, |max, d| max.max(d.1));
         let released = Arc::new(Released {
@@ -334,11 +341,7 @@ impl Shared {
         )]
         match wait {
             Wait::Collective => {
-                let arrived = self
-                    .meeting
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .arrived;
+                let arrived = self.lock_meeting().arrived;
                 panic!(
                     "deadlocked in a collective barrier: only {arrived} of {} ranks \
                      arrived (a peer died, returned or diverged)",
@@ -425,6 +428,7 @@ impl Runtime {
             meeting: Mutex::new(Meeting {
                 pending: (0..n).map(|_| None).collect(),
                 arrived: 0,
+                held: 0,
             }),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             progress: AtomicU64::new(0),
@@ -602,6 +606,13 @@ impl Session {
     // apc-lint: allow(dead-pub): session_stress and runtime tests assert a panic poisons the session
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
+    }
+
+    /// How many collectives, barriers included, the ranks have met for
+    /// since the session was spawned.
+    // apc-lint: allow(dead-pub): the sort, collective and pipeline tests pin meetings per call
+    pub fn meetings(&self) -> u64 {
+        self.shared.lock_meeting().held
     }
 
     /// Run `f` on every rank concurrently; returns the per-rank results in

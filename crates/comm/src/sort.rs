@@ -2,12 +2,15 @@
 //!
 //! The paper (§IV-C) globally sorts all pairs by increasing score and
 //! broadcasts the sorted array to every rank. We provide the paper's
-//! gather-sort-broadcast and, as an ablation (the `ablations` binary), a real
-//! parallel *sample sort* whose final allgather yields the same
-//! everyone-has-everything result.
+//! gather-sort-broadcast, one rendezvous whose first reader sorts for every
+//! rank, and, as an ablation (the `ablations` binary), a real parallel
+//! *sample sort* whose final allgather yields the same
+//! everyone-has-everything result. Each ends in a collective that charges
+//! every rank the same, so every rank leaves either sort at one clock —
+//! what lets the pipeline's next step boundary skip its meeting.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::meter::Meter;
 use crate::runtime::Rank;
@@ -26,15 +29,17 @@ fn sort_compute_cost(n: usize) -> f64 {
 
 /// The paper's strategy: gather all pairs, sort at the root, broadcast the
 /// sorted array back. Every rank returns the full sorted array — the same
-/// `Arc<[K]>`: the root sorts once and sums the broadcast's metered bytes
-/// once, and every other rank takes a reference count instead of a copy.
+/// `Arc<[K]>`, sorted and its metered bytes summed once, in one
+/// rendezvous: each rank deposits its pairs next to an empty cell, and the
+/// first rank to read sorts every deposit, in rank order, into the root's
+/// cell; the others take a reference count from it. Should the sort panic,
+/// the cell stays empty and every rank in turn sorts and fails.
 ///
-/// The sorted array reaches the other ranks through a second
-/// shared-memory rendezvous that moves data only. Virtual time is the
-/// same three charges on every rank: the gather's clock synchronization
-/// and transfer, the root's sort (it gates everyone waiting on the
-/// broadcast, so charging it uniformly is equivalent under max-sync), and
-/// the broadcast of the sorted array.
+/// Virtual time is the same three charges on every rank, so every rank
+/// leaves at one clock: the gather's clock synchronization and transfer,
+/// the root's sort (it gates everyone waiting on the broadcast, so
+/// charging it uniformly is equivalent under max-sync), and the broadcast
+/// of the sorted array.
 ///
 /// `cmp` must be a total order (ties broken deterministically by the
 /// caller, e.g. by block id — §IV-C).
@@ -45,21 +50,22 @@ where
 {
     const ROOT: usize = 0;
     let n = rank.nranks();
-    let sorted = rank.gather(ROOT, local).map(|gathered| {
-        let mut all: Vec<K> = gathered.into_iter().flatten().collect();
-        all.sort_by(&cmp);
-        let bytes: usize = all.iter().map(Meter::nbytes).sum();
-        (Arc::<[K]>::from(all), bytes)
-    });
-    // Had the root panicked in its sort instead of depositing, this rank
-    // fails here the moment the run stalls.
-    let ((all, bytes), _) = rank.rendezvous(sorted, |_, shared| {
-        let (all, bytes) = shared.of_root(ROOT);
+    let net = rank.net();
+    let deposit = (local, OnceLock::<(Arc<[K]>, usize)>::new());
+    let ((all, bytes), max_clock) = rank.rendezvous(deposit, |_, deposits| {
+        let (_, sorted) = deposits.get(ROOT);
+        let (all, bytes) = sorted.get_or_init(|| {
+            let mut all: Vec<K> = deposits.iter().flat_map(|(v, _)| v).cloned().collect();
+            all.sort_by(&cmp);
+            let bytes = all.iter().map(Meter::nbytes).sum();
+            (Arc::from(all), bytes)
+        });
         (Arc::clone(all), *bytes)
     });
+    // The gathered pairs are the sorted ones: one byte count for both.
+    rank.clock = max_clock + net.allgather(n, bytes);
     rank.advance(sort_compute_cost(all.len()));
-    let t = rank.net().broadcast(n, bytes);
-    rank.advance(t);
+    rank.advance(net.broadcast(n, bytes));
     all
 }
 
@@ -199,8 +205,9 @@ mod tests {
 
     #[test]
     fn a_panicking_root_comparator_fails_the_run_instead_of_hanging() {
-        // Only the root sorts, so only the root panics; the peers are
-        // parked in the share rendezvous and fail when the run stalls.
+        // The first rank to read sorts and panics, leaving the root's cell
+        // empty; each rank waiting on that cell then sorts in turn and
+        // panics too, so every rank fails without waiting on another.
         use std::time::{Duration, Instant};
         #[expect(
             clippy::disallowed_methods,
@@ -220,6 +227,51 @@ mod tests {
             "the failure must arrive when the run stalls, took {:?}",
             t0.elapsed()
         );
+    }
+
+    /// Both sorts end in a collective that charges every rank the same, so
+    /// whatever clocks the ranks enter with, they leave at one clock: the
+    /// pipeline's step boundary after the sort is arithmetic on that.
+    #[test]
+    fn both_sorts_leave_every_rank_at_one_clock() {
+        for net in [
+            NetModel::blue_waters(),
+            NetModel::blue_waters().for_paper_scale(),
+        ] {
+            for n in [1, 2, 3, 8, 64] {
+                let clocks = Runtime::new(n, net).run(|rank| {
+                    let r = rank.rank();
+                    rank.advance(1e-4 * ((r * 7 + 3) % 11) as f64);
+                    gather_sort_broadcast(rank, scored_pairs(r, r % 4 * 5), cmp_pairs);
+                    let after_gsb = rank.clock().to_bits();
+                    rank.advance(1e-4 * ((r * 5 + 1) % 13) as f64);
+                    sample_sort(rank, scored_pairs(r, r % 3 * 7), cmp_pairs);
+                    (after_gsb, rank.clock().to_bits())
+                });
+                for (r, c) in clocks.iter().enumerate() {
+                    assert_eq!(c, &clocks[0], "{n} ranks: rank {r} left at another clock");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gsb_meets_once_and_sample_sort_three_times() {
+        let mut session = Runtime::new(8, NetModel::blue_waters()).session();
+        let mut meetings_of = |sort: &(dyn Fn(&mut Rank) + Sync)| {
+            let before = session.meetings();
+            session.run(sort);
+            session.meetings() - before
+        };
+        let gsb = meetings_of(&|rank| {
+            gather_sort_broadcast(rank, scored_pairs(rank.rank(), 10), cmp_pairs);
+        });
+        assert_eq!(gsb, 1);
+        // Samples allgathered, buckets exchanged, partitions allgathered.
+        let ss = meetings_of(&|rank| {
+            sample_sort(rank, scored_pairs(rank.rank(), 10), cmp_pairs);
+        });
+        assert_eq!(ss, 3);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! ranks — as the pure wire model and `for_paper_scale()`, whose additive
 //! per-byte ingest makes the order of a receiver's merges and charges
 //! visible — with rank-skewed compute before every step. [`script`] runs
-//! each collective the pipeline calls once (barrier, gather, allreduce,
-//! allgather, both sorts), ending in an `alltoallv` with uneven batches
-//! (empty ones, a non-empty self batch, block-like payloads whose metered
-//! size varies). [`p2p_script`] runs everything that travels by tag: a
+//! each collective once (barrier, an allgather only rank 1 keeps — a
+//! gather's charge —, allreduce, allgather, both sorts), ending in an
+//! `alltoallv` with uneven batches (empty ones, a non-empty self batch,
+//! block-like payloads whose metered size varies). [`p2p_script`] runs everything that travels by tag: a
 //! ring, receives in the opposite order of sending (across two tags, then
 //! across three sources), a fan-in to one root, the stage queues under
 //! credit flow and through `dequeue_deferred`, and serve endpoints in the
@@ -138,8 +138,11 @@ fn script(rank: &mut Rank) -> u64 {
     rank.barrier();
     h.u64(rank.clock().to_bits());
 
+    // A gather to rank 1: the allgather formula is a gather's charge, and
+    // only rank 1 keeps the values.
     skew(rank);
-    let gathered = rank.gather(1, (r as u32, r as f64 * 0.5));
+    let gathered = rank.allgather((r as u32, r as f64 * 0.5));
+    let gathered = (r == 1).then_some(gathered);
     h.u64(gathered.is_some() as u64);
     gathered.iter().flatten().for_each(|p| h.pair(p));
     h.u64(rank.clock().to_bits());

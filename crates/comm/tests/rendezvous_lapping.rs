@@ -14,6 +14,7 @@
 use std::hint::spin_loop;
 use std::thread::yield_now;
 
+use apc_comm::sort::gather_sort_broadcast;
 use apc_comm::{NetModel, Rank, Runtime, Tag};
 
 /// Rank- and round-dependent wall-clock skew in front of a collective:
@@ -41,16 +42,20 @@ fn round(rank: &mut Rank, k: u64) {
             let expect: Vec<(u64, u64)> = (0..n).map(|src| (k, src)).collect();
             assert_eq!(all, expect, "allgather of round {k} on rank {r}");
         }
-        1 => rank.barrier(),
+        1 => _ = rank.barrier(),
         2 => {
             let sum = rank.allreduce(k * (r + 1), |a, b| a + b);
             assert_eq!(sum, k * n * (n + 1) / 2, "allreduce of round {k}");
         }
         3 => {
-            let root = k % n;
-            let got = rank.gather(root as usize, (k, r));
-            let expect = (r == root).then(|| (0..n).map(|src| (k, src)).collect());
-            assert_eq!(got, expect, "gather of round {k} on rank {r}");
+            // Descending by rank, so the sort reorders every deposit.
+            let sorted = gather_sort_broadcast(rank, vec![(k, r)], |a, b| b.1.cmp(&a.1));
+            let expect: Vec<(u64, u64)> = (0..n).rev().map(|src| (k, src)).collect();
+            assert_eq!(
+                sorted[..],
+                expect,
+                "gather-sort-broadcast of round {k} on rank {r}"
+            );
         }
         4 => {
             let dests: Vec<usize> = (0..n as usize).collect();

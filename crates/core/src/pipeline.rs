@@ -105,6 +105,14 @@ pub(crate) fn render_held(
     stats
 }
 
+/// [`Rank::barrier`]'s charge and result without its meeting, for a step
+/// boundary where every rank's last charge was the same collective charge:
+/// the clocks already agree, so the barrier's max is this rank's own clock.
+fn aligned_barrier(rank: &mut Rank) -> f64 {
+    rank.advance(rank.net().barrier(rank.nranks()));
+    rank.clock()
+}
+
 /// A rank-local pipeline instance. Controller state is replicated on every
 /// rank and stays identical because it is fed with the globally-agreed
 /// iteration time (deterministic adaptation without extra communication).
@@ -184,42 +192,37 @@ impl Pipeline {
         iteration: usize,
     ) -> (IterationReport, Vec<Block>) {
         let percent = self.percent();
-        rank.barrier(); // align clocks so step times are max-over-ranks
-        let c0 = rank.clock();
+        let c0 = rank.barrier(); // align clocks so step times are max-over-ranks
 
         // Step 1 — score blocks (in block order: `own[i]` is `blocks[i]`'s).
         let own = score_held(rank, self.scorer.as_ref(), &blocks, self.config.exec);
-        rank.barrier();
-        let c1 = rank.clock();
+        let c1 = rank.barrier();
 
         // Step 2 — global sort of <id, score> pairs; every rank holds the
-        // whole sorted list.
+        // whole sorted list. Both sorts leave every rank at one clock.
         let sorted: Arc<[ScoredBlock]> = match self.config.sort {
             SortStrategy::GatherSortBroadcast => {
                 sort::gather_sort_broadcast(rank, own.clone(), score_order)
             }
             SortStrategy::SampleSort => sort::sample_sort(rank, own.clone(), score_order).into(),
         };
-        rank.barrier();
-        let c2 = rank.clock();
+        let c2 = aligned_barrier(rank);
 
         // Step 3 — reduce the held blocks among the p% lowest-scored.
         reduce_lowest(rank, &self.config, &mut blocks, &own, &sorted, percent);
-        rank.barrier();
-        let c3 = rank.clock();
+        let c3 = rank.barrier();
 
-        // Step 4 — redistribute blocks for load balance.
-        let held = match destinations(self.config.redistribution, &sorted, rank.nranks(), &own) {
-            None => blocks,
-            Some(dests) => exchange(rank, blocks, &dests),
+        // Step 4 — redistribute blocks for load balance. Without a
+        // redistribution nothing is charged, and the clocks are still c3.
+        let dests = destinations(self.config.redistribution, &sorted, rank.nranks(), &own);
+        let (held, c4) = match dests {
+            None => (blocks, aligned_barrier(rank)),
+            Some(dests) => (exchange(rank, blocks, &dests), rank.barrier()),
         };
-        rank.barrier();
-        let c4 = rank.clock();
 
         // Step 5 — render the isosurface of the held blocks.
         let stats = render_held(rank, &self.config, iteration, &held);
-        rank.barrier();
-        let c5 = rank.clock();
+        let c5 = rank.barrier();
 
         // Aggregate work counters.
         let triangles_total = rank.allreduce(stats.triangles as u64, |a, b| a + b) as usize;
@@ -259,10 +262,19 @@ mod tests {
     use apc_comm::{NetModel, Runtime};
 
     fn run_on(nranks: usize, config: PipelineConfig, iters: &[usize]) -> Vec<IterationReport> {
+        run_counting(nranks, config, iters).0
+    }
+
+    /// [`run_on`], with the number of collectives the ranks met for.
+    fn run_counting(
+        nranks: usize,
+        config: PipelineConfig,
+        iters: &[usize],
+    ) -> (Vec<IterationReport>, u64) {
         let dataset = ReflectivityDataset::tiny(nranks, 42).unwrap();
-        let runtime = Runtime::new(nranks, NetModel::blue_waters());
+        let mut session = Runtime::new(nranks, NetModel::blue_waters()).session();
         let iters = iters.to_vec();
-        let all: Vec<Vec<IterationReport>> = runtime.run(|rank| {
+        let all: Vec<Vec<IterationReport>> = session.run(|rank| {
             let mut p = Pipeline::new(config.clone(), *dataset.decomp(), dataset.coords().clone());
             iters
                 .iter()
@@ -276,7 +288,7 @@ mod tests {
         for r in 1..all.len() {
             assert_eq!(all[0], all[r], "rank {r} report disagrees");
         }
-        all.into_iter().next().unwrap()
+        (all.into_iter().next().unwrap(), session.meetings())
     }
 
     fn run_tiny(config: PipelineConfig, iters: &[usize]) -> Vec<IterationReport> {
@@ -431,6 +443,46 @@ mod tests {
         assert!(k4[0].triangles_total < full[0].triangles_total);
         assert!(k2[0].t_render <= k4[0].t_render);
         assert!(k4[0].t_render < full[0].t_render);
+    }
+
+    /// The step boundaries after the sort, and after a step 4 that moves
+    /// nothing, are clock arithmetic: taken on a rank whose clock differed
+    /// from its peers', they would split the reports `run_counting`
+    /// compares. Each iteration meets exactly the collectives that move
+    /// data or align clocks that differ.
+    #[test]
+    fn every_rank_derives_the_same_report_from_the_fewest_meetings() {
+        let redistributions = [
+            Redistribution::None,
+            Redistribution::RoundRobin,
+            Redistribution::RandomShuffle { seed: 5 },
+        ];
+        let iters = [300, 400];
+        for nranks in [16, 64] {
+            for sort in [SortStrategy::GatherSortBroadcast, SortStrategy::SampleSort] {
+                for redistribution in redistributions {
+                    let mut config = PipelineConfig::default()
+                        .deterministic()
+                        .with_redistribution(redistribution);
+                    config.sort = sort;
+                    let per_iteration = match (sort, redistribution) {
+                        (SortStrategy::GatherSortBroadcast, Redistribution::None) => 7,
+                        (SortStrategy::GatherSortBroadcast, _) => 9,
+                        (SortStrategy::SampleSort, Redistribution::None) => 9,
+                        (SortStrategy::SampleSort, _) => 11,
+                    };
+                    let case = format!("{nranks} ranks, {sort:?}, {redistribution:?}");
+                    let (fixed, meetings) =
+                        run_counting(nranks, config.clone().with_fixed_percent(40.0), &iters);
+                    assert_eq!(meetings, per_iteration * iters.len() as u64, "{case}");
+                    let target = fixed[0].t_total * 0.7;
+                    let (adapted, meetings) =
+                        run_counting(nranks, config.with_target(target), &iters);
+                    assert_eq!(meetings, per_iteration * iters.len() as u64, "{case}");
+                    assert!(adapted[1].percent_reduced > 0.0, "{case}: no adaptation");
+                }
+            }
+        }
     }
 
     #[test]
