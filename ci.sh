@@ -59,7 +59,7 @@ echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p ap
 # sorted arrivals against its all-arrivals-heap oracle.
 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
-echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism (the serving executors, the block exchange and the synchronous loop as the benchmark runs them)"
+echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism --test store_roundtrip --test properties (the serving executors, the block exchange and the synchronous loop, in memory and store-fed, as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
@@ -69,10 +69,14 @@ echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_d
 # `shared_payload` pins a full block's samples as one buffer from
 # `read_chunk` through the `alltoallv` exchange, on the optimised build.
 # `pipeline_e2e` and `exec_policy_determinism` pin the synchronous loop's
-# reports, whose step boundaries after the sort (and after a step 4 that
-# moves nothing) are clock arithmetic, not meetings: optimised code must
-# leave every rank at the same clock bits as the debug pass.
-cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism
+# reports. Each step boundary pays the barrier's charge on the rank's own
+# clock and takes the clock of the next meeting — the sort's, the first
+# counter allreduce's, a barrier's only where the next step is local, none
+# where the clocks already agree: optimised code must leave every rank at
+# the same clock bits as the debug pass. `store_roundtrip` and `properties`
+# run the store-fed synchronous loop (`store_replay`'s path) and the
+# chunk-cache sweeps on optimised code.
+cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism --test store_roundtrip --test properties
 
 echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above

@@ -9,7 +9,14 @@
 //! [`crate::NetModel`] collective cost formulas, and every collective
 //! max-synchronizes the participating virtual clocks first — which is what
 //! makes "the pipeline is as slow as its slowest rank" (paper §IV-D) hold
-//! in the simulation.
+//! in the simulation. That max stays readable as [`Rank::met_at`] until
+//! the next collective.
+//!
+//! [`Rank::barrier`] is the step-boundary rule: pay the barrier's charge on
+//! the rank's own clock, then meet with nothing to read. Rounding `x + b`
+//! is monotone in `x`, so the meeting's max is the slowest arrival plus the
+//! charge bit for bit — and a boundary whose next step is itself a
+//! collective pays the charge and lets that collective be the meeting.
 //!
 //! [`Rank::alltoallv`] is the one collective that charges per message: each
 //! sender deposits its items once, in destination order, and each receiver
@@ -60,8 +67,8 @@ fn collect<I: Clone + 'static>(all: &Deposits<'_, I>) -> Vec<I> {
 impl Rank {
     /// Shared-memory rendezvous: deposit `x`, wait for everyone, let `read`
     /// take what this rank needs from the contributions (by reference, in
-    /// rank order) and charge this rank's clock for it, and return that
-    /// with the maximum participating clock.
+    /// rank order) and charge this rank's clock for it, and return that.
+    /// The maximum participating clock is left in [`Rank::met_at`].
     /// Contributions carry the session-run epoch so a deposit left over
     /// from another run can never be mistaken for this run's data.
     ///
@@ -73,7 +80,7 @@ impl Rank {
         &mut self,
         x: I,
         read: impl FnOnce(&mut Rank, &Deposits<'_, I>) -> R,
-    ) -> (R, f64)
+    ) -> R
     where
         I: Send + Sync + 'static,
     {
@@ -85,19 +92,22 @@ impl Rank {
                 "collective contribution from another session run"
             );
         }
+        self.met_at = released.max_clock;
         let deposits = Deposits {
             slots: &released.deposits,
             _payload: PhantomData,
         };
-        (read(self, &deposits), released.max_clock)
+        read(self, &deposits)
     }
 
-    /// Synchronize all ranks (and their clocks); returns the clock every
-    /// rank leaves with.
+    /// Synchronize all ranks (and their clocks) by the step-boundary rule:
+    /// pay the barrier's charge on this rank's own clock, then meet with
+    /// nothing to read. Returns the meeting's clock, which every rank
+    /// leaves with.
     pub fn barrier(&mut self) -> f64 {
-        let n = self.nranks();
-        let ((), max_clock) = self.rendezvous((), |_, _| ());
-        self.clock = max_clock + self.net().barrier(n);
+        self.advance(self.net().barrier(self.nranks()));
+        self.rendezvous((), |_, _| ());
+        self.clock = self.met_at;
         self.clock
     }
 
@@ -105,9 +115,9 @@ impl Rank {
     /// order.
     pub fn allgather<M: Meter + Clone + Send + Sync + 'static>(&mut self, value: M) -> Vec<M> {
         let n = self.nranks();
-        let (vals, max_clock) = self.rendezvous(value, |_, all| collect(all));
+        let vals = self.rendezvous(value, |_, all| collect(all));
         let total: usize = vals.iter().map(Meter::nbytes).sum();
-        self.clock = max_clock + self.net().allgather(n, total);
+        self.clock = self.met_at + self.net().allgather(n, total);
         vals
     }
 
@@ -120,8 +130,8 @@ impl Rank {
     {
         let n = self.nranks();
         let bytes = value.nbytes();
-        let (vals, max_clock) = self.rendezvous(value, |_, all| collect(all));
-        self.clock = max_clock + self.net().allreduce(n, bytes);
+        let vals = self.rendezvous(value, |_, all| collect(all));
+        self.clock = self.met_at + self.net().allreduce(n, bytes);
         let mut it = vals.into_iter();
         #[expect(clippy::expect_used, reason = "a runtime always has at least one rank")]
         let first = it.next().expect("allreduce over empty group");
@@ -206,7 +216,7 @@ impl Rank {
         // The rendezvous' own max clock is not charged: peers synchronize
         // through the per-message arrivals below, as real p2p traffic does.
         let outbox = Outbox { slots, fault };
-        let (received, _) = self.rendezvous(outbox, |rank, all| {
+        self.rendezvous(outbox, |rank, all| {
             let fault = all.iter().find_map(|outbox| outbox.fault.as_deref());
             assert!(fault.is_none(), "{}", fault.unwrap_or_default());
             let mut bounds = at;
@@ -232,8 +242,7 @@ impl Rank {
                 bounds.push(items.len());
             }
             (items, bounds)
-        });
-        received
+        })
     }
 }
 

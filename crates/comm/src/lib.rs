@@ -21,7 +21,9 @@
 //!   collectives charge it through a latency+bandwidth [`NetModel`].
 //!   Collectives max-synchronize clocks, so "the step is as slow as the
 //!   slowest rank" holds exactly as on a real machine, while wall-clock
-//!   execution stays laptop-scale and deterministic.
+//!   execution stays laptop-scale and deterministic. A barrier is its
+//!   charge paid before a meeting, so a step boundary followed by a
+//!   collective takes that collective's meeting clock ([`Rank::met_at`]).
 //! * **One rendezvous under every collective** ([`collectives`]): a single
 //!   phase — each rank deposits its contribution and is counted under one
 //!   lock, the last arriver releases all of them into every other rank's
@@ -37,7 +39,8 @@
 //!   fails at once when the rank it waits for has died or the whole run
 //!   has stalled (every rank parked or finished).
 //! * **Distributed sorting** ([`sort`]): the paper's gather-sort-broadcast
-//!   (§IV-C) — one rendezvous, one sort shared by every rank — plus a real
+//!   (§IV-C) — one rendezvous, one sort shared by every rank, which is
+//!   also the meeting of the step boundary before it — plus a real
 //!   parallel sample sort used as an ablation. Both leave every rank at
 //!   the same clock.
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):

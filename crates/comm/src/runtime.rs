@@ -463,6 +463,7 @@ impl Runtime {
                         id,
                         epoch: 0,
                         clock: 0.0,
+                        met_at: 0.0,
                         shared,
                     };
                     // The job loop: run each dispatched closure, report its
@@ -718,6 +719,8 @@ pub struct Rank {
     /// envelope and collective contribution so runs cannot interfere.
     pub(crate) epoch: u64,
     pub(crate) clock: f64,
+    /// See [`Rank::met_at`].
+    pub(crate) met_at: f64,
     /// The session's meeting points: the collectives' meeting, and every
     /// rank's mailbox — this rank takes from `mailboxes[id]` and delivers
     /// into its destinations'.
@@ -734,6 +737,7 @@ impl Rank {
     fn begin_run(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.clock = 0.0;
+        self.met_at = 0.0;
         let mut inbox = self.shared.mailboxes[self.id].lock();
         for fifo in &mut inbox.from {
             fifo.retain(|env| env.epoch == epoch);
@@ -762,6 +766,13 @@ impl Rank {
     /// Current virtual time (seconds since the run started).
     pub fn clock(&self) -> f64 {
         self.clock
+    }
+
+    /// The clock this rank's last collective met at: the latest clock any
+    /// rank arrived there with, before the collective's own charge (0
+    /// before the run's first). Point-to-point traffic leaves it alone.
+    pub fn met_at(&self) -> f64 {
+        self.met_at
     }
 
     /// Charge `dt` seconds of local compute to the virtual clock.

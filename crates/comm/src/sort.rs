@@ -7,7 +7,11 @@
 //! *sample sort* whose final allgather yields the same
 //! everyone-has-everything result. Each ends in a collective that charges
 //! every rank the same, so every rank leaves either sort at one clock —
-//! what lets the pipeline's next step boundary skip its meeting.
+//! what lets the pipeline's next step boundary skip its meeting. The
+//! gather-sort-broadcast also *opens* with its meeting, so the boundary
+//! before it is the barrier's charge and the sort's meeting clock
+//! ([`Rank::met_at`]); the sample sort opens with a local sort, so the
+//! boundary before it still meets.
 
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -52,7 +56,7 @@ where
     let n = rank.nranks();
     let net = rank.net();
     let deposit = (local, OnceLock::<(Arc<[K]>, usize)>::new());
-    let ((all, bytes), max_clock) = rank.rendezvous(deposit, |_, deposits| {
+    let (all, bytes) = rank.rendezvous(deposit, |_, deposits| {
         let (_, sorted) = deposits.get(ROOT);
         let (all, bytes) = sorted.get_or_init(|| {
             let mut all: Vec<K> = deposits.iter().flat_map(|(v, _)| v).cloned().collect();
@@ -63,7 +67,7 @@ where
         (Arc::clone(all), *bytes)
     });
     // The gathered pairs are the sorted ones: one byte count for both.
-    rank.clock = max_clock + net.allgather(n, bytes);
+    rank.clock = rank.met_at + net.allgather(n, bytes);
     rank.advance(sort_compute_cost(all.len()));
     rank.advance(net.broadcast(n, bytes));
     all

@@ -105,10 +105,11 @@ pub(crate) fn render_held(
     stats
 }
 
-/// [`Rank::barrier`]'s charge and result without its meeting, for a step
-/// boundary where every rank's last charge was the same collective charge:
-/// the clocks already agree, so the barrier's max is this rank's own clock.
-fn aligned_barrier(rank: &mut Rank) -> f64 {
+/// A step boundary's charge, paid on this rank's own clock — the first half
+/// of [`Rank::barrier`]. Returns the clock, the boundary's where every
+/// rank's last charge was the same collective charge; elsewhere the
+/// boundary is the next meeting's clock ([`Rank::met_at`]).
+fn pay_boundary(rank: &mut Rank) -> f64 {
     rank.advance(rank.net().barrier(rank.nranks()));
     rank.clock()
 }
@@ -192,40 +193,51 @@ impl Pipeline {
         iteration: usize,
     ) -> (IterationReport, Vec<Block>) {
         let percent = self.percent();
-        let c0 = rank.barrier(); // align clocks so step times are max-over-ranks
+        // A step boundary is as slow as the slowest rank (§IV-D): pay the
+        // barrier's charge, then take the clock of the next meeting. A
+        // barrier meets with nothing to read only before local work.
+        let c0 = rank.barrier();
 
         // Step 1 — score blocks (in block order: `own[i]` is `blocks[i]`'s).
         let own = score_held(rank, self.scorer.as_ref(), &blocks, self.config.exec);
-        let c1 = rank.barrier();
 
         // Step 2 — global sort of <id, score> pairs; every rank holds the
-        // whole sorted list. Both sorts leave every rank at one clock.
-        let sorted: Arc<[ScoredBlock]> = match self.config.sort {
+        // whole sorted list. Gather-sort-broadcast opens with its meeting;
+        // sample sort opens with a local sort, so its boundary meets first.
+        // Both sorts leave every rank at one clock.
+        let (sorted, c1): (Arc<[ScoredBlock]>, f64) = match self.config.sort {
             SortStrategy::GatherSortBroadcast => {
-                sort::gather_sort_broadcast(rank, own.clone(), score_order)
+                pay_boundary(rank);
+                let sorted = sort::gather_sort_broadcast(rank, own.clone(), score_order);
+                (sorted, rank.met_at())
             }
-            SortStrategy::SampleSort => sort::sample_sort(rank, own.clone(), score_order).into(),
+            SortStrategy::SampleSort => {
+                let c1 = rank.barrier();
+                (sort::sample_sort(rank, own.clone(), score_order).into(), c1)
+            }
         };
-        let c2 = aligned_barrier(rank);
+        let c2 = pay_boundary(rank);
 
         // Step 3 — reduce the held blocks among the p% lowest-scored.
         reduce_lowest(rank, &self.config, &mut blocks, &own, &sorted, percent);
         let c3 = rank.barrier();
 
         // Step 4 — redistribute blocks for load balance. Without a
-        // redistribution nothing is charged, and the clocks are still c3.
+        // redistribution nothing is charged, and the clocks still agree;
+        // after an exchange, which replays each sender's clock, they differ.
         let dests = destinations(self.config.redistribution, &sorted, rank.nranks(), &own);
         let (held, c4) = match dests {
-            None => (blocks, aligned_barrier(rank)),
+            None => (blocks, pay_boundary(rank)),
             Some(dests) => (exchange(rank, blocks, &dests), rank.barrier()),
         };
 
         // Step 5 — render the isosurface of the held blocks.
         let stats = render_held(rank, &self.config, iteration, &held);
-        let c5 = rank.barrier();
 
-        // Aggregate work counters.
+        // Aggregate work counters; the first allreduce is step 5's meeting.
+        pay_boundary(rank);
         let triangles_total = rank.allreduce(stats.triangles as u64, |a, b| a + b) as usize;
+        let c5 = rank.met_at();
         let triangles_max_rank = rank.allreduce(stats.triangles as u64, u64::max) as usize;
         let t_total = c5 - c0;
 
@@ -445,11 +457,13 @@ mod tests {
         assert!(k4[0].t_render < full[0].t_render);
     }
 
-    /// The step boundaries after the sort, and after a step 4 that moves
-    /// nothing, are clock arithmetic: taken on a rank whose clock differed
-    /// from its peers', they would split the reports `run_counting`
-    /// compares. Each iteration meets exactly the collectives that move
-    /// data or align clocks that differ.
+    /// A step boundary pays its charge on the rank's own clock and takes
+    /// the clock of the next meeting: the sort's under gather-sort-broadcast,
+    /// the first counter allreduce's after rendering, none after the sort or
+    /// a step 4 that moves nothing. A boundary read from a rank's own clock
+    /// where clocks differ would split the reports `run_counting` compares.
+    /// Each iteration meets exactly the collectives that move data, plus a
+    /// barrier where the next step starts with local work.
     #[test]
     fn every_rank_derives_the_same_report_from_the_fewest_meetings() {
         let redistributions = [
@@ -466,10 +480,10 @@ mod tests {
                         .with_redistribution(redistribution);
                     config.sort = sort;
                     let per_iteration = match (sort, redistribution) {
-                        (SortStrategy::GatherSortBroadcast, Redistribution::None) => 7,
-                        (SortStrategy::GatherSortBroadcast, _) => 9,
-                        (SortStrategy::SampleSort, Redistribution::None) => 9,
-                        (SortStrategy::SampleSort, _) => 11,
+                        (SortStrategy::GatherSortBroadcast, Redistribution::None) => 5,
+                        (SortStrategy::GatherSortBroadcast, _) => 7,
+                        (SortStrategy::SampleSort, Redistribution::None) => 8,
+                        (SortStrategy::SampleSort, _) => 10,
                     };
                     let case = format!("{nranks} ranks, {sort:?}, {redistribution:?}");
                     let (fixed, meetings) =
