@@ -81,6 +81,10 @@ cargo test --release -q -p insitu --test replay_fanout --test staged_determinism
 echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above
 # is the only other place the fig06-fig11 and serving goldens are compared.
+# apc-core's own suite includes the staged frame engine's contract tests
+# (`staged::engine`, among them the DropOldest rule
+# `drop_oldest_drops_exactly_the_overtaken_slices`), so the engine the
+# benchmark's serve_adaptive runs is checked on optimised code here.
 # Two invocations: given `--test` names, cargo skips apc-core's own tests.
 cargo test --release -q -p apc-core
 cargo test --release -q -p apc-bench --test golden_reports --test sweep_engine
@@ -143,7 +147,10 @@ done
 
 echo "==> benchmark package compiles (outside the workspace; nothing else checks it)"
 # --locked: benchmark/Cargo.lock is frozen with the benchmark, so a change
-# to any crate's [dependencies] fails here instead of rewriting it.
+# to any crate's [dependencies] fails here instead of rewriting it. Two
+# edges exist only for that lockfile: apc-core -> apc-stage and apc-stage
+# -> apc-comm (apc-stage is an empty package); ROADMAP 2(h) removes them
+# with the benchmark's next manifest change, not before.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"

@@ -1,5 +1,5 @@
 //! Bounded stage queues: the flow-controlled point-to-point channels that
-//! dedicated-core staging is built on (`apc-stage`).
+//! dedicated-core staging is built on (`apc-core`'s staged frame engine).
 //!
 //! A queue connects one producer rank (a simulation rank) to one consumer
 //! rank (a staging rank). Data rides the ordinary epoch-stamped envelope

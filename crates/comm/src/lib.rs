@@ -46,7 +46,7 @@
 //! * **Bounded stage queues and serve endpoints** ([`bounded`]):
 //!   flow-controlled producer → consumer channels (credit-based or lossy)
 //!   whose capacity semantics live in virtual time — the substrate of
-//!   `apc-stage`'s dedicated-core asynchronous in situ mode — plus
+//!   `apc-core`'s dedicated-core asynchronous in situ mode — plus
 //!   request/reply endpoints ([`ServeClient`] / [`ServeServer`]), the
 //!   substrate of `apc-serve`'s frame serving protocol. Queues and
 //!   endpoints travel on lanes of their own, which no user [`Tag`] reaches.

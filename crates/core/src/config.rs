@@ -1,9 +1,9 @@
 //! Pipeline configuration.
 
+use apc_comm::FlowControl;
 use apc_par::ExecPolicy;
 use apc_render::RenderCostModel;
 use apc_serve::FrameSink;
-use apc_stage::BackpressurePolicy;
 
 /// How the in situ pipeline is coupled to the simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +15,48 @@ pub enum InSituMode {
     /// Space-partitioned: a subset of ranks is dedicated to visualization
     /// and the simulation ranks post their blocks into bounded queues and
     /// continue — the Damaris-style staging mode implemented by
-    /// `apc-stage` and `crate::staged`.
+    /// `crate::staged`.
     Staged(StagedParams),
+}
+
+/// What happens when a stager falls behind its simulation ranks: the
+/// backpressure policy of the staged queues.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BackpressurePolicy {
+    /// The producer blocks (in virtual time) when its queue is full — no
+    /// frame is ever lost, the simulation absorbs the surplus as stall.
+    Block,
+    /// The queue evicts its oldest waiting frame slice to make room — the
+    /// simulation never stalls, the visualization loses data under
+    /// pressure.
+    DropOldest,
+    /// Like [`BackpressurePolicy::Block`], but a frame that sat in the
+    /// queue is visualized at a reduction percentage raised by `boost`
+    /// points over what the Algorithm 1 controller asked for — the
+    /// visualization degrades itself to drain the backlog faster.
+    DegradeHarder {
+        /// Percentage points added to the controller's output while the
+        /// queue is backed up.
+        boost: f64,
+    },
+}
+
+impl BackpressurePolicy {
+    /// The comm-layer flow control this policy rides on.
+    pub(crate) fn flow(&self) -> FlowControl {
+        match self {
+            BackpressurePolicy::DropOldest => FlowControl::Lossy,
+            _ => FlowControl::Credit,
+        }
+    }
+
+    /// The percentage-point boost to apply to a backlogged frame.
+    pub(crate) fn degrade_boost(&self) -> f64 {
+        match self {
+            BackpressurePolicy::DegradeHarder { boost } => *boost,
+            _ => 0.0,
+        }
+    }
 }
 
 /// Parameters of [`InSituMode::Staged`].
@@ -225,6 +265,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn flows_match_policies() {
+        assert_eq!(BackpressurePolicy::Block.flow(), FlowControl::Credit);
+        assert_eq!(BackpressurePolicy::DropOldest.flow(), FlowControl::Lossy);
+        assert_eq!(
+            BackpressurePolicy::DegradeHarder { boost: 20.0 }.flow(),
+            FlowControl::Credit
+        );
+        assert_eq!(BackpressurePolicy::Block.degrade_boost(), 0.0);
+        assert_eq!(
+            BackpressurePolicy::DegradeHarder { boost: 15.0 }.degrade_boost(),
+            15.0
+        );
+    }
+
+    #[test]
     fn defaults_match_paper_setup() {
         let c = PipelineConfig::default();
         assert_eq!(c.metric, "VAR");
@@ -310,6 +365,12 @@ mod tests {
     #[should_panic(expected = "at least one staging rank")]
     fn staged_zero_viz_rejected() {
         let _ = StagedParams::new(0, 2, BackpressurePolicy::Block);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue depth must be at least one")]
+    fn zero_depth_rejected() {
+        let _ = StagedParams::new(1, 0, BackpressurePolicy::Block);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! config): the paper's time-partitioned pipeline above
 //! ([`InSituMode::Synchronous`], executed by [`Pipeline`]), and the
 //! space-partitioned dedicated-core mode ([`InSituMode::Staged`],
-//! executed by [`staged`] over the `apc-stage` frame engine): a static
+//! executed by [`staged`] over its generic frame engine): a static
 //! subset of ranks stages asynchronously — simulation ranks score, deal
 //! and post blocks into bounded queues and continue, staging ranks
 //! sort/reduce/render with a per-stager Algorithm 1 controller, and
@@ -74,8 +74,9 @@ pub use apc_serve::{
     percentile, Fidelity, FidelityMix, Frame, FrameReply, FrameRequest, FrameSink, FrameStore,
     RequestLog, ServePolicy, ServeReport, ServerStats,
 };
-pub use apc_stage::BackpressurePolicy;
-pub use config::{InSituMode, PipelineConfig, Redistribution, SortStrategy, StagedParams};
+pub use config::{
+    BackpressurePolicy, InSituMode, PipelineConfig, Redistribution, SortStrategy, StagedParams,
+};
 pub use controller::{adapt_percent, BudgetController};
 pub use driver::{run_experiment, run_sweep_in_session};
 pub use pipeline::Pipeline;

@@ -46,13 +46,12 @@ use apc_serve::{
     percentile, Fidelity, FrameReply, FrameRequest, FrameSink, ReplyChecker, RequestLog,
     Resolution, ServeCore, ServePolicy, ServeReport, ServerStats,
 };
-use apc_stage::RankLog;
 use apc_store::StoreBackend;
 
 use crate::config::PipelineConfig;
 use crate::controller::BudgetController;
 use crate::staged::{
-    begin_staged, end_staged, merge_logs, rank_program, SimAux, StageOut, StagedRun,
+    begin_staged, end_staged, merge_logs, rank_program, RankLog, SimAux, StageOut, StagedRun,
 };
 
 /// Sliding-window length (latency samples) a stager's
@@ -516,7 +515,7 @@ where
     // The clients take the session's last ranks; the staged split (and
     // its check that viz + clients leave a simulation rank) covers the rest.
     let n_clients = serve.clients;
-    let (params, spec) = begin_staged(session, decomp, config, iterations, n_clients);
+    let (params, partition) = begin_staged(session, decomp, config, iterations, n_clients);
     #[expect(
         clippy::expect_used,
         reason = "misconfiguration caught at entry, before any rank spawns"
@@ -525,7 +524,6 @@ where
         .persist
         .clone()
         .expect("serving needs StagedParams::persist — attach a FrameSink");
-    let partition = spec.partition;
     let (n_sim, n_stage) = (partition.n_sim(), partition.n_stage());
 
     let iters = iterations.to_vec();
@@ -533,7 +531,9 @@ where
     let logs: Vec<ServingRankLog> = session.run(|rank| {
         let r = rank.rank();
         if r < n_sim {
-            let log = rank_program(rank, &spec, &params, config, decomp, &iters, blocks, None);
+            let log = rank_program(
+                rank, partition, &params, config, decomp, &iters, blocks, None,
+            );
             ServingRankLog::Staged(log, None)
         } else if r < n_sim + n_stage {
             let slot = r - n_sim;
@@ -544,7 +544,7 @@ where
             let mut srv = StagerServe::new(serve, slot as u32, &sink, &iters, client_ranks);
             let log = rank_program(
                 rank,
-                &spec,
+                partition,
                 &params,
                 config,
                 decomp,
@@ -588,7 +588,7 @@ where
         }
     }
     ServingRun {
-        staged: merge_logs(&spec, iterations, staged_logs),
+        staged: merge_logs(partition, iterations, staged_logs),
         report: ServeReport {
             servers,
             requests,
@@ -605,10 +605,9 @@ mod tests {
     use apc_cm1::ReflectivityDataset;
     use apc_comm::{NetModel, Runtime};
     use apc_serve::FrameStore;
-    use apc_stage::BackpressurePolicy;
     use apc_store::{CodecKind, MemStore, StoreBackend};
 
-    use crate::config::StagedParams;
+    use crate::config::{BackpressurePolicy, StagedParams};
 
     /// A tiny serving run: 8 ranks split 2 sim / 2 viz / 4 clients over
     /// the tiny dataset, returning the run and its backing store.
@@ -813,6 +812,27 @@ mod tests {
     #[should_panic(expected = "2 viz + 6 client of 8 ranks; at least one simulation rank")]
     fn overfull_split_rejected() {
         let _ = tiny_serving_serve(ServeParams::new(6, 1, ServePolicy::BestEffort), None);
+    }
+
+    /// Zero frames would leave the stagers nothing to serve from while
+    /// the clients still generate requests over an empty iteration list.
+    #[test]
+    #[should_panic(expected = "a staged run needs at least one iteration")]
+    fn empty_iteration_list_rejected() {
+        let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
+        let sink = FrameSink::new(Arc::new(MemStore::new()), "test", CodecKind::Fpz);
+        let config = crate::PipelineConfig::default()
+            .deterministic()
+            .with_staged(StagedParams::new(2, 2, BackpressurePolicy::Block).with_persist(sink));
+        let _ = run_staged_serving_in_session(
+            &mut Runtime::new(8, NetModel::blue_waters()).session(),
+            dataset.decomp(),
+            dataset.coords(),
+            &config,
+            &[],
+            &ServeParams::new(4, 6, ServePolicy::BestEffort),
+            &|it, rank| dataset.rank_blocks(it, rank),
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The staged frame engine: the SPMD program both rank roles execute.
 //!
-//! One call to [`run_staged`] runs `nframes` frames of dedicated-core in
-//! situ over the calling rank:
+//! The rank group is split by a static [`Partition`] (the Damaris
+//! "dedicated cores" idea): out of `nranks` ranks, the first
+//! `nranks − viz` are **simulation ranks** and the last `viz` are
+//! **staging ranks**. One call to [`run_staged`] runs `nframes` frames of
+//! dedicated-core in situ over the calling rank:
 //!
 //! * a **simulation rank** loops: `produce` the frame (the caller charges
 //!   the virtual simulation + analysis cost inside the closure), then
@@ -16,105 +19,118 @@
 //!   surviving slices (the caller charges the virtual visualization cost
 //!   inside the closure).
 //!
-//! Under [`BackpressurePolicy::DropOldest`] the staging side pulls slices
-//! with deferred clock accounting, only as far as the current frame's
-//! service start requires, and replays the bounded queue in virtual time.
-//! The rule: *slice `k` of a producer is dropped iff its slice
-//! `k + queue_depth` arrived by frame `k`'s service start.* A dropped
+//! Under [`crate::BackpressurePolicy::DropOldest`] the staging side
+//! pulls slices with deferred clock accounting, only as far as the
+//! current frame's service start requires, and replays the bounded queue
+//! in virtual time. The rule: *slice `k` of a producer is dropped iff its
+//! slice `k + queue_depth` arrived by frame `k`'s service start.* A dropped
 //! payload is freed as soon as that arrival is seen, so the stager holds
 //! at most `queue_depth + 1` payloads per producer, like the queue it
 //! models. All of that is pure arithmetic over recorded virtual arrival
 //! timestamps, so the outcome is deterministic no matter how the OS
 //! schedules the threads.
 //!
-//! The engine returns per-frame logs ([`SimFrameLog`] / [`StageFrameLog`])
-//! from which callers assemble reports; it never performs collectives, so
-//! simulation ranks and staging ranks stay fully decoupled during a run.
+//! The engine is generic over the frame payload and returns per-frame
+//! logs ([`SimFrameLog`] / [`StageFrameLog`]) from which the staged
+//! drivers assemble reports; it never performs collectives, so simulation
+//! ranks and staging ranks stay fully decoupled during a run.
 
 use std::collections::VecDeque;
 
 use apc_comm::{Dequeued, FlowControl, Meter, QueueReceiver, QueueSender, Rank};
 
-use crate::partition::{Partition, Role};
-use crate::policy::BackpressurePolicy;
+use crate::config::StagedParams;
 
-/// Configuration of one staged run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StagedSpec {
-    pub partition: Partition,
-    /// Waiting-slot capacity of each (simulation rank → stager) queue,
-    /// beyond the frame the stager is currently servicing.
-    pub queue_depth: usize,
-    pub policy: BackpressurePolicy,
+/// A static sim:viz split of `nranks` ranks: simulation ranks first,
+/// staging ranks last. [`StagedParams::new`] and
+/// [`StagedParams::validate`] check that each side keeps a rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Partition {
+    nranks: usize,
+    viz: usize,
 }
 
-impl StagedSpec {
-    pub fn new(partition: Partition, queue_depth: usize, policy: BackpressurePolicy) -> Self {
-        assert!(queue_depth >= 1, "queue depth must be at least one");
-        Self {
-            partition,
-            queue_depth,
-            policy,
-        }
+impl Partition {
+    /// Dedicate the last `viz` of `nranks` ranks to staging.
+    pub(crate) fn new(nranks: usize, viz: usize) -> Self {
+        Self { nranks, viz }
+    }
+
+    /// Number of simulation ranks.
+    pub(crate) fn n_sim(&self) -> usize {
+        self.nranks - self.viz
+    }
+
+    /// Number of staging ranks.
+    pub(crate) fn n_stage(&self) -> usize {
+        self.viz
+    }
+
+    /// Global rank id of staging slot `slot`.
+    pub(crate) fn stage_rank(&self, slot: usize) -> usize {
+        self.n_sim() + slot
     }
 }
 
 /// Per-frame virtual-time record of a simulation rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimFrameLog {
+pub(crate) struct SimFrameLog {
     /// Clock when the frame's production started.
-    pub start: f64,
+    pub(crate) start: f64,
     /// Clock when `produce` returned (simulation + analysis done).
-    pub produced: f64,
+    pub(crate) produced: f64,
     /// Stall incurred enqueueing (queue-full wait; 0 under `DropOldest`).
-    pub stall: f64,
+    pub(crate) stall: f64,
     /// Clock when every slice of the frame was enqueued.
-    pub end: f64,
+    pub(crate) end: f64,
 }
 
 impl SimFrameLog {
     /// Everything the simulation saw of this frame: produce + enqueue +
     /// stall.
-    pub fn visible(&self) -> f64 {
+    pub(crate) fn visible(&self) -> f64 {
         self.end - self.start
     }
 }
 
 /// Per-frame virtual-time record of a staging rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageFrameLog {
+pub(crate) struct StageFrameLog {
     /// Virtual time at which the frame's last slice arrived, dropped ones
     /// included.
-    pub arrival: f64,
+    pub(crate) arrival: f64,
     /// Clock when `process` was entered (arrivals merged, ingest charged).
-    pub start: f64,
+    pub(crate) start: f64,
     /// How long the completed frame sat in the queue before the stager got
     /// to it (0 when the stager was idle and waiting for it).
-    pub queued_for: f64,
+    pub(crate) queued_for: f64,
     /// Clock when `process` returned.
-    pub finish: f64,
+    pub(crate) finish: f64,
     /// Slices of this frame evicted by `DropOldest` (one per overflowed
     /// producer queue).
-    pub slices_dropped: usize,
+    pub(crate) slices_dropped: usize,
 }
 
 /// What one rank contributes to a staged run: its role-specific per-frame
 /// log, carrying the caller's own per-frame payloads (`S` from `produce`,
 /// `R` from `process`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum RankLog<S, R> {
+pub(crate) enum RankLog<S, R> {
     Sim(Vec<(S, SimFrameLog)>),
     Stage(Vec<(R, StageFrameLog)>),
 }
 
-/// Run `nframes` staged frames on this rank. See the module docs; both
-/// closures are invoked only for the rank's own role. `process` receives
-/// the frame index, the surviving `(producer slot, payload)` slices and
-/// the percentage-point reduction boost the policy asks for on this frame
-/// (non-zero only under `DegradeHarder` while the frame sat in the queue).
-pub fn run_staged<M, S, R>(
+/// Run `nframes` staged frames on this rank of `partition`, whose queues
+/// hold `params.queue_depth` waiting slices under `params.policy`. See the
+/// module docs; both closures are invoked only for the rank's own role.
+/// `process` receives the frame index, the surviving `(producer slot,
+/// payload)` slices and the percentage-point reduction boost the policy
+/// asks for on this frame (non-zero only under `DegradeHarder` while the
+/// frame sat in the queue).
+pub(crate) fn run_staged<M, S, R>(
     rank: &mut Rank,
-    spec: &StagedSpec,
+    params: &StagedParams,
+    partition: Partition,
     nframes: usize,
     mut produce: impl FnMut(&mut Rank, usize) -> (Vec<M>, S),
     mut process: impl FnMut(&mut Rank, usize, Vec<(usize, M)>, f64) -> R,
@@ -123,31 +139,38 @@ where
     M: Meter + Send + 'static,
 {
     // `<=` rather than `==`: a session may co-schedule ranks *outside*
-    // the staged partition (apc-core's serving executor runs frame
-    // clients on the ranks past it); the engine only requires that its
-    // own rank is covered.
+    // the staged partition (the serving executor runs frame clients on
+    // the ranks past it); the engine only requires that its own rank is
+    // covered.
     assert!(
-        spec.partition.nranks() <= rank.nranks(),
+        partition.nranks <= rank.nranks(),
         "partition must fit inside the rank group"
     );
-    match spec.partition.role(rank.rank()) {
-        Role::Sim { .. } => RankLog::Sim(run_sim(rank, spec, nframes, &mut produce)),
-        Role::Stage { .. } => RankLog::Stage(run_stage(rank, spec, nframes, &mut process)),
+    assert!(
+        rank.rank() < partition.nranks,
+        "rank {} out of range",
+        rank.rank()
+    );
+    if rank.rank() < partition.n_sim() {
+        RankLog::Sim(run_sim(rank, params, partition, nframes, &mut produce))
+    } else {
+        RankLog::Stage(run_stage(rank, params, partition, nframes, &mut process))
     }
 }
 
 fn run_sim<M, S>(
     rank: &mut Rank,
-    spec: &StagedSpec,
+    params: &StagedParams,
+    partition: Partition,
     nframes: usize,
     produce: &mut impl FnMut(&mut Rank, usize) -> (Vec<M>, S),
 ) -> Vec<(S, SimFrameLog)>
 where
     M: Meter + Send + 'static,
 {
-    let flow = spec.policy.flow();
-    let mut txs: Vec<QueueSender> = (0..spec.partition.n_stage())
-        .map(|g| QueueSender::new(spec.partition.stage_rank(g), spec.queue_depth, flow))
+    let flow = params.policy.flow();
+    let mut txs: Vec<QueueSender> = (0..partition.n_stage())
+        .map(|g| QueueSender::new(partition.stage_rank(g), params.queue_depth, flow))
         .collect();
     let mut log = Vec::with_capacity(nframes);
     for k in 0..nframes {
@@ -238,18 +261,19 @@ impl<M: Send + 'static> Window<M> {
 
 fn run_stage<M, R>(
     rank: &mut Rank,
-    spec: &StagedSpec,
+    params: &StagedParams,
+    partition: Partition,
     nframes: usize,
     process: &mut impl FnMut(&mut Rank, usize, Vec<(usize, M)>, f64) -> R,
 ) -> Vec<(R, StageFrameLog)>
 where
     M: Meter + Send + 'static,
 {
-    let n_sim = spec.partition.n_sim();
-    let flow = spec.policy.flow();
+    let n_sim = partition.n_sim();
+    let flow = params.policy.flow();
     let mut windows: Vec<Window<M>> = (0..n_sim)
         .map(|i| Window {
-            rx: QueueReceiver::new(spec.partition.sim_rank(i), flow),
+            rx: QueueReceiver::new(i, flow),
             slices: VecDeque::new(),
             last_arrival: f64::NEG_INFINITY,
         })
@@ -279,7 +303,7 @@ where
                 }
                 let service_at = before.max(arrival);
                 for (slot, w) in windows.iter_mut().enumerate() {
-                    match w.take(rank, service_at, spec.queue_depth, nframes - k) {
+                    match w.take(rank, service_at, params.queue_depth, nframes - k) {
                         Some((msg, bytes)) => {
                             rank.merge_clock_to(service_at);
                             let ingest = rank.net().ingest(bytes);
@@ -295,7 +319,7 @@ where
         let queued_for = (before - arrival).max(0.0);
         let start = rank.clock();
         let boost = if queued_for > 0.0 {
-            spec.policy.degrade_boost()
+            params.policy.degrade_boost()
         } else {
             0.0
         };
@@ -317,10 +341,28 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BackpressurePolicy;
     use apc_comm::{NetModel, Runtime};
 
-    fn spec(nranks: usize, viz: usize, depth: usize, policy: BackpressurePolicy) -> StagedSpec {
-        StagedSpec::new(Partition::new(nranks, viz), depth, policy)
+    #[test]
+    fn roles_split_sims_then_stagers() {
+        let p = Partition::new(6, 2);
+        assert_eq!(p.n_sim(), 4);
+        assert_eq!(p.n_stage(), 2);
+        assert_eq!(p.stage_rank(0), 4);
+        assert_eq!(p.stage_rank(1), 5);
+    }
+
+    fn spec(
+        nranks: usize,
+        viz: usize,
+        depth: usize,
+        policy: BackpressurePolicy,
+    ) -> (StagedParams, Partition) {
+        (
+            StagedParams::new(viz, depth, policy),
+            Partition::new(nranks, viz),
+        )
     }
 
     /// Run a synthetic staged workload: sims spend `sim_cost` per frame
@@ -334,18 +376,16 @@ mod tests {
         sim_cost: f64,
         stage_cost: f64,
     ) -> Vec<RankLog<(), (usize, f64)>> {
-        let spec = spec(nranks, viz, depth, policy);
+        let (params, partition) = spec(nranks, viz, depth, policy);
         Runtime::new(nranks, NetModel::free()).run(|rank| {
             run_staged(
                 rank,
-                &spec,
+                &params,
+                partition,
                 nframes,
                 |rank, _k| {
                     rank.advance(sim_cost);
-                    (
-                        (0..spec.partition.n_stage()).map(|g| g as u64).collect(),
-                        (),
-                    )
+                    ((0..partition.n_stage()).map(|g| g as u64).collect(), ())
                 },
                 |rank, _k, parts, _boost| {
                     rank.advance(stage_cost);
@@ -463,11 +503,12 @@ mod tests {
     /// DegradeHarder surfaces the boost exactly while backlogged.
     #[test]
     fn degrade_boost_tracks_backlog() {
-        let spec = spec(2, 1, 1, BackpressurePolicy::DegradeHarder { boost: 25.0 });
+        let (params, partition) = spec(2, 1, 1, BackpressurePolicy::DegradeHarder { boost: 25.0 });
         let boosts = Runtime::new(2, NetModel::free()).run(|rank| {
             run_staged(
                 rank,
-                &spec,
+                &params,
+                partition,
                 10,
                 |rank, _| {
                     rank.advance(0.5);
@@ -515,11 +556,12 @@ mod tests {
         let nframes = 24;
         for depth in 1..=3 {
             for n_sim in [1, 3] {
-                let spec = spec(n_sim + 1, 1, depth, BackpressurePolicy::DropOldest);
+                let (params, partition) = spec(n_sim + 1, 1, depth, BackpressurePolicy::DropOldest);
                 let logs = Runtime::new(n_sim + 1, NetModel::free()).run(|rank| {
                     run_staged(
                         rank,
-                        &spec,
+                        &params,
+                        partition,
                         nframes,
                         |rank, k| {
                             let i = rank.rank();
@@ -556,11 +598,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth must be at least one")]
-    fn zero_depth_rejected() {
-        let _ = StagedSpec::new(Partition::new(2, 1), 0, BackpressurePolicy::Block);
     }
 }

@@ -1,9 +1,10 @@
 //! The staged (dedicated-core, asynchronous) execution of the in situ
-//! pipeline — [`InSituMode::Staged`]'s implementation over the
-//! `apc-stage` frame engine.
+//! pipeline — [`InSituMode::Staged`]'s implementation over the generic
+//! frame engine in `engine`.
 //!
 //! The synchronous pipeline puts all six steps on every rank's critical
-//! path. Here the rank group is split by a static [`apc_stage::Partition`]:
+//! path. Here the rank group is split by a static sim:viz partition
+//! (simulation ranks first, staging ranks last):
 //!
 //! * **Simulation ranks** replay the solver (a configurable virtual
 //!   compute charge per iteration), **score** their blocks with the
@@ -18,7 +19,7 @@
 //!   ([`score_order`]), reduction-set selection, block downsampling, the
 //!   isosurface render-cost model, and a per-stager Algorithm 1
 //!   [`BudgetController`]. Under
-//!   [`apc_stage::BackpressurePolicy::DegradeHarder`] a frame that sat in
+//!   [`crate::BackpressurePolicy::DegradeHarder`] a frame that sat in
 //!   the queue is reduced `boost` percentage points harder than the
 //!   controller asked — the controller then observes the percentage
 //!   actually used ([`BudgetController::observe_at`]), so its linear model
@@ -33,9 +34,10 @@
 //! repeated runs and execution policies exactly like synchronous ones
 //! (`tests/staged_determinism.rs` pins this).
 
+mod engine;
+
 use apc_comm::{Rank, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
-use apc_stage::{run_staged, Partition, RankLog, SimFrameLog, StageFrameLog, StagedSpec};
 
 use crate::config::{InSituMode, PipelineConfig, StagedParams};
 use crate::controller::BudgetController;
@@ -43,6 +45,8 @@ use crate::pipeline::{reduce_lowest, render_held, score_held};
 use crate::redistribute::WireBlock;
 use crate::report::IterationReport;
 use crate::selection::{score_order, ScoredBlock};
+pub(crate) use engine::RankLog;
+use engine::{run_staged, Partition, SimFrameLog, StageFrameLog};
 
 /// A block slice on the wire: `(block, score)` pairs. Scores ride along so
 /// stagers never re-score what the simulation already measured.
@@ -188,12 +192,15 @@ pub fn run_staged_in_session<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
-    let (params, spec) = begin_staged(session, decomp, config, iterations, 0);
+    let (params, partition) = begin_staged(session, decomp, config, iterations, 0);
     let iters = iterations.to_vec();
-    let logs: Vec<RankLog<SimAux, StageOut>> = session
-        .run(|rank| rank_program(rank, &spec, &params, config, decomp, &iters, blocks, None));
+    let logs: Vec<RankLog<SimAux, StageOut>> = session.run(|rank| {
+        rank_program(
+            rank, partition, &params, config, decomp, &iters, blocks, None,
+        )
+    });
     end_staged(&params);
-    merge_logs(&spec, iterations, logs)
+    merge_logs(partition, iterations, logs)
 }
 
 /// The SPMD program of one staged rank (both roles). `serve` is the
@@ -206,7 +213,7 @@ where
 )]
 pub(crate) fn rank_program<F>(
     rank: &mut Rank,
-    spec: &StagedSpec,
+    partition: Partition,
     params: &StagedParams,
     config: &PipelineConfig,
     decomp: &DomainDecomp,
@@ -223,13 +230,14 @@ where
     )]
     let scorer = apc_metrics::by_name(&config.metric)
         .unwrap_or_else(|| panic!("unknown metric {:?}", config.metric));
-    let n_sim = spec.partition.n_sim();
-    let n_stage = spec.partition.n_stage();
+    let n_sim = partition.n_sim();
+    let n_stage = partition.n_stage();
     let mut controller = config.target_time.map(BudgetController::new);
 
     run_staged(
         rank,
-        spec,
+        params,
+        partition,
         iterations.len(),
         // ---- simulation side -------------------------------------------
         |rank, k| {
@@ -313,7 +321,7 @@ where
                     let px = &mut pixels[bj * gb.nx + bi];
                     *px = px.max(sb.score as f32);
                 }
-                let slot = rank.rank() - spec.partition.n_sim();
+                let slot = rank.rank() - n_sim;
                 let frame = apc_serve::Frame::new(
                     it as u64,
                     slot as u32,
@@ -350,14 +358,15 @@ where
 /// the sim/viz split of the session's ranks but the last `clients` (0 for
 /// a plain staged run; the serving driver keeps those for its clients),
 /// and — when the run persists frames — its manifest, which the sink
-/// writes before any rank starts.
+/// writes before any rank starts. This is the one place a staged split is
+/// checked against a concrete rank count.
 pub(crate) fn begin_staged(
     session: &Session,
     decomp: &DomainDecomp,
     config: &PipelineConfig,
     iterations: &[usize],
     clients: usize,
-) -> (StagedParams, StagedSpec) {
+) -> (StagedParams, Partition) {
     #[expect(
         clippy::panic,
         reason = "misconfiguration caught at entry, before any rank spawns"
@@ -372,9 +381,12 @@ pub(crate) fn begin_staged(
         decomp.nranks(),
         "session rank count must match the decomposition"
     );
+    assert!(
+        !iterations.is_empty(),
+        "a staged run needs at least one iteration"
+    );
     params.validate(nranks, clients);
     let partition = Partition::new(nranks - clients, params.viz_ranks);
-    let spec = StagedSpec::new(partition, params.queue_depth, params.policy);
     if let Some(sink) = &params.persist {
         let gb = decomp.global_block_grid();
         #[expect(
@@ -384,7 +396,7 @@ pub(crate) fn begin_staged(
         sink.begin_run(params.viz_ranks, gb.nx, gb.ny, iterations)
             .expect("write the run manifest");
     }
-    (params.clone(), spec)
+    (params.clone(), partition)
 }
 
 /// The teardown both staged drivers share: seal partially-filled shard
@@ -403,7 +415,7 @@ pub(crate) fn end_staged(params: &StagedParams) {
 /// Fold the per-rank logs into the per-iteration stream. Pure arithmetic
 /// over rank-ordered data — deterministic by construction.
 pub(crate) fn merge_logs(
-    spec: &StagedSpec,
+    partition: Partition,
     iterations: &[usize],
     logs: Vec<RankLog<SimAux, StageOut>>,
 ) -> StagedRun {
@@ -415,8 +427,8 @@ pub(crate) fn merge_logs(
             RankLog::Stage(v) => stages.push(v),
         }
     }
-    assert_eq!(sims.len(), spec.partition.n_sim());
-    assert_eq!(stages.len(), spec.partition.n_stage());
+    assert_eq!(sims.len(), partition.n_sim());
+    assert_eq!(stages.len(), partition.n_stage());
 
     let mut frames = Vec::with_capacity(iterations.len());
     for (k, &iteration) in iterations.iter().enumerate() {
@@ -485,9 +497,9 @@ pub(crate) fn merge_logs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BackpressurePolicy;
     use apc_cm1::ReflectivityDataset;
     use apc_comm::{NetModel, Runtime};
-    use apc_stage::BackpressurePolicy;
 
     fn staged_config(params: StagedParams) -> PipelineConfig {
         PipelineConfig::default()
@@ -723,6 +735,14 @@ mod tests {
     fn sync_config_rejected() {
         let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
         let _ = run_fresh(&dataset, &PipelineConfig::default(), &[300]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a staged run needs at least one iteration")]
+    fn empty_iteration_list_rejected() {
+        let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
+        let params = StagedParams::new(1, 1, BackpressurePolicy::Block);
+        let _ = run_fresh(&dataset, &staged_config(params), &[]);
     }
 
     #[test]

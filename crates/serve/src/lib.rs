@@ -1,7 +1,7 @@
 //! Frame persistence and serving — the layer between the staged in situ
 //! pipeline and its viewers.
 //!
-//! The staged runtime (`apc-stage` / `apc-core`) renders one frame per
+//! The staged runtime (`apc-core::staged`) renders one frame per
 //! stager per iteration; before this crate those frames were counted and
 //! discarded. Here they become durable, addressable artifacts:
 //!

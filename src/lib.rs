@@ -25,5 +25,4 @@ pub use apc_par as par;
 pub use apc_render as render;
 pub use apc_replay as replay;
 pub use apc_serve as serve;
-pub use apc_stage as stage;
 pub use apc_store as store;
