@@ -4,10 +4,26 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo fmt --check"
+# step <title>: close the open step with its wall seconds (bash's
+# $SECONDS), then open the next one under its "==>" title; `step ""` closes
+# the last. A failing step ends the script before its time is printed.
+step_title=""
+step_start=0
+step() {
+  if [[ -n $step_title ]]; then
+    echo "<== $((SECONDS - step_start)) s: $step_title"
+  fi
+  step_title=$1
+  step_start=$SECONDS
+  if [[ -n $step_title ]]; then
+    echo "==> $step_title"
+  fi
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (warnings are errors; every allow/expect carries a reason)"
+step "cargo clippy (warnings are errors; every allow/expect carries a reason)"
 # The root clippy.toml bans the determinism breakers everywhere, tests
 # included: real-clock reads, HashMap/HashSet, raw thread spawns and
 # partial_cmp. Every library crate root but apc-bench's denies
@@ -17,7 +33,7 @@ echo "==> cargo clippy (warnings are errors; every allow/expect carries a reason
 # (unfulfilled_lint_expectations).
 cargo clippy --workspace --all-targets -q -- -D warnings -D clippy::allow_attributes_without_reason
 
-echo "==> apc-lint (dead-pub, deny-by-default)"
+step "apc-lint (dead-pub, deny-by-default)"
 # `dead-pub`: a `pub` item in crates/*/src that only tests, examples,
 # re-exports, its own body or its own `impl` blocks name (benchmark/src is
 # read as a caller, never linted). Diagnostics are file:line: rule:
@@ -25,13 +41,13 @@ echo "==> apc-lint (dead-pub, deny-by-default)"
 # `// apc-lint: allow(dead-pub): <reason>`. See README "Static analysis".
 cargo run -q -p apc-lint
 
-echo "==> cargo build --release"
+step "cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q (every crate's suite, one pass)"
+step "cargo test --workspace -q (every crate's suite, one pass)"
 cargo test --workspace -q
 
-echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benchmark runs them)"
+step "cargo test -p apc-compress --release -q (the codec kernels as the benchmark runs them)"
 # The debug pass above traps shift widths of 0 and 64 with overflow checks;
 # this one runs the same suite, format pin included, on the optimised code.
 # On an AVX2/BMI2/LZCNT host that is fpz's dispatched encoder, which
@@ -39,7 +55,7 @@ echo "==> cargo test -p apc-compress --release -q (the codec kernels as the benc
 # with the portable body.
 cargo test -p apc-compress --release -q
 
-echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"
+step "cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay (the kernels as the benchmark runs them)"
 # VAR's lane sums (the score bits are pinned; on an AVX2 host that is the
 # kernel picked at run time, which the parity test also checks against the
 # portable one), the isosurface mask table and the collectives on optimised
@@ -59,7 +75,7 @@ echo "==> cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p ap
 # sorted arrivals against its all-arrivals-heap oracle.
 cargo test --release -q -p apc-metrics -p apc-render -p apc-comm -p apc-grid -p apc-store -p apc-cm1 -p apc-serve -p apc-replay
 
-echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism --test store_roundtrip --test properties (the serving executors, the block exchange and the synchronous loop, in memory and store-fed, as the benchmark runs them)"
+step "cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism --test store_roundtrip --test properties (the serving executors, the block exchange and the synchronous loop, in memory and store-fed, as the benchmark runs them)"
 # Staged serving and the replay pool are where p2p blocking matters: 272
 # ranks parked on selective receives. The debug pass above pins their
 # reports; this one runs the same suites on the optimised mailbox, where a
@@ -78,7 +94,7 @@ echo "==> cargo test --release -q -p insitu --test replay_fanout --test staged_d
 # chunk-cache sweeps on optimised code.
 cargo test --release -q -p insitu --test replay_fanout --test staged_determinism --test frame_serving --test session_faults --test shared_payload --test pipeline_e2e --test exec_policy_determinism --test store_roundtrip --test properties
 
-echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
+step "cargo test --release -q -p apc-core; -p apc-bench --test golden_reports --test sweep_engine (the goldens on the code the figures run)"
 # Every figure binary and the benchmark run --release; the debug pass above
 # is the only other place the fig06-fig11 and serving goldens are compared.
 # apc-core's own suite includes the staged frame engine's contract tests
@@ -89,7 +105,7 @@ echo "==> cargo test --release -q -p apc-core; -p apc-bench --test golden_report
 cargo test --release -q -p apc-core
 cargo test --release -q -p apc-bench --test golden_reports --test sweep_engine
 
-echo "==> stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
+step "stored-dataset replay smoke (env var -> bin -> layout -> Scale::from_env -> Prepared::from_store)"
 # The one end-to-end run of the path no unit test reaches: the same tiny
 # dataset written flat and sharded by the write_dataset bin, one pipeline
 # figure replayed from each through APC_DATASET, and the two CSVs equal.
@@ -112,7 +128,7 @@ for layout in flat sharded; do
 done
 cmp "$smoke/flat.csv" "$smoke/sharded.csv"
 
-echo "==> fig05_redistribution at quick scale against its golden (the figure binary itself, 64 and 400 ranks)"
+step "fig05_redistribution at quick scale against its golden (the figure binary itself, 64 and 400 ranks)"
 # The golden_reports fixtures replay fig06-fig11's grids on the tiny
 # geometry; this is a figure binary's own CSV, paper-scaled storm and both
 # rank counts, as the generator before the row-wise one wrote it. ~15 s,
@@ -121,7 +137,7 @@ cargo build --release -q -p apc-bench --bin fig05_redistribution
 target/release/fig05_redistribution >/dev/null
 cmp target/experiments/fig05_redistribution.csv crates/bench/tests/golden/fig05.csv
 
-echo "==> fig12-fig15 at quick scale against their goldens (staged, frame serving, replay fan-out, adaptive serving)"
+step "fig12-fig15 at quick scale against their goldens (staged, frame serving, replay fan-out, adaptive serving)"
 # The four serving-side figure binaries' own CSVs, none with a wall-clock
 # column: the staged merge of sim and viz logs, the replay trace's
 # generator, the pool's steal charge and the render-cost calibration, end
@@ -134,7 +150,7 @@ for fig in fig12_staged_vs_sync fig13_frame_serving fig14_replay_fanout fig15_ad
   cmp "target/experiments/$fig.csv" "crates/bench/tests/golden/${fig%%_*}.csv"
 done
 
-echo "==> ablations at quick scale against their goldens (network, sort, downsample, controller)"
+step "ablations at quick scale against their goldens (network, sort, downsample, controller)"
 # The ablations binary's own CSVs: the GigE rows of the network ablation
 # run over their own session, the rest over the shared 64/400-rank inputs.
 # ablation_entropy_bins.csv is not compared: its kernel_wall column is
@@ -145,7 +161,7 @@ for a in network sort downsample controller; do
   cmp "target/experiments/ablation_$a.csv" "crates/bench/tests/golden/ablation_$a.csv"
 done
 
-echo "==> benchmark package compiles (outside the workspace; nothing else checks it)"
+step "benchmark package compiles (outside the workspace; nothing else checks it)"
 # --locked: benchmark/Cargo.lock is frozen with the benchmark, so a change
 # to any crate's [dependencies] fails here instead of rewriting it. Two
 # edges exist only for that lockfile: apc-core -> apc-stage and apc-stage
@@ -153,7 +169,7 @@ echo "==> benchmark package compiles (outside the workspace; nothing else checks
 # with the benchmark's next manifest change, not before.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"
+step "benchmark package unit tests (BENCHMARK.json freshness, --check gating, TracedBackend transparency)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
 # bench_digest <workload> <seed> <seconds> <trace> <digest>: one benchmark
@@ -170,7 +186,7 @@ bench_digest() {
   fi
 }
 
-echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper scale, end to end)"
+step "benchmark digest: sync_adaptive, seed 42 (the generated bits at paper scale, end to end)"
 # One iteration of the 6400-block paper-scaled storm (14.7 Mpts) generated,
 # then scored, sorted, reduced, redistributed and rendered adaptively at 64
 # ranks; the digest folds the run's iteration reports — the score order,
@@ -180,7 +196,7 @@ echo "==> benchmark digest: sync_adaptive, seed 42 (the generated bits at paper 
 # seed-42 digests.)
 bench_digest sync_adaptive 42 1 0 eef30fa47b6271d8
 
-echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discrimination runs only here)"
+step "benchmark degrade floor: serve_adaptive, seed 42, traced (discrimination runs only here)"
 # The workload's own check — degrading must use more than
 # DEGRADE_SHARE_FLOOR of a budgeted sweep's CPU — runs in the traced pass
 # only, and a failed discrimination is a failed op. A change that makes
@@ -189,7 +205,7 @@ echo "==> benchmark degrade floor: serve_adaptive, seed 42, traced (discriminati
 # PR driver's traced run does; so does one that moves the served bytes.
 bench_digest serve_adaptive 42 4 1 b87ec648e373c0dd
 
-echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination runs only here)"
+step "benchmark store floor: store_replay, seed 42, traced (discrimination runs only here)"
 # The store workload's own check — store and codec spans must hold more
 # than half of a cycle's CPU — also runs in the traced pass only. A faster
 # fpz lowers that share (0.87 -> 0.81 with the fused coder), so a codec change
@@ -197,7 +213,7 @@ echo "==> benchmark store floor: store_replay, seed 42, traced (discrimination r
 # one that moves a stored or decoded byte fails here too.
 bench_digest store_replay 42 4 1 497235393972ad56
 
-echo "==> benchmark digest: replay_fanout, seed 42 (the replay pool's plan, routes and replies, end to end)"
+step "benchmark digest: replay_fanout, seed 42 (the replay pool's plan, routes and replies, end to end)"
 # 8192 arrivals from 256 clients planned onto 16 servers and served over
 # 272 ranks; the digest folds the whole run — every server's stats and every
 # request's log — so a change to the pool's serial prelude (resolution, the
@@ -205,7 +221,7 @@ echo "==> benchmark digest: replay_fanout, seed 42 (the replay pool's plan, rout
 # shows here. It was the one seed-42 digest no stage compared.
 bench_digest replay_fanout 42 2 0 7621ebad6bb3edb2
 
-echo "==> benchmark digests at a second seed: sync_adaptive, store_replay and serve_adaptive, seed 7"
+step "benchmark digests at a second seed: sync_adaptive, store_replay and serve_adaptive, seed 7"
 # The same folds over another storm. Seed 42 alone could miss a change that
 # only moves ties, NaN ordering or a block's rank at other scores: the
 # reduce cut and round-robin dealing are decided per rank from the shared
@@ -218,10 +234,11 @@ bench_digest sync_adaptive 7 1 0 0d01154ad7a83b83
 bench_digest store_replay 7 4 0 7cc0586dd857156c
 bench_digest serve_adaptive 7 2 0 3414685cb6429b29
 
-echo "==> rustdoc lint (warnings are errors)"
+step "rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> compile-check examples and benches"
+step "compile-check examples and benches"
 cargo build --examples --benches --quiet
 
-echo "ci.sh: all green"
+step ""
+echo "ci.sh: all green in $SECONDS s"

@@ -40,7 +40,10 @@
 //! visualization cost reaches the simulation only as queue backpressure
 //! ([`BackpressurePolicy`]). The experiment drivers dispatch on the mode,
 //! so staged configurations replay through the same sweep engine and
-//! [`Prepared`] sessions as synchronous ones.
+//! [`Prepared`] sessions as synchronous ones. One staged driver runs both
+//! staged shapes: [`run_staged_serving_in_session`] is the staged run with
+//! client ranks, which the stagers answer between frames ([`serving`]),
+//! and [`run_staged_in_session`] is that run without them.
 //!
 //! The per-block hot loops (steps 1 and 5) run under an intra-rank
 //! [`ExecPolicy`] from `apc-par`, re-exported here: `Serial` reproduces

@@ -21,7 +21,7 @@
 //! `Prepared`.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use apc_cm1::{ReflectivityDataset, StoredTimeSeries};
 use apc_comm::{NetModel, Runtime, Session};
@@ -31,8 +31,8 @@ use apc_par::{par_map, ExecPolicy, RecommendedConcurrency};
 use crate::config::PipelineConfig;
 use crate::driver::run_sweep_in_session;
 use crate::report::IterationReport;
-use crate::serving::{run_staged_serving_in_session, ServeParams, ServingRun};
-use crate::staged::{run_staged_in_session, StagedRun};
+use crate::serving::{ServeParams, ServingRun};
+use crate::staged::StagedRun;
 
 /// Where a [`Prepared`]'s blocks come from.
 enum BlockSource {
@@ -168,13 +168,8 @@ impl Prepared {
     ) -> Vec<Vec<IterationReport>> {
         let configs: Vec<PipelineConfig> =
             configs.iter().map(|c| self.instrument(c.clone())).collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
-        )]
-        let mut session = self.session.lock().expect("an earlier sweep panicked");
         run_sweep_in_session(
-            &mut session,
+            &mut self.session(),
             self.dataset.decomp(),
             self.dataset.coords(),
             &configs,
@@ -190,20 +185,7 @@ impl Prepared {
     /// also flow through [`Prepared::run`]/[`Prepared::run_sweep`], which
     /// return just the report stream.
     pub fn run_staged(&self, config: PipelineConfig, iterations: &[usize]) -> StagedRun {
-        let config = self.instrument(config);
-        #[expect(
-            clippy::expect_used,
-            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
-        )]
-        let mut session = self.session.lock().expect("an earlier sweep panicked");
-        run_staged_in_session(
-            &mut session,
-            self.dataset.decomp(),
-            self.dataset.coords(),
-            &config,
-            iterations,
-            &|it, rank| self.prepared_blocks(it, rank),
-        )
+        self.staged(config, iterations, None).staged
     }
 
     /// Run a staged configuration with `serve.clients` simulated client
@@ -220,21 +202,34 @@ impl Prepared {
         iterations: &[usize],
         serve: &ServeParams,
     ) -> ServingRun {
-        let config = self.instrument(config);
-        #[expect(
-            clippy::expect_used,
-            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
-        )]
-        let mut session = self.session.lock().expect("an earlier sweep panicked");
-        run_staged_serving_in_session(
-            &mut session,
+        self.staged(config, iterations, Some(serve))
+    }
+
+    /// The staged door both staged entries go through: the one staged
+    /// driver over this input's session, with clients when `serve` is given.
+    fn staged(
+        &self,
+        config: PipelineConfig,
+        iterations: &[usize],
+        serve: Option<&ServeParams>,
+    ) -> ServingRun {
+        crate::staged::run(
+            &mut self.session(),
             self.dataset.decomp(),
-            self.dataset.coords(),
-            &config,
+            &self.instrument(config),
             iterations,
             serve,
             &|it, rank| self.prepared_blocks(it, rank),
         )
+    }
+
+    /// The persistent rank session, locked for one run.
+    fn session(&self) -> MutexGuard<'_, Session> {
+        #[expect(
+            clippy::expect_used,
+            reason = "session mutex poisoning means an earlier sweep panicked; propagate"
+        )]
+        self.session.lock().expect("an earlier sweep panicked")
     }
 
     /// Inject this input's execution policy into a configuration, clamped

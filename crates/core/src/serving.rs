@@ -1,9 +1,11 @@
 //! The frame-serving executor: simulated client ranks co-scheduled
 //! against the stager pool, in one session.
 //!
-//! [`run_staged_serving_in_session`] splits the session's ranks three
-//! ways — `[simulation ranks][staging ranks][client ranks]`. The first
-//! two run the ordinary staged pipeline (`crate::staged`), with two
+//! A serving run is the staged run with client ranks:
+//! [`run_staged_serving_in_session`] hands the staged driver
+//! (`crate::staged`) its [`ServeParams`], and the driver splits the
+//! session's ranks three ways — `[simulation ranks][staging ranks][client
+//! ranks]`. The first two run the ordinary staged pipeline, with two
 //! additions wired through the stager's per-frame hook:
 //!
 //! * every rendered frame is **persisted** through the config's
@@ -50,9 +52,7 @@ use apc_store::StoreBackend;
 
 use crate::config::PipelineConfig;
 use crate::controller::BudgetController;
-use crate::staged::{
-    begin_staged, end_staged, merge_logs, rank_program, RankLog, SimAux, StageOut, StagedRun,
-};
+use crate::staged::StagedRun;
 
 /// Sliding-window length (latency samples) a stager's
 /// [`BudgetController`] observes; it also re-steps mid-batch every
@@ -245,8 +245,8 @@ struct ClientConn {
     deferred: Option<(Resolution, f64)>,
 }
 
-/// Per-stager serving state, driven from the staged executor's per-frame
-/// hook (`crate::staged::rank_program`).
+/// Per-stager serving state, driven from the staged rank program's
+/// per-frame hook.
 pub struct StagerServe<'a> {
     serve: ServeParams,
     slot: u32,
@@ -317,8 +317,8 @@ impl<'a> StagerServe<'a> {
     /// quota. The quota schedule spreads each client's
     /// `requests_per_client` requests evenly over the run's frames and
     /// drains completely on the last frame.
-    pub(crate) fn after_frame(&mut self, rank: &mut Rank, k: usize, nframes: usize) {
-        debug_assert!(k < nframes);
+    pub(crate) fn after_frame(&mut self, rank: &mut Rank, k: usize) {
+        let nframes = self.iterations.len();
         // A resolution's keys are in iteration order, and frames render in
         // iteration order: it is due once its last key is frame `k` or older.
         let newest = self.iterations[k] as u64;
@@ -439,7 +439,7 @@ impl<'a> StagerServe<'a> {
 /// The SPMD program of one client rank: issue the deterministic request
 /// mix against its assigned stager, one request in flight at a time, and
 /// log virtual latency per request.
-fn client_program(
+pub(crate) fn client_program(
     rank: &mut Rank,
     client: usize,
     server_rank: usize,
@@ -479,17 +479,9 @@ fn client_program(
     (logs, rank.clock())
 }
 
-/// Per-rank result of a serving run (internal): a staged rank's log, with
-/// the serving totals if it is a stager, or a client's logs and final
-/// clock.
-enum ServingRankLog {
-    Staged(RankLog<SimAux, StageOut>, Option<ServerStats>),
-    Client(Vec<RequestLog>, f64),
-}
-
 /// Run a staged configuration with `serve.clients` simulated client ranks
 /// co-scheduled against the stager pool, over a caller-owned [`Session`] —
-/// the serving counterpart of [`crate::staged::run_staged_in_session`].
+/// the run [`crate::staged::run_staged_in_session`] makes, with clients.
 ///
 /// The session's ranks split `[sim][stage][client]`: the staged partition
 /// covers the first `nranks − clients` ranks (dataset ranks fold onto the
@@ -512,89 +504,7 @@ pub fn run_staged_serving_in_session<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
-    // The clients take the session's last ranks; the staged split (and
-    // its check that viz + clients leave a simulation rank) covers the rest.
-    let n_clients = serve.clients;
-    let (params, partition) = begin_staged(session, decomp, config, iterations, n_clients);
-    #[expect(
-        clippy::expect_used,
-        reason = "misconfiguration caught at entry, before any rank spawns"
-    )]
-    let sink = params
-        .persist
-        .clone()
-        .expect("serving needs StagedParams::persist — attach a FrameSink");
-    let (n_sim, n_stage) = (partition.n_sim(), partition.n_stage());
-
-    let iters = iterations.to_vec();
-    let checker = ReplyChecker::default();
-    let logs: Vec<ServingRankLog> = session.run(|rank| {
-        let r = rank.rank();
-        if r < n_sim {
-            let log = rank_program(
-                rank, partition, &params, config, decomp, &iters, blocks, None,
-            );
-            ServingRankLog::Staged(log, None)
-        } else if r < n_sim + n_stage {
-            let slot = r - n_sim;
-            let client_ranks: Vec<usize> = (0..n_clients)
-                .filter(|c| c % n_stage == slot)
-                .map(|c| n_sim + n_stage + c)
-                .collect();
-            let mut srv = StagerServe::new(serve, slot as u32, &sink, &iters, client_ranks);
-            let log = rank_program(
-                rank,
-                partition,
-                &params,
-                config,
-                decomp,
-                &iters,
-                blocks,
-                Some(&mut srv),
-            );
-            ServingRankLog::Staged(log, Some(srv.finish(rank.clock())))
-        } else {
-            let client = r - n_sim - n_stage;
-            let server_slot = client % n_stage;
-            let (logs, finish) = client_program(
-                rank,
-                client,
-                partition.stage_rank(server_slot),
-                server_slot as u32,
-                &iters,
-                serve,
-                &checker,
-            );
-            ServingRankLog::Client(logs, finish)
-        }
-    });
-
-    end_staged(&params);
-
-    let mut staged_logs = Vec::with_capacity(n_sim + n_stage);
-    let mut servers = Vec::with_capacity(n_stage);
-    let mut requests = Vec::new();
-    let mut client_finish = Vec::with_capacity(n_clients);
-    for log in logs {
-        match log {
-            ServingRankLog::Staged(log, stats) => {
-                staged_logs.push(log);
-                servers.extend(stats);
-            }
-            ServingRankLog::Client(v, finish) => {
-                requests.extend(v);
-                client_finish.push(finish);
-            }
-        }
-    }
-    ServingRun {
-        staged: merge_logs(partition, iterations, staged_logs),
-        report: ServeReport {
-            servers,
-            requests,
-            client_finish,
-        },
-    }
+    crate::staged::run(session, decomp, config, iterations, Some(serve), blocks)
 }
 
 #[cfg(test)]
@@ -605,7 +515,7 @@ mod tests {
     use apc_cm1::ReflectivityDataset;
     use apc_comm::{NetModel, Runtime};
     use apc_serve::FrameStore;
-    use apc_store::{CodecKind, MemStore, StoreBackend};
+    use apc_store::{CacheStats, CodecKind, MemStore, StoreBackend};
 
     use crate::config::{BackpressurePolicy, StagedParams};
 
@@ -636,27 +546,42 @@ mod tests {
         serve: ServeParams,
         shard: Option<usize>,
     ) -> (ServingRun, Arc<dyn StoreBackend>, Vec<usize>) {
-        let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
-        let iters = dataset.sample_iterations(4);
+        let iters = ReflectivityDataset::tiny(8, 42)
+            .unwrap()
+            .sample_iterations(4);
         let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-        let sink = FrameSink::with_layout(Arc::clone(&backend), "test", CodecKind::Fpz, shard);
-        let params = StagedParams::new(2, 2, BackpressurePolicy::Block)
+        let run = serving_run(&backend, 2, &iters, serve, shard);
+        (run, backend, iters)
+    }
+
+    /// A serving run over the tiny dataset at 8 ranks, persisting into
+    /// `backend` as run `"test"`: `viz` stagers, `serve.clients` clients
+    /// and simulation ranks for the rest.
+    fn serving_run(
+        backend: &Arc<dyn StoreBackend>,
+        viz: usize,
+        iters: &[usize],
+        serve: ServeParams,
+        shard: Option<usize>,
+    ) -> ServingRun {
+        let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
+        let sink = FrameSink::with_layout(Arc::clone(backend), "test", CodecKind::Fpz, shard);
+        let params = StagedParams::new(viz, 2, BackpressurePolicy::Block)
             .with_sim_compute(5.0)
             .with_persist(sink);
         let config = crate::PipelineConfig::default()
             .deterministic()
             .with_fixed_percent(40.0)
             .with_staged(params);
-        let run = run_staged_serving_in_session(
+        run_staged_serving_in_session(
             &mut Runtime::new(8, NetModel::blue_waters()).session(),
             dataset.decomp(),
             dataset.coords(),
             &config,
-            &iters,
+            iters,
             &serve,
             &|it, rank| dataset.rank_blocks(it, rank),
-        );
-        (run, backend, iters)
+        )
     }
 
     #[test]
@@ -724,6 +649,70 @@ mod tests {
                     "iteration {it} stager {stager}"
                 );
             }
+        }
+    }
+
+    /// 8 ranks split 2 sim / 4 stage / 2 clients: clients 0 and 1 go to
+    /// stagers 0 and 1, and stagers 2 and 3 have no client. Those render
+    /// and seed their caches like the others but answer nothing.
+    #[test]
+    fn stagers_without_clients_serve_nothing() {
+        for policy in [ServePolicy::WaitForFrame, ServePolicy::BestEffort] {
+            let serve = ServeParams::new(2, 6, policy)
+                .with_think_time(0.1)
+                .with_cache_bytes(64 << 10);
+            let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
+            let iters = ReflectivityDataset::tiny(8, 42)
+                .unwrap()
+                .sample_iterations(4);
+            let run = serving_run(&backend, 4, &iters, serve, None);
+            assert_eq!(run.requests.len(), 2 * 6, "{policy:?}");
+            assert_eq!(run.client_finish.len(), 2);
+            assert_eq!(run.servers.len(), 4);
+            assert_eq!(run.staged.blocks_by_stager().len(), 4);
+            for (slot, stats) in run.servers.iter().enumerate() {
+                assert_eq!(stats.cache.insertions, iters.len(), "stager {slot}");
+                if slot < 2 {
+                    assert_eq!(stats.requests, 6, "stager {slot} answers its client");
+                    continue;
+                }
+                let idle = ServerStats {
+                    cache: CacheStats {
+                        insertions: stats.cache.insertions,
+                        ..CacheStats::default()
+                    },
+                    finish: stats.finish,
+                    ..ServerStats::default()
+                };
+                assert_eq!(*stats, idle, "stager {slot} has no client ({policy:?})");
+            }
+            if policy == ServePolicy::WaitForFrame {
+                assert_eq!(run.total_inexact(), 0);
+            }
+        }
+    }
+
+    /// A run that persists frames must write a manifest `open_run` reads
+    /// back, so iterations out of order fail the run at entry, before any
+    /// rank starts: no stager renders, and no manifest or frame is stored.
+    #[test]
+    fn out_of_order_iterations_fail_before_any_rank_starts() {
+        let mut iters = ReflectivityDataset::tiny(8, 42)
+            .unwrap()
+            .sample_iterations(4);
+        iters.swap(1, 2);
+        let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
+        let serve = ServeParams::new(4, 6, ServePolicy::WaitForFrame).with_think_time(0.1);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serving_run(&backend, 2, &iters, serve, None)
+        }))
+        .expect_err("the run must not start");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("strictly increasing"), "{message}");
+        assert!(!backend.contains("f/test/manifest.json").unwrap());
+        for &it in &iters {
+            let key = apc_serve::store::frame_key("test", it as u64, 0);
+            assert!(!backend.contains(&key).unwrap(), "frame {it} rendered");
         }
     }
 

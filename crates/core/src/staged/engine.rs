@@ -32,7 +32,7 @@
 //!
 //! The engine is generic over the frame payload and returns per-frame
 //! logs ([`SimFrameLog`] / [`StageFrameLog`]) from which the staged
-//! drivers assemble reports; it never performs collectives, so simulation
+//! driver assembles reports; it never performs collectives, so simulation
 //! ranks and staging ranks stay fully decoupled during a run.
 
 use std::collections::VecDeque;

@@ -25,10 +25,13 @@
 //!   actually used ([`BudgetController::observe_at`]), so its linear model
 //!   stays fed with true `(time, percent)` pairs.
 //!
-//! Each rank returns a per-frame log; [`StagedRun`] merges the logs into
-//! the same [`IterationReport`] stream the synchronous pipeline emits
-//! (step times are max-over-ranks, triangle counters summed) plus the
-//! staged-only observables: simulation-visible stall/in situ time and
+//! One driver runs every staged run. Given [`ServeParams`], it also runs
+//! client ranks on the session's last ranks, and the stagers answer them
+//! between frames (`crate::serving`); without, the same run has no
+//! clients. Each rank returns a per-frame log; [`StagedRun`] merges the
+//! logs into the same [`IterationReport`] stream the synchronous pipeline
+//! emits (step times are max-over-ranks, triangle counters summed) plus
+//! the staged-only observables: simulation-visible stall/in situ time and
 //! dropped/degraded frame counts. The merge runs on the driver thread
 //! over rank-ordered logs, so staged reports are byte-stable across
 //! repeated runs and execution policies exactly like synchronous ones
@@ -38,6 +41,7 @@ mod engine;
 
 use apc_comm::{Rank, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
+use apc_serve::{ReplyChecker, RequestLog, ServeReport, ServerStats};
 
 use crate::config::{InSituMode, PipelineConfig, StagedParams};
 use crate::controller::BudgetController;
@@ -45,8 +49,8 @@ use crate::pipeline::{reduce_lowest, render_held, score_held};
 use crate::redistribute::WireBlock;
 use crate::report::IterationReport;
 use crate::selection::{score_order, ScoredBlock};
-pub(crate) use engine::RankLog;
-use engine::{run_staged, Partition, SimFrameLog, StageFrameLog};
+use crate::serving::{client_program, ServeParams, ServingRun, StagerServe};
+use engine::{run_staged, Partition, RankLog, SimFrameLog, StageFrameLog};
 
 /// A block slice on the wire: `(block, score)` pairs. Scores ride along so
 /// stagers never re-score what the simulation already measured.
@@ -54,13 +58,13 @@ type Slice = Vec<(WireBlock, f64)>;
 
 /// What a simulation rank logs per frame (beyond the engine's timing).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct SimAux {
+struct SimAux {
     t_score: f64,
 }
 
 /// What a staging rank logs per frame (beyond the engine's timing).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct StageOut {
+struct StageOut {
     percent: f64,
     degraded: bool,
     /// Blocks this stager rendered this frame (explicitly zero when every
@@ -70,6 +74,17 @@ pub(crate) struct StageOut {
     triangles: usize,
     t_reduce: f64,
     t_render: f64,
+}
+
+/// What one rank of a staged run returns: a simulation rank's or
+/// stager's log, with a serving stager's totals, or a client's request
+/// logs and final clock. Returning the log and a `ServeReport` share as a
+/// tuple instead cost ≈ 25 % more wall time and ≈ 40 % more voluntary
+/// context switches per `serve_adaptive` op (2 vCPUs, 272 rank threads),
+/// with the same digest; the cause was not found.
+enum RankOut {
+    Staged(RankLog<SimAux, StageOut>, Option<ServerStats>),
+    Client(Vec<RequestLog>, f64),
 }
 
 /// One staged iteration: the synchronous-compatible report plus the
@@ -192,26 +207,149 @@ pub fn run_staged_in_session<F>(
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
 {
-    let (params, partition) = begin_staged(session, decomp, config, iterations, 0);
-    let iters = iterations.to_vec();
-    let logs: Vec<RankLog<SimAux, StageOut>> = session.run(|rank| {
-        rank_program(
-            rank, partition, &params, config, decomp, &iters, blocks, None,
-        )
-    });
-    end_staged(&params);
-    merge_logs(partition, iterations, logs)
+    run(session, decomp, config, iterations, None, blocks).staged
 }
 
-/// The SPMD program of one staged rank (both roles). `serve` is the
-/// per-stager serving state the `crate::serving` executor threads in —
-/// `None` for plain staged runs; when present, the stager also answers
-/// its assigned clients' frame requests between frames.
+/// The one staged driver, with client ranks when `serve` is given
+/// ([`crate::run_staged_serving_in_session`]) and without them otherwise.
+/// It checks the split of the session's ranks but the last
+/// `serve.clients` (the one place a staged split meets a concrete rank
+/// count), writes the sink's manifest before any rank starts, runs the
+/// simulation, staging and client ranks in one `session.run`, seals the
+/// sink, and folds the rank-ordered logs into the run's [`StagedRun`] and
+/// [`ServeReport`] (empty without clients).
+pub(crate) fn run<F>(
+    session: &mut Session,
+    decomp: &DomainDecomp,
+    config: &PipelineConfig,
+    iterations: &[usize],
+    serve: Option<&ServeParams>,
+    blocks: &F,
+) -> ServingRun
+where
+    F: Fn(usize, usize) -> Vec<Block> + Sync,
+{
+    #[expect(
+        clippy::panic,
+        reason = "misconfiguration caught at entry, before any rank spawns"
+    )]
+    let InSituMode::Staged(params) = &config.mode
+    else {
+        panic!("a staged run needs an InSituMode::Staged config")
+    };
+    let nranks = session.nranks();
+    assert_eq!(
+        nranks,
+        decomp.nranks(),
+        "session rank count must match the decomposition"
+    );
+    assert!(
+        !iterations.is_empty(),
+        "a staged run needs at least one iteration"
+    );
+    let n_clients = serve.map_or(0, |s| s.clients);
+    params.validate(nranks, n_clients);
+    // Stagers serve the frames they persist, so serving needs the sink.
+    #[expect(
+        clippy::expect_used,
+        reason = "misconfiguration caught at entry, before any rank spawns"
+    )]
+    let serving = serve.map(|s| {
+        let sink = params.persist.as_ref();
+        (
+            s,
+            sink.expect("serving needs StagedParams::persist — attach a FrameSink"),
+        )
+    });
+    let partition = Partition::new(nranks - n_clients, params.viz_ranks);
+    let (n_sim, n_stage) = (partition.n_sim(), partition.n_stage());
+    if let Some(sink) = &params.persist {
+        let gb = decomp.global_block_grid();
+        #[expect(
+            clippy::expect_used,
+            reason = "driver-level setup — a manifest write failure fails the run before it starts"
+        )]
+        sink.begin_run(params.viz_ranks, gb.nx, gb.ny, iterations)
+            .expect("write the run manifest");
+    }
+
+    let checker = ReplyChecker::default();
+    let outs = session.run(|rank| {
+        let r = rank.rank();
+        if let Some((serve, _)) = serving.filter(|_| r >= n_sim + n_stage) {
+            let client = r - n_sim - n_stage;
+            let server_slot = client % n_stage;
+            let (logs, finish) = client_program(
+                rank,
+                client,
+                partition.stage_rank(server_slot),
+                server_slot as u32,
+                iterations,
+                serve,
+                &checker,
+            );
+            return RankOut::Client(logs, finish);
+        }
+        let mut srv = serving.filter(|_| r >= n_sim).map(|(serve, sink)| {
+            let slot = r - n_sim;
+            let client_ranks: Vec<usize> = (0..n_clients)
+                .filter(|c| c % n_stage == slot)
+                .map(|c| n_sim + n_stage + c)
+                .collect();
+            StagerServe::new(serve, slot as u32, sink, iterations, client_ranks)
+        });
+        let log = rank_program(
+            rank,
+            partition,
+            params,
+            config,
+            decomp,
+            iterations,
+            blocks,
+            srv.as_mut(),
+        );
+        RankOut::Staged(log, srv.map(|s| s.finish(rank.clock())))
+    });
+
+    // Seal partially-filled shard groups, so a stored run is complete (and
+    // readable through `open_run`) the moment the run call returns.
+    if let Some(sink) = &params.persist {
+        #[expect(
+            clippy::expect_used,
+            reason = "driver-level teardown — failing to seal the run is unrecoverable and must be loud"
+        )]
+        sink.flush().expect("seal the run's tail shards");
+    }
+
+    let mut logs = Vec::with_capacity(n_sim + n_stage);
+    let mut report = ServeReport::default();
+    for out in outs {
+        match out {
+            RankOut::Staged(log, stats) => {
+                logs.push(log);
+                report.servers.extend(stats);
+            }
+            RankOut::Client(requests, finish) => {
+                report.requests.extend(requests);
+                report.client_finish.push(finish);
+            }
+        }
+    }
+    ServingRun {
+        staged: merge_logs(partition, iterations, logs),
+        report,
+    }
+}
+
+/// The SPMD program of one staged rank (both roles). `serve` is a
+/// stager's serving state in a run with clients — `None` otherwise; when
+/// present, the stager also answers its assigned clients' frame requests
+/// between frames.
 #[expect(
     clippy::too_many_arguments,
     reason = "each argument is one borrow of the executor's shared inputs; a struct would only rename them"
 )]
-pub(crate) fn rank_program<F>(
+fn rank_program<F>(
     rank: &mut Rank,
     partition: Partition,
     params: &StagedParams,
@@ -219,7 +357,7 @@ pub(crate) fn rank_program<F>(
     decomp: &DomainDecomp,
     iterations: &[usize],
     blocks: &F,
-    mut serve: Option<&mut crate::serving::StagerServe<'_>>,
+    mut serve: Option<&mut StagerServe<'_>>,
 ) -> RankLog<SimAux, StageOut>
 where
     F: Fn(usize, usize) -> Vec<Block> + Sync,
@@ -338,7 +476,7 @@ where
             if let Some(srv) = serve.as_deref_mut() {
                 // Serve this stager's clients up to frame k's quota (and
                 // flush replies that waited for this frame).
-                srv.after_frame(rank, k, iterations.len());
+                srv.after_frame(rank, k);
             }
 
             StageOut {
@@ -354,67 +492,9 @@ where
     )
 }
 
-/// The set-up both staged drivers share: the config's staged parameters,
-/// the sim/viz split of the session's ranks but the last `clients` (0 for
-/// a plain staged run; the serving driver keeps those for its clients),
-/// and — when the run persists frames — its manifest, which the sink
-/// writes before any rank starts. This is the one place a staged split is
-/// checked against a concrete rank count.
-pub(crate) fn begin_staged(
-    session: &Session,
-    decomp: &DomainDecomp,
-    config: &PipelineConfig,
-    iterations: &[usize],
-    clients: usize,
-) -> (StagedParams, Partition) {
-    #[expect(
-        clippy::panic,
-        reason = "misconfiguration caught at entry, before any rank spawns"
-    )]
-    let InSituMode::Staged(params) = &config.mode
-    else {
-        panic!("a staged run needs an InSituMode::Staged config")
-    };
-    let nranks = session.nranks();
-    assert_eq!(
-        nranks,
-        decomp.nranks(),
-        "session rank count must match the decomposition"
-    );
-    assert!(
-        !iterations.is_empty(),
-        "a staged run needs at least one iteration"
-    );
-    params.validate(nranks, clients);
-    let partition = Partition::new(nranks - clients, params.viz_ranks);
-    if let Some(sink) = &params.persist {
-        let gb = decomp.global_block_grid();
-        #[expect(
-            clippy::expect_used,
-            reason = "driver-level setup — a manifest write failure fails the run before it starts"
-        )]
-        sink.begin_run(params.viz_ranks, gb.nx, gb.ny, iterations)
-            .expect("write the run manifest");
-    }
-    (params.clone(), partition)
-}
-
-/// The teardown both staged drivers share: seal partially-filled shard
-/// groups, so a stored run is complete (and readable through `open_run`)
-/// the moment the run call returns.
-pub(crate) fn end_staged(params: &StagedParams) {
-    if let Some(sink) = &params.persist {
-        #[expect(
-            clippy::expect_used,
-            reason = "driver-level teardown — failing to seal the run is unrecoverable and must be loud"
-        )]
-        sink.flush().expect("seal the run's tail shards");
-    }
-}
-
 /// Fold the per-rank logs into the per-iteration stream. Pure arithmetic
 /// over rank-ordered data — deterministic by construction.
-pub(crate) fn merge_logs(
+fn merge_logs(
     partition: Partition,
     iterations: &[usize],
     logs: Vec<RankLog<SimAux, StageOut>>,
@@ -728,6 +808,19 @@ mod tests {
         let totals = run.blocks_by_stager();
         assert_eq!(totals.len(), 2);
         assert!(totals.iter().all(|&t| t > 0));
+    }
+
+    /// Only a run that writes a manifest needs its iterations in order: a
+    /// staged run without a sink renders them as given.
+    #[test]
+    fn unpersisted_run_accepts_iterations_in_any_order() {
+        let dataset = ReflectivityDataset::tiny(4, 42).unwrap();
+        let mut its = dataset.sample_iterations(4);
+        its.swap(1, 2);
+        let params = StagedParams::new(1, 2, BackpressurePolicy::Block);
+        let run = run_fresh(&dataset, &staged_config(params), &its);
+        let rendered: Vec<usize> = run.reports().iter().map(|r| r.iteration).collect();
+        assert_eq!(rendered, its);
     }
 
     #[test]

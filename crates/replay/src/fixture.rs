@@ -31,10 +31,6 @@ pub fn synth_run(
     shard_chunks: Option<usize>,
 ) -> RunManifest {
     assert!(!iterations.is_empty(), "a run needs at least one iteration");
-    assert!(
-        iterations.windows(2).all(|w| w[0] < w[1]),
-        "iterations must be strictly increasing"
-    );
     assert!(n_stagers >= 1, "a run needs at least one stager");
     let sink = FrameSink::with_layout(backend, run_id, codec, shard_chunks);
     #[expect(

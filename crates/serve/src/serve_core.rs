@@ -386,7 +386,7 @@ impl<R> RequestLog<R> {
 }
 
 /// The serving observables of a completed run, live or replayed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeReport<R = ()> {
     /// Per-server totals, in server-slot order.
     pub servers: Vec<ServerStats>,

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use apc_store::fields::{DocWriter, Fields};
+use apc_store::fields::{check_iterations, DocWriter, Fields};
 use apc_store::{layout, CodecKind, LayoutWriter, StoreBackend};
 
 use crate::frame::Frame;
@@ -236,6 +236,7 @@ impl FrameSink {
         height: usize,
         iterations: &[usize],
     ) -> Result<RunManifest, ServeError> {
+        check_iterations(iterations)?;
         let manifest = RunManifest {
             run_id: self.run_id.clone(),
             n_stagers,
@@ -565,6 +566,19 @@ mod tests {
         let (store, m) = open_run(plain, "run").unwrap();
         assert_eq!(m.shard_chunks, None);
         assert_eq!(store.get_frame(100, 0).unwrap(), sample_frame(100, 0));
+    }
+
+    /// The sink checks the manifest's iterations by the rule its reader
+    /// reads by, before it writes anything.
+    #[test]
+    fn begin_run_rejects_iterations_open_run_would_reject() {
+        for iterations in [&[57, 399, 228, 571][..], &[300, 300]] {
+            let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
+            let sink = FrameSink::new(Arc::clone(&backend), "run", CodecKind::Fpz);
+            let err = sink.begin_run(2, 6, 4, iterations).unwrap_err();
+            assert!(err.to_string().contains("strictly increasing"), "{err}");
+            assert!(!backend.contains(&manifest_key("run")).unwrap());
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ use apc_grid::{Block, BlockData, BlockId, DomainDecomp};
 
 use crate::backend::StoreBackend;
 use crate::cache::{CacheStats, ChunkCache};
+use crate::fields;
 use crate::layout;
 use crate::meta::{DatasetMeta, META_KEY};
 use crate::StoreError;
@@ -82,11 +83,12 @@ fn lock(cache: &Mutex<DecodedCache>) -> MutexGuard<'_, DecodedCache> {
 }
 
 impl<B: StoreBackend> ChunkedDataset<B> {
-    /// Create a new dataset: validates the geometry and writes the
-    /// metadata document. Chunks are written afterwards with
-    /// [`ChunkedDataset::write_chunk`].
+    /// Create a new dataset: validates the geometry and the iterations
+    /// and writes the metadata document. Chunks are written afterwards
+    /// with [`ChunkedDataset::write_chunk`].
     pub fn create(backend: B, meta: DatasetMeta) -> Result<Self, StoreError> {
         let decomp = meta.decomp()?;
+        fields::check_iterations(&meta.iterations)?;
         backend.put(META_KEY, meta.to_json().as_bytes())?;
         Ok(Self {
             backend,
@@ -346,6 +348,24 @@ mod tests {
         (0..dims.len())
             .map(|i| (i as f32 * 0.21 + salt).sin() * 30.0)
             .collect()
+    }
+
+    /// `create` checks the iterations by the rule `open` reads by, before
+    /// it writes the metadata document.
+    #[test]
+    fn create_rejects_iterations_open_would_reject() {
+        for iterations in [vec![57, 399, 228, 571], vec![300, 300]] {
+            let backend = MemStore::new();
+            let meta = DatasetMeta {
+                iterations: iterations.clone(),
+                ..tiny_meta(CodecKind::Raw)
+            };
+            match ChunkedDataset::create(&backend, meta) {
+                Err(StoreError::BadMeta(m)) => assert!(m.contains("strictly increasing"), "{m}"),
+                other => panic!("{iterations:?} accepted: {:?}", other.map(|_| ())),
+            }
+            assert!(!backend.contains(META_KEY).unwrap());
+        }
     }
 
     #[test]

@@ -102,11 +102,7 @@ impl Fields {
     /// `iterations`, strictly increasing.
     pub fn iterations(&self) -> Result<Vec<usize>, StoreError> {
         let iterations = self.uints("iterations")?;
-        if !iterations.windows(2).all(|w| w[1] > w[0]) {
-            return Err(StoreError::BadMeta(
-                "iterations must be strictly increasing".to_owned(),
-            ));
-        }
+        check_iterations(&iterations)?;
         Ok(iterations)
     }
 
@@ -120,6 +116,19 @@ impl Fields {
             Some(zero @ Value::Int(0)) => Err(bad(KEY, zero)),
             Some(_) => self.uint(KEY).map(Some),
         }
+    }
+}
+
+/// The `iterations` rule [`Fields::iterations`] reads by: strictly
+/// increasing. Each writer checks it before it writes, so no document it
+/// writes is one its reader rejects.
+pub fn check_iterations(iterations: &[usize]) -> Result<(), StoreError> {
+    if iterations.windows(2).all(|w| w[1] > w[0]) {
+        Ok(())
+    } else {
+        Err(StoreError::BadMeta(
+            "iterations must be strictly increasing".to_owned(),
+        ))
     }
 }
 
